@@ -12,6 +12,19 @@ type serving =
       (** serving vertex and its l_v(f) edge offset from the source *)
 
 val serve : Placement.t -> Tdmd_flow.Flow.t -> serving
+(** One flow's serving decision, by membership tests on the placement
+    list.  The whole-instance functions below build one {!mask} per call
+    instead. *)
+
+val mask : Instance.t -> Placement.t -> Bytes.t
+(** One byte per vertex, ['\001'] where a middlebox is deployed: O(1)
+    membership for a scan over many flows.  Placed vertices outside the
+    graph are dropped (no flow path can reach them). *)
+
+val first_in : Bytes.t -> Tdmd_flow.Flow.t -> int
+(** Path position of the first vertex the mask marks — the forced
+    serving position l_v(f) — or the path length when none is (the flow
+    is unserved). *)
 
 val all : Instance.t -> Placement.t -> serving array
 (** Indexed like the instance's flow array. *)

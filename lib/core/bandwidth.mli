@@ -24,8 +24,13 @@ val flow_consumption :
 (** Bandwidth consumed by one flow under a serving decision; an
     [Unserved] flow consumes its full [r_f·|p_f|]. *)
 
+val consumption_in : lambda:float -> Bytes.t -> Tdmd_flow.Flow.t -> float
+(** [flow_consumption] under the forced allocation against an
+    {!Allocation.mask}: same formula and bits, no allocation. *)
+
 val total : Instance.t -> Placement.t -> float
-(** b(P, F): Eq. 1 under the forced earliest-middlebox allocation. *)
+(** b(P, F): Eq. 1 under the forced earliest-middlebox allocation,
+    summed over the flow array in order against one placement mask. *)
 
 val decrement : Instance.t -> Placement.t -> float
 (** d(P) = Σ_f r_f·|p_f| − b(P) (Def. 1).  Monotone submodular

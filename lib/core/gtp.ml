@@ -20,32 +20,11 @@ let report_of instance ~oracle_calls ~telemetry chosen =
     telemetry;
   }
 
-(* Wrap every oracle evaluation (from-scratch values and incremental
-   marginals alike) with a "delta_evals" counter and a nanosecond
-   accumulator; [flush] publishes the total as "oracle_ns" once the run
-   completes, so the bench can attribute wall-clock to the oracle. *)
-let instrument tel oracle =
-  let ns = ref 0L in
-  let timed f x =
-    Tdmd_obs.Telemetry.count tel "delta_evals" 1;
-    let t0 = Tdmd_obs.Clock.now_ns () in
-    let r = f x in
-    ns := Int64.add !ns (Int64.sub (Tdmd_obs.Clock.now_ns ()) t0);
-    r
-  in
-  let oracle =
-    {
-      oracle with
-      Tdmd_submod.Submodular.value = timed oracle.Tdmd_submod.Submodular.value;
-      incremental =
-        Option.map
-          (fun inc ->
-            { inc with Tdmd_submod.Submodular.gain = timed inc.Tdmd_submod.Submodular.gain })
-          oracle.Tdmd_submod.Submodular.incremental;
-    }
-  in
-  (oracle, fun () -> Tdmd_obs.Telemetry.count tel "oracle_ns" (Int64.to_int !ns))
-
+(* Every oracle evaluation of the greedy phase is one marginal or
+   from-scratch value call, which [Submodular] already counts as
+   [oracle_calls]: that count is published as "delta_evals" once the
+   phase ends, and the phase's wall time as "oracle_ns" — no per-call
+   counter update or clock read in the loop. *)
 let run_with ~label selector ?budget ?(incremental = true) instance =
   let budget =
     match budget with Some k -> k | None -> Instance.vertex_count instance
@@ -56,26 +35,26 @@ let run_with ~label selector ?budget ?(incremental = true) instance =
     if incremental then Bandwidth.oracle instance
     else Bandwidth.oracle_naive instance
   in
-  let oracle, flush_oracle_ns = instrument tel oracle in
   (* Spend the whole budget: the greedy keeps deploying while any vertex
      has positive marginal decrement (bandwidth only improves), and the
      fix-up then covers any still-unserved flows. *)
-  let report =
-    Tdmd_obs.Telemetry.with_span tel label (fun () ->
-        let sel =
-          Tdmd_obs.Telemetry.with_span tel "greedy" (fun () ->
-              selector ~stop:(fun _ -> false) ~k:budget oracle)
-        in
-        let chosen =
-          Tdmd_obs.Telemetry.with_span tel "cover-fixup" (fun () ->
-              Cover_fixup.within instance ~chosen:sel.Tdmd_submod.Submodular.chosen
-                ~budget)
-        in
-        report_of instance ~oracle_calls:sel.Tdmd_submod.Submodular.oracle_calls
-          ~telemetry:tel chosen)
-  in
-  flush_oracle_ns ();
-  report
+  Tdmd_obs.Telemetry.with_span tel label (fun () ->
+      let t0 = Tdmd_obs.Clock.now_ns () in
+      let sel =
+        Tdmd_obs.Telemetry.with_span tel "greedy" (fun () ->
+            selector ~stop:(fun _ -> false) ~k:budget oracle)
+      in
+      let oracle_ns = Int64.sub (Tdmd_obs.Clock.now_ns ()) t0 in
+      let calls = sel.Tdmd_submod.Submodular.oracle_calls in
+      if calls > 0 then Tdmd_obs.Telemetry.count tel "delta_evals" calls;
+      let chosen =
+        Tdmd_obs.Telemetry.with_span tel "cover-fixup" (fun () ->
+            Cover_fixup.within instance ~chosen:sel.Tdmd_submod.Submodular.chosen
+              ~budget)
+      in
+      let report = report_of instance ~oracle_calls:calls ~telemetry:tel chosen in
+      Tdmd_obs.Telemetry.count tel "oracle_ns" (Int64.to_int oracle_ns);
+      report)
 
 let run ?budget ?incremental instance =
   run_with ~label:"gtp"

@@ -19,9 +19,11 @@ type report = {
       (** decrement-oracle evaluations performed — deprecated alias of
           the ["oracle_calls"] telemetry counter *)
   telemetry : Tdmd_obs.Telemetry.t;
-      (** counters ["oracle_calls"], ["delta_evals"], ["oracle_ns"]
-          (nanoseconds spent inside oracle evaluations), ["budget"],
-          ["placement_size"]; spans [gtp > greedy, cover-fixup] *)
+      (** counters ["oracle_calls"], ["delta_evals"] (oracle
+          evaluations, published once per run), ["oracle_ns"] (wall
+          time of the greedy phase, the part that queries the oracle,
+          in nanoseconds), ["budget"], ["placement_size"]; spans
+          [gtp > greedy, cover-fixup] *)
 }
 
 val run : ?budget:int -> ?incremental:bool -> Instance.t -> report

@@ -9,14 +9,15 @@ module Flow = Tdmd_flow.Flow
 
 type op = Added of int | Removed of int | Untouched
 
+(* [inc] is the instance's shared incidence (read-only here); everything
+   below it is this run's deployment state. *)
 type t = {
   flows : Flow.t array;
+  inc : Instance.incidence;
   one_minus_lambda : float;
   total_volume : int;            (* Σ_f r_f · hops_f *)
-  index : (int * int) array array;  (* vertex -> (flow index, path position) *)
   placed : Bytes.t;              (* vertex -> deployed? *)
-  pos_placed : Bytes.t array;    (* flow -> deployed bitmap over path positions *)
-  first : int array;             (* flow -> serving position; path length = unserved *)
+  first : int array;             (* flow -> serving position; hops + 1 = unserved *)
   mutable dim_volume : int;      (* Σ served r_f · (hops_f − first_f) *)
   mutable unserved : int;
   mutable placed_count : int;
@@ -28,32 +29,21 @@ type t = {
 let contrib rate hops l = if l > hops then 0 else rate * (hops - l)
 
 let create instance =
-  let n = Instance.vertex_count instance in
-  let flows = instance.Instance.flows in
-  let counts = Array.make n 0 in
-  Array.iter
-    (fun f -> Array.iter (fun v -> counts.(v) <- counts.(v) + 1) f.Flow.path)
-    flows;
-  let index = Array.init n (fun v -> Array.make counts.(v) (0, 0)) in
-  let fill = Array.make n 0 in
-  Array.iteri
-    (fun fi f ->
-      Array.iteri
-        (fun pos v ->
-          index.(v).(fill.(v)) <- (fi, pos);
-          fill.(v) <- fill.(v) + 1)
-        f.Flow.path)
-    flows;
+  let inc = instance.Instance.incidence in
+  let nflows = Array.length inc.Instance.hops in
+  let total_volume = ref 0 in
+  for fi = 0 to nflows - 1 do
+    total_volume := !total_volume + (inc.Instance.rates.(fi) * inc.Instance.hops.(fi))
+  done;
   {
-    flows;
+    flows = instance.Instance.flows;
+    inc;
     one_minus_lambda = 1.0 -. instance.Instance.lambda;
-    total_volume = Instance.total_path_volume instance;
-    index;
-    placed = Bytes.make n '\000';
-    pos_placed = Array.map (fun f -> Bytes.make (Array.length f.Flow.path) '\000') flows;
-    first = Array.map (fun f -> Array.length f.Flow.path) flows;
+    total_volume = !total_volume;
+    placed = Bytes.make (Instance.vertex_count instance) '\000';
+    first = Array.map (fun h -> h + 1) inc.Instance.hops;
     dim_volume = 0;
-    unserved = Array.length flows;
+    unserved = nflows;
     placed_count = 0;
     log = [];
   }
@@ -63,8 +53,10 @@ let size t = t.placed_count
 let diminished_volume t = t.dim_volume
 let decrement t = t.one_minus_lambda *. float_of_int t.dim_volume
 
-let bandwidth t =
-  float_of_int t.total_volume -. (t.one_minus_lambda *. float_of_int t.dim_volume)
+let bandwidth_at t dim =
+  float_of_int t.total_volume -. (t.one_minus_lambda *. float_of_int dim)
+
+let bandwidth t = bandwidth_at t t.dim_volume
 
 let unserved_count t = t.unserved
 let is_feasible t = t.unserved = 0
@@ -72,43 +64,41 @@ let is_feasible t = t.unserved = 0
 let do_add t v =
   Bytes.set t.placed v '\001';
   t.placed_count <- t.placed_count + 1;
-  Array.iter
-    (fun (fi, pos) ->
-      Bytes.set t.pos_placed.(fi) pos '\001';
-      let old = t.first.(fi) in
-      if pos < old then begin
-        let f = t.flows.(fi) in
-        let hops = Flow.hop_count f in
-        if old > hops then t.unserved <- t.unserved - 1;
-        t.dim_volume <-
-          t.dim_volume + contrib f.Flow.rate hops pos - contrib f.Flow.rate hops old;
-        t.first.(fi) <- pos
-      end)
-    t.index.(v)
+  let { Instance.offsets; entries; rates; hops } = t.inc in
+  for i = offsets.(v) to offsets.(v + 1) - 1 do
+    let fi = entries.(2 * i) and pos = entries.((2 * i) + 1) in
+    let old = t.first.(fi) in
+    if pos < old then begin
+      let h = hops.(fi) in
+      if old > h then t.unserved <- t.unserved - 1;
+      t.dim_volume <- t.dim_volume + contrib rates.(fi) h pos - contrib rates.(fi) h old;
+      t.first.(fi) <- pos
+    end
+  done
 
+(* [v]'s bit is cleared first and paths repeat no vertex, so the scan
+   for each affected flow's next deployed vertex reads the post-removal
+   deployment straight off [placed]. *)
 let do_remove t v =
   Bytes.set t.placed v '\000';
   t.placed_count <- t.placed_count - 1;
-  Array.iter
-    (fun (fi, pos) ->
-      Bytes.set t.pos_placed.(fi) pos '\000';
-      if pos = t.first.(fi) then begin
-        let f = t.flows.(fi) in
-        let hops = Flow.hop_count f in
-        let len = hops + 1 in
-        let bits = t.pos_placed.(fi) in
-        (* Next deployed vertex down the path, or the unserved sentinel. *)
-        let q = ref (pos + 1) in
-        while !q < len && Bytes.get bits !q = '\000' do
-          incr q
-        done;
-        let next = !q in
-        if next > hops then t.unserved <- t.unserved + 1;
-        t.dim_volume <-
-          t.dim_volume + contrib f.Flow.rate hops next - contrib f.Flow.rate hops pos;
-        t.first.(fi) <- next
-      end)
-    t.index.(v)
+  let { Instance.offsets; entries; rates; hops } = t.inc in
+  for i = offsets.(v) to offsets.(v + 1) - 1 do
+    let fi = entries.(2 * i) and pos = entries.((2 * i) + 1) in
+    if pos = t.first.(fi) then begin
+      let path = t.flows.(fi).Flow.path in
+      let h = hops.(fi) in
+      (* Next deployed vertex down the path, or the unserved sentinel. *)
+      let q = ref (pos + 1) in
+      while !q <= h && Bytes.get t.placed path.(!q) = '\000' do
+        incr q
+      done;
+      let next = !q in
+      if next > h then t.unserved <- t.unserved + 1;
+      t.dim_volume <- t.dim_volume + contrib rates.(fi) h next - contrib rates.(fi) h pos;
+      t.first.(fi) <- next
+    end
+  done
 
 let add t v =
   if mem t v then t.log <- Untouched :: t.log
@@ -137,10 +127,9 @@ let undo t =
 
 let reset t =
   Bytes.fill t.placed 0 (Bytes.length t.placed) '\000';
-  Array.iter (fun b -> Bytes.fill b 0 (Bytes.length b) '\000') t.pos_placed;
-  Array.iteri (fun fi f -> t.first.(fi) <- Array.length f.Flow.path) t.flows;
+  Array.iteri (fun fi h -> t.first.(fi) <- h + 1) t.inc.Instance.hops;
   t.dim_volume <- 0;
-  t.unserved <- Array.length t.flows;
+  t.unserved <- Array.length t.first;
   t.placed_count <- 0;
   t.log <- []
 
@@ -151,23 +140,36 @@ let of_list instance vs =
 
 let marginal_volume t v =
   if mem t v then 0
-  else
-    Array.fold_left
-      (fun acc (fi, pos) ->
-        if pos < t.first.(fi) then begin
-          let f = t.flows.(fi) in
-          let hops = Flow.hop_count f in
-          acc + contrib f.Flow.rate hops pos - contrib f.Flow.rate hops t.first.(fi)
-        end
-        else acc)
-      0 t.index.(v)
+  else begin
+    let { Instance.offsets; entries; rates; hops } = t.inc in
+    let acc = ref 0 in
+    for i = offsets.(v) to offsets.(v + 1) - 1 do
+      let fi = entries.(2 * i) and pos = entries.((2 * i) + 1) in
+      let old = t.first.(fi) in
+      if pos < old then begin
+        let h = hops.(fi) in
+        acc := !acc + contrib rates.(fi) h pos - contrib rates.(fi) h old
+      end
+    done;
+    !acc
+  end
 
 let marginal t v = t.one_minus_lambda *. float_of_int (marginal_volume t v)
 
+let newly_served t v =
+  if mem t v then 0
+  else begin
+    let { Instance.offsets; entries; hops; _ } = t.inc in
+    let n = ref 0 in
+    for i = offsets.(v) to offsets.(v + 1) - 1 do
+      let fi = entries.(2 * i) in
+      if t.first.(fi) > hops.(fi) then incr n
+    done;
+    !n
+  end
+
 let iter_unserved t k =
-  Array.iteri
-    (fun fi f -> if t.first.(fi) > Flow.hop_count f then k fi)
-    t.flows
+  Array.iteri (fun fi h -> if t.first.(fi) > h then k fi) t.inc.Instance.hops
 
 let placement t =
   let vs = ref [] in

@@ -8,16 +8,18 @@
     oracle dominates end-to-end wall-clock (paper Theorem 3's
     O(|V|² log |V|) bound assumes a cheap marginal oracle).
 
-    This structure precomputes a vertex → (flow, path-position) inverted
-    index at construction and maintains, per flow, the earliest deployed
-    position on its path.  Then:
+    This structure reads the instance's vertex → (flow, path-position)
+    incidence ({!Instance.incidence}: flat CSR int arrays built once per
+    instance and shared read-only) and maintains, per flow, the earliest
+    deployed position on its path.  Then:
 
-    - {!marginal_volume} answers a marginal query in O(flows through v),
-      without mutation;
+    - {!marginal_volume} and {!newly_served} answer a what-if query in
+      O(flows through v), without mutation — the local search scores
+      every swap candidate this way;
     - {!add} / {!remove} commit a deployment change in O(flows through v)
       (plus, on removal, the rescan to each flow's next deployed vertex);
     - {!undo} reverts the most recent [add]/[remove], enabling cheap
-      what-if probes (HAT's Δb, local-search swaps).
+      multi-vertex what-if probes (HAT's Δb, the annealer's moves).
 
     All state is kept in {e integer} diminished-volume units (see
     {!Bandwidth.diminished_volume}); the (1−λ) scaling is applied only at
@@ -29,7 +31,11 @@
 type t
 
 val create : Instance.t -> t
-(** Empty deployment.  O(|V| + Σ_f |p_f|) construction. *)
+(** Empty deployment.  O(|V| + |F|): the incidence comes with the
+    instance, so an oracle allocates only its per-run state — a
+    deployed byte per vertex and a serving position per flow.  Oracles
+    over one instance are independent and may run in different domains
+    at once. *)
 
 val of_list : Instance.t -> int list -> t
 (** [create] plus the given deployment, with an empty undo journal. *)
@@ -66,12 +72,23 @@ val decrement : t -> float
 val bandwidth : t -> float
 (** b(P, F) = Σ_f r_f·|p_f| − (1−λ)·{!diminished_volume}. *)
 
+val bandwidth_at : t -> int -> float
+(** [bandwidth_at t d] is {!bandwidth} of a deployment whose diminished
+    volume is [d], in the same float operations: [bandwidth_at t
+    (diminished_volume t + marginal_volume t v)] has the bits {!bandwidth}
+    would read after [add t v]. *)
+
 val marginal_volume : t -> int -> int
 (** Increase of {!diminished_volume} if the vertex were deployed (0 when
     already deployed).  Pure: does not modify the oracle. *)
 
 val marginal : t -> int -> float
 (** (1−λ) · {!marginal_volume}: d_P({v}) (paper Def. 2). *)
+
+val newly_served : t -> int -> int
+(** Number of currently-unserved flows through the vertex, i.e. the
+    drop of {!unserved_count} if it were deployed (0 when already
+    deployed).  Pure. *)
 
 val unserved_count : t -> int
 val is_feasible : t -> bool

@@ -211,7 +211,17 @@ let placement t = Placement.of_list t.placed
 let placed_order t = t.placed
 let mem_flow t id = Hashtbl.mem t.ids id
 let flow_count t = Hashtbl.length t.ids
-let bandwidth t = Bandwidth.total (instance t) (placement t)
+
+(* Each live flow's consumption in arrival order against the oracle's
+   deployed-vertex bytes, which mirror [t.placed] between events: the
+   formula and summation order of [Bandwidth.total] over [instance t],
+   so the same bits, without rebuilding and re-validating the instance. *)
+let bandwidth t =
+  let mask = t.oracle.Dyn.placed in
+  List.fold_left
+    (fun acc f -> acc +. Bandwidth.consumption_in ~lambda:t.lambda mask f)
+    0.0 (flows t)
+
 let feasible t = Dyn.is_feasible t.oracle
 let moves t = t.moves
 let migration_budget t = t.migration_budget

@@ -2,11 +2,57 @@ module G = Tdmd_graph.Digraph
 module Rt = Tdmd_tree.Rooted_tree
 module Flow = Tdmd_flow.Flow
 
+type incidence = {
+  offsets : int array;
+  entries : int array;
+  rates : int array;
+  hops : int array;
+}
+
 type t = {
   graph : G.t;
   flows : Flow.t array;
   lambda : float;
+  incidence : incidence;
 }
+
+(* Counting sort of the (flow, position) pairs by vertex: one pass to
+   size each vertex's slice, one to fill it in flow-index order. *)
+let incidence_of ~n flows =
+  let offsets = Array.make (n + 1) 0 in
+  Array.iter
+    (fun f ->
+      Array.iter
+        (fun v ->
+          if v < 0 || v >= n then
+            invalid_arg "Instance.make: flow vertex outside the graph";
+          offsets.(v + 1) <- offsets.(v + 1) + 1)
+        f.Flow.path)
+    flows;
+  for v = 1 to n do
+    offsets.(v) <- offsets.(v) + offsets.(v - 1)
+  done;
+  let entries = Array.make (2 * offsets.(n)) 0 in
+  let fill = Array.sub offsets 0 n in
+  Array.iteri
+    (fun fi f ->
+      Array.iteri
+        (fun pos v ->
+          let i = fill.(v) in
+          entries.(2 * i) <- fi;
+          entries.((2 * i) + 1) <- pos;
+          fill.(v) <- i + 1)
+        f.Flow.path)
+    flows;
+  {
+    offsets;
+    entries;
+    rates = Array.map (fun f -> f.Flow.rate) flows;
+    hops = Array.map Flow.hop_count flows;
+  }
+
+let of_array ~graph ~flows ~lambda =
+  { graph; flows; lambda; incidence = incidence_of ~n:(G.vertex_count graph) flows }
 
 let make ~graph ~flows ~lambda =
   if lambda < 0.0 || lambda > 1.0 then
@@ -17,7 +63,7 @@ let make ~graph ~flows ~lambda =
       | Ok () -> ()
       | Error msg -> invalid_arg ("Instance.make: " ^ msg))
     flows;
-  { graph; flows = Array.of_list flows; lambda }
+  of_array ~graph ~flows:(Array.of_list flows) ~lambda
 
 let vertex_count t = G.vertex_count t.graph
 let flow_count t = Array.length t.flows
@@ -51,8 +97,7 @@ module Tree = struct
     { tree; flows = Array.of_list merged; lambda }
 
   let to_general t =
-    let graph = Rt.to_digraph t.tree in
-    { graph; flows = t.flows; lambda = t.lambda }
+    of_array ~graph:(Rt.to_digraph t.tree) ~flows:t.flows ~lambda:t.lambda
 
   let subtree_rate t =
     let n = Rt.size t.tree in

@@ -7,10 +7,27 @@
     the Sec. 5 solvers and enforce the Sec. 5 preconditions (sources are
     leaves, destination is the root). *)
 
+type incidence = private {
+  offsets : int array;
+      (** length |V| + 1: vertex [v]'s entries are
+          [offsets.(v) .. offsets.(v + 1) - 1], in flow-index order *)
+  entries : int array;
+      (** interleaved pairs: entry [i] is flow index [entries.(2i)] at
+          path position [entries.(2i + 1)] *)
+  rates : int array;  (** per flow index: r_f *)
+  hops : int array;  (** per flow index: |p_f| *)
+}
+(** The vertex → (flow, path position) incidence of the flow set in
+    compressed-sparse-row form: flat int arrays, built once per
+    instance and shared read-only by every {!Inc_oracle} (and every
+    domain) solving it, so an oracle allocates only its per-run
+    deployment state.  The arrays must not be written. *)
+
 type t = private {
   graph : Tdmd_graph.Digraph.t;
   flows : Tdmd_flow.Flow.t array;
   lambda : float;  (** traffic-changing ratio, 0 ≤ λ ≤ 1 *)
+  incidence : incidence;
 }
 
 val make :
@@ -18,7 +35,8 @@ val make :
   flows:Tdmd_flow.Flow.t list ->
   lambda:float ->
   t
-(** Validates λ ∈ [0, 1] and every flow path against the graph.
+(** Validates λ ∈ [0, 1] and every flow path against the graph, then
+    builds the {!incidence} in O(|V| + Σ_f |p_f|).
     @raise Invalid_argument on violations. *)
 
 val vertex_count : t -> int

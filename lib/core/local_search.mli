@@ -16,14 +16,17 @@ type report = {
       (** candidate deployments scored — [swaps] and [evaluations] are
           deprecated aliases of the same-named telemetry counters *)
   telemetry : Tdmd_obs.Telemetry.t;
-      (** counters ["swaps"], ["evaluations"], ["delta_evals"],
-          ["oracle_ns"], ["budget"], ["placement_size"];
+      (** counters ["swaps"], ["evaluations"], ["delta_evals"]
+          (candidates probed), ["oracle_ns"] (wall time of the search
+          phase, in nanoseconds), ["budget"], ["placement_size"];
           span [local-search] *)
 }
 
 val refine : ?max_rounds:int -> k:int -> Instance.t -> Placement.t -> report
 (** [refine ~k inst p] requires [p] feasible (raises [Invalid_argument]
     otherwise).  Default [max_rounds] = 1000.  Candidate moves are
-    probed on an {!Inc_oracle} (add/remove + undo), so each evaluation
-    costs O(flows through the touched vertices) rather than a full
-    objective rescan. *)
+    scored read-only on one {!Inc_oracle}: a swap removes the outgoing
+    box once, then prices each incoming vertex with
+    {!Inc_oracle.newly_served} and {!Inc_oracle.marginal_volume}, so an
+    evaluation costs O(flows through the incoming vertex) and writes
+    nothing; the accepted move is applied to the oracle in place. *)

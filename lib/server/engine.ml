@@ -686,7 +686,6 @@ let shard_stats_json t =
     (Array.map
        (fun sh ->
          let st = Shard.stats sh in
-         let summary = Session.churn_summary (Shard.session sh) in
          let batch_avg =
            if st.Shard.batches = 0 then 0.0
            else float_of_int st.Shard.batched_ops /. float_of_int st.Shard.batches
@@ -694,7 +693,7 @@ let shard_stats_json t =
          Json.Obj
            [
              ("shard", Json.Int (Shard.id sh));
-             ("flows", Json.Int summary.Session.live_flows);
+             ("flows", Json.Int (Session.live_flow_count (Shard.session sh)));
              ("queue_depth", Json.Int st.Shard.queue_depth);
              ("queue_peak", Json.Int st.Shard.queue_peak);
              ("batches", Json.Int st.Shard.batches);

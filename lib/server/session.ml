@@ -698,6 +698,7 @@ let churn_stats t = locked t (fun () -> churn_fields_unlocked t)
 
 let live_instance t = locked t (fun () -> Tdmd.Incremental.instance t.churn)
 let live_flows t = locked t (fun () -> Tdmd.Incremental.flows t.churn)
+let live_flow_count t = locked t (fun () -> Tdmd.Incremental.flow_count t.churn)
 
 type churn_summary = {
   live_flows : int;

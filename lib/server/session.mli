@@ -219,6 +219,9 @@ val live_instance : t -> Tdmd.Instance.t
 val live_flows : t -> Tdmd_flow.Flow.t list
 (** The churn engine's active flows, under the lock. *)
 
+val live_flow_count : t -> int
+(** Number of active flows, O(1) under the lock (no summary built). *)
+
 type churn_summary = {
   live_flows : int;
   placement : Tdmd.Placement.t;

@@ -461,6 +461,35 @@ let test_restore_roundtrip_with_budget () =
       future
   done
 
+(* ------------------------------------------------------------------ *)
+(* Incremental.bandwidth sums without rebuilding the instance          *)
+(* ------------------------------------------------------------------ *)
+
+(* After every arrive/depart/rebalance event, the engine's mask-based
+   sum must carry the exact bits of the instance-rebuilding expression
+   it replaced (list-membership scan over [Inc.instance]). *)
+let prop_bandwidth_bits =
+  QCheck.Test.make ~name:"Incremental.bandwidth = rebuilt-instance total, bit for bit"
+    ~count:60
+    QCheck.(pair (int_bound 1_000_000) (int_range 0 3))
+    (fun (seed, li) ->
+      let lambda = [| 0.0; 0.3; 0.5; 1.0 |].(li) in
+      let rng = Rng.create seed in
+      let n = 6 + Rng.int rng 8 in
+      let g = Tdmd_topo.Topo_general.erdos_renyi rng n ~p:0.3 in
+      let k = 1 + Rng.int rng 4 in
+      let t = Inc.create ~migration_budget:(Rng.int rng 3) ~graph:g ~lambda ~k () in
+      let bits () =
+        Int64.bits_of_float (Inc.bandwidth t)
+        = Int64.bits_of_float (Reference.total (Inc.instance t) (Inc.placement t))
+      in
+      List.for_all
+        (fun ev ->
+          apply_inc t ev;
+          if Rng.int rng 4 = 0 then ignore (Inc.rebalance ~budget:(Rng.int rng 5) t);
+          bits ())
+        (random_timeline rng g ~events:40))
+
 let suite =
   [
     Alcotest.test_case "budget 0 is bit-identical to the legacy engine" `Quick
@@ -479,4 +508,5 @@ let suite =
       test_budget_dominates_pin_only;
     Alcotest.test_case "restore round-trips the rebalancer state" `Quick
       test_restore_roundtrip_with_budget;
+    QCheck_alcotest.to_alcotest prop_bandwidth_bits;
   ]

@@ -245,7 +245,16 @@ let test_sharded_routing () =
   (* Sharded stats carry the per-shard section. *)
   (match List.assoc_opt "shards" (Engine.stats_fields engine) with
   | Some (Json.List l) ->
-    Alcotest.(check int) "one stats entry per shard" 4 (List.length l)
+    Alcotest.(check int) "one stats entry per shard" 4 (List.length l);
+    let shard_flows =
+      List.fold_left
+        (fun acc sh ->
+          match Json.member "flows" sh with
+          | Some (Json.Int v) -> acc + v
+          | _ -> Alcotest.fail "per-shard stats must carry \"flows\"")
+        0 l
+    in
+    Alcotest.(check int) "per-shard flows sum to the live count" 1 shard_flows
   | _ -> Alcotest.fail "sharded stats must carry a \"shards\" list");
   Engine.close engine
 

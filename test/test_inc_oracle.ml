@@ -40,18 +40,22 @@ let prop_ops_differential =
       let ok = ref true in
       let check () =
         let p = current () in
+        let v = Rng.int rng n in
+        let pv = Tdmd.Placement.add p v in
         ok :=
           !ok
-          && O.diminished_volume t = Tdmd.Bandwidth.diminished_volume inst p
-          && O.is_feasible t = Tdmd.Allocation.is_feasible inst p
+          && O.diminished_volume t = Reference.diminished_volume inst p
+          && O.is_feasible t = Reference.is_feasible inst p
           && O.size t = Tdmd.Placement.size p
           && Tdmd.Placement.to_list (O.placement t) = Tdmd.Placement.to_list p
-          && O.bandwidth t = Tdmd.Bandwidth.total inst p
-          &&
-          let v = Rng.int rng n in
-          O.marginal_volume t v
-          = Tdmd.Bandwidth.diminished_volume inst (Tdmd.Placement.add p v)
-            - Tdmd.Bandwidth.diminished_volume inst p
+          && O.bandwidth t = Reference.total inst p
+          && O.marginal_volume t v
+             = Reference.diminished_volume inst pv - Reference.diminished_volume inst p
+          && O.newly_served t v
+             = List.length (Reference.unserved inst p)
+               - List.length (Reference.unserved inst pv)
+          && O.bandwidth_at t (O.diminished_volume t + O.marginal_volume t v)
+             = Reference.total inst pv
       in
       for _ = 1 to 60 do
         (match Rng.int rng 5 with
@@ -193,6 +197,136 @@ let prop_cover_fixup_differential =
       Tdmd.Cover_fixup.within inst ~chosen ~budget
       = reference_within inst ~chosen ~budget)
 
+(* (f) The mask-based objective scans against the membership-list
+   references: same serving decisions, and the same float bits for any
+   λ, because the summation order over the flow array is unchanged.
+   Placements may name vertices outside the graph. *)
+let prop_scans_differential =
+  QCheck.Test.make ~name:"objective scans: placement mask = list membership"
+    ~count:150
+    QCheck.(pair (int_bound 1_000_000) (int_range 4 14))
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let inst =
+        Fixtures.random_general_instance rng ~n ~flows:(2 * n) ~max_rate:9
+          ~lambda:(Rng.float rng 1.0)
+      in
+      let p =
+        Tdmd.Placement.of_list
+          (List.init (Rng.int rng (n + 2)) (fun _ -> Rng.int rng (n + 1)))
+      in
+      let ids fs = List.map (fun f -> f.Tdmd_flow.Flow.id) fs in
+      Int64.bits_of_float (Tdmd.Bandwidth.total inst p)
+      = Int64.bits_of_float (Reference.total inst p)
+      && Tdmd.Bandwidth.diminished_volume inst p = Reference.diminished_volume inst p
+      && Tdmd.Allocation.is_feasible inst p = Reference.is_feasible inst p
+      && ids (Tdmd.Allocation.unserved inst p) = ids (Reference.unserved inst p)
+      && Tdmd.Allocation.all inst p = Reference.all inst p)
+
+(* (g) The read-only local search against the probe-and-undo reference:
+   identical placement, bandwidth bits and work counters.  Starts are
+   GTP's answer or one random on-path box per flow; the latter often
+   leaves a flow served by a single box, so removing it strands the
+   flow and only candidates on its path stay feasible. *)
+let same_refine ?max_rounds ~k inst p =
+  let a = Reference.refine ?max_rounds ~k inst p in
+  let b = Tdmd.Local_search.refine ?max_rounds ~k inst p in
+  let deltas r = Tdmd_obs.Telemetry.get_count r.Tdmd.Local_search.telemetry "delta_evals" in
+  Tdmd.Placement.to_list a.Tdmd.Local_search.placement
+  = Tdmd.Placement.to_list b.Tdmd.Local_search.placement
+  && Int64.bits_of_float a.Tdmd.Local_search.bandwidth
+     = Int64.bits_of_float b.Tdmd.Local_search.bandwidth
+  && a.Tdmd.Local_search.swaps = b.Tdmd.Local_search.swaps
+  && a.Tdmd.Local_search.evaluations = b.Tdmd.Local_search.evaluations
+  && deltas a = deltas b
+
+let prop_refine_differential =
+  QCheck.Test.make ~name:"Local_search.refine: read-only probes = add/undo reference"
+    ~count:150
+    QCheck.(pair (int_bound 1_000_000) (int_range 4 14))
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let lambda = if Rng.bool rng then dyadic_lambda rng else Rng.float rng 1.0 in
+      let inst =
+        Fixtures.random_general_instance rng ~n ~flows:(2 * n) ~max_rate:6 ~lambda
+      in
+      let on_path =
+        Array.to_list inst.Tdmd.Instance.flows
+        |> List.map (fun f ->
+               let path = f.Tdmd_flow.Flow.path in
+               path.(Rng.int rng (Array.length path)))
+        |> Tdmd.Placement.of_list
+      in
+      let k = Tdmd.Placement.size on_path + Rng.int rng 3 in
+      let max_rounds = if Rng.int rng 4 = 0 then Some (1 + Rng.int rng 3) else None in
+      let g = Tdmd.Gtp.run ~budget:(1 + Rng.int rng n) inst in
+      same_refine ?max_rounds ~k inst on_path
+      && ((not g.Tdmd.Gtp.feasible)
+         || same_refine ?max_rounds ~k:(Tdmd.Placement.size g.Tdmd.Gtp.placement)
+              inst g.Tdmd.Gtp.placement))
+
+(* A swap whose outgoing box is the only one serving a flow: on the path
+   0-1-2-3 the lone box at 2 moves to the source, the one candidate
+   that serves the flow again at the smallest offset. *)
+let test_refine_stranding_swap () =
+  let g = Tdmd_graph.Digraph.create 4 in
+  List.iter (fun (a, b) -> Tdmd_graph.Digraph.add_edge g a b) [ (0, 1); (1, 2); (2, 3) ];
+  let f = Tdmd_flow.Flow.make ~id:0 ~rate:2 ~path:[ 0; 1; 2; 3 ] in
+  let inst = Tdmd.Instance.make ~graph:g ~flows:[ f ] ~lambda:0.5 in
+  let start = Tdmd.Placement.of_list [ 2 ] in
+  let r = Tdmd.Local_search.refine ~k:1 inst start in
+  Alcotest.(check (list int)) "box moved to the source" [ 0 ]
+    (Tdmd.Placement.to_list r.Tdmd.Local_search.placement);
+  Alcotest.(check int) "one swap" 1 r.Tdmd.Local_search.swaps;
+  Alcotest.(check bool) "matches the add/undo reference" true
+    (same_refine ~k:1 inst start)
+
+(* One instance solved by gtp, celf and gtp-ls from two domains at once
+   must give exactly the sequential answers: the incidence the oracles
+   share is never written. *)
+let test_concurrent_solves () =
+  let rng = Rng.create 2024 in
+  let inst =
+    Fixtures.random_general_instance rng ~n:40 ~flows:120 ~max_rate:7 ~lambda:0.3
+  in
+  let jobs =
+    List.concat_map
+      (fun name -> List.map (fun k -> (name, k)) [ 4; 8; 12; 16 ])
+      [ "gtp"; "celf"; "gtp-ls" ]
+  in
+  let answer (name, k) =
+    let solve = Option.get (Tdmd.Solvers.find_general name) in
+    let o = solve ~rng:(Rng.create 1) ~k inst in
+    ( Tdmd.Placement.to_list o.Tdmd.Solver_intf.placement,
+      Int64.bits_of_float o.Tdmd.Solver_intf.bandwidth,
+      o.Tdmd.Solver_intf.feasible )
+  in
+  let sequential = List.map answer jobs in
+  let results = Atomic.make [] in
+  let pool = Parallel.Pool.create ~domains:2 ~capacity:8 () in
+  for lane = 0 to 1 do
+    let accepted =
+      Parallel.Pool.submit pool (fun () ->
+          let mine = List.map answer jobs in
+          let rec publish () =
+            let seen = Atomic.get results in
+            if not (Atomic.compare_and_set results seen ((lane, mine) :: seen)) then
+              publish ()
+          in
+          publish ())
+    in
+    Alcotest.(check bool) "job accepted" true accepted
+  done;
+  Parallel.Pool.shutdown pool;
+  let got = Atomic.get results in
+  Alcotest.(check int) "both lanes finished" 2 (List.length got);
+  List.iter
+    (fun (lane, mine) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "lane %d = sequential answers" lane)
+        true (mine = sequential))
+    got
+
 (* Spot-check the telemetry plumbing: the incremental GTP run records
    the new oracle counters. *)
 let test_oracle_counters () =
@@ -214,6 +348,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_gtp_run_differential;
     QCheck_alcotest.to_alcotest prop_hat_differential;
     QCheck_alcotest.to_alcotest prop_cover_fixup_differential;
+    QCheck_alcotest.to_alcotest prop_scans_differential;
+    QCheck_alcotest.to_alcotest prop_refine_differential;
+    Alcotest.test_case "local search: stranding swap" `Quick
+      test_refine_stranding_swap;
+    Alcotest.test_case "shared incidence: concurrent solves = sequential" `Quick
+      test_concurrent_solves;
     Alcotest.test_case "telemetry: oracle counters recorded" `Quick
       test_oracle_counters;
   ]

@@ -31,7 +31,15 @@ let test_instance_validation () =
   (try
      ignore (Tdmd.Instance.make ~graph:g ~flows:[ bad ] ~lambda:0.5);
      Alcotest.fail "expected path rejection"
-   with Invalid_argument _ -> ())
+   with Invalid_argument _ -> ());
+  (* A one-vertex path has no arc to check; its vertex must still lie in
+     the graph. *)
+  Alcotest.check_raises "vertex outside the graph"
+    (Invalid_argument "Instance.make: flow vertex outside the graph") (fun () ->
+      ignore
+        (Tdmd.Instance.make ~graph:g
+           ~flows:[ Flow.make ~id:2 ~rate:1 ~path:[ 7 ] ]
+           ~lambda:0.5))
 
 let test_tree_instance_validation () =
   let tree = Tdmd_topo.Topo_tree.balanced ~arity:2 ~depth:2 in
