@@ -54,17 +54,11 @@ let max_decrement instance =
 (* The oracle drops the positive (1-λ) factor: argmax selection is
    unchanged, and integer-valued floats make every greedy comparison
    exact — submodularity then holds bit-for-bit, which the CELF lazy
-   evaluation's "cached gains are upper bounds" invariant needs. *)
-let oracle_naive instance =
-  Tdmd_submod.Submodular.make
-    ~ground:(Instance.vertex_count instance)
-    ~value:(fun vs -> float_of_int (diminished_volume instance (Placement.of_list vs)))
-    ()
-
-(* Same λ-free integer objective, with marginals answered by the
-   incremental index in O(flows through v).  Both interfaces stay exact
-   integers in float, so greedy/CELF selections agree bit-for-bit with
-   the naive path (differential-tested in test_inc_oracle). *)
+   evaluation's "cached gains are upper bounds" invariant needs.
+   Marginals come from the incremental index in O(flows through v); the
+   value interface is the from-scratch scan.  Both stay exact integers
+   in float, so greedy/CELF selections agree bit-for-bit with a
+   value-only oracle (differential-tested in test_inc_oracle). *)
 let oracle instance =
   let t = Inc_oracle.create instance in
   Tdmd_submod.Submodular.make

@@ -57,8 +57,3 @@ val oracle : Instance.t -> Tdmd_submod.Submodular.oracle
     Carries the {!Inc_oracle}-backed incremental interface, so
     [Submodular.greedy]/[lazy_greedy] answer each marginal in
     O(flows through v) instead of rescanning every flow. *)
-
-val oracle_naive : Instance.t -> Tdmd_submod.Submodular.oracle
-(** Same objective without the incremental interface — every query is a
-    from-scratch scan.  Kept as the reference side of the differential
-    tests and the [bench oracle] baseline. *)

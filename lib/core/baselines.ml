@@ -35,7 +35,8 @@ let random rng ?(attempts = 200) ~k instance =
             let seed =
               Rng.sample_without_replacement rng n (max 0 (k - (k / 2)))
             in
-            ( Placement.of_list (Cover_fixup.within instance ~chosen:seed ~budget:k),
+            ( Placement.of_list
+                (Cover_fixup.within (Inc_oracle.create instance) ~chosen:seed ~budget:k),
               i )
           else attempt (i + 1)
         in
@@ -59,6 +60,7 @@ let best_effort ~k instance =
           List.stable_sort (fun (_, a) (_, b) -> compare b a) scored
           |> List.map fst
         in
-        Cover_fixup.within instance ~chosen:(Listx.take k ranked) ~budget:k)
+        Cover_fixup.within (Inc_oracle.create instance) ~chosen:(Listx.take k ranked)
+          ~budget:k)
   in
   report_of instance ~retries:0 ~telemetry:tel (Placement.of_list chosen)

@@ -1,40 +1,9 @@
-(* Cover counting shared by both entry points: tally, for every vertex,
-   how many of the given unserved flows pass through it (paths have no
-   repeated vertices, so one increment per flow), zero out excluded
-   vertices, and take the argmax with lowest-vertex tie-breaking — the
-   same selection rule as the former quadratic List.mem/List.filter
-   formulation. *)
-let best_covering ~n ~excluded counts =
-  let best = ref (-1) and best_cover = ref 0 in
-  for v = 0 to n - 1 do
-    if (not (excluded v)) && counts.(v) > !best_cover then begin
-      best := v;
-      best_cover := counts.(v)
-    end
-  done;
-  if !best < 0 then None else Some !best
-
-let best_cover_vertex instance chosen unserved =
-  let n = Instance.vertex_count instance in
-  let counts = Array.make n 0 in
-  List.iter
-    (fun f ->
-      Array.iter (fun v -> counts.(v) <- counts.(v) + 1) f.Tdmd_flow.Flow.path)
-    unserved;
-  let excluded = Array.make n false in
-  List.iter (fun v -> if v >= 0 && v < n then excluded.(v) <- true) chosen;
-  best_covering ~n ~excluded:(fun v -> excluded.(v)) counts
-
-let within instance ~chosen ~budget =
-  let n = Instance.vertex_count instance in
-  let flows = instance.Instance.flows in
+let within t ~chosen ~budget =
   let chosen = Array.of_list chosen in
-  let t = Inc_oracle.create instance in
-  let counts = Array.make n 0 in
   (* Candidate for a kept prefix: the prefix (first occurrences, in
-     order) plus greedy covering picks driven by the oracle's unserved
-     tracking.  Afterwards [t] reflects the candidate, so the caller
-     reads feasibility straight off it. *)
+     order) plus greedy covering picks — the vertex through which the
+     most unserved flows pass, lowest vertex on ties.  Afterwards [t]
+     holds the candidate, so the caller reads feasibility off it. *)
   let extend kept_len =
     Inc_oracle.reset t;
     let prefix = ref [] in
@@ -52,12 +21,7 @@ let within instance ~chosen ~budget =
       && (not (Inc_oracle.is_feasible t))
       && Inc_oracle.size t < budget
     do
-      Array.fill counts 0 n 0;
-      Inc_oracle.iter_unserved t (fun fi ->
-          Array.iter
-            (fun v -> counts.(v) <- counts.(v) + 1)
-            flows.(fi).Tdmd_flow.Flow.path);
-      match best_covering ~n ~excluded:(Inc_oracle.mem t) counts with
+      match Inc_oracle.argmax t Inc_oracle.newly_served with
       | None -> exhausted := true
       | Some v ->
         Inc_oracle.add t v;
@@ -65,14 +29,29 @@ let within instance ~chosen ~budget =
     done;
     List.rev_append !prefix (List.rev !ext)
   in
+  (* The longest prefix of [chosen] with at most [budget] distinct
+     vertices. *)
+  Inc_oracle.reset t;
+  let longest = ref 0 in
+  while
+    !longest < Array.length chosen
+    && (Inc_oracle.mem t chosen.(!longest) || Inc_oracle.size t < budget)
+  do
+    Inc_oracle.add t chosen.(!longest);
+    incr longest
+  done;
   (* Keep ever-shorter prefixes (dropping the lowest-value picks first)
-     until covering picks fit in the budget. *)
-  let rec attempt kept_len fallback =
+     until covering picks fit in the budget; if none does, the first
+     candidate is the answer. *)
+  let rec attempt kept_len first =
     let candidate = extend kept_len in
-    let feasible = Inc_oracle.is_feasible t in
-    let fallback = match fallback with Some f -> Some f | None -> Some candidate in
-    if feasible then candidate
-    else if kept_len = 0 then (match fallback with Some f -> f | None -> candidate)
-    else attempt (kept_len - 1) fallback
+    let first = Option.value first ~default:candidate in
+    if Inc_oracle.is_feasible t then candidate
+    else if kept_len = 0 then begin
+      Inc_oracle.reset t;
+      List.iter (Inc_oracle.add t) first;
+      first
+    end
+    else attempt (kept_len - 1) (Some first)
   in
-  attempt (Array.length chosen) None
+  attempt !longest None

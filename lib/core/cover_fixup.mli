@@ -1,4 +1,5 @@
-(** Feasibility fix-up shared by the budgeted solvers.
+(** Feasibility fix-up shared by the budgeted solvers and the churn
+    engine.
 
     The paper's evaluation only scores feasible deployments; when a
     ranking-based selection leaves flows unserved within the budget k,
@@ -8,12 +9,12 @@
     (most unserved flows first, as the set-cover greedy does), then if
     still infeasible, drop the latest picks one at a time and re-cover. *)
 
-val best_cover_vertex : Instance.t -> int list -> Tdmd_flow.Flow.t list -> int option
-(** Vertex covering the most of the given unserved flows, excluding
-    already-chosen ones; [None] if no vertex covers any. *)
-
-val within : Instance.t -> chosen:int list -> budget:int -> int list
-(** [within inst ~chosen ~budget] takes picks in selection order (most
-    recent last) and returns a selection-order list of size <= budget
-    that is feasible whenever any feasible deployment of size <= budget
-    containing a prefix of [chosen] exists. *)
+val within : Inc_oracle.t -> chosen:int list -> budget:int -> int list
+(** [within t ~chosen ~budget] takes picks in selection order (most
+    recent last) and returns a selection-order list of at most [budget]
+    distinct vertices.  It starts from the longest prefix of [chosen]
+    with at most [budget] distinct vertices, and the result is feasible
+    whenever any feasible deployment of size <= budget containing a
+    prefix of that exists.  The oracle's flows are the ones to serve;
+    its deployment on entry is ignored, and on return it holds the
+    returned list (its undo journal covers only that rebuild). *)

@@ -25,16 +25,13 @@ let report_of instance ~oracle_calls ~telemetry chosen =
    [oracle_calls]: that count is published as "delta_evals" once the
    phase ends, and the phase's wall time as "oracle_ns" — no per-call
    counter update or clock read in the loop. *)
-let run_with ~label selector ?budget ?(incremental = true) instance =
+let run_with ~label selector ?budget instance =
   let budget =
     match budget with Some k -> k | None -> Instance.vertex_count instance
   in
   let tel = Tdmd_obs.Telemetry.create () in
   Tdmd_obs.Telemetry.count tel "budget" budget;
-  let oracle =
-    if incremental then Bandwidth.oracle instance
-    else Bandwidth.oracle_naive instance
-  in
+  let oracle = Bandwidth.oracle instance in
   (* Spend the whole budget: the greedy keeps deploying while any vertex
      has positive marginal decrement (bandwidth only improves), and the
      fix-up then covers any still-unserved flows. *)
@@ -49,22 +46,22 @@ let run_with ~label selector ?budget ?(incremental = true) instance =
       if calls > 0 then Tdmd_obs.Telemetry.count tel "delta_evals" calls;
       let chosen =
         Tdmd_obs.Telemetry.with_span tel "cover-fixup" (fun () ->
-            Cover_fixup.within instance ~chosen:sel.Tdmd_submod.Submodular.chosen
-              ~budget)
+            Cover_fixup.within (Inc_oracle.create instance)
+              ~chosen:sel.Tdmd_submod.Submodular.chosen ~budget)
       in
       let report = report_of instance ~oracle_calls:calls ~telemetry:tel chosen in
       Tdmd_obs.Telemetry.count tel "oracle_ns" (Int64.to_int oracle_ns);
       report)
 
-let run ?budget ?incremental instance =
+let run ?budget instance =
   run_with ~label:"gtp"
     (fun ~stop ~k o -> Tdmd_submod.Submodular.greedy ~stop ~k o)
-    ?budget ?incremental instance
+    ?budget instance
 
-let run_celf ?budget ?incremental instance =
+let run_celf ?budget instance =
   run_with ~label:"gtp-celf"
     (fun ~stop ~k o -> Tdmd_submod.Submodular.lazy_greedy ~stop ~k o)
-    ?budget ?incremental instance
+    ?budget instance
 
 let derived_k instance =
   (* Alg. 1 verbatim: deploy the max-marginal vertex until every flow is
@@ -75,7 +72,7 @@ let derived_k instance =
     Tdmd_submod.Submodular.greedy ~stop ~k:(Instance.vertex_count instance) oracle
   in
   let chosen =
-    Cover_fixup.within instance ~chosen:sel.Tdmd_submod.Submodular.chosen
-      ~budget:(Instance.vertex_count instance)
+    Cover_fixup.within (Inc_oracle.create instance)
+      ~chosen:sel.Tdmd_submod.Submodular.chosen ~budget:(Instance.vertex_count instance)
   in
   Placement.size (Placement.of_list chosen)

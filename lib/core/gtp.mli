@@ -26,13 +26,12 @@ type report = {
           [gtp > greedy, cover-fixup] *)
 }
 
-val run : ?budget:int -> ?incremental:bool -> Instance.t -> report
-(** Plain greedy, exactly Alg. 1.  Default budget: |V|.  [incremental]
-    (default [true]) selects the {!Inc_oracle}-backed marginal oracle;
-    [false] forces the from-scratch scan — same deployment bit-for-bit
-    (differential-tested), kept for benchmarking and as the reference. *)
+val run : ?budget:int -> Instance.t -> report
+(** Plain greedy, exactly Alg. 1, with marginals from {!Inc_oracle}.
+    Default budget: |V|.  [test/reference.ml] keeps the from-scratch
+    oracle it is differential-tested against. *)
 
-val run_celf : ?budget:int -> ?incremental:bool -> Instance.t -> report
+val run_celf : ?budget:int -> Instance.t -> report
 (** Lazy-greedy (CELF) acceleration — same deployment as {!run} (the
     ablation bench verifies this and counts saved oracle calls). *)
 

@@ -8,73 +8,36 @@ type report = {
   telemetry : Tdmd_obs.Telemetry.t;
 }
 
-(* The per-instance tables every Δb evaluation needs: built once and
-   shared by [run] and the public [delta_b] (which used to rebuild the
-   O(n log n) LCA table on every call). *)
-type ctx = {
-  general : Instance.t;
-  lca : Tdmd_tree.Lca.t;
-}
-
-let context inst =
-  {
-    general = Instance.Tree.to_general inst;
-    lca = Tdmd_tree.Lca.build inst.Instance.Tree.tree;
-  }
-
-let merged_placement ctx placement i j =
-  let a = Tdmd_tree.Lca.query ctx.lca i j in
-  Placement.add (Placement.remove (Placement.remove placement i) j) a
-
-(* Δb(i,j) = b(after) − b(before) = (1−λ)·(dim_before − dim_after), with
-   both volumes integers — so the naive and incremental paths produce the
-   same float bit pattern, and λ = 0.5 instances stay exact. *)
-let scale ctx d = (1.0 -. ctx.general.Instance.lambda) *. float_of_int d
-
-let delta_naive ctx placement i j =
-  let before = Bandwidth.diminished_volume ctx.general placement in
-  let after =
-    Bandwidth.diminished_volume ctx.general (merged_placement ctx placement i j)
-  in
-  scale ctx (before - after)
-
-let delta_b inst =
-  let ctx = context inst in
-  fun placement i j -> delta_naive ctx placement i j
-
-let run ?(incremental = true) ~k inst =
+let run ~k inst =
   let tel = Tdmd_obs.Telemetry.create () in
   Tdmd_obs.Telemetry.count tel "budget" k;
   Tdmd_obs.Telemetry.span_open tel "hat";
   let tree = inst.Instance.Tree.tree in
-  let ctx = context inst in
+  let general = Instance.Tree.to_general inst in
+  let lca = Tdmd_tree.Lca.build tree in
   let leaves = Rt.leaves tree in
   let placement = ref (Placement.of_list leaves) in
   (* Mirror of [!placement] answering Δb in O(flows through i, j, lca)
      via remove/remove/add probes rolled back with [undo]. *)
-  let oracle = if incremental then Some (Inc_oracle.of_list ctx.general leaves) else None in
+  let o = Inc_oracle.of_list general leaves in
   let oracle_ns = ref 0L in
   let round = ref 0 in
-  let delta p i j =
+  (* Δb(i,j) = b(after) − b(before) = (1−λ)·(dim_before − dim_after),
+     with both volumes integers, so λ = 0.5 instances stay exact. *)
+  let delta i j =
     Tdmd_obs.Telemetry.count tel "delta_evals" 1;
     let t0 = Tdmd_obs.Clock.now_ns () in
-    let d =
-      match oracle with
-      | None -> delta_naive ctx p i j
-      | Some o ->
-        let before = Inc_oracle.diminished_volume o in
-        let a = Tdmd_tree.Lca.query ctx.lca i j in
-        Inc_oracle.remove o i;
-        Inc_oracle.remove o j;
-        Inc_oracle.add o a;
-        let after = Inc_oracle.diminished_volume o in
-        Inc_oracle.undo o;
-        Inc_oracle.undo o;
-        Inc_oracle.undo o;
-        scale ctx (before - after)
-    in
+    let before = Inc_oracle.diminished_volume o in
+    let a = Tdmd_tree.Lca.query lca i j in
+    Inc_oracle.remove o i;
+    Inc_oracle.remove o j;
+    Inc_oracle.add o a;
+    let after = Inc_oracle.diminished_volume o in
+    Inc_oracle.undo o;
+    Inc_oracle.undo o;
+    Inc_oracle.undo o;
     oracle_ns := Int64.add !oracle_ns (Int64.sub (Tdmd_obs.Clock.now_ns ()) t0);
-    d
+    (1.0 -. general.Instance.lambda) *. float_of_int (before - after)
   in
   (* Heap of (penalty, i, j, round-stamp); ties broken by vertex ids so
      runs are deterministic (and match the paper's k = 2 walkthrough). *)
@@ -82,7 +45,7 @@ let run ?(incremental = true) ~k inst =
   let heap = Tdmd_heap.Binary_heap.create ~cmp () in
   let push_pair i j =
     let i, j = if i < j then (i, j) else (j, i) in
-    Tdmd_heap.Binary_heap.push heap (delta !placement i j, i, j, !round)
+    Tdmd_heap.Binary_heap.push heap (delta i j, i, j, !round)
   in
   let push_all_pairs () =
     let vs = Array.of_list (Placement.to_list !placement) in
@@ -102,21 +65,19 @@ let run ?(incremental = true) ~k inst =
       push_all_pairs ()
     | Some (stored, i, j, stamp) ->
       if Placement.mem !placement i && Placement.mem !placement j then begin
-        let fresh = if stamp = !round then stored else delta !placement i j in
+        let fresh = if stamp = !round then stored else delta i j in
         let next_is_worse =
           match Tdmd_heap.Binary_heap.peek heap with
           | None -> true
           | Some (d, _, _, _) -> fresh <= d
         in
         if stamp = !round || next_is_worse then begin
-          let a = Tdmd_tree.Lca.query ctx.lca i j in
-          placement := merged_placement ctx !placement i j;
-          (match oracle with
-          | None -> ()
-          | Some o ->
-            Inc_oracle.remove o i;
-            Inc_oracle.remove o j;
-            Inc_oracle.add o a);
+          let a = Tdmd_tree.Lca.query lca i j in
+          placement :=
+            Placement.add (Placement.remove (Placement.remove !placement i) j) a;
+          Inc_oracle.remove o i;
+          Inc_oracle.remove o j;
+          Inc_oracle.add o a;
           incr round;
           incr merges;
           (* Paper's heap update: pairs with i or j die (filtered lazily
@@ -135,8 +96,8 @@ let run ?(incremental = true) ~k inst =
   Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size placement);
   {
     placement;
-    bandwidth = Bandwidth.total ctx.general placement;
-    feasible = Allocation.is_feasible ctx.general placement;
+    bandwidth = Bandwidth.total general placement;
+    feasible = Allocation.is_feasible general placement;
     merges = !merges;
     telemetry = tel;
   }

@@ -28,18 +28,10 @@ type report = {
           ["placement_size"]; span [hat] *)
 }
 
-val run : ?incremental:bool -> k:int -> Instance.Tree.t -> report
-(** [incremental] (default [true]) answers each Δb through the
-    {!Inc_oracle} mirror of the current deployment — O(flows through the
-    merged pair and their LCA) per evaluation instead of a full-instance
-    rescan.  Both paths compute Δb in integer diminished-volume units
-    scaled by (1−λ), so their outputs are bit-for-bit identical
+val run : k:int -> Instance.Tree.t -> report
+(** Each Δb is answered through the {!Inc_oracle} mirror of the current
+    deployment — O(flows through the merged pair and their LCA) per
+    evaluation instead of a full-instance rescan — in integer
+    diminished-volume units scaled by (1−λ), so the merge sequence is
+    bit-for-bit that of the from-scratch Δb in [test/reference.ml]
     (differential-tested). *)
-
-val delta_b : Instance.Tree.t -> Placement.t -> int -> int -> float
-(** Exact merge penalty Δb(i,j) of replacing the boxes on [i] and [j]
-    by one on their LCA, relative to the given deployment (exposed for
-    the Sec. 5.2 worked-example tests).  Partially applying to the
-    instance builds the LCA table and flow index once — the shared
-    tables [run] uses — so per-pair queries no longer pay the
-    O(n log n) [Lca.build]. *)

@@ -9,15 +9,25 @@ module Flow = Tdmd_flow.Flow
 
 type op = Added of int | Removed of int | Untouched
 
-(* [inc] is the instance's shared incidence (read-only here); everything
-   below it is this run's deployment state. *)
+(* The incidence has the layout of [Instance.incidence], indexed by flow
+   slot.  A static oracle reads its instance's arrays and never writes
+   them; an [empty] oracle owns its arrays and edits them as flows come
+   and go, reusing vacated slots.  Everything from [placed] down is this
+   oracle's deployment state. *)
 type t = {
-  flows : Flow.t array;
-  inc : Instance.incidence;
+  owned : bool;                  (* flow edits allowed *)
   one_minus_lambda : float;
-  total_volume : int;            (* Σ_f r_f · hops_f *)
+  slabs : int array array;       (* vertex -> (slot, position) pairs *)
+  degree : int array;            (* vertex -> pairs in use *)
+  mutable rates : int array;     (* slot -> r_f *)
+  mutable hops : int array;      (* slot -> |p_f| *)
+  mutable paths : int array array; (* slot -> p_f *)
+  mutable first : int array;     (* slot -> serving position; hops + 1 = unserved *)
+  mutable slots : int;           (* slots ever used *)
+  mutable free : int list;       (* vacated slots, reused first *)
+  mutable flows : int;
+  mutable total_volume : int;    (* Σ_f r_f · hops_f *)
   placed : Bytes.t;              (* vertex -> deployed? *)
-  first : int array;             (* flow -> serving position; hops + 1 = unserved *)
   mutable dim_volume : int;      (* Σ served r_f · (hops_f − first_f) *)
   mutable unserved : int;
   mutable placed_count : int;
@@ -28,30 +38,45 @@ type t = {
    the destination: zero diminished edges; l > hops means unserved). *)
 let contrib rate hops l = if l > hops then 0 else rate * (hops - l)
 
-let create instance =
-  let inc = instance.Instance.incidence in
-  let nflows = Array.length inc.Instance.hops in
+let make ~owned ~lambda ~vertices ~slabs ~degree ~rates ~hops ~paths =
+  let nflows = Array.length hops in
   let total_volume = ref 0 in
   for fi = 0 to nflows - 1 do
-    total_volume := !total_volume + (inc.Instance.rates.(fi) * inc.Instance.hops.(fi))
+    total_volume := !total_volume + (rates.(fi) * hops.(fi))
   done;
   {
-    flows = instance.Instance.flows;
-    inc;
-    one_minus_lambda = 1.0 -. instance.Instance.lambda;
+    owned;
+    one_minus_lambda = 1.0 -. lambda;
+    slabs;
+    degree;
+    rates;
+    hops;
+    paths;
+    first = Array.map (fun h -> h + 1) hops;
+    slots = nflows;
+    free = [];
+    flows = nflows;
     total_volume = !total_volume;
-    placed = Bytes.make (Instance.vertex_count instance) '\000';
-    first = Array.map (fun h -> h + 1) inc.Instance.hops;
+    placed = Bytes.make vertices '\000';
     dim_volume = 0;
     unserved = nflows;
     placed_count = 0;
     log = [];
   }
 
+let create instance =
+  let { Instance.slabs; degree; rates; hops; paths } = instance.Instance.incidence in
+  make ~owned:false ~lambda:instance.Instance.lambda
+    ~vertices:(Instance.vertex_count instance) ~slabs ~degree ~rates ~hops ~paths
+
+let empty ~vertices ~lambda =
+  make ~owned:true ~lambda ~vertices ~slabs:(Array.make vertices [||])
+    ~degree:(Array.make vertices 0) ~rates:[||] ~hops:[||] ~paths:[||]
+
+let mask t = t.placed
 let mem t v = Bytes.get t.placed v = '\001'
 let size t = t.placed_count
 let diminished_volume t = t.dim_volume
-let decrement t = t.one_minus_lambda *. float_of_int t.dim_volume
 
 let bandwidth_at t dim =
   float_of_int t.total_volume -. (t.one_minus_lambda *. float_of_int dim)
@@ -61,18 +86,26 @@ let bandwidth t = bandwidth_at t t.dim_volume
 let unserved_count t = t.unserved
 let is_feasible t = t.unserved = 0
 
+(* Next deployed position on a path from [q] on, or hops + 1. *)
+let next_deployed t path q =
+  let q = ref q in
+  while !q < Array.length path && Bytes.get t.placed path.(!q) = '\000' do
+    incr q
+  done;
+  !q
+
 let do_add t v =
   Bytes.set t.placed v '\001';
   t.placed_count <- t.placed_count + 1;
-  let { Instance.offsets; entries; rates; hops } = t.inc in
-  for i = offsets.(v) to offsets.(v + 1) - 1 do
-    let fi = entries.(2 * i) and pos = entries.((2 * i) + 1) in
-    let old = t.first.(fi) in
+  let s = t.slabs.(v) and rates = t.rates and hops = t.hops and first = t.first in
+  for i = 0 to t.degree.(v) - 1 do
+    let fi = s.(2 * i) and pos = s.((2 * i) + 1) in
+    let old = first.(fi) in
     if pos < old then begin
       let h = hops.(fi) in
       if old > h then t.unserved <- t.unserved - 1;
       t.dim_volume <- t.dim_volume + contrib rates.(fi) h pos - contrib rates.(fi) h old;
-      t.first.(fi) <- pos
+      first.(fi) <- pos
     end
   done
 
@@ -82,21 +115,15 @@ let do_add t v =
 let do_remove t v =
   Bytes.set t.placed v '\000';
   t.placed_count <- t.placed_count - 1;
-  let { Instance.offsets; entries; rates; hops } = t.inc in
-  for i = offsets.(v) to offsets.(v + 1) - 1 do
-    let fi = entries.(2 * i) and pos = entries.((2 * i) + 1) in
-    if pos = t.first.(fi) then begin
-      let path = t.flows.(fi).Flow.path in
+  let s = t.slabs.(v) and rates = t.rates and hops = t.hops and first = t.first in
+  for i = 0 to t.degree.(v) - 1 do
+    let fi = s.(2 * i) and pos = s.((2 * i) + 1) in
+    if pos = first.(fi) then begin
       let h = hops.(fi) in
-      (* Next deployed vertex down the path, or the unserved sentinel. *)
-      let q = ref (pos + 1) in
-      while !q <= h && Bytes.get t.placed path.(!q) = '\000' do
-        incr q
-      done;
-      let next = !q in
+      let next = next_deployed t t.paths.(fi) (pos + 1) in
       if next > h then t.unserved <- t.unserved + 1;
       t.dim_volume <- t.dim_volume + contrib rates.(fi) h next - contrib rates.(fi) h pos;
-      t.first.(fi) <- next
+      first.(fi) <- next
     end
   done
 
@@ -125,11 +152,15 @@ let undo t =
     do_add t v;
     t.log <- rest
 
+(* Vacated slots are in no slab, so whatever [first] holds for them is
+   never read. *)
 let reset t =
   Bytes.fill t.placed 0 (Bytes.length t.placed) '\000';
-  Array.iteri (fun fi h -> t.first.(fi) <- h + 1) t.inc.Instance.hops;
+  for fi = 0 to t.slots - 1 do
+    t.first.(fi) <- t.hops.(fi) + 1
+  done;
   t.dim_volume <- 0;
-  t.unserved <- Array.length t.first;
+  t.unserved <- t.flows;
   t.placed_count <- 0;
   t.log <- []
 
@@ -138,14 +169,90 @@ let of_list instance vs =
   List.iter (fun v -> if not (mem t v) then do_add t v) vs;
   t
 
+(* {1 Flow edits} *)
+
+let grow a fill =
+  let b = Array.make (max 8 (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let add_flow t f =
+  if not t.owned then
+    invalid_arg "Inc_oracle.add_flow: the incidence belongs to an instance";
+  let slot =
+    match t.free with
+    | s :: rest ->
+      t.free <- rest;
+      s
+    | [] ->
+      if t.slots = Array.length t.rates then begin
+        t.rates <- grow t.rates 0;
+        t.hops <- grow t.hops 0;
+        t.paths <- grow t.paths [||];
+        t.first <- grow t.first 1
+      end;
+      t.slots <- t.slots + 1;
+      t.slots - 1
+  in
+  let path = f.Flow.path and rate = f.Flow.rate in
+  let h = Array.length path - 1 in
+  Array.iteri
+    (fun pos v ->
+      let d = t.degree.(v) in
+      if 2 * d = Array.length t.slabs.(v) then t.slabs.(v) <- grow t.slabs.(v) 0;
+      t.slabs.(v).(2 * d) <- slot;
+      t.slabs.(v).((2 * d) + 1) <- pos;
+      t.degree.(v) <- d + 1)
+    path;
+  t.rates.(slot) <- rate;
+  t.hops.(slot) <- h;
+  t.paths.(slot) <- path;
+  let first = next_deployed t path 0 in
+  t.first.(slot) <- first;
+  t.flows <- t.flows + 1;
+  t.total_volume <- t.total_volume + (rate * h);
+  if first > h then t.unserved <- t.unserved + 1
+  else t.dim_volume <- t.dim_volume + contrib rate h first;
+  t.log <- [];
+  slot
+
+(* Each path vertex's slab drops the slot's pair by moving its last
+   pair into the hole: slab order never affects an answer. *)
+let remove_flow t slot =
+  if not t.owned then
+    invalid_arg "Inc_oracle.remove_flow: the incidence belongs to an instance";
+  let path = t.paths.(slot) and rate = t.rates.(slot) and h = t.hops.(slot) in
+  Array.iter
+    (fun v ->
+      let s = t.slabs.(v) and last = t.degree.(v) - 1 in
+      let i = ref 0 in
+      while s.(2 * !i) <> slot do
+        incr i
+      done;
+      s.(2 * !i) <- s.(2 * last);
+      s.((2 * !i) + 1) <- s.((2 * last) + 1);
+      t.degree.(v) <- last)
+    path;
+  let first = t.first.(slot) in
+  t.flows <- t.flows - 1;
+  t.total_volume <- t.total_volume - (rate * h);
+  if first > h then t.unserved <- t.unserved - 1
+  else t.dim_volume <- t.dim_volume - contrib rate h first;
+  (* Drop the path so the departed flow can be collected. *)
+  t.paths.(slot) <- [||];
+  t.free <- slot :: t.free;
+  t.log <- []
+
+(* {1 Queries} *)
+
 let marginal_volume t v =
   if mem t v then 0
   else begin
-    let { Instance.offsets; entries; rates; hops } = t.inc in
+    let s = t.slabs.(v) and rates = t.rates and hops = t.hops and first = t.first in
     let acc = ref 0 in
-    for i = offsets.(v) to offsets.(v + 1) - 1 do
-      let fi = entries.(2 * i) and pos = entries.((2 * i) + 1) in
-      let old = t.first.(fi) in
+    for i = 0 to t.degree.(v) - 1 do
+      let fi = s.(2 * i) and pos = s.((2 * i) + 1) in
+      let old = first.(fi) in
       if pos < old then begin
         let h = hops.(fi) in
         acc := !acc + contrib rates.(fi) h pos - contrib rates.(fi) h old
@@ -154,22 +261,35 @@ let marginal_volume t v =
     !acc
   end
 
-let marginal t v = t.one_minus_lambda *. float_of_int (marginal_volume t v)
-
 let newly_served t v =
   if mem t v then 0
   else begin
-    let { Instance.offsets; entries; hops; _ } = t.inc in
+    let s = t.slabs.(v) and hops = t.hops and first = t.first in
     let n = ref 0 in
-    for i = offsets.(v) to offsets.(v + 1) - 1 do
-      let fi = entries.(2 * i) in
-      if t.first.(fi) > hops.(fi) then incr n
+    for i = 0 to t.degree.(v) - 1 do
+      let fi = s.(2 * i) in
+      if first.(fi) > hops.(fi) then incr n
     done;
     !n
   end
 
-let iter_unserved t k =
-  Array.iteri (fun fi h -> if t.first.(fi) > h then k fi) t.inc.Instance.hops
+let serves t v =
+  let s = t.slabs.(v) in
+  let rec scan i =
+    i < t.degree.(v) && (t.first.(s.(2 * i)) = s.((2 * i) + 1) || scan (i + 1))
+  in
+  mem t v && scan 0
+
+let argmax t score =
+  let best = ref (-1) and best_score = ref 0 in
+  for v = 0 to Bytes.length t.placed - 1 do
+    let g = score t v in
+    if g > !best_score then begin
+      best := v;
+      best_score := g
+    end
+  done;
+  if !best < 0 then None else Some !best
 
 let placement t =
   let vs = ref [] in

@@ -1,166 +1,19 @@
 module Flow = Tdmd_flow.Flow
 
-(* All placement decisions live in integer diminished-volume space (see
-   bandwidth.ml / inc_oracle.ml): serving flow f at path position l is
-   worth r_f · (hops_f − l) diminished edge-units, and the (1−λ) scaling
+(* All placement decisions compare the oracle's integer
+   diminished-volume answers (see inc_oracle.ml); the (1−λ) scaling
    happens only at the float reporting boundary.  Comparing exact
    integers instead of float marginals removes the old 1e-9 threshold
    (which silently suppressed every gain when 1−λ was tiny); a
    regression that reintroduces a float-literal comparison here is
    caught by tdmd-lint's [float-equal] rule. *)
-let contrib rate hops l = if l > hops then 0 else rate * (hops - l)
-
-(* A mutable-flow-set variant of [Inc_oracle]: the same inverted index
-   and counters, but flows arrive and depart (per-vertex hash tables
-   instead of frozen arrays), so every churn event costs
-   O(path + flows-through-touched-vertices) instead of rebuilding an
-   [Instance] over all live flows. *)
-module Dyn = struct
-  type entry = {
-    flow : Flow.t;
-    mutable first : int; (* serving path position; path length = unserved *)
-  }
-
-  type t = {
-    index : (int, entry * int) Hashtbl.t array;
-        (* vertex -> flow id -> (entry, path position) *)
-    entries : (int, entry) Hashtbl.t; (* live flows by id *)
-    placed : Bytes.t; (* vertex -> deployed? *)
-    served_at : int array; (* vertex -> #flows served there *)
-    mutable total_volume : int; (* Σ_f r_f · hops_f *)
-    mutable dim_volume : int; (* Σ served r_f · (hops_f − first_f) *)
-    mutable unserved : int;
-  }
-
-  (* One vertex op's worth of changed flows, for probe/undo.  [`Add]/
-     [`Remove] record which placed bit to flip back; each pair is the
-     entry plus its pre-op serving position. *)
-  type token = { added : bool; vertex : int; changes : (entry * int) list }
-
-  let create n =
-    {
-      index = Array.init n (fun _ -> Hashtbl.create 8);
-      entries = Hashtbl.create 64;
-      placed = Bytes.make n '\000';
-      served_at = Array.make n 0;
-      total_volume = 0;
-      dim_volume = 0;
-      unserved = 0;
-    }
-
-  let mem t v = Bytes.get t.placed v = '\001'
-  let is_feasible t = t.unserved = 0
-  let unserved_count t = t.unserved
-  let dim_volume t = t.dim_volume
-  let served_count t v = t.served_at.(v)
-
-  (* Move [e] from serving position [e.first] to [pos], maintaining the
-     dim-volume / unserved / served-at counters. *)
-  let shift t e pos =
-    let f = e.flow in
-    let hops = Flow.hop_count f in
-    let old = e.first in
-    if old > hops then t.unserved <- t.unserved - 1
-    else t.served_at.(f.Flow.path.(old)) <- t.served_at.(f.Flow.path.(old)) - 1;
-    if pos > hops then t.unserved <- t.unserved + 1
-    else t.served_at.(f.Flow.path.(pos)) <- t.served_at.(f.Flow.path.(pos)) + 1;
-    t.dim_volume <-
-      t.dim_volume + contrib f.Flow.rate hops pos - contrib f.Flow.rate hops old;
-    e.first <- pos
-
-  let do_add t v =
-    Bytes.set t.placed v '\001';
-    let changes = ref [] in
-    Hashtbl.iter
-      (fun _ (e, pos) ->
-        if pos < e.first then begin
-          changes := (e, e.first) :: !changes;
-          shift t e pos
-        end)
-      t.index.(v);
-    { added = true; vertex = v; changes = !changes }
-
-  let do_remove t v =
-    Bytes.set t.placed v '\000';
-    let changes = ref [] in
-    Hashtbl.iter
-      (fun _ (e, pos) ->
-        if pos = e.first then begin
-          let path = e.flow.Flow.path in
-          let len = Array.length path in
-          (* Next deployed vertex down the path, or the unserved
-             sentinel.  [v]'s bit is already clear, and paths repeat no
-             vertex, so the scan is over the post-removal deployment. *)
-          let q = ref (pos + 1) in
-          while !q < len && Bytes.get t.placed path.(!q) = '\000' do
-            incr q
-          done;
-          changes := (e, pos) :: !changes;
-          shift t e !q
-        end)
-      t.index.(v);
-    { added = false; vertex = v; changes = !changes }
-
-  let apply_add t v = ignore (do_add t v)
-  let apply_remove t v = ignore (do_remove t v)
-  let probe_add = do_add
-  let probe_remove = do_remove
-
-  let undo t tok =
-    Bytes.set t.placed tok.vertex (if tok.added then '\000' else '\001');
-    List.iter (fun (e, old_first) -> shift t e old_first) tok.changes
-
-  let add_flow t f =
-    let path = f.Flow.path in
-    let len = Array.length path in
-    let hops = len - 1 in
-    let first = ref 0 in
-    while !first < len && Bytes.get t.placed path.(!first) = '\000' do
-      incr first
-    done;
-    let e = { flow = f; first = !first } in
-    Array.iteri (fun pos v -> Hashtbl.replace t.index.(v) f.Flow.id (e, pos)) path;
-    Hashtbl.replace t.entries f.Flow.id e;
-    t.total_volume <- t.total_volume + (f.Flow.rate * hops);
-    if e.first > hops then t.unserved <- t.unserved + 1
-    else begin
-      t.dim_volume <- t.dim_volume + contrib f.Flow.rate hops e.first;
-      t.served_at.(path.(e.first)) <- t.served_at.(path.(e.first)) + 1
-    end
-
-  let remove_flow t id =
-    let e = Hashtbl.find t.entries id in
-    let path = e.flow.Flow.path in
-    let hops = Array.length path - 1 in
-    Array.iter (fun v -> Hashtbl.remove t.index.(v) id) path;
-    Hashtbl.remove t.entries id;
-    t.total_volume <- t.total_volume - (e.flow.Flow.rate * hops);
-    if e.first > hops then t.unserved <- t.unserved - 1
-    else begin
-      t.dim_volume <- t.dim_volume - contrib e.flow.Flow.rate hops e.first;
-      t.served_at.(path.(e.first)) <- t.served_at.(path.(e.first)) - 1
-    end
-
-  let marginal t v =
-    if mem t v then 0
-    else
-      Hashtbl.fold
-        (fun _ (e, pos) acc ->
-          if pos < e.first then begin
-            let f = e.flow in
-            let hops = Flow.hop_count f in
-            acc + contrib f.Flow.rate hops pos - contrib f.Flow.rate hops e.first
-          end
-          else acc)
-        t.index.(v) 0
-end
 
 (* Arrival-ordered flow store with O(1) arrive/depart: a newest-first
    list of liveness cells plus an id index.  Departure tombstones the
    cell; the list is compacted once tombstones outnumber live flows, so
    the store is amortised O(1) per event while [flows] still reads back
    the exact arrival order the server's snapshots depend on. *)
-type cell = { cf : Flow.t; mutable live : bool }
+type cell = { cf : Flow.t; slot : int; mutable live : bool }
 
 type t = {
   graph : Tdmd_graph.Digraph.t;
@@ -170,7 +23,7 @@ type t = {
   mutable rev_flows : cell list; (* newest first, may contain tombstones *)
   mutable dead : int; (* tombstones still in [rev_flows] *)
   ids : (int, cell) Hashtbl.t; (* id index over live flows *)
-  oracle : Dyn.t;
+  oracle : Inc_oracle.t; (* owns the live flows' incidence *)
   mutable placed : int list; (* deployment, selection order *)
   mutable moves : int;
   mutable rebalances : int;
@@ -193,7 +46,7 @@ let create ?(migration_budget = 0) ~graph ~lambda ~k () =
     rev_flows = [];
     dead = 0;
     ids = Hashtbl.create 64;
-    oracle = Dyn.create (Tdmd_graph.Digraph.vertex_count graph);
+    oracle = Inc_oracle.empty ~vertices:(Tdmd_graph.Digraph.vertex_count graph) ~lambda;
     placed = [];
     moves = 0;
     rebalances = 0;
@@ -217,12 +70,12 @@ let flow_count t = Hashtbl.length t.ids
    formula and summation order of [Bandwidth.total] over [instance t],
    so the same bits, without rebuilding and re-validating the instance. *)
 let bandwidth t =
-  let mask = t.oracle.Dyn.placed in
+  let mask = Inc_oracle.mask t.oracle in
   List.fold_left
     (fun acc f -> acc +. Bandwidth.consumption_in ~lambda:t.lambda mask f)
     0.0 (flows t)
 
-let feasible t = Dyn.is_feasible t.oracle
+let feasible t = Inc_oracle.is_feasible t.oracle
 let moves t = t.moves
 let migration_budget t = t.migration_budget
 let rebalances t = t.rebalances
@@ -235,6 +88,8 @@ let compact t =
     t.dead <- 0
   end
 
+(* Moves are counted from the two lists.  After [Cover_fixup.within] the
+   oracle already holds [placed], so its edits here are no-ops. *)
 let set_placed t placed =
   let before = Placement.of_list t.placed in
   let after = Placement.of_list placed in
@@ -244,8 +99,8 @@ let set_placed t placed =
   let removed =
     List.filter (fun v -> not (Placement.mem after v)) (Placement.to_list before)
   in
-  List.iter (Dyn.apply_remove t.oracle) removed;
-  List.iter (Dyn.apply_add t.oracle) added;
+  List.iter (Inc_oracle.remove t.oracle) removed;
+  List.iter (Inc_oracle.add t.oracle) added;
   let n_moves = List.length added + List.length removed in
   t.moves <- t.moves + n_moves;
   Tdmd_obs.Telemetry.count t.tel "moves" n_moves;
@@ -253,18 +108,7 @@ let set_placed t placed =
 
 (* Highest exact-integer marginal over undeployed vertices; strictly
    positive gains only, lowest vertex wins ties. *)
-let best_marginal t =
-  let best = ref (-1) and best_gain = ref 0 in
-  for v = 0 to Tdmd_graph.Digraph.vertex_count t.graph - 1 do
-    if not (Dyn.mem t.oracle v) then begin
-      let g = Dyn.marginal t.oracle v in
-      if g > !best_gain then begin
-        best := v;
-        best_gain := g
-      end
-    end
-  done;
-  if !best < 0 then None else Some !best
+let best_marginal t = Inc_oracle.argmax t.oracle Inc_oracle.marginal_volume
 
 (* Bounded local search in the Lukovszki–Rost–Schmid spirit: spend at
    most [budget] instance moves on strictly-improving changes — first
@@ -288,25 +132,28 @@ let rebalance ?budget t =
   done;
   let swapping = ref true in
   while !swapping && !spent + 2 <= budget do
-    let dim0 = Dyn.dim_volume t.oracle in
-    let uns0 = Dyn.unserved_count t.oracle in
+    let o = t.oracle in
+    let dim0 = Inc_oracle.diminished_volume o in
+    let uns0 = Inc_oracle.unserved_count o in
     let best = ref None in
+    (* Each box is retired once and every replacement is scored
+       read-only against the oracle without it. *)
     List.iter
       (fun u ->
-        let tr = Dyn.probe_remove t.oracle u in
+        Inc_oracle.remove o u;
         (match best_marginal t with
         | Some v ->
-          let ta = Dyn.probe_add t.oracle v in
-          let net = Dyn.dim_volume t.oracle - dim0 in
-          let ok = Dyn.unserved_count t.oracle <= uns0 in
-          Dyn.undo t.oracle ta;
+          let net =
+            Inc_oracle.diminished_volume o + Inc_oracle.marginal_volume o v - dim0
+          in
+          let ok = Inc_oracle.unserved_count o - Inc_oracle.newly_served o v <= uns0 in
           if ok && net > 0 then begin
             match !best with
             | Some (bn, _, _) when bn >= net -> ()
             | _ -> best := Some (net, u, v)
           end
         | None -> ());
-        Dyn.undo t.oracle tr)
+        Inc_oracle.undo o)
       t.placed;
     match !best with
     | Some (_, u, v) ->
@@ -330,11 +177,10 @@ let arrive t f =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Incremental.arrive: " ^ msg));
   Tdmd_obs.Telemetry.count t.tel "arrivals" 1;
-  let c = { cf = f; live = true } in
+  let c = { cf = f; slot = Inc_oracle.add_flow t.oracle f; live = true } in
   t.rev_flows <- c :: t.rev_flows;
   Hashtbl.replace t.ids f.Flow.id c;
-  Dyn.add_flow t.oracle f;
-  if not (Dyn.is_feasible t.oracle) then begin
+  if not (Inc_oracle.is_feasible t.oracle) then begin
     (* Prefer serving the new flow at its highest-marginal on-path
        vertex while budget remains, then let the shared fix-up restore
        feasibility for anything else (including flows stranded by an
@@ -347,20 +193,20 @@ let arrive t f =
     let chosen =
       if List.length t.placed < t.k then begin
         let best = ref f.Flow.path.(0)
-        and best_gain = ref (Dyn.marginal t.oracle f.Flow.path.(0)) in
+        and best_gain = ref (Inc_oracle.marginal_volume t.oracle f.Flow.path.(0)) in
         Array.iter
           (fun v ->
-            let g = Dyn.marginal t.oracle v in
+            let g = Inc_oracle.marginal_volume t.oracle v in
             if g > !best_gain then begin
               best := v;
               best_gain := g
             end)
           f.Flow.path;
-        if Dyn.mem t.oracle !best then t.placed else t.placed @ [ !best ]
+        if Inc_oracle.mem t.oracle !best then t.placed else t.placed @ [ !best ]
       end
       else t.placed
     in
-    set_placed t (Cover_fixup.within (instance t) ~chosen ~budget:t.k)
+    set_placed t (Cover_fixup.within t.oracle ~chosen ~budget:t.k)
   end;
   auto_rebalance t
 
@@ -372,12 +218,10 @@ let depart t id =
     c.live <- false;
     t.dead <- t.dead + 1;
     Hashtbl.remove t.ids id;
-    Dyn.remove_flow t.oracle id;
+    Inc_oracle.remove_flow t.oracle c.slot;
     compact t);
   (* Boxes that serve nobody are pure waste now. *)
-  let useful =
-    List.filter (fun v -> Dyn.served_count t.oracle v > 0) t.placed
-  in
+  let useful = List.filter (Inc_oracle.serves t.oracle) t.placed in
   if List.length useful < List.length t.placed then set_placed t useful;
   (* Spend freed budget where it helps. *)
   (if List.length t.placed < t.k then
@@ -386,8 +230,8 @@ let depart t id =
      | None -> ());
   (* A departure can also unlock feasibility denied at a previous
      budget-exhausted event. *)
-  if not (Dyn.is_feasible t.oracle) then
-    set_placed t (Cover_fixup.within (instance t) ~chosen:t.placed ~budget:t.k);
+  if not (Inc_oracle.is_feasible t.oracle) then
+    set_placed t (Cover_fixup.within t.oracle ~chosen:t.placed ~budget:t.k);
   auto_rebalance t
 
 (* Rebuild an engine bit-for-bit from an exported state (the server's
@@ -418,24 +262,23 @@ let restore ?(migration_budget = 0) ?(rebalances = 0) ?(rebalance_moves = 0)
      || rebalance_moves < 0
   then invalid_arg "Incremental.restore: negative counters";
   let ids = Hashtbl.create (max 64 (List.length flows)) in
+  let oracle = Inc_oracle.empty ~vertices:n ~lambda in
   let rev_flows =
     List.fold_left
       (fun acc f ->
         let id = f.Flow.id in
         if Hashtbl.mem ids id then
           invalid_arg "Incremental.restore: duplicate flow ids";
-        let c = { cf = f; live = true } in
+        let c = { cf = f; slot = Inc_oracle.add_flow oracle f; live = true } in
         Hashtbl.replace ids id c;
         c :: acc)
       [] flows
   in
-  let oracle = Dyn.create n in
-  List.iter (Dyn.add_flow oracle) flows;
   List.iter
     (fun v ->
-      if Dyn.mem oracle v then
+      if Inc_oracle.mem oracle v then
         invalid_arg "Incremental.restore: duplicate placed vertices";
-      Dyn.apply_add oracle v)
+      Inc_oracle.add oracle v)
     placed;
   let tel = Tdmd_obs.Telemetry.create () in
   Tdmd_obs.Telemetry.count tel "budget" k;

@@ -6,23 +6,31 @@
     of at most [k] boxes across {!Tdmd_traffic.Temporal}-style events
     with bounded churn:
 
-    - arrival: if the new flow is unserved, add the best covering /
-      highest-marginal vertex when budget remains, otherwise replace
-      the deployed box whose removal costs least;
+    - arrival: if the new flow leaves the deployment infeasible and
+      budget remains, pick the new flow's highest-marginal on-path
+      vertex (first maximum in path order; no pick when that vertex is
+      already deployed); then {!Cover_fixup.within} spends leftover
+      budget on the vertex covering the most unserved flows and, if
+      the stragglers still cannot all be covered, drops the latest
+      picks one at a time and re-covers;
     - departure: drop boxes that no longer serve any flow, then spend
-      freed budget on the current best-marginal vertex when it still
-      helps;
+      one freed slot on the current best-marginal vertex when it still
+      helps, then repair as on arrival if flows are unserved;
     - rebalance: bounded local search in the Lukovszki–Rost–Schmid
       spirit ("Approximate and Incremental Network Function
       Placement") — spend at most a {e migration budget} of instance
       moves on strictly-improving adds and single-box swaps, keeping
       the placement near-optimal as churn drifts it.
 
-    All decisions compare exact integer diminished-volume marginals
-    (the {!Inc_oracle} convention), and the flow store is an
-    arrival-ordered tombstone list with an id index, so events are
-    amortised O(path + flows-through-touched-vertices) — no per-event
-    instance rebuild and no float thresholds.
+    The engine owns an {!Inc_oracle.empty} oracle that follows the
+    live flows through {!Inc_oracle.add_flow} / {!Inc_oracle.remove_flow},
+    and every decision — the picks, the repair, the rebalancer's swap
+    scores — reads exact integer diminished-volume answers off it: no
+    event builds an {!Instance} and no comparison uses a float
+    threshold.  Each greedy pick, cover pick and swap candidate costs
+    one scan of the live incidence (O(Σ_f |p_f|)); the flow store is an
+    arrival-ordered tombstone list with an id index, O(1) amortised per
+    event.
 
     Every deployed/removed box counts as one *move* — the
     quality-vs-churn trade against from-scratch GTP is an ablation
@@ -97,7 +105,8 @@ val telemetry : t -> Tdmd_obs.Telemetry.t
     ["moves"] counter. *)
 
 val instance : t -> Instance.t
-(** Current snapshot as a static instance. *)
+(** Current snapshot as a static instance, built and validated on each
+    call (live solves, tests); no event calls it. *)
 
 (** {1 State export / restore}
 

@@ -3,10 +3,11 @@ module Rt = Tdmd_tree.Rooted_tree
 module Flow = Tdmd_flow.Flow
 
 type incidence = {
-  offsets : int array;
-  entries : int array;
+  slabs : int array array;
+  degree : int array;
   rates : int array;
   hops : int array;
+  paths : int array array;
 }
 
 type t = {
@@ -16,39 +17,46 @@ type t = {
   incidence : incidence;
 }
 
-(* Counting sort of the (flow, position) pairs by vertex: one pass to
-   size each vertex's slice, one to fill it in flow-index order. *)
+(* Slab capacities are powers of two of at least 8 ints, the sizes the
+   churn oracle grows its slabs to.  OCaml 5 allocates small blocks from
+   one pool per size class, so slabs sized exactly by vertex degree
+   would spread over many sparsely used pools and raise peak RSS (see
+   EXPERIMENTS.md, "One oracle for static solves and flow churn"). *)
+let slab_capacity d =
+  let rec up c = if c >= 2 * d then c else up (2 * c) in
+  if d = 0 then 0 else up 8
+
+(* One pass to size each vertex's slab, one to fill it in flow-index
+   order. *)
 let incidence_of ~n flows =
-  let offsets = Array.make (n + 1) 0 in
+  let degree = Array.make n 0 in
   Array.iter
     (fun f ->
       Array.iter
         (fun v ->
           if v < 0 || v >= n then
             invalid_arg "Instance.make: flow vertex outside the graph";
-          offsets.(v + 1) <- offsets.(v + 1) + 1)
+          degree.(v) <- degree.(v) + 1)
         f.Flow.path)
     flows;
-  for v = 1 to n do
-    offsets.(v) <- offsets.(v) + offsets.(v - 1)
-  done;
-  let entries = Array.make (2 * offsets.(n)) 0 in
-  let fill = Array.sub offsets 0 n in
+  let slabs = Array.map (fun d -> Array.make (slab_capacity d) 0) degree in
+  let fill = Array.make n 0 in
   Array.iteri
     (fun fi f ->
       Array.iteri
         (fun pos v ->
           let i = fill.(v) in
-          entries.(2 * i) <- fi;
-          entries.((2 * i) + 1) <- pos;
+          slabs.(v).(2 * i) <- fi;
+          slabs.(v).((2 * i) + 1) <- pos;
           fill.(v) <- i + 1)
         f.Flow.path)
     flows;
   {
-    offsets;
-    entries;
+    slabs;
+    degree;
     rates = Array.map (fun f -> f.Flow.rate) flows;
     hops = Array.map Flow.hop_count flows;
+    paths = Array.map (fun f -> f.Flow.path) flows;
   }
 
 let of_array ~graph ~flows ~lambda =

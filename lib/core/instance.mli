@@ -8,20 +8,21 @@
     leaves, destination is the root). *)
 
 type incidence = private {
-  offsets : int array;
-      (** length |V| + 1: vertex [v]'s entries are
-          [offsets.(v) .. offsets.(v + 1) - 1], in flow-index order *)
-  entries : int array;
-      (** interleaved pairs: entry [i] is flow index [entries.(2i)] at
-          path position [entries.(2i + 1)] *)
+  slabs : int array array;
+      (** per vertex: interleaved pairs, flow index [slab.(2i)] at path
+          position [slab.(2i + 1)], in flow-index order; only the first
+          [degree] pairs are set *)
+  degree : int array;  (** per vertex: number of pairs in its slab *)
   rates : int array;  (** per flow index: r_f *)
   hops : int array;  (** per flow index: |p_f| *)
+  paths : int array array;  (** per flow index: p_f *)
 }
-(** The vertex → (flow, path position) incidence of the flow set in
-    compressed-sparse-row form: flat int arrays, built once per
-    instance and shared read-only by every {!Inc_oracle} (and every
-    domain) solving it, so an oracle allocates only its per-run
-    deployment state.  The arrays must not be written. *)
+(** The vertex → (flow, path position) incidence of the flow set: one
+    int slab per vertex plus per-flow arrays, built once per instance
+    and shared read-only by every {!Inc_oracle} (and every domain)
+    solving it, so an oracle allocates only its per-run deployment
+    state.  The churn engine's oracle keeps the same layout over flow
+    slots it owns.  The arrays must not be written. *)
 
 type t = private {
   graph : Tdmd_graph.Digraph.t;

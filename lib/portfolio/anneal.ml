@@ -39,7 +39,7 @@ let run ~rng ~k ~steps ?init ?(should_stop = fun () -> false)
   else begin
     let start =
       match init with
-      | Some p -> Tdmd.Cover_fixup.within inst ~chosen:p ~budget:k
+      | Some p -> Tdmd.Cover_fixup.within (Oracle.create inst) ~chosen:p ~budget:k
       | None -> Search.greedy_cover inst ~k
     in
     let oracle = Oracle.of_list inst start in
@@ -117,11 +117,9 @@ let run ~rng ~k ~steps ?init ?(should_stop = fun () -> false)
             published; drag the walk back through the repair
             periodically so publishable states keep appearing. *)
          if (not (Oracle.is_feasible oracle)) && i land 31 = 0 then begin
-           let repaired =
-             Tdmd.Cover_fixup.within inst ~chosen:(Search.sorted_verts oracle)
-               ~budget:k
-           in
-           ignore (Search.eval oracle repaired);
+           ignore
+             (Tdmd.Cover_fixup.within oracle ~chosen:(Search.sorted_verts oracle)
+                ~budget:k);
            cur := Oracle.diminished_volume oracle
          end;
          publish ()

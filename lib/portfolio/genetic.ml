@@ -50,9 +50,12 @@ let run ~rng ~k ~steps ?init ?(should_stop = fun () -> false)
   else begin
     let oracle = Oracle.create inst in
     let assess verts =
-      let repaired = Tdmd.Cover_fixup.within inst ~chosen:verts ~budget:k in
-      let volume, ok = Search.eval oracle repaired in
-      { verts = Search.sorted_verts oracle; volume; ok }
+      ignore (Tdmd.Cover_fixup.within oracle ~chosen:verts ~budget:k);
+      {
+        verts = Search.sorted_verts oracle;
+        volume = Oracle.diminished_volume oracle;
+        ok = Oracle.is_feasible oracle;
+      }
     in
     let random_verts () =
       let want = 1 + Rng.int rng k in

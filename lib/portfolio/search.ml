@@ -24,7 +24,7 @@ let useful_vertices inst =
   Array.of_list !acc
 
 let greedy_cover inst ~k =
-  if k <= 0 then [] else Tdmd.Cover_fixup.within inst ~chosen:[] ~budget:k
+  if k <= 0 then [] else Tdmd.Cover_fixup.within (Oracle.create inst) ~chosen:[] ~budget:k
 
 let eval oracle verts =
   Oracle.reset oracle;

@@ -5,10 +5,12 @@
    marginals with the 1e-9 threshold, unguarded on-path argmax), and at
    [migration_budget 0] the rewritten engine must track it bit for bit
    over random churn timelines — same selection order, same move counts,
-   same bandwidth floats.  The remaining tests pin the individual bug
-   fixes (deployed-winner guard, exact-integer marginals at extreme
-   lambda, unknown-id departures) and the migration-budgeted rebalancer's
-   accounting and restore semantics. *)
+   same bandwidth floats.  At every migration budget the engine must
+   also track [Reference.Churn], which takes the same decisions by
+   rebuilding the instance and rescanning.  The remaining tests pin the
+   individual bug fixes (deployed-winner guard, exact-integer marginals
+   at extreme lambda, unknown-id departures) and the migration-budgeted
+   rebalancer's accounting and restore semantics. *)
 
 module Flow = Tdmd_flow.Flow
 module Rng = Tdmd_prelude.Rng
@@ -105,7 +107,8 @@ module Legacy = struct
         end
         else t.placed
       in
-      set_placed t (Tdmd.Cover_fixup.within inst ~chosen ~budget:t.k)
+      set_placed t
+        (Tdmd.Cover_fixup.within (Tdmd.Inc_oracle.create inst) ~chosen ~budget:t.k)
     end
 
   let depart t id =
@@ -126,7 +129,9 @@ module Legacy = struct
        | Some v -> set_placed t (t.placed @ [ v ])
        | None -> ());
     if not (Tdmd.Allocation.is_feasible inst (placement t)) then
-      set_placed t (Tdmd.Cover_fixup.within inst ~chosen:t.placed ~budget:t.k)
+      set_placed t
+        (Tdmd.Cover_fixup.within (Tdmd.Inc_oracle.create inst) ~chosen:t.placed
+           ~budget:t.k)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -490,6 +495,73 @@ let prop_bandwidth_bits =
           bits ())
         (random_timeline rng g ~events:40))
 
+(* ------------------------------------------------------------------ *)
+(* Differential: every migration budget against a from-scratch engine  *)
+(* ------------------------------------------------------------------ *)
+
+(* Random arrive/depart timelines with explicit rebalance passes mixed
+   in, at migration budgets 0, 1, 2 and 4: after every step the engine
+   must match [Reference.Churn] (decisions from instance rebuilds and
+   full scans) on every observation, bandwidth to the bit.  Midway the
+   engine is rebuilt from its exported state with [restore], and the
+   rebuilt engine must keep matching. *)
+let prop_budgeted_reference =
+  QCheck.Test.make ~name:"budgeted churn = from-scratch reference engine, bit for bit"
+    ~count:60
+    QCheck.(triple (int_bound 1_000_000) (int_range 0 3) (int_range 0 2))
+    (fun (seed, bi, li) ->
+      let migration_budget = [| 0; 1; 2; 4 |].(bi) in
+      let lambda = [| 0.0; 0.5; 1.0 |].(li) in
+      let rng = Rng.create seed in
+      let n = 6 + Rng.int rng 8 in
+      let g = Tdmd_topo.Topo_general.erdos_renyi rng n ~p:0.3 in
+      let k = 1 + Rng.int rng 4 in
+      let timeline = random_timeline rng g ~events:40 in
+      let restore_at = Rng.int rng (List.length timeline + 1) in
+      let r = Reference.Churn.create ~migration_budget ~graph:g ~lambda ~k in
+      let t = ref (Inc.create ~migration_budget ~graph:g ~lambda ~k ()) in
+      let arrivals = ref 0 and departures = ref 0 in
+      let restore () =
+        let e = !t in
+        t :=
+          Inc.restore ~migration_budget ~rebalances:(Inc.rebalances e)
+            ~rebalance_moves:(Inc.rebalance_moves e) ~graph:g ~lambda ~k
+            ~flows:(Inc.flows e) ~placed:(Inc.placed_order e) ~moves:(Inc.moves e)
+            ~arrivals:!arrivals ~departures:!departures ()
+      in
+      let same () =
+        let e = !t in
+        Inc.placed_order e = r.Reference.Churn.placed
+        && Inc.moves e = r.Reference.Churn.moves
+        && Inc.rebalances e = r.Reference.Churn.rebalances
+        && Inc.rebalance_moves e = r.Reference.Churn.rebalance_moves
+        && Inc.feasible e = Reference.Churn.feasible r
+        && Inc.flow_count e = List.length r.Reference.Churn.flows
+        && Int64.bits_of_float (Inc.bandwidth e)
+           = Int64.bits_of_float (Reference.Churn.bandwidth r)
+      in
+      List.for_all
+        (fun (i, ev) ->
+          if i = restore_at then restore ();
+          (match ev with
+          | Arrive f ->
+            incr arrivals;
+            Inc.arrive !t f;
+            Reference.Churn.arrive r f
+          | Depart id ->
+            incr departures;
+            Inc.depart !t id;
+            Reference.Churn.depart r id);
+          let spent_ok =
+            if Rng.int rng 4 > 0 then true
+            else begin
+              let budget = Rng.int rng 5 in
+              Inc.rebalance ~budget !t = Reference.Churn.rebalance ~budget r
+            end
+          in
+          spent_ok && same ())
+        (List.mapi (fun i ev -> (i, ev)) timeline))
+
 let suite =
   [
     Alcotest.test_case "budget 0 is bit-identical to the legacy engine" `Quick
@@ -509,4 +581,5 @@ let suite =
     Alcotest.test_case "restore round-trips the rebalancer state" `Quick
       test_restore_roundtrip_with_budget;
     QCheck_alcotest.to_alcotest prop_bandwidth_bits;
+    QCheck_alcotest.to_alcotest prop_budgeted_reference;
   ]

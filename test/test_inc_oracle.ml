@@ -76,6 +76,76 @@ let prop_ops_differential =
       done;
       !ok)
 
+(* (a') The churn oracle: flows enter through [add_flow] and leave
+   through [remove_flow] (vacated slots are reused) between deployment
+   edits and resets; after every step it must answer like the naive
+   scans over an instance rebuilt from the live flows.  An oracle over
+   an instance refuses flow edits. *)
+let prop_flow_edits_differential =
+  QCheck.Test.make ~name:"inc oracle with flow edits = naive scan of the live flows"
+    ~count:100
+    QCheck.(pair (int_bound 1_000_000) (int_range 4 14))
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let inst =
+        Fixtures.random_general_instance rng ~n ~flows:(2 * n) ~max_rate:6
+          ~lambda:(dyadic_lambda rng)
+      in
+      let pool = inst.Tdmd.Instance.flows and lambda = inst.Tdmd.Instance.lambda in
+      let t = O.empty ~vertices:n ~lambda in
+      let live = ref [] in
+      let check () =
+        let r =
+          Tdmd.Instance.make ~graph:inst.Tdmd.Instance.graph
+            ~flows:(List.map fst !live) ~lambda
+        in
+        let p = O.placement t in
+        let v = Rng.int rng n in
+        let pv = Tdmd.Placement.add p v in
+        let served_at =
+          Array.exists
+            (function
+              | Tdmd.Allocation.Served_at { vertex; _ } -> vertex = v
+              | Tdmd.Allocation.Unserved -> false)
+            (Reference.all r p)
+        in
+        O.diminished_volume t = Reference.diminished_volume r p
+        && O.is_feasible t = Reference.is_feasible r p
+        && O.unserved_count t = List.length (Reference.unserved r p)
+        && O.bandwidth t = Reference.total r p
+        && O.marginal_volume t v
+           = Reference.diminished_volume r pv - Reference.diminished_volume r p
+        && O.newly_served t v
+           = List.length (Reference.unserved r p) - List.length (Reference.unserved r pv)
+        && O.serves t v = served_at
+      in
+      let step () =
+        match Rng.int rng 9 with
+        | 0 | 1 ->
+          let f = pool.(Rng.int rng (Array.length pool)) in
+          if not (List.mem_assq f !live) then live := (f, O.add_flow t f) :: !live
+        | 2 | 3 -> (
+          match !live with
+          | [] -> ()
+          | l ->
+            let f, slot = List.nth l (Rng.int rng (List.length l)) in
+            O.remove_flow t slot;
+            live := List.remove_assq f l)
+        | 4 | 5 -> O.add t (Rng.int rng n)
+        | 6 | 7 -> O.remove t (Rng.int rng n)
+        | _ -> O.reset t
+      in
+      let ok = ref true in
+      for _ = 1 to 80 do
+        step ();
+        ok := !ok && check ()
+      done;
+      !ok
+      && (try
+            ignore (O.add_flow (O.create inst) pool.(0));
+            false
+          with Invalid_argument _ -> true))
+
 (* (b) Greedy / CELF over the submodular machinery: the incremental
    oracle must make the same selections with the same gains as the naive
    full-rescan oracle — exact float equality, no tolerance. *)
@@ -91,7 +161,7 @@ let prop_greedy_differential =
       in
       let k = 1 + Rng.int rng n in
       let same select =
-        let a = select ~k (Tdmd.Bandwidth.oracle_naive inst) in
+        let a = select ~k (Reference.oracle_naive inst) in
         let b = select ~k (Tdmd.Bandwidth.oracle inst) in
         a.S.chosen = b.S.chosen
         && a.S.gains = b.S.gains
@@ -100,8 +170,9 @@ let prop_greedy_differential =
       in
       same (fun ~k o -> S.greedy ~k o) && same (fun ~k o -> S.lazy_greedy ~k o))
 
-(* (c) End-to-end GTP / CELF: ?incremental:false (naive reference) and
-   the default incremental path must return identical reports. *)
+(* (c) End-to-end GTP / CELF against the from-scratch reference (naive
+   oracle, naive cover fix-up): identical placement, bandwidth and
+   feasibility. *)
 let prop_gtp_run_differential =
   QCheck.Test.make ~name:"Gtp.run/run_celf: incremental = naive" ~count:40
     QCheck.(pair (int_bound 1_000_000) (int_range 4 12))
@@ -112,20 +183,23 @@ let prop_gtp_run_differential =
           ~lambda:(Rng.float rng 1.0)
       in
       let budget = 1 + Rng.int rng n in
-      let same run =
-        let a = run ~budget ~incremental:false inst in
-        let b = run ~budget ~incremental:true inst in
-        Tdmd.Placement.to_list a.Tdmd.Gtp.placement
-        = Tdmd.Placement.to_list b.Tdmd.Gtp.placement
-        && a.Tdmd.Gtp.bandwidth = b.Tdmd.Gtp.bandwidth
-        && a.Tdmd.Gtp.feasible = b.Tdmd.Gtp.feasible
+      let same select run =
+        let a = Reference.gtp select ~budget inst in
+        let b = run ~budget inst in
+        Tdmd.Placement.to_list a = Tdmd.Placement.to_list b.Tdmd.Gtp.placement
+        && Tdmd.Bandwidth.total inst a = b.Tdmd.Gtp.bandwidth
+        && Tdmd.Allocation.is_feasible inst a = b.Tdmd.Gtp.feasible
       in
-      same (fun ~budget ~incremental i -> Tdmd.Gtp.run ~budget ~incremental i)
-      && same (fun ~budget ~incremental i ->
-             Tdmd.Gtp.run_celf ~budget ~incremental i))
+      same
+        (fun ~stop ~k o -> S.greedy ~stop ~k o)
+        (fun ~budget i -> Tdmd.Gtp.run ~budget i)
+      && same
+           (fun ~stop ~k o -> S.lazy_greedy ~stop ~k o)
+           (fun ~budget i -> Tdmd.Gtp.run_celf ~budget i))
 
 (* (d) HAT on random trees: the Δb probes answered by the oracle mirror
-   must reproduce the naive merge sequence exactly. *)
+   must reproduce the merge sequence of the from-scratch reference
+   exactly. *)
 let prop_hat_differential =
   QCheck.Test.make ~name:"Hat.run: incremental = naive" ~count:40
     QCheck.(pair (int_bound 1_000_000) (int_range 4 16))
@@ -136,50 +210,17 @@ let prop_hat_differential =
           ~lambda:(Rng.float rng 1.0)
       in
       let k = 1 + Rng.int rng n in
-      let a = Tdmd.Hat.run ~incremental:false ~k inst in
-      let b = Tdmd.Hat.run ~incremental:true ~k inst in
-      Tdmd.Placement.to_list a.Tdmd.Hat.placement
-      = Tdmd.Placement.to_list b.Tdmd.Hat.placement
-      && a.Tdmd.Hat.bandwidth = b.Tdmd.Hat.bandwidth
-      && a.Tdmd.Hat.merges = b.Tdmd.Hat.merges)
+      let a, merges = Reference.hat ~k inst in
+      let b = Tdmd.Hat.run ~k inst in
+      Tdmd.Placement.to_list a = Tdmd.Placement.to_list b.Tdmd.Hat.placement
+      && Tdmd.Bandwidth.total (Tdmd.Instance.Tree.to_general inst) a
+         = b.Tdmd.Hat.bandwidth
+      && merges = b.Tdmd.Hat.merges)
 
-(* (e) Cover_fixup.within against a naive reference of the same
-   algorithm (prefix keep/drop + repeated best-cover picks, feasibility
-   by full rescan). *)
-let reference_within inst ~chosen ~budget =
-  let chosen = Array.of_list chosen in
-  let extend kept_len =
-    let prefix =
-      Array.to_list (Array.sub chosen 0 kept_len)
-      |> List.fold_left (fun acc v -> if List.mem v acc then acc else v :: acc) []
-      |> List.rev
-    in
-    let rec grow sel =
-      let p = Tdmd.Placement.of_list sel in
-      if Tdmd.Allocation.is_feasible inst p || List.length sel >= budget then sel
-      else begin
-        match
-          Tdmd.Cover_fixup.best_cover_vertex inst sel
-            (Tdmd.Allocation.unserved inst p)
-        with
-        | None -> sel
-        | Some v -> grow (sel @ [ v ])
-      end
-    in
-    grow prefix
-  in
-  let rec attempt kept_len fallback =
-    let candidate = extend kept_len in
-    let feasible =
-      Tdmd.Allocation.is_feasible inst (Tdmd.Placement.of_list candidate)
-    in
-    let fallback = match fallback with Some f -> Some f | None -> Some candidate in
-    if feasible then candidate
-    else if kept_len = 0 then (match fallback with Some f -> f | None -> candidate)
-    else attempt (kept_len - 1) fallback
-  in
-  attempt (Array.length chosen) None
-
+(* (e) Cover_fixup.within against the naive reference of the same
+   algorithm in test/reference.ml (prefix rule, repeated best-cover
+   picks, feasibility by full rescan).  [chosen] may repeat vertices
+   and name up to twice the budget. *)
 let prop_cover_fixup_differential =
   QCheck.Test.make ~name:"Cover_fixup.within: oracle path = naive reference"
     ~count:80
@@ -192,10 +233,36 @@ let prop_cover_fixup_differential =
       in
       let budget = 1 + Rng.int rng n in
       let chosen =
-        List.init (Rng.int rng (budget + 1)) (fun _ -> Rng.int rng n)
+        List.init (Rng.int rng ((2 * budget) + 1)) (fun _ -> Rng.int rng n)
       in
-      Tdmd.Cover_fixup.within inst ~chosen ~budget
-      = reference_within inst ~chosen ~budget)
+      let t = O.create inst in
+      let got = Tdmd.Cover_fixup.within t ~chosen ~budget in
+      got = Reference.within inst ~chosen ~budget
+      && Tdmd.Placement.to_list (O.placement t)
+         = Tdmd.Placement.to_list (Tdmd.Placement.of_list got))
+
+(* The budget caps the answer even when [chosen] names more distinct
+   vertices than it allows: one flow on the path 0-1-2-3 keeps the
+   prefix [0; 1] at budget 2, and two disjoint one-edge flows at
+   budget 1 fall back to the one-vertex prefix. *)
+let test_cover_fixup_budget_cap () =
+  let g = Tdmd_graph.Digraph.create 4 in
+  List.iter (fun (a, b) -> Tdmd_graph.Digraph.add_edge g a b) [ (0, 1); (1, 2); (2, 3) ];
+  let one = Tdmd_flow.Flow.make ~id:0 ~rate:1 ~path:[ 0; 1; 2; 3 ] in
+  let inst = Tdmd.Instance.make ~graph:g ~flows:[ one ] ~lambda:0.5 in
+  Alcotest.(check (list int)) "path: longest prefix within the budget" [ 0; 1 ]
+    (Tdmd.Cover_fixup.within (O.create inst) ~chosen:[ 0; 1; 2 ] ~budget:2);
+  let g = Tdmd_graph.Digraph.create 4 in
+  List.iter (fun (a, b) -> Tdmd_graph.Digraph.add_edge g a b) [ (0, 1); (2, 3) ];
+  let flows =
+    [
+      Tdmd_flow.Flow.make ~id:0 ~rate:1 ~path:[ 0; 1 ];
+      Tdmd_flow.Flow.make ~id:1 ~rate:1 ~path:[ 2; 3 ];
+    ]
+  in
+  let inst = Tdmd.Instance.make ~graph:g ~flows ~lambda:0.5 in
+  let got = Tdmd.Cover_fixup.within (O.create inst) ~chosen:[ 0; 2; 1 ] ~budget:1 in
+  Alcotest.(check (list int)) "disjoint flows: infeasible fallback" [ 0 ] got
 
 (* (f) The mask-based objective scans against the membership-list
    references: same serving decisions, and the same float bits for any
@@ -344,10 +411,13 @@ let test_oracle_counters () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_ops_differential;
+    QCheck_alcotest.to_alcotest prop_flow_edits_differential;
     QCheck_alcotest.to_alcotest prop_greedy_differential;
     QCheck_alcotest.to_alcotest prop_gtp_run_differential;
     QCheck_alcotest.to_alcotest prop_hat_differential;
     QCheck_alcotest.to_alcotest prop_cover_fixup_differential;
+    Alcotest.test_case "cover fix-up: answers stay within the budget" `Quick
+      test_cover_fixup_budget_cap;
     QCheck_alcotest.to_alcotest prop_scans_differential;
     QCheck_alcotest.to_alcotest prop_refine_differential;
     Alcotest.test_case "local search: stranding swap" `Quick

