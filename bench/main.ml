@@ -237,10 +237,11 @@ let solvers () =
 (* ------------------------------------------------------------------ *)
 
 (* Runs GTP's greedy core at several instance sizes with both oracle
-   flavours, asserts they choose the same deployment, and writes one
-   JSON-lines record per size to BENCH_oracle.json (path overridable
-   with TDMD_BENCH_ORACLE_JSON, sizes with TDMD_BENCH_ORACLE_SIZES as a
-   comma-separated list). *)
+   flavours, checks that greedy and CELF choose one deployment on both,
+   and writes one JSON-lines record per size to BENCH_oracle.json
+   (path overridable with TDMD_BENCH_ORACLE_JSON, sizes with
+   TDMD_BENCH_ORACLE_SIZES as a comma-separated list).  Exits 1 after
+   the table when any size disagrees. *)
 let oracle_json_path =
   match Sys.getenv_opt "TDMD_BENCH_ORACLE_JSON" with
   | Some p -> p
@@ -270,6 +271,7 @@ let oracle_bench () =
       ]
   in
   print_endline "== oracle bench: naive vs incremental greedy ==\n";
+  let mismatches = ref 0 in
   let t =
     Table.create [ "size"; "k"; "naive (s)"; "incremental (s)"; "speedup" ]
   in
@@ -286,7 +288,7 @@ let oracle_bench () =
                 Tdmd_submod.Submodular.greedy ~k (oracle_of inst)))
       in
       (* The baseline answers every query by a from-scratch scan. *)
-      let naive inst =
+      let value_only inst =
         Tdmd_submod.Submodular.make
           ~ground:(Tdmd.Instance.vertex_count inst)
           ~value:(fun vs ->
@@ -294,16 +296,30 @@ let oracle_bench () =
               (Tdmd.Bandwidth.diminished_volume inst (Tdmd.Placement.of_list vs)))
           ()
       in
-      let naive_runs = time_greedy naive in
+      let naive_runs = time_greedy value_only in
       let inc_runs = time_greedy Tdmd.Bandwidth.oracle in
       let naive = Stats.summarize (List.map snd naive_runs) in
       let inc = Stats.summarize (List.map snd inc_runs) in
+      (* Greedy and CELF on either oracle must all pick the value-only
+         greedy's deployment. *)
       let chosen (r : Tdmd_submod.Submodular.result) = r.Tdmd_submod.Submodular.chosen in
-      let same_result =
-        chosen (fst (List.hd naive_runs)) = chosen (fst (List.hd inc_runs))
+      let celf oracle = chosen (Tdmd_submod.Submodular.lazy_greedy ~k oracle) in
+      let expected = chosen (fst (List.hd naive_runs)) in
+      let differing =
+        List.filter_map
+          (fun (name, got) -> if got = expected then None else Some name)
+          [
+            ("incremental greedy", chosen (fst (List.hd inc_runs)));
+            ("value-only CELF", celf (value_only inst));
+            ("incremental CELF", celf (Tdmd.Bandwidth.oracle inst));
+          ]
       in
-      if not same_result then
-        Printf.eprintf "WARNING: oracle mismatch at size %d\n" size;
+      let same_result = differing = [] in
+      if not same_result then begin
+        incr mismatches;
+        Printf.eprintf "oracle mismatch at size %d: %s differ from value-only greedy\n"
+          size (String.concat ", " differing)
+      end;
       let speedup =
         if inc.Stats.mean > 0.0 then naive.Stats.mean /. inc.Stats.mean else nan
       in
@@ -332,7 +348,12 @@ let oracle_bench () =
   close_out oc;
   Table.print t;
   Printf.printf "\nwrote %s (%d sizes)\n" oracle_json_path
-    (List.length oracle_sizes)
+    (List.length oracle_sizes);
+  if !mismatches > 0 then begin
+    Printf.eprintf "oracle bench: %d of %d sizes disagree\n" !mismatches
+      (List.length oracle_sizes);
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Serve bench: closed-loop clients against an in-process server       *)

@@ -55,7 +55,7 @@ let max_decrement instance =
    unchanged, and integer-valued floats make every greedy comparison
    exact — submodularity then holds bit-for-bit, which the CELF lazy
    evaluation's "cached gains are upper bounds" invariant needs.
-   Marginals come from the incremental index in O(flows through v); the
+   Marginals come from the incremental oracle's gain ledger in O(1); the
    value interface is the from-scratch scan.  Both stay exact integers
    in float, so greedy/CELF selections agree bit-for-bit with a
    value-only oracle (differential-tested in test_inc_oracle). *)

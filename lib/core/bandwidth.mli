@@ -55,5 +55,5 @@ val oracle : Instance.t -> Tdmd_submod.Submodular.oracle
     change any argmax, and integer-valued floats keep greedy and CELF
     comparisons exact (no rounding-induced submodularity violations).
     Carries the {!Inc_oracle}-backed incremental interface, so
-    [Submodular.greedy]/[lazy_greedy] answer each marginal in
-    O(flows through v) instead of rescanning every flow. *)
+    [Submodular.greedy]/[lazy_greedy] answer each marginal in O(1)
+    off the oracle's gain ledger instead of rescanning every flow. *)

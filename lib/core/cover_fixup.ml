@@ -21,7 +21,7 @@ let within t ~chosen ~budget =
       && (not (Inc_oracle.is_feasible t))
       && Inc_oracle.size t < budget
     do
-      match Inc_oracle.argmax t Inc_oracle.newly_served with
+      match Inc_oracle.argmax t Inc_oracle.Newly_served with
       | None -> exhausted := true
       | Some v ->
         Inc_oracle.add t v;

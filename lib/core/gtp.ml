@@ -7,15 +7,20 @@ type report = {
   telemetry : Tdmd_obs.Telemetry.t;
 }
 
-let report_of instance ~oracle_calls ~telemetry chosen =
+(* [fixed] is the oracle [Cover_fixup.within] left holding [chosen]:
+   its integer volume gives [Bandwidth.decrement]'s bits, and
+   [Bandwidth.total]'s left-to-right sum fixes the bandwidth's. *)
+let report_of instance fixed ~oracle_calls ~telemetry chosen =
   let placement = Placement.of_list chosen in
   Tdmd_obs.Telemetry.count telemetry "oracle_calls" oracle_calls;
   Tdmd_obs.Telemetry.count telemetry "placement_size" (Placement.size placement);
   {
     placement;
     bandwidth = Bandwidth.total instance placement;
-    decrement = Bandwidth.decrement instance placement;
-    feasible = Allocation.is_feasible instance placement;
+    decrement =
+      (1.0 -. instance.Instance.lambda)
+      *. float_of_int (Inc_oracle.diminished_volume fixed);
+    feasible = Inc_oracle.is_feasible fixed;
     oracle_calls;
     telemetry;
   }
@@ -44,12 +49,12 @@ let run_with ~label selector ?budget instance =
       let oracle_ns = Int64.sub (Tdmd_obs.Clock.now_ns ()) t0 in
       let calls = sel.Tdmd_submod.Submodular.oracle_calls in
       if calls > 0 then Tdmd_obs.Telemetry.count tel "delta_evals" calls;
+      let fixed = Inc_oracle.create instance in
       let chosen =
         Tdmd_obs.Telemetry.with_span tel "cover-fixup" (fun () ->
-            Cover_fixup.within (Inc_oracle.create instance)
-              ~chosen:sel.Tdmd_submod.Submodular.chosen ~budget)
+            Cover_fixup.within fixed ~chosen:sel.Tdmd_submod.Submodular.chosen ~budget)
       in
-      let report = report_of instance ~oracle_calls:calls ~telemetry:tel chosen in
+      let report = report_of instance fixed ~oracle_calls:calls ~telemetry:tel chosen in
       Tdmd_obs.Telemetry.count tel "oracle_ns" (Int64.to_int oracle_ns);
       report)
 

@@ -5,7 +5,19 @@ module Flow = Tdmd_flow.Flow
    r_f · (hops_f − l) diminished edge-units, and the (1−λ) scaling is
    applied only at the float boundary, so every incremental answer is an
    integer-valued float that agrees bit-for-bit with a from-scratch
-   Bandwidth.diminished_volume scan. *)
+   Bandwidth.diminished_volume scan.
+
+   The gain ledger answers the what-if queries.  A flow of rate r and h
+   hops served at position s (h + 1 = unserved) holds, at each path
+   vertex at a position p < s, r · (min s h − p) of [gain] — what a box
+   there would add — and counts once in [uncov] at every path vertex
+   while unserved.  A deployed vertex holds neither, since every flow
+   through it is served there or earlier.  Each half of the ledger is
+   built by the first query that reads it after [make] or [reset] and
+   kept current by every edit from then on; an oracle that is only
+   edited never pays for either, and the cover fix-up, which resets
+   often and asks only cover questions, builds only [uncov], walking
+   only the unserved flows. *)
 
 type op = Added of int | Removed of int | Untouched
 
@@ -32,6 +44,10 @@ type t = {
   mutable unserved : int;
   mutable placed_count : int;
   mutable log : op list;         (* most recent first, for undo *)
+  gain : int array;              (* vertex -> marginal volume, when [gain_ok] *)
+  uncov : int array;             (* vertex -> unserved flows through it, when [uncov_ok] *)
+  mutable gain_ok : bool;
+  mutable uncov_ok : bool;
 }
 
 (* Diminished edge-units of one flow served at position [l] (l = hops is
@@ -62,6 +78,10 @@ let make ~owned ~lambda ~vertices ~slabs ~degree ~rates ~hops ~paths =
     unserved = nflows;
     placed_count = 0;
     log = [];
+    gain = Array.make vertices 0;
+    uncov = Array.make vertices 0;
+    gain_ok = false;
+    uncov_ok = false;
   }
 
 let create instance =
@@ -78,7 +98,7 @@ let mem t v = Bytes.get t.placed v = '\001'
 let size t = t.placed_count
 let diminished_volume t = t.dim_volume
 
-let bandwidth_at t dim =
+let[@inline] bandwidth_at t dim =
   float_of_int t.total_volume -. (t.one_minus_lambda *. float_of_int dim)
 
 let bandwidth t = bandwidth_at t t.dim_volume
@@ -94,6 +114,77 @@ let next_deployed t path q =
   done;
   !q
 
+(* {1 Gain ledger} *)
+
+(* Add [sign] times flow [fi]'s [gain] terms at serving position [s]. *)
+let add_gains t fi s sign =
+  let path = t.paths.(fi) and r = t.rates.(fi) and gain = t.gain in
+  let top = min s t.hops.(fi) in
+  for p = 0 to top - 1 do
+    let v = path.(p) in
+    gain.(v) <- gain.(v) + (sign * r * (top - p))
+  done
+
+(* Add [sign] to [uncov] at every vertex of flow [fi]'s path. *)
+let add_uncovered t fi sign =
+  let path = t.paths.(fi) and uncov = t.uncov in
+  for p = 0 to Array.length path - 1 do
+    let v = path.(p) in
+    uncov.(v) <- uncov.(v) + sign
+  done
+
+(* Flow [fi]'s serving position moves from [a] to [b]: the positions
+   below both shift by r · (min b h − min a h), those in between gain or
+   lose their whole term, and [uncov] changes only when the flow goes
+   from served to unserved or back. *)
+let shift_serving t fi a b =
+  let path = t.paths.(fi) and r = t.rates.(fi) and h = t.hops.(fi) in
+  if t.gain_ok then begin
+    let gain = t.gain in
+    let shift = r * (min b h - min a h) in
+    if shift <> 0 then
+      for p = 0 to min a b - 1 do
+        let v = path.(p) in
+        gain.(v) <- gain.(v) + shift
+      done;
+    if b < a then begin
+      let top = min a h in
+      for p = b to top - 1 do
+        let v = path.(p) in
+        gain.(v) <- gain.(v) - (r * (top - p))
+      done
+    end
+    else begin
+      let top = min b h in
+      for p = a to top - 1 do
+        let v = path.(p) in
+        gain.(v) <- gain.(v) + (r * (top - p))
+      done
+    end
+  end;
+  if t.uncov_ok && (a > h) <> (b > h) then add_uncovered t fi (if b > h then 1 else -1)
+
+(* Vacated slots, whose path is empty, hold no terms. *)
+let build_gain t =
+  Array.fill t.gain 0 (Array.length t.gain) 0;
+  for fi = 0 to t.slots - 1 do
+    if Array.length t.paths.(fi) > 0 then add_gains t fi t.first.(fi) 1
+  done;
+  t.gain_ok <- true
+
+let build_uncov t =
+  Array.fill t.uncov 0 (Array.length t.uncov) 0;
+  for fi = 0 to t.slots - 1 do
+    if Array.length t.paths.(fi) > 0 && t.first.(fi) > t.hops.(fi) then
+      add_uncovered t fi 1
+  done;
+  t.uncov_ok <- true
+
+let[@inline] ensure_gain t = if not t.gain_ok then build_gain t
+let[@inline] ensure_uncov t = if not t.uncov_ok then build_uncov t
+
+(* {1 Deployment edits} *)
+
 let do_add t v =
   Bytes.set t.placed v '\001';
   t.placed_count <- t.placed_count + 1;
@@ -105,7 +196,8 @@ let do_add t v =
       let h = hops.(fi) in
       if old > h then t.unserved <- t.unserved - 1;
       t.dim_volume <- t.dim_volume + contrib rates.(fi) h pos - contrib rates.(fi) h old;
-      first.(fi) <- pos
+      first.(fi) <- pos;
+      if t.gain_ok || t.uncov_ok then shift_serving t fi old pos
     end
   done
 
@@ -123,7 +215,8 @@ let do_remove t v =
       let next = next_deployed t t.paths.(fi) (pos + 1) in
       if next > h then t.unserved <- t.unserved + 1;
       t.dim_volume <- t.dim_volume + contrib rates.(fi) h next - contrib rates.(fi) h pos;
-      first.(fi) <- next
+      first.(fi) <- next;
+      if t.gain_ok || t.uncov_ok then shift_serving t fi pos next
     end
   done
 
@@ -162,7 +255,9 @@ let reset t =
   t.dim_volume <- 0;
   t.unserved <- t.flows;
   t.placed_count <- 0;
-  t.log <- []
+  t.log <- [];
+  t.gain_ok <- false;
+  t.uncov_ok <- false
 
 let of_list instance vs =
   let t = create instance in
@@ -213,6 +308,8 @@ let add_flow t f =
   t.total_volume <- t.total_volume + (rate * h);
   if first > h then t.unserved <- t.unserved + 1
   else t.dim_volume <- t.dim_volume + contrib rate h first;
+  if t.gain_ok then add_gains t slot first 1;
+  if t.uncov_ok && first > h then add_uncovered t slot 1;
   t.log <- [];
   slot
 
@@ -238,6 +335,8 @@ let remove_flow t slot =
   t.total_volume <- t.total_volume - (rate * h);
   if first > h then t.unserved <- t.unserved - 1
   else t.dim_volume <- t.dim_volume - contrib rate h first;
+  if t.gain_ok then add_gains t slot first (-1);
+  if t.uncov_ok && first > h then add_uncovered t slot (-1);
   (* Drop the path so the departed flow can be collected. *)
   t.paths.(slot) <- [||];
   t.free <- slot :: t.free;
@@ -246,32 +345,12 @@ let remove_flow t slot =
 (* {1 Queries} *)
 
 let marginal_volume t v =
-  if mem t v then 0
-  else begin
-    let s = t.slabs.(v) and rates = t.rates and hops = t.hops and first = t.first in
-    let acc = ref 0 in
-    for i = 0 to t.degree.(v) - 1 do
-      let fi = s.(2 * i) and pos = s.((2 * i) + 1) in
-      let old = first.(fi) in
-      if pos < old then begin
-        let h = hops.(fi) in
-        acc := !acc + contrib rates.(fi) h pos - contrib rates.(fi) h old
-      end
-    done;
-    !acc
-  end
+  ensure_gain t;
+  t.gain.(v)
 
 let newly_served t v =
-  if mem t v then 0
-  else begin
-    let s = t.slabs.(v) and hops = t.hops and first = t.first in
-    let n = ref 0 in
-    for i = 0 to t.degree.(v) - 1 do
-      let fi = s.(2 * i) in
-      if first.(fi) > hops.(fi) then incr n
-    done;
-    !n
-  end
+  ensure_uncov t;
+  t.uncov.(v)
 
 let serves t v =
   let s = t.slabs.(v) in
@@ -280,16 +359,75 @@ let serves t v =
   in
   mem t v && scan 0
 
-let argmax t score =
+type count = Marginal_volume | Newly_served
+
+let argmax t count =
+  let a =
+    match count with
+    | Marginal_volume ->
+      ensure_gain t;
+      t.gain
+    | Newly_served ->
+      ensure_uncov t;
+      t.uncov
+  in
   let best = ref (-1) and best_score = ref 0 in
-  for v = 0 to Bytes.length t.placed - 1 do
-    let g = score t v in
+  for v = 0 to Array.length a - 1 do
+    let g = a.(v) in
     if g > !best_score then begin
       best := v;
       best_score := g
     end
   done;
   if !best < 0 then None else Some !best
+
+(* {1 Swap scan} *)
+
+type move = {
+  mutable outgoing : int;
+  mutable incoming : int;
+  mutable after : float;
+  mutable probes : int;
+  mutable evaluations : int;
+}
+
+let no_move () = { outgoing = -1; incoming = -1; after = 0.0; probes = 0; evaluations = 0 }
+
+(* Each candidate is the reference's probe (add, score, undo) read off
+   the ledger: a byte, two ints and one float expression, with the best
+   move kept in locals until the scan ends. *)
+let scan_moves t ~outgoing ~current m =
+  if outgoing >= 0 && not (mem t outgoing) then
+    invalid_arg "Inc_oracle.scan_moves: outgoing vertex not deployed";
+  ensure_gain t;
+  ensure_uncov t;
+  if outgoing >= 0 then do_remove t outgoing;
+  let placed = t.placed and gain = t.gain and uncov = t.uncov in
+  let unserved = t.unserved and dim = t.dim_volume and bar = current -. 1e-9 in
+  let best = ref m.incoming and best_bw = ref m.after and improved = ref false in
+  let probes = ref 0 and evaluations = ref 0 in
+  for v = 0 to Bytes.length placed - 1 do
+    if Bytes.get placed v = '\000' && v <> outgoing then begin
+      incr probes;
+      if unserved = 0 || uncov.(v) = unserved then begin
+        incr evaluations;
+        let bw = bandwidth_at t (dim + gain.(v)) in
+        if (!best < 0 || bw < !best_bw) && bw < bar then begin
+          best := v;
+          best_bw := bw;
+          improved := true
+        end
+      end
+    end
+  done;
+  if outgoing >= 0 then do_add t outgoing;
+  m.probes <- m.probes + !probes;
+  m.evaluations <- m.evaluations + !evaluations;
+  if !improved then begin
+    m.outgoing <- outgoing;
+    m.incoming <- !best;
+    m.after <- !best_bw
+  end
 
 let placement t =
   let vs = ref [] in

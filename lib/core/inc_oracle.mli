@@ -16,13 +16,31 @@
     indexed by slot (the {!Instance.incidence} layout), and maintains,
     per flow, the earliest deployed position on its path.  Then:
 
-    - {!marginal_volume} and {!newly_served} answer a what-if query in
-      O(flows through v), without mutation — the local search and the
-      churn rebalancer score every swap candidate this way;
     - {!add} / {!remove} commit a deployment change in O(flows through v)
       (plus, on removal, the rescan to each flow's next deployed vertex);
     - {!undo} reverts the most recent [add]/[remove], enabling cheap
-      multi-vertex what-if probes (HAT's Δb, the annealer's moves).
+      multi-vertex what-if probes (HAT's Δb, the annealer's moves);
+    - {!marginal_volume} and {!newly_served} answer a what-if query in
+      O(1) from a {e gain ledger}: per vertex, the diminished volume a
+      box there would add and the number of unserved flows through it;
+      {!argmax} picks the best vertex in one pass over it.  GTP/CELF,
+      the cover fix-up, the local search ({!scan_moves}) and the churn
+      engine's arrivals and rebalancer ask through them.
+
+    Each half of the ledger (the gains, the unserved counts) is built by
+    the first query that reads it after {!create}, {!of_list}, {!empty}
+    or {!reset}: the gains in one pass over every flow's path prefix,
+    O(|V| + Σ path lengths), the counts in one pass over the unserved
+    flows' paths.  From then on every {!add}, {!remove}, {!undo},
+    {!add_flow} and {!remove_flow} keeps the built halves current, at
+    O(path prefix up to the later of the old and new serving positions)
+    for each flow whose serving position moves (plus one pass over the
+    path when the flow goes from served to unserved or back) — the path
+    prefixes of the flows the edit touches, not the slab of every
+    candidate.  An oracle that is only edited and never asked (HAT's Δb
+    probes, the annealer's walk, {!Incremental.restore}) builds neither
+    half, and the cover fix-up, which resets for every candidate prefix
+    and asks only cover questions, builds only the counts.
 
     Two constructors fix who owns the incidence.  {!create} reads the
     instance's incidence, built once by [Instance.make] and shared
@@ -45,9 +63,10 @@ type t
 val create : Instance.t -> t
 (** Empty deployment over the instance's flows.  O(|V| + |F|): the
     incidence comes with the instance, so an oracle allocates only its
-    per-run state — a deployed byte per vertex and a serving position
-    per flow.  Oracles over one instance are independent and may run in
-    different domains at once. *)
+    per-run state — a deployed byte per vertex, a serving position per
+    flow and the ledger's two ints per vertex (not yet built).  Oracles
+    over one instance are independent and may run in different domains
+    at once. *)
 
 val of_list : Instance.t -> int list -> t
 (** [create] plus the given deployment, with an empty undo journal. *)
@@ -57,7 +76,8 @@ val empty : vertices:int -> lambda:float -> t
     incidence: the oracle for {!add_flow} / {!remove_flow}. *)
 
 val reset : t -> unit
-(** Return to the empty deployment and clear the undo journal. *)
+(** Return to the empty deployment and clear the undo journal.  Each
+    half of the ledger is rebuilt by the next query that reads it. *)
 
 (** {1 Deployment edits} *)
 
@@ -113,21 +133,67 @@ val bandwidth_at : t -> int -> float
 
 val marginal_volume : t -> int -> int
 (** Increase of {!diminished_volume} if the vertex were deployed (0 when
-    already deployed).  Pure: does not modify the oracle. *)
+    already deployed).  O(1) once the ledger's gains are built; the
+    first such query builds them.  Changes no answer: the deployment,
+    the journal and every other query read the same afterwards. *)
 
 val newly_served : t -> int -> int
 (** Number of currently-unserved flows through the vertex, i.e. the
     drop of {!unserved_count} if it were deployed (0 when already
-    deployed).  Pure. *)
+    deployed).  Like {!marginal_volume}: O(1) off the ledger's counts,
+    changes no answer. *)
 
 val serves : t -> int -> bool
 (** Is the vertex deployed and the serving box of at least one flow? *)
 
-val argmax : t -> (t -> int -> int) -> int option
-(** The vertex with the highest strictly positive score, lowest vertex
-    on ties; [None] when no score is positive.  With {!marginal_volume}
-    it is the best box to add, with {!newly_served} the best cover. *)
+type count = Marginal_volume | Newly_served
+(** One of the ledger's two per-vertex counts: {!marginal_volume} or
+    {!newly_served}. *)
+
+val argmax : t -> count -> int option
+(** The vertex with the highest strictly positive count, lowest vertex
+    on ties; [None] when no count is positive.  One pass over the
+    ledger's array.  With [Marginal_volume] it is the best box to add,
+    with [Newly_served] the best cover. *)
 
 val unserved_count : t -> int
 val is_feasible : t -> bool
 (** All flows pass a deployed vertex? *)
+
+(** {1 Swap scan}
+
+    The local search's inner loop ({!Local_search.refine}): for one
+    outgoing box, score every incoming vertex off the ledger in one
+    call. *)
+
+type move = {
+  mutable outgoing : int;  (** box retired; −1 for a pure addition *)
+  mutable incoming : int;  (** box deployed; −1 while no move qualifies *)
+  mutable after : float;   (** {!bandwidth} after the move *)
+  mutable probes : int;    (** candidates scored, over every scan *)
+  mutable evaluations : int;
+      (** candidates that keep every flow served, over every scan *)
+}
+
+val no_move : unit -> move
+(** No move yet and zero counts. *)
+
+val scan_moves : t -> outgoing:int -> current:float -> move -> unit
+(** [scan_moves t ~outgoing ~current m] scores each move of the box at
+    [outgoing] (a deployed vertex; −1 scores pure additions) to an
+    undeployed vertex other than [outgoing], in increasing vertex order,
+    against the deployment without [outgoing].
+
+    Each candidate adds one to [m.probes].  A candidate that leaves
+    every flow served (none was unserved without [outgoing], or it
+    serves every flow that was) adds one to [m.evaluations]; its
+    bandwidth [b] — the bits {!bandwidth} would read after the move —
+    replaces [m]'s move when [m.incoming < 0 || b < m.after] and [b <
+    current -. 1e-9].  So over successive scans the first strictly
+    better move wins, exactly as when each candidate is applied with
+    {!remove}/{!add}, scored and undone.
+
+    Costs O(|V|) plus one removal and one re-deployment of [outgoing]
+    (and the ledger builds on a first query).  The oracle ends where it
+    started, with an unchanged undo journal.
+    @raise Invalid_argument when [outgoing >= 0] is not deployed. *)

@@ -108,7 +108,7 @@ let set_placed t placed =
 
 (* Highest exact-integer marginal over undeployed vertices; strictly
    positive gains only, lowest vertex wins ties. *)
-let best_marginal t = Inc_oracle.argmax t.oracle Inc_oracle.marginal_volume
+let best_marginal t = Inc_oracle.argmax t.oracle Inc_oracle.Marginal_volume
 
 (* Bounded local search in the Lukovszki–Rost–Schmid spirit: spend at
    most [budget] instance moves on strictly-improving changes — first

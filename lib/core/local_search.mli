@@ -25,8 +25,9 @@ type report = {
 val refine : ?max_rounds:int -> k:int -> Instance.t -> Placement.t -> report
 (** [refine ~k inst p] requires [p] feasible (raises [Invalid_argument]
     otherwise).  Default [max_rounds] = 1000.  Candidate moves are
-    scored read-only on one {!Inc_oracle}: a swap removes the outgoing
-    box once, then prices each incoming vertex with
-    {!Inc_oracle.newly_served} and {!Inc_oracle.marginal_volume}, so an
-    evaluation costs O(flows through the incoming vertex) and writes
-    nothing; the accepted move is applied to the oracle in place. *)
+    scored on one {!Inc_oracle} by {!Inc_oracle.scan_moves}, one call
+    per outgoing box (plus one for the pure additions): it removes the
+    box once, reads each incoming vertex's served-flow count and
+    marginal volume off the oracle's gain ledger in O(1), and restores
+    the box, so a round costs O(|P| · |V|) plus the removals; the
+    accepted move is applied to the oracle in place. *)

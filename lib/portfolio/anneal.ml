@@ -43,6 +43,10 @@ let run ~rng ~k ~steps ?init ?(should_stop = fun () -> false)
       | None -> Search.greedy_cover inst ~k
     in
     let oracle = Oracle.of_list inst start in
+    (* The repair runs on its own oracle: the fix-up's cover questions
+       build that oracle's ledger, and the walk, which only edits
+       [oracle] between repairs, never pays to keep one current. *)
+    let repair = Oracle.create inst in
     let cur = ref (Oracle.diminished_volume oracle) in
     let best = ref None in
     let improvements = ref 0 in
@@ -117,9 +121,12 @@ let run ~rng ~k ~steps ?init ?(should_stop = fun () -> false)
             published; drag the walk back through the repair
             periodically so publishable states keep appearing. *)
          if (not (Oracle.is_feasible oracle)) && i land 31 = 0 then begin
-           ignore
-             (Tdmd.Cover_fixup.within oracle ~chosen:(Search.sorted_verts oracle)
-                ~budget:k);
+           let repaired =
+             Tdmd.Cover_fixup.within repair ~chosen:(Search.sorted_verts oracle)
+               ~budget:k
+           in
+           Oracle.reset oracle;
+           List.iter (Oracle.add oracle) repaired;
            cur := Oracle.diminished_volume oracle
          end;
          publish ()

@@ -86,6 +86,12 @@ let greedy ?(stop = fun _ -> false) ~k oracle =
     in
     round [] [] (value [])
 
+(* CELF's heap order: gain descending, lower vertex on ties.  The
+   annotations specialise [=] and [compare] to floats and ints, so a
+   sift does not call the polymorphic comparison on boxed pairs. *)
+let by_gain ((g1 : float), (v1 : int)) ((g2 : float), (v2 : int)) =
+  if g1 = g2 then compare v1 v2 else compare g2 g1
+
 let lazy_greedy_incremental ~stop ~k ~ground inc =
   inc.restart ();
   let calls = ref 0 in
@@ -93,8 +99,7 @@ let lazy_greedy_incremental ~stop ~k ~ground inc =
     incr calls;
     inc.gain v
   in
-  let cmp (g1, v1) (g2, v2) = if g1 = g2 then compare v1 v2 else compare g2 g1 in
-  let heap = Tdmd_heap.Binary_heap.create ~cmp () in
+  let heap = Tdmd_heap.Binary_heap.create ~cmp:by_gain () in
   for v = 0 to ground - 1 do
     Tdmd_heap.Binary_heap.push heap (infinity, v)
   done;
@@ -139,10 +144,7 @@ let lazy_greedy_naive ?(stop = fun _ -> false) ~k oracle =
   (* Max-heap by cached gain; stale entries are re-evaluated on pop.
      Ties and float noise: an entry is "fresh enough" when re-evaluation
      cannot beat the next candidate. *)
-  let cmp (g1, v1) (g2, v2) =
-    if g1 = g2 then compare v1 v2 else compare g2 g1
-  in
-  let heap = Tdmd_heap.Binary_heap.create ~cmp () in
+  let heap = Tdmd_heap.Binary_heap.create ~cmp:by_gain () in
   for v = 0 to oracle.ground - 1 do
     Tdmd_heap.Binary_heap.push heap (infinity, v)
   done;

@@ -15,8 +15,8 @@ type incremental = {
 }
 (** Optional fast path for oracles that can answer marginals against a
     mutable committed set without re-evaluating from scratch (the TDMD
-    decrement backs this with {e Inc_oracle}: O(flows through v) per
-    [gain] instead of O(|F|·avg-path-length)).  The greedy drivers use
+    decrement backs this with {e Inc_oracle}: O(1) per [gain] off its
+    gain ledger instead of O(|F|·avg-path-length)).  The greedy drivers use
     it commit-on-accept: [gain] for every candidate probe, [commit] only
     for the accepted element.  [gain] must return exactly
     [value (v :: committed) -. value committed] — the differential tests

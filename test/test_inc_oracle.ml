@@ -146,6 +146,121 @@ let prop_flow_edits_differential =
             false
           with Invalid_argument _ -> true))
 
+(* (a'') The gain ledger behind [marginal_volume]/[newly_served]: each
+   half is built by the first query that reads it after [create],
+   [empty] or [reset] and kept current by every edit after that.  Queries come on a seed-chosen
+   share of the steps (never, about one in three, or every step), so
+   edits run both before the ledger exists and while it is maintained;
+   each query compares every vertex with the from-scratch volume and
+   unserved counts.  The tail undoes straight after a query, then
+   resets, edits and queries again.  Both constructors; zero-hop flows
+   ride along. *)
+let prop_ledger_differential =
+  QCheck.Test.make ~name:"inc oracle gain ledger = from-scratch marginals, built or not"
+    ~count:150
+    QCheck.(triple (int_bound 1_000_000) (int_range 4 14) bool)
+    (fun (seed, n, owned) ->
+      (* A failing case shrinks [n] past the range; the fixture needs two
+         vertices to draw a flow. *)
+      let n = max 4 n in
+      let rng = Rng.create seed in
+      let base =
+        Fixtures.random_general_instance rng ~n ~flows:(2 * n) ~max_rate:6
+          ~lambda:(dyadic_lambda rng)
+      in
+      let graph = base.Tdmd.Instance.graph and lambda = base.Tdmd.Instance.lambda in
+      let singles =
+        List.init 2 (fun i ->
+            Tdmd_flow.Flow.make ~id:(1000 + i) ~rate:(Rng.int_in rng 1 6)
+              ~path:[ Rng.int rng n ])
+      in
+      let inst =
+        Tdmd.Instance.make ~graph ~flows:(Tdmd.Instance.flows base @ singles) ~lambda
+      in
+      let pool = inst.Tdmd.Instance.flows in
+      let t = if owned then O.empty ~vertices:n ~lambda else O.create inst in
+      (* Live flows with their slots (unused for [create]). *)
+      let live = ref (if owned then [] else List.map (fun f -> (f, -1)) (Array.to_list pool)) in
+      (* Shadow deployment stack, one entry per journaled op. *)
+      let stack = ref [ Tdmd.Placement.empty ] in
+      let current () = List.hd !stack in
+      let ok = ref true in
+      (* A query reads the gains, the unserved counts or both, so each
+         half of the ledger is built and kept at its own times. *)
+      let query () =
+        let r = Tdmd.Instance.make ~graph ~flows:(List.map fst !live) ~lambda in
+        let p = current () in
+        let volume = Reference.diminished_volume r p in
+        let unserved = List.length (Reference.unserved r p) in
+        let halves = Rng.int rng 3 in
+        for v = 0 to n - 1 do
+          let pv = Tdmd.Placement.add p v in
+          ok :=
+            !ok
+            && (halves = 1
+               || O.marginal_volume t v = Reference.diminished_volume r pv - volume)
+            && (halves = 0
+               || O.newly_served t v = unserved - List.length (Reference.unserved r pv))
+        done
+      in
+      let add v =
+        O.add t v;
+        stack := Tdmd.Placement.add (current ()) v :: !stack
+      in
+      let remove v =
+        O.remove t v;
+        stack := Tdmd.Placement.remove (current ()) v :: !stack
+      in
+      let undo () =
+        if List.length !stack > 1 then begin
+          O.undo t;
+          stack := List.tl !stack
+        end
+      in
+      let reset () =
+        O.reset t;
+        stack := [ Tdmd.Placement.empty ]
+      in
+      (* A flow edit clears the journal; a vacated slot is reused. *)
+      let flow_edit () =
+        (if Rng.bool rng then begin
+           let f = pool.(Rng.int rng (Array.length pool)) in
+           if not (List.mem_assq f !live) then live := (f, O.add_flow t f) :: !live
+         end
+         else
+           match !live with
+           | [] -> ()
+           | l ->
+             let f, slot = List.nth l (Rng.int rng (List.length l)) in
+             O.remove_flow t slot;
+             live := List.remove_assq f l);
+        stack := [ current () ]
+      in
+      let step () =
+        match Rng.int rng (if owned then 10 else 8) with
+        | 0 | 1 | 2 -> add (Rng.int rng n)
+        | 3 | 4 -> remove (Rng.int rng n)
+        | 5 | 6 -> undo ()
+        | 7 -> reset ()
+        | _ -> flow_edit ()
+      in
+      let every = match Rng.int rng 3 with 0 -> 0 | 1 -> 3 | _ -> 1 in
+      for _ = 1 to 60 do
+        step ();
+        if every > 0 && Rng.int rng every = 0 then query ()
+      done;
+      query ();
+      add (Rng.int rng n);
+      query ();
+      undo ();
+      query ();
+      reset ();
+      add (Rng.int rng n);
+      remove (Rng.int rng n);
+      add (Rng.int rng n);
+      query ();
+      !ok)
+
 (* (b) Greedy / CELF over the submodular machinery: the incremental
    oracle must make the same selections with the same gains as the naive
    full-rescan oracle — exact float equality, no tolerance. *)
@@ -412,6 +527,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_ops_differential;
     QCheck_alcotest.to_alcotest prop_flow_edits_differential;
+    QCheck_alcotest.to_alcotest prop_ledger_differential;
     QCheck_alcotest.to_alcotest prop_greedy_differential;
     QCheck_alcotest.to_alcotest prop_gtp_run_differential;
     QCheck_alcotest.to_alcotest prop_hat_differential;
