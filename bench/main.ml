@@ -1045,7 +1045,7 @@ let churn_bench () =
       let flows = List.rev_map (fun id -> Hashtbl.find live id) !order in
       let inst = Tdmd.Instance.make ~graph:g ~flows ~lambda in
       let report = Tdmd.Gtp.run ~budget:k inst in
-      let next = report.Tdmd.Gtp.placement in
+      let next = report.Tdmd.Solver_intf.placement in
       let diff a b =
         List.length
           (List.filter
@@ -1054,7 +1054,7 @@ let churn_bench () =
       in
       moves := !moves + diff next !placement + diff !placement next;
       placement := next;
-      bw := report.Tdmd.Gtp.bandwidth
+      bw := report.Tdmd.Solver_intf.bandwidth
     in
     let mean_bw, final_bw, seconds =
       replay ~apply ~sample:(fun () -> !bw)

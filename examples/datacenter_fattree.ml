@@ -43,9 +43,10 @@ let () =
       Table.add_row t
         [
           string_of_int k;
-          Table.cell_float r.Tdmd.Gtp.bandwidth;
-          Printf.sprintf "%.1f%%" (100.0 *. (1.0 -. (r.Tdmd.Gtp.bandwidth /. volume)));
-          Format.asprintf "%a" Tdmd.Placement.pp r.Tdmd.Gtp.placement;
+          Table.cell_float r.Tdmd.Solver_intf.bandwidth;
+          Printf.sprintf "%.1f%%"
+            (100.0 *. (1.0 -. (r.Tdmd.Solver_intf.bandwidth /. volume)));
+          Format.asprintf "%a" Tdmd.Placement.pp r.Tdmd.Solver_intf.placement;
         ])
     [ 1; 2; 4; 8 ];
   Table.print t;
@@ -60,9 +61,10 @@ let () =
       Table.add_row ct
         [
           string_of_int capacity;
-          Table.cell_float r.Tdmd.Capacitated.bandwidth;
-          string_of_int r.Tdmd.Capacitated.unserved_flows;
-          Format.asprintf "%a" Tdmd.Placement.pp r.Tdmd.Capacitated.placement;
+          Table.cell_float r.Tdmd.Solver_intf.bandwidth;
+          string_of_int
+            (Tdmd_obs.Telemetry.get_count r.Tdmd.Solver_intf.telemetry "unserved_flows");
+          Format.asprintf "%a" Tdmd.Placement.pp r.Tdmd.Solver_intf.placement;
         ])
     [ 10; 25; 50; 1000 ];
   Table.print ct;

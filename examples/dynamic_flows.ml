@@ -64,16 +64,16 @@ let () =
       in
       scratch_total_moves :=
         !scratch_total_moves
-        + diff scratch.Tdmd.Gtp.placement !last_scratch
-        + diff !last_scratch scratch.Tdmd.Gtp.placement;
-      last_scratch := scratch.Tdmd.Gtp.placement;
+        + diff scratch.Tdmd.Solver_intf.placement !last_scratch
+        + diff !last_scratch scratch.Tdmd.Solver_intf.placement;
+      last_scratch := scratch.Tdmd.Solver_intf.placement;
       Table.add_row t
         [
           Printf.sprintf "%.1f" time;
           label;
           string_of_int (List.length (Tdmd.Incremental.flows inc));
           Table.cell_float (Tdmd.Incremental.bandwidth inc);
-          Table.cell_float scratch.Tdmd.Gtp.bandwidth;
+          Table.cell_float scratch.Tdmd.Solver_intf.bandwidth;
           string_of_int (Tdmd.Incremental.moves inc);
         ])
     (Tdmd_prelude.Listx.take 18 timeline);

@@ -29,7 +29,8 @@ let () =
     (Tdmd.Instance.flow_count inst)
     (Tdmd.Instance.total_path_volume inst);
 
-  let show name placement bandwidth feasible =
+  (* Every solver returns the same outcome record. *)
+  let show name { Tdmd.Solver_intf.placement; bandwidth; feasible; _ } =
     Format.printf "  %-12s P = %a  b(P) = %g%s@." name Tdmd.Placement.pp placement
       bandwidth
       (if feasible then "" else "  (infeasible)")
@@ -38,15 +39,10 @@ let () =
   List.iter
     (fun k ->
       Format.printf "@.budget k = %d:@." k;
-      let gtp = Tdmd.Gtp.run ~budget:k inst in
-      show "GTP" gtp.Tdmd.Gtp.placement gtp.Tdmd.Gtp.bandwidth gtp.Tdmd.Gtp.feasible;
-      let brute = Tdmd.Brute.solve ~k inst in
-      show "optimal" brute.Tdmd.Brute.placement brute.Tdmd.Brute.bandwidth
-        brute.Tdmd.Brute.feasible;
+      show "GTP" (Tdmd.Gtp.run ~budget:k inst);
+      show "optimal" (Tdmd.Brute.solve ~k inst);
       let rng = Tdmd_prelude.Rng.create 1 in
-      let rand = Tdmd.Baselines.random rng ~k inst in
-      show "Random" rand.Tdmd.Baselines.placement rand.Tdmd.Baselines.bandwidth
-        rand.Tdmd.Baselines.feasible)
+      show "Random" (Tdmd.Baselines.random rng ~k inst))
     [ 2; 3 ];
 
   Format.printf "@.Feasibility: minimum middleboxes to serve every flow = %d@."

@@ -39,10 +39,10 @@ let () =
       Table.add_row t
         [
           string_of_int k;
-          Table.cell_float dp.Tdmd.Dp.bandwidth;
-          Table.cell_float hat.Tdmd.Hat.bandwidth;
-          Table.cell_float gtp.Tdmd.Gtp.bandwidth;
-          Format.asprintf "%a" Tdmd.Placement.pp dp.Tdmd.Dp.placement;
+          Table.cell_float dp.Tdmd.Solver_intf.bandwidth;
+          Table.cell_float hat.Tdmd.Solver_intf.bandwidth;
+          Table.cell_float gtp.Tdmd.Solver_intf.bandwidth;
+          Format.asprintf "%a" Tdmd.Placement.pp dp.Tdmd.Solver_intf.placement;
         ])
     [ 1; 2; 4; 6; 9 ];
   Table.print t;

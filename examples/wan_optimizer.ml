@@ -40,10 +40,11 @@ let () =
         [
           Table.cell_float lambda;
           Table.cell_float volume;
-          Table.cell_float rand.Tdmd.Baselines.bandwidth;
-          Table.cell_float be.Tdmd.Baselines.bandwidth;
-          Table.cell_float gtp.Tdmd.Gtp.bandwidth;
-          Printf.sprintf "%.1f%%" (100.0 *. (1.0 -. (gtp.Tdmd.Gtp.bandwidth /. volume)));
+          Table.cell_float rand.Tdmd.Solver_intf.bandwidth;
+          Table.cell_float be.Tdmd.Solver_intf.bandwidth;
+          Table.cell_float gtp.Tdmd.Solver_intf.bandwidth;
+          Printf.sprintf "%.1f%%"
+            (100.0 *. (1.0 -. (gtp.Tdmd.Solver_intf.bandwidth /. volume)));
         ])
     [ 0.2; 0.4; 0.6; 0.8 ];
   Table.print t;
@@ -53,6 +54,6 @@ let () =
   let inst = Tdmd.Instance.make ~graph ~flows ~lambda:0.5 in
   let gtp = Tdmd.Gtp.run ~budget:k inst in
   Format.printf "@.GTP deployment at lambda=0.5: %a@." Tdmd.Placement.pp
-    gtp.Tdmd.Gtp.placement;
+    gtp.Tdmd.Solver_intf.placement;
   Format.printf "Greedy (1 - 1/e) guarantee held with %d oracle calls.@."
-    gtp.Tdmd.Gtp.oracle_calls
+    (Tdmd_obs.Telemetry.get_count gtp.Tdmd.Solver_intf.telemetry "oracle_calls")

@@ -1,23 +1,12 @@
 open Tdmd_prelude
 
-type report = {
-  placement : Placement.t;
-  bandwidth : float;
-  feasible : bool;
-  retries : int;
-  telemetry : Tdmd_obs.Telemetry.t;
-}
-
-let report_of instance ~retries ~telemetry placement =
+let outcome_of instance ~retries ~telemetry placement =
   Tdmd_obs.Telemetry.count telemetry "retries" retries;
   Tdmd_obs.Telemetry.count telemetry "placement_size" (Placement.size placement);
-  {
-    placement;
-    bandwidth = Bandwidth.total instance placement;
-    feasible = Allocation.is_feasible instance placement;
-    retries;
-    telemetry;
-  }
+  Solver_intf.outcome ~placement
+    ~bandwidth:(Bandwidth.total instance placement)
+    ~feasible:(Allocation.is_feasible instance placement)
+    ~telemetry
 
 let random rng ?(attempts = 200) ~k instance =
   let tel = Tdmd_obs.Telemetry.create () in
@@ -42,7 +31,7 @@ let random rng ?(attempts = 200) ~k instance =
         in
         attempt 0)
   in
-  report_of instance ~retries ~telemetry:tel placement
+  outcome_of instance ~retries ~telemetry:tel placement
 
 let best_effort ~k instance =
   let tel = Tdmd_obs.Telemetry.create () in
@@ -63,4 +52,4 @@ let best_effort ~k instance =
         Cover_fixup.within (Inc_oracle.create instance) ~chosen:(Listx.take k ranked)
           ~budget:k)
   in
-  report_of instance ~retries:0 ~telemetry:tel (Placement.of_list chosen)
+  outcome_of instance ~retries:0 ~telemetry:tel (Placement.of_list chosen)

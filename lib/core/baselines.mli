@@ -4,8 +4,8 @@
       scores feasible deployments and regenerates otherwise; [random]
       therefore retries with fresh draws, and after [attempts] failures
       falls back to greedy set-cover picks so the caller always gets a
-      feasible plan when one exists at this budget (the report counts
-      the retries, which the harness logs).
+      feasible plan when one exists at this budget (the telemetry
+      counts the retries, which the harness logs).
 
     - Best-effort: "deploys one middlebox on the vertex which can reduce
       the bandwidth of flows mostly, until it deploys k middleboxes".
@@ -14,21 +14,12 @@
       adaptive greedy (see DESIGN.md §5.1); like GTP it finishes with
       covering picks when unserved flows remain within the budget. *)
 
-type report = {
-  placement : Placement.t;
-  bandwidth : float;
-  feasible : bool;
-  retries : int;
-      (** Random: infeasible draws discarded; 0 otherwise — deprecated
-          alias of the ["retries"] telemetry counter *)
-  telemetry : Tdmd_obs.Telemetry.t;
-      (** counters ["retries"], ["budget"], ["placement_size"] (and
-          ["singleton_evals"] for best-effort); span [random] or
-          [best-effort] *)
-}
-
 val random :
-  Tdmd_prelude.Rng.t -> ?attempts:int -> k:int -> Instance.t -> report
-(** Default [attempts] = 200. *)
+  Tdmd_prelude.Rng.t -> ?attempts:int -> k:int -> Instance.t -> Solver_intf.outcome
+(** Default [attempts] = 200.  Telemetry: counters ["budget"],
+    ["retries"] (infeasible draws discarded), ["placement_size"]; span
+    [random]. *)
 
-val best_effort : k:int -> Instance.t -> report
+val best_effort : k:int -> Instance.t -> Solver_intf.outcome
+(** Telemetry: counters ["budget"], ["singleton_evals"], ["retries"]
+    (always 0), ["placement_size"]; span [best-effort]. *)

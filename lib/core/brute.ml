@@ -1,27 +1,21 @@
-type report = {
-  placement : Placement.t;
-  bandwidth : float;
-  feasible : bool;
-  subsets : int;
-  telemetry : Tdmd_obs.Telemetry.t;
-}
+let limit = 10_000_000
 
-let binomial n k =
-  let k = min k (n - k) in
-  if k < 0 then 0
-  else begin
-    let rec go acc i = if i > k then acc else go (acc * (n - i + 1) / i) (i + 1) in
-    go 1 1
-  end
+(* Whether Σ_{j ≤ k} C(n, j) ≤ [limit].  C(n, j + 1) = C(n, j)·(n − j) / (j + 1)
+   exactly, and the walk stops as soon as the running sum passes the
+   limit, so no term is built from a value above it and nothing wraps. *)
+let within_limit n k =
+  let rec go sum j c =
+    let sum = sum + c in
+    if sum > limit then false
+    else if j >= k then true
+    else go sum (j + 1) (c * (n - j) / (j + 1))
+  in
+  go 0 0 1
 
 let solve ~k instance =
   let n = Instance.vertex_count instance in
   let k = min k n in
-  let total =
-    let rec sum acc j = if j > k then acc else sum (acc + binomial n j) (j + 1) in
-    sum 0 0
-  in
-  if total > 10_000_000 then invalid_arg "Brute.solve: instance too large";
+  if not (within_limit n k) then invalid_arg "Brute.solve: instance too large";
   let tel = Tdmd_obs.Telemetry.create () in
   Tdmd_obs.Telemetry.count tel "budget" k;
   Tdmd_obs.Telemetry.span_open tel "brute";
@@ -45,16 +39,11 @@ let solve ~k instance =
   enum 0 [] 0;
   Tdmd_obs.Telemetry.span_close tel;
   Tdmd_obs.Telemetry.count tel "subsets" !count;
-  match !best with
-  | Some (placement, bandwidth) ->
-    Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size placement);
-    { placement; bandwidth; feasible = true; subsets = !count; telemetry = tel }
-  | None ->
-    Tdmd_obs.Telemetry.count tel "placement_size" 0;
-    {
-      placement = Placement.empty;
-      bandwidth = float_of_int (Instance.total_path_volume instance);
-      feasible = false;
-      subsets = !count;
-      telemetry = tel;
-    }
+  let placement, bandwidth, feasible =
+    match !best with
+    | Some (placement, bandwidth) -> (placement, bandwidth, true)
+    | None ->
+      (Placement.empty, float_of_int (Instance.total_path_volume instance), false)
+  in
+  Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size placement);
+  Solver_intf.outcome ~placement ~bandwidth ~feasible ~telemetry:tel

@@ -5,18 +5,10 @@
     tests use to certify DP optimality and to bound GTP/HAT
     sub-optimality on random small instances.
 
-    @raise Invalid_argument when C(|V|, k) would exceed ~10⁷ subsets. *)
+    @raise Invalid_argument when Σ_{j ≤ k} C(|V|, j) would exceed 10⁷
+    subsets. *)
 
-type report = {
-  placement : Placement.t;
-  bandwidth : float;
-  feasible : bool;  (** false when no subset of size ≤ k serves all flows *)
-  subsets : int;
-      (** subsets examined — deprecated alias of the ["subsets"]
-          telemetry counter *)
-  telemetry : Tdmd_obs.Telemetry.t;
-      (** counters ["subsets"], ["budget"], ["placement_size"]; span
-          [brute] *)
-}
-
-val solve : k:int -> Instance.t -> report
+val solve : k:int -> Instance.t -> Solver_intf.outcome
+(** Infeasible, with the empty placement, when no subset of size ≤ k
+    serves all flows.  Telemetry: counters ["budget"], ["subsets"]
+    (subsets examined), ["placement_size"]; span [brute]. *)

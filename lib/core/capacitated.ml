@@ -41,14 +41,6 @@ let allocate instance ~capacity placement =
     flows;
   { served = List.rev !served; unserved = List.rev !unserved; bandwidth = !bw }
 
-type report = {
-  placement : Placement.t;
-  bandwidth : float;
-  feasible : bool;
-  unserved_flows : int;
-  telemetry : Tdmd_obs.Telemetry.t;
-}
-
 let greedy ~k ~capacity instance =
   let tel = Tdmd_obs.Telemetry.create () in
   Tdmd_obs.Telemetry.count tel "budget" k;
@@ -81,10 +73,5 @@ let greedy ~k ~capacity instance =
   Tdmd_obs.Telemetry.span_close tel;
   Tdmd_obs.Telemetry.count tel "unserved_flows" (List.length a.unserved);
   Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size placement);
-  {
-    placement;
-    bandwidth = a.bandwidth;
-    feasible = a.unserved = [];
-    unserved_flows = List.length a.unserved;
-    telemetry = tel;
-  }
+  Solver_intf.outcome ~placement ~bandwidth:a.bandwidth ~feasible:(a.unserved = [])
+    ~telemetry:tel

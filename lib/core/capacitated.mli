@@ -22,18 +22,12 @@ type assignment = {
 val allocate : Instance.t -> capacity:int -> Placement.t -> assignment
 (** First-fit capacitated allocation for a fixed deployment. *)
 
-type report = {
-  placement : Placement.t;
-  bandwidth : float;
-  feasible : bool;
-  unserved_flows : int;
-      (** deprecated alias of the ["unserved_flows"] telemetry counter *)
-  telemetry : Tdmd_obs.Telemetry.t;
-      (** counters ["unserved_flows"], ["allocations"], ["budget"],
-          ["capacity"], ["placement_size"]; span [capacitated] *)
-}
-
-val greedy : k:int -> capacity:int -> Instance.t -> report
+val greedy : k:int -> capacity:int -> Instance.t -> Solver_intf.outcome
 (** Capacitated greedy: repeatedly add the vertex whose addition lowers
     the capacitated bandwidth most (covering unserved flows counts as a
-    reduction from their full-rate consumption), up to [k] boxes. *)
+    reduction from their full-rate consumption), up to [k] boxes.  The
+    bandwidth is the capacitated one, and the outcome is feasible when
+    first-fit serves every flow.
+
+    Telemetry: counters ["budget"], ["capacity"], ["allocations"],
+    ["unserved_flows"], ["placement_size"]; span [capacitated]. *)

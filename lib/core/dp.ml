@@ -1,13 +1,5 @@
 module Rt = Tdmd_tree.Rooted_tree
 
-type report = {
-  placement : Placement.t;
-  bandwidth : float;
-  feasible : bool;
-  states : int;
-  telemetry : Tdmd_obs.Telemetry.t;
-}
-
 type tables = {
   inst : Instance.Tree.t;
   b_sub : int array;               (* R_v: rate sourced in T_v *)
@@ -184,20 +176,17 @@ let traceback t ~kappa_root =
 let solve ~k inst =
   let tel = Tdmd_obs.Telemetry.create () in
   Tdmd_obs.Telemetry.count tel "budget" k;
-  let finish (r : report) =
-    Tdmd_obs.Telemetry.count tel "states" r.states;
-    Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size r.placement);
-    r
+  let finish (t : tables) placement bandwidth feasible =
+    Tdmd_obs.Telemetry.count tel "states" t.states;
+    Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size placement);
+    Solver_intf.outcome ~placement ~bandwidth ~feasible ~telemetry:tel
   in
-  finish
-  @@ Tdmd_obs.Telemetry.with_span tel "dp" (fun () ->
+  Tdmd_obs.Telemetry.with_span tel "dp" (fun () ->
   let t = Tdmd_obs.Telemetry.with_span tel "build" (fun () -> build ~k_max:k inst) in
   let tree = inst.Instance.Tree.tree in
   let root = Rt.root tree in
   let b_root = t.b_sub.(root) in
-  if Array.length inst.Instance.Tree.flows = 0 then
-    { placement = Placement.empty; bandwidth = 0.0; feasible = true;
-      states = t.states; telemetry = tel }
+  if Array.length inst.Instance.Tree.flows = 0 then finish t Placement.empty 0.0 true
   else begin
     let best = ref infinity and best_kappa = ref (-1) in
     for kappa = 0 to min k t.k_cap.(root) do
@@ -208,19 +197,14 @@ let solve ~k inst =
       end
     done;
     if !best_kappa < 0 then
-      {
-        placement = Placement.empty;
-        bandwidth = float_of_int (Instance.total_path_volume (Instance.Tree.to_general inst));
-        feasible = false;
-        states = t.states;
-        telemetry = tel;
-      }
+      finish t Placement.empty
+        (float_of_int (Instance.total_path_volume (Instance.Tree.to_general inst)))
+        false
     else begin
       let placement =
         Tdmd_obs.Telemetry.with_span tel "traceback" (fun () ->
             traceback t ~kappa_root:!best_kappa)
       in
-      { placement; bandwidth = !best; feasible = true; states = t.states;
-        telemetry = tel }
+      finish t placement !best true
     end
   end)

@@ -23,22 +23,15 @@
     rates.  Optimality is cross-checked against {!Brute} in the
     property tests. *)
 
-type report = {
-  placement : Placement.t;
-  bandwidth : float;   (** b(P, F) = the DP optimum *)
-  feasible : bool;     (** false only when [k = 0] and flows exist *)
-  states : int;
-      (** DP states materialised (ablation metric) — deprecated alias
-          of the ["states"] telemetry counter *)
-  telemetry : Tdmd_obs.Telemetry.t;
-      (** counters ["states"], ["budget"], ["placement_size"]; spans
-          [dp > build, traceback] *)
-}
+val solve : k:int -> Instance.Tree.t -> Solver_intf.outcome
+(** Optimal deployment of at most [k] middleboxes; the bandwidth is the
+    DP optimum, and the outcome is infeasible only when [k = 0] and
+    flows exist.  Traceback reconstructs an optimal placement, whose
+    evaluated bandwidth equals the DP value (asserted in tests).
 
-val solve : k:int -> Instance.Tree.t -> report
-(** Optimal deployment of at most [k] middleboxes.  Traceback
-    reconstructs an optimal placement, whose evaluated bandwidth equals
-    the DP value (asserted in tests). *)
+    Telemetry: counters ["budget"], ["states"] (DP states materialised,
+    the ablation metric), ["placement_size"]; spans
+    [dp > build, traceback]. *)
 
 type tables
 (** Fully materialised DP tables, for table-level inspection. *)

@@ -1,12 +1,5 @@
 module Rt = Tdmd_tree.Rooted_tree
 
-type report = {
-  placement : Placement.t;
-  bandwidth : float;
-  feasible : bool;
-  telemetry : Tdmd_obs.Telemetry.t;
-}
-
 (* Per-vertex table with the same semantics as Dp: p.(kappa).(b) is the
    minimum consumption on edges strictly inside T_v with exactly kappa
    boxes and exactly b processed rate; choice.(kappa).(b) records the
@@ -27,10 +20,10 @@ let solve ~k inst =
   let tel = Tdmd_obs.Telemetry.create () in
   Tdmd_obs.Telemetry.count tel "budget" k;
   Tdmd_obs.Telemetry.span_open tel "dp-binary";
-  let finish r =
+  let finish placement bandwidth feasible =
     Tdmd_obs.Telemetry.span_close tel;
-    Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size r.placement);
-    r
+    Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size placement);
+    Solver_intf.outcome ~placement ~bandwidth ~feasible ~telemetry:tel
   in
   let tree = inst.Instance.Tree.tree in
   let lambda = inst.Instance.Tree.lambda in
@@ -109,8 +102,7 @@ let solve ~k inst =
     (Rt.postorder tree);
   let root = Rt.root tree in
   if Array.length inst.Instance.Tree.flows = 0 then
-    finish { placement = Placement.empty; bandwidth = 0.0; feasible = true;
-             telemetry = tel }
+    finish Placement.empty 0.0 true
   else begin
     let b_root = b_sub.(root) in
     let tbl = get_table root in
@@ -122,14 +114,9 @@ let solve ~k inst =
       end
     done;
     if !best_kappa < 0 then
-      finish
-        {
-          placement = Placement.empty;
-          bandwidth =
-            float_of_int (Instance.total_path_volume (Instance.Tree.to_general inst));
-          feasible = false;
-          telemetry = tel;
-        }
+      finish Placement.empty
+        (float_of_int (Instance.total_path_volume (Instance.Tree.to_general inst)))
+        false
     else begin
       let acc = ref [] in
       let rec assign v kappa b =
@@ -178,7 +165,6 @@ let solve ~k inst =
           | _ -> assert (kappa - kl - (if box then 1 else 0) = 0))
       in
       assign root !best_kappa b_root;
-      let placement = Placement.of_list !acc in
-      finish { placement; bandwidth = !best; feasible = true; telemetry = tel }
+      finish (Placement.of_list !acc) !best true
     end
   end

@@ -13,15 +13,8 @@
     Accepts trees whose internal vertices have one or two children
     (a missing subtree contributes the empty table). *)
 
-type report = {
-  placement : Placement.t;
-  bandwidth : float;
-  feasible : bool;
-  telemetry : Tdmd_obs.Telemetry.t;
-      (** counters ["states"], ["budget"], ["placement_size"]; span
-          [dp-binary] *)
-}
-
-val solve : k:int -> Instance.Tree.t -> report
-(** @raise Invalid_argument if some vertex has more than two
+val solve : k:int -> Instance.Tree.t -> Solver_intf.outcome
+(** Telemetry: counters ["budget"], ["states"], ["placement_size"];
+    span [dp-binary].
+    @raise Invalid_argument if some vertex has more than two
     children. *)

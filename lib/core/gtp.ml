@@ -1,30 +1,3 @@
-type report = {
-  placement : Placement.t;
-  bandwidth : float;
-  decrement : float;
-  feasible : bool;
-  oracle_calls : int;
-  telemetry : Tdmd_obs.Telemetry.t;
-}
-
-(* [fixed] is the oracle [Cover_fixup.within] left holding [chosen]:
-   its integer volume gives [Bandwidth.decrement]'s bits, and
-   [Bandwidth.total]'s left-to-right sum fixes the bandwidth's. *)
-let report_of instance fixed ~oracle_calls ~telemetry chosen =
-  let placement = Placement.of_list chosen in
-  Tdmd_obs.Telemetry.count telemetry "oracle_calls" oracle_calls;
-  Tdmd_obs.Telemetry.count telemetry "placement_size" (Placement.size placement);
-  {
-    placement;
-    bandwidth = Bandwidth.total instance placement;
-    decrement =
-      (1.0 -. instance.Instance.lambda)
-      *. float_of_int (Inc_oracle.diminished_volume fixed);
-    feasible = Inc_oracle.is_feasible fixed;
-    oracle_calls;
-    telemetry;
-  }
-
 (* Every oracle evaluation of the greedy phase is one marginal or
    from-scratch value call, which [Submodular] already counts as
    [oracle_calls]: that count is published as "delta_evals" once the
@@ -54,9 +27,15 @@ let run_with ~label selector ?budget instance =
         Tdmd_obs.Telemetry.with_span tel "cover-fixup" (fun () ->
             Cover_fixup.within fixed ~chosen:sel.Tdmd_submod.Submodular.chosen ~budget)
       in
-      let report = report_of instance fixed ~oracle_calls:calls ~telemetry:tel chosen in
+      (* [fixed] is the oracle [Cover_fixup.within] left holding
+         [chosen]: it answers feasibility without a rescan. *)
+      let placement = Placement.of_list chosen in
+      Tdmd_obs.Telemetry.count tel "oracle_calls" calls;
+      Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size placement);
       Tdmd_obs.Telemetry.count tel "oracle_ns" (Int64.to_int oracle_ns);
-      report)
+      Solver_intf.outcome ~placement
+        ~bandwidth:(Bandwidth.total instance placement)
+        ~feasible:(Inc_oracle.is_feasible fixed) ~telemetry:tel)
 
 let run ?budget instance =
   run_with ~label:"gtp"

@@ -7,33 +7,24 @@
 
     The evaluation also imposes an explicit budget [k]; [run ~budget]
     stops at the budget even if some flows remain unserved, and the
-    report says whether the deployment is feasible (the paper only
+    outcome says whether the deployment is feasible (the paper only
     scores feasible deployments and regenerates traffic otherwise). *)
 
-type report = {
-  placement : Placement.t;
-  bandwidth : float;        (** b(P, F) of the returned deployment *)
-  decrement : float;        (** d(P) *)
-  feasible : bool;          (** all flows served? *)
-  oracle_calls : int;
-      (** decrement-oracle evaluations performed — deprecated alias of
-          the ["oracle_calls"] telemetry counter *)
-  telemetry : Tdmd_obs.Telemetry.t;
-      (** counters ["oracle_calls"], ["delta_evals"] (oracle
-          evaluations, published once per run), ["oracle_ns"] (wall
-          time of the greedy phase, the part that queries the oracle,
-          in nanoseconds), ["budget"], ["placement_size"]; spans
-          [gtp > greedy, cover-fixup] *)
-}
-
-val run : ?budget:int -> Instance.t -> report
+val run : ?budget:int -> Instance.t -> Solver_intf.outcome
 (** Plain greedy, exactly Alg. 1, with marginals from {!Inc_oracle}.
     Default budget: |V|.  [test/reference.ml] keeps the from-scratch
-    oracle it is differential-tested against. *)
+    oracle it is differential-tested against.
 
-val run_celf : ?budget:int -> Instance.t -> report
+    Telemetry: counters ["budget"], ["delta_evals"] and
+    ["oracle_calls"] (decrement-oracle evaluations, published once per
+    run), ["placement_size"], ["oracle_ns"] (wall time of the greedy
+    phase, the part that queries the oracle, in nanoseconds); spans
+    [gtp > greedy, cover-fixup]. *)
+
+val run_celf : ?budget:int -> Instance.t -> Solver_intf.outcome
 (** Lazy-greedy (CELF) acceleration — same deployment as {!run} (the
-    ablation bench verifies this and counts saved oracle calls). *)
+    ablation bench verifies this and counts saved oracle calls).  Same
+    counters as {!run}; spans [gtp-celf > greedy, cover-fixup]. *)
 
 val derived_k : Instance.t -> int
 (** The k "derived from the algorithm" (Sec. 4.2): middleboxes GTP

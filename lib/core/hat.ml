@@ -1,13 +1,5 @@
 module Rt = Tdmd_tree.Rooted_tree
 
-type report = {
-  placement : Placement.t;
-  bandwidth : float;
-  feasible : bool;
-  merges : int;
-  telemetry : Tdmd_obs.Telemetry.t;
-}
-
 let run ~k inst =
   let tel = Tdmd_obs.Telemetry.create () in
   Tdmd_obs.Telemetry.count tel "budget" k;
@@ -94,10 +86,7 @@ let run ~k inst =
   Tdmd_obs.Telemetry.count tel "merges" !merges;
   Tdmd_obs.Telemetry.count tel "oracle_ns" (Int64.to_int !oracle_ns);
   Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size placement);
-  {
-    placement;
-    bandwidth = Bandwidth.total general placement;
-    feasible = Allocation.is_feasible general placement;
-    merges = !merges;
-    telemetry = tel;
-  }
+  Solver_intf.outcome ~placement
+    ~bandwidth:(Bandwidth.total general placement)
+    ~feasible:(Allocation.is_feasible general placement)
+    ~telemetry:tel

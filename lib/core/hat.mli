@@ -15,23 +15,15 @@
     are invalidated lazily: stale entries are re-evaluated on pop and
     pushed back if their penalty changed. *)
 
-type report = {
-  placement : Placement.t;
-  bandwidth : float;
-  feasible : bool;   (** true whenever k ≥ 1 (root merge always exists) *)
-  merges : int;
-      (** number of merge rounds performed — deprecated alias of the
-          ["merges"] telemetry counter *)
-  telemetry : Tdmd_obs.Telemetry.t;
-      (** counters ["merges"], ["delta_evals"], ["oracle_ns"]
-          (nanoseconds inside Δb evaluations), ["budget"],
-          ["placement_size"]; span [hat] *)
-}
-
-val run : k:int -> Instance.Tree.t -> report
-(** Each Δb is answered through the {!Inc_oracle} mirror of the current
+val run : k:int -> Instance.Tree.t -> Solver_intf.outcome
+(** Feasible whenever k ≥ 1 (the root merge always exists).  Each Δb is
+    answered through the {!Inc_oracle} mirror of the current
     deployment — O(flows through the merged pair and their LCA) per
     evaluation instead of a full-instance rescan — in integer
     diminished-volume units scaled by (1−λ), so the merge sequence is
     bit-for-bit that of the from-scratch Δb in [test/reference.ml]
-    (differential-tested). *)
+    (differential-tested).
+
+    Telemetry: counters ["budget"], ["delta_evals"], ["merges"] (merge
+    rounds performed), ["oracle_ns"] (nanoseconds inside Δb
+    evaluations), ["placement_size"]; span [hat]. *)

@@ -1,11 +1,3 @@
-type report = {
-  placement : Placement.t;
-  bandwidth : float;
-  swaps : int;
-  evaluations : int;
-  telemetry : Tdmd_obs.Telemetry.t;
-}
-
 (* Candidate moves (additions while under budget, then one-for-one
    swaps) are scored read-only by [Inc_oracle.scan_moves], one call per
    outgoing box (−1 for the additions), each pricing every incoming
@@ -13,7 +5,7 @@ type report = {
    the same oracle in place.  Probe order and tie-breaking (first
    strictly-better candidate wins) must stay those of the probe-and-undo
    reference in test/reference.ml: the differential tests compare the
-   result and the [evaluations]/[delta_evals] counts with it. *)
+   result and the "evaluations"/"delta_evals" counts with it. *)
 let refine ?(max_rounds = 1000) ~k instance placement =
   if not (Allocation.is_feasible instance placement) then
     invalid_arg "Local_search.refine: infeasible starting deployment";
@@ -44,7 +36,6 @@ let refine ?(max_rounds = 1000) ~k instance placement =
   in
   let swaps = round (Inc_oracle.bandwidth t) 0 max_rounds in
   let placement = Inc_oracle.placement t in
-  let evaluations = m.Inc_oracle.evaluations in
   if m.Inc_oracle.probes > 0 then
     Tdmd_obs.Telemetry.count tel "delta_evals" m.Inc_oracle.probes;
   let oracle_ns = Int64.sub (Tdmd_obs.Clock.now_ns ()) started in
@@ -54,7 +45,7 @@ let refine ?(max_rounds = 1000) ~k instance placement =
   let bandwidth = Bandwidth.total instance placement in
   Tdmd_obs.Telemetry.span_close tel;
   Tdmd_obs.Telemetry.count tel "swaps" swaps;
-  Tdmd_obs.Telemetry.count tel "evaluations" evaluations;
+  Tdmd_obs.Telemetry.count tel "evaluations" m.Inc_oracle.evaluations;
   Tdmd_obs.Telemetry.count tel "oracle_ns" (Int64.to_int oracle_ns);
   Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size placement);
-  { placement; bandwidth; swaps; evaluations; telemetry = tel }
+  Solver_intf.outcome ~placement ~bandwidth ~feasible:true ~telemetry:tel

@@ -1,13 +1,5 @@
 module Flow = Tdmd_flow.Flow
 
-type report = {
-  placement : Placement.t;
-  bandwidth : float;
-  scaled_states : int;
-  feasible : bool;
-  telemetry : Tdmd_obs.Telemetry.t;
-}
-
 let solve ~k ~theta inst =
   if theta < 1 then invalid_arg "Scaled_dp.solve: theta must be >= 1";
   let tel = Tdmd_obs.Telemetry.create () in
@@ -28,12 +20,9 @@ let solve ~k ~theta inst =
   Tdmd_obs.Telemetry.span_close tel;
   (* The inner DP's spans and counters (its "states" are the scaled
      instance's) nest under this run's record. *)
-  Tdmd_obs.Telemetry.merge ~into:tel r.Dp.telemetry;
-  Tdmd_obs.Telemetry.count tel "scaled_states" r.Dp.states;
-  {
-    placement = r.Dp.placement;
-    bandwidth = Bandwidth.total general r.Dp.placement;
-    scaled_states = r.Dp.states;
-    feasible = r.Dp.feasible;
-    telemetry = tel;
-  }
+  Tdmd_obs.Telemetry.merge ~into:tel r.Solver_intf.telemetry;
+  Tdmd_obs.Telemetry.count tel "scaled_states"
+    (Tdmd_obs.Telemetry.get_count r.Solver_intf.telemetry "states");
+  Solver_intf.outcome ~placement:r.Solver_intf.placement
+    ~bandwidth:(Bandwidth.total general r.Solver_intf.placement)
+    ~feasible:r.Solver_intf.feasible ~telemetry:tel

@@ -10,17 +10,9 @@
     larger θ trades optimality for a ~θ² smaller state space.  The
     ablation bench measures both sides of the trade. *)
 
-type report = {
-  placement : Placement.t;
-  bandwidth : float;      (** true-instance bandwidth of the placement *)
-  scaled_states : int;
-      (** DP states after quantisation — deprecated alias of the
-          ["scaled_states"] telemetry counter *)
-  feasible : bool;
-  telemetry : Tdmd_obs.Telemetry.t;
-      (** counters ["scaled_states"], ["theta"], plus the inner DP's
-          counters; spans [scaled-dp] then the inner [dp] run *)
-}
-
-val solve : k:int -> theta:int -> Instance.Tree.t -> report
-(** @raise Invalid_argument when [theta < 1]. *)
+val solve : k:int -> theta:int -> Instance.Tree.t -> Solver_intf.outcome
+(** The bandwidth is the true-instance bandwidth of the quantised DP's
+    placement.  Telemetry: counter ["theta"], the inner DP's counters
+    (its ["states"] are the quantised instance's), ["scaled_states"]
+    (the same count); spans [scaled-dp] then the inner [dp] run.
+    @raise Invalid_argument when [theta < 1]. *)

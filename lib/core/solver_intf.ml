@@ -7,13 +7,3 @@ type outcome = {
 
 let outcome ~placement ~bandwidth ~feasible ~telemetry =
   { placement; bandwidth; feasible; telemetry }
-
-module type SOLVER = sig
-  type input
-
-  val name : string
-  val solve : rng:Tdmd_prelude.Rng.t -> k:int -> input -> outcome
-end
-
-module type GENERAL = SOLVER with type input = Instance.t
-module type TREE = SOLVER with type input = Instance.Tree.t

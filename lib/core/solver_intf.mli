@@ -1,14 +1,14 @@
-(** The unified solver API.
+(** The one result every placement algorithm returns.
 
-    Every placement algorithm in this library — whatever its internal
-    ablation counters — can be viewed as a function from an instance
-    and a budget to one shared {!outcome}: the deployment, its price,
-    whether every flow is served, and the run's {!Tdmd_obs.Telemetry.t}
-    (where the per-solver counters now live; the per-solver [report]
-    records keep their old fields as deprecated aliases).
-
-    {!Solvers} holds the registry of named implementations; the CLI,
-    the experiment harness and the bench all dispatch through it. *)
+    The paper scores every scheme on one footing (Sec. 6): the
+    deployment, its bandwidth b(P, F), and whether it serves every
+    flow.  {!outcome} is that footing plus the run's
+    {!Tdmd_obs.Telemetry.t}, which holds each solver's work counters
+    and spans (the solvers' doc comments list theirs).  {!Gtp},
+    {!Baselines}, {!Brute}, {!Dp}, {!Dp_binary}, {!Scaled_dp}, {!Hat},
+    {!Local_search} and {!Capacitated} all return it, and {!Solvers}
+    names them for the CLI, the experiments, the bench and the
+    server. *)
 
 type outcome = {
   placement : Placement.t;
@@ -23,19 +23,3 @@ val outcome :
   feasible:bool ->
   telemetry:Tdmd_obs.Telemetry.t ->
   outcome
-
-module type SOLVER = sig
-  type input
-  (** [Instance.t] for general-topology solvers, [Instance.Tree.t] for
-      the Sec. 5 tree solvers. *)
-
-  val name : string
-  (** Registry / [--algo] name. *)
-
-  val solve : rng:Tdmd_prelude.Rng.t -> k:int -> input -> outcome
-  (** Deterministic solvers ignore [rng] (only [random] draws from
-      it); [k] is the middlebox budget. *)
-end
-
-module type GENERAL = SOLVER with type input = Instance.t
-module type TREE = SOLVER with type input = Instance.Tree.t

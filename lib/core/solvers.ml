@@ -4,231 +4,73 @@ type general_solver =
 type tree_solver =
   rng:Tdmd_prelude.Rng.t -> k:int -> Instance.Tree.t -> Solver_intf.outcome
 
-let outcome = Solver_intf.outcome
+(* GTP then the swap-based refinement: never worse than plain GTP.
+   The refinement requires a feasible start, so an infeasible greedy
+   run is returned as-is. *)
+let gtp_ls ~k inst =
+  let g = Gtp.run ~budget:k inst in
+  if not g.Solver_intf.feasible then g
+  else begin
+    let r = Local_search.refine ~k inst g.Solver_intf.placement in
+    let tel = g.Solver_intf.telemetry in
+    Tdmd_obs.Telemetry.merge ~into:tel r.Solver_intf.telemetry;
+    (* [budget] and [placement_size] are run parameters, not work
+       counters: the merge added both phases', so restate them. *)
+    Tdmd_obs.Telemetry.set tel "budget" (Tdmd_obs.Telemetry.Int k);
+    Tdmd_obs.Telemetry.set tel "placement_size"
+      (Tdmd_obs.Telemetry.Int (Placement.size r.Solver_intf.placement));
+    { r with Solver_intf.telemetry = tel }
+  end
 
-module Gtp_solver : Solver_intf.GENERAL = struct
-  type input = Instance.t
-
-  let name = "gtp"
-
-  let solve ~rng:_ ~k inst =
-    let r = Gtp.run ~budget:k inst in
-    outcome ~placement:r.Gtp.placement ~bandwidth:r.Gtp.bandwidth
-      ~feasible:r.Gtp.feasible ~telemetry:r.Gtp.telemetry
-end
-
-module Celf_solver : Solver_intf.GENERAL = struct
-  type input = Instance.t
-
-  let name = "celf"
-
-  let solve ~rng:_ ~k inst =
-    let r = Gtp.run_celf ~budget:k inst in
-    outcome ~placement:r.Gtp.placement ~bandwidth:r.Gtp.bandwidth
-      ~feasible:r.Gtp.feasible ~telemetry:r.Gtp.telemetry
-end
-
-module Best_effort_solver : Solver_intf.GENERAL = struct
-  type input = Instance.t
-
-  let name = "best-effort"
-
-  let solve ~rng:_ ~k inst =
-    let r = Baselines.best_effort ~k inst in
-    outcome ~placement:r.Baselines.placement ~bandwidth:r.Baselines.bandwidth
-      ~feasible:r.Baselines.feasible ~telemetry:r.Baselines.telemetry
-end
-
-module Random_solver : Solver_intf.GENERAL = struct
-  type input = Instance.t
-
-  let name = "random"
-
-  let solve ~rng ~k inst =
-    let r = Baselines.random rng ~k inst in
-    outcome ~placement:r.Baselines.placement ~bandwidth:r.Baselines.bandwidth
-      ~feasible:r.Baselines.feasible ~telemetry:r.Baselines.telemetry
-end
-
-module Brute_solver : Solver_intf.GENERAL = struct
-  type input = Instance.t
-
-  let name = "brute"
-
-  let solve ~rng:_ ~k inst =
-    let r = Brute.solve ~k inst in
-    outcome ~placement:r.Brute.placement ~bandwidth:r.Brute.bandwidth
-      ~feasible:r.Brute.feasible ~telemetry:r.Brute.telemetry
-end
-
-module Gtp_ls_solver : Solver_intf.GENERAL = struct
-  type input = Instance.t
-
-  let name = "gtp-ls"
-
-  (* GTP then the swap-based refinement: never worse than plain GTP.
-     The refinement requires a feasible start, so an infeasible greedy
-     run is returned as-is. *)
-  let solve ~rng:_ ~k inst =
-    let g = Gtp.run ~budget:k inst in
-    if not g.Gtp.feasible then
-      outcome ~placement:g.Gtp.placement ~bandwidth:g.Gtp.bandwidth
-        ~feasible:false ~telemetry:g.Gtp.telemetry
-    else begin
-      let r = Local_search.refine ~k inst g.Gtp.placement in
-      let tel = g.Gtp.telemetry in
-      Tdmd_obs.Telemetry.merge ~into:tel r.Local_search.telemetry;
-      (* [budget] and [placement_size] are run parameters, not work
-         counters: the merge added both phases', so restate them. *)
-      Tdmd_obs.Telemetry.set tel "budget" (Tdmd_obs.Telemetry.Int k);
-      Tdmd_obs.Telemetry.set tel "placement_size"
-        (Tdmd_obs.Telemetry.Int (Placement.size r.Local_search.placement));
-      outcome ~placement:r.Local_search.placement
-        ~bandwidth:r.Local_search.bandwidth ~feasible:true ~telemetry:tel
-    end
-end
-
-module Incremental_solver : Solver_intf.GENERAL = struct
-  type input = Instance.t
-
-  let name = "incremental"
-
-  (* One-shot view of the churn maintainer: replay the instance's flows
-     as an arrival sequence and keep the final deployment.  Mirrors how
-     an operator would reach this static snapshot online. *)
-  let solve ~rng:_ ~k inst =
-    let state =
-      Incremental.create ~graph:inst.Instance.graph
-        ~lambda:inst.Instance.lambda ~k:(max k 1) ()
-    in
-    Tdmd_obs.Telemetry.with_span
-      (Incremental.telemetry state)
-      "incremental-replay"
-      (fun () -> Array.iter (Incremental.arrive state) inst.Instance.flows);
-    outcome
-      ~placement:(Incremental.placement state)
-      ~bandwidth:(Incremental.bandwidth state)
-      ~feasible:(Incremental.feasible state)
-      ~telemetry:(Incremental.telemetry state)
-end
-
-(* The incremental-lrs family: the same arrival replay, but each event
-   carries a migration budget spent by the bounded local-search
-   rebalancer (Lukovszki–Rost–Schmid-style), so the maintained
-   placement tracks the optimum instead of drifting.  [B] moves per
-   event; a huge [B] approximates recompute-from-scratch. *)
-let lrs_replay ~migration_budget ~k inst =
+(* One-shot view of the churn maintainer: replay the instance's flows
+   as an arrival sequence and keep the final deployment, as an operator
+   would reach this static snapshot online.  A positive
+   [migration_budget] lets the bounded local-search rebalancer
+   (Lukovszki–Rost–Schmid-style) spend that many moves per event, so
+   the placement tracks the optimum instead of drifting. *)
+let replay ~span ~migration_budget ~k inst =
   let state =
     Incremental.create ~migration_budget ~graph:inst.Instance.graph
       ~lambda:inst.Instance.lambda ~k:(max k 1) ()
   in
-  Tdmd_obs.Telemetry.with_span
-    (Incremental.telemetry state)
-    "incremental-lrs-replay"
-    (fun () -> Array.iter (Incremental.arrive state) inst.Instance.flows);
-  outcome
+  let telemetry = Incremental.telemetry state in
+  Tdmd_obs.Telemetry.with_span telemetry span (fun () ->
+      Array.iter (Incremental.arrive state) inst.Instance.flows);
+  Solver_intf.outcome
     ~placement:(Incremental.placement state)
     ~bandwidth:(Incremental.bandwidth state)
     ~feasible:(Incremental.feasible state)
-    ~telemetry:(Incremental.telemetry state)
-
-module Incremental_lrs_solver : Solver_intf.GENERAL = struct
-  type input = Instance.t
-
-  let name = "incremental-lrs"
-
-  (* B = 2: at most one box swap per event — the cheapest budget that
-     still counters churn drift. *)
-  let solve ~rng:_ ~k inst = lrs_replay ~migration_budget:2 ~k inst
-end
-
-module Incremental_lrs_max_solver : Solver_intf.GENERAL = struct
-  type input = Instance.t
-
-  let name = "incremental-lrs-max"
-
-  (* Unbounded budget: rebalance to a local optimum after every event,
-     approximating recompute-from-scratch at incremental cost. *)
-  let solve ~rng:_ ~k inst = lrs_replay ~migration_budget:max_int ~k inst
-end
-
-module Dp_solver : Solver_intf.TREE = struct
-  type input = Instance.Tree.t
-
-  let name = "dp"
-
-  let solve ~rng:_ ~k inst =
-    let r = Dp.solve ~k inst in
-    outcome ~placement:r.Dp.placement ~bandwidth:r.Dp.bandwidth
-      ~feasible:r.Dp.feasible ~telemetry:r.Dp.telemetry
-end
-
-module Dp_binary_solver : Solver_intf.TREE = struct
-  type input = Instance.Tree.t
-
-  let name = "dp-binary"
-
-  let solve ~rng:_ ~k inst =
-    let r = Dp_binary.solve ~k inst in
-    outcome ~placement:r.Dp_binary.placement ~bandwidth:r.Dp_binary.bandwidth
-      ~feasible:r.Dp_binary.feasible ~telemetry:r.Dp_binary.telemetry
-end
-
-module Hat_solver : Solver_intf.TREE = struct
-  type input = Instance.Tree.t
-
-  let name = "hat"
-
-  let solve ~rng:_ ~k inst =
-    let r = Hat.run ~k inst in
-    outcome ~placement:r.Hat.placement ~bandwidth:r.Hat.bandwidth
-      ~feasible:r.Hat.feasible ~telemetry:r.Hat.telemetry
-end
-
-module Scaled_dp_solver : Solver_intf.TREE = struct
-  type input = Instance.Tree.t
-
-  let name = "scaled-dp"
-
-  (* theta = 4 matches the ablation bench's operating point. *)
-  let solve ~rng:_ ~k inst =
-    let r = Scaled_dp.solve ~k ~theta:4 inst in
-    outcome ~placement:r.Scaled_dp.placement ~bandwidth:r.Scaled_dp.bandwidth
-      ~feasible:r.Scaled_dp.feasible ~telemetry:r.Scaled_dp.telemetry
-end
-
-let general_modules : (module Solver_intf.GENERAL) list =
-  [
-    (module Gtp_solver);
-    (module Celf_solver);
-    (module Best_effort_solver);
-    (module Random_solver);
-    (module Brute_solver);
-    (module Gtp_ls_solver);
-    (module Incremental_solver);
-    (module Incremental_lrs_solver);
-    (module Incremental_lrs_max_solver);
-  ]
-
-let tree_modules : (module Solver_intf.TREE) list =
-  [
-    (module Dp_solver);
-    (module Dp_binary_solver);
-    (module Hat_solver);
-    (module Scaled_dp_solver);
-  ]
+    ~telemetry
 
 let builtin_general : (string * general_solver) list =
-  List.map
-    (fun (module S : Solver_intf.GENERAL) ->
-      (S.name, fun ~rng ~k inst -> S.solve ~rng ~k inst))
-    general_modules
+  [
+    ("gtp", fun ~rng:_ ~k i -> Gtp.run ~budget:k i);
+    ("celf", fun ~rng:_ ~k i -> Gtp.run_celf ~budget:k i);
+    ("best-effort", fun ~rng:_ ~k i -> Baselines.best_effort ~k i);
+    ("random", fun ~rng ~k i -> Baselines.random rng ~k i);
+    ("brute", fun ~rng:_ ~k i -> Brute.solve ~k i);
+    ("gtp-ls", fun ~rng:_ ~k i -> gtp_ls ~k i);
+    ( "incremental",
+      fun ~rng:_ ~k i -> replay ~span:"incremental-replay" ~migration_budget:0 ~k i );
+    (* B = 2: at most one box swap per event — the cheapest budget that
+       still counters churn drift. *)
+    ( "incremental-lrs",
+      fun ~rng:_ ~k i -> replay ~span:"incremental-lrs-replay" ~migration_budget:2 ~k i );
+    (* Unbounded budget: rebalance to a local optimum after every event,
+       approximating recompute-from-scratch at incremental cost. *)
+    ( "incremental-lrs-max",
+      fun ~rng:_ ~k i ->
+        replay ~span:"incremental-lrs-replay" ~migration_budget:max_int ~k i );
+  ]
 
 let builtin_tree : (string * tree_solver) list =
-  List.map
-    (fun (module S : Solver_intf.TREE) ->
-      (S.name, fun ~rng ~k inst -> S.solve ~rng ~k inst))
-    tree_modules
+  [
+    ("dp", fun ~rng:_ ~k i -> Dp.solve ~k i);
+    ("dp-binary", fun ~rng:_ ~k i -> Dp_binary.solve ~k i);
+    ("hat", fun ~rng:_ ~k i -> Hat.run ~k i);
+    (* theta = 4 matches the ablation bench's operating point. *)
+    ("scaled-dp", fun ~rng:_ ~k i -> Scaled_dp.solve ~k ~theta:4 i);
+  ]
 
 (* Extension point for solvers living in libraries that depend on this
    one (tdmd.portfolio's metaheuristics register here).  Registration is

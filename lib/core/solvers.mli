@@ -1,10 +1,12 @@
-(** First-class solver registry.
+(** The solver registry: every placement algorithm reachable by name.
 
-    Central list of every placement algorithm reachable by name, split
-    by the input it needs.  [bin/tdmd_cli.ml]'s [--algo] dispatch,
-    [Tdmd_sim.Experiments]'s algorithm lists and the bench's solver
-    sweep all resolve through this table — adding a solver here makes
-    it reachable everywhere at once.
+    Two tables of [(name, function)] rows, split by the input the
+    solver needs; every row returns the shared {!Solver_intf.outcome}.
+    [bin/tdmd_cli.ml]'s [--algo] dispatch, [Tdmd_sim.Experiments]'s
+    algorithm lists, the bench's solver sweep and the server's [solve]
+    all resolve through them — a row added here is reachable
+    everywhere at once.  Deterministic solvers ignore [rng] (only
+    ["random"] draws from it); [k] is the middlebox budget.
 
     General solvers ({!general}):
     - ["gtp"]          — paper Alg. 1 greedy ({!Gtp.run})
@@ -51,10 +53,6 @@ val register_general : string -> general_solver -> unit
     plain ref, deliberately unsynchronised).
     @raise Invalid_argument when [name] is already registered, in any
     table — a collision would make {!on_tree} dispatch ambiguous. *)
-
-val general_modules : (module Solver_intf.GENERAL) list
-val tree_modules : (module Solver_intf.TREE) list
-(** The built-in solvers as first-class {!Solver_intf.SOLVER} modules. *)
 
 val find_general : string -> general_solver option
 val find_tree : string -> tree_solver option

@@ -12,42 +12,18 @@ type result = {
   series : series list;
 }
 
-(* An algorithm entry: figure label + registry name, resolved through
-   the shared solver registry (Tdmd.Solvers) so the experiments, CLI
-   and bench all dispatch the same implementations.  Tree experiments
-   run all five algorithms (Sec. 6.3); general experiments run
-   Random / Best-effort / GTP (Sec. 6.4). *)
+(* An algorithm is a figure label and its registry function, resolved
+   through the shared solver registry (Tdmd.Solvers) so the experiments,
+   CLI and bench all dispatch the same implementations.  Tree
+   experiments run all five algorithms (Sec. 6.3); general experiments
+   run Random / Best-effort / GTP (Sec. 6.4). *)
+let resolve find (label, name) =
+  match find name with
+  | Some f -> (label, f)
+  | None -> invalid_arg ("Experiments: unknown solver " ^ name)
 
-let resolve_tree name =
-  match Tdmd.Solvers.on_tree name with
-  | Some f -> f
-  | None -> invalid_arg ("Experiments: unknown tree solver " ^ name)
-
-let resolve_general name =
-  match Tdmd.Solvers.find_general name with
-  | Some f -> f
-  | None -> invalid_arg ("Experiments: unknown general solver " ^ name)
-
-type tree_algo = {
-  t_name : string;
-  t_run : Rng.t -> k:int -> Tdmd.Instance.Tree.t -> Tdmd.Solver_intf.outcome;
-}
-
-type general_algo = {
-  g_name : string;
-  g_run : Rng.t -> k:int -> Tdmd.Instance.t -> Tdmd.Solver_intf.outcome;
-}
-
-let tree_algo (t_name, registry_name) =
-  let f = resolve_tree registry_name in
-  { t_name; t_run = (fun rng ~k inst -> f ~rng ~k inst) }
-
-let general_algo (g_name, registry_name) =
-  let f = resolve_general registry_name in
-  { g_name; g_run = (fun rng ~k inst -> f ~rng ~k inst) }
-
-let tree_algos : tree_algo list =
-  List.map tree_algo
+let tree_algos =
+  List.map (resolve Tdmd.Solvers.on_tree)
     [
       ("Random", "random");
       ("Best-effort", "best-effort");
@@ -56,8 +32,8 @@ let tree_algos : tree_algo list =
       ("DP", "dp");
     ]
 
-let general_algos : general_algo list =
-  List.map general_algo
+let general_algos =
+  List.map (resolve Tdmd.Solvers.find_general)
     [ ("Random", "random"); ("Best-effort", "best-effort"); ("GTP", "gtp") ]
 
 (* Sweep drivers: [configure] maps a sweep value to the scenario and
@@ -70,7 +46,7 @@ let domains =
   | Some s -> (match int_of_string_opt s with Some d when d >= 1 -> d | _ -> 1)
   | None -> 1
 
-let joint_sweep ~seed ~reps ~xs ~configure ~build ~names ~runs =
+let joint_sweep ~seed ~reps ~xs ~configure ~build ~runs =
   let joint_points =
     List.map
       (fun x ->
@@ -84,28 +60,25 @@ let joint_sweep ~seed ~reps ~xs ~configure ~build ~names ~runs =
                (fun (name, run) ->
                  ( name,
                    fun inst rng ->
-                     Runner.measure_outcome (fun () -> run rng ~k inst) ))
+                     Runner.measure_outcome (fun () -> run ~rng ~k inst) ))
                runs))
       xs
   in
   List.map
-    (fun name ->
+    (fun (name, _) ->
       {
         algorithm = name;
         points =
           List.map (fun jp -> List.assoc name jp.Runner.by_algo) joint_points;
       })
-    names
+    runs
 
 let tree_sweep ~seed ~reps ~xs ~configure =
-  joint_sweep ~seed ~reps ~xs ~configure ~build:Scenario.build_tree
-    ~names:(List.map (fun a -> a.t_name) tree_algos)
-    ~runs:(List.map (fun a -> (a.t_name, a.t_run)) tree_algos)
+  joint_sweep ~seed ~reps ~xs ~configure ~build:Scenario.build_tree ~runs:tree_algos
 
 let general_sweep ~seed ~reps ~xs ~configure =
   joint_sweep ~seed ~reps ~xs ~configure ~build:Scenario.build_general
-    ~names:(List.map (fun a -> a.g_name) general_algos)
-    ~runs:(List.map (fun a -> (a.g_name, a.g_run)) general_algos)
+    ~runs:general_algos
 
 let make_result ~fig_id ~title ~x_label series = { fig_id; title; x_label; series }
 
@@ -227,7 +200,7 @@ let fig17_tree ?(seed = 17000) ?(reps = 3) () =
             let inst = Scenario.build_tree rng scenario in
             Runner.measure
               (fun () -> Tdmd.Gtp.run ~budget:k (Tdmd.Instance.Tree.to_general inst))
-              (fun r -> (r.Tdmd.Gtp.bandwidth, r.Tdmd.Gtp.feasible)))
+              (fun r -> (r.Tdmd.Solver_intf.bandwidth, r.Tdmd.Solver_intf.feasible)))
       in
       point.Runner.bandwidth.Stats.mean)
 
@@ -246,7 +219,7 @@ let fig17_general ?(seed = 17500) ?(reps = 3) () =
             let inst = Scenario.build_general rng scenario in
             Runner.measure
               (fun () -> Tdmd.Gtp.run ~budget:k inst)
-              (fun r -> (r.Tdmd.Gtp.bandwidth, r.Tdmd.Gtp.feasible)))
+              (fun r -> (r.Tdmd.Solver_intf.bandwidth, r.Tdmd.Solver_intf.feasible)))
       in
       point.Runner.bandwidth.Stats.mean)
 
@@ -260,6 +233,9 @@ type ablation_row = {
   value : float;
 }
 
+let counter (o : Tdmd.Solver_intf.outcome) name =
+  float_of_int (Tdmd_obs.Telemetry.get_count o.Tdmd.Solver_intf.telemetry name)
+
 let ablation ?(seed = 18000) ?(reps = 5) () =
   let rows = ref [] in
   let push label metric value = rows := { label; metric; value } :: !rows in
@@ -272,9 +248,10 @@ let ablation ?(seed = 18000) ?(reps = 5) () =
     let inst = Scenario.build_general rng Scenario.default_general in
     let a = Tdmd.Gtp.run ~budget:Scenario.default_general.Scenario.k inst in
     let b = Tdmd.Gtp.run_celf ~budget:Scenario.default_general.Scenario.k inst in
-    Stats.Welford.add plain_calls (float_of_int a.Tdmd.Gtp.oracle_calls);
-    Stats.Welford.add celf_calls (float_of_int b.Tdmd.Gtp.oracle_calls);
-    Stats.Welford.add bw_gap (Float.abs (a.Tdmd.Gtp.bandwidth -. b.Tdmd.Gtp.bandwidth))
+    Stats.Welford.add plain_calls (counter a "oracle_calls");
+    Stats.Welford.add celf_calls (counter b "oracle_calls");
+    Stats.Welford.add bw_gap
+      (Float.abs (a.Tdmd.Solver_intf.bandwidth -. b.Tdmd.Solver_intf.bandwidth))
   done;
   push "GTP plain" "oracle calls" (Stats.Welford.mean plain_calls);
   push "GTP CELF" "oracle calls" (Stats.Welford.mean celf_calls);
@@ -289,12 +266,12 @@ let ablation ?(seed = 18000) ?(reps = 5) () =
     let k = Scenario.default_tree.Scenario.k in
     let (dp, dp_t) = Timer.time (fun () -> Tdmd.Dp.solve ~k inst) in
     let (sc, sc_t) = Timer.time (fun () -> Tdmd.Scaled_dp.solve ~k ~theta:4 inst) in
-    if dp.Tdmd.Dp.bandwidth > 0.0 then
+    if dp.Tdmd.Solver_intf.bandwidth > 0.0 then
       Stats.Welford.add loss
-        ((sc.Tdmd.Scaled_dp.bandwidth -. dp.Tdmd.Dp.bandwidth)
-        /. dp.Tdmd.Dp.bandwidth);
+        ((sc.Tdmd.Solver_intf.bandwidth -. dp.Tdmd.Solver_intf.bandwidth)
+        /. dp.Tdmd.Solver_intf.bandwidth);
     Stats.Welford.add state_ratio
-      (float_of_int sc.Tdmd.Scaled_dp.scaled_states /. float_of_int dp.Tdmd.Dp.states);
+      (counter sc "scaled_states" /. counter dp "states");
     if dp_t > 0.0 then Stats.Welford.add time_ratio (sc_t /. dp_t)
   done;
   push "Scaled DP (theta=4)" "relative bandwidth loss" (Stats.Welford.mean loss);
@@ -306,7 +283,7 @@ let ablation ?(seed = 18000) ?(reps = 5) () =
     let rng = Rng.split master in
     let inst = Scenario.build_tree rng Scenario.default_tree in
     let r = Tdmd.Hat.run ~k:Scenario.default_tree.Scenario.k inst in
-    Stats.Welford.add merges (float_of_int r.Tdmd.Hat.merges)
+    Stats.Welford.add merges (counter r "merges")
   done;
   push "HAT" "merge rounds" (Stats.Welford.mean merges);
   (* Local search refinement: how much of the greedy-to-optimal gap the
@@ -319,13 +296,13 @@ let ablation ?(seed = 18000) ?(reps = 5) () =
     let general = Tdmd.Instance.Tree.to_general inst in
     let k = Scenario.default_tree.Scenario.k in
     let gtp = Tdmd.Gtp.run ~budget:k general in
-    if gtp.Tdmd.Gtp.feasible then begin
-      let r = Tdmd.Local_search.refine ~k general gtp.Tdmd.Gtp.placement in
-      if gtp.Tdmd.Gtp.bandwidth > 0.0 then
+    if gtp.Tdmd.Solver_intf.feasible then begin
+      let r = Tdmd.Local_search.refine ~k general gtp.Tdmd.Solver_intf.placement in
+      if gtp.Tdmd.Solver_intf.bandwidth > 0.0 then
         Stats.Welford.add ls_gain_gtp
-          ((gtp.Tdmd.Gtp.bandwidth -. r.Tdmd.Local_search.bandwidth)
-          /. gtp.Tdmd.Gtp.bandwidth);
-      Stats.Welford.add ls_swaps (float_of_int r.Tdmd.Local_search.swaps)
+          ((gtp.Tdmd.Solver_intf.bandwidth -. r.Tdmd.Solver_intf.bandwidth)
+          /. gtp.Tdmd.Solver_intf.bandwidth);
+      Stats.Welford.add ls_swaps (counter r "swaps")
     end
   done;
   push "Local search on GTP" "relative bandwidth gain" (Stats.Welford.mean ls_gain_gtp);
@@ -348,7 +325,8 @@ let ablation ?(seed = 18000) ?(reps = 5) () =
     let general_dp, t_gen = Timer.time (fun () -> Tdmd.Dp.solve ~k inst) in
     let binary_dp, t_bin = Timer.time (fun () -> Tdmd.Dp_binary.solve ~k inst) in
     Stats.Welford.add agree
-      (Float.abs (general_dp.Tdmd.Dp.bandwidth -. binary_dp.Tdmd.Dp_binary.bandwidth));
+      (Float.abs
+         (general_dp.Tdmd.Solver_intf.bandwidth -. binary_dp.Tdmd.Solver_intf.bandwidth));
     if t_gen > 0.0 then Stats.Welford.add time_ratio_bin (t_bin /. t_gen)
   done;
   push "Binary DP (eqs 7-8)" "value gap vs general DP" (Stats.Welford.mean agree);
@@ -387,9 +365,9 @@ let ablation ?(seed = 18000) ?(reps = 5) () =
         | Tdmd_traffic.Temporal.Departure id -> Tdmd.Incremental.depart inc id);
         if Tdmd.Incremental.flows inc <> [] && Tdmd.Incremental.feasible inc then begin
           let scratch = Tdmd.Gtp.run ~budget:k (Tdmd.Incremental.instance inc) in
-          if scratch.Tdmd.Gtp.bandwidth > 0.0 then
+          if scratch.Tdmd.Solver_intf.bandwidth > 0.0 then
             Stats.Welford.add ratio
-              (Tdmd.Incremental.bandwidth inc /. scratch.Tdmd.Gtp.bandwidth)
+              (Tdmd.Incremental.bandwidth inc /. scratch.Tdmd.Solver_intf.bandwidth)
         end)
       timeline;
     Stats.Welford.add inc_moves (float_of_int (Tdmd.Incremental.moves inc))

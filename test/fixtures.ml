@@ -6,6 +6,10 @@ module G = Tdmd_graph.Digraph
 module Rt = Tdmd_tree.Rooted_tree
 module Flow = Tdmd_flow.Flow
 
+(* A work counter of a solver run, read off its outcome's telemetry. *)
+let count (o : Tdmd.Solver_intf.outcome) name =
+  Tdmd_obs.Telemetry.get_count o.Tdmd.Solver_intf.telemetry name
+
 (* Paper Fig. 1: vertices v1..v6 are ids 0..5.  Flows (rates 4,2,2,2):
    f1: v5->v3->v1, f2: v6->v3->v2, f3: v6->v2, f4: v4->v2; lambda 0.5.
    (The flow paths are reverse-engineered from Tab. 2's marginal

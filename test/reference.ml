@@ -119,13 +119,7 @@ let refine ?(max_rounds = 1000) ~k instance placement =
   Tdmd_obs.Telemetry.count tel "evaluations" !evaluations;
   Tdmd_obs.Telemetry.count tel "oracle_ns" (Int64.to_int !oracle_ns);
   Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size placement);
-  {
-    Tdmd.Local_search.placement;
-    bandwidth;
-    swaps;
-    evaluations = !evaluations;
-    telemetry = tel;
-  }
+  Tdmd.Solver_intf.outcome ~placement ~bandwidth ~feasible:true ~telemetry:tel
 
 (* The cover fix-up by full rescans: the vertex covering the most of the
    given unserved flows (lowest vertex on ties), chosen vertices

@@ -1,6 +1,6 @@
 (* Extension modules: the binary-tree DP transcription (Eqs. 7-8),
-   local search, bounds, incremental maintenance, plus the Euler-tour
-   LCA and the auxiliary traffic machinery. *)
+   local search, incremental maintenance, plus the Euler-tour LCA and
+   the temporal workload generator. *)
 
 open Tdmd_prelude
 module P = Tdmd.Placement
@@ -19,7 +19,7 @@ let test_dp_binary_fig5 () =
       let b = Tdmd.Dp_binary.solve ~k inst in
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "values equal at k=%d" k)
-        a.Tdmd.Dp.bandwidth b.Tdmd.Dp_binary.bandwidth)
+        a.Tdmd.Solver_intf.bandwidth b.Tdmd.Solver_intf.bandwidth)
     [ 1; 2; 3; 4 ]
 
 let prop_dp_binary_matches_general =
@@ -38,9 +38,10 @@ let prop_dp_binary_matches_general =
       let inst = Tdmd.Instance.Tree.make ~tree ~flows ~lambda:0.5 in
       let a = Tdmd.Dp.solve ~k inst in
       let b = Tdmd.Dp_binary.solve ~k inst in
-      a.Tdmd.Dp.feasible = b.Tdmd.Dp_binary.feasible
-      && ((not a.Tdmd.Dp.feasible)
-         || Float.abs (a.Tdmd.Dp.bandwidth -. b.Tdmd.Dp_binary.bandwidth) < 1e-6))
+      a.Tdmd.Solver_intf.feasible = b.Tdmd.Solver_intf.feasible
+      && ((not a.Tdmd.Solver_intf.feasible)
+         || Float.abs (a.Tdmd.Solver_intf.bandwidth -. b.Tdmd.Solver_intf.bandwidth)
+            < 1e-6))
 
 let test_dp_binary_rejects_wide () =
   let tree = Tdmd_topo.Topo_tree.star 5 in
@@ -67,11 +68,11 @@ let prop_dp_binary_placement_consistent =
       in
       let inst = Tdmd.Instance.Tree.make ~tree ~flows ~lambda:0.3 in
       let r = Tdmd.Dp_binary.solve ~k:3 inst in
-      (not r.Tdmd.Dp_binary.feasible)
+      (not r.Tdmd.Solver_intf.feasible)
       || Float.abs
            (Tdmd.Bandwidth.total (Tdmd.Instance.Tree.to_general inst)
-              r.Tdmd.Dp_binary.placement
-           -. r.Tdmd.Dp_binary.bandwidth)
+              r.Tdmd.Solver_intf.placement
+           -. r.Tdmd.Solver_intf.bandwidth)
          < 1e-6)
 
 (* ------------------------------------------------------------------ *)
@@ -83,11 +84,11 @@ let test_local_search_improves_fig1 () =
   (* Start from the feasible-but-poor all-at-destination plan {v1,v2}. *)
   let start = P.of_list [ 0; 1 ] in
   let r = Tdmd.Local_search.refine ~k:2 inst start in
-  Alcotest.(check bool) "improved" true (r.Tdmd.Local_search.bandwidth < 16.0);
+  Alcotest.(check bool) "improved" true (r.Tdmd.Solver_intf.bandwidth < 16.0);
   Alcotest.(check (float 1e-9)) "reaches the k=2 optimum" 12.0
-    r.Tdmd.Local_search.bandwidth;
+    r.Tdmd.Solver_intf.bandwidth;
   Alcotest.(check bool) "still feasible" true
-    (Tdmd.Feasibility.check inst r.Tdmd.Local_search.placement)
+    (Tdmd.Feasibility.check inst r.Tdmd.Solver_intf.placement)
 
 let test_local_search_rejects_infeasible () =
   let inst = Fixtures.fig1_instance () in
@@ -105,44 +106,13 @@ let prop_local_search_never_worse =
         Fixtures.random_general_instance rng ~n ~flows:(2 * n) ~max_rate:5 ~lambda:0.5
       in
       let gtp = Tdmd.Gtp.run ~budget:k inst in
-      (not gtp.Tdmd.Gtp.feasible)
+      (not gtp.Tdmd.Solver_intf.feasible)
       || begin
-           let r = Tdmd.Local_search.refine ~k inst gtp.Tdmd.Gtp.placement in
-           r.Tdmd.Local_search.bandwidth <= gtp.Tdmd.Gtp.bandwidth +. 1e-9
-           && Tdmd.Feasibility.check inst r.Tdmd.Local_search.placement
-           && P.size r.Tdmd.Local_search.placement <= k
+           let r = Tdmd.Local_search.refine ~k inst gtp.Tdmd.Solver_intf.placement in
+           r.Tdmd.Solver_intf.bandwidth <= gtp.Tdmd.Solver_intf.bandwidth +. 1e-9
+           && Tdmd.Feasibility.check inst r.Tdmd.Solver_intf.placement
+           && P.size r.Tdmd.Solver_intf.placement <= k
          end)
-
-(* ------------------------------------------------------------------ *)
-(* Bounds                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_bounds_fig1 () =
-  let inst = Fixtures.fig1_instance () in
-  let b = Tdmd.Bounds.compute ~k:3 inst in
-  Alcotest.(check (float 1e-9)) "unprocessed" 16.0 b.Tdmd.Bounds.unprocessed;
-  Alcotest.(check (float 1e-9)) "all sources" 8.0 b.Tdmd.Bounds.all_sources;
-  (* top-3 singleton decrements: 4 + 3 + 3 = 10 -> 16 - 10 = 6 < 8. *)
-  Alcotest.(check (float 1e-9)) "k-aware lower" 8.0 b.Tdmd.Bounds.k_lower;
-  Alcotest.(check bool) "upper above optimum" true (b.Tdmd.Bounds.k_upper >= 8.0);
-  Alcotest.(check bool) "check accepts the optimum" true
-    (Tdmd.Bounds.check ~k:3 inst 8.0);
-  Alcotest.(check bool) "check rejects impossible" false
-    (Tdmd.Bounds.check ~k:3 inst 4.0)
-
-let prop_bounds_sandwich_solvers =
-  QCheck.Test.make ~name:"bounds sandwich every solver" ~count:40
-    QCheck.(triple (int_bound 100000) (int_range 2 12) (int_range 1 4))
-    (fun (seed, n, k) ->
-      let rng = Rng.create seed in
-      let inst = Fixtures.random_tree_instance rng ~n ~max_rate:5 ~lambda:0.5 in
-      let general = Tdmd.Instance.Tree.to_general inst in
-      let b = Tdmd.Bounds.compute ~k general in
-      let dp = Tdmd.Dp.solve ~k inst in
-      let hat = Tdmd.Hat.run ~k inst in
-      b.Tdmd.Bounds.k_lower <= dp.Tdmd.Dp.bandwidth +. 1e-6
-      && dp.Tdmd.Dp.bandwidth <= b.Tdmd.Bounds.unprocessed +. 1e-6
-      && Tdmd.Bounds.check ~k general hat.Tdmd.Hat.bandwidth)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental maintenance                                             *)
@@ -249,8 +219,8 @@ let test_incremental_quality_vs_scratch () =
      end);
     if Tdmd.Incremental.flows t <> [] then begin
       let scratch = Tdmd.Gtp.run ~budget:k (Tdmd.Incremental.instance t) in
-      if scratch.Tdmd.Gtp.bandwidth > 0.0 then begin
-        let ratio = Tdmd.Incremental.bandwidth t /. scratch.Tdmd.Gtp.bandwidth in
+      if scratch.Tdmd.Solver_intf.bandwidth > 0.0 then begin
+        let ratio = Tdmd.Incremental.bandwidth t /. scratch.Tdmd.Solver_intf.bandwidth in
         if ratio > !worst_ratio then worst_ratio := ratio
       end
     end
@@ -281,63 +251,9 @@ let prop_euler_lca_matches =
       done;
       !ok)
 
-let test_tree_print () =
-  let tree = Fixtures.fig5_tree () in
-  let s = Tdmd_tree.Tree_print.render tree in
-  let lines = String.split_on_char '\n' s |> List.filter (fun l -> l <> "") in
-  Alcotest.(check int) "one line per vertex" 8 (List.length lines);
-  Alcotest.(check string) "root first" "0" (List.hd lines);
-  let labelled =
-    Tdmd_tree.Tree_print.render ~label:(fun v -> Printf.sprintf "v%d" (v + 1)) tree
-  in
-  Alcotest.(check bool) "labels used" true
-    (String.split_on_char '\n' labelled |> List.exists (fun l -> l = "v1"))
-
 (* ------------------------------------------------------------------ *)
-(* Traffic extras: trace codec and temporal workloads                  *)
+(* Temporal workloads                                                  *)
 (* ------------------------------------------------------------------ *)
-
-let test_trace_roundtrip () =
-  let flows =
-    [
-      Flow.make ~id:0 ~rate:4 ~path:[ 4; 2; 0 ];
-      Flow.make ~id:1 ~rate:2 ~path:[ 5; 2; 1 ];
-      Flow.make ~id:7 ~rate:1 ~path:[ 3 ];
-    ]
-  in
-  match Tdmd_traffic.Trace.of_csv (Tdmd_traffic.Trace.to_csv flows) with
-  | Error e -> Alcotest.fail e
-  | Ok parsed ->
-    Alcotest.(check int) "count" 3 (List.length parsed);
-    List.iter2
-      (fun a b ->
-        Alcotest.(check int) "id" a.Flow.id b.Flow.id;
-        Alcotest.(check int) "rate" a.Flow.rate b.Flow.rate;
-        Alcotest.(check (array int)) "path" a.Flow.path b.Flow.path)
-      flows parsed
-
-let test_trace_errors () =
-  (match Tdmd_traffic.Trace.of_csv "nope\n1,2,3" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad header accepted");
-  (match Tdmd_traffic.Trace.of_csv "id,rate,path\n1,x,0-1" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad rate accepted");
-  match Tdmd_traffic.Trace.of_csv "id,rate,path\n1,0,0-1" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "zero rate accepted"
-
-let test_trace_file_roundtrip () =
-  let flows = [ Flow.make ~id:3 ~rate:9 ~path:[ 1; 0 ] ] in
-  let path = Filename.temp_file "tdmd_trace" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Tdmd_traffic.Trace.save path flows;
-      match Tdmd_traffic.Trace.load path with
-      | Ok [ f ] -> Alcotest.(check int) "rate" 9 f.Flow.rate
-      | Ok _ -> Alcotest.fail "wrong count"
-      | Error e -> Alcotest.fail e)
 
 let test_temporal () =
   let rng = Rng.create 5 in
@@ -384,8 +300,6 @@ let suite =
     Alcotest.test_case "local search: rejects infeasible" `Quick
       test_local_search_rejects_infeasible;
     QCheck_alcotest.to_alcotest prop_local_search_never_worse;
-    Alcotest.test_case "bounds: fig1 values" `Quick test_bounds_fig1;
-    QCheck_alcotest.to_alcotest prop_bounds_sandwich_solvers;
     Alcotest.test_case "incremental: arrivals and departures" `Quick
       test_incremental_basic;
     Alcotest.test_case "incremental: rejects duplicates" `Quick
@@ -394,9 +308,5 @@ let suite =
     Alcotest.test_case "incremental: quality vs scratch GTP" `Quick
       test_incremental_quality_vs_scratch;
     QCheck_alcotest.to_alcotest prop_euler_lca_matches;
-    Alcotest.test_case "tree printing" `Quick test_tree_print;
-    Alcotest.test_case "trace: csv roundtrip" `Quick test_trace_roundtrip;
-    Alcotest.test_case "trace: error handling" `Quick test_trace_errors;
-    Alcotest.test_case "trace: file roundtrip" `Quick test_trace_file_roundtrip;
     Alcotest.test_case "temporal workload" `Quick test_temporal;
   ]

@@ -1,5 +1,5 @@
-(* Tests for the extended graph algorithms: MST, all-pairs, Yen's
-   k-shortest paths, Bellman-Ford. *)
+(* Tests for the extended graph algorithms: all-pairs shortest paths
+   and Bellman-Ford, both checked against Dijkstra. *)
 
 open Tdmd_prelude
 module G = Tdmd_graph.Digraph
@@ -13,51 +13,6 @@ let weighted_square () =
   G.add_undirected ~weight:1.0 g 2 3;
   G.add_undirected ~weight:10.0 g 0 3;
   g
-
-let test_mst_square () =
-  let g = weighted_square () in
-  let mst = Tdmd_graph.Mst.kruskal g in
-  Alcotest.(check int) "n-1 edges" 3 (List.length mst);
-  Alcotest.(check (float 1e-9)) "weight 1+2+1" 4.0 (Tdmd_graph.Mst.total_weight mst);
-  let t = Tdmd_graph.Mst.spanning_tree_digraph g in
-  Alcotest.(check bool) "tree connected" true (G.is_connected_undirected t);
-  Alcotest.(check int) "bidirectional arcs" 6 (G.edge_count t)
-
-let test_mst_forest () =
-  let g = G.create 4 in
-  G.add_undirected g 0 1;
-  G.add_undirected g 2 3;
-  Alcotest.(check int) "spanning forest" 2 (List.length (Tdmd_graph.Mst.kruskal g))
-
-let prop_mst_weight_minimal =
-  QCheck.Test.make ~name:"MST <= any random spanning tree" ~count:60
-    QCheck.(pair (int_range 2 15) (int_bound 100000))
-    (fun (n, seed) ->
-      let rng = Rng.create seed in
-      let g = G.create n in
-      (* Random connected weighted graph. *)
-      let order = Array.init n (fun i -> i) in
-      Rng.shuffle rng order;
-      for i = 1 to n - 1 do
-        G.add_undirected ~weight:(1.0 +. Rng.float rng 9.0) g order.(i)
-          order.(Rng.int rng i)
-      done;
-      for _ = 1 to n do
-        let u = Rng.int rng n and v = Rng.int rng n in
-        if u <> v && not (G.mem_edge g u v) then
-          G.add_undirected ~weight:(1.0 +. Rng.float rng 9.0) g u v
-      done;
-      let mst_w = Tdmd_graph.Mst.total_weight (Tdmd_graph.Mst.kruskal g) in
-      (* The random-attachment spanning tree is one feasible spanning
-         tree; the MST must not exceed its weight. *)
-      let bfs_tree = Tdmd_topo.Topo_general.spanning_tree rng g ~root:0 in
-      let bfs_w = ref 0.0 in
-      for v = 0 to n - 1 do
-        let p = Tdmd_tree.Rooted_tree.parent bfs_tree v in
-        if p >= 0 then
-          bfs_w := !bfs_w +. Float.min (G.weight g v p) (G.weight g p v)
-      done;
-      mst_w <= !bfs_w +. 1e-9)
 
 let test_floyd_warshall () =
   let g = weighted_square () in
@@ -79,51 +34,6 @@ let prop_floyd_matches_dijkstra =
           let dj = Tdmd_graph.Dijkstra.distances g s in
           Array.for_all2 (fun a b -> a = b) fw.(s) dj)
         (Listx.range 0 (n - 1)))
-
-let test_yen_square () =
-  let g = weighted_square () in
-  let paths = Tdmd_graph.Yen.k_shortest g ~src:0 ~dst:3 ~k:4 in
-  Alcotest.(check int) "three loopless paths" 3 (List.length paths);
-  (match paths with
-  | (p1, w1) :: (p2, w2) :: (p3, w3) :: _ ->
-    Alcotest.(check (list int)) "best" [ 0; 1; 3 ] p1;
-    Alcotest.(check (float 1e-9)) "best weight" 3.0 w1;
-    Alcotest.(check (list int)) "second" [ 0; 2; 3 ] p2;
-    Alcotest.(check (float 1e-9)) "second weight" 5.0 w2;
-    Alcotest.(check (list int)) "third" [ 0; 3 ] p3;
-    Alcotest.(check (float 1e-9)) "third weight" 10.0 w3
-  | _ -> Alcotest.fail "expected three paths");
-  Alcotest.(check (list (pair (list int) (float 1e-9)))) "k=1 just shortest"
-    [ ([ 0; 1; 3 ], 3.0) ]
-    (Tdmd_graph.Yen.k_shortest g ~src:0 ~dst:3 ~k:1)
-
-let prop_yen_sorted_loopless =
-  QCheck.Test.make ~name:"yen: sorted, loopless, distinct, starts with dijkstra"
-    ~count:40
-    QCheck.(pair (int_range 3 12) (int_bound 100000))
-    (fun (n, seed) ->
-      let rng = Rng.create seed in
-      let g = Tdmd_topo.Topo_general.erdos_renyi rng n ~p:0.3 in
-      let src = 0 and dst = n - 1 in
-      let paths = Tdmd_graph.Yen.k_shortest g ~src ~dst ~k:5 in
-      let weights = List.map snd paths in
-      let sorted = List.sort compare weights in
-      let distinct =
-        List.length (List.sort_uniq compare (List.map fst paths))
-        = List.length paths
-      in
-      let loopless =
-        List.for_all
-          (fun (p, _) -> List.length (List.sort_uniq compare p) = List.length p)
-          paths
-      in
-      let first_matches =
-        match (paths, Tdmd_graph.Dijkstra.shortest_path g ~src ~dst) with
-        | (_, w) :: _, Some (_, w') -> w = w'
-        | [], None -> true
-        | _ -> false
-      in
-      weights = sorted && distinct && loopless && first_matches)
 
 let test_bellman_ford () =
   let g = weighted_square () in
@@ -163,13 +73,8 @@ let prop_bellman_matches_dijkstra =
 
 let suite =
   [
-    Alcotest.test_case "mst: weighted square" `Quick test_mst_square;
-    Alcotest.test_case "mst: forest" `Quick test_mst_forest;
-    QCheck_alcotest.to_alcotest prop_mst_weight_minimal;
     Alcotest.test_case "floyd-warshall: square" `Quick test_floyd_warshall;
     QCheck_alcotest.to_alcotest prop_floyd_matches_dijkstra;
-    Alcotest.test_case "yen: square paths" `Quick test_yen_square;
-    QCheck_alcotest.to_alcotest prop_yen_sorted_loopless;
     Alcotest.test_case "bellman-ford: cases" `Quick test_bellman_ford;
     QCheck_alcotest.to_alcotest prop_bellman_matches_dijkstra;
   ]

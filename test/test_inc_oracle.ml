@@ -301,9 +301,9 @@ let prop_gtp_run_differential =
       let same select run =
         let a = Reference.gtp select ~budget inst in
         let b = run ~budget inst in
-        Tdmd.Placement.to_list a = Tdmd.Placement.to_list b.Tdmd.Gtp.placement
-        && Tdmd.Bandwidth.total inst a = b.Tdmd.Gtp.bandwidth
-        && Tdmd.Allocation.is_feasible inst a = b.Tdmd.Gtp.feasible
+        Tdmd.Placement.to_list a = Tdmd.Placement.to_list b.Tdmd.Solver_intf.placement
+        && Tdmd.Bandwidth.total inst a = b.Tdmd.Solver_intf.bandwidth
+        && Tdmd.Allocation.is_feasible inst a = b.Tdmd.Solver_intf.feasible
       in
       same
         (fun ~stop ~k o -> S.greedy ~stop ~k o)
@@ -327,10 +327,10 @@ let prop_hat_differential =
       let k = 1 + Rng.int rng n in
       let a, merges = Reference.hat ~k inst in
       let b = Tdmd.Hat.run ~k inst in
-      Tdmd.Placement.to_list a = Tdmd.Placement.to_list b.Tdmd.Hat.placement
+      Tdmd.Placement.to_list a = Tdmd.Placement.to_list b.Tdmd.Solver_intf.placement
       && Tdmd.Bandwidth.total (Tdmd.Instance.Tree.to_general inst) a
-         = b.Tdmd.Hat.bandwidth
-      && merges = b.Tdmd.Hat.merges)
+         = b.Tdmd.Solver_intf.bandwidth
+      && merges = Fixtures.count b "merges")
 
 (* (e) Cover_fixup.within against the naive reference of the same
    algorithm in test/reference.ml (prefix rule, repeated best-cover
@@ -413,14 +413,14 @@ let prop_scans_differential =
 let same_refine ?max_rounds ~k inst p =
   let a = Reference.refine ?max_rounds ~k inst p in
   let b = Tdmd.Local_search.refine ?max_rounds ~k inst p in
-  let deltas r = Tdmd_obs.Telemetry.get_count r.Tdmd.Local_search.telemetry "delta_evals" in
-  Tdmd.Placement.to_list a.Tdmd.Local_search.placement
-  = Tdmd.Placement.to_list b.Tdmd.Local_search.placement
-  && Int64.bits_of_float a.Tdmd.Local_search.bandwidth
-     = Int64.bits_of_float b.Tdmd.Local_search.bandwidth
-  && a.Tdmd.Local_search.swaps = b.Tdmd.Local_search.swaps
-  && a.Tdmd.Local_search.evaluations = b.Tdmd.Local_search.evaluations
-  && deltas a = deltas b
+  let same_count name = Fixtures.count a name = Fixtures.count b name in
+  Tdmd.Placement.to_list a.Tdmd.Solver_intf.placement
+  = Tdmd.Placement.to_list b.Tdmd.Solver_intf.placement
+  && Int64.bits_of_float a.Tdmd.Solver_intf.bandwidth
+     = Int64.bits_of_float b.Tdmd.Solver_intf.bandwidth
+  && same_count "swaps"
+  && same_count "evaluations"
+  && same_count "delta_evals"
 
 let prop_refine_differential =
   QCheck.Test.make ~name:"Local_search.refine: read-only probes = add/undo reference"
@@ -443,9 +443,9 @@ let prop_refine_differential =
       let max_rounds = if Rng.int rng 4 = 0 then Some (1 + Rng.int rng 3) else None in
       let g = Tdmd.Gtp.run ~budget:(1 + Rng.int rng n) inst in
       same_refine ?max_rounds ~k inst on_path
-      && ((not g.Tdmd.Gtp.feasible)
-         || same_refine ?max_rounds ~k:(Tdmd.Placement.size g.Tdmd.Gtp.placement)
-              inst g.Tdmd.Gtp.placement))
+      && ((not g.Tdmd.Solver_intf.feasible)
+         || same_refine ?max_rounds ~k:(Tdmd.Placement.size g.Tdmd.Solver_intf.placement)
+              inst g.Tdmd.Solver_intf.placement))
 
 (* A swap whose outgoing box is the only one serving a flow: on the path
    0-1-2-3 the lone box at 2 moves to the source, the one candidate
@@ -458,8 +458,8 @@ let test_refine_stranding_swap () =
   let start = Tdmd.Placement.of_list [ 2 ] in
   let r = Tdmd.Local_search.refine ~k:1 inst start in
   Alcotest.(check (list int)) "box moved to the source" [ 0 ]
-    (Tdmd.Placement.to_list r.Tdmd.Local_search.placement);
-  Alcotest.(check int) "one swap" 1 r.Tdmd.Local_search.swaps;
+    (Tdmd.Placement.to_list r.Tdmd.Solver_intf.placement);
+  Alcotest.(check int) "one swap" 1 (Fixtures.count r "swaps");
   Alcotest.(check bool) "matches the add/undo reference" true
     (same_refine ~k:1 inst start)
 
@@ -517,7 +517,7 @@ let test_oracle_counters () =
     Fixtures.random_general_instance rng ~n:10 ~flows:10 ~max_rate:5 ~lambda:0.5
   in
   let r = Tdmd.Gtp.run ~budget:4 inst in
-  let tel = r.Tdmd.Gtp.telemetry in
+  let tel = r.Tdmd.Solver_intf.telemetry in
   Alcotest.(check bool) "delta_evals recorded" true
     (Tdmd_obs.Telemetry.get_count tel "delta_evals" > 0);
   Alcotest.(check bool) "oracle_ns recorded" true

@@ -31,12 +31,12 @@ let test_fig1_three_boxes () =
   feq "b({v4,v5,v6})" 8.0 (B.total inst (P.of_list [ v4; v5; v6 ]));
   (* And it is indeed the minimum over all deployments of size 3. *)
   let brute = Tdmd.Brute.solve ~k:3 inst in
-  feq "brute optimum k=3" 8.0 brute.Tdmd.Brute.bandwidth
+  feq "brute optimum k=3" 8.0 brute.Tdmd.Solver_intf.bandwidth
 
 let test_fig1_two_boxes_optimal () =
   let inst = fig1_instance () in
   let brute = Tdmd.Brute.solve ~k:2 inst in
-  feq "brute optimum k=2" 12.0 brute.Tdmd.Brute.bandwidth
+  feq "brute optimum k=2" 12.0 brute.Tdmd.Solver_intf.bandwidth
 
 let test_table2_marginals () =
   let inst = fig1_instance () in
@@ -65,18 +65,18 @@ let test_fig1_gtp_k3 () =
   (* GTP trace (Sec. 4.2): v5, then v6, then v4. *)
   let r = Tdmd.Gtp.run ~budget:3 inst in
   Alcotest.(check (list int)) "GTP k=3 deployment" [ v4; v5; v6 ]
-    (P.to_list r.Tdmd.Gtp.placement);
-  Alcotest.(check bool) "feasible" true r.Tdmd.Gtp.feasible;
-  feq "bandwidth" 8.0 r.Tdmd.Gtp.bandwidth
+    (P.to_list r.Tdmd.Solver_intf.placement);
+  Alcotest.(check bool) "feasible" true r.Tdmd.Solver_intf.feasible;
+  feq "bandwidth" 8.0 r.Tdmd.Solver_intf.bandwidth
 
 let test_fig1_gtp_k2 () =
   let inst = fig1_instance () in
   (* With k = 2 the paper deploys {v5, v2} to stay feasible. *)
   let r = Tdmd.Gtp.run ~budget:2 inst in
   Alcotest.(check (list int)) "GTP k=2 deployment" [ v2; v5 ]
-    (P.to_list r.Tdmd.Gtp.placement);
-  Alcotest.(check bool) "feasible" true r.Tdmd.Gtp.feasible;
-  feq "bandwidth" 12.0 r.Tdmd.Gtp.bandwidth
+    (P.to_list r.Tdmd.Solver_intf.placement);
+  Alcotest.(check bool) "feasible" true r.Tdmd.Solver_intf.feasible;
+  feq "bandwidth" 12.0 r.Tdmd.Solver_intf.bandwidth
 
 (* ------------------------------------------------------------------ *)
 (* Figs. 5-7: DP tables                                                *)
@@ -171,18 +171,18 @@ let test_fig5_dp_solutions () =
      {v2, v7, v8}; k = 2 gives 16.5 via {v1,v7} or {v2,v6}; the text
      also derives P(v1,3,8) = 13 < P(v1,3,9). *)
   let r3 = Tdmd.Dp.solve ~k:3 inst in
-  feq "DP k=3 value" 13.5 r3.Tdmd.Dp.bandwidth;
+  feq "DP k=3 value" 13.5 r3.Tdmd.Solver_intf.bandwidth;
   Alcotest.(check (list int)) "DP k=3 deployment" [ 1; 6; 7 ]
-    (P.to_list r3.Tdmd.Dp.placement);
+    (P.to_list r3.Tdmd.Solver_intf.placement);
   let r2 = Tdmd.Dp.solve ~k:2 inst in
-  feq "DP k=2 value" 16.5 r2.Tdmd.Dp.bandwidth;
-  let p2 = P.to_list r2.Tdmd.Dp.placement in
+  feq "DP k=2 value" 16.5 r2.Tdmd.Solver_intf.bandwidth;
+  let p2 = P.to_list r2.Tdmd.Solver_intf.placement in
   Alcotest.(check bool) "DP k=2 deployment is {v1,v7} or {v2,v6}" true
     (p2 = [ 0; 6 ] || p2 = [ 1; 5 ]);
   let r4 = Tdmd.Dp.solve ~k:4 inst in
-  feq "DP k=4 value" 12.0 r4.Tdmd.Dp.bandwidth;
+  feq "DP k=4 value" 12.0 r4.Tdmd.Solver_intf.bandwidth;
   let r1 = Tdmd.Dp.solve ~k:1 inst in
-  feq "DP k=1 value" 24.0 r1.Tdmd.Dp.bandwidth
+  feq "DP k=1 value" 24.0 r1.Tdmd.Solver_intf.bandwidth
 
 (* ------------------------------------------------------------------ *)
 (* Sec. 5.2: HAT walkthrough                                           *)
@@ -207,20 +207,22 @@ let test_hat_plans () =
   let inst = fig5_instance () in
   (* k >= 4: all leaves. *)
   let r4 = Tdmd.Hat.run ~k:4 inst in
-  Alcotest.(check (list int)) "HAT k=4" [ 3; 4; 6; 7 ] (P.to_list r4.Tdmd.Hat.placement);
+  Alcotest.(check (list int)) "HAT k=4" [ 3; 4; 6; 7 ]
+    (P.to_list r4.Tdmd.Solver_intf.placement);
   (* k = 3: merge (v4,v5) -> v2: P = {v2, v7, v8}. *)
   let r3 = Tdmd.Hat.run ~k:3 inst in
-  Alcotest.(check (list int)) "HAT k=3" [ 1; 6; 7 ] (P.to_list r3.Tdmd.Hat.placement);
-  feq "HAT k=3 bandwidth" 13.5 r3.Tdmd.Hat.bandwidth;
+  Alcotest.(check (list int)) "HAT k=3" [ 1; 6; 7 ]
+    (P.to_list r3.Tdmd.Solver_intf.placement);
+  feq "HAT k=3 bandwidth" 13.5 r3.Tdmd.Solver_intf.bandwidth;
   (* k = 2: tie between (v2,v8) and (v7,v8); our deterministic order
      merges (v2,v8) -> v1, giving {v1, v7} (one of the paper's two). *)
   let r2 = Tdmd.Hat.run ~k:2 inst in
-  let p2 = P.to_list r2.Tdmd.Hat.placement in
+  let p2 = P.to_list r2.Tdmd.Solver_intf.placement in
   Alcotest.(check bool) "HAT k=2 is {v1,v7} or {v2,v6}" true
     (p2 = [ 0; 6 ] || p2 = [ 1; 5 ]);
   (* k = 1: {v1}. *)
   let r1 = Tdmd.Hat.run ~k:1 inst in
-  Alcotest.(check (list int)) "HAT k=1" [ 0 ] (P.to_list r1.Tdmd.Hat.placement)
+  Alcotest.(check (list int)) "HAT k=1" [ 0 ] (P.to_list r1.Tdmd.Solver_intf.placement)
 
 let test_lemma1 () =
   let inst = fig1_instance () in

@@ -91,12 +91,12 @@ let test_joint_parallel_identical () =
             fun inst _ ->
               Runner.measure
                 (fun () -> Tdmd.Gtp.run ~budget:4 (Tdmd.Instance.Tree.to_general inst))
-                (fun r -> (r.Tdmd.Gtp.bandwidth, r.Tdmd.Gtp.feasible)) );
+                (fun r -> (r.Tdmd.Solver_intf.bandwidth, r.Tdmd.Solver_intf.feasible)) );
           ( "hat",
             fun inst _ ->
               Runner.measure
                 (fun () -> Tdmd.Hat.run ~k:4 inst)
-                (fun r -> (r.Tdmd.Hat.bandwidth, r.Tdmd.Hat.feasible)) );
+                (fun r -> (r.Tdmd.Solver_intf.bandwidth, r.Tdmd.Solver_intf.feasible)) );
         ]
   in
   let a = run 1 and b = run 3 in

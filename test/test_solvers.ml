@@ -20,8 +20,10 @@ let prop_dp_optimal =
       let inst = Fixtures.random_tree_instance rng ~n ~max_rate:4 ~lambda:0.5 in
       let dp = Tdmd.Dp.solve ~k inst in
       let brute = Tdmd.Brute.solve ~k (Tdmd.Instance.Tree.to_general inst) in
-      (match (dp.Tdmd.Dp.feasible, brute.Tdmd.Brute.feasible) with
-      | true, true -> Float.abs (dp.Tdmd.Dp.bandwidth -. brute.Tdmd.Brute.bandwidth) < 1e-6
+      (match (dp.Tdmd.Solver_intf.feasible, brute.Tdmd.Solver_intf.feasible) with
+      | true, true ->
+        Float.abs (dp.Tdmd.Solver_intf.bandwidth -. brute.Tdmd.Solver_intf.bandwidth)
+        < 1e-6
       | a, b -> a = b))
 
 let prop_dp_placement_consistent =
@@ -32,14 +34,14 @@ let prop_dp_placement_consistent =
       let rng = Rng.create seed in
       let inst = Fixtures.random_tree_instance rng ~n ~max_rate:5 ~lambda:0.3 in
       let dp = Tdmd.Dp.solve ~k inst in
-      (not dp.Tdmd.Dp.feasible)
+      (not dp.Tdmd.Solver_intf.feasible)
       || begin
            let general = Tdmd.Instance.Tree.to_general inst in
-           P.size dp.Tdmd.Dp.placement <= k
-           && Tdmd.Feasibility.check general dp.Tdmd.Dp.placement
+           P.size dp.Tdmd.Solver_intf.placement <= k
+           && Tdmd.Feasibility.check general dp.Tdmd.Solver_intf.placement
            && Float.abs
-                (Tdmd.Bandwidth.total general dp.Tdmd.Dp.placement
-                -. dp.Tdmd.Dp.bandwidth)
+                (Tdmd.Bandwidth.total general dp.Tdmd.Solver_intf.placement
+                -. dp.Tdmd.Solver_intf.bandwidth)
               < 1e-6
          end)
 
@@ -50,7 +52,9 @@ let prop_dp_monotone_in_k =
       let rng = Rng.create seed in
       let inst = Fixtures.random_tree_instance rng ~n ~max_rate:4 ~lambda:0.6 in
       let values =
-        List.map (fun k -> (Tdmd.Dp.solve ~k inst).Tdmd.Dp.bandwidth) [ 1; 2; 3; 4 ]
+        List.map
+          (fun k -> (Tdmd.Dp.solve ~k inst).Tdmd.Solver_intf.bandwidth)
+          [ 1; 2; 3; 4 ]
       in
       let rec non_increasing = function
         | a :: (b :: _ as rest) -> a +. 1e-9 >= b && non_increasing rest
@@ -69,7 +73,7 @@ let test_dp_lambda_extremes () =
   let dp1 = Tdmd.Dp.solve ~k:3 inst1 in
   Alcotest.(check (float 1e-9)) "lambda=1 keeps full volume"
     (volume (Tdmd.Instance.Tree.to_general inst1))
-    dp1.Tdmd.Dp.bandwidth;
+    dp1.Tdmd.Solver_intf.bandwidth;
   (* lambda = 0 with a box on every leaf: zero bandwidth. *)
   let leaves =
     List.filter
@@ -77,20 +81,33 @@ let test_dp_lambda_extremes () =
       (Tdmd_tree.Rooted_tree.leaves tree)
   in
   let dp0 = Tdmd.Dp.solve ~k:(List.length leaves) inst0 in
-  Alcotest.(check (float 1e-9)) "lambda=0, boxes at sources" 0.0 dp0.Tdmd.Dp.bandwidth
+  Alcotest.(check (float 1e-9)) "lambda=0, boxes at sources" 0.0
+    dp0.Tdmd.Solver_intf.bandwidth
 
 let test_dp_k0_infeasible () =
   let rng = Rng.create 42 in
   let inst = Fixtures.random_tree_instance rng ~n:8 ~max_rate:3 ~lambda:0.5 in
   let r = Tdmd.Dp.solve ~k:0 inst in
-  Alcotest.(check bool) "k=0 infeasible" false r.Tdmd.Dp.feasible
+  Alcotest.(check bool) "k=0 infeasible" false r.Tdmd.Solver_intf.feasible
 
 let test_dp_single_vertex () =
   let tree = Tdmd_topo.Topo_tree.path 1 in
   let inst = Tdmd.Instance.Tree.make ~tree ~flows:[] ~lambda:0.5 in
   let r = Tdmd.Dp.solve ~k:1 inst in
-  Alcotest.(check bool) "trivially feasible" true r.Tdmd.Dp.feasible;
-  Alcotest.(check (float 0.0)) "zero bandwidth" 0.0 r.Tdmd.Dp.bandwidth
+  Alcotest.(check bool) "trivially feasible" true r.Tdmd.Solver_intf.feasible;
+  Alcotest.(check (float 0.0)) "zero bandwidth" 0.0 r.Tdmd.Solver_intf.bandwidth
+
+(* The subset guard must refuse before enumerating anything.  Here
+   Σ_{j ≤ 25} C(150, j) ≈ 10²⁹ wraps a native int, which once let the
+   guard pass and the enumeration run without end. *)
+let test_brute_refuses_large () =
+  let inst =
+    Fixtures.random_general_instance (Rng.create 9150) ~n:150 ~flows:20 ~max_rate:5
+      ~lambda:0.5
+  in
+  Alcotest.check_raises "150 vertices, k = 25"
+    (Invalid_argument "Brute.solve: instance too large")
+    (fun () -> ignore (Tdmd.Brute.solve ~k:25 inst))
 
 (* ------------------------------------------------------------------ *)
 (* HAT and GTP against the optimum                                     *)
@@ -104,10 +121,10 @@ let prop_hat_bounded_by_dp =
       let inst = Fixtures.random_tree_instance rng ~n ~max_rate:5 ~lambda:0.5 in
       let dp = Tdmd.Dp.solve ~k inst in
       let hat = Tdmd.Hat.run ~k inst in
-      hat.Tdmd.Hat.feasible
-      && P.size hat.Tdmd.Hat.placement <= max k 1
-      && dp.Tdmd.Dp.bandwidth <= hat.Tdmd.Hat.bandwidth +. 1e-6
-      && hat.Tdmd.Hat.bandwidth
+      hat.Tdmd.Solver_intf.feasible
+      && P.size hat.Tdmd.Solver_intf.placement <= max k 1
+      && dp.Tdmd.Solver_intf.bandwidth <= hat.Tdmd.Solver_intf.bandwidth +. 1e-6
+      && hat.Tdmd.Solver_intf.bandwidth
          <= volume (Tdmd.Instance.Tree.to_general inst) +. 1e-6)
 
 let prop_gtp_bounded_by_dp_on_trees =
@@ -120,8 +137,8 @@ let prop_gtp_bounded_by_dp_on_trees =
       let dp = Tdmd.Dp.solve ~k inst in
       let gtp = Tdmd.Gtp.run ~budget:k general in
       (* k >= 1 on a rooted tree is always feasible (box at the root). *)
-      gtp.Tdmd.Gtp.feasible
-      && dp.Tdmd.Dp.bandwidth <= gtp.Tdmd.Gtp.bandwidth +. 1e-6)
+      gtp.Tdmd.Solver_intf.feasible
+      && dp.Tdmd.Solver_intf.bandwidth <= gtp.Tdmd.Solver_intf.bandwidth +. 1e-6)
 
 let prop_gtp_approximation_ratio =
   QCheck.Test.make
@@ -160,8 +177,8 @@ let prop_celf_gtp_equal =
       let b = Tdmd.Gtp.run_celf ~budget:k inst in
       (* The oracle is integer-valued, so the two greedy variants agree
          exactly, not just within float noise. *)
-      P.to_list a.Tdmd.Gtp.placement = P.to_list b.Tdmd.Gtp.placement
-      && b.Tdmd.Gtp.oracle_calls <= a.Tdmd.Gtp.oracle_calls + n)
+      P.to_list a.Tdmd.Solver_intf.placement = P.to_list b.Tdmd.Solver_intf.placement
+      && Fixtures.count b "oracle_calls" <= Fixtures.count a "oracle_calls" + n)
 
 (* ------------------------------------------------------------------ *)
 (* Baselines                                                           *)
@@ -175,17 +192,17 @@ let prop_baselines_sandwiched =
       let rng = Rng.create seed in
       let inst = Fixtures.random_tree_instance rng ~n ~max_rate:4 ~lambda:0.5 in
       let general = Tdmd.Instance.Tree.to_general inst in
-      let opt = (Tdmd.Dp.solve ~k inst).Tdmd.Dp.bandwidth in
+      let opt = (Tdmd.Dp.solve ~k inst).Tdmd.Solver_intf.bandwidth in
       let rand = Tdmd.Baselines.random rng ~k general in
       let be = Tdmd.Baselines.best_effort ~k general in
       let vol = volume general in
       (* Infeasible plans may undercut the feasible optimum (they skip
          serving some flows), so the lower bound only applies to
          feasible ones; the volume upper bound is universal. *)
-      let sandwiched (r : Tdmd.Baselines.report) =
-        r.Tdmd.Baselines.bandwidth <= vol +. 1e-6
-        && ((not r.Tdmd.Baselines.feasible)
-           || opt <= r.Tdmd.Baselines.bandwidth +. 1e-6)
+      let sandwiched (r : Tdmd.Solver_intf.outcome) =
+        r.Tdmd.Solver_intf.bandwidth <= vol +. 1e-6
+        && ((not r.Tdmd.Solver_intf.feasible)
+           || opt <= r.Tdmd.Solver_intf.bandwidth +. 1e-6)
       in
       sandwiched rand && sandwiched be)
 
@@ -194,7 +211,7 @@ let test_random_respects_k () =
   let inst = Fixtures.fig1_instance () in
   for k = 2 to 5 do
     let r = Tdmd.Baselines.random rng ~k inst in
-    Alcotest.(check bool) "size <= k" true (P.size r.Tdmd.Baselines.placement <= k)
+    Alcotest.(check bool) "size <= k" true (P.size r.Tdmd.Solver_intf.placement <= k)
   done
 
 let test_best_effort_deterministic () =
@@ -202,8 +219,8 @@ let test_best_effort_deterministic () =
   let a = Tdmd.Baselines.best_effort ~k:3 inst in
   let b = Tdmd.Baselines.best_effort ~k:3 inst in
   Alcotest.(check (list int)) "same plan"
-    (P.to_list a.Tdmd.Baselines.placement)
-    (P.to_list b.Tdmd.Baselines.placement)
+    (P.to_list a.Tdmd.Solver_intf.placement)
+    (P.to_list b.Tdmd.Solver_intf.placement)
 
 let test_gtp_beats_best_effort_eventually () =
   (* On Fig. 1 with k = 3 the adaptive greedy reaches the optimum 8;
@@ -213,7 +230,7 @@ let test_gtp_beats_best_effort_eventually () =
   let gtp = Tdmd.Gtp.run ~budget:3 inst in
   let be = Tdmd.Baselines.best_effort ~k:3 inst in
   Alcotest.(check bool) "gtp <= best-effort" true
-    (gtp.Tdmd.Gtp.bandwidth <= be.Tdmd.Baselines.bandwidth +. 1e-9)
+    (gtp.Tdmd.Solver_intf.bandwidth <= be.Tdmd.Solver_intf.bandwidth +. 1e-9)
 
 (* GTP's derived k (Alg. 1 run to feasibility) is sandwiched between
    the exact minimum cover and the ln(n)-greedy bound. *)
@@ -236,7 +253,7 @@ let prop_derived_k_bounds =
          exact minimum and never more than the vertex count. *)
       exact <= dk && dk <= n && exact <= greedy_size
       && Tdmd.Feasibility.check inst
-           (Tdmd.Gtp.run ~budget:dk inst).Tdmd.Gtp.placement)
+           (Tdmd.Gtp.run ~budget:dk inst).Tdmd.Solver_intf.placement)
 
 (* HAT performs exactly |initial leaves| - |final placement| merges. *)
 let prop_hat_merge_count =
@@ -248,13 +265,13 @@ let prop_hat_merge_count =
       let tree = inst.Tdmd.Instance.Tree.tree in
       let leaves = List.length (Tdmd_tree.Rooted_tree.leaves tree) in
       let r = Tdmd.Hat.run ~k inst in
-      let dropped = leaves - P.size r.Tdmd.Hat.placement in
+      let dropped = leaves - P.size r.Tdmd.Solver_intf.placement in
       (* Each merge removes two boxes and adds their LCA, which may
          itself already be deployed: the placement shrinks by one or
          two per merge. *)
-      r.Tdmd.Hat.merges <= dropped
-      && dropped <= 2 * r.Tdmd.Hat.merges
-      && P.size r.Tdmd.Hat.placement <= max k 1)
+      Fixtures.count r "merges" <= dropped
+      && dropped <= 2 * Fixtures.count r "merges"
+      && P.size r.Tdmd.Solver_intf.placement <= max k 1)
 
 (* ------------------------------------------------------------------ *)
 (* Extensions                                                          *)
@@ -268,7 +285,7 @@ let prop_scaled_dp_theta1_is_dp =
       let inst = Fixtures.random_tree_instance rng ~n ~max_rate:5 ~lambda:0.5 in
       let dp = Tdmd.Dp.solve ~k inst in
       let sc = Tdmd.Scaled_dp.solve ~k ~theta:1 inst in
-      Float.abs (dp.Tdmd.Dp.bandwidth -. sc.Tdmd.Scaled_dp.bandwidth) < 1e-6)
+      Float.abs (dp.Tdmd.Solver_intf.bandwidth -. sc.Tdmd.Solver_intf.bandwidth) < 1e-6)
 
 let prop_scaled_dp_bounded =
   QCheck.Test.make ~name:"scaled DP is optimal-bounded and shrinks states"
@@ -279,16 +296,16 @@ let prop_scaled_dp_bounded =
       let inst = Fixtures.random_tree_instance rng ~n ~max_rate:12 ~lambda:0.5 in
       let dp = Tdmd.Dp.solve ~k:3 inst in
       let sc = Tdmd.Scaled_dp.solve ~k:3 ~theta:4 inst in
-      sc.Tdmd.Scaled_dp.bandwidth +. 1e-6 >= dp.Tdmd.Dp.bandwidth
-      && sc.Tdmd.Scaled_dp.scaled_states <= dp.Tdmd.Dp.states)
+      sc.Tdmd.Solver_intf.bandwidth +. 1e-6 >= dp.Tdmd.Solver_intf.bandwidth
+      && Fixtures.count sc "scaled_states" <= Fixtures.count dp "states")
 
 let test_capacitated_unlimited_matches_plain () =
   let inst = Fixtures.fig1_instance () in
   (* With capacity far above the total rate the capacitated greedy can
      reach the plain optimum-quality region. *)
   let cap = Tdmd.Capacitated.greedy ~k:3 ~capacity:1000 inst in
-  Alcotest.(check bool) "feasible" true cap.Tdmd.Capacitated.feasible;
-  Alcotest.(check (float 1e-9)) "reaches optimum" 8.0 cap.Tdmd.Capacitated.bandwidth
+  Alcotest.(check bool) "feasible" true cap.Tdmd.Solver_intf.feasible;
+  Alcotest.(check (float 1e-9)) "reaches optimum" 8.0 cap.Tdmd.Solver_intf.bandwidth
 
 let test_capacitated_tight_capacity () =
   let inst = Fixtures.fig1_instance () in
@@ -308,6 +325,8 @@ let suite =
     Alcotest.test_case "dp: lambda extremes" `Quick test_dp_lambda_extremes;
     Alcotest.test_case "dp: k=0 infeasible" `Quick test_dp_k0_infeasible;
     Alcotest.test_case "dp: single-vertex tree" `Quick test_dp_single_vertex;
+    Alcotest.test_case "brute: refuses a 150-vertex instance at k = 25" `Quick
+      test_brute_refuses_large;
     QCheck_alcotest.to_alcotest prop_hat_bounded_by_dp;
     QCheck_alcotest.to_alcotest prop_gtp_bounded_by_dp_on_trees;
     QCheck_alcotest.to_alcotest prop_gtp_approximation_ratio;

@@ -145,20 +145,6 @@ let prop_generators_connected =
            (Tdmd_topo.Ark.generate rng ~n).Tdmd_topo.Ark.graph
       && Rt.size (Tt.random_attachment rng n) = n)
 
-let test_random_regular () =
-  let rng = Rng.create 29 in
-  let g = Tdmd_topo.Random_regular.generate rng ~n:16 ~degree:3 in
-  Alcotest.(check bool) "connected" true (G.is_connected_undirected g);
-  for v = 0 to 15 do
-    Alcotest.(check int) "regular degree" 3 (G.out_degree g v)
-  done;
-  Alcotest.check_raises "odd total stubs"
-    (Invalid_argument "Random_regular.generate: n * degree must be even") (fun () ->
-      ignore (Tdmd_topo.Random_regular.generate rng ~n:5 ~degree:3));
-  Alcotest.check_raises "degree too large"
-    (Invalid_argument "Random_regular.generate: need 1 <= degree < n") (fun () ->
-      ignore (Tdmd_topo.Random_regular.generate rng ~n:4 ~degree:4))
-
 let test_topo_stats () =
   (* A 4-cycle: every degree 2, diameter 2, mean distance 4/3. *)
   let g = G.create 4 in
@@ -292,8 +278,6 @@ let test_partition_edges () =
 
 let suite =
   [
-    Alcotest.test_case "general: random regular (jellyfish)" `Quick
-      test_random_regular;
     Alcotest.test_case "stats: 4-cycle" `Quick test_topo_stats;
     Alcotest.test_case "trees: path/star/balanced" `Quick test_path_star_balanced;
     Alcotest.test_case "trees: random generators" `Quick test_random_trees;
