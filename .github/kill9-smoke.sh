@@ -77,7 +77,12 @@ case "${1:-}" in
     }
     observe() { client --op solve --algo gtp -k 2 --on live | answer; }
     retry() { client --op arrive --flow-id 5 --rate 2 --path 1,2,3 --req-id sh-5; }
-    check_restarted() { client --op stats | grep -q '"shards":'; }
+    # The restarted router only knows live flows; a retried depart of a
+    # departed one must still reach its home shard's dedup table.
+    check_restarted() {
+      client --op stats | grep -q '"shards":'
+      client --op depart --flow-id 3 --req-id sh-d3 | grep -q '"dedup":true'
+    }
     # Offline recover detects the shard layout and agrees.
     check_recovered() {
       "$TDMD" recover --journal "$WAL" > "$WORK/recover.json"

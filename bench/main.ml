@@ -384,20 +384,20 @@ let serve_bench () =
   let rng = Rng.create 4242 in
   let tree_inst = Scenario.build_tree rng Scenario.default_tree in
   let k = Scenario.default_tree.Scenario.k in
-  let session =
-    Tdmd_server.Session.create_tree
+  let engine =
+    Tdmd_server.Engine.create
       ~config:
         {
           Tdmd_server.Session.Config.default with
           Tdmd_server.Session.Config.churn_k = k;
         }
-      tree_inst
+      (Tdmd_server.Engine.Tree tree_inst)
   in
   let sock = Filename.temp_file "tdmd-bench" ".sock" in
   Sys.remove sock;
   let addr = P.Unix_sock sock in
   let server =
-    Server.start_session
+    Server.start
       {
         Server.addr;
         domains = Parallel.recommended_domains ();
@@ -405,7 +405,7 @@ let serve_bench () =
         default_deadline_ms = None;
         metrics_out = None;
       }
-      session
+      engine
   in
   (* Sanity: a served answer must be bit-identical to a direct registry
      call with the same seed. *)
@@ -1710,17 +1710,7 @@ let chaos_seed_run ~seed ~total_ops =
       let oracle = Session.create ~config:oracle_config inst in
       List.iter
         (fun op ->
-          let bop =
-            match op with
-            | Journal.Arrive { id; rate; path; req } ->
-              Session.Batch_arrive { req; id; rate; path }
-            | Journal.Depart { flow_id; req } ->
-              Session.Batch_depart { req; flow_id }
-            | Journal.Rebalance { budget; req } ->
-              Session.Batch_rebalance { req; budget = Some budget }
-            | Journal.Cross_prepare _ | Journal.Cross_done _ -> assert false
-          in
-          match Session.apply_batch oracle [ bop ] with
+          match Session.apply_batch oracle [ op ] with
           | [ Ok _ ] -> ()
           | [ Error (code, msg) ] ->
             failwith

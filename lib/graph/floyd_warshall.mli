@@ -1,8 +1,8 @@
 (** All-pairs shortest paths.
 
     O(|V|³); used by the topology statistics (diameter, mean path
-    length) and as a second opinion against Dijkstra/BFS in the
-    property tests. *)
+    length).  A property test checks it against {!Bfs} on unit
+    weights. *)
 
 val distances : Digraph.t -> float array array
 (** [d.(u).(v)]: weighted distance, [infinity] if unreachable, [0.] on

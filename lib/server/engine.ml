@@ -65,15 +65,11 @@ let make_coord journal =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let shard_config ~(config : Session.Config.t) ~root i =
-  match config.Session.Config.durability with
-  | None -> config
-  | Some d ->
-    {
-      config with
-      Session.Config.durability =
-        Some { d with Session.dir = shard_dir root i };
-    }
+(* Where shard [i] of a [shards]-shard engine keeps its state: at one shard
+   directly in the root (the flat layout every pre-shard directory
+   has), otherwise in [root/shard-<i>/]. *)
+let shard_durability (d : Session.durability) ~shards i =
+  if shards = 1 then d else { d with Session.dir = shard_dir d.Session.dir i }
 
 let build_session ~config source =
   match source with
@@ -128,13 +124,6 @@ let finish ?supervisor ?(degraded_reads = false) ~dedup_cap ~shard_cfg ~faults
   cell := Some t;
   t
 
-let durability_of (config : Session.Config.t) = config.Session.Config.durability
-
-let faults_of (config : Session.Config.t) =
-  match durability_of config with
-  | Some d -> d.Session.faults
-  | None -> Faults.none
-
 let create ?supervisor ?degraded_reads ?(config = Session.Config.default)
     ?(shards = 1) ?partition source =
   if shards < 1 then invalid_arg "Engine.create: shards must be >= 1";
@@ -153,67 +142,34 @@ let create ?supervisor ?degraded_reads ?(config = Session.Config.default)
       p
     | None -> Partition.make general.Tdmd.Instance.graph ~shards
   in
-  let faults = faults_of config in
-  if shards = 1 then begin
-    (* Single shard: the session lives directly in the durability root,
-       exactly as the pre-shard engine laid it out, so existing
-       directories keep recovering and every answer stays bit-identical. *)
-    let session = build_session ~config source in
-    let shard_cfg = Option.map (fun d _ -> d) (durability_of config) in
-    finish ?supervisor ?degraded_reads
-      ~dedup_cap:config.Session.Config.dedup_cap ~shard_cfg ~faults
-      ~shards:[| Shard.create ~faults ~id:0 session |]
-      ~router:(Router.create partition) ~coord:None general
-  end
-  else begin
-    let root =
-      match durability_of config with
-      | None -> None
-      | Some d ->
-        ensure_dir d.Session.dir;
-        Some d.Session.dir
-    in
-    let shard_arr =
-      Array.init shards (fun i ->
-          let config =
-            match root with
-            | None -> config
-            | Some root -> shard_config ~config ~root i
-          in
-          Shard.create ~faults ~id:i (build_session ~config source))
-    in
-    let coord =
-      match root with
-      | None -> None
-      | Some root ->
-        let journal, ops =
-          Journal.open_append ~faults ~fsync:Journal.Always (coord_file root)
-        in
-        (* A fresh engine must not inherit in-flight ops: the shard
-           directories were just seeded empty, so any leftover records
-           are from an aborted directory reuse. *)
-        if ops <> [] then Journal.reset journal;
-        Some (make_coord journal)
-    in
-    let shard_cfg =
-      match (durability_of config, root) with
-      | Some d, Some root ->
-        Some (fun i -> { d with Session.dir = shard_dir root i })
-      | _ -> None
-    in
-    finish ?supervisor ?degraded_reads
-      ~dedup_cap:config.Session.Config.dedup_cap ~shard_cfg ~faults
-      ~shards:shard_arr ~router:(Router.create partition) ~coord general
-  end
-
-let of_session session =
-  let general = Session.general session in
-  let n = Tdmd_graph.Digraph.vertex_count general.Tdmd.Instance.graph in
-  finish ~dedup_cap:Session.default_dedup_cap ~shard_cfg:None
-    ~faults:Faults.none
-    ~shards:[| Shard.create ~id:0 session |]
-    ~router:(Router.create (Partition.trivial ~n))
-    ~coord:None general
+  let durability = config.Session.Config.durability in
+  let faults =
+    match durability with Some d -> d.Session.faults | None -> Faults.none
+  in
+  Option.iter (fun d -> ensure_dir d.Session.dir) durability;
+  let shard_cfg = Option.map (fun d -> shard_durability d ~shards) durability in
+  let shard_arr =
+    Array.init shards (fun i ->
+        let durability = Option.map (fun cfg_of -> cfg_of i) shard_cfg in
+        let config = { config with Session.Config.durability } in
+        Shard.create ~faults ~id:i (build_session ~config source))
+  in
+  let coord =
+    match durability with
+    | Some d when shards > 1 ->
+      let journal, ops =
+        Journal.open_append ~faults ~fsync:Journal.Always (coord_file d.Session.dir)
+      in
+      (* A fresh engine must not inherit in-flight ops: the shard
+         directories were just seeded empty, so any leftover records
+         are from an aborted directory reuse. *)
+      if ops <> [] then Journal.reset journal;
+      Some (make_coord journal)
+    | Some _ | None -> None
+  in
+  finish ?supervisor ?degraded_reads ~dedup_cap:config.Session.Config.dedup_cap
+    ~shard_cfg ~faults ~shards:shard_arr ~router:(Router.create partition) ~coord
+    general
 
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
@@ -257,100 +213,85 @@ let inflight_prepares ops =
       | _ -> None)
     ops
 
-let batch_op_of_journal xid = function
-  | Journal.Arrive { id; rate; path; req = _ } ->
-    Ok (Session.Batch_arrive { req = Some xid; id; rate; path })
-  | Journal.Depart { flow_id; req = _ } ->
-    Ok (Session.Batch_depart { req = Some xid; flow_id })
-  | Journal.Rebalance _ ->
-    (* Rebalance is per-shard local; the codec refuses to nest it, so a
-       prepare carrying one is corruption. *)
-    Error "coordinator journal: rebalance cannot be cross-shard"
-  | Journal.Cross_prepare _ | Journal.Cross_done _ ->
-    Error "coordinator journal: nested cross record"
+(* A cross-shard op's xid is its idempotency id on the home shard, so a
+   prepare replayed after a crash cannot double-apply. *)
+let with_xid xid = function
+  | Journal.Arrive a -> Journal.Arrive { a with req = Some xid }
+  | Journal.Depart d -> Journal.Depart { d with req = Some xid }
+  | (Journal.Rebalance _ | Journal.Cross_prepare _ | Journal.Cross_done _) as op -> op
+
+(* Replay in-flight cross-shard ops in journal order.  The home shard's
+   dedup table is keyed by xid, so an op it already applied answers
+   ["dedup": true] instead of applying twice.  Every surviving prepare
+   is then retired: compact so the next boot replays nothing. *)
+let replay_prepares coord router shards ops =
+  let n = Array.length shards in
+  let* () =
+    List.fold_left
+      (fun acc (xid, home, op) ->
+        let* () = acc in
+        if home < 0 || home >= n then
+          Error (Printf.sprintf "coordinator journal: prepare %s targets shard %d of %d" xid home n)
+        else begin
+          let op = with_xid xid op in
+          (match (op, Shard.submit shards.(home) op) with
+          | Journal.Arrive { id; _ }, Ok _ -> Router.assign router ~flow_id:id ~shard:home
+          | Journal.Depart { flow_id; _ }, Ok _ -> Router.release router ~flow_id
+          | _, (Ok _ | Error _) -> ());
+          Journal.append coord.journal (Journal.Cross_done { xid });
+          coord.replayed <- coord.replayed + 1;
+          Ok ()
+        end)
+      (Ok ()) (inflight_prepares ops)
+  in
+  Journal.reset coord.journal;
+  Ok ()
 
 let recover ?supervisor ?degraded_reads ?(dedup_cap = Session.default_dedup_cap)
     (cfg : Session.durability) =
   let root = cfg.Session.dir in
   let faults = cfg.Session.faults in
-  if not (sharded_layout root) then begin
-    (* Flat pre-shard layout: one session in the root. *)
-    let* session = Session.recover ~dedup_cap cfg in
-    let general = Session.general session in
-    let n = Tdmd_graph.Digraph.vertex_count general.Tdmd.Instance.graph in
-    Ok
-      (finish ?supervisor ?degraded_reads ~dedup_cap
-         ~shard_cfg:(Some (fun _ -> cfg))
-         ~faults
-         ~shards:[| Shard.create ~faults ~id:0 session |]
-         ~router:(Router.create (Partition.trivial ~n))
-         ~coord:None general)
-  end
-  else begin
-    let n_shards = detect_shards root in
-    let* sessions =
-      Array.fold_left
-        (fun acc i ->
-          let* acc = acc in
-          let* s =
-            Result.map_error
-              (Printf.sprintf "shard %d: %s" i)
-              (Session.recover ~dedup_cap { cfg with Session.dir = shard_dir root i })
-          in
-          Ok (s :: acc))
-        (Ok [])
-        (Array.init n_shards (fun i -> i))
-    in
-    let sessions = Array.of_list (List.rev sessions) in
-    let shards = Array.mapi (fun i s -> Shard.create ~faults ~id:i s) sessions in
-    let general = Session.general sessions.(0) in
-    (* The partition is a deterministic function of the recovered graph,
-       so it is the partition the engine was created with. *)
-    let partition = Partition.make general.Tdmd.Instance.graph ~shards:n_shards in
-    let router = rebuild_router partition shards in
-    let* journal, ops =
-      match
-        Journal.open_append ~faults ~fsync:Journal.Always (coord_file root)
-      with
-      | r -> Ok r
+  (* A root without shard directories is the flat pre-shard layout: one
+     session in the root. *)
+  let sharded = sharded_layout root in
+  let n_shards = if sharded then detect_shards root else 1 in
+  let shard_cfg = shard_durability cfg ~shards:n_shards in
+  let* sessions =
+    Array.fold_left
+      (fun acc i ->
+        let* acc = acc in
+        let* s =
+          Session.recover ~dedup_cap (shard_cfg i)
+          |> if sharded then Result.map_error (Printf.sprintf "shard %d: %s" i)
+             else Fun.id
+        in
+        Ok (s :: acc))
+      (Ok [])
+      (Array.init n_shards (fun i -> i))
+  in
+  let sessions = Array.of_list (List.rev sessions) in
+  let shards = Array.mapi (fun i s -> Shard.create ~faults ~id:i s) sessions in
+  let general = Session.general sessions.(0) in
+  (* The partition is a deterministic function of the recovered graph,
+     so it is the partition the engine was created with. *)
+  let partition = Partition.make general.Tdmd.Instance.graph ~shards:n_shards in
+  let router = rebuild_router partition shards in
+  let* coord =
+    if not sharded then Ok None
+    else
+      match Journal.open_append ~faults ~fsync:Journal.Always (coord_file root) with
+      | journal, ops -> Ok (Some (make_coord journal, ops))
       | exception Sys_error msg -> Error msg
-    in
-    let coord = make_coord journal in
-    let engine =
-      finish ?supervisor ?degraded_reads ~dedup_cap
-        ~shard_cfg:(Some (fun i -> { cfg with Session.dir = shard_dir root i }))
-        ~faults ~shards ~router ~coord:(Some coord) general
-    in
-    (* Replay in-flight cross-shard ops in journal order.  The home
-       shard's dedup table is keyed by xid, so an op it already applied
-       answers ["dedup": true] instead of applying twice. *)
-    let* () =
-      List.fold_left
-        (fun acc (xid, home, op) ->
-          let* () = acc in
-          if home < 0 || home >= n_shards then
-            Error (Printf.sprintf "coordinator journal: prepare %s targets shard %d of %d" xid home n_shards)
-          else begin
-            let* bop = batch_op_of_journal xid op in
-            let reply = Shard.submit shards.(home) bop in
-            (match (bop, reply) with
-            | Session.Batch_arrive { id; _ }, Ok _ ->
-              Router.assign router ~flow_id:id ~shard:home
-            | Session.Batch_depart { flow_id; _ }, Ok _ ->
-              Router.release router ~flow_id
-            | Session.Batch_rebalance _, Ok _ -> ()
-            | _, Error _ -> ());
-            Journal.append journal (Journal.Cross_done { xid });
-            coord.replayed <- coord.replayed + 1;
-            Ok ()
-          end)
-        (Ok ()) (inflight_prepares ops)
-    in
-    (* Every surviving prepare is retired: compact so the next boot
-       replays nothing. *)
-    Journal.reset journal;
+  in
+  let engine =
+    finish ?supervisor ?degraded_reads ~dedup_cap ~shard_cfg:(Some shard_cfg)
+      ~faults ~shards ~router ~coord:(Option.map fst coord) general
+  in
+  match coord with
+  | None -> Ok engine
+  | Some (coord, ops) ->
+    let* () = replay_prepares coord router shards ops in
     Ok engine
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Churn                                                               *)
@@ -413,26 +354,26 @@ let guarded_submit t i bop =
    appended — the op either reached the shard's own WAL (shard recovery
    replays it) or never did (the client was answered ["unavailable"]
    and retries) — so no orphan prepare outlives the call. *)
-let cross_submit t ~home ~req ~journal_op ~batch_op_of_xid =
+let cross_submit t ~home ~req op =
   match t.coord with
   | None ->
     (* Not durable: no intent to persist, just route to the home shard. *)
-    guarded_submit t home (batch_op_of_xid req)
+    guarded_submit t home op
   | Some coord ->
     let xid =
       match req with
       | Some r -> r
       | None -> Locked.with_lock coord.lock (fun () -> next_xid coord)
     in
+    let op = with_xid xid op in
     Locked.with_lock coord.lock (fun () ->
-        Journal.append coord.journal
-          (Journal.Cross_prepare { xid; home; op = journal_op xid });
+        Journal.append coord.journal (Journal.Cross_prepare { xid; home; op });
         coord.prepares <- coord.prepares + 1;
         coord.inflight <- coord.inflight + 1);
     let reply =
       Supervisor.protect t.sup home
         ~fallback:(fun _ -> mid_op_unavailable)
-        (fun () -> Shard.submit t.shards.(home) (batch_op_of_xid (Some xid)))
+        (fun () -> Shard.submit t.shards.(home) op)
     in
     check_poisoned t home;
     Locked.with_lock coord.lock (fun () ->
@@ -481,14 +422,9 @@ let arrive t ?req ~id ~rate ~path () =
       Error ("conflict", Printf.sprintf "flow %d is already active" id)
     | Some _ | None ->
       begin
+      let op = Journal.Arrive { id; rate; path; req } in
       let reply =
-        if cross then
-          cross_submit t ~home ~req
-            ~journal_op:(fun xid ->
-              Journal.Arrive { id; rate; path; req = Some xid })
-            ~batch_op_of_xid:(fun req ->
-              Session.Batch_arrive { req; id; rate; path })
-        else guarded_submit t home (Session.Batch_arrive { req; id; rate; path })
+        if cross then cross_submit t ~home ~req op else guarded_submit t home op
       in
       (match reply with
       | Ok _ -> Router.assign t.router ~flow_id:id ~shard:home
@@ -496,9 +432,25 @@ let arrive t ?req ~id ~rate ~path () =
       tag_shard t ~shard:home ~cross reply
       end))
 
+(* A flow the router does not know may be the retry of a depart that
+   already applied (the first ack released it, or a restart rebuilt the
+   table from live flows): the shard whose dedup table holds the req
+   answers it, exactly as one shard would.  Otherwise the hint, then
+   shard 0, refuse it as "conflict". *)
+let depart_home t ?req ?shard_hint flow_id =
+  match Router.lookup t.router ~flow_id with
+  | Some home -> home
+  | None -> (
+    let applied_by r =
+      Array.find_index (fun sh -> Session.seen (Shard.session sh) r) t.shards
+    in
+    match Option.bind req applied_by with
+    | Some home -> home
+    | None -> Router.route_depart t.router ?hint:shard_hint ~flow_id ())
+
 let depart t ?req ?shard_hint flow_id =
-  let home = Router.route_depart t.router ?hint:shard_hint ~flow_id () in
-  let reply = guarded_submit t home (Session.Batch_depart { req; flow_id }) in
+  let home = depart_home t ?req ?shard_hint flow_id in
+  let reply = guarded_submit t home (Journal.Depart { flow_id; req }) in
   (match reply with
   | Ok _ -> Router.release t.router ~flow_id
   | Error _ -> ());
@@ -539,52 +491,37 @@ let tag_degraded = function
     Ok (Json.Obj (fields @ [ ("degraded", Json.Bool true) ]))
   | (Ok _ | Error _) as r -> r
 
+(* A live read runs over the union of the shards' flows at every shard
+   count (at one shard that union is the churn engine's instance, flow
+   for flow). *)
+let live_read t f =
+  match read_status t with
+  | Read_unavailable msg -> Error ("unavailable", msg)
+  | (Read_ok | Read_degraded) as st ->
+    let reply =
+      match combined_live_instance t with
+      | inst -> f inst
+      | exception Invalid_argument msg -> Error ("internal", msg)
+    in
+    if st = Read_degraded then tag_degraded reply else reply
+
 let solve t ~algo ~k ~seed ~target =
-  match (target, Array.length t.shards) with
-  | Protocol.Static, _ ->
+  match target with
+  | Protocol.Static ->
     (* Shard 0's session carries the same static instance (and tree
-       view) every shard does; with one shard this IS the pre-shard
-       path, bit for bit. *)
+       view) every shard does. *)
     Session.solve (Shard.session t.shards.(0)) ~algo ~k ~seed ~target
-  | Protocol.Live, n -> (
-    match read_status t with
-    | Read_unavailable msg -> Error ("unavailable", msg)
-    | (Read_ok | Read_degraded) as st ->
-      let reply =
-        if n = 1 then
-          Session.solve (Shard.session t.shards.(0)) ~algo ~k ~seed ~target
-        else begin
-          match combined_live_instance t with
-          | inst -> Session.solve_on_instance ~algo ~k ~seed ~target inst
-          | exception Invalid_argument msg -> Error ("internal", msg)
-        end
-      in
-      if st = Read_degraded then tag_degraded reply else reply)
+  | Protocol.Live -> live_read t (Session.solve_on_instance ~algo ~k ~seed ~target)
 
 let solve_anytime t ~algo ~k ~seed ~target ~budget_ms =
-  match (target, Array.length t.shards) with
-  | Protocol.Static, _ ->
+  match target with
+  | Protocol.Static ->
     Session.solve_anytime
       (Shard.session t.shards.(0))
       ~algo ~k ~seed ~target ~budget_ms
-  | Protocol.Live, n -> (
-    match read_status t with
-    | Read_unavailable msg -> Error ("unavailable", msg)
-    | (Read_ok | Read_degraded) as st ->
-      let reply =
-        if n = 1 then
-          Session.solve_anytime
-            (Shard.session t.shards.(0))
-            ~algo ~k ~seed ~target ~budget_ms
-        else begin
-          match combined_live_instance t with
-          | inst ->
-            Session.solve_anytime_on_instance ~algo ~k ~seed ~target ~budget_ms
-              inst
-          | exception Invalid_argument msg -> Error ("internal", msg)
-        end
-      in
-      if st = Read_degraded then tag_degraded reply else reply)
+  | Protocol.Live ->
+    live_read t (fun inst ->
+        Session.solve_anytime_on_instance ~algo ~k ~seed ~target ~budget_ms inst)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -592,34 +529,30 @@ let solve_anytime t ~algo ~k ~seed ~target ~budget_ms =
 
 let single t = Shard.session t.shards.(0)
 
+(* Shard summaries add up: flows and counters sum, placements union,
+   and the fleet is feasible when every shard is. *)
+let add_summary (a : Session.churn_summary) (b : Session.churn_summary) =
+  Session.
+    {
+      live_flows = a.live_flows + b.live_flows;
+      placement = Tdmd.Placement.union a.placement b.placement;
+      bandwidth = a.bandwidth +. b.bandwidth;
+      feasible = a.feasible && b.feasible;
+      moves = a.moves + b.moves;
+      arrivals = a.arrivals + b.arrivals;
+      departures = a.departures + b.departures;
+      rebalances = a.rebalances + b.rebalances;
+      rebalance_moves = a.rebalance_moves + b.rebalance_moves;
+    }
+
+(* Folded from shard 0's summary, so one shard is its own summary. *)
 let churn_stats t =
-  if Array.length t.shards = 1 then Session.churn_stats (single t)
-  else begin
-    let summaries =
-      Array.map (fun sh -> Session.churn_summary (Shard.session sh)) t.shards
-    in
-    let sum f = Array.fold_left (fun acc s -> acc + f s) 0 summaries in
-    let sumf f = Array.fold_left (fun acc s -> acc +. f s) 0.0 summaries in
-    let placement =
-      Array.fold_left
-        (fun acc s -> Tdmd.Placement.union acc s.Session.placement)
-        Tdmd.Placement.empty summaries
-    in
-    [
-      ("flows", Json.Int (sum (fun s -> s.Session.live_flows)));
-      ( "placement",
-        Json.List
-          (List.map (fun v -> Json.Int v) (Tdmd.Placement.to_list placement)) );
-      ("bandwidth", Json.Float (sumf (fun s -> s.Session.bandwidth)));
-      ( "feasible",
-        Json.Bool (Array.for_all (fun s -> s.Session.feasible) summaries) );
-      ("moves", Json.Int (sum (fun s -> s.Session.moves)));
-      ("arrivals", Json.Int (sum (fun s -> s.Session.arrivals)));
-      ("departures", Json.Int (sum (fun s -> s.Session.departures)));
-      ("rebalances", Json.Int (sum (fun s -> s.Session.rebalances)));
-      ("rebalance_moves", Json.Int (sum (fun s -> s.Session.rebalance_moves)));
-    ]
-  end
+  let summary i = Session.churn_summary (Shard.session t.shards.(i)) in
+  let total = ref (summary 0) in
+  for i = 1 to Array.length t.shards - 1 do
+    total := add_summary !total (summary i)
+  done;
+  Session.summary_fields !total
 
 (* Rebalance fans out to every shard: each shard's placement is
    independent, so each spends its own budget on its own local search.
@@ -627,8 +560,12 @@ let churn_stats t =
    a retry is suppressed on exactly the shards that already applied it
    and runs on any shard that had not. *)
 let rebalance t ?req ?budget () =
-  if Array.length t.shards = 1 then
-    guarded_submit t 0 (Session.Batch_rebalance { req; budget })
+  let op i =
+    let session = Shard.session t.shards.(i) in
+    let budget = Option.value budget ~default:(Session.migration_budget session) in
+    Journal.Rebalance { budget; req }
+  in
+  if Array.length t.shards = 1 then guarded_submit t 0 (op 0)
   else if not (Supervisor.all_serving t.sup) then
     (* A partial rebalance (some shards re-placed, one skipped) would
        leave the fleet optimizing against two different placements;
@@ -637,7 +574,7 @@ let rebalance t ?req ?budget () =
   else begin
     let replies =
       Array.mapi
-        (fun i _ -> guarded_submit t i (Session.Batch_rebalance { req; budget }))
+        (fun i _ -> guarded_submit t i (op i))
         t.shards
     in
     match Array.find_opt Result.is_error replies with

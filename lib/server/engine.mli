@@ -9,11 +9,16 @@
 
     {2 Equivalence at one shard}
 
-    With [shards = 1] every request takes the exact pre-shard code path:
-    the single session lives directly in the durability root (the PR 4
-    on-disk layout), replies carry no routing fields, and placements,
-    stats and recovery are bit-identical to the monolithic [Session]
-    engine.
+    At [shards = 1] the wire bytes and the disk layout are the
+    pre-shard engine's: the single session lives directly in the
+    durability root (the flat layout), replies carry no routing fields,
+    {!stats_fields} reports the session's ["durability"] section and
+    {!rebalance} answers with the session's own reply.  Everything else
+    is the N-shard path with N = 1: a live read solves the union of the
+    shards' flows (at one shard, the churn engine's instance flow for
+    flow) and {!churn_stats} folds the shards' summaries from shard 0's,
+    so placements, stats and recovery stay bit-identical to the
+    monolithic [Session] engine.
 
     {2 Cross-shard commit (two-phase apply)}
 
@@ -80,10 +85,6 @@ val create :
     @raise Invalid_argument on [shards < 1] or a partition that does
     not match [shards]/the instance graph. *)
 
-val of_session : Session.t -> t
-(** Wrap an already-built session as a 1-shard engine (the pre-shard
-    entry point; every call takes the session's own code path). *)
-
 val recover :
   ?supervisor:Supervisor.config ->
   ?degraded_reads:bool ->
@@ -120,14 +121,19 @@ val arrive :
     ["unavailable"] before a cross-shard prepare is written. *)
 
 val depart : t -> ?req:string -> ?shard_hint:int -> int -> Session.reply
-(** Route to the flow's remembered home shard ([shard_hint], then shard
-    0, for unknown flows — whose reply is a ["conflict"] refusal).
-    Health-gated like {!arrive}. *)
+(** Route to the flow's remembered home shard.  For a flow the router
+    does not know, the shard whose dedup table holds [req] answers (a
+    retried depart that already applied is ["dedup": true] at every
+    shard count); failing that [shard_hint], then shard 0, answer the
+    ["conflict"] refusal of an unknown flow.  Health-gated like
+    {!arrive}. *)
 
 val rebalance : t -> ?req:string -> ?budget:int -> unit -> Session.reply
 (** Run one migration-budgeted rebalance pass ({!Session.rebalance}) on
     {e every} shard — placements are per-shard, so each spends its own
-    budget locally and no cross-shard commit is needed.  The same [req]
+    budget locally and no cross-shard commit is needed.  Without
+    [budget] each shard spends its {!Session.migration_budget}, resolved
+    before the op is journaled.  The same [req]
     reaches every shard (dedup tables are per-shard, making a retry
     idempotent shard by shard).  1 shard: the session's reply verbatim.
     Sharded: aggregated churn stats plus the resolved ["budget"] and the
@@ -142,8 +148,8 @@ val solve :
 (** [Static] targets dispatch through shard 0's session,
     bit-identically to the pre-shard engine, and are never health-gated
     (they are a pure function of the immutable static instance).  A
-    [Live] solve (1 shard: the session's own churn state; sharded: the
-    union of all shards' flows in shard-major order) is refused with
+    [Live] solve runs over the union of all shards' flows in
+    shard-major order ({!Session.solve_on_instance}); it is refused with
     ["unavailable"] while any shard is down, unless [degraded_reads] is
     set — then it answers from the last applied state flagged
     ["degraded": true]. *)
@@ -157,16 +163,18 @@ val solve_anytime :
   budget_ms:int ->
   Session.reply
 (** Deadline-bounded variant, routed exactly like {!solve} (shard 0 /
-    live union) but through {!Session.solve_anytime}: a portfolio race
-    answers with the best feasible placement found within [budget_ms]
-    instead of a deadline error. *)
+    live union) but through {!Session.solve_anytime} /
+    {!Session.solve_anytime_on_instance}: a portfolio race answers with
+    the best feasible placement found within [budget_ms] instead of a
+    deadline error. *)
 
 (** {1 Stats and shutdown} *)
 
 val churn_stats : t -> (string * Protocol.Json.t) list
-(** Same keys as {!Session.churn_stats}.  Sharded: flows, moves,
-    arrivals, departures and bandwidth are summed; the placement is the
-    union; ["feasible"] is the conjunction. *)
+(** {!Session.summary_fields} of the shards' summaries folded from shard
+    0's: flows, moves, arrivals, departures, rebalances and bandwidth
+    are summed, the placement is the union and ["feasible"] the
+    conjunction.  One shard is its own summary. *)
 
 val stats_fields : t -> (string * Protocol.Json.t) list
 (** 1 shard: {!Session.durability_stats}, plus the ["health"] object.

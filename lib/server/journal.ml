@@ -19,12 +19,7 @@ let req_field = function
 let rec op_to_json = function
   | Arrive { id; rate; path; req } ->
     Json.Obj
-      ([
-         ("op", Json.String "arrive");
-         ("id", Json.Int id);
-         ("rate", Json.Int rate);
-         ("path", Json.List (List.map (fun v -> Json.Int v) path));
-       ]
+      ((("op", Json.String "arrive") :: Protocol.flow_fields ~id ~rate ~path)
       @ req_field req)
   | Depart { flow_id; req } ->
     Json.Obj
@@ -47,54 +42,32 @@ let rec op_to_json = function
 
 let ( let* ) = Result.bind
 
-let int_field json name =
-  match Json.member name json with
-  | Some (Json.Int i) -> Ok i
-  | _ -> Error (Printf.sprintf "journal record: bad field %S" name)
+let ctx = "journal record"
 
 let req_of json =
   match Json.member "req" json with
   | None -> Ok None
-  | Some (Json.String r) -> Ok (Some r)
-  | Some _ -> Error "journal record: field \"req\" must be a string"
-
-let string_field json name =
-  match Json.member name json with
-  | Some (Json.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "journal record: bad field %S" name)
+  | Some _ -> Result.map Option.some (Protocol.string_field ~ctx json "req")
 
 let rec op_of_json json =
   match Json.member "op" json with
   | Some (Json.String "arrive") ->
-    let* id = int_field json "id" in
-    let* rate = int_field json "rate" in
-    let* path =
-      match Json.member "path" json with
-      | Some (Json.List vs) ->
-        List.fold_right
-          (fun v acc ->
-            let* acc = acc in
-            match v with
-            | Json.Int i -> Ok (i :: acc)
-            | _ -> Error "journal record: path must be a list of integers")
-          vs (Ok [])
-      | _ -> Error "journal record: missing field \"path\""
-    in
+    let* id, rate, path = Protocol.flow_of_json ~ctx json in
     let* req = req_of json in
     Ok (Arrive { id; rate; path; req })
   | Some (Json.String "depart") ->
-    let* flow_id = int_field json "flow_id" in
+    let* flow_id = Protocol.int_field ~ctx json "flow_id" in
     let* req = req_of json in
     Ok (Depart { flow_id; req })
   | Some (Json.String "rebalance") ->
-    let* budget = int_field json "budget" in
+    let* budget = Protocol.int_field ~ctx json "budget" in
     if budget < 0 then Error "journal record: rebalance budget must be >= 0"
     else
       let* req = req_of json in
       Ok (Rebalance { budget; req })
   | Some (Json.String "cross-prepare") ->
-    let* xid = string_field json "xid" in
-    let* home = int_field json "home" in
+    let* xid = Protocol.string_field ~ctx json "xid" in
+    let* home = Protocol.int_field ~ctx json "home" in
     let* op =
       match Json.member "inner" json with
       | Some inner -> op_of_json inner
@@ -110,7 +83,7 @@ let rec op_of_json json =
       Error "journal record: rebalance cannot be cross-shard"
     | Arrive _ | Depart _ -> Ok (Cross_prepare { xid; home; op }))
   | Some (Json.String "cross-done") ->
-    let* xid = string_field json "xid" in
+    let* xid = Protocol.string_field ~ctx json "xid" in
     Ok (Cross_done { xid })
   | Some (Json.String other) ->
     Error (Printf.sprintf "journal record: unknown op %S" other)
@@ -210,7 +183,6 @@ type t = {
   faults : Faults.t;
   tel : Tdmd_obs.Telemetry.t;
   mutable unsynced : int;  (* records since last fsync *)
-  mutable written : int;
   mutable size : int;      (* valid bytes on disk *)
   mutable poisoned : bool; (* invariant lost: refuse further appends *)
 }
@@ -269,8 +241,7 @@ let open_append ?(faults = Faults.none) ?tel ~fsync path =
   end;
   ignore (Unix.lseek fd good Unix.SEEK_SET);
   let t =
-    { fd; path; fsync; faults; tel; unsynced = 0; written = 0; size = good;
-      poisoned = false }
+    { fd; path; fsync; faults; tel; unsynced = 0; size = good; poisoned = false }
   in
   (t, ops)
 
@@ -313,7 +284,6 @@ let append ?(flush = true) t op =
     count t "wal_append_failures" 1;
     raise e);
   t.size <- t.size + Bytes.length record;
-  t.written <- t.written + 1;
   t.unsynced <- t.unsynced + 1;
   count t "wal_appends" 1;
   count t "wal_bytes" (Bytes.length record);
@@ -356,7 +326,6 @@ let reset t =
   t.unsynced <- 0;
   do_fsync t
 
-let records_written t = t.written
 let size_bytes t = t.size
 let poisoned t = t.poisoned
 

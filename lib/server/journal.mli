@@ -121,9 +121,6 @@ val reset : t -> unit
 (** Compaction: drop every record (the state they rebuilt now lives in
     a snapshot) and fsync the empty file. *)
 
-val records_written : t -> int
-(** Appends since open (not counting the replayed prefix). *)
-
 val size_bytes : t -> int
 
 val close : t -> unit

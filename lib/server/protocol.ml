@@ -120,6 +120,85 @@ let read_frame ?faults fd =
     end
 
 (* ------------------------------------------------------------------ *)
+(* Field codec                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let ( let* ) = Result.bind
+
+(* Wire frames, WAL records, snapshots and instance files all read
+   their fields through these, so a field decodes the same everywhere;
+   [ctx] names the format in front of the error. *)
+let with_ctx ctx msg = match ctx with None -> msg | Some c -> c ^ ": " ^ msg
+
+let not_an_int ctx name =
+  Error (with_ctx ctx (Printf.sprintf "field %S must be an integer" name))
+
+let int_field ?ctx json name =
+  match Json.member name json with
+  | Some (Json.Int i) -> Ok i
+  | Some _ -> not_an_int ctx name
+  | None -> Error (with_ctx ctx (Printf.sprintf "missing field %S" name))
+
+let int_field_opt ?ctx json name ~default =
+  match Json.member name json with
+  | Some (Json.Int i) -> Ok i
+  | Some _ -> not_an_int ctx name
+  | None -> Ok default
+
+let string_field ?ctx json name =
+  match Json.member name json with
+  | Some (Json.String s) -> Ok s
+  | Some _ -> Error (with_ctx ctx (Printf.sprintf "field %S must be a string" name))
+  | None -> Error (with_ctx ctx (Printf.sprintf "missing field %S" name))
+
+let int_list = function
+  | Json.List vs ->
+    List.fold_right
+      (fun v acc ->
+        match (v, acc) with Json.Int i, Some l -> Some (i :: l) | _ -> None)
+      vs (Some [])
+  | _ -> None
+
+let flow_fields ~id ~rate ~path =
+  [
+    ("id", Json.Int id);
+    ("rate", Json.Int rate);
+    ("path", Json.List (List.map (fun v -> Json.Int v) path));
+  ]
+
+let flow_of_json ?ctx json =
+  let* id = int_field ?ctx json "id" in
+  let* rate = int_field ?ctx json "rate" in
+  match Json.member "path" json with
+  | Some (Json.List _ as l) -> (
+    match int_list l with
+    | Some path -> Ok (id, rate, path)
+    | None -> Error (with_ctx ctx "flow path must be a list of integers"))
+  | _ -> Error (with_ctx ctx "missing flow field \"path\"")
+
+let flows_to_json flows =
+  Json.List
+    (List.map
+       (fun (f : Tdmd_flow.Flow.t) ->
+         Json.Obj
+           (flow_fields ~id:f.Tdmd_flow.Flow.id ~rate:f.Tdmd_flow.Flow.rate
+              ~path:(Array.to_list f.Tdmd_flow.Flow.path)))
+       flows)
+
+let flows_field ?ctx json =
+  match Json.member "flows" json with
+  | Some (Json.List fs) ->
+    List.fold_right
+      (fun f acc ->
+        let* acc = acc in
+        let* id, rate, path = flow_of_json ?ctx f in
+        match Tdmd_flow.Flow.make ~id ~rate ~path with
+        | f -> Ok (f :: acc)
+        | exception Invalid_argument msg -> Error (with_ctx ctx msg))
+      fs (Ok [])
+  | _ -> Error (with_ctx ctx "missing field \"flows\"")
+
+(* ------------------------------------------------------------------ *)
 (* Requests                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -167,16 +246,7 @@ let request_to_json ?id ?deadline_ms ?req ?shard_hint request =
         ("on", Json.String (match target with Static -> "static" | Live -> "live"));
       ]
     | Arrive { id; rate; path } ->
-      [
-        ("op", Json.String "arrive");
-        ( "flow",
-          Json.Obj
-            [
-              ("id", Json.Int id);
-              ("rate", Json.Int rate);
-              ("path", Json.List (List.map (fun v -> Json.Int v) path));
-            ] );
-      ]
+      [ ("op", Json.String "arrive"); ("flow", Json.Obj (flow_fields ~id ~rate ~path)) ]
     | Depart id -> [ ("op", Json.String "depart"); ("flow_id", Json.Int id) ]
     | Rebalance { budget } ->
       ("op", Json.String "rebalance")
@@ -194,26 +264,6 @@ let request_to_json ?id ?deadline_ms ?req ?shard_hint request =
     @ (match shard_hint with Some s -> [ ("shard_hint", Json.Int s) ] | None -> [])
   in
   Json.Obj (base @ envelope)
-
-let int_field json name =
-  match Json.member name json with
-  | Some (Json.Int i) -> Ok i
-  | Some _ -> Error (Printf.sprintf "field %S must be an integer" name)
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let int_field_opt json name ~default =
-  match Json.member name json with
-  | Some (Json.Int i) -> Ok i
-  | Some _ -> Error (Printf.sprintf "field %S must be an integer" name)
-  | None -> Ok default
-
-let string_field json name =
-  match Json.member name json with
-  | Some (Json.String s) -> Ok s
-  | Some _ -> Error (Printf.sprintf "field %S must be a string" name)
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let ( let* ) = Result.bind
 
 let parse_request json =
   let* op = string_field json "op" in
@@ -240,20 +290,7 @@ let parse_request json =
   | "arrive" -> (
     match Json.member "flow" json with
     | Some flow ->
-      let* id = int_field flow "id" in
-      let* rate = int_field flow "rate" in
-      let* path =
-        match Json.member "path" flow with
-        | Some (Json.List vs) ->
-          List.fold_right
-            (fun v acc ->
-              let* acc = acc in
-              match v with
-              | Json.Int i -> Ok (i :: acc)
-              | _ -> Error "flow path must be a list of integers")
-            vs (Ok [])
-        | _ -> Error "missing flow field \"path\""
-      in
+      let* id, rate, path = flow_of_json flow in
       Ok (Arrive { id; rate; path })
     | None -> Error "missing field \"flow\"")
   | "depart" ->
@@ -341,27 +378,13 @@ let instance_to_json (inst : Tdmd.Instance.t) =
         Json.List [ Json.Int src; Json.Int dst ])
       (Tdmd_graph.Digraph.edges g)
   in
-  let flows =
-    List.map
-      (fun (f : Tdmd_flow.Flow.t) ->
-        Json.Obj
-          [
-            ("id", Json.Int f.Tdmd_flow.Flow.id);
-            ("rate", Json.Int f.Tdmd_flow.Flow.rate);
-            ( "path",
-              Json.List
-                (Array.to_list
-                   (Array.map (fun v -> Json.Int v) f.Tdmd_flow.Flow.path)) );
-          ])
-      (Tdmd.Instance.flows inst)
-  in
   Json.Obj
     [
       ("lambda", Json.Float inst.Tdmd.Instance.lambda);
       ("vertices", Json.Int (Tdmd_graph.Digraph.vertex_count g));
       ("undirected", Json.Bool false);
       ("edges", Json.List edges);
-      ("flows", Json.List flows);
+      ("flows", flows_to_json (Tdmd.Instance.flows inst));
     ]
 
 let instance_of_json json =
@@ -400,32 +423,7 @@ let instance_of_json json =
           (Ok ()) es
       | _ -> Error "missing field \"edges\""
     in
-    let* flows =
-      match Json.member "flows" json with
-      | Some (Json.List fs) ->
-        List.fold_right
-          (fun f acc ->
-            let* acc = acc in
-            let* id = int_field f "id" in
-            let* rate = int_field f "rate" in
-            let* path =
-              match Json.member "path" f with
-              | Some (Json.List vs) ->
-                List.fold_right
-                  (fun v tail ->
-                    let* tail = tail in
-                    match v with
-                    | Json.Int i -> Ok (i :: tail)
-                    | _ -> Error "flow path must be a list of integers")
-                  vs (Ok [])
-              | _ -> Error "missing flow field \"path\""
-            in
-            match Tdmd_flow.Flow.make ~id ~rate ~path with
-            | f -> Ok (f :: acc)
-            | exception Invalid_argument msg -> Error msg)
-          fs (Ok [])
-      | _ -> Error "missing field \"flows\""
-    in
+    let* flows = flows_field json in
     match Tdmd.Instance.make ~graph:g ~flows ~lambda with
     | inst -> Ok inst
     | exception Invalid_argument msg -> Error msg

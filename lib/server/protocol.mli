@@ -74,6 +74,47 @@ val read_frame :
     are EINTR-safe and resume across short returns; [faults] injects
     both at point ["sock.read"]. *)
 
+(** {1 Field codec}
+
+    The one decoder for every JSON format the service reads — wire
+    frames, {!Journal} records, {!Session} snapshots and instance files
+    — and the one encoder of the flow record [{"id", "rate", "path"}].
+    [ctx] names the format in front of each error (["journal record"]
+    gives ["journal record: missing field \"id\""]); without it the
+    texts are the wire's. *)
+
+val int_field : ?ctx:string -> Json.t -> string -> (int, string) result
+(** ["missing field %S"] or ["field %S must be an integer"]. *)
+
+val int_field_opt :
+  ?ctx:string -> Json.t -> string -> default:int -> (int, string) result
+(** Like {!int_field}, but an absent field is [default]. *)
+
+val string_field : ?ctx:string -> Json.t -> string -> (string, string) result
+(** ["missing field %S"] or ["field %S must be a string"]. *)
+
+val int_list : Json.t -> int list option
+(** A JSON list of integers; [None] for anything else. *)
+
+val flow_fields : id:int -> rate:int -> path:int list -> (string * Json.t) list
+(** [["id"; "rate"; "path"]] in that order: the flow inside an [arrive]
+    frame, a journaled arrival's fields after its ["op"], and each entry
+    of an instance's or snapshot's ["flows"]. *)
+
+val flow_of_json : ?ctx:string -> Json.t -> (int * int * int list, string) result
+(** [(id, rate, path)] of a flow object, unvalidated (that is
+    {!Tdmd_flow.Flow.make}'s job, and journal replay must decode what
+    the live path refused).  A missing or non-list ["path"] is
+    ["missing flow field \"path\""]; a non-integer vertex is
+    ["flow path must be a list of integers"]. *)
+
+val flows_to_json : Tdmd_flow.Flow.t list -> Json.t
+(** A ["flows"] list of {!flow_fields} objects. *)
+
+val flows_field : ?ctx:string -> Json.t -> (Tdmd_flow.Flow.t list, string) result
+(** The object's ["flows"] list, each entry through {!flow_of_json} and
+    {!Tdmd_flow.Flow.make} (whose refusal is the error text). *)
+
 (** {1 Requests} *)
 
 type solve_target =

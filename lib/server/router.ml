@@ -45,20 +45,13 @@ let route_depart t ?hint ~flow_id () =
 
 (* After a supervised shard restart the recovered session's flow set is
    the durable truth for that shard; the routing table may have drifted
-   (ops acked by the WAL but whose router assignment died with the
-   leader).  Re-add every recovered flow, but keep entries homed on the
-   shard whose flows are absent from the recovered set: a mapping only
-   exists for an applied arrive, so an absent flow means its depart was
-   applied (journaled) and the ack lost with the leader — the client's
-   retry must still route to this shard, whose recovered dedup table
-   answers it ["dedup": true] instead of shard 0 refusing it as a
-   conflict.  The retry's ack releases the entry; an abandoned retry
-   leaks one entry, the same O(1) residue an unconsumed dedup record
-   leaves. *)
+   (ops acked by the WAL whose router update died with the leader).  The
+   shard's entries become exactly that set, so the table only ever
+   holds live flows.  A retried depart whose flow is gone finds its
+   shard through the dedup tables instead (see {!Engine.depart}). *)
 let reconcile t ~shard ~flow_ids =
   Locked.with_lock t.lock (fun () ->
+      Hashtbl.filter_map_inplace
+        (fun _ home -> if home = shard then None else Some home)
+        t.flows;
       List.iter (fun flow_id -> Hashtbl.replace t.flows flow_id shard) flow_ids)
-
-let assignments t =
-  Locked.with_lock t.lock (fun () ->
-      Hashtbl.fold (fun flow_id shard acc -> (flow_id, shard) :: acc) t.flows [])

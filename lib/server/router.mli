@@ -36,17 +36,9 @@ val route_depart : t -> ?hint:int -> flow_id:int -> unit -> int
     unknown-flow behaviour). *)
 
 val reconcile : t -> shard:int -> flow_ids:int list -> unit
-(** Fold [flow_ids] — the recovered session's live flows after a
-    supervised restart of [shard], the durable truth for that shard —
-    into the table.  Entries homed on [shard] whose flow is {e absent}
-    from [flow_ids] are deliberately kept: a mapping only exists for an
-    applied arrive, so an absent flow means its depart was applied and
-    journaled but the ack died with the leader, and the client's retry
-    (same idempotency id) must still route to [shard], whose recovered
-    dedup table suppresses it — dropping the entry would send the retry
-    to the shard-0 fallback, which answers ["conflict"].  The retry's
-    ack releases the entry.  Entries homed on other shards are
-    untouched.  Thread-safe. *)
-
-val assignments : t -> (int * int) list
-(** Current [(flow_id, shard)] pairs, for recovery-time rebuilds. *)
+(** Set [shard]'s entries to exactly [flow_ids] — the recovered
+    session's live flows after a supervised restart, the durable truth
+    for that shard — dropping entries of flows that departed while the
+    ack was lost with the leader.  Entries homed on other shards are
+    untouched, so after every restart the table holds only live flows.
+    Thread-safe. *)

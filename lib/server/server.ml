@@ -118,32 +118,25 @@ let op_counter = function
   | Protocol.Health -> "op_health"
   | Protocol.Shutdown -> "op_shutdown"
 
+(* An engine reply as a wire reply: its fields behind ["ok": true]. *)
+let ok_reply : Session.reply -> Session.reply = function
+  | Ok (Json.Obj fields) -> Ok (Protocol.ok fields)
+  | Ok other -> Ok (Protocol.ok [ ("result", other) ])
+  | Error _ as e -> e
+
 let execute t ?req ?shard_hint (request : Protocol.request) : Session.reply =
   match request with
   | Protocol.Ping -> Ok (Protocol.ok [ ("op", Json.String "ping") ])
   | Protocol.Sleep ms ->
     Unix.sleepf (float_of_int ms /. 1000.0);
     Ok (Protocol.ok [ ("op", Json.String "sleep"); ("ms", Json.Int ms) ])
-  | Protocol.Solve { algo; k; seed; target } -> (
-    match Engine.solve t.engine ~algo ~k ~seed ~target with
-    | Ok (Json.Obj fields) -> Ok (Protocol.ok fields)
-    | Ok other -> Ok (Protocol.ok [ ("result", other) ])
-    | Error _ as e -> e)
-  | Protocol.Arrive { id; rate; path } -> (
-    match Engine.arrive t.engine ?req ~id ~rate ~path () with
-    | Ok (Json.Obj fields) -> Ok (Protocol.ok fields)
-    | Ok other -> Ok (Protocol.ok [ ("result", other) ])
-    | Error _ as e -> e)
-  | Protocol.Depart id -> (
-    match Engine.depart t.engine ?req ?shard_hint id with
-    | Ok (Json.Obj fields) -> Ok (Protocol.ok fields)
-    | Ok other -> Ok (Protocol.ok [ ("result", other) ])
-    | Error _ as e -> e)
-  | Protocol.Rebalance { budget } -> (
-    match Engine.rebalance t.engine ?req ?budget () with
-    | Ok (Json.Obj fields) -> Ok (Protocol.ok fields)
-    | Ok other -> Ok (Protocol.ok [ ("result", other) ])
-    | Error _ as e -> e)
+  | Protocol.Solve { algo; k; seed; target } ->
+    ok_reply (Engine.solve t.engine ~algo ~k ~seed ~target)
+  | Protocol.Arrive { id; rate; path } ->
+    ok_reply (Engine.arrive t.engine ?req ~id ~rate ~path ())
+  | Protocol.Depart id -> ok_reply (Engine.depart t.engine ?req ?shard_hint id)
+  | Protocol.Rebalance { budget } ->
+    ok_reply (Engine.rebalance t.engine ?req ?budget ())
   | Protocol.Stats -> (
     (* Stats aggregates live churn across every shard; while one is down
        the aggregate would silently under-count, so it is gated exactly
@@ -213,14 +206,9 @@ let run_job t conn (env : Protocol.envelope) ~enqueued_ns =
     let result =
       try
         match (env.Protocol.request, anytime_budget) with
-        | Protocol.Solve { algo; k; seed; target }, Some budget_ms -> (
+        | Protocol.Solve { algo; k; seed; target }, Some budget_ms ->
           count t "anytime_solves" 1;
-          match
-            Engine.solve_anytime t.engine ~algo ~k ~seed ~target ~budget_ms
-          with
-          | Ok (Json.Obj fields) -> Ok (Protocol.ok fields)
-          | Ok other -> Ok (Protocol.ok [ ("result", other) ])
-          | Error _ as e -> e)
+          ok_reply (Engine.solve_anytime t.engine ~algo ~k ~seed ~target ~budget_ms)
         | _ ->
           execute t ?req:env.Protocol.req ?shard_hint:env.Protocol.shard_hint
             env.Protocol.request
@@ -392,7 +380,6 @@ let start cfg engine =
   t.acceptor <- Some (Thread.create (acceptor t) ());
   t
 
-let start_session cfg session = start cfg (Engine.of_session session)
 let request_stop t = Atomic.set t.stop_flag true
 
 let emit_final_metrics t =

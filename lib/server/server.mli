@@ -53,10 +53,6 @@ val start : config -> Engine.t -> t
     ({!Engine.create} with [~shards]).
     @raise Unix.Unix_error when binding fails. *)
 
-val start_session : config -> Session.t -> t
-(** [start] on a 1-shard engine wrapping [session] — the pre-shard
-    entry point, kept for callers that build a bare {!Session}. *)
-
 val request_stop : t -> unit
 (** Flag the server to stop; async-signal-safe (a single atomic store),
     so the CLI installs it directly as the SIGINT/SIGTERM handler.

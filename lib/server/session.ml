@@ -105,17 +105,6 @@ let locked t f = Tdmd_prelude.Locked.with_lock t.lock f
 (* Snapshot codec                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let flow_to_json (f : Tdmd_flow.Flow.t) =
-  Json.Obj
-    [
-      ("id", Json.Int f.Tdmd_flow.Flow.id);
-      ("rate", Json.Int f.Tdmd_flow.Flow.rate);
-      ( "path",
-        Json.List
-          (Array.to_list (Array.map (fun v -> Json.Int v) f.Tdmd_flow.Flow.path))
-      );
-    ]
-
 let snapshot_json t d =
   let churn = t.churn in
   let ctel = Tdmd.Incremental.telemetry churn in
@@ -128,8 +117,7 @@ let snapshot_json t d =
       ( "live",
         Json.Obj
           [
-            ( "flows",
-              Json.List (List.map flow_to_json (Tdmd.Incremental.flows churn)) );
+            ("flows", Protocol.flows_to_json (Tdmd.Incremental.flows churn));
             ( "placed",
               Json.List
                 (List.map
@@ -159,40 +147,17 @@ let snapshot_json t d =
 
 let ( let* ) = Result.bind
 
-let int_field json name =
-  match Json.member name json with
-  | Some (Json.Int i) -> Ok i
-  | _ -> Error (Printf.sprintf "snapshot: bad field %S" name)
-
-(* Fields added after format-1 snapshots first shipped: absent means 0,
-   so pre-rebalance snapshots keep recovering. *)
-let opt_int_field json name =
-  match Json.member name json with
-  | Some (Json.Int i) -> Ok i
-  | None -> Ok 0
-  | Some _ -> Error (Printf.sprintf "snapshot: bad field %S" name)
-
-type snapshot_state = {
-  s_epoch : int;
-  s_k : int;
-  s_static : Tdmd.Instance.t;
-  s_flows : Tdmd_flow.Flow.t list;
-  s_placed : int list;
-  s_moves : int;
-  s_arrivals : int;
-  s_departures : int;
-  s_migration_budget : int;
-  s_rebalances : int;
-  s_rebalance_moves : int;
-  s_dedup : string list;
-}
-
+(* A snapshot decodes to the epoch whose journal segment continues it,
+   the static instance, the churn engine it restores, and the dedup ids
+   in insertion order. *)
 let parse_snapshot json =
-  let* format = int_field json "format" in
+  let ctx = "snapshot" in
+  let int = Protocol.int_field ~ctx in
+  let* format = int json "format" in
   if format <> 1 then Error (Printf.sprintf "snapshot: unsupported format %d" format)
   else begin
-    let* epoch = int_field json "epoch" in
-    let* k = int_field json "k" in
+    let* epoch = int json "epoch" in
+    let* k = int json "k" in
     let* static =
       match Json.member "static" json with
       | Some s -> Protocol.instance_of_json s
@@ -203,50 +168,21 @@ let parse_snapshot json =
       | Some l -> Ok l
       | None -> Error "snapshot: missing field \"live\""
     in
-    let* flows =
-      match Json.member "flows" live with
-      | Some (Json.List fs) ->
-        List.fold_right
-          (fun f acc ->
-            let* acc = acc in
-            let* id = int_field f "id" in
-            let* rate = int_field f "rate" in
-            let* path =
-              match Json.member "path" f with
-              | Some (Json.List vs) ->
-                List.fold_right
-                  (fun v tail ->
-                    let* tail = tail in
-                    match v with
-                    | Json.Int i -> Ok (i :: tail)
-                    | _ -> Error "snapshot: flow path must be integers")
-                  vs (Ok [])
-              | _ -> Error "snapshot: flow missing \"path\""
-            in
-            match Tdmd_flow.Flow.make ~id ~rate ~path with
-            | f -> Ok (f :: acc)
-            | exception Invalid_argument msg -> Error ("snapshot: " ^ msg))
-          fs (Ok [])
-      | _ -> Error "snapshot: live missing \"flows\""
-    in
+    let* flows = Protocol.flows_field ~ctx live in
     let* placed =
-      match Json.member "placed" live with
-      | Some (Json.List vs) ->
-        List.fold_right
-          (fun v acc ->
-            let* acc = acc in
-            match v with
-            | Json.Int i -> Ok (i :: acc)
-            | _ -> Error "snapshot: placed must be integers")
-          vs (Ok [])
-      | _ -> Error "snapshot: live missing \"placed\""
+      match Option.bind (Json.member "placed" live) Protocol.int_list with
+      | Some placed -> Ok placed
+      | None -> Error "snapshot: field \"placed\" must be a list of integers"
     in
-    let* moves = int_field live "moves" in
-    let* arrivals = int_field live "arrivals" in
-    let* departures = int_field live "departures" in
-    let* migration_budget = opt_int_field live "migration_budget" in
-    let* rebalances = opt_int_field live "rebalances" in
-    let* rebalance_moves = opt_int_field live "rebalance_moves" in
+    let* moves = int live "moves" in
+    let* arrivals = int live "arrivals" in
+    let* departures = int live "departures" in
+    (* Fields added after format-1 snapshots first shipped: absent means
+       0, so pre-rebalance snapshots keep recovering. *)
+    let opt name = Protocol.int_field_opt ~ctx live name ~default:0 in
+    let* migration_budget = opt "migration_budget" in
+    let* rebalances = opt "rebalances" in
+    let* rebalance_moves = opt "rebalance_moves" in
     let* dedup =
       match Json.member "dedup" json with
       | Some (Json.List vs) ->
@@ -260,21 +196,13 @@ let parse_snapshot json =
       | None -> Ok []
       | Some _ -> Error "snapshot: field \"dedup\" must be a list"
     in
-    Ok
-      {
-        s_epoch = epoch;
-        s_k = k;
-        s_static = static;
-        s_flows = flows;
-        s_placed = placed;
-        s_moves = moves;
-        s_arrivals = arrivals;
-        s_departures = departures;
-        s_migration_budget = migration_budget;
-        s_rebalances = rebalances;
-        s_rebalance_moves = rebalance_moves;
-        s_dedup = dedup;
-      }
+    match
+      Tdmd.Incremental.restore ~migration_budget ~rebalances ~rebalance_moves
+        ~graph:static.Tdmd.Instance.graph ~lambda:static.Tdmd.Instance.lambda ~k
+        ~flows ~placed ~moves ~arrivals ~departures ()
+    with
+    | churn -> Ok (epoch, static, churn, dedup)
+    | exception Invalid_argument msg -> Error ("snapshot state invalid: " ^ msg)
   end
 
 (* Crash-safe snapshot write: tmp + fsync + rename + directory fsync.
@@ -482,20 +410,7 @@ let recover ?(dedup_cap = default_dedup_cap) cfg =
     | contents -> Json.of_string contents
     | exception Sys_error msg -> Error ("cannot read snapshot: " ^ msg)
   in
-  let* snap = parse_snapshot json in
-  let epoch = snap.s_epoch and static = snap.s_static in
-  let* churn =
-    match
-      Tdmd.Incremental.restore ~migration_budget:snap.s_migration_budget
-        ~rebalances:snap.s_rebalances ~rebalance_moves:snap.s_rebalance_moves
-        ~graph:static.Tdmd.Instance.graph ~lambda:static.Tdmd.Instance.lambda
-        ~k:snap.s_k ~flows:snap.s_flows ~placed:snap.s_placed
-        ~moves:snap.s_moves ~arrivals:snap.s_arrivals
-        ~departures:snap.s_departures ()
-    with
-    | churn -> Ok churn
-    | exception Invalid_argument msg -> Error ("snapshot state invalid: " ^ msg)
-  in
+  let* epoch, static, churn, snap_dedup = parse_snapshot json in
   let dtel = Tel.create () in
   remove_stale_files cfg ~tel:dtel ~keep_epoch:epoch;
   let* journal, ops =
@@ -509,7 +424,7 @@ let recover ?(dedup_cap = default_dedup_cap) cfg =
   let dedup = Hashtbl.create 64 in
   let dedup_order = Queue.create () in
   let rememb = dedup_remember ~tel:dtel ~cap:dedup_cap dedup dedup_order in
-  List.iter rememb snap.s_dedup;
+  List.iter rememb snap_dedup;
   let* () =
     try
       List.iter
@@ -560,47 +475,42 @@ let outcome_fields ~algo ~k ~seed ~target
     ("telemetry", Tdmd_obs.Telemetry.to_json telemetry);
   ]
 
-(* General-registry dispatch against an explicit instance: the sharded
-   engine solves Live over the union of all shards' flows with this. *)
-let solve_on_instance ~algo ~k ~seed ~target inst =
+(* Solver refusals (an instance too large for [brute], a tree-only
+   input, ...) answer bad-request. *)
+let refusals_as_bad_request f =
+  match f () with
+  | v -> Ok v
+  | exception (Invalid_argument msg | Failure msg) -> Error ("bad-request", msg)
+
+(* The one run-to-completion runner: [run] is the registry entry with
+   its instance bound, or the unknown-algo listing. *)
+let run_solve ~algo ~k ~seed ~target = function
+  | Error msg -> Error ("unknown-algo", msg)
+  | Ok run ->
+    refusals_as_bad_request (fun () ->
+        Json.Obj
+          (outcome_fields ~algo ~k ~seed ~target
+             (run ~rng:(Tdmd_prelude.Rng.create seed) ~k)))
+
+let general_run algo inst =
   match Tdmd.Solvers.find_general algo with
-  | None -> Error ("unknown-algo", Tdmd.Solvers.describe_unknown algo)
-  | Some f -> (
-    let rng = Tdmd_prelude.Rng.create seed in
-    match f ~rng ~k inst with
-    | outcome -> Ok (Json.Obj (outcome_fields ~algo ~k ~seed ~target outcome))
-    | exception Invalid_argument msg -> Error ("bad-request", msg)
-    | exception Failure msg -> Error ("bad-request", msg))
+  | Some f -> Ok (fun ~rng ~k -> f ~rng ~k inst)
+  | None -> Error (Tdmd.Solvers.describe_unknown algo)
+
+let solve_on_instance ~algo ~k ~seed ~target inst =
+  run_solve ~algo ~k ~seed ~target (general_run algo inst)
 
 let solve t ~algo ~k ~seed ~target =
-  let rng = Tdmd_prelude.Rng.create seed in
-  let run =
-    match target with
-    | Protocol.Static -> (
-      match t.tree with
-      | Some tree_inst -> (
-        match Tdmd.Solvers.on_tree algo with
-        | Some f -> Ok (fun () -> f ~rng ~k tree_inst)
-        | None -> Error (Tdmd.Solvers.describe_unknown ~tree_input:true algo))
-      | None -> (
-        match Tdmd.Solvers.find_general algo with
-        | Some f -> Ok (fun () -> f ~rng ~k t.general)
-        | None -> Error (Tdmd.Solvers.describe_unknown algo)))
-    | Protocol.Live -> (
-      match Tdmd.Solvers.find_general algo with
-      | Some f ->
-        (* Snapshot under the lock, solve outside it. *)
-        let snapshot = locked t (fun () -> Tdmd.Incremental.instance t.churn) in
-        Ok (fun () -> f ~rng ~k snapshot)
-      | None -> Error (Tdmd.Solvers.describe_unknown algo))
-  in
-  match run with
-  | Error msg -> Error ("unknown-algo", msg)
-  | Ok run -> (
-    match run () with
-    | outcome -> Ok (Json.Obj (outcome_fields ~algo ~k ~seed ~target outcome))
-    | exception Invalid_argument msg -> Error ("bad-request", msg)
-    | exception Failure msg -> Error ("bad-request", msg))
+  run_solve ~algo ~k ~seed ~target
+    (match (target, t.tree) with
+    | Protocol.Static, Some tree_inst -> (
+      match Tdmd.Solvers.on_tree algo with
+      | Some f -> Ok (fun ~rng ~k -> f ~rng ~k tree_inst)
+      | None -> Error (Tdmd.Solvers.describe_unknown ~tree_input:true algo))
+    | Protocol.Static, None -> general_run algo t.general
+    | Protocol.Live, _ ->
+      (* Snapshot under the lock, solve outside it. *)
+      general_run algo (locked t (fun () -> Tdmd.Incremental.instance t.churn)))
 
 (* ------------------------------------------------------------------ *)
 (* Anytime solves (deadline-bounded portfolio race)                    *)
@@ -630,32 +540,25 @@ let anytime_members ~has_tree algo =
 let solve_anytime_on_instance ?tree ~algo ~k ~seed ~target ~budget_ms inst =
   match anytime_members ~has_tree:(Option.is_some tree) algo with
   | Error msg -> Error ("unknown-algo", msg)
-  | Ok members -> (
-    let run () =
-      let rng = Tdmd_prelude.Rng.create seed in
-      let t = Tdmd_portfolio.Portfolio.start ~members ?tree ~rng ~k inst in
-      let best =
-        Tdmd_portfolio.Portfolio.await ~deadline_ms:budget_ms t
-      in
-      let outcome = Tdmd_portfolio.Portfolio.outcome_of t best in
-      Json.Obj
-        (outcome_fields ~algo ~k ~seed ~target outcome
-        @ [
-            ("anytime", Json.Bool true);
-            ("budget_ms", Json.Int budget_ms);
-            ( "member",
-              Json.String
-                (match best with
-                | Some b -> b.Tdmd_portfolio.Portfolio.member
-                | None -> "fallback") );
-            ( "improvements",
-              Json.Int (Tdmd_portfolio.Portfolio.improvements t) );
-          ])
-    in
-    match run () with
-    | obj -> Ok obj
-    | exception Invalid_argument msg -> Error ("bad-request", msg)
-    | exception Failure msg -> Error ("bad-request", msg))
+  | Ok members ->
+    refusals_as_bad_request (fun () ->
+        let rng = Tdmd_prelude.Rng.create seed in
+        let t = Tdmd_portfolio.Portfolio.start ~members ?tree ~rng ~k inst in
+        let best = Tdmd_portfolio.Portfolio.await ~deadline_ms:budget_ms t in
+        let outcome = Tdmd_portfolio.Portfolio.outcome_of t best in
+        Json.Obj
+          (outcome_fields ~algo ~k ~seed ~target outcome
+          @ [
+              ("anytime", Json.Bool true);
+              ("budget_ms", Json.Int budget_ms);
+              ( "member",
+                Json.String
+                  (match best with
+                  | Some b -> b.Tdmd_portfolio.Portfolio.member
+                  | None -> "fallback") );
+              ( "improvements",
+                Json.Int (Tdmd_portfolio.Portfolio.improvements t) );
+            ]))
 
 let solve_anytime t ~algo ~k ~seed ~target ~budget_ms =
   match target with
@@ -672,34 +575,6 @@ let solve_anytime t ~algo ~k ~seed ~target ~budget_ms =
 (* Churn (journaled when durable)                                      *)
 (* ------------------------------------------------------------------ *)
 
-let churn_fields_unlocked t =
-  let placement = Tdmd.Incremental.placement t.churn in
-  [
-    ("flows", Json.Int (Tdmd.Incremental.flow_count t.churn));
-    ( "placement",
-      Json.List
-        (List.map (fun v -> Json.Int v) (Tdmd.Placement.to_list placement)) );
-    ("bandwidth", Json.Float (Tdmd.Incremental.bandwidth t.churn));
-    ("feasible", Json.Bool (Tdmd.Incremental.feasible t.churn));
-    ("moves", Json.Int (Tdmd.Incremental.moves t.churn));
-    ( "arrivals",
-      Json.Int
-        (Tdmd_obs.Telemetry.get_count (Tdmd.Incremental.telemetry t.churn)
-           "arrivals") );
-    ( "departures",
-      Json.Int
-        (Tdmd_obs.Telemetry.get_count (Tdmd.Incremental.telemetry t.churn)
-           "departures") );
-    ("rebalances", Json.Int (Tdmd.Incremental.rebalances t.churn));
-    ("rebalance_moves", Json.Int (Tdmd.Incremental.rebalance_moves t.churn));
-  ]
-
-let churn_stats t = locked t (fun () -> churn_fields_unlocked t)
-
-let live_instance t = locked t (fun () -> Tdmd.Incremental.instance t.churn)
-let live_flows t = locked t (fun () -> Tdmd.Incremental.flows t.churn)
-let live_flow_count t = locked t (fun () -> Tdmd.Incremental.flow_count t.churn)
-
 type churn_summary = {
   live_flows : int;
   placement : Tdmd.Placement.t;
@@ -712,20 +587,43 @@ type churn_summary = {
   rebalance_moves : int;
 }
 
-let churn_summary t =
-  locked t (fun () ->
-      let ctel = Tdmd.Incremental.telemetry t.churn in
-      {
-        live_flows = Tdmd.Incremental.flow_count t.churn;
-        placement = Tdmd.Incremental.placement t.churn;
-        bandwidth = Tdmd.Incremental.bandwidth t.churn;
-        feasible = Tdmd.Incremental.feasible t.churn;
-        moves = Tdmd.Incremental.moves t.churn;
-        arrivals = Tel.get_count ctel "arrivals";
-        departures = Tel.get_count ctel "departures";
-        rebalances = Tdmd.Incremental.rebalances t.churn;
-        rebalance_moves = Tdmd.Incremental.rebalance_moves t.churn;
-      })
+let summary_unlocked t =
+  let ctel = Tdmd.Incremental.telemetry t.churn in
+  {
+    live_flows = Tdmd.Incremental.flow_count t.churn;
+    placement = Tdmd.Incremental.placement t.churn;
+    bandwidth = Tdmd.Incremental.bandwidth t.churn;
+    feasible = Tdmd.Incremental.feasible t.churn;
+    moves = Tdmd.Incremental.moves t.churn;
+    arrivals = Tel.get_count ctel "arrivals";
+    departures = Tel.get_count ctel "departures";
+    rebalances = Tdmd.Incremental.rebalances t.churn;
+    rebalance_moves = Tdmd.Incremental.rebalance_moves t.churn;
+  }
+
+let summary_fields s =
+  [
+    ("flows", Json.Int s.live_flows);
+    ( "placement",
+      Json.List
+        (List.map (fun v -> Json.Int v) (Tdmd.Placement.to_list s.placement)) );
+    ("bandwidth", Json.Float s.bandwidth);
+    ("feasible", Json.Bool s.feasible);
+    ("moves", Json.Int s.moves);
+    ("arrivals", Json.Int s.arrivals);
+    ("departures", Json.Int s.departures);
+    ("rebalances", Json.Int s.rebalances);
+    ("rebalance_moves", Json.Int s.rebalance_moves);
+  ]
+
+let churn_summary t = locked t (fun () -> summary_unlocked t)
+let churn_stats t = summary_fields (churn_summary t)
+let live_flows t = locked t (fun () -> Tdmd.Incremental.flows t.churn)
+let live_flow_count t = locked t (fun () -> Tdmd.Incremental.flow_count t.churn)
+let seen t r = locked t (fun () -> Hashtbl.mem t.dedup r)
+
+(* Fixed when the churn engine is created or restored. *)
+let migration_budget t = Tdmd.Incremental.migration_budget t.churn
 
 (* Dedup check, WAL append, apply, snapshot — all under the session
    lock.  The journal record precedes the state change (write-ahead):
@@ -740,12 +638,7 @@ let dedup_reply t ~op_name =
     (Json.Obj
        (("op", Json.String op_name)
        :: ("dedup", Json.Bool true)
-       :: churn_fields_unlocked t))
-
-type batch_op =
-  | Batch_arrive of { req : string option; id : int; rate : int; path : int list }
-  | Batch_depart of { req : string option; flow_id : int }
-  | Batch_rebalance of { req : string option; budget : int option }
+       :: summary_fields (summary_unlocked t)))
 
 (* One op under the (held) session lock.  Group commit: the journal
    record is appended with [~flush:false]; the caller fires one
@@ -753,12 +646,12 @@ type batch_op =
    costs one fsync instead of b.  Returns whether a record was appended
    alongside the reply, so a failed batch-end flush can downgrade
    exactly the replies whose durability it lost. *)
-let journaled_unlocked t ~req ~op_name ~(op : unit -> Journal.op)
-    ~(apply : unit -> (string * Json.t) list) =
+let journaled_unlocked t ~req ~op_name op ~(apply : unit -> (string * Json.t) list)
+    =
   let appended =
     match t.durable with
     | Some d -> (
-      match Journal.append ~flush:false d.journal (op ()) with
+      match Journal.append ~flush:false d.journal op with
       | () -> Ok true
       (* Oversized record: refused before anything reached the disk
          or the engine — a definitive answer, not worth a retry. *)
@@ -787,71 +680,56 @@ let journaled_unlocked t ~req ~op_name ~(op : unit -> Journal.op)
     ( journaled,
       Ok
         (Json.Obj
-           ((("op", Json.String op_name) :: churn_fields_unlocked t) @ extra))
-    )
+           ((("op", Json.String op_name) :: summary_fields (summary_unlocked t))
+           @ extra)) )
 
-let apply_one_unlocked t bop =
-  match bop with
-  | Batch_arrive { req; id; rate; path } -> (
+let apply_one_unlocked t op =
+  let dedup_hit = function Some r -> Hashtbl.mem t.dedup r | None -> false in
+  match op with
+  | Journal.Arrive { id; rate; path; req } -> (
     match Tdmd_flow.Flow.make ~id ~rate ~path with
     | exception Invalid_argument msg -> (false, Error ("bad-request", msg))
-    | flow -> (
+    | flow ->
       (* Dedup before the duplicate-id check: a retry of an applied
          arrive would otherwise be answered "conflict" — with its own
          flow. *)
-      match req with
-      | Some r when Hashtbl.mem t.dedup r ->
-        (false, dedup_reply t ~op_name:"arrive")
-      | _ ->
-        if Tdmd.Incremental.mem_flow t.churn id then
-          (false, Error ("conflict", Printf.sprintf "flow %d is already active" id))
-        else begin
-          match Tdmd_flow.Flow.validate t.general.Tdmd.Instance.graph flow with
-          | Error msg -> (false, Error ("bad-request", msg))
-          | Ok () ->
-            journaled_unlocked t ~req ~op_name:"arrive"
-              ~op:(fun () -> Journal.Arrive { id; rate; path; req })
-              ~apply:(fun () ->
-                Tdmd.Incremental.arrive t.churn flow;
-                [])
-        end))
-  | Batch_depart { req; flow_id } -> (
-    match req with
-    | Some r when Hashtbl.mem t.dedup r -> (false, dedup_reply t ~op_name:"depart")
-    | _ ->
-      (* Unknown ids must be refused here, before the journal sees the
-         record: the engine treats them as a caller bug, and replay must
-         never encounter an op the live path would have raised on. *)
-      if not (Tdmd.Incremental.mem_flow t.churn flow_id) then
-        (false, Error ("conflict", Printf.sprintf "flow %d is not active" flow_id))
-      else
-        journaled_unlocked t ~req ~op_name:"depart"
-          ~op:(fun () -> Journal.Depart { flow_id; req })
-          ~apply:(fun () ->
-            Tdmd.Incremental.depart t.churn flow_id;
-            []))
-  | Batch_rebalance { req; budget } -> (
-    match budget with
-    | Some b when b < 0 ->
-      (false, Error ("bad-request", "rebalance: budget must be >= 0"))
-    | _ -> (
-      match req with
-      | Some r when Hashtbl.mem t.dedup r ->
-        (false, dedup_reply t ~op_name:"rebalance")
-      | _ ->
-        (* Journal the *resolved* budget: replay must spend exactly the
-           moves this call did even if the engine is later recovered
-           under a different default. *)
-        let b =
-          match budget with
-          | Some b -> b
-          | None -> Tdmd.Incremental.migration_budget t.churn
-        in
-        journaled_unlocked t ~req ~op_name:"rebalance"
-          ~op:(fun () -> Journal.Rebalance { budget = b; req })
-          ~apply:(fun () ->
-            let used = Tdmd.Incremental.rebalance ~budget:b t.churn in
-            [ ("budget", Json.Int b); ("moves_used", Json.Int used) ])))
+      if dedup_hit req then (false, dedup_reply t ~op_name:"arrive")
+      else if Tdmd.Incremental.mem_flow t.churn id then
+        (false, Error ("conflict", Printf.sprintf "flow %d is already active" id))
+      else begin
+        match Tdmd_flow.Flow.validate t.general.Tdmd.Instance.graph flow with
+        | Error msg -> (false, Error ("bad-request", msg))
+        | Ok () ->
+          journaled_unlocked t ~req ~op_name:"arrive" op ~apply:(fun () ->
+              Tdmd.Incremental.arrive t.churn flow;
+              [])
+      end)
+  | Journal.Depart { flow_id; req } ->
+    if dedup_hit req then (false, dedup_reply t ~op_name:"depart")
+    (* Unknown ids must be refused here, before the journal sees the
+       record: the engine treats them as a caller bug, and replay must
+       never encounter an op the live path would have raised on. *)
+    else if not (Tdmd.Incremental.mem_flow t.churn flow_id) then
+      (false, Error ("conflict", Printf.sprintf "flow %d is not active" flow_id))
+    else
+      journaled_unlocked t ~req ~op_name:"depart" op ~apply:(fun () ->
+          Tdmd.Incremental.depart t.churn flow_id;
+          [])
+  | Journal.Rebalance { budget; req } ->
+    (* The op carries the resolved budget, so replay spends exactly the
+       moves this call did even if the engine is later recovered under
+       a different default.  The journal decoder refuses a negative
+       one, so it must never be appended. *)
+    if budget < 0 then (false, Error ("bad-request", "rebalance: budget must be >= 0"))
+    else if dedup_hit req then (false, dedup_reply t ~op_name:"rebalance")
+    else
+      journaled_unlocked t ~req ~op_name:"rebalance" op ~apply:(fun () ->
+          let used = Tdmd.Incremental.rebalance ~budget t.churn in
+          [ ("budget", Json.Int budget); ("moves_used", Json.Int used) ])
+  | Journal.Cross_prepare _ | Journal.Cross_done _ ->
+    (* Coordinator records never reach a shard; replay refuses one the
+       same way. *)
+    (false, Error ("internal", "cross-shard record in a shard journal"))
 
 let apply_batch t ops =
   match ops with
@@ -863,7 +741,7 @@ let apply_batch t ops =
             (fun _ -> Error ("unavailable", "session retired; retry"))
             ops
         else begin
-        let out = List.map (fun bop -> apply_one_unlocked t bop) ops in
+        let out = List.map (fun op -> apply_one_unlocked t op) ops in
         let flush_result =
           match t.durable with
           | Some d when List.exists fst out -> (
@@ -886,20 +764,17 @@ let apply_batch t ops =
             out
         end)
 
-let arrive t ?req ~id ~rate ~path () =
-  match apply_batch t [ Batch_arrive { req; id; rate; path } ] with
-  | [ reply ] -> reply
-  | _ -> assert false
+let apply_one t op =
+  match apply_batch t [ op ] with [ reply ] -> reply | _ -> assert false
 
-let depart t ?req id =
-  match apply_batch t [ Batch_depart { req; flow_id = id } ] with
-  | [ reply ] -> reply
-  | _ -> assert false
+let arrive t ?req ~id ~rate ~path () =
+  apply_one t (Journal.Arrive { id; rate; path; req })
+
+let depart t ?req flow_id = apply_one t (Journal.Depart { flow_id; req })
 
 let rebalance t ?req ?budget () =
-  match apply_batch t [ Batch_rebalance { req; budget } ] with
-  | [ reply ] -> reply
-  | _ -> assert false
+  let budget = Option.value budget ~default:(migration_budget t) in
+  apply_one t (Journal.Rebalance { budget; req })
 
 (* ------------------------------------------------------------------ *)
 (* Durability stats and shutdown                                       *)

@@ -106,7 +106,11 @@ val recover : ?dedup_cap:int -> durability -> (t, string) result
     pre-crash session.  Journal segments whose epoch is {e not} the one
     the snapshot names — orphans of a crash mid-rotation — are deleted,
     as is a leftover snapshot temp file.  Takes over the journal
-    (exclusive lock) and continues appending to it. *)
+    (exclusive lock) and continues appending to it.  The snapshot is
+    read through {!Protocol}'s field codec with [ctx] ["snapshot"], so
+    an unreadable one fails with e.g. ["snapshot: missing field
+    \"epoch\""]; its ["static"] instance and ["flows"] use the same
+    encoding as an [--instance] file. *)
 
 val general : t -> Tdmd.Instance.t
 (** The static instance's general view (used by tests and the bench to
@@ -116,6 +120,17 @@ type reply = (Protocol.Json.t, string * string) result
 (** [Ok response_obj] or [Error (code, message)] in the sense of
     {!Protocol.error}. *)
 
+val solve :
+  t -> algo:string -> k:int -> seed:int -> target:Protocol.solve_target -> reply
+(** Dispatch by registry name with [Rng.create seed] — the answer is
+    bit-identical to calling the registry directly with the same seed.
+    [Static] solves the loaded instance (every registry name on a tree
+    session), [Live] a locked snapshot of the churn engine's flows.
+    Response fields: ["algo"], ["k"], ["seed"], ["on"], ["placement"]
+    (sorted vertex list), ["bandwidth"], ["feasible"], ["telemetry"].
+    Unknown names answer ["unknown-algo"], solver refusals
+    ["bad-request"]. *)
+
 val solve_on_instance :
   algo:string ->
   k:int ->
@@ -123,16 +138,9 @@ val solve_on_instance :
   target:Protocol.solve_target ->
   Tdmd.Instance.t ->
   reply
-(** General-registry dispatch against an explicit instance, with the
-    same seeding and response fields as {!solve}.  The sharded engine
-    uses this to solve [Live] over the union of all shards' flows. *)
-
-val solve :
-  t -> algo:string -> k:int -> seed:int -> target:Protocol.solve_target -> reply
-(** Dispatch by registry name with [Rng.create seed] — the answer is
-    bit-identical to calling the registry directly with the same seed.
-    Response fields: ["algo"], ["k"], ["seed"], ["on"], ["placement"]
-    (sorted vertex list), ["bandwidth"], ["feasible"], ["telemetry"]. *)
+(** {!solve}'s runner against an explicit instance and the general
+    registry: the engine's [Live] solves run it over the union of its
+    shards' flows. *)
 
 val solve_anytime_on_instance :
   ?tree:Tdmd.Instance.Tree.t ->
@@ -190,37 +198,42 @@ val rebalance : t -> ?req:string -> ?budget:int -> unit -> reply
     Response adds ["budget"] and ["moves_used"] to the usual churn
     summary.  [?req] as in {!arrive}. *)
 
+val migration_budget : t -> int
+(** The churn engine's configured migration budget: the budget a
+    {!rebalance} without [?budget] spends, resolved before the op is
+    built so the journal records the number. *)
+
 (** {1 Batched churn (group commit)} *)
 
-type batch_op =
-  | Batch_arrive of { req : string option; id : int; rate : int; path : int list }
-  | Batch_depart of { req : string option; flow_id : int }
-  | Batch_rebalance of { req : string option; budget : int option }
-
-val apply_batch : t -> batch_op list -> reply list
+val apply_batch : t -> Journal.op list -> reply list
 (** Apply a batch of churn ops under {e one} lock acquisition and — when
     durable — {e one} fsync (each record is appended with
     [Journal.append ~flush:false]; a single {!Journal.flush} at batch
     end makes the whole batch durable before any reply is returned, so
     the acked-implies-durable invariant is batch-granular, never
-    weakened).  Replies come back in op order; a per-op failure
+    weakened).  Each op is journaled exactly as given, so its [req] is
+    its idempotency id and a [Rebalance] carries its resolved budget
+    (a negative one answers ["bad-request"]; cross records answer
+    ["internal"]).  Replies come back in op order; a per-op failure
     (bad-request, conflict, dedup hit, journal I/O error) answers that
     op and the rest of the batch proceeds.  If the batch-end fsync
     fails, every reply whose record's durability is now unknown is
     downgraded to [Error ("internal", _)] and the journal is poisoned.
-    [arrive]/[depart] are one-element batches of this, so single-op and
-    batched paths compute bit-identical states. *)
+    [arrive]/[depart]/[rebalance] are one-element batches of this, so
+    single-op and batched paths compute bit-identical states. *)
 
 (** {1 Live-state accessors (for the sharded engine)} *)
-
-val live_instance : t -> Tdmd.Instance.t
-(** Snapshot of the churn engine's current instance, under the lock. *)
 
 val live_flows : t -> Tdmd_flow.Flow.t list
 (** The churn engine's active flows, under the lock. *)
 
 val live_flow_count : t -> int
 (** Number of active flows, O(1) under the lock (no summary built). *)
+
+val seen : t -> string -> bool
+(** Whether the dedup table holds this idempotency id, under the lock:
+    the engine routes a depart whose flow it no longer knows to the
+    shard that already applied it. *)
 
 type churn_summary = {
   live_flows : int;
@@ -235,12 +248,16 @@ type churn_summary = {
 }
 
 val churn_summary : t -> churn_summary
-(** Typed counterpart of {!churn_stats}, for cross-shard aggregation. *)
+(** The churn engine's deployment summary, under the lock. *)
+
+val summary_fields : churn_summary -> (string * Protocol.Json.t) list
+(** ["flows"], ["placement"], ["bandwidth"], ["feasible"], ["moves"],
+    ["arrivals"], ["departures"], ["rebalances"], ["rebalance_moves"]:
+    the one rendering of a summary, shared by churn replies, {!churn_stats}
+    and the engine's cross-shard sum. *)
 
 val churn_stats : t -> (string * Protocol.Json.t) list
-(** ["flows"], ["placement"], ["bandwidth"], ["feasible"], ["moves"],
-    ["arrivals"], ["departures"], ["rebalances"], ["rebalance_moves"]
-    of the churn engine, under the lock. *)
+(** [summary_fields (churn_summary t)]. *)
 
 val durability_stats : t -> (string * Protocol.Json.t) list
 (** A single ["durability"] field (empty list when the session is not

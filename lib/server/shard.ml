@@ -1,7 +1,7 @@
 module Locked = Tdmd_prelude.Locked
 
 (* One churn item waiting for the current leader to commit it. *)
-type item = { op : Session.batch_op; mutable reply : Session.reply option }
+type item = { op : Journal.op; mutable reply : Session.reply option }
 
 type t = {
   id : int;

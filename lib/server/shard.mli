@@ -24,9 +24,10 @@ val create : ?faults:Faults.t -> id:int -> Session.t -> t
 val id : t -> int
 val session : t -> Session.t
 
-val submit : t -> Session.batch_op -> Session.reply
+val submit : t -> Journal.op -> Session.reply
 (** Enqueue one churn op and block until a leader (possibly this very
-    caller) commits the batch containing it.  Thread-safe. *)
+    caller) commits the batch containing it ({!Session.apply_batch}
+    decides the reply).  Thread-safe. *)
 
 type stats = {
   queue_depth : int;  (** ops awaiting a leader right now *)

@@ -616,8 +616,8 @@ let fake_replica addr respond =
 
 let test_client_follows_redirect () =
   let real_addr = temp_addr () in
-  let session = Session.create ~config:(mk_config ()) (line_instance 6) in
-  let server = Server.start_session (Server.default_config real_addr) session in
+  let engine = Engine.create ~config:(mk_config ()) (Engine.General (line_instance 6)) in
+  let server = Server.start (Server.default_config real_addr) engine in
   Fun.protect
     ~finally:(fun () ->
       Server.request_stop server;
@@ -641,7 +641,7 @@ let test_client_follows_redirect () =
       (Json.member "ok" resp = Some (Json.Bool true))
   | Error e -> Alcotest.failf "post-redirect arrive failed: %s" e);
   Alcotest.(check int) "flow landed on the real server" 1
-    (match List.assoc "flows" (Session.churn_stats session) with
+    (match List.assoc "flows" (Engine.churn_stats engine) with
     | Json.Int v -> v
     | _ -> -1);
   Client.close c
@@ -993,6 +993,421 @@ let test_degraded_reads () =
   Alcotest.(check bool) "flag dropped once healthy" true
     (Json.member "degraded" live = None)
 
+(* A depart retried with the same req after it applied: the router has
+   already forgotten the flow, so the retry must still reach the shard
+   whose dedup table holds the req and answer "dedup" from there, as a
+   one-shard engine does. *)
+let test_retried_depart_dedups () =
+  let engine, _ = sharded_engine () in
+  Fun.protect ~finally:(fun () -> Engine.close engine) @@ fun () ->
+  ignore
+    (expect_applied "arrive"
+       (Engine.arrive engine ~req:"a" ~id:1 ~rate:2 ~path:[ 7; 8; 9 ] ()));
+  let first = expect_applied "depart" (Engine.depart engine ~req:"d" 1) in
+  Alcotest.(check int) "depart routed home" 1 (int_field "depart" "shard" first);
+  let retry = expect_applied "depart retry" (Engine.depart engine ~req:"d" 1) in
+  Alcotest.(check bool) "retry dedups" true
+    (Json.member "dedup" retry = Some (Json.Bool true));
+  Alcotest.(check int) "answered by the home shard" 1
+    (int_field "retry" "shard" retry)
+
+(* ------------------------------------------------------------------ *)
+(* Golden bytes and parent-written directories                         *)
+(* ------------------------------------------------------------------ *)
+
+(* test/server_golden.txt pins the bytes the serving layer reads and
+   writes: the wire envelope parser over a corpus of good and bad
+   frames, reply envelopes, every journal record shape, which malformed
+   journal records decode, the instance codec, and a scripted durable
+   engine at 1 and 4 shards (every reply, its stats, every file it
+   leaves on disk, and what recovery answers).  Lines starting
+   "fixture " are what the committed directories under
+   test/wal_fixtures recover to. *)
+
+let golden_file = "server_golden.txt"
+let fixture_root = "wal_fixtures"
+
+let replace_all ~sub ~by s =
+  let n = String.length sub and b = Buffer.create (String.length s) in
+  let rec go i =
+    if i > String.length s - n then
+      Buffer.add_string b (String.sub s i (String.length s - i))
+    else if String.sub s i n = sub then begin
+      Buffer.add_string b by;
+      go (i + n)
+    end
+    else begin
+      Buffer.add_char b s.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+(* Generated xids are "xc-<pid>-<boot ns>-<seq>": keep the sequence
+   number, mask the per-boot tag. *)
+let mask_xids s =
+  let n = String.length s and b = Buffer.create (String.length s) in
+  let is_digit c = c >= '0' && c <= '9' in
+  let rec digits i = if i < n && is_digit s.[i] then digits (i + 1) else i in
+  let rec go i =
+    if i >= n then ()
+    else if i + 3 <= n && String.sub s i 3 = "xc-" then begin
+      let j = digits (i + 3) in
+      let k = if j < n && s.[j] = '-' then digits (j + 1) else j in
+      if j > i + 3 && k > j + 1 && k < n && s.[k] = '-' then begin
+        Buffer.add_string b "xc-X-";
+        go (k + 1)
+      end
+      else begin
+        Buffer.add_char b s.[i];
+        go (i + 1)
+      end
+    end
+    else begin
+      Buffer.add_char b s.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+let wire_corpus =
+  [
+    {|{"op":"ping"}|};
+    {|{"op":"ping","v":1,"id":7}|};
+    {|{"op":"ping","v":2}|};
+    {|{"op":"ping","v":"1"}|};
+    {|[1,2]|};
+    {|"ping"|};
+    {|{}|};
+    {|{"op":3}|};
+    {|{"op":"launch"}|};
+    {|{"op":"stats","id":"s"}|};
+    {|{"op":"health"}|};
+    {|{"op":"shutdown"}|};
+    {|{"op":"sleep","ms":5}|};
+    {|{"op":"sleep"}|};
+    {|{"op":"sleep","ms":"5"}|};
+    {|{"op":"sleep","ms":-1}|};
+    {|{"op":"solve","algo":"gtp","k":3,"seed":9,"on":"live"}|};
+    {|{"op":"solve","algo":"gtp","k":3}|};
+    {|{"op":"solve","algo":"gtp","k":3,"on":"static"}|};
+    {|{"op":"solve","algo":"gtp","k":3,"on":"both"}|};
+    {|{"op":"solve","algo":"gtp","k":3,"on":1}|};
+    {|{"op":"solve","algo":"gtp","k":0}|};
+    {|{"op":"solve","algo":"gtp"}|};
+    {|{"op":"solve","k":2}|};
+    {|{"op":"solve","algo":4,"k":2}|};
+    {|{"op":"solve","algo":"gtp","k":2,"seed":"x"}|};
+    {|{"op":"solve","algo":"gtp","k":0,"deadline_ms":-1}|};
+    {|{"op":"arrive","flow":{"id":1,"rate":2,"path":[0,1,2]}}|};
+    {|{"op":"arrive","flow":{"id":1,"rate":2,"path":[]}}|};
+    {|{"op":"arrive","flow":{"id":1,"rate":0,"path":[0,1]},"req":"r1","deadline_ms":50,"shard_hint":2,"id":[1,"x"]}|};
+    {|{"op":"arrive"}|};
+    {|{"op":"arrive","flow":5}|};
+    {|{"op":"arrive","flow":{"rate":2,"path":[0,1]}}|};
+    {|{"op":"arrive","flow":{"id":"1","rate":2,"path":[0,1]}}|};
+    {|{"op":"arrive","flow":{"id":1,"path":[0,1]}}|};
+    {|{"op":"arrive","flow":{"id":1,"rate":2.5,"path":[0,1]}}|};
+    {|{"op":"arrive","flow":{"id":1,"rate":2}}|};
+    {|{"op":"arrive","flow":{"id":1,"rate":2,"path":"0,1"}}|};
+    {|{"op":"arrive","flow":{"id":1,"rate":2,"path":[0,"1"]}}|};
+    {|{"op":"depart","flow_id":4}|};
+    {|{"op":"depart"}|};
+    {|{"op":"depart","flow_id":"4"}|};
+    {|{"op":"depart","flow_id":4,"shard_hint":-1}|};
+    {|{"op":"depart","flow_id":4,"shard_hint":"0"}|};
+    {|{"op":"rebalance"}|};
+    {|{"op":"rebalance","budget":3,"req":"rb"}|};
+    {|{"op":"rebalance","budget":-1}|};
+    {|{"op":"rebalance","budget":"2"}|};
+    {|{"op":"ping","deadline_ms":-5}|};
+    {|{"op":"ping","deadline_ms":"5"}|};
+    {|{"op":"ping","req":""}|};
+    {|{"op":"ping","req":5}|};
+  ]
+
+let golden_wire frame =
+  match Result.bind (Json.of_string frame) P.request_of_json with
+  | Ok env ->
+    Printf.sprintf "wire %s -> v%d %s" frame
+      (P.version_to_int env.P.version)
+      (Json.to_string
+         (P.request_to_json ?id:env.P.id ?deadline_ms:env.P.deadline_ms
+            ?req:env.P.req ?shard_hint:env.P.shard_hint env.P.request))
+  | Error msg -> Printf.sprintf "wire %s -> error %s" frame msg
+
+let golden_replies =
+  [
+    P.ok [];
+    P.ok ~id:(Json.Int 3) [ ("op", Json.String "ping") ];
+    P.error ~code:"conflict" "flow 3 is not active";
+    P.error ~id:(Json.String "q") ~retry_after_ms:7 ~code:"unavailable"
+      "shard restarting";
+    P.redirect ~id:(Json.Int 1) (P.Unix_sock "replica.sock");
+    P.redirect (P.Tcp ("10.0.0.2", 7000));
+  ]
+
+let golden_journal_ops =
+  [
+    Journal.Arrive { id = 7; rate = 2; path = [ 1; 2; 3 ]; req = None };
+    Journal.Arrive { id = 7; rate = 2; path = [ 1; 2; 3 ]; req = Some "a-7" };
+    Journal.Depart { flow_id = 7; req = None };
+    Journal.Depart { flow_id = 7; req = Some "d-7" };
+    Journal.Rebalance { budget = 0; req = None };
+    Journal.Rebalance { budget = 4; req = Some "rb" };
+    Journal.Cross_prepare
+      {
+        xid = "x-1";
+        home = 2;
+        op = Journal.Arrive { id = 9; rate = 1; path = [ 4; 5 ]; req = Some "x-1" };
+      };
+    Journal.Cross_prepare
+      { xid = "x-2"; home = 0; op = Journal.Depart { flow_id = 3; req = None } };
+    Journal.Cross_done { xid = "x-1" };
+  ]
+
+let golden_journal op =
+  Printf.sprintf "journal %S roundtrip %b" (Journal.encode op)
+    (Journal.op_of_json (Journal.op_to_json op) = Ok op)
+
+let journal_records =
+  [
+    {|{"op":"arrive","id":1,"rate":2,"path":[0,1],"extra":true}|};
+    {|{"op":"arrive","id":1,"rate":0,"path":[]}|};
+    {|{"op":"arrive","id":-1,"rate":-2,"path":[3,3]}|};
+    {|{"op":"arrive","rate":2,"path":[0,1]}|};
+    {|{"op":"arrive","id":"1","rate":2,"path":[0,1]}|};
+    {|{"op":"arrive","id":1,"path":[0,1]}|};
+    {|{"op":"arrive","id":1,"rate":2}|};
+    {|{"op":"arrive","id":1,"rate":2,"path":{"0":1}}|};
+    {|{"op":"arrive","id":1,"rate":2,"path":[0,1.5]}|};
+    {|{"op":"arrive","id":1,"rate":2,"path":[0,1],"req":7}|};
+    {|{"op":"arrive","id":1,"rate":2,"path":[0,1],"req":""}|};
+    {|{"op":"depart","flow_id":3}|};
+    {|{"op":"depart"}|};
+    {|{"op":"depart","flow_id":true}|};
+    {|{"op":"rebalance","budget":0}|};
+    {|{"op":"rebalance","budget":-1}|};
+    {|{"op":"rebalance"}|};
+    {|{"op":"rebalance","budget":"2"}|};
+    {|{"op":"cross-prepare","xid":"x","home":1,"inner":{"op":"depart","flow_id":3}}|};
+    {|{"op":"cross-prepare","home":1,"inner":{"op":"depart","flow_id":3}}|};
+    {|{"op":"cross-prepare","xid":5,"home":1,"inner":{"op":"depart","flow_id":3}}|};
+    {|{"op":"cross-prepare","xid":"x","inner":{"op":"depart","flow_id":3}}|};
+    {|{"op":"cross-prepare","xid":"x","home":-4,"inner":{"op":"depart","flow_id":3}}|};
+    {|{"op":"cross-prepare","xid":"x","home":1}|};
+    {|{"op":"cross-prepare","xid":"x","home":1,"inner":{"op":"depart"}}|};
+    {|{"op":"cross-prepare","xid":"x","home":1,"inner":{"op":"rebalance","budget":1}}|};
+    {|{"op":"cross-prepare","xid":"x","home":1,"inner":{"op":"cross-done","xid":"y"}}|};
+    {|{"op":"cross-done","xid":"x"}|};
+    {|{"op":"cross-done"}|};
+    {|{"op":"cross-done","xid":1}|};
+    {|{"op":"checkpoint"}|};
+    {|{"id":1}|};
+    {|{"op":1}|};
+    {|[1]|};
+  ]
+
+let golden_record text =
+  Printf.sprintf "record %s -> %s" text
+    (match Result.bind (Json.of_string text) Journal.op_of_json with
+    | Ok _ -> "accept"
+    | Error _ -> "reject")
+
+let instance_corpus =
+  [
+    {|{"lambda":0.5,"vertices":3,"edges":[[0,1],[1,2]],"flows":[{"id":1,"rate":1,"path":[0,1,2]}]}|};
+    {|{"lambda":1,"vertices":3,"undirected":false,"edges":[[0,1],[1,2]],"flows":[{"id":1,"rate":2,"path":[0,1,2]}]}|};
+    {|{"lambda":0.25,"vertices":3,"undirected":false,"edges":[[0,1],[1,2]],"flows":[{"id":1,"rate":2,"path":[2,1]}]}|};
+    {|{"lambda":0.5,"vertices":2,"edges":[[0,1]],"flows":[]}|};
+    {|{"vertices":2,"edges":[[0,1]],"flows":[]}|};
+    {|{"lambda":"0.5","vertices":2,"edges":[[0,1]],"flows":[]}|};
+    {|{"lambda":1.5,"vertices":2,"edges":[[0,1]],"flows":[]}|};
+    {|{"lambda":0.5,"edges":[[0,1]],"flows":[]}|};
+    {|{"lambda":0.5,"vertices":"2","edges":[[0,1]],"flows":[]}|};
+    {|{"lambda":0.5,"vertices":0,"edges":[],"flows":[]}|};
+    {|{"lambda":0.5,"vertices":2,"flows":[]}|};
+    {|{"lambda":0.5,"vertices":2,"edges":[[0,0]],"flows":[]}|};
+    {|{"lambda":0.5,"vertices":2,"edges":[[0,2]],"flows":[]}|};
+    {|{"lambda":0.5,"vertices":2,"edges":[[0,1,1]],"flows":[]}|};
+    {|{"lambda":0.5,"vertices":2,"edges":[[0,1],[0,1]],"flows":[]}|};
+    {|{"lambda":0.5,"vertices":2,"edges":[[0,1]]}|};
+    {|{"lambda":0.5,"vertices":2,"edges":[[0,1]],"flows":[{"rate":1,"path":[0,1]}]}|};
+    {|{"lambda":0.5,"vertices":2,"edges":[[0,1]],"flows":[{"id":"1","rate":1,"path":[0,1]}]}|};
+    {|{"lambda":0.5,"vertices":2,"edges":[[0,1]],"flows":[{"id":1,"path":[0,1]}]}|};
+    {|{"lambda":0.5,"vertices":2,"edges":[[0,1]],"flows":[{"id":1,"rate":1}]}|};
+    {|{"lambda":0.5,"vertices":2,"edges":[[0,1]],"flows":[{"id":1,"rate":1,"path":[0,"1"]}]}|};
+    {|{"lambda":0.5,"vertices":2,"edges":[[0,1]],"flows":[{"id":1,"rate":0,"path":[0,1]}]}|};
+    {|{"lambda":0.5,"vertices":2,"edges":[[0,1]],"flows":[{"id":1,"rate":1,"path":[]}]}|};
+    {|{"lambda":0.5,"vertices":3,"edges":[[0,1]],"flows":[{"id":1,"rate":1,"path":[0,2]}]}|};
+    {|{"lambda":0.5,"vertices":2,"edges":[[0,1]],"flows":[{"id":1,"rate":1,"path":[0,1]},{"id":1,"rate":1,"path":[1,0]}]}|};
+  ]
+
+let golden_instance text =
+  Printf.sprintf "instance %s -> %s" text
+    (match Result.bind (Json.of_string text) P.instance_of_json with
+    | Ok inst -> "ok " ^ Json.to_string (P.instance_to_json inst)
+    | Error msg -> "error " ^ msg)
+
+(* The scripted engine: local and cross arrivals (one with a generated
+   xid), retries that dedup, refusals of every kind, departs, explicit
+   and default-budget rebalances.  On the 24-vertex line the default
+   4-shard partition gives shard 0 {0, 1}, shard 1 {2}, shard 2 {3} and
+   shard 3 the rest. *)
+type gop =
+  | Ga of string option * int * int * int list
+  | Gd of string option * int
+  | Gr of string option * int option
+  | Gs
+
+let golden_script =
+  [
+    Ga (Some "a1", 1, 2, [ 5; 6; 7 ]);
+    Ga (Some "a2", 2, 1, [ 0; 1 ]);
+    Ga (Some "a3", 3, 3, [ 1; 2; 3 ]);
+    Ga (None, 4, 2, [ 10; 11; 12; 13 ]);
+    Ga (Some "a1", 1, 2, [ 5; 6; 7 ]);
+    Ga (Some "dup", 1, 1, [ 20; 21 ]);
+    Ga (Some "bad", 5, 1, [ 7; 9 ]);
+    Ga (None, 6, 2, [ 2; 3; 4; 5 ]);
+    Gd (Some "d2", 2);
+    Gd (Some "d999", 999);
+    Gr (Some "r1", None);
+    Gr (Some "r2", Some 3);
+    Gr (Some "r2", Some 3);
+    Gr (None, Some (-1));
+    Gs;
+    Gd (None, 4);
+    Ga (Some "a7", 7, 1, [ 15; 16; 17 ]);
+    Ga (Some "a8", 8, 2, [ 0; 1; 2; 3; 4 ]);
+  ]
+
+let run_gop engine = function
+  | Ga (req, id, rate, path) -> Engine.arrive engine ?req ~id ~rate ~path ()
+  | Gd (req, id) -> Engine.depart engine ?req id
+  | Gr (req, budget) -> Engine.rebalance engine ?req ?budget ()
+  | Gs -> strip_timing (Engine.solve engine ~algo:"gtp" ~k:3 ~seed:5 ~target:P.Live)
+
+let rec dir_files root rel =
+  let dir = if rel = "" then root else Filename.concat root rel in
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun name ->
+         let rel = if rel = "" then name else Filename.concat rel name in
+         if Sys.is_directory (Filename.concat root rel) then dir_files root rel
+         else [ rel ])
+
+let read_bytes path = In_channel.with_open_bin path In_channel.input_all
+
+let golden_engine ~shards ~budget =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let tag = Printf.sprintf "engine s%d b%d" shards budget in
+  let cfg = Session.durability ~fsync:Journal.Always ~snapshot_every:5 dir in
+  let config =
+    { (mk_config ~durability:cfg ~churn_k:3 ()) with
+      Session.Config.migration_budget = budget }
+  in
+  let engine = Engine.create ~config ~shards (Engine.General (line_instance 24)) in
+  let line fmt = Printf.ksprintf (fun s -> tag ^ " " ^ s) fmt in
+  let mask s = mask_xids (replace_all ~sub:dir ~by:"DIR" s) in
+  let replies =
+    List.mapi
+      (fun i op -> line "op %d %s" i (mask (reply_to_string (run_gop engine op))))
+      golden_script
+  in
+  let churn = line "churn %s" (Json.to_string (Json.Obj (Engine.churn_stats engine))) in
+  let stats =
+    line "stats %s" (mask (Json.to_string (Json.Obj (Engine.stats_fields engine))))
+  in
+  Engine.close engine;
+  let files =
+    List.map
+      (fun rel -> line "file %s %S" rel (mask (read_bytes (Filename.concat dir rel))))
+      (dir_files dir "")
+  in
+  let recovered =
+    match Engine.recover cfg with
+    | Error msg -> [ line "recover error %s" msg ]
+    | Ok engine ->
+      let churn = Json.to_string (Json.Obj (Engine.churn_stats engine)) in
+      let after =
+        List.map
+          (fun op -> line "recovered %s" (reply_to_string (run_gop engine op)))
+          [ Gs; Ga (Some "a8", 8, 2, [ 0; 1; 2; 3; 4 ]); Gd (Some "d1", 1) ]
+      in
+      Engine.close engine;
+      line "recovered churn %s" churn :: after
+  in
+  replies @ [ churn; stats ] @ files @ recovered
+
+let golden_lines () =
+  List.map golden_wire wire_corpus
+  @ List.map (fun j -> "reply " ^ Json.to_string j) golden_replies
+  @ List.map golden_journal golden_journal_ops
+  @ List.map golden_record journal_records
+  @ List.map golden_instance instance_corpus
+  @ [ "instance-encode " ^ Json.to_string (P.instance_to_json (line_instance 6)) ]
+  @ List.concat_map
+      (fun (shards, budget) -> golden_engine ~shards ~budget)
+      [ (1, 0); (1, 2); (4, 0); (4, 2) ]
+
+(* The committed directories were written by an engine, not by hand
+   (apart from the sharded one's in-flight prepare, appended to
+   coord.wal the way a coordinator that died mid-op leaves it).  Each is
+   recovered from a temporary copy, so the fixture stays pristine. *)
+let copy_dir src dst =
+  List.iter
+    (fun rel ->
+      let target = Filename.concat dst rel in
+      let rec mkdirs d =
+        if not (Sys.file_exists d) then begin
+          mkdirs (Filename.dirname d);
+          Sys.mkdir d 0o755
+        end
+      in
+      mkdirs (Filename.dirname target);
+      Out_channel.with_open_bin target (fun oc ->
+          Out_channel.output_string oc (read_bytes (Filename.concat src rel))))
+    (dir_files src "")
+
+let fixture_lines name retry =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  copy_dir (Filename.concat fixture_root name) dir;
+  let line fmt = Printf.ksprintf (fun s -> Printf.sprintf "fixture %s %s" name s) fmt in
+  match Engine.recover (Session.durability ~fsync:Journal.Always dir) with
+  | Error msg -> [ line "recover error %s" msg ]
+  | Ok engine ->
+    Fun.protect ~finally:(fun () -> Engine.close engine) @@ fun () ->
+    let churn = Json.to_string (Json.Obj (Engine.churn_stats engine)) in
+    let solve = reply_to_string (run_gop engine Gs) in
+    let retry = reply_to_string (run_gop engine retry) in
+    [ line "churn %s" churn; line "solve %s" solve; line "retry %s" retry ]
+
+let fixture_lines_all () =
+  fixture_lines "flat" (Ga (Some "f-a4", 4, 1, [ 9; 10; 11 ]))
+  @ fixture_lines "sharded" (Ga (Some "s-a4", 4, 1, [ 8; 9; 10 ]))
+
+let is_fixture_line = String.starts_with ~prefix:"fixture "
+
+let check_golden expected actual =
+  Alcotest.(check int) "golden line count" (List.length expected) (List.length actual);
+  List.iteri
+    (fun i (e, a) -> Alcotest.(check string) (Printf.sprintf "golden line %d" (i + 1)) e a)
+    (List.combine expected actual)
+
+let test_golden_bytes () =
+  check_golden
+    (List.filter (fun l -> not (is_fixture_line l)) (Test_registry.read_lines golden_file))
+    (golden_lines ())
+
+let test_fixtures_recover () =
+  check_golden
+    (List.filter is_fixture_line (Test_registry.read_lines golden_file))
+    (fixture_lines_all ())
+
 let suite =
   [
     Alcotest.test_case "config: defaults and deterministic construction" `Quick
@@ -1027,4 +1442,9 @@ let suite =
     Alcotest.test_case "supervised: lost-ack depart retry dedups" `Quick
       test_depart_retry_after_lost_ack;
     Alcotest.test_case "supervised: degraded reads" `Quick test_degraded_reads;
+    Alcotest.test_case "sharded: retried depart dedups at its home shard" `Quick
+      test_retried_depart_dedups;
+    Alcotest.test_case "server: golden bytes" `Quick test_golden_bytes;
+    Alcotest.test_case "server: parent-written directories recover" `Quick
+      test_fixtures_recover;
   ]

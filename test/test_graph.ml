@@ -1,6 +1,5 @@
 module G = Tdmd_graph.Digraph
 module Bfs = Tdmd_graph.Bfs
-module Dijkstra = Tdmd_graph.Dijkstra
 module Dsu = Tdmd_graph.Dsu
 
 let contains haystack needle =
@@ -79,23 +78,6 @@ let test_bfs_unreachable () =
     (Bfs.shortest_path g ~src:0 ~dst:2);
   Alcotest.(check int) "max_int distance" max_int (Bfs.distances g 0).(2)
 
-let test_dijkstra () =
-  let g = diamond () in
-  (match Dijkstra.shortest_path g ~src:0 ~dst:3 with
-  | None -> Alcotest.fail "path expected"
-  | Some (p, w) ->
-    (* Weighted shortest avoids the weight-5 direct arc. *)
-    Alcotest.(check (float 0.0)) "weight 2" 2.0 w;
-    Alcotest.(check int) "three vertices" 3 (List.length p));
-  let d = Dijkstra.distances g 0 in
-  Alcotest.(check (float 0.0)) "dist to 3" 2.0 d.(3)
-
-let test_dijkstra_negative_rejected () =
-  let g = G.create 2 in
-  G.add_edge ~weight:(-1.0) g 0 1;
-  Alcotest.check_raises "negative" (Invalid_argument "Dijkstra: negative edge weight")
-    (fun () -> ignore (Dijkstra.distances g 0))
-
 let test_dsu () =
   let d = Dsu.create 5 in
   Alcotest.(check int) "classes" 5 (Dsu.count d);
@@ -106,20 +88,6 @@ let test_dsu () =
   ignore (Dsu.union d 2 3);
   ignore (Dsu.union d 0 3);
   Alcotest.(check int) "classes after unions" 2 (Dsu.count d)
-
-(* Property: on unit weights Dijkstra and BFS agree everywhere. *)
-let prop_dijkstra_matches_bfs =
-  QCheck.Test.make ~name:"dijkstra = bfs on unit weights" ~count:100
-    QCheck.(pair (int_range 2 25) (int_bound 1000))
-    (fun (n, seed) ->
-      let rng = Tdmd_prelude.Rng.create seed in
-      let g = Tdmd_topo.Topo_general.erdos_renyi rng n ~p:0.2 in
-      let db = Bfs.distances g 0 in
-      let dd = Dijkstra.distances g 0 in
-      Array.for_all2
-        (fun b d ->
-          if b = max_int then d = infinity else float_of_int b = d)
-        db dd)
 
 let test_to_dot () =
   let g = G.create 2 in
@@ -137,10 +105,6 @@ let suite =
     Alcotest.test_case "digraph: connectivity" `Quick test_connectivity;
     Alcotest.test_case "bfs: diamond" `Quick test_bfs;
     Alcotest.test_case "bfs: unreachable" `Quick test_bfs_unreachable;
-    Alcotest.test_case "dijkstra: weighted diamond" `Quick test_dijkstra;
-    Alcotest.test_case "dijkstra: rejects negative weights" `Quick
-      test_dijkstra_negative_rejected;
     Alcotest.test_case "dsu: union-find" `Quick test_dsu;
     Alcotest.test_case "digraph: dot export" `Quick test_to_dot;
-    QCheck_alcotest.to_alcotest prop_dijkstra_matches_bfs;
   ]

@@ -28,47 +28,6 @@ let test_binary_heap_duplicates () =
   Alcotest.(check (list int)) "dups kept" [ 1; 1; 3; 3; 3 ]
     (Binary_heap.to_sorted_list h)
 
-let test_indexed_heap_basic () =
-  let h = Indexed_heap.create 10 in
-  Indexed_heap.push h 3 5.0;
-  Indexed_heap.push h 7 2.0;
-  Indexed_heap.push h 1 9.0;
-  Alcotest.(check bool) "mem" true (Indexed_heap.mem h 7);
-  Alcotest.(check bool) "not mem" false (Indexed_heap.mem h 2);
-  Alcotest.(check (option (pair int (float 0.0)))) "peek" (Some (7, 2.0))
-    (Indexed_heap.peek h);
-  Indexed_heap.decrease h 1 1.0;
-  Alcotest.(check (option (pair int (float 0.0)))) "after decrease" (Some (1, 1.0))
-    (Indexed_heap.peek h);
-  Indexed_heap.remove h 1;
-  Alcotest.(check (option (pair int (float 0.0)))) "after remove" (Some (7, 2.0))
-    (Indexed_heap.peek h);
-  Alcotest.(check int) "length" 2 (Indexed_heap.length h)
-
-let test_indexed_heap_update () =
-  let h = Indexed_heap.create 5 in
-  Indexed_heap.update h 0 3.0;
-  Indexed_heap.update h 1 1.0;
-  Indexed_heap.update h 0 0.5;
-  Alcotest.(check (option (pair int (float 0.0)))) "update down" (Some (0, 0.5))
-    (Indexed_heap.peek h);
-  Indexed_heap.update h 0 5.0;
-  Alcotest.(check (option (pair int (float 0.0)))) "update up" (Some (1, 1.0))
-    (Indexed_heap.peek h)
-
-let test_indexed_heap_rejects () =
-  let h = Indexed_heap.create 3 in
-  Indexed_heap.push h 0 1.0;
-  Alcotest.check_raises "duplicate"
-    (Invalid_argument "Indexed_heap.push: duplicate key") (fun () ->
-      Indexed_heap.push h 0 2.0);
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Indexed_heap.push: key out of range") (fun () ->
-      Indexed_heap.push h 9 2.0);
-  Alcotest.check_raises "bad decrease"
-    (Invalid_argument "Indexed_heap.decrease: larger priority") (fun () ->
-      Indexed_heap.decrease h 0 5.0)
-
 (* Property: the binary heap drains any integer multiset in sorted
    order.  (The name predates the pairing heap's removal; it is kept so
    the test's id stays stable.) *)
@@ -115,43 +74,13 @@ let prop_binary_heap_tuples =
       let drained = List.rev !popped @ Binary_heap.to_sorted_list h in
       List.sort compare drained = List.sort compare xs)
 
-(* Property: indexed heap pops keys in priority order after a random mix
-   of pushes and priority updates. *)
-let prop_indexed_heap =
-  QCheck.Test.make ~name:"indexed heap respects final priorities" ~count:200
-    QCheck.(list (pair (int_bound 19) (map (fun x -> Float.abs x) float)))
-    (fun ops ->
-      let h = Indexed_heap.create 20 in
-      let final = Hashtbl.create 16 in
-      List.iter
-        (fun (key, prio) ->
-          Indexed_heap.update h key prio;
-          Hashtbl.replace final key prio)
-        ops;
-      let rec drain acc =
-        match Indexed_heap.pop h with
-        | None -> List.rev acc
-        | Some (k, p) -> drain ((k, p) :: acc)
-      in
-      let popped = drain [] in
-      let priorities = List.map snd popped in
-      let sorted = List.sort compare priorities in
-      priorities = sorted
-      && List.for_all (fun (k, p) -> Hashtbl.find final k = p) popped
-      && List.length popped = Hashtbl.length final)
-
 let suite =
   [
     Alcotest.test_case "binary heap: heapify + drain" `Quick test_binary_heap_sorts;
     Alcotest.test_case "binary heap: push/pop interleave" `Quick
       test_binary_heap_push_pop;
     Alcotest.test_case "binary heap: duplicates" `Quick test_binary_heap_duplicates;
-    Alcotest.test_case "indexed heap: basics" `Quick test_indexed_heap_basic;
-    Alcotest.test_case "indexed heap: update both ways" `Quick
-      test_indexed_heap_update;
-    Alcotest.test_case "indexed heap: error cases" `Quick test_indexed_heap_rejects;
     QCheck_alcotest.to_alcotest prop_heaps_sort;
     QCheck_alcotest.to_alcotest prop_binary_heap_boxed_floats;
     QCheck_alcotest.to_alcotest prop_binary_heap_tuples;
-    QCheck_alcotest.to_alcotest prop_indexed_heap;
   ]

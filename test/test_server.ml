@@ -11,11 +11,11 @@ module P = Tdmd_server.Protocol
 module Server = Tdmd_server.Server
 module Client = Tdmd_server.Client
 module Session = Tdmd_server.Session
+module Engine = Tdmd_server.Engine
 
-(* New-API constructors; the deprecated [of_general]/[of_tree] aliases
-   have their own equivalence test in test_engine.ml. *)
+(* One-shard engines, as [tdmd serve] builds them. *)
 let session_of_general ?durability ~churn_k inst =
-  Session.create
+  Engine.create
     ~config:
       {
         Session.Config.churn_k = churn_k;
@@ -24,10 +24,10 @@ let session_of_general ?durability ~churn_k inst =
         Session.Config.durability = durability;
         Session.Config.dtel = None;
       }
-    inst
+    (Engine.General inst)
 
 let session_of_tree ~churn_k t =
-  Session.create_tree
+  Engine.create
     ~config:
       {
         Session.Config.churn_k = churn_k;
@@ -36,7 +36,7 @@ let session_of_tree ~churn_k t =
         Session.Config.durability = None;
         Session.Config.dtel = None;
       }
-    t
+    (Engine.Tree t)
 
 let temp_addr () =
   let path = Filename.temp_file "tdmd-test" ".sock" in
@@ -44,13 +44,13 @@ let temp_addr () =
   P.Unix_sock path
 
 let with_server ?(domains = 2) ?(queue = 64) ?default_deadline_ms ?metrics_out
-    session f =
+    engine f =
   let addr = temp_addr () in
   let server =
-    Server.start_session
+    Server.start
       { Server.addr; domains; queue_capacity = queue; default_deadline_ms;
         metrics_out }
-      session
+      engine
   in
   Fun.protect
     ~finally:(fun () ->
