@@ -233,129 +233,6 @@ let solvers () =
     (List.length (Tdmd.Solvers.names ()))
 
 (* ------------------------------------------------------------------ *)
-(* Oracle bench: naive full-rescan vs incremental decrement oracle     *)
-(* ------------------------------------------------------------------ *)
-
-(* Runs GTP's greedy core at several instance sizes with both oracle
-   flavours, checks that greedy and CELF choose one deployment on both,
-   and writes one JSON-lines record per size to BENCH_oracle.json
-   (path overridable with TDMD_BENCH_ORACLE_JSON, sizes with
-   TDMD_BENCH_ORACLE_SIZES as a comma-separated list).  Exits 1 after
-   the table when any size disagrees. *)
-let oracle_json_path =
-  match Sys.getenv_opt "TDMD_BENCH_ORACLE_JSON" with
-  | Some p -> p
-  | None -> "BENCH_oracle.json"
-
-let oracle_sizes =
-  match Sys.getenv_opt "TDMD_BENCH_ORACLE_SIZES" with
-  | None -> [ 15; 30; 60; 90 ]
-  | Some s ->
-    String.split_on_char ',' s
-    |> List.filter_map (fun tok ->
-           match int_of_string_opt (String.trim tok) with
-           | Some n when n > 2 -> Some n
-           | _ -> None)
-
-let oracle_bench () =
-  let open Tdmd_prelude in
-  let oc = open_out oracle_json_path in
-  let sink = Tdmd_obs.Sink.of_channel oc in
-  let summary_json (s : Stats.summary) =
-    Tdmd_obs.Json.Obj
-      [
-        ("mean", Tdmd_obs.Json.Float s.Stats.mean);
-        ("stddev", Tdmd_obs.Json.Float s.Stats.stddev);
-        ("min", Tdmd_obs.Json.Float s.Stats.min);
-        ("max", Tdmd_obs.Json.Float s.Stats.max);
-      ]
-  in
-  print_endline "== oracle bench: naive vs incremental greedy ==\n";
-  let mismatches = ref 0 in
-  let t =
-    Table.create [ "size"; "k"; "naive (s)"; "incremental (s)"; "speedup" ]
-  in
-  List.iter
-    (fun size ->
-      let rng = Rng.create (9000 + size) in
-      let inst =
-        Scenario.build_general rng { Scenario.default_general with Scenario.size }
-      in
-      let k = max 1 (size / 3) in
-      let time_greedy oracle_of =
-        List.init reps (fun _ ->
-            Timer.time (fun () ->
-                Tdmd_submod.Submodular.greedy ~k (oracle_of inst)))
-      in
-      (* The baseline answers every query by a from-scratch scan. *)
-      let value_only inst =
-        Tdmd_submod.Submodular.make
-          ~ground:(Tdmd.Instance.vertex_count inst)
-          ~value:(fun vs ->
-            float_of_int
-              (Tdmd.Bandwidth.diminished_volume inst (Tdmd.Placement.of_list vs)))
-          ()
-      in
-      let naive_runs = time_greedy value_only in
-      let inc_runs = time_greedy Tdmd.Bandwidth.oracle in
-      let naive = Stats.summarize (List.map snd naive_runs) in
-      let inc = Stats.summarize (List.map snd inc_runs) in
-      (* Greedy and CELF on either oracle must all pick the value-only
-         greedy's deployment. *)
-      let chosen (r : Tdmd_submod.Submodular.result) = r.Tdmd_submod.Submodular.chosen in
-      let celf oracle = chosen (Tdmd_submod.Submodular.lazy_greedy ~k oracle) in
-      let expected = chosen (fst (List.hd naive_runs)) in
-      let differing =
-        List.filter_map
-          (fun (name, got) -> if got = expected then None else Some name)
-          [
-            ("incremental greedy", chosen (fst (List.hd inc_runs)));
-            ("value-only CELF", celf (value_only inst));
-            ("incremental CELF", celf (Tdmd.Bandwidth.oracle inst));
-          ]
-      in
-      let same_result = differing = [] in
-      if not same_result then begin
-        incr mismatches;
-        Printf.eprintf "oracle mismatch at size %d: %s differ from value-only greedy\n"
-          size (String.concat ", " differing)
-      end;
-      let speedup =
-        if inc.Stats.mean > 0.0 then naive.Stats.mean /. inc.Stats.mean else nan
-      in
-      Tdmd_obs.Sink.emit sink
-        (Tdmd_obs.Json.Obj
-           [
-             ("event", Tdmd_obs.Json.String "bench-oracle");
-             ("size", Tdmd_obs.Json.Int size);
-             ("k", Tdmd_obs.Json.Int k);
-             ("flows", Tdmd_obs.Json.Int (Array.length inst.Tdmd.Instance.flows));
-             ("reps", Tdmd_obs.Json.Int reps);
-             ("naive_seconds", summary_json naive);
-             ("incremental_seconds", summary_json inc);
-             ("speedup", Tdmd_obs.Json.Float speedup);
-             ("same_result", Tdmd_obs.Json.Bool same_result);
-           ]);
-      Table.add_row t
-        [
-          string_of_int size;
-          string_of_int k;
-          Printf.sprintf "%.5f" naive.Stats.mean;
-          Printf.sprintf "%.5f" inc.Stats.mean;
-          Printf.sprintf "%.1fx" speedup;
-        ])
-    oracle_sizes;
-  close_out oc;
-  Table.print t;
-  Printf.printf "\nwrote %s (%d sizes)\n" oracle_json_path
-    (List.length oracle_sizes);
-  if !mismatches > 0 then begin
-    Printf.eprintf "oracle bench: %d of %d sizes disagree\n" !mismatches
-      (List.length oracle_sizes);
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Serve bench: closed-loop clients against an in-process server       *)
 (* ------------------------------------------------------------------ *)
 
@@ -1864,8 +1741,6 @@ let run_all () =
   print_newline ();
   solvers ();
   print_newline ();
-  oracle_bench ();
-  print_newline ();
   serve_bench ();
   print_newline ();
   recover_bench ();
@@ -1883,7 +1758,6 @@ let () =
   | [| _ |] -> run_all ()
   | [| _; "micro" |] -> micro ()
   | [| _; "solvers" |] -> solvers ()
-  | [| _; "oracle" |] -> oracle_bench ()
   | [| _; "serve" |] -> serve_bench ()
   | [| _; "recover" |] -> recover_bench ()
   | [| _; "churn-timeline" |] -> churn_bench ()
@@ -1895,10 +1769,10 @@ let () =
     | Some f -> f ()
     | None ->
       Printf.eprintf
-        "unknown target %s (expected fig8..fig17, micro, solvers, oracle, serve, recover, churn-timeline, portfolio, chaos, ablation)\n"
+        "unknown target %s (expected fig8..fig17, micro, solvers, serve, recover, churn-timeline, portfolio, chaos, ablation)\n"
         fig;
       exit 1)
   | _ ->
     Printf.eprintf
-      "usage: main.exe [fig8..fig17|micro|solvers|oracle|serve|recover|churn-timeline|portfolio|chaos|ablation]\n";
+      "usage: main.exe [fig8..fig17|micro|solvers|serve|recover|churn-timeline|portfolio|chaos|ablation]\n";
     exit 1

@@ -50,24 +50,3 @@ let marginal instance placement v =
 
 let max_decrement instance =
   (1.0 -. instance.Instance.lambda) *. unprocessed_volume instance
-
-(* The oracle drops the positive (1-λ) factor: argmax selection is
-   unchanged, and integer-valued floats make every greedy comparison
-   exact — submodularity then holds bit-for-bit, which the CELF lazy
-   evaluation's "cached gains are upper bounds" invariant needs.
-   Marginals come from the incremental oracle's gain ledger in O(1); the
-   value interface is the from-scratch scan.  Both stay exact integers
-   in float, so greedy/CELF selections agree bit-for-bit with a
-   value-only oracle (differential-tested in test_inc_oracle). *)
-let oracle instance =
-  let t = Inc_oracle.create instance in
-  Tdmd_submod.Submodular.make
-    ~ground:(Instance.vertex_count instance)
-    ~value:(fun vs -> float_of_int (diminished_volume instance (Placement.of_list vs)))
-    ~incremental:
-      {
-        Tdmd_submod.Submodular.restart = (fun () -> Inc_oracle.reset t);
-        gain = (fun v -> float_of_int (Inc_oracle.marginal_volume t v));
-        commit = (fun v -> Inc_oracle.add t v);
-      }
-    ()

@@ -47,13 +47,3 @@ val diminished_volume : Instance.t -> Placement.t -> int
 (** Σ_f r_f · (edges carried at the diminished rate) under the forced
     allocation — the integer such that
     [decrement = (1-λ) · diminished_volume]. *)
-
-val oracle : Instance.t -> Tdmd_submod.Submodular.oracle
-(** The decrement function packaged for the generic greedy machinery
-    (ground set = vertices).  Returns the λ-independent
-    {!diminished_volume} as a float: the positive (1−λ) scaling cannot
-    change any argmax, and integer-valued floats keep greedy and CELF
-    comparisons exact (no rounding-induced submodularity violations).
-    Carries the {!Inc_oracle}-backed incremental interface, so
-    [Submodular.greedy]/[lazy_greedy] answer each marginal in O(1)
-    off the oracle's gain ledger instead of rescanning every flow. *)

@@ -136,8 +136,6 @@ let p_value t ~v ~k ~b =
 
 let f_value t ~v ~k = p_value t ~v ~k ~b:(t.b_sub.(v))
 
-let state_count (t : tables) = t.states
-
 (* Traceback: walk the stored choices from (root, kappa*, R_root) down,
    collecting box vertices. *)
 let traceback t ~kappa_root =

@@ -44,5 +44,3 @@ val f_value : tables -> v:int -> k:int -> float
 val p_value : tables -> v:int -> k:int -> b:int -> float
 (** The paper's P(v, k, b) (Fig. 7) under the budget reading
     [min_{κ ≤ k}]; [infinity] for unachievable [b]. *)
-
-val state_count : tables -> int

@@ -1,62 +1,116 @@
-(* Every oracle evaluation of the greedy phase is one marginal or
-   from-scratch value call, which [Submodular] already counts as
-   [oracle_calls]: that count is published as "delta_evals" once the
-   phase ends, and the phase's wall time as "oracle_ns" — no per-call
-   counter update or clock read in the loop. *)
-let run_with ~label selector ?budget instance =
+module Heap = Tdmd_heap.Binary_heap
+
+type picks = {
+  oracle : Inc_oracle.t;
+  chosen : int list;
+  gains : int list;
+  reads : int;
+}
+
+let picks oracle chosen gains reads =
+  { oracle; chosen = List.rev chosen; gains = List.rev gains; reads }
+
+(* [greedy], stopping early once [stop] holds before a round. *)
+let rounds ~stop ~k instance =
+  let o = Inc_oracle.create instance in
+  let n = Instance.vertex_count instance in
+  let rec round chosen gains reads =
+    if Inc_oracle.size o >= k || stop o then picks o chosen gains reads
+    else begin
+      let reads = reads + n - Inc_oracle.size o in
+      match Inc_oracle.argmax o Inc_oracle.Marginal_volume with
+      | None -> picks o chosen gains reads
+      | Some v ->
+        let gain = Inc_oracle.marginal_volume o v in
+        Inc_oracle.add o v;
+        round (v :: chosen) (gain :: gains) reads
+    end
+  in
+  round [] [] 0
+
+let greedy ~k instance = rounds ~stop:(fun _ -> false) ~k instance
+
+(* CELF's heap order: key descending, lower vertex on ties. *)
+let by_key ((g1 : int), (v1 : int)) ((g2 : int), (v2 : int)) =
+  if g1 = g2 then compare v1 v2 else compare g2 g1
+
+(* CELF (Leskovec et al., KDD 2007).  A key is the vertex's marginal when
+   last read, so by submodularity (Theorem 2) an upper bound on its
+   current one.  A popped vertex whose fresh marginal still wins against
+   the next key in the heap order is the round's argmax, so CELF picks
+   exactly what [greedy] picks; otherwise it goes back under its fresh
+   key.  One read per pop. *)
+let celf ~k instance =
+  let o = Inc_oracle.create instance in
+  let heap = Heap.create ~cmp:by_key () in
+  for v = 0 to Instance.vertex_count instance - 1 do
+    Heap.push heap (max_int, v)
+  done;
+  let rec select chosen gains reads =
+    if Inc_oracle.size o >= k then picks o chosen gains reads
+    else begin
+      match Heap.pop heap with
+      | None -> picks o chosen gains reads
+      | Some (_, v) ->
+        let fresh = Inc_oracle.marginal_volume o v in
+        let reads = reads + 1 in
+        let accept =
+          match Heap.peek heap with
+          | None -> true
+          | Some (g_next, v_next) -> fresh > g_next || (fresh = g_next && v < v_next)
+        in
+        if not accept then begin
+          Heap.push heap (fresh, v);
+          select chosen gains reads
+        end
+        else if fresh <= 0 then picks o chosen gains reads
+        else begin
+          Inc_oracle.add o v;
+          select (v :: chosen) (fresh :: gains) reads
+        end
+    end
+  in
+  select [] [] 0
+
+(* Every marginal the greedy phase reads is published as "oracle_calls"
+   and "delta_evals" once the phase ends, and the phase's wall time as
+   "oracle_ns" — no per-read counter update or clock read in the loop. *)
+let run_with ~label select ?budget instance =
   let budget =
     match budget with Some k -> k | None -> Instance.vertex_count instance
   in
   let tel = Tdmd_obs.Telemetry.create () in
   Tdmd_obs.Telemetry.count tel "budget" budget;
-  let oracle = Bandwidth.oracle instance in
   (* Spend the whole budget: the greedy keeps deploying while any vertex
      has positive marginal decrement (bandwidth only improves), and the
      fix-up then covers any still-unserved flows. *)
   Tdmd_obs.Telemetry.with_span tel label (fun () ->
       let t0 = Tdmd_obs.Clock.now_ns () in
       let sel =
-        Tdmd_obs.Telemetry.with_span tel "greedy" (fun () ->
-            selector ~stop:(fun _ -> false) ~k:budget oracle)
+        Tdmd_obs.Telemetry.with_span tel "greedy" (fun () -> select ~k:budget instance)
       in
       let oracle_ns = Int64.sub (Tdmd_obs.Clock.now_ns ()) t0 in
-      let calls = sel.Tdmd_submod.Submodular.oracle_calls in
-      if calls > 0 then Tdmd_obs.Telemetry.count tel "delta_evals" calls;
-      let fixed = Inc_oracle.create instance in
+      if sel.reads > 0 then Tdmd_obs.Telemetry.count tel "delta_evals" sel.reads;
       let chosen =
         Tdmd_obs.Telemetry.with_span tel "cover-fixup" (fun () ->
-            Cover_fixup.within fixed ~chosen:sel.Tdmd_submod.Submodular.chosen ~budget)
+            Cover_fixup.within sel.oracle ~chosen:sel.chosen ~budget)
       in
-      (* [fixed] is the oracle [Cover_fixup.within] left holding
-         [chosen]: it answers feasibility without a rescan. *)
+      (* The fix-up left the oracle holding [chosen]: it answers
+         feasibility without a rescan. *)
       let placement = Placement.of_list chosen in
-      Tdmd_obs.Telemetry.count tel "oracle_calls" calls;
+      Tdmd_obs.Telemetry.count tel "oracle_calls" sel.reads;
       Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size placement);
       Tdmd_obs.Telemetry.count tel "oracle_ns" (Int64.to_int oracle_ns);
       Solver_intf.outcome ~placement
         ~bandwidth:(Bandwidth.total instance placement)
-        ~feasible:(Inc_oracle.is_feasible fixed) ~telemetry:tel)
+        ~feasible:(Inc_oracle.is_feasible sel.oracle) ~telemetry:tel)
 
-let run ?budget instance =
-  run_with ~label:"gtp"
-    (fun ~stop ~k o -> Tdmd_submod.Submodular.greedy ~stop ~k o)
-    ?budget instance
-
-let run_celf ?budget instance =
-  run_with ~label:"gtp-celf"
-    (fun ~stop ~k o -> Tdmd_submod.Submodular.lazy_greedy ~stop ~k o)
-    ?budget instance
+let run ?budget instance = run_with ~label:"gtp" greedy ?budget instance
+let run_celf ?budget instance = run_with ~label:"gtp-celf" celf ?budget instance
 
 let derived_k instance =
   (* Alg. 1 verbatim: deploy the max-marginal vertex until every flow is
      processed; the number of boxes it used is the derived k. *)
-  let oracle = Bandwidth.oracle instance in
-  let stop chosen = Allocation.is_feasible instance (Placement.of_list chosen) in
-  let sel =
-    Tdmd_submod.Submodular.greedy ~stop ~k:(Instance.vertex_count instance) oracle
-  in
-  let chosen =
-    Cover_fixup.within (Inc_oracle.create instance)
-      ~chosen:sel.Tdmd_submod.Submodular.chosen ~budget:(Instance.vertex_count instance)
-  in
-  Placement.size (Placement.of_list chosen)
+  let budget = Instance.vertex_count instance in
+  let sel = rounds ~stop:Inc_oracle.is_feasible ~k:budget instance in
+  Placement.size (Placement.of_list (Cover_fixup.within sel.oracle ~chosen:sel.chosen ~budget))

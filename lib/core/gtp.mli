@@ -5,24 +5,50 @@
     is processed.  By Theorem 3 the decrement of the result is at least
     (1 − 1/e) of the optimum for the same number of middleboxes.
 
+    Both loops run on one {!Inc_oracle} and read its gain ledger
+    directly, in integer diminished-volume units: the positive (1 − λ)
+    factor cannot move an argmax, and integer marginals keep every
+    comparison exact.  A greedy round is one
+    [Inc_oracle.argmax o Marginal_volume]; CELF's heap keys are the
+    integer marginals last read.  The cover fix-up then reuses the same
+    oracle.  The value-only greedy and CELF they are differential-tested
+    against live in [test/reference.ml].
+
     The evaluation also imposes an explicit budget [k]; [run ~budget]
     stops at the budget even if some flows remain unserved, and the
     outcome says whether the deployment is feasible (the paper only
     scores feasible deployments and regenerates traffic otherwise). *)
 
+type picks = {
+  oracle : Inc_oracle.t;  (** the loop's oracle, holding [chosen] *)
+  chosen : int list;      (** in selection order *)
+  gains : int list;       (** each pick's {!Inc_oracle.marginal_volume} when picked *)
+  reads : int;            (** marginals read *)
+}
+
+val greedy : k:int -> Instance.t -> picks
+(** Alg. 1's greedy prefix, before any fix-up: rounds of
+    [Inc_oracle.argmax] — the highest strictly positive marginal, lowest
+    vertex on ties — until [k] boxes are deployed or no marginal is
+    positive.  Each round reads the marginal of every vertex not yet
+    deployed. *)
+
+val celf : k:int -> Instance.t -> picks
+(** CELF lazy evaluation (Leskovec et al., KDD 2007): the same picks and
+    gains as [greedy ~k], one read per heap pop. *)
+
 val run : ?budget:int -> Instance.t -> Solver_intf.outcome
-(** Plain greedy, exactly Alg. 1, with marginals from {!Inc_oracle}.
-    Default budget: |V|.  [test/reference.ml] keeps the from-scratch
-    oracle it is differential-tested against.
+(** {!greedy} repaired by {!Cover_fixup.within}: exactly Alg. 1 under a
+    budget.  Default budget: |V|.
 
     Telemetry: counters ["budget"], ["delta_evals"] and
-    ["oracle_calls"] (decrement-oracle evaluations, published once per
-    run), ["placement_size"], ["oracle_ns"] (wall time of the greedy
-    phase, the part that queries the oracle, in nanoseconds); spans
+    ["oracle_calls"] (marginals read, published once per run),
+    ["placement_size"], ["oracle_ns"] (wall time of the greedy phase,
+    the part that queries the oracle, in nanoseconds); spans
     [gtp > greedy, cover-fixup]. *)
 
 val run_celf : ?budget:int -> Instance.t -> Solver_intf.outcome
-(** Lazy-greedy (CELF) acceleration — same deployment as {!run} (the
+(** {!celf} repaired the same way — same deployment as {!run} (the
     ablation bench verifies this and counts saved oracle calls).  Same
     counters as {!run}; spans [gtp-celf > greedy, cover-fixup]. *)
 

@@ -153,8 +153,10 @@ type count = Marginal_volume | Newly_served
 val argmax : t -> count -> int option
 (** The vertex with the highest strictly positive count, lowest vertex
     on ties; [None] when no count is positive.  One pass over the
-    ledger's array.  With [Marginal_volume] it is the best box to add,
-    with [Newly_served] the best cover. *)
+    ledger's array.  With [Marginal_volume] it is the best box to add:
+    each round of {!Gtp.greedy} and the churn engine's best-marginal
+    pick.  With [Newly_served] it is the best cover: each covering pick
+    of {!Cover_fixup.within}. *)
 
 val unserved_count : t -> int
 val is_feasible : t -> bool

@@ -66,9 +66,6 @@ val names : unit -> string list
 (** All registry names: tree-only solvers last, as in [--algo]'s
     documentation. *)
 
-val general_names : unit -> string list
-val tree_names : unit -> string list
-
 val describe_unknown : ?tree_input:bool -> string -> string
 (** Diagnostic for a name that failed to resolve, listing what the
     registry does offer.  With [~tree_input:false] (the default) a

@@ -68,11 +68,6 @@ let pop t =
     top
   end
 
-let pop_exn t =
-  match pop t with
-  | Some x -> x
-  | None -> invalid_arg "Binary_heap.pop_exn: empty heap"
-
 let of_list ~cmp xs =
   match xs with
   | [] -> create ~cmp ()

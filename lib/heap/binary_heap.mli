@@ -18,9 +18,6 @@ val peek : 'a t -> 'a option
 val pop : 'a t -> 'a option
 (** Remove and return the minimum element. *)
 
-val pop_exn : 'a t -> 'a
-(** @raise Invalid_argument on an empty heap. *)
-
 val of_list : cmp:('a -> 'a -> int) -> 'a list -> 'a t
 (** Heapify in O(n). *)
 

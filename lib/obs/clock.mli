@@ -6,6 +6,3 @@
 
 val now_ns : unit -> int64
 (** Nanoseconds since an unspecified monotonic origin. *)
-
-val ns_to_s : int64 -> float
-(** Convenience conversion for reports. *)

@@ -30,7 +30,6 @@ type member = Anneal | Genetic | Seed of string
     identical consecutive runs.  A [Seed] naming a tree-only solver
     contributes only when {!start} received [?tree]. *)
 
-val member_name : member -> string
 val default_members : member list
 (** [Seed "gtp"; Anneal; Genetic; Seed "hat"; Seed "random"]. *)
 

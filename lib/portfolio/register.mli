@@ -8,8 +8,3 @@ val install : unit -> unit
     serving layer ([Tdmd_server.Session]) installs on module
     initialisation, so any program linking [tdmd.server] gets the names
     for free. *)
-
-val anneal_solver : Tdmd.Solvers.general_solver
-val genetic_solver : Tdmd.Solvers.general_solver
-val portfolio_solver : Tdmd.Solvers.general_solver
-(** The registered entries, exposed for direct calls and tests. *)

@@ -10,7 +10,6 @@ let frange ~lo ~hi ~step =
   go lo []
 
 let sum_by f xs = List.fold_left (fun acc x -> acc +. f x) 0.0 xs
-let isum_by f xs = List.fold_left (fun acc x -> acc + f x) 0 xs
 
 let max_by f = function
   | [] -> invalid_arg "Listx.max_by: empty list"

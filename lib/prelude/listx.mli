@@ -8,7 +8,6 @@ val frange : lo:float -> hi:float -> step:float -> float list
     (so [frange ~lo:0. ~hi:0.9 ~step:0.1] has ten points despite rounding). *)
 
 val sum_by : ('a -> float) -> 'a list -> float
-val isum_by : ('a -> int) -> 'a list -> int
 val max_by : ('a -> float) -> 'a list -> 'a
 (** Element attaining the maximum key; first one wins ties.
     Raises [Invalid_argument] on the empty list. *)

@@ -71,11 +71,3 @@ let exponential t mean =
 let pareto t ~alpha ~x_min =
   let u = float t 1.0 in
   x_min /. ((1.0 -. u) ** (1.0 /. alpha))
-
-let gaussian t ~mean ~std =
-  let rec nonzero () =
-    let u = float t 1.0 in
-    if u <= 1e-300 then nonzero () else u
-  in
-  let u1 = nonzero () and u2 = float t 1.0 in
-  mean +. (std *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))

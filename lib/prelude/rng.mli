@@ -51,6 +51,3 @@ val exponential : t -> float -> float
 
 val pareto : t -> alpha:float -> x_min:float -> float
 (** Pareto(Type I) sample: support [\[x_min, ∞)], tail index [alpha]. *)
-
-val gaussian : t -> mean:float -> std:float -> float
-(** Box–Muller normal sample. *)

@@ -3,5 +3,3 @@ let time f =
   let x = f () in
   let t1 = Unix.gettimeofday () in
   (x, t1 -. t0)
-
-let time_only f = snd (time f)

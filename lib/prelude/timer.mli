@@ -3,7 +3,3 @@
 val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f ()] and returns its result together with the elapsed
     wall-clock seconds. *)
-
-val time_only : (unit -> 'a) -> float
-(** Elapsed seconds of [f ()], discarding the result (the result is still
-    computed; only its value is dropped). *)

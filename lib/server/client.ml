@@ -2,7 +2,7 @@ module Json = Tdmd_obs.Json
 module Backoff = Tdmd_prelude.Backoff
 
 type t = {
-  mutable addr : Protocol.addr;  (* updated when following a redirect *)
+  addr : Protocol.addr;
   retry : Backoff.policy;
   seed : int option;
   mutable fd : Unix.file_descr option;  (* None = disconnected *)
@@ -98,35 +98,8 @@ let exchange t json =
           drop_connection t;
           Error (`Transport ("read: " ^ Unix.error_message err))))
 
-(* A sharded deployment may answer "that flow lives on the replica at
-   ADDR".  The client transparently follows exactly one redirect per
-   call: reconnect there, resend, and return whatever comes back (a
-   second redirect is returned verbatim — chasing chains hides routing
-   loops).  The address sticks, so subsequent calls go directly. *)
-let redirect_target json =
-  match
-    (Json.member "ok" json, Json.member "code" json, Json.member "redirect" json)
-  with
-  | Some (Json.Bool false), Some (Json.String "redirect"), Some (Json.String a)
-    -> (
-    match Protocol.addr_of_string a with Ok addr -> Some addr | Error _ -> None)
-  | _ -> None
-
-let exchange_follow t json =
-  match exchange t json with
-  | Error _ as e -> e
-  | Ok resp -> (
-    match redirect_target resp with
-    | None -> Ok resp
-    | Some addr -> (
-      t.addr <- addr;
-      reconnect t;
-      match t.fd with
-      | None -> Error (`Transport "reconnect after redirect failed")
-      | Some _ -> exchange t json))
-
 let rpc_json t json =
-  match exchange_follow t json with
+  match exchange t json with
   | Ok v -> Ok v
   | Error (`Fatal msg | `Transport msg) -> Error msg
 
@@ -186,7 +159,7 @@ let rpc_retry t ?id ?deadline_ms ?req ?policy request =
     match hint with Some d -> Backoff.sleep_for b d | None -> Backoff.sleep b
   in
   let rec attempt () =
-    match exchange_follow t json with
+    match exchange t json with
     | Error (`Fatal msg) -> Error msg
     | Ok resp when not (retryable resp) -> Ok resp
     | Ok resp ->

@@ -10,17 +10,7 @@
     ({!Tdmd_prelude.Backoff}), transparent reconnect when the server
     drops the connection, and automatic idempotency ids on mutating
     requests so a retry of an op the server already applied is
-    deduplicated instead of applied twice.
-
-    {2 Redirects}
-
-    Both {!rpc} and {!rpc_retry} transparently follow {e one}
-    ["redirect"] response per call (a sharded deployment answering
-    "that flow is owned by the replica at ADDR", see
-    {!Protocol.redirect}): the client reconnects to the named address —
-    which sticks for subsequent calls — and resends the frame once.  A
-    second consecutive redirect is returned verbatim rather than
-    chased, so a routing loop surfaces instead of hanging the caller. *)
+    deduplicated instead of applied twice. *)
 
 type t
 

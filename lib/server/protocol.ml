@@ -355,17 +355,6 @@ let error ?id ?retry_after_ms ~code msg =
     | Some ms -> [ ("retry_after_ms", Json.Int ms) ]
     | None -> [])
 
-(* A shard-aware deployment can answer "not mine, ask that replica":
-   the client reconnects to ["redirect"] and resends once. *)
-let redirect ?id addr =
-  Json.Obj
-    ((("ok", Json.Bool false) :: id_field id)
-    @ [
-        ("code", Json.String "redirect");
-        ("error", Json.String "flow is owned by another replica");
-        ("redirect", Json.String (addr_to_string addr));
-      ])
-
 (* ------------------------------------------------------------------ *)
 (* Instance codec                                                      *)
 (* ------------------------------------------------------------------ *)

@@ -179,16 +179,10 @@ val error : ?id:Json.t -> ?retry_after_ms:int -> code:string -> string -> Json.t
     never emitted for [solve], which answers anytime instead),
     ["shutting-down"] (server is draining), ["conflict"] (e.g.
     duplicate flow id), ["unavailable"] (the owning shard is recovering
-    or poisoned — retry later), ["redirect"] (see {!redirect}).
+    or poisoned — retry later).
     [retry_after_ms] adds an optional ["retry_after_ms"] integer (a
     V1-additive server hint on retryable errors; older clients ignore
     it). *)
-
-val redirect : ?id:Json.t -> addr -> Json.t
-(** [{"ok": false, "code": "redirect", "redirect": "<addr>", ...}] — a
-    shard-aware deployment answering "that flow is owned by the replica
-    at [addr]".  {!Client.rpc} reconnects there and resends exactly
-    once. *)
 
 (** {1 Instance codec}
 

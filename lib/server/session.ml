@@ -24,6 +24,8 @@ let durability ?(fsync = Journal.Always) ?(snapshot_every = 0) ?(faults = Faults
   { dir; fsync; snapshot_every; faults }
 
 let snapshot_file cfg = Filename.concat cfg.dir "snapshot.json"
+(* Segments rotate by epoch at each snapshot; the snapshot records which
+   epoch continues it, so a crash mid-rotation recovers consistently. *)
 let journal_file cfg epoch = Filename.concat cfg.dir (Printf.sprintf "journal-%d.wal" epoch)
 
 let default_dedup_cap = 8192
@@ -38,7 +40,6 @@ module Config = struct
     migration_budget : int;
     dedup_cap : int;
     durability : durability option;
-    dtel : Tdmd_obs.Telemetry.t option;
   }
 
   let default =
@@ -47,7 +48,6 @@ module Config = struct
       migration_budget = 0;
       dedup_cap = default_dedup_cap;
       durability = None;
-      dtel = None;
     }
 end
 
@@ -108,8 +108,17 @@ let locked t f = Tdmd_prelude.Locked.with_lock t.lock f
 let snapshot_json t d =
   let churn = t.churn in
   let ctel = Tdmd.Incremental.telemetry churn in
+  (* A tree session records its root, added after format-1 snapshots
+     first shipped: the static graph and the root determine the tree
+     view [parse_snapshot] rebuilds.  General snapshots carry no root. *)
+  let root =
+    match t.tree with
+    | Some tree ->
+      [ ("root", Json.Int (Tdmd_tree.Rooted_tree.root tree.Tdmd.Instance.Tree.tree)) ]
+    | None -> []
+  in
   Json.Obj
-    [
+    ([
       ("format", Json.Int 1);
       ("epoch", Json.Int d.epoch);
       ("k", Json.Int (Tel.get_count ctel "budget"));
@@ -144,12 +153,13 @@ let snapshot_json t d =
              (Queue.fold (fun acc k -> Json.String k :: acc) [] t.dedup_order))
       );
     ]
+    @ root)
 
 let ( let* ) = Result.bind
 
 (* A snapshot decodes to the epoch whose journal segment continues it,
-   the static instance, the churn engine it restores, and the dedup ids
-   in insertion order. *)
+   the static instance with its tree view when it has a root, the churn
+   engine it restores, and the dedup ids in insertion order. *)
 let parse_snapshot json =
   let ctx = "snapshot" in
   let int = Protocol.int_field ~ctx in
@@ -162,6 +172,21 @@ let parse_snapshot json =
       match Json.member "static" json with
       | Some s -> Protocol.instance_of_json s
       | None -> Error "snapshot: missing field \"static\""
+    in
+    (* [Rooted_tree.of_digraph] keeps children in ascending order, so
+       the graph and the root give back the tree the session served. *)
+    let* tree =
+      match Json.member "root" json with
+      | None -> Ok None
+      | Some _ -> (
+        let* root = int json "root" in
+        match
+          Tdmd.Instance.Tree.make
+            ~tree:(Tdmd_tree.Rooted_tree.of_digraph static.Tdmd.Instance.graph ~root)
+            ~flows:(Tdmd.Instance.flows static) ~lambda:static.Tdmd.Instance.lambda
+        with
+        | tree -> Ok (Some tree)
+        | exception Invalid_argument msg -> Error ("snapshot: tree view invalid: " ^ msg))
     in
     let* live =
       match Json.member "live" json with
@@ -201,7 +226,7 @@ let parse_snapshot json =
         ~graph:static.Tdmd.Instance.graph ~lambda:static.Tdmd.Instance.lambda ~k
         ~flows ~placed ~moves ~arrivals ~departures ()
     with
-    | churn -> Ok (epoch, static, churn, dedup)
+    | churn -> Ok (epoch, static, tree, churn, dedup)
     | exception Invalid_argument msg -> Error ("snapshot state invalid: " ^ msg)
   end
 
@@ -315,9 +340,7 @@ let init_durable ~dtel cfg =
   { cfg; journal; epoch = 0; since_snapshot = 0 }
 
 let build ~(config : Config.t) tree general =
-  let dtel =
-    match config.Config.dtel with Some t -> t | None -> Tel.create ()
-  in
+  let dtel = Tel.create () in
   let dedup_cap = config.Config.dedup_cap and churn_k = config.Config.churn_k in
   let migration_budget = config.Config.migration_budget in
   match config.Config.durability with
@@ -410,7 +433,7 @@ let recover ?(dedup_cap = default_dedup_cap) cfg =
     | contents -> Json.of_string contents
     | exception Sys_error msg -> Error ("cannot read snapshot: " ^ msg)
   in
-  let* epoch, static, churn, snap_dedup = parse_snapshot json in
+  let* epoch, static, tree, churn, snap_dedup = parse_snapshot json in
   let dtel = Tel.create () in
   remove_stale_files cfg ~tel:dtel ~keep_epoch:epoch;
   let* journal, ops =
@@ -440,7 +463,7 @@ let recover ?(dedup_cap = default_dedup_cap) cfg =
   let d = { cfg; journal; epoch; since_snapshot = List.length ops } in
   let t =
     {
-      tree = None;
+      tree;
       general = static;
       churn;
       lock = Mutex.create ();

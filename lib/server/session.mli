@@ -47,11 +47,6 @@ val durability :
 val snapshot_file : durability -> string
 (** [dir/snapshot.json] — where the atomic snapshot lives. *)
 
-val journal_file : durability -> int -> string
-(** [journal_file cfg epoch] is [dir/journal-<epoch>.wal].  Segments are
-    rotated by epoch at each snapshot; the snapshot records which epoch
-    continues it, so a crash mid-rotation recovers consistently. *)
-
 (** {1 Construction} *)
 
 val default_dedup_cap : int
@@ -72,9 +67,6 @@ module Config : sig
             (see {!Tdmd.Incremental.create}); 0 = pin-only *)
     dedup_cap : int;  (** >= 1; see {!default_dedup_cap} *)
     durability : durability option;  (** [None] = in-memory only *)
-    dtel : Tdmd_obs.Telemetry.t option;
-        (** share a telemetry sink (e.g. one per shard directory);
-            [None] = the session creates its own *)
   }
 
   val default : t
@@ -93,9 +85,9 @@ val create : ?config:Config.t -> Tdmd.Instance.t -> t
 
 val create_tree : ?config:Config.t -> Tdmd.Instance.Tree.t -> t
 (** Serve a tree instance: every registry name resolves (general
-    solvers see the {!Tdmd.Instance.Tree.to_general} view).  Note the
-    snapshot codec stores the general view only, so {!recover} of a
-    tree session serves it as a general session. *)
+    solvers see the {!Tdmd.Instance.Tree.to_general} view).  The
+    snapshot stores that general view plus the root, from which
+    {!recover} rebuilds the same tree view. *)
 
 val recover : ?dedup_cap:int -> durability -> (t, string) result
 (** Rebuild a session from [cfg.dir]: parse the snapshot, restore the

@@ -31,11 +31,3 @@ let of_flows ~vertex_count flows =
           indexed)
   in
   Setcover.make ~universe:(List.length flows) sets
-
-let feasible_exact ~vertex_count ~k flows =
-  Setcover.decision (of_flows ~vertex_count flows) ~k
-
-let min_middleboxes_exact ~vertex_count flows =
-  match Setcover.exact (of_flows ~vertex_count flows) with
-  | Some cover -> List.length cover
-  | None -> invalid_arg "Reduction.min_middleboxes_exact: uncoverable flows"

@@ -5,8 +5,7 @@
     element whose path is the "directed line" through the vertices of
     the sets containing it.  Backward: any TDMD instance's feasibility
     question is itself a set-cover instance (sets = flows through each
-    vertex), which is how the exact feasibility oracle in the tests is
-    implemented. *)
+    vertex), which is how {!Tdmd.Feasibility} answers it exactly. *)
 
 val to_tdmd : Setcover.t -> Tdmd_graph.Digraph.t * Tdmd_flow.Flow.t list
 (** Forward reduction.  Flow [e]'s rate is 1; its path visits the
@@ -18,11 +17,3 @@ val to_tdmd : Setcover.t -> Tdmd_graph.Digraph.t * Tdmd_flow.Flow.t list
 val of_flows : vertex_count:int -> Tdmd_flow.Flow.t list -> Setcover.t
 (** Backward reduction: universe = flow positions (in list order), set
     [v] = flows whose path contains [v]. *)
-
-val feasible_exact : vertex_count:int -> k:int -> Tdmd_flow.Flow.t list -> bool
-(** Exact TDMD feasibility via the backward reduction and
-    {!Setcover.exact}.  Only for small instances (≤ 62 flows). *)
-
-val min_middleboxes_exact : vertex_count:int -> Tdmd_flow.Flow.t list -> int
-(** Minimum number of middleboxes that can serve all flows (exact; same
-    size limits). *)

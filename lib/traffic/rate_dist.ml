@@ -40,5 +40,3 @@ let mean t =
     let tail_lo = float_of_int (max 4 (r_max / 5)) in
     let tail = Float.min (float_of_int r_max) (1.3 *. tail_lo /. 0.3) in
     (0.80 *. 1.5) +. (0.15 *. mid) +. (0.05 *. tail)
-
-let default_caida = Caida_like { r_max = 50 }

@@ -22,6 +22,3 @@ val sample : t -> Rng.t -> int
 val mean : t -> float
 (** Expected rate (estimate for the mixtures; used for density
     targeting). *)
-
-val default_caida : t
-(** [Caida_like { r_max = 50 }] — the repository-wide default. *)

@@ -11,9 +11,13 @@
    - [within] (the cover fix-up), [oracle_naive] with [gtp] over it,
      and HAT's [delta_b] with the [hat] merge loop answer every query
      by a from-scratch scan;
+   - [greedy] and [lazy_greedy] (CELF) are the value-only forms of
+     GTP's two loops, over any [set_function]; [check_monotone] and
+     [check_submodular] test Theorem 2 on one;
    - [Churn] is the churn engine with every decision taken over an
      instance rebuilt from the live flows. *)
 
+module Rng = Tdmd_prelude.Rng
 module Flow = Tdmd_flow.Flow
 module Allocation = Tdmd.Allocation
 module Placement = Tdmd.Placement
@@ -322,19 +326,159 @@ module Churn = struct
     auto_rebalance t
 end
 
-(* The objective as a value-only submodular oracle: every query is a
+(* Monotone submodular maximisation under a cardinality constraint,
+   value-only: the ground set is [0 .. ground-1], and every marginal is
+   the difference of two [value] calls. *)
+type set_function = { ground : int; value : int list -> float }
+
+type selection = {
+  chosen : int list; (* in selection order *)
+  gains : float list; (* marginal gain of each selection *)
+  oracle_calls : int;
+}
+
+(* Plain adaptive greedy: add the element with the largest marginal gain
+   (lowest index wins ties) until [k] are chosen, no gain is positive,
+   or [stop chosen] holds (checked before each round). *)
+let greedy ?(stop = fun _ -> false) ~k f =
+  let calls = ref 0 in
+  let value s =
+    incr calls;
+    f.value s
+  in
+  let rec round chosen gains base =
+    if List.length chosen >= k || stop (List.rev chosen) then
+      { chosen = List.rev chosen; gains = List.rev gains; oracle_calls = !calls }
+    else begin
+      (* Exact comparison, lowest index wins ties — identical tie
+         handling to [lazy_greedy], so the two return the same set. *)
+      let best = ref (-1) and best_gain = ref 1e-12 in
+      for v = 0 to f.ground - 1 do
+        if not (List.mem v chosen) then begin
+          let g = value (v :: chosen) -. base in
+          if g > !best_gain then begin
+            best := v;
+            best_gain := g
+          end
+        end
+      done;
+      if !best < 0 then
+        { chosen = List.rev chosen; gains = List.rev gains; oracle_calls = !calls }
+      else round (!best :: chosen) (!best_gain :: gains) (base +. !best_gain)
+    end
+  in
+  round [] [] (value [])
+
+(* CELF's heap order: gain descending, lower element on ties. *)
+let by_gain ((g1 : float), (v1 : int)) ((g2 : float), (v2 : int)) =
+  if g1 = g2 then compare v1 v2 else compare g2 g1
+
+(* CELF lazy evaluation (Leskovec et al., KDD 2007): the same set as
+   [greedy] on a submodular [f], typically with far fewer calls. *)
+let lazy_greedy ?(stop = fun _ -> false) ~k f =
+  let calls = ref 0 in
+  let value s =
+    incr calls;
+    f.value s
+  in
+  let base = ref (value []) in
+  (* Max-heap by cached gain; stale entries are re-evaluated on pop. *)
+  let heap = Tdmd_heap.Binary_heap.create ~cmp:by_gain () in
+  for v = 0 to f.ground - 1 do
+    Tdmd_heap.Binary_heap.push heap (infinity, v)
+  done;
+  let rec select chosen gains =
+    if List.length chosen >= k || stop (List.rev chosen) then (chosen, gains)
+    else begin
+      match Tdmd_heap.Binary_heap.pop heap with
+      | None -> (chosen, gains)
+      | Some (_, v) ->
+        let fresh = value (v :: chosen) -. !base in
+        (* Cached gains are upper bounds (submodularity), so [v] is the
+           true argmax when its fresh gain still beats the next cached
+           gain.  The acceptance test is exactly the heap order (ties
+           defer to the lower index, matching [greedy]); anything softer
+           can disagree with the ordering and re-pop the same entry
+           forever. *)
+        let accept =
+          match Tdmd_heap.Binary_heap.peek heap with
+          | None -> true
+          | Some (g_next, v_next) -> fresh > g_next || (fresh = g_next && v < v_next)
+        in
+        if accept then begin
+          if fresh <= 1e-12 then (chosen, gains)
+          else begin
+            base := !base +. fresh;
+            select (v :: chosen) (fresh :: gains)
+          end
+        end
+        else begin
+          Tdmd_heap.Binary_heap.push heap (fresh, v);
+          select chosen gains
+        end
+    end
+  in
+  let chosen, gains = select [] [] in
+  { chosen = List.rev chosen; gains = List.rev gains; oracle_calls = !calls }
+
+let random_subset rng n ~avoid =
+  let s = ref [] in
+  for v = 0 to n - 1 do
+    if v <> avoid && Rng.bool rng then s := v :: !s
+  done;
+  !s
+
+(* Randomised monotonicity check: f(S) <= f(S + {v}). *)
+let check_monotone rng ~trials f =
+  let rec go t =
+    if t = 0 then Ok ()
+    else begin
+      let v = Rng.int rng f.ground in
+      let s = random_subset rng f.ground ~avoid:v in
+      let fs = f.value s and fsv = f.value (v :: s) in
+      if fsv +. 1e-9 < fs then
+        Error
+          (Printf.sprintf "monotonicity violated: f(S)=%g > f(S+{%d})=%g" fs v fsv)
+      else go (t - 1)
+    end
+  in
+  go trials
+
+(* Randomised diminishing-returns check:
+   f(S + {v}) - f(S) >= f(S' + {v}) - f(S') for sampled S within S'. *)
+let check_submodular rng ~trials f =
+  let rec go t =
+    if t = 0 then Ok ()
+    else begin
+      let v = Rng.int rng f.ground in
+      let small = random_subset rng f.ground ~avoid:v in
+      let extra = random_subset rng f.ground ~avoid:v in
+      let large = List.sort_uniq compare (small @ extra) in
+      let gain s = f.value (v :: s) -. f.value s in
+      if gain small +. 1e-9 < gain large then
+        Error
+          (Printf.sprintf
+             "submodularity violated at element %d: gain(small)=%g < gain(large)=%g" v
+             (gain small) (gain large))
+      else go (t - 1)
+    end
+  in
+  go trials
+
+(* The objective as a value-only set function: every query is a
    from-scratch [Bandwidth.diminished_volume] scan. *)
 let oracle_naive instance =
-  Tdmd_submod.Submodular.make
-    ~ground:(Tdmd.Instance.vertex_count instance)
-    ~value:(fun vs ->
-      float_of_int (Tdmd.Bandwidth.diminished_volume instance (Placement.of_list vs)))
-    ()
+  {
+    ground = Tdmd.Instance.vertex_count instance;
+    value =
+      (fun vs ->
+        float_of_int (Tdmd.Bandwidth.diminished_volume instance (Placement.of_list vs)));
+  }
 
 (* GTP (or CELF, by [select]) over [oracle_naive], repaired by [within]. *)
 let gtp select ~budget instance =
   let sel = select ~stop:(fun _ -> false) ~k:budget (oracle_naive instance) in
-  Placement.of_list (within instance ~chosen:sel.Tdmd_submod.Submodular.chosen ~budget)
+  Placement.of_list (within instance ~chosen:sel.chosen ~budget)
 
 (* HAT's merge penalty Δb(i,j): replace the boxes on [i] and [j] by one
    on their LCA and rescan, in integer units scaled by (1−λ). *)

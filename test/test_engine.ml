@@ -2,7 +2,7 @@
    session, path-ownership routing with cross-shard two-phase apply,
    group commit under concurrency, per-shard crash recovery including
    coordinator replay, the versioned protocol envelope, and client-side
-   redirect following. *)
+   retries. *)
 
 open Tdmd_prelude
 module Json = Tdmd_obs.Json
@@ -24,7 +24,6 @@ let mk_config ?durability ?(churn_k = 2) () =
         Session.Config.migration_budget = 0;
     Session.Config.dedup_cap = Session.default_dedup_cap;
     Session.Config.durability;
-    Session.Config.dtel = None;
   }
 
 (* A line 0-1-...-(n-1) with one static flow, the shape every journal
@@ -572,7 +571,7 @@ let test_envelope_versioning () =
   | Error e -> Alcotest.failf "round trip failed: %s" e
 
 (* ------------------------------------------------------------------ *)
-(* Redirect following (client side)                                    *)
+(* Fake replicas (client side)                                         *)
 (* ------------------------------------------------------------------ *)
 
 let temp_addr () =
@@ -613,52 +612,6 @@ let fake_replica addr respond =
     (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
     (try Unix.close fd with Unix.Unix_error _ -> ());
     Thread.join thread
-
-let test_client_follows_redirect () =
-  let real_addr = temp_addr () in
-  let engine = Engine.create ~config:(mk_config ()) (Engine.General (line_instance 6)) in
-  let server = Server.start (Server.default_config real_addr) engine in
-  Fun.protect
-    ~finally:(fun () ->
-      Server.request_stop server;
-      Server.wait server)
-  @@ fun () ->
-  let fake_addr = temp_addr () in
-  let stop_fake = fake_replica fake_addr (fun _ -> P.redirect real_addr) in
-  Fun.protect ~finally:stop_fake @@ fun () ->
-  let c = Client.connect fake_addr in
-  (* One transparent hop: the reply comes from the real server. *)
-  (match Client.rpc c P.Ping with
-  | Ok resp ->
-    Alcotest.(check bool) "redirected ping answered" true
-      (Json.member "ok" resp = Some (Json.Bool true))
-  | Error e -> Alcotest.failf "redirect not followed: %s" e);
-  (* The new address sticks: a mutating op goes straight to the real
-     server and is applied there. *)
-  (match Client.rpc c (P.Arrive { id = 9; rate = 1; path = [ 0; 1; 2 ] }) with
-  | Ok resp ->
-    Alcotest.(check bool) "arrive after redirect" true
-      (Json.member "ok" resp = Some (Json.Bool true))
-  | Error e -> Alcotest.failf "post-redirect arrive failed: %s" e);
-  Alcotest.(check int) "flow landed on the real server" 1
-    (match List.assoc "flows" (Engine.churn_stats engine) with
-    | Json.Int v -> v
-    | _ -> -1);
-  Client.close c
-
-let test_client_redirect_loop_surfaces () =
-  (* A replica that redirects to itself: the client follows once, then
-     returns the second redirect verbatim instead of looping. *)
-  let fake_addr = temp_addr () in
-  let stop_fake = fake_replica fake_addr (fun _ -> P.redirect fake_addr) in
-  Fun.protect ~finally:stop_fake @@ fun () ->
-  let c = Client.connect fake_addr in
-  (match Client.rpc c P.Ping with
-  | Ok resp ->
-    Alcotest.(check bool) "loop surfaced as redirect response" true
-      (Json.member "code" resp = Some (Json.String "redirect"))
-  | Error e -> Alcotest.failf "redirect loop: transport error %s" e);
-  Client.close c
 
 (* ------------------------------------------------------------------ *)
 (* Client retry budget and retry_after_ms                              *)
@@ -1145,8 +1098,6 @@ let golden_replies =
     P.error ~code:"conflict" "flow 3 is not active";
     P.error ~id:(Json.String "q") ~retry_after_ms:7 ~code:"unavailable"
       "shard restarting";
-    P.redirect ~id:(Json.Int 1) (P.Unix_sock "replica.sock");
-    P.redirect (P.Tcp ("10.0.0.2", 7000));
   ]
 
 let golden_journal_ops =
@@ -1408,6 +1359,44 @@ let test_fixtures_recover () =
     (List.filter is_fixture_line (Test_registry.read_lines golden_file))
     (fixture_lines_all ())
 
+(* A durable tree engine keeps its tree view across recovery: at 1 and
+   4 shards the static tree solvers answer the same before and after,
+   and so does dp-binary's refusal of a non-binary tree. *)
+let test_tree_engine_recovers () =
+  let tree_inst = Sc.build_tree (Rng.create 1) Sc.default_tree in
+  let answers engine =
+    List.map
+      (fun algo ->
+        reply_to_string
+          (strip_timing (Engine.solve engine ~algo ~k:4 ~seed:1 ~target:P.Static)))
+      [ "dp"; "hat"; "scaled-dp"; "dp-binary" ]
+  in
+  List.iter
+    (fun shards ->
+      let dir = temp_dir () in
+      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+      let cfg = Session.durability ~fsync:Journal.Always dir in
+      let engine =
+        Engine.create ~config:(mk_config ~durability:cfg ()) ~shards (Engine.Tree tree_inst)
+      in
+      let before = answers engine in
+      Engine.close engine;
+      List.iteri
+        (fun i reply ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d shards: answer %d before recovery" shards i)
+            (i < 3)
+            (not (String.starts_with ~prefix:"error" reply)))
+        before;
+      match Engine.recover cfg with
+      | Error msg -> Alcotest.failf "%d shards: recover: %s" shards msg
+      | Ok engine ->
+        Fun.protect ~finally:(fun () -> Engine.close engine) @@ fun () ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "%d shards: same answers after recovery" shards)
+          before (answers engine))
+    [ 1; 4 ]
+
 let suite =
   [
     Alcotest.test_case "config: defaults and deterministic construction" `Quick
@@ -1423,10 +1412,6 @@ let suite =
     Alcotest.test_case "sharded: crash matrix" `Quick test_sharded_crash_matrix;
     Alcotest.test_case "protocol: versioned envelope" `Quick
       test_envelope_versioning;
-    Alcotest.test_case "client: follows one redirect" `Quick
-      test_client_follows_redirect;
-    Alcotest.test_case "client: redirect loop surfaces" `Quick
-      test_client_redirect_loop_surfaces;
     Alcotest.test_case "client: retry budget exhausts" `Quick
       test_client_retry_budget_exhausted;
     Alcotest.test_case "client: honors retry_after_ms" `Quick
@@ -1447,4 +1432,6 @@ let suite =
     Alcotest.test_case "server: golden bytes" `Quick test_golden_bytes;
     Alcotest.test_case "server: parent-written directories recover" `Quick
       test_fixtures_recover;
+    Alcotest.test_case "durable tree: tree solvers survive recovery" `Quick
+      test_tree_engine_recovers;
   ]

@@ -1,6 +1,6 @@
 (* Extension modules: the binary-tree DP transcription (Eqs. 7-8),
-   local search, incremental maintenance, plus the Euler-tour LCA and
-   the temporal workload generator. *)
+   local search, incremental maintenance, plus the binary-lifting LCA
+   and the temporal workload generator. *)
 
 open Tdmd_prelude
 module P = Tdmd.Placement
@@ -230,24 +230,20 @@ let test_incremental_quality_vs_scratch () =
     true (!worst_ratio <= 2.0)
 
 (* ------------------------------------------------------------------ *)
-(* Euler-tour LCA and tree printing                                    *)
+(* Binary-lifting LCA                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let prop_euler_lca_matches =
-  QCheck.Test.make ~name:"euler-tour LCA = binary lifting = naive" ~count:60
+let prop_lca_matches =
+  QCheck.Test.make ~name:"binary-lifting LCA = naive" ~count:60
     QCheck.(pair (int_range 2 60) (int_bound 100000))
     (fun (n, seed) ->
       let rng = Rng.create seed in
       let tree = Tdmd_topo.Topo_tree.random_attachment rng n in
       let lift = Tdmd_tree.Lca.build tree in
-      let euler = Tdmd_tree.Euler_lca.build tree in
       let ok = ref true in
       for _ = 1 to 40 do
         let u = Rng.int rng n and v = Rng.int rng n in
-        let a = Tdmd_tree.Lca.query lift u v in
-        let b = Tdmd_tree.Euler_lca.query euler u v in
-        let c = Tdmd_tree.Lca.naive tree u v in
-        if a <> b || b <> c then ok := false
+        if Tdmd_tree.Lca.query lift u v <> Tdmd_tree.Lca.naive tree u v then ok := false
       done;
       !ok)
 
@@ -307,6 +303,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_incremental_stays_feasible;
     Alcotest.test_case "incremental: quality vs scratch GTP" `Quick
       test_incremental_quality_vs_scratch;
-    QCheck_alcotest.to_alcotest prop_euler_lca_matches;
+    QCheck_alcotest.to_alcotest prop_lca_matches;
     Alcotest.test_case "temporal workload" `Quick test_temporal;
   ]

@@ -6,7 +6,6 @@
    these properties lock it in over randomized instances. *)
 
 open Tdmd_prelude
-module S = Tdmd_submod.Submodular
 module O = Tdmd.Inc_oracle
 
 let dyadic_lambda rng =
@@ -261,13 +260,13 @@ let prop_ledger_differential =
       query ();
       !ok)
 
-(* (b) Greedy / CELF over the submodular machinery: the incremental
-   oracle must make the same selections with the same gains as the naive
-   full-rescan oracle — exact float equality, no tolerance. *)
+(* (b) GTP's greedy and CELF loops on the oracle's ledger must make the
+   same selections with the same gains as the value-only references over
+   the naive full-rescan oracle — exact float equality, no tolerance. *)
 let prop_greedy_differential =
   QCheck.Test.make ~name:"greedy & CELF: incremental oracle = naive oracle"
     ~count:120
-    QCheck.(pair (int_bound 1_000_000) (int_range 4 14))
+    QCheck.(pair (int_bound 1_000_000) (int_range 4 20))
     (fun (seed, n) ->
       let rng = Rng.create seed in
       let inst =
@@ -275,15 +274,16 @@ let prop_greedy_differential =
           ~lambda:(Rng.float rng 1.0)
       in
       let k = 1 + Rng.int rng n in
-      let same select =
-        let a = select ~k (Reference.oracle_naive inst) in
-        let b = select ~k (Tdmd.Bandwidth.oracle inst) in
-        a.S.chosen = b.S.chosen
-        && a.S.gains = b.S.gains
-        && Tdmd.Bandwidth.total inst (Tdmd.Placement.of_list a.S.chosen)
-           = Tdmd.Bandwidth.total inst (Tdmd.Placement.of_list b.S.chosen)
+      let same naive fast =
+        let a = naive ~k (Reference.oracle_naive inst) in
+        let b = fast ~k inst in
+        a.Reference.chosen = b.Tdmd.Gtp.chosen
+        && a.Reference.gains = List.map float_of_int b.Tdmd.Gtp.gains
+        && Tdmd.Bandwidth.total inst (Tdmd.Placement.of_list a.Reference.chosen)
+           = Tdmd.Bandwidth.total inst (Tdmd.Placement.of_list b.Tdmd.Gtp.chosen)
       in
-      same (fun ~k o -> S.greedy ~k o) && same (fun ~k o -> S.lazy_greedy ~k o))
+      same (fun ~k o -> Reference.greedy ~k o) Tdmd.Gtp.greedy
+      && same (fun ~k o -> Reference.lazy_greedy ~k o) Tdmd.Gtp.celf)
 
 (* (c) End-to-end GTP / CELF against the from-scratch reference (naive
    oracle, naive cover fix-up): identical placement, bandwidth and
@@ -306,10 +306,10 @@ let prop_gtp_run_differential =
         && Tdmd.Allocation.is_feasible inst a = b.Tdmd.Solver_intf.feasible
       in
       same
-        (fun ~stop ~k o -> S.greedy ~stop ~k o)
+        (fun ~stop ~k o -> Reference.greedy ~stop ~k o)
         (fun ~budget i -> Tdmd.Gtp.run ~budget i)
       && same
-           (fun ~stop ~k o -> S.lazy_greedy ~stop ~k o)
+           (fun ~stop ~k o -> Reference.lazy_greedy ~stop ~k o)
            (fun ~budget i -> Tdmd.Gtp.run_celf ~budget i))
 
 (* (d) HAT on random trees: the Δb probes answered by the oracle mirror

@@ -22,7 +22,6 @@ let session_of_general ?durability ?dedup_cap ~churn_k inst =
         Session.Config.dedup_cap =
           Option.value dedup_cap ~default:Session.default_dedup_cap;
         Session.Config.durability = durability;
-        Session.Config.dtel = None;
       }
     inst
 

@@ -22,7 +22,6 @@ let session_of_general ?durability ~churn_k inst =
         Session.Config.migration_budget = 0;
         Session.Config.dedup_cap = Session.default_dedup_cap;
         Session.Config.durability = durability;
-        Session.Config.dtel = None;
       }
     (Engine.General inst)
 
@@ -34,7 +33,6 @@ let session_of_tree ~churn_k t =
         Session.Config.migration_budget = 0;
         Session.Config.dedup_cap = Session.default_dedup_cap;
         Session.Config.durability = None;
-        Session.Config.dtel = None;
       }
     (Engine.Tree t)
 

@@ -150,10 +150,9 @@ let prop_gtp_approximation_ratio =
       (* Theorem 3 is about the pure greedy prefix (no feasibility
          fix-up): run the submodular greedy directly on the decrement
          oracle and compare against the exact k-constrained maximum. *)
-      let oracle = Tdmd.Bandwidth.oracle inst in
-      let greedy = Tdmd_submod.Submodular.greedy ~k oracle in
+      let greedy = Tdmd.Gtp.greedy ~k inst in
       let greedy_decrement =
-        Tdmd.Bandwidth.decrement inst (P.of_list greedy.Tdmd_submod.Submodular.chosen)
+        Tdmd.Bandwidth.decrement inst (P.of_list greedy.Tdmd.Gtp.chosen)
       in
       let best = ref 0.0 in
       let rec enum start chosen size =

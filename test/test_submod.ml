@@ -1,17 +1,22 @@
+(* The value-only submodular references in [Reference] (greedy, CELF,
+   the Theorem 2 checkers) on textbook set functions, and Theorem 2 and
+   CELF = greedy on the TDMD decrement. *)
+
 open Tdmd_prelude
-module S = Tdmd_submod.Submodular
+module S = Reference
 
 (* A concrete weighted-coverage oracle (classically submodular). *)
 let coverage_oracle () =
   let sets = [| [ 0; 1 ]; [ 1; 2; 3 ]; [ 3 ]; [ 0; 1; 2; 3; 4 ] |] in
   let weights = [| 5.0; 1.0; 3.0; 2.0; 0.5 |] in
-  S.make
-    ~ground:(Array.length sets)
-    ~value:(fun chosen ->
-      let covered = Hashtbl.create 8 in
-      List.iter (fun i -> List.iter (fun e -> Hashtbl.replace covered e ()) sets.(i)) chosen;
-      Hashtbl.fold (fun e () acc -> acc +. weights.(e)) covered 0.0)
-    ()
+  {
+    S.ground = Array.length sets;
+    value =
+      (fun chosen ->
+        let covered = Hashtbl.create 8 in
+        List.iter (fun i -> List.iter (fun e -> Hashtbl.replace covered e ()) sets.(i)) chosen;
+        Hashtbl.fold (fun e () acc -> acc +. weights.(e)) covered 0.0);
+  }
 
 let test_greedy_coverage () =
   let oracle = coverage_oracle () in
@@ -23,16 +28,12 @@ let test_greedy_coverage () =
   Alcotest.(check (float 1e-9)) "gain value" 11.5 (List.hd r.S.gains)
 
 let test_greedy_k_limit () =
-  let oracle =
-    S.make ~ground:4 ~value:(fun chosen -> float_of_int (List.length chosen)) ()
-  in
+  let oracle = { S.ground = 4; value = (fun chosen -> float_of_int (List.length chosen)) } in
   let r = S.greedy ~k:2 oracle in
   Alcotest.(check int) "stops at k" 2 (List.length r.S.chosen)
 
 let test_greedy_stop () =
-  let oracle =
-    S.make ~ground:5 ~value:(fun chosen -> float_of_int (List.length chosen)) ()
-  in
+  let oracle = { S.ground = 5; value = (fun chosen -> float_of_int (List.length chosen)) } in
   let r = S.greedy ~stop:(fun chosen -> List.length chosen >= 3) ~k:5 oracle in
   Alcotest.(check int) "stop predicate respected" 3 (List.length r.S.chosen)
 
@@ -60,9 +61,10 @@ let test_checkers_accept_coverage () =
 let test_checkers_reject_supermodular () =
   (* f(S) = |S|^2 is supermodular and must be caught. *)
   let oracle =
-    S.make ~ground:6
-      ~value:(fun chosen -> let n = float_of_int (List.length chosen) in n *. n)
-      ()
+    {
+      S.ground = 6;
+      value = (fun chosen -> let n = float_of_int (List.length chosen) in n *. n);
+    }
   in
   let rng = Rng.create 32 in
   match S.check_submodular rng ~trials:500 oracle with
@@ -80,7 +82,7 @@ let prop_decrement_submodular =
         Fixtures.random_general_instance rng ~n ~flows:(2 * n) ~max_rate:5
           ~lambda:(Rng.float rng 1.0)
       in
-      let oracle = Tdmd.Bandwidth.oracle inst in
+      let oracle = S.oracle_naive inst in
       S.check_monotone rng ~trials:60 oracle = Ok ()
       && S.check_submodular rng ~trials:60 oracle = Ok ())
 
@@ -93,11 +95,12 @@ let prop_celf_equals_greedy_on_tdmd =
       let inst =
         Fixtures.random_general_instance rng ~n ~flows:n ~max_rate:4 ~lambda:0.5
       in
-      let oracle = Tdmd.Bandwidth.oracle inst in
-      let a = S.greedy ~k:4 oracle in
-      let b = S.lazy_greedy ~k:4 oracle in
+      let oracle = S.oracle_naive inst in
+      let a = Tdmd.Gtp.greedy ~k:4 inst in
+      let b = Tdmd.Gtp.celf ~k:4 inst in
       (* Selections can differ only on exact ties; values must agree. *)
-      Float.abs (oracle.S.value a.S.chosen -. oracle.S.value b.S.chosen) < 1e-6)
+      Float.abs (oracle.S.value a.Tdmd.Gtp.chosen -. oracle.S.value b.Tdmd.Gtp.chosen)
+      < 1e-6)
 
 let suite =
   [
