@@ -153,24 +153,8 @@ let solve topology size k lambda density seed algo trace metrics_out =
              telemetry))
 
 let figures target =
-  let known =
-    [
-      ("fig9", fun () -> Tdmd_sim.Report.print_result (Tdmd_sim.Experiments.fig9 ()));
-      ("fig10", fun () -> Tdmd_sim.Report.print_result (Tdmd_sim.Experiments.fig10 ()));
-      ("fig11", fun () -> Tdmd_sim.Report.print_result (Tdmd_sim.Experiments.fig11 ()));
-      ("fig12", fun () -> Tdmd_sim.Report.print_result (Tdmd_sim.Experiments.fig12 ()));
-      ("fig13", fun () -> Tdmd_sim.Report.print_result (Tdmd_sim.Experiments.fig13 ()));
-      ("fig14", fun () -> Tdmd_sim.Report.print_result (Tdmd_sim.Experiments.fig14 ()));
-      ("fig15", fun () -> Tdmd_sim.Report.print_result (Tdmd_sim.Experiments.fig15 ()));
-      ("fig16", fun () -> Tdmd_sim.Report.print_result (Tdmd_sim.Experiments.fig16 ()));
-      ( "fig17",
-        fun () ->
-          Tdmd_sim.Report.print_grid (Tdmd_sim.Experiments.fig17_tree ());
-          Tdmd_sim.Report.print_grid (Tdmd_sim.Experiments.fig17_general ()) );
-    ]
-  in
-  match List.assoc_opt target known with
-  | Some f -> f ()
+  match List.assoc_opt target Tdmd_sim.Experiments.figures with
+  | Some fig -> print_string (Tdmd_sim.Report.render_figure (fig ()))
   | None ->
     Printf.eprintf "unknown figure %s\n" target;
     exit 2
@@ -654,29 +638,11 @@ let churn topology size k migration_budget lambda density seed horizon
   end;
   let _, general = build_instances topology ~size ~lambda ~density ~seed in
   let graph = general.Tdmd.Instance.graph in
-  let n = Tdmd.Instance.vertex_count general in
   let rng = Rng.create (seed + 7) in
-  let draw_flow rng id =
-    (* Random shortest-path flow; the generated topologies are
-       connected, so a handful of draws always finds a distinct pair. *)
-    let rec pick attempts =
-      if attempts > 100 then failwith "churn: cannot draw a flow path"
-      else begin
-        let src = Rng.int rng n and dst = Rng.int rng n in
-        if src = dst then pick (attempts + 1)
-        else begin
-          match Tdmd_graph.Bfs.shortest_path graph ~src ~dst with
-          | Some path when List.length path > 1 ->
-            Tdmd_flow.Flow.make ~id ~rate:(Rng.int_in rng 1 8) ~path
-          | _ -> pick (attempts + 1)
-        end
-      end
-    in
-    pick 0
-  in
   let timeline =
     Tdmd_traffic.Temporal.generate rng ~horizon ~mean_interarrival:interarrival
-      ~mean_lifetime:lifetime ~draw_flow
+      ~mean_lifetime:lifetime
+      ~draw_flow:(Tdmd_traffic.Temporal.random_flow graph)
   in
   let engine =
     Tdmd.Incremental.create ~migration_budget ~graph

@@ -24,18 +24,8 @@ let () =
 
   let timeline =
     Tdmd_traffic.Temporal.generate rng ~horizon:40.0 ~mean_interarrival:1.2
-      ~mean_lifetime:10.0 ~draw_flow:(fun rng id ->
-        let rec draw () =
-          let src = Rng.int rng n in
-          let dst = Rng.choose rng dest_arr in
-          if src = dst then draw ()
-          else begin
-            match Tdmd_graph.Bfs.shortest_path graph ~src ~dst with
-            | Some path -> Flow.make ~id ~rate:(Rng.int_in rng 1 8) ~path
-            | None -> draw ()
-          end
-        in
-        draw ())
+      ~mean_lifetime:10.0
+      ~draw_flow:(Tdmd_traffic.Temporal.random_flow ~dests:dest_arr graph)
   in
   Printf.printf "timeline: %d events over 40 time units\n\n" (List.length timeline);
 

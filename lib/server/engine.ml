@@ -35,12 +35,10 @@ type t = {
 }
 
 let shard_count t = Array.length t.shards
-let router t = t.router
 let shard t i = t.shards.(i)
 let general t = t.general
 let supervisor t = t.sup
 let retry_after_ms t = Supervisor.retry_after_ms t.sup
-let degraded_reads t = t.degraded_reads
 
 let shard_dir root i = Filename.concat root (Printf.sprintf "shard-%d" i)
 let coord_file root = Filename.concat root "coord.wal"
@@ -527,8 +525,6 @@ let solve_anytime t ~algo ~k ~seed ~target ~budget_ms =
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let single t = Shard.session t.shards.(0)
-
 (* Shard summaries add up: flows and counters sum, placements union,
    and the fleet is feasible when every shard is. *)
 let add_summary (a : Session.churn_summary) (b : Session.churn_summary) =
@@ -683,7 +679,8 @@ let health_fields t =
 
 let stats_fields t =
   let base =
-    if Array.length t.shards = 1 then Session.durability_stats (single t)
+    if Array.length t.shards = 1 then
+      Session.durability_stats (Shard.session t.shards.(0))
     else
       ("shards", Json.List (shard_stats_json t))
       ::
@@ -692,8 +689,6 @@ let stats_fields t =
       | None -> [])
   in
   base @ [ ("health", Json.Obj (health_fields t)) ]
-
-let durability_telemetry t = Session.durability_telemetry (single t)
 
 let close t =
   (* Join every recovery thread first so a mid-restart shard swap cannot

@@ -98,15 +98,12 @@ val recover :
 
 val shard_count : t -> int
 val shard : t -> int -> Shard.t
-val router : t -> Router.t
 val general : t -> Tdmd.Instance.t
 val supervisor : t -> Supervisor.t
 
 val retry_after_ms : t -> int
 (** The supervisor's hint, for the server to attach to ["unavailable"]
     replies. *)
-
-val degraded_reads : t -> bool
 
 (** {1 Requests} *)
 
@@ -194,10 +191,6 @@ val read_status : t -> read_status
 (** How a live read-only op should answer right now: normally, flagged
     degraded, or refused (the server gates [stats] with this; {!solve}
     applies it internally). *)
-
-val durability_telemetry : t -> Tdmd_obs.Telemetry.t
-(** Shard 0's session telemetry (the only shard at [--shards 1]; tests
-    read it while the engine is quiescent). *)
 
 val close : t -> unit
 (** Join the supervisor's recovery threads, close every shard (final

@@ -14,9 +14,6 @@ type t = {
 let create partition =
   { partition; lock = Mutex.create (); flows = Hashtbl.create 64 }
 
-let partition t = t.partition
-let shards t = Partition.shards t.partition
-
 let route_arrive t ~path =
   match Partition.ownership t.partition (Array.of_list path) with
   | Partition.Owned s -> Local s
@@ -40,7 +37,7 @@ let route_depart t ?hint ~flow_id () =
            usable hint the depart lands on shard 0, which answers it as
            the same no-op the pre-shard engine did. *)
         match hint with
-        | Some h when h >= 0 && h < shards t -> h
+        | Some h when h >= 0 && h < Partition.shards t.partition -> h
         | Some _ | None -> 0))
 
 (* After a supervised shard restart the recovered session's flow set is

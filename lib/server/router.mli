@@ -14,8 +14,6 @@ type decision =
 type t
 
 val create : Tdmd_topo.Partition.t -> t
-val partition : t -> Tdmd_topo.Partition.t
-val shards : t -> int
 
 val route_arrive : t -> path:int list -> decision
 (** @raise Invalid_argument on an empty path or a vertex outside the

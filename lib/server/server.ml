@@ -101,8 +101,6 @@ let stats_fields t =
   ]
   @ Engine.stats_fields t.engine
 
-let telemetry t = t.tel
-
 (* ------------------------------------------------------------------ *)
 (* Request execution                                                   *)
 (* ------------------------------------------------------------------ *)

@@ -63,10 +63,3 @@ val wait : t -> unit
     finish and answer everything already queued, close connections,
     join every thread and domain, and write the [metrics_out] summary.
     Returns when the server is fully stopped. *)
-
-val telemetry : t -> Tdmd_obs.Telemetry.t
-(** Live server counters (shared — read-mostly use only). *)
-
-val stats_fields : t -> (string * Protocol.Json.t) list
-(** The [stats] op's server section: counters, queue depth, uptime and
-    latency percentiles (milliseconds). *)

@@ -1,6 +1,5 @@
 module Locked = Tdmd_prelude.Locked
 module Backoff = Tdmd_prelude.Backoff
-module Tel = Tdmd_obs.Telemetry
 
 type state = Serving | Recovering | Poisoned
 
@@ -55,7 +54,6 @@ type cell = {
 
 type t = {
   cfg : config;
-  tel : Tel.t;
   faults : Faults.t;
   restart : (int -> (unit, string) result) option;
   cells : cell array;
@@ -64,15 +62,13 @@ type t = {
   mutable threads : Thread.t list;
 }
 
-let create ?(config = default_config) ?tel ?(faults = Faults.none) ~restart
-    ~shards () =
+let create ?(config = default_config) ?(faults = Faults.none) ~restart ~shards
+    () =
   if shards < 1 then invalid_arg "Supervisor.create: shards must be >= 1";
   if config.max_failures < 1 then
     invalid_arg "Supervisor.create: max_failures must be >= 1";
-  let tel = match tel with Some t -> t | None -> Tel.create () in
   {
     cfg = config;
-    tel;
     faults;
     restart;
     cells =
@@ -91,12 +87,9 @@ let create ?(config = default_config) ?tel ?(faults = Faults.none) ~restart
     threads = [];
   }
 
-let shards t = Array.length t.cells
 let retry_after_ms t = t.cfg.retry_after_ms
-let telemetry t = t.tel
 
 let state t i = Locked.with_lock t.lock (fun () -> t.cells.(i).st)
-let healthy t i = state t i = Serving
 
 let all_serving t =
   Locked.with_lock t.lock (fun () ->
@@ -159,8 +152,7 @@ let recover_loop t i =
   let trip () =
     Locked.with_lock t.lock (fun () ->
         cell.st <- Poisoned;
-        cell.trips <- cell.trips + 1;
-        Tel.count t.tel "sup_breaker_trips" 1)
+        cell.trips <- cell.trips + 1)
   in
   let rec attempt () =
     (* Backoff before each try: the dying leader gets time to unwind and
@@ -176,16 +168,13 @@ let recover_loop t i =
             cell.restarts <- cell.restarts + 1;
             cell.consecutive <- 0;
             cell.last_recovery_ms <- (Unix.gettimeofday () -. t0) *. 1000.0;
-            cell.last_error <- None;
-            Tel.count t.tel "sup_restarts" 1;
-            Tel.gauge t.tel "sup_last_recovery_ms" cell.last_recovery_ms)
+            cell.last_error <- None)
       | Error msg ->
         let tripped =
           Locked.with_lock t.lock (fun () ->
               cell.failures <- cell.failures + 1;
               cell.consecutive <- cell.consecutive + 1;
               cell.last_error <- Some msg;
-              Tel.count t.tel "sup_recovery_failures" 1;
               cell.consecutive >= t.cfg.max_failures)
         in
         if tripped then trip () else attempt ()
@@ -201,7 +190,6 @@ let report_failure t i ~reason =
         | Serving ->
           t.cells.(i).st <- Recovering;
           t.cells.(i).last_error <- Some reason;
-          Tel.count t.tel "sup_failures_reported" 1;
           not t.stopping)
   in
   if spawn then begin

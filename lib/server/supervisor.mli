@@ -59,7 +59,6 @@ type t
 
 val create :
   ?config:config ->
-  ?tel:Tdmd_obs.Telemetry.t ->
   ?faults:Faults.t ->
   restart:(int -> (unit, string) result) option ->
   shards:int ->
@@ -72,17 +71,11 @@ val create :
     makes the first failure trip straight through recovery attempts
     that all fail.  [faults] arms the recovery-attempt point
     ["sup.recover"] (a [die] there fails that attempt; a [crash] kills
-    the process mid-recovery).  [tel] receives the counters
-    ["sup_failures_reported"], ["sup_restarts"],
-    ["sup_recovery_failures"], ["sup_breaker_trips"] and the gauge
-    ["sup_last_recovery_ms"]. *)
+    the process mid-recovery). *)
 
-val shards : t -> int
 val retry_after_ms : t -> int
-val telemetry : t -> Tdmd_obs.Telemetry.t
 
 val state : t -> int -> state
-val healthy : t -> int -> bool
 val all_serving : t -> bool
 
 val guard : t -> int -> (unit, string) result

@@ -223,6 +223,21 @@ let fig17_general ?(seed = 17500) ?(reps = 3) () =
       in
       point.Runner.bandwidth.Stats.mean)
 
+type figure = Line of result | Grids of grid list
+
+let figures =
+  [
+    ("fig9", fun () -> Line (fig9 ()));
+    ("fig10", fun () -> Line (fig10 ()));
+    ("fig11", fun () -> Line (fig11 ()));
+    ("fig12", fun () -> Line (fig12 ()));
+    ("fig13", fun () -> Line (fig13 ()));
+    ("fig14", fun () -> Line (fig14 ()));
+    ("fig15", fun () -> Line (fig15 ()));
+    ("fig16", fun () -> Line (fig16 ()));
+    ("fig17", fun () -> Grids [ fig17_tree (); fig17_general () ]);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -339,23 +354,12 @@ let ablation ?(seed = 18000) ?(reps = 5) () =
     let rng = Rng.split master in
     let ark = Tdmd_topo.Ark.generate rng ~n:40 in
     let graph, dests = Tdmd_topo.Ark.general_of rng ark ~size:24 in
-    let dest_arr = Array.of_list dests in
-    let n = Tdmd_graph.Digraph.vertex_count graph in
     let k = 6 in
     let timeline =
       Tdmd_traffic.Temporal.generate rng ~horizon:60.0 ~mean_interarrival:1.5
-        ~mean_lifetime:12.0 ~draw_flow:(fun rng id ->
-          let rec draw () =
-            let src = Rng.int rng n in
-            let dst = Rng.choose rng dest_arr in
-            if src = dst then draw ()
-            else begin
-              match Tdmd_graph.Bfs.shortest_path graph ~src ~dst with
-              | Some path -> Tdmd_flow.Flow.make ~id ~rate:(Rng.int_in rng 1 8) ~path
-              | None -> draw ()
-            end
-          in
-          draw ())
+        ~mean_lifetime:12.0
+        ~draw_flow:
+          (Tdmd_traffic.Temporal.random_flow ~dests:(Array.of_list dests) graph)
     in
     let inc = Tdmd.Incremental.create ~graph ~lambda:0.5 ~k () in
     List.iter

@@ -58,6 +58,12 @@ val fig17_tree : ?seed:int -> ?reps:int -> unit -> grid
 val fig17_general : ?seed:int -> ?reps:int -> unit -> grid
 (** Same grid in the general topology. *)
 
+type figure = Line of result | Grids of grid list
+
+val figures : (string * (unit -> figure)) list
+(** fig9..fig17 at their default seeds and reps, in paper order; fig17
+    is its tree grid, then its general one. *)
+
 type ablation_row = {
   label : string;
   metric : string;

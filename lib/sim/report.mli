@@ -8,11 +8,12 @@ val render_result : Experiments.result -> string
 
 val render_grid : Experiments.grid -> string
 
+val render_figure : Experiments.figure -> string
+(** {!render_result}, or a figure's grids one blank line apart. *)
+
 val render_ablation : Experiments.ablation_row list -> string
 
 val result_csv : Experiments.result -> string
 (** Long-format CSV: figure, metric, x, algorithm, mean, stddev, n. *)
 
-val print_result : Experiments.result -> unit
-val print_grid : Experiments.grid -> unit
 val print_ablation : Experiments.ablation_row list -> unit

@@ -24,6 +24,18 @@ let generate rng ~horizon ~mean_interarrival ~mean_lifetime ~draw_flow =
   (* Stable sort keeps an arrival before a same-instant departure. *)
   List.stable_sort (fun (t1, _) (t2, _) -> compare t1 t2) (List.rev !events)
 
+let random_flow ?dests graph rng id =
+  let n = Tdmd_graph.Digraph.vertex_count graph in
+  let rec pick attempts =
+    if attempts > 100 then failwith "Temporal.random_flow: cannot draw a path";
+    let src = Rng.int rng n in
+    let dst = match dests with Some d -> Rng.choose rng d | None -> Rng.int rng n in
+    match if src = dst then None else Tdmd_graph.Bfs.shortest_path graph ~src ~dst with
+    | Some path -> Flow.make ~id ~rate:(Rng.int_in rng 1 8) ~path
+    | None -> pick (attempts + 1)
+  in
+  pick 0
+
 let active_at timeline time =
   let alive = Hashtbl.create 16 in
   let order = ref [] in

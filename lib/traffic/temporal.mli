@@ -24,6 +24,17 @@ val generate :
     dense from 0).  Departures past the horizon are dropped — flows
     alive at the horizon simply never depart. *)
 
+val random_flow :
+  ?dests:int array ->
+  Tdmd_graph.Digraph.t ->
+  Tdmd_prelude.Rng.t ->
+  int ->
+  Tdmd_flow.Flow.t
+(** A [draw_flow] for {!generate}: rate uniform in 1..8 along the BFS
+    shortest path from a random source to a distinct random destination
+    drawn over every vertex, or over [dests].  Draws [src], [dst], then
+    the rate; @raise Failure after 100 draws without a path. *)
+
 val active_at : timeline -> float -> Tdmd_flow.Flow.t list
 (** Flows arrived and not yet departed strictly before/at the given
     time, in arrival order. *)
