@@ -104,7 +104,7 @@ let micro () =
   let t = Tdmd_prelude.Table.create [ "algorithm"; "time per run" ] in
   List.iter
     (fun test ->
-      let results = analyze (benchmark (Test.make_grouped ~name:"g" [ test ])) in
+      let results = analyze (benchmark test) in
       Hashtbl.iter
         (fun name ols ->
           let ns =

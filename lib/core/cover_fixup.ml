@@ -42,16 +42,25 @@ let within t ~chosen ~budget =
   done;
   (* Keep ever-shorter prefixes (dropping the lowest-value picks first)
      until covering picks fit in the budget; if none does, the first
-     candidate is the answer. *)
+     candidate is the answer.  When the first candidate fails, more than
+     [budget] pairwise vertex-disjoint flow paths prove that no
+     deployment of at most [budget] vertices serves every flow, so every
+     retry would fail too.  [t] holds the first candidate from [extend]
+     until a retry, with the journal that a reset and re-add builds. *)
   let rec attempt kept_len first =
     let candidate = extend kept_len in
-    let first = Option.value first ~default:candidate in
     if Inc_oracle.is_feasible t then candidate
-    else if kept_len = 0 then begin
-      Inc_oracle.reset t;
-      List.iter (Inc_oracle.add t) first;
-      first
-    end
-    else attempt (kept_len - 1) (Some first)
+    else
+      match first with
+      | None
+        when kept_len = 0
+             || Inc_oracle.disjoint_paths t ~at_most:(budget + 1) > budget ->
+        candidate
+      | None -> attempt (kept_len - 1) (Some candidate)
+      | Some first when kept_len = 0 ->
+        Inc_oracle.reset t;
+        List.iter (Inc_oracle.add t) first;
+        first
+      | Some first -> attempt (kept_len - 1) (Some first)
   in
   attempt !longest None

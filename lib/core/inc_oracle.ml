@@ -48,13 +48,15 @@ type t = {
   uncov : int array;             (* vertex -> unserved flows through it, when [uncov_ok] *)
   mutable gain_ok : bool;
   mutable uncov_ok : bool;
+  mutable by_hops : int array;   (* [disjoint_paths]'s counting sort, kept between calls *)
+  packed : int Atomic.t option;  (* the instance's full packing size, for a static oracle *)
 }
 
 (* Diminished edge-units of one flow served at position [l] (l = hops is
    the destination: zero diminished edges; l > hops means unserved). *)
 let contrib rate hops l = if l > hops then 0 else rate * (hops - l)
 
-let make ~owned ~lambda ~vertices ~slabs ~degree ~rates ~hops ~paths =
+let make ~owned ~lambda ~vertices ~slabs ~degree ~rates ~hops ~paths ~packed =
   let nflows = Array.length hops in
   let total_volume = ref 0 in
   for fi = 0 to nflows - 1 do
@@ -82,16 +84,21 @@ let make ~owned ~lambda ~vertices ~slabs ~degree ~rates ~hops ~paths =
     uncov = Array.make vertices 0;
     gain_ok = false;
     uncov_ok = false;
+    by_hops = [||];
+    packed;
   }
 
 let create instance =
-  let { Instance.slabs; degree; rates; hops; paths } = instance.Instance.incidence in
+  let { Instance.slabs; degree; rates; hops; paths; disjoint_paths } =
+    instance.Instance.incidence
+  in
   make ~owned:false ~lambda:instance.Instance.lambda
     ~vertices:(Instance.vertex_count instance) ~slabs ~degree ~rates ~hops ~paths
+    ~packed:(Some disjoint_paths)
 
 let empty ~vertices ~lambda =
   make ~owned:true ~lambda ~vertices ~slabs:(Array.make vertices [||])
-    ~degree:(Array.make vertices 0) ~rates:[||] ~hops:[||] ~paths:[||]
+    ~degree:(Array.make vertices 0) ~rates:[||] ~hops:[||] ~paths:[||] ~packed:None
 
 let mask t = t.placed
 let mem t v = Bytes.get t.placed v = '\001'
@@ -380,6 +387,73 @@ let argmax t count =
     end
   done;
   if !best < 0 then None else Some !best
+
+(* {1 Disjoint-path packing} *)
+
+(* Shortest path first: a counting sort of the live slots by hop count
+   (at most |V| − 1, since paths repeat no vertex), then one pass that
+   keeps each path that shares no vertex with a path kept before it.
+   The sort runs in [by_hops]: bucket starts in cells 0..|V|, the sorted
+   slots after them.  It outlives the call, so the churn engine's oracle
+   sorts without allocating on the major heap at every fix-up. *)
+let pack t ~at_most =
+  let n = Bytes.length t.placed in
+  let need = n + 1 + t.flows in
+  if Array.length t.by_hops < need then
+    t.by_hops <- Array.make (max need (2 * Array.length t.by_hops)) 0;
+  let a = t.by_hops in
+  Array.fill a 0 (n + 1) 0;
+  for fi = 0 to t.slots - 1 do
+    if Array.length t.paths.(fi) > 0 then begin
+      let h = t.hops.(fi) + 1 in
+      a.(h) <- a.(h) + 1
+    end
+  done;
+  a.(0) <- n + 1;
+  for h = 1 to n do
+    a.(h) <- a.(h) + a.(h - 1)
+  done;
+  for fi = 0 to t.slots - 1 do
+    if Array.length t.paths.(fi) > 0 then begin
+      let h = t.hops.(fi) in
+      a.(a.(h)) <- fi;
+      a.(h) <- a.(h) + 1
+    end
+  done;
+  let taken = Bytes.make n '\000' in
+  let rec free path p = p < 0 || (Bytes.get taken path.(p) = '\000' && free path (p - 1)) in
+  let kept = ref 0 and i = ref (n + 1) in
+  while !kept < at_most && !i < n + 1 + t.flows do
+    let path = t.paths.(a.(!i)) in
+    if free path (Array.length path - 1) then begin
+      for p = 0 to Array.length path - 1 do
+        Bytes.set taken path.(p) '\001'
+      done;
+      incr kept
+    end;
+    incr i
+  done;
+  !kept
+
+(* A static oracle's flows never change, so the first one over an
+   instance packs them all and stores the size with the instance; a
+   packing that stops at [at_most] holds the minimum of the two, so
+   that answers every later call.  Oracles racing on the first store
+   store the same size. *)
+let disjoint_paths t ~at_most =
+  match t.packed with
+  | None -> pack t ~at_most
+  | Some cell ->
+    let size = Atomic.get cell in
+    let size =
+      if size >= 0 then size
+      else begin
+        let size = pack t ~at_most:max_int in
+        Atomic.set cell size;
+        size
+      end
+    in
+    min at_most size
 
 (* {1 Swap scan} *)
 

@@ -25,7 +25,11 @@
       box there would add and the number of unserved flows through it;
       {!argmax} picks the best vertex in one pass over it.  GTP/CELF,
       the cover fix-up, the local search ({!scan_moves}) and the churn
-      engine's arrivals and rebalancer ask through them.
+      engine's arrivals and rebalancer ask through them;
+    - {!disjoint_paths} packs pairwise vertex-disjoint flow paths in
+      O(Σ_f |p_f| + |V|), a lower bound on the size of any deployment
+      that serves every flow: the cover fix-up's proof that no shorter
+      prefix can be repaired within the budget.
 
     Each half of the ledger (the gains, the unserved counts) is built by
     the first query that reads it after {!create}, {!of_list}, {!empty}
@@ -161,6 +165,23 @@ val argmax : t -> count -> int option
 val unserved_count : t -> int
 val is_feasible : t -> bool
 (** All flows pass a deployed vertex? *)
+
+val disjoint_paths : t -> at_most:int -> int
+(** [disjoint_paths t ~at_most] packs pairwise vertex-disjoint flow
+    paths greedily, shortest path first (lowest slot on ties), and
+    returns how many it holds, stopping as soon as it holds [at_most].
+    A zero-hop flow's path is its one vertex and counts like any other;
+    vacated slots hold no path.  Every deployment that serves every
+    flow puts a distinct vertex on each packed path, so
+    [disjoint_paths t ~at_most:(b + 1) > b] proves that no deployment
+    of at most [b] vertices is feasible: {!Cover_fixup.within}'s early
+    exit.  The converse does not hold, since a packing can fall short
+    of the fewest vertices that serve every flow.  O(Σ_f |p_f| + |V|):
+    a counting sort by hop count, then one pass over the paths.  On an
+    oracle made by {!create} the first call over an instance packs every
+    flow and stores the size with the instance, so later calls over it,
+    from any oracle and any domain, answer in O(1).  It reads only the
+    flows, not the deployment, and changes no answer. *)
 
 (** {1 Swap scan}
 

@@ -12,10 +12,15 @@
       already deployed); then {!Cover_fixup.within} spends leftover
       budget on the vertex covering the most unserved flows and, if
       the stragglers still cannot all be covered, drops the latest
-      picks one at a time and re-covers;
+      picks one at a time and re-covers — unless more than [k] of the
+      live flows have pairwise vertex-disjoint paths
+      ({!Inc_oracle.disjoint_paths}, one O(Σ_f |p_f| + |V|) pass run
+      only after the first cover fails), which proves no [k] boxes
+      serve them all, so the first cover stands without retries;
     - departure: drop boxes that no longer serve any flow, then spend
       one freed slot on the current best-marginal vertex when it still
-      helps, then repair as on arrival if flows are unserved;
+      helps, then repair as on arrival (early exit included) if flows
+      are unserved;
     - rebalance: bounded local search in the Lukovszki–Rost–Schmid
       spirit ("Approximate and Incremental Network Function
       Placement") — spend at most a {e migration budget} of instance

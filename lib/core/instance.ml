@@ -8,6 +8,7 @@ type incidence = {
   rates : int array;
   hops : int array;
   paths : int array array;
+  disjoint_paths : int Atomic.t;
 }
 
 type t = {
@@ -57,6 +58,7 @@ let incidence_of ~n flows =
     rates = Array.map (fun f -> f.Flow.rate) flows;
     hops = Array.map Flow.hop_count flows;
     paths = Array.map (fun f -> f.Flow.path) flows;
+    disjoint_paths = Atomic.make (-1);
   }
 
 let of_array ~graph ~flows ~lambda =

@@ -16,13 +16,19 @@ type incidence = private {
   rates : int array;  (** per flow index: r_f *)
   hops : int array;  (** per flow index: |p_f| *)
   paths : int array array;  (** per flow index: p_f *)
+  disjoint_paths : int Atomic.t;
+      (** the size of {!Inc_oracle.disjoint_paths}'s full packing of
+          these flows, stored by the first oracle over the instance that
+          asks; −1 until then *)
 }
 (** The vertex → (flow, path position) incidence of the flow set: one
     int slab per vertex plus per-flow arrays, built once per instance
     and shared read-only by every {!Inc_oracle} (and every domain)
     solving it, so an oracle allocates only its per-run deployment
     state.  The churn engine's oracle keeps the same layout over flow
-    slots it owns.  The arrays must not be written. *)
+    slots it owns.  The arrays must not be written; [disjoint_paths] is
+    the one cell an oracle writes, with a value every oracle over the
+    instance computes alike. *)
 
 type t = private {
   graph : Tdmd_graph.Digraph.t;

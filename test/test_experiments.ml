@@ -69,7 +69,15 @@ let test_ablation () =
   in
   Alcotest.(check (float 1e-9)) "binary dp gap zero" 0.0 agree.E.value;
   Alcotest.(check bool) "renders" true
-    (String.length (Report.render_ablation rows) > 0)
+    (String.length (Report.render_ablation rows) > 0);
+  (* No row reads the clock: a second run returns every row again, to
+     the bit. *)
+  let bits rows =
+    List.map (fun r -> (r.E.label, r.E.metric, Int64.bits_of_float r.E.value)) rows
+  in
+  Alcotest.(check (list (triple string string int64)))
+    "two runs, identical rows" (bits rows)
+    (bits (E.ablation ~reps:1 ()))
 
 (* Expected orderings at modest reps: the headline claims of Sec. 6.3. *)
 let test_fig9_ordering () =

@@ -335,7 +335,10 @@ let prop_hat_differential =
 (* (e) Cover_fixup.within against the naive reference of the same
    algorithm in test/reference.ml (prefix rule, repeated best-cover
    picks, feasibility by full rescan).  [chosen] may repeat vertices
-   and name up to twice the budget. *)
+   and name up to twice the budget.  A second draw on the same oracle
+   takes a budget below the disjoint-path packing's size and a
+   non-empty [chosen], so the first candidate fails and [within] takes
+   its early exit; the reference still runs every retry. *)
 let prop_cover_fixup_differential =
   QCheck.Test.make ~name:"Cover_fixup.within: oracle path = naive reference"
     ~count:80
@@ -346,15 +349,70 @@ let prop_cover_fixup_differential =
         Fixtures.random_general_instance rng ~n ~flows:(2 * n) ~max_rate:5
           ~lambda:0.5
       in
-      let budget = 1 + Rng.int rng n in
-      let chosen =
-        List.init (Rng.int rng ((2 * budget) + 1)) (fun _ -> Rng.int rng n)
-      in
+      let picks len = List.init len (fun _ -> Rng.int rng n) in
       let t = O.create inst in
-      let got = Tdmd.Cover_fixup.within t ~chosen ~budget in
-      got = Reference.within inst ~chosen ~budget
-      && Tdmd.Placement.to_list (O.placement t)
-         = Tdmd.Placement.to_list (Tdmd.Placement.of_list got))
+      let same ~chosen ~budget =
+        let got = Tdmd.Cover_fixup.within t ~chosen ~budget in
+        got = Reference.within inst ~chosen ~budget
+        && Tdmd.Placement.to_list (O.placement t)
+           = Tdmd.Placement.to_list (Tdmd.Placement.of_list got)
+      in
+      let budget = 1 + Rng.int rng n in
+      same ~chosen:(picks (Rng.int rng ((2 * budget) + 1))) ~budget
+      &&
+      let packed = O.disjoint_paths t ~at_most:n in
+      packed < 2
+      ||
+      let budget = 1 + Rng.int rng (packed - 1) in
+      same ~chosen:(picks (1 + Rng.int rng (2 * budget))) ~budget)
+
+(* (e') The packing behind that early exit: whenever it holds more than
+   b pairwise vertex-disjoint flow paths, no deployment of at most b
+   vertices serves every flow, so [Tdmd.Brute] finds none; and it stops
+   at [at_most], so asking for b + 1 reads min (b + 1) of the full
+   packing (over an instance, off the size the first call stored).  b
+   is drawn up to the full packing's size, so most draws fall below
+   it.  Zero-hop flows ride along.  Half the cases use an [empty]
+   oracle whose flows arrived in random order, some departed again
+   (vacated slots) and some of those came back (reused slots). *)
+let prop_disjoint_paths_certificate =
+  QCheck.Test.make
+    ~name:"disjoint-path packing above b: no b-vertex deployment is feasible"
+    ~count:150
+    QCheck.(triple (int_bound 1_000_000) (int_range 4 10) bool)
+    (fun (seed, n, owned) ->
+      let n = max 4 n in
+      let rng = Rng.create seed in
+      let base =
+        Fixtures.random_general_instance rng ~n ~flows:(1 + Rng.int rng (2 * n))
+          ~max_rate:4 ~lambda:0.5
+      in
+      let graph = base.Tdmd.Instance.graph in
+      let singles =
+        List.init (Rng.int rng 3) (fun i ->
+            Tdmd_flow.Flow.make ~id:(1000 + i) ~rate:1 ~path:[ Rng.int rng n ])
+      in
+      let flows = Tdmd.Instance.flows base @ singles in
+      let t, live =
+        if not owned then (O.create (Tdmd.Instance.make ~graph ~flows ~lambda:0.5), flows)
+        else begin
+          let t = O.empty ~vertices:n ~lambda:0.5 in
+          let order = Array.of_list flows in
+          Rng.shuffle rng order;
+          let arrived = List.map (fun f -> (f, O.add_flow t f)) (Array.to_list order) in
+          let stay, gone = List.partition (fun _ -> Rng.int rng 3 > 0) arrived in
+          List.iter (fun (_, slot) -> O.remove_flow t slot) gone;
+          let back = List.filter (fun _ -> Rng.bool rng) gone in
+          List.iter (fun (f, _) -> ignore (O.add_flow t f)) back;
+          (t, List.map fst stay @ List.map fst back)
+        end
+      in
+      let full = O.disjoint_paths t ~at_most:max_int in
+      let b = Rng.int rng (full + 1) in
+      let packed = O.disjoint_paths t ~at_most:(b + 1) in
+      let inst = Tdmd.Instance.make ~graph ~flows:live ~lambda:0.5 in
+      packed = min (b + 1) full
+      && (packed <= b || not (Tdmd.Brute.solve ~k:b inst).Tdmd.Solver_intf.feasible))
 
 (* The budget caps the answer even when [chosen] names more distinct
    vertices than it allows: one flow on the path 0-1-2-3 keeps the
@@ -532,6 +590,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_gtp_run_differential;
     QCheck_alcotest.to_alcotest prop_hat_differential;
     QCheck_alcotest.to_alcotest prop_cover_fixup_differential;
+    QCheck_alcotest.to_alcotest prop_disjoint_paths_certificate;
     Alcotest.test_case "cover fix-up: answers stay within the budget" `Quick
       test_cover_fixup_budget_cap;
     QCheck_alcotest.to_alcotest prop_scans_differential;
