@@ -1,5 +1,3 @@
-module Heap = Tdmd_heap.Binary_heap
-
 type picks = {
   oracle : Inc_oracle.t;
   chosen : int list;
@@ -30,44 +28,56 @@ let rounds ~stop ~k instance =
 
 let greedy ~k instance = rounds ~stop:(fun _ -> false) ~k instance
 
-(* CELF's heap order: key descending, lower vertex on ties. *)
-let by_key ((g1 : int), (v1 : int)) ((g2 : int), (v2 : int)) =
-  if g1 = g2 then compare v1 v2 else compare g2 g1
-
 (* CELF (Leskovec et al., KDD 2007).  A key is the vertex's marginal when
    last read, so by submodularity (Theorem 2) an upper bound on its
-   current one.  A popped vertex whose fresh marginal still wins against
-   the next key in the heap order is the round's argmax, so CELF picks
-   exactly what [greedy] picks; otherwise it goes back under its fresh
-   key.  One read per pop. *)
+   current one.  The heap holds the keys and their vertices in two int
+   arrays, ordered by key descending, lower vertex on ties; vertices are
+   distinct, so the order is strict and any heap pops the same sequence.
+   Each round reads the top vertex's fresh marginal into its key: if it
+   still comes before both children (the next key in the heap order) it
+   is the round's argmax, so CELF picks exactly what [greedy] picks;
+   otherwise it sinks under its fresh key.  One read per round. *)
 let celf ~k instance =
   let o = Inc_oracle.create instance in
-  let heap = Heap.create ~cmp:by_key () in
-  for v = 0 to Instance.vertex_count instance - 1 do
-    Heap.push heap (max_int, v)
-  done;
+  let n = Instance.vertex_count instance in
+  (* Equal keys over ascending vertices: already in heap order. *)
+  let keys = Array.make n max_int and verts = Array.init n Fun.id in
+  let len = ref n in
+  let before i j = keys.(i) > keys.(j) || (keys.(i) = keys.(j) && verts.(i) < verts.(j)) in
+  let rec sink i =
+    let l = (2 * i) + 1 in
+    if l < !len then begin
+      let c = if l + 1 < !len && before (l + 1) l then l + 1 else l in
+      if before c i then begin
+        let key = keys.(i) and v = verts.(i) in
+        keys.(i) <- keys.(c);
+        verts.(i) <- verts.(c);
+        keys.(c) <- key;
+        verts.(c) <- v;
+        sink c
+      end
+    end
+  in
   let rec select chosen gains reads =
-    if Inc_oracle.size o >= k then picks o chosen gains reads
+    if Inc_oracle.size o >= k || !len = 0 then picks o chosen gains reads
     else begin
-      match Heap.pop heap with
-      | None -> picks o chosen gains reads
-      | Some (_, v) ->
-        let fresh = Inc_oracle.marginal_volume o v in
-        let reads = reads + 1 in
-        let accept =
-          match Heap.peek heap with
-          | None -> true
-          | Some (g_next, v_next) -> fresh > g_next || (fresh = g_next && v < v_next)
-        in
-        if not accept then begin
-          Heap.push heap (fresh, v);
-          select chosen gains reads
-        end
-        else if fresh <= 0 then picks o chosen gains reads
-        else begin
-          Inc_oracle.add o v;
-          select (v :: chosen) (fresh :: gains) reads
-        end
+      let v = verts.(0) in
+      let fresh = Inc_oracle.marginal_volume o v in
+      keys.(0) <- fresh;
+      let reads = reads + 1 in
+      if (1 < !len && before 1 0) || (2 < !len && before 2 0) then begin
+        sink 0;
+        select chosen gains reads
+      end
+      else if fresh <= 0 then picks o chosen gains reads
+      else begin
+        len := !len - 1;
+        keys.(0) <- keys.(!len);
+        verts.(0) <- verts.(!len);
+        sink 0;
+        Inc_oracle.add o v;
+        select (v :: chosen) (fresh :: gains) reads
+      end
     end
   in
   select [] [] 0

@@ -35,7 +35,8 @@ val greedy : k:int -> Instance.t -> picks
 
 val celf : k:int -> Instance.t -> picks
 (** CELF lazy evaluation (Leskovec et al., KDD 2007): the same picks and
-    gains as [greedy ~k], one read per heap pop. *)
+    gains as [greedy ~k], one read each time it looks at the top of its
+    lazy heap (keys and vertices in two int arrays). *)
 
 val run : ?budget:int -> Instance.t -> Solver_intf.outcome
 (** {!greedy} repaired by {!Cover_fixup.within}: exactly Alg. 1 under a

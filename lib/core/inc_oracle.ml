@@ -17,9 +17,35 @@ module Flow = Tdmd_flow.Flow
    kept current by every edit from then on; an oracle that is only
    edited never pays for either, and the cover fix-up, which resets
    often and asks only cover questions, builds only [uncov], walking
-   only the unserved flows. *)
+   only the unserved flows.
+
+   The swap searches price "this deployment without deployed box u"
+   without editing it.  Only the flows u serves move: each is served
+   next at its next deployed position b (or not at all), so the ledger
+   without u differs from the ledger with u only on those flows' paths,
+   by the terms [shift_serving] would add.  [price_without] writes those
+   corrections into stamped scratch arrays; every other vertex keeps its
+   ledger entry.  No correction is negative (a removal never lowers a
+   marginal: Theorem 2's submodularity), so the undeployed vertex of
+   highest ledger gain, the [leader], valued with its own correction, is
+   never beaten by a vertex the removal leaves untouched: the best
+   candidate without u is the best of the leader and the touched
+   vertices.  The leader is found in one pass once per deployment. *)
 
 type op = Added of int | Removed of int | Untouched
+
+(* What-if scratch, allocated by the first swap query.  A vertex's
+   corrections hold only while its [stamp] equals [epoch], which every
+   pricing advances, so no pass clears them. *)
+type scratch = {
+  stamp : int array;             (* vertex -> pricing that last corrected it *)
+  dgain : int array;             (* vertex -> correction to [gain], when stamped *)
+  duncov : int array;            (* vertex -> correction to [uncov], when stamped *)
+  touched : int array;           (* the stamped vertices, [count] of them *)
+  mutable count : int;
+  mutable epoch : int;
+  mutable stranded : int;        (* flows the priced box alone serves *)
+}
 
 (* The incidence has the layout of [Instance.incidence], indexed by flow
    slot.  A static oracle reads its instance's arrays and never writes
@@ -50,6 +76,9 @@ type t = {
   mutable uncov_ok : bool;
   mutable by_hops : int array;   (* [disjoint_paths]'s counting sort, kept between calls *)
   packed : int Atomic.t option;  (* the instance's full packing size, for a static oracle *)
+  mutable scratch : scratch option;
+  mutable leader : int;          (* undeployed vertex of highest gain, lowest on ties;
+                                    −1: none; −2: not found since the last edit *)
 }
 
 (* Diminished edge-units of one flow served at position [l] (l = hops is
@@ -86,6 +115,8 @@ let make ~owned ~lambda ~vertices ~slabs ~degree ~rates ~hops ~paths ~packed =
     uncov_ok = false;
     by_hops = [||];
     packed;
+    scratch = None;
+    leader = -2;
   }
 
 let create instance =
@@ -195,6 +226,7 @@ let[@inline] ensure_uncov t = if not t.uncov_ok then build_uncov t
 let do_add t v =
   Bytes.set t.placed v '\001';
   t.placed_count <- t.placed_count + 1;
+  t.leader <- -2;
   let s = t.slabs.(v) and rates = t.rates and hops = t.hops and first = t.first in
   for i = 0 to t.degree.(v) - 1 do
     let fi = s.(2 * i) and pos = s.((2 * i) + 1) in
@@ -214,6 +246,7 @@ let do_add t v =
 let do_remove t v =
   Bytes.set t.placed v '\000';
   t.placed_count <- t.placed_count - 1;
+  t.leader <- -2;
   let s = t.slabs.(v) and rates = t.rates and hops = t.hops and first = t.first in
   for i = 0 to t.degree.(v) - 1 do
     let fi = s.(2 * i) and pos = s.((2 * i) + 1) in
@@ -264,7 +297,8 @@ let reset t =
   t.placed_count <- 0;
   t.log <- [];
   t.gain_ok <- false;
-  t.uncov_ok <- false
+  t.uncov_ok <- false;
+  t.leader <- -2
 
 let of_list instance vs =
   let t = create instance in
@@ -318,6 +352,7 @@ let add_flow t f =
   if t.gain_ok then add_gains t slot first 1;
   if t.uncov_ok && first > h then add_uncovered t slot 1;
   t.log <- [];
+  t.leader <- -2;
   slot
 
 (* Each path vertex's slab drops the slot's pair by moving its last
@@ -347,7 +382,8 @@ let remove_flow t slot =
   (* Drop the path so the departed flow can be collected. *)
   t.paths.(slot) <- [||];
   t.free <- slot :: t.free;
-  t.log <- []
+  t.log <- [];
+  t.leader <- -2
 
 (* {1 Queries} *)
 
@@ -455,6 +491,90 @@ let disjoint_paths t ~at_most =
     in
     min at_most size
 
+(* {1 What-if removal} *)
+
+let scratch t =
+  match t.scratch with
+  | Some s -> s
+  | None ->
+    let n = Bytes.length t.placed in
+    let s =
+      {
+        stamp = Array.make n 0;
+        dgain = Array.make n 0;
+        duncov = Array.make n 0;
+        touched = Array.make n 0;
+        count = 0;
+        epoch = 0;
+        stranded = 0;
+      }
+    in
+    t.scratch <- Some s;
+    s
+
+let leader t =
+  if t.leader = -2 then begin
+    let best = ref (-1) in
+    for v = 0 to Bytes.length t.placed - 1 do
+      if Bytes.get t.placed v = '\000' && (!best < 0 || t.gain.(v) > t.gain.(!best)) then
+        best := v
+    done;
+    t.leader <- !best
+  end;
+  t.leader
+
+let[@inline] touch s v dg du =
+  if s.stamp.(v) <> s.epoch then begin
+    s.stamp.(v) <- s.epoch;
+    s.dgain.(v) <- dg;
+    s.duncov.(v) <- du;
+    s.touched.(s.count) <- v;
+    s.count <- s.count + 1
+  end
+  else begin
+    s.dgain.(v) <- s.dgain.(v) + dg;
+    s.duncov.(v) <- s.duncov.(v) + du
+  end
+
+(* Price the deployment without deployed box [u] (−1: without nothing)
+   into the scratch and return the diminished volume [u] alone serves.
+   Each flow served at [u]'s position [pos] would be served next at its
+   next deployed position [b]: the terms [shift_serving t fi pos b]
+   would add, written as corrections instead.  Reads the deployment,
+   writes only the scratch. *)
+let price_without t s u =
+  s.epoch <- s.epoch + 1;
+  s.count <- 0;
+  s.stranded <- 0;
+  let lost = ref 0 in
+  if u >= 0 then begin
+    let sl = t.slabs.(u) in
+    for i = 0 to t.degree.(u) - 1 do
+      let fi = sl.(2 * i) and pos = sl.((2 * i) + 1) in
+      if pos = t.first.(fi) then begin
+        let path = t.paths.(fi) and r = t.rates.(fi) and h = t.hops.(fi) in
+        let b = next_deployed t path (pos + 1) in
+        let top = min b h in
+        let shift = r * (top - pos) in
+        lost := !lost + shift;
+        let stranded = b > h in
+        if stranded then s.stranded <- s.stranded + 1;
+        let du = if stranded then 1 else 0 in
+        for p = 0 to (if stranded then h else top - 1) do
+          let dg = if p < pos then shift else if p < top then r * (top - p) else 0 in
+          touch s path.(p) dg du
+        done
+      end
+    done
+  end;
+  !lost
+
+let[@inline] gain_without t s v =
+  if s.stamp.(v) = s.epoch then t.gain.(v) + s.dgain.(v) else t.gain.(v)
+
+let[@inline] uncov_without t s v =
+  if s.stamp.(v) = s.epoch then t.uncov.(v) + s.duncov.(v) else t.uncov.(v)
+
 (* {1 Swap scan} *)
 
 type move = {
@@ -467,41 +587,124 @@ type move = {
 
 let no_move () = { outgoing = -1; incoming = -1; after = 0.0; probes = 0; evaluations = 0 }
 
-(* Each candidate is the reference's probe (add, score, undo) read off
-   the ledger: a byte, two ints and one float expression, with the best
-   move kept in locals until the scan ends. *)
+let offer m ~outgoing ~bar v bw =
+  if (m.incoming < 0 || bw < m.after) && bw < bar then begin
+    m.outgoing <- outgoing;
+    m.incoming <- v;
+    m.after <- bw
+  end
+
+(* The edit-based scan's loop over the priced values: every undeployed
+   vertex in increasing order, the first strictly better one kept. *)
+let scan_all t s ~outgoing ~dim ~unserved ~bar m =
+  let evaluations = ref 0 in
+  for v = 0 to Bytes.length t.placed - 1 do
+    if Bytes.get t.placed v = '\000' && (unserved = 0 || uncov_without t s v = unserved)
+    then begin
+      incr evaluations;
+      offer m ~outgoing ~bar v (bandwidth_at t (dim + gain_without t s v))
+    end
+  done;
+  !evaluations
+
+(* With every flow served before the removal, a candidate keeps every
+   flow served only if it lies on every stranded path, so only touched
+   vertices qualify.  Without stranded flows every candidate qualifies,
+   and the lowest bandwidth is the highest gain, the leader's or a
+   touched vertex's, lowest vertex on ties; unless the float map gives a
+   gain one lower the same bandwidth (1 − λ is 0 or tiny), where lower
+   gains may tie and the pass over every vertex decides.  With no
+   leader there is no candidate. *)
 let scan_moves t ~outgoing ~current m =
   if outgoing >= 0 && not (mem t outgoing) then
     invalid_arg "Inc_oracle.scan_moves: outgoing vertex not deployed";
   ensure_gain t;
   ensure_uncov t;
-  if outgoing >= 0 then do_remove t outgoing;
-  let placed = t.placed and gain = t.gain and uncov = t.uncov in
-  let unserved = t.unserved and dim = t.dim_volume and bar = current -. 1e-9 in
-  let best = ref m.incoming and best_bw = ref m.after and improved = ref false in
-  let probes = ref 0 and evaluations = ref 0 in
-  for v = 0 to Bytes.length placed - 1 do
-    if Bytes.get placed v = '\000' && v <> outgoing then begin
-      incr probes;
-      if unserved = 0 || uncov.(v) = unserved then begin
-        incr evaluations;
-        let bw = bandwidth_at t (dim + gain.(v)) in
-        if (!best < 0 || bw < !best_bw) && bw < bar then begin
-          best := v;
-          best_bw := bw;
-          improved := true
+  let s = scratch t in
+  let dim = t.dim_volume - price_without t s outgoing in
+  let unserved = t.unserved + s.stranded and bar = current -. 1e-9 in
+  let candidates = Bytes.length t.placed - t.placed_count in
+  m.probes <- m.probes + candidates;
+  let all () = scan_all t s ~outgoing ~dim ~unserved ~bar m in
+  let evaluations =
+    if t.unserved > 0 then all ()
+    else if unserved > 0 then begin
+      let evaluations = ref 0 and best = ref (-1) and best_bw = ref 0.0 in
+      for i = 0 to s.count - 1 do
+        let v = s.touched.(i) in
+        if v <> outgoing && s.duncov.(v) = unserved then begin
+          incr evaluations;
+          let bw = bandwidth_at t (dim + gain_without t s v) in
+          if !best < 0 || bw < !best_bw || (bw = !best_bw && v < !best) then begin
+            best := v;
+            best_bw := bw
+          end
         end
-      end
+      done;
+      if !best >= 0 then offer m ~outgoing ~bar !best !best_bw;
+      !evaluations
     end
+    else begin
+      let best = ref (leader t) and best_gain = ref 0 in
+      if !best >= 0 then best_gain := gain_without t s !best;
+      for i = 0 to s.count - 1 do
+        let v = s.touched.(i) in
+        let g = gain_without t s v in
+        if v <> outgoing && (g > !best_gain || (g = !best_gain && v < !best)) then begin
+          best := v;
+          best_gain := g
+        end
+      done;
+      let bw = bandwidth_at t (dim + !best_gain) in
+      if !best < 0 then 0
+      else if bandwidth_at t (dim + !best_gain - 1) > bw then begin
+        offer m ~outgoing ~bar !best bw;
+        candidates
+      end
+      else all ()
+    end
+  in
+  m.evaluations <- m.evaluations + evaluations
+
+(* {1 Best replacement} *)
+
+type replacement = {
+  volume : int;
+  unserved : int;
+  incoming : int;
+  gain : int;
+  served : int;
+}
+
+(* [argmax Marginal_volume] over the deployment without [u]: the leader
+   and the touched vertices, [u] among them when it serves a flow (a box
+   that serves none would add nothing). *)
+let best_replacement t u =
+  if not (mem t u) then invalid_arg "Inc_oracle.best_replacement: vertex not deployed";
+  ensure_gain t;
+  ensure_uncov t;
+  let s = scratch t in
+  let lost = price_without t s u in
+  let best = ref (-1) and best_gain = ref 0 in
+  let consider v g =
+    if g > !best_gain || (g = !best_gain && !best >= 0 && v < !best) then begin
+      best := v;
+      best_gain := g
+    end
+  in
+  let w = leader t in
+  if w >= 0 then consider w (gain_without t s w);
+  for i = 0 to s.count - 1 do
+    let v = s.touched.(i) in
+    consider v (gain_without t s v)
   done;
-  if outgoing >= 0 then do_add t outgoing;
-  m.probes <- m.probes + !probes;
-  m.evaluations <- m.evaluations + !evaluations;
-  if !improved then begin
-    m.outgoing <- outgoing;
-    m.incoming <- !best;
-    m.after <- !best_bw
-  end
+  {
+    volume = t.dim_volume - lost;
+    unserved = t.unserved + s.stranded;
+    incoming = !best;
+    gain = !best_gain;
+    served = (if !best < 0 then 0 else uncov_without t s !best);
+  }
 
 let placement t =
   let vs = ref [] in

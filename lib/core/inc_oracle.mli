@@ -24,8 +24,11 @@
       O(1) from a {e gain ledger}: per vertex, the diminished volume a
       box there would add and the number of unserved flows through it;
       {!argmax} picks the best vertex in one pass over it.  GTP/CELF,
-      the cover fix-up, the local search ({!scan_moves}) and the churn
-      engine's arrivals and rebalancer ask through them;
+      the cover fix-up and the churn engine's arrivals ask through them;
+    - {!scan_moves} and {!best_replacement} price a deployment without
+      one deployed box off the ledger, read-only, in O(path lengths of
+      the flows that box serves): the local search's and the churn
+      rebalancer's swap candidates;
     - {!disjoint_paths} packs pairwise vertex-disjoint flow paths in
       O(Σ_f |p_f| + |V|), a lower bound on the size of any deployment
       that serves every flow: the cover fix-up's proof that no shorter
@@ -183,11 +186,27 @@ val disjoint_paths : t -> at_most:int -> int
     from any oracle and any domain, answer in O(1).  It reads only the
     flows, not the deployment, and changes no answer. *)
 
-(** {1 Swap scan}
+(** {1 Swap pricing}
 
-    The local search's inner loop ({!Local_search.refine}): for one
-    outgoing box, score every incoming vertex off the ledger in one
-    call. *)
+    Both swap searches — the local search's ({!Local_search.refine}) and
+    the churn rebalancer's ({!Incremental.rebalance}) — price "this
+    deployment without deployed box [u]" without editing it.  Only the
+    flows [u] serves move: each would be served next at its next
+    deployed position, or not at all.  One pass over those flows' paths
+    writes the change in diminished volume and per-vertex corrections to
+    the ledger (the shifted gain below [u]'s position, the new gain
+    between [u] and the next box, one more uncovered flow on each path
+    left unserved) into scratch arrays that the oracle allocates on its
+    first swap query and keeps.  A vertex on none of those paths keeps
+    its ledger entry.  No correction is negative — removing a box never
+    lowers a marginal (Theorem 2) — so the undeployed vertex with the
+    highest ledger gain (lowest vertex on ties), valued with its own
+    correction, beats or ties every untouched vertex, and the best
+    candidate is the best of it and the touched vertices.  That vertex
+    is found in one pass over the ledger by the first swap query after
+    any edit ({!add}, {!remove}, {!undo}, {!reset}, {!add_flow},
+    {!remove_flow}) and reused until the next.  Neither query changes
+    an answer, the deployment, the ledger or the undo journal. *)
 
 type move = {
   mutable outgoing : int;  (** box retired; −1 for a pure addition *)
@@ -204,19 +223,48 @@ val no_move : unit -> move
 val scan_moves : t -> outgoing:int -> current:float -> move -> unit
 (** [scan_moves t ~outgoing ~current m] scores each move of the box at
     [outgoing] (a deployed vertex; −1 scores pure additions) to an
-    undeployed vertex other than [outgoing], in increasing vertex order,
-    against the deployment without [outgoing].
+    undeployed vertex other than [outgoing], against the deployment
+    without [outgoing].
 
-    Each candidate adds one to [m.probes].  A candidate that leaves
-    every flow served (none was unserved without [outgoing], or it
-    serves every flow that was) adds one to [m.evaluations]; its
-    bandwidth [b] — the bits {!bandwidth} would read after the move —
+    Each candidate adds one to [m.probes] (|V| − |P| in all).  A
+    candidate that leaves every flow served (none was unserved without
+    [outgoing], or it serves every flow that was) adds one to
+    [m.evaluations]; its bandwidth [b] is the bits {!bandwidth} would
+    read after the move.  The lowest such [b], lowest vertex on ties,
     replaces [m]'s move when [m.incoming < 0 || b < m.after] and [b <
     current -. 1e-9].  So over successive scans the first strictly
-    better move wins, exactly as when each candidate is applied with
-    {!remove}/{!add}, scored and undone.
+    better move wins, exactly as when each candidate, in increasing
+    vertex order, is applied with {!remove}/{!add}, scored and undone.
 
-    Costs O(|V|) plus one removal and one re-deployment of [outgoing]
-    (and the ledger builds on a first query).  The oracle ends where it
-    started, with an unchanged undo journal.
+    When every flow is served and removing [outgoing] strands none, the
+    best candidate is the highest marginal volume without [outgoing]
+    (see above), unless the float map gives a volume one lower the same
+    bandwidth (1 − λ is 0 or tiny), where a pass over every vertex
+    decides.  When removing it strands flows, only vertices on the
+    stranded paths can serve them again.  A deployment that leaves flows
+    unserved is scored by a pass over every vertex.  Costs O(Σ over
+    flows served at [outgoing] of |p_f|) (plus the ledger build on a
+    first query and the O(|V|) search for the best undeployed vertex
+    once per deployment), or O(|V|) more on a pass.  The oracle ends as
+    it started.
     @raise Invalid_argument when [outgoing >= 0] is not deployed. *)
+
+type replacement = {
+  volume : int;    (** {!diminished_volume} without the box *)
+  unserved : int;  (** {!unserved_count} without the box *)
+  incoming : int;
+      (** {!argmax} [Marginal_volume] without the box (the box itself
+          competes as an undeployed vertex); −1 when no marginal is
+          positive *)
+  gain : int;      (** [incoming]'s {!marginal_volume} without the box; 0 for none *)
+  served : int;    (** [incoming]'s {!newly_served} without the box; 0 for none *)
+}
+
+val best_replacement : t -> int -> replacement
+(** [best_replacement t u] answers, for deployed [u], what {!remove}
+    [t u] followed by {!argmax}, {!marginal_volume} and {!newly_served}
+    would read, without editing [t]: the churn rebalancer's swap
+    candidate for [u].  Costs O(Σ over flows served at [u] of |p_f|),
+    with the same first-query and once-per-deployment costs as
+    {!scan_moves} and never a pass over every vertex.
+    @raise Invalid_argument when [u] is not deployed. *)

@@ -136,24 +136,20 @@ let rebalance ?budget t =
     let dim0 = Inc_oracle.diminished_volume o in
     let uns0 = Inc_oracle.unserved_count o in
     let best = ref None in
-    (* Each box is retired once and every replacement is scored
-       read-only against the oracle without it. *)
+    (* Each box's best replacement is priced read-only against the
+       oracle without it. *)
     List.iter
       (fun u ->
-        Inc_oracle.remove o u;
-        (match best_marginal t with
-        | Some v ->
-          let net =
-            Inc_oracle.diminished_volume o + Inc_oracle.marginal_volume o v - dim0
-          in
-          let ok = Inc_oracle.unserved_count o - Inc_oracle.newly_served o v <= uns0 in
+        let r = Inc_oracle.best_replacement o u in
+        if r.Inc_oracle.incoming >= 0 then begin
+          let net = r.Inc_oracle.volume + r.Inc_oracle.gain - dim0 in
+          let ok = r.Inc_oracle.unserved - r.Inc_oracle.served <= uns0 in
           if ok && net > 0 then begin
             match !best with
             | Some (bn, _, _) when bn >= net -> ()
-            | _ -> best := Some (net, u, v)
+            | _ -> best := Some (net, u, r.Inc_oracle.incoming)
           end
-        | None -> ());
-        Inc_oracle.undo o)
+        end)
       t.placed;
     match !best with
     | Some (_, u, v) ->

@@ -32,10 +32,14 @@
     and every decision — the picks, the repair, the rebalancer's swap
     scores — reads exact integer diminished-volume answers off it: no
     event builds an {!Instance} and no comparison uses a float
-    threshold.  Each greedy pick, cover pick and swap candidate costs
-    one scan of the live incidence (O(Σ_f |p_f|)); the flow store is an
-    arrival-ordered tombstone list with an id index, O(1) amortised per
-    event.
+    threshold.  Marginals and cover counts come off the oracle's gain
+    ledger: a marginal in O(1), a greedy or cover pick in one O(|V|)
+    pass; the first query after the cover fix-up's reset rebuilds the
+    ledger in O(Σ_f |p_f|).  The rebalancer prices each placed box's
+    best replacement read-only ({!Inc_oracle.best_replacement}), in
+    O(path lengths of the flows that box serves) plus one O(|V|) pass
+    per deployment it scans.  The flow store is an arrival-ordered
+    tombstone list with an id index, O(1) amortised per event.
 
     Every deployed/removed box counts as one *move* — the
     quality-vs-churn trade against from-scratch GTP is an ablation

@@ -1,8 +1,8 @@
 (* Candidate moves (additions while under budget, then one-for-one
    swaps) are scored read-only by [Inc_oracle.scan_moves], one call per
-   outgoing box (−1 for the additions), each pricing every incoming
-   vertex off the oracle's gain ledger.  The accepted move is applied to
-   the same oracle in place.  Probe order and tie-breaking (first
+   outgoing box (−1 for the additions), each pricing the deployment
+   without that box off the oracle's gain ledger.  The accepted move is
+   applied to the same oracle in place.  Probe order and tie-breaking (first
    strictly-better candidate wins) must stay those of the probe-and-undo
    reference in test/reference.ml: the differential tests compare the
    result and the "evaluations"/"delta_evals" counts with it. *)

@@ -14,11 +14,13 @@ val refine :
     otherwise), so its outcome is always feasible.  Default
     [max_rounds] = 1000.  Candidate moves are scored on one
     {!Inc_oracle} by {!Inc_oracle.scan_moves}, one call per outgoing
-    box (plus one for the pure additions): it removes the box once,
-    reads each incoming vertex's served-flow count and marginal volume
-    off the oracle's gain ledger in O(1), and restores the box, so a
-    round costs O(|P| · |V|) plus the removals; the accepted move is
-    applied to the oracle in place.
+    box (plus one for the pure additions): it prices the deployment
+    without the box read-only, from the flows the box serves, and picks
+    the best incoming vertex off the oracle's gain ledger.  A round
+    costs one O(|V|) pass for the best undeployed vertex plus, per box,
+    the path lengths of the flows it serves (a pass over every vertex
+    only when 1 − λ is 0 or tiny); the accepted move is applied to the
+    oracle in place.
 
     Telemetry: counters ["budget"], ["delta_evals"] (candidates
     probed), ["swaps"] (improving moves applied), ["evaluations"]

@@ -8,6 +8,9 @@
    - [refine] is the probe-and-undo local search: every candidate is
      applied to the oracle with [add], scored, and rolled back with
      [undo], and the oracle is rebuilt after every accepted move;
+   - [scan_moves] and [best_replacement] are the edit-based forms of the
+     oracle's two swap queries: retire the box with [remove], read the
+     ledger, and [undo];
    - [within] (the cover fix-up), [oracle_naive] with [gtp] over it,
      and HAT's [delta_b] with the [hat] merge loop answer every query
      by a from-scratch scan;
@@ -124,6 +127,54 @@ let refine ?(max_rounds = 1000) ~k instance placement =
   Tdmd_obs.Telemetry.count tel "oracle_ns" (Int64.to_int !oracle_ns);
   Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size placement);
   Tdmd.Solver_intf.outcome ~placement ~bandwidth ~feasible:true ~telemetry:tel
+
+(* [Inc_oracle.scan_moves] by editing: retire [outgoing], score every
+   undeployed vertex other than it in increasing order off the ledger
+   (the first strictly better move wins), and put the box back. *)
+let scan_moves t ~outgoing ~current m =
+  if outgoing >= 0 && not (Inc_oracle.mem t outgoing) then
+    invalid_arg "Inc_oracle.scan_moves: outgoing vertex not deployed";
+  if outgoing >= 0 then Inc_oracle.remove t outgoing;
+  let unserved = Inc_oracle.unserved_count t and dim = Inc_oracle.diminished_volume t in
+  let bar = current -. 1e-9 in
+  for v = 0 to Bytes.length (Inc_oracle.mask t) - 1 do
+    if (not (Inc_oracle.mem t v)) && v <> outgoing then begin
+      m.Inc_oracle.probes <- m.Inc_oracle.probes + 1;
+      if unserved = 0 || Inc_oracle.newly_served t v = unserved then begin
+        m.Inc_oracle.evaluations <- m.Inc_oracle.evaluations + 1;
+        let bw = Inc_oracle.bandwidth_at t (dim + Inc_oracle.marginal_volume t v) in
+        if (m.Inc_oracle.incoming < 0 || bw < m.Inc_oracle.after) && bw < bar then begin
+          m.Inc_oracle.outgoing <- outgoing;
+          m.Inc_oracle.incoming <- v;
+          m.Inc_oracle.after <- bw
+        end
+      end
+    end
+  done;
+  if outgoing >= 0 then Inc_oracle.undo t
+
+(* [Inc_oracle.best_replacement] by editing: the churn rebalancer's
+   remove / argmax / undo. *)
+let best_replacement t u =
+  if not (Inc_oracle.mem t u) then
+    invalid_arg "Inc_oracle.best_replacement: vertex not deployed";
+  Inc_oracle.remove t u;
+  let incoming, gain, served =
+    match Inc_oracle.argmax t Inc_oracle.Marginal_volume with
+    | Some v -> (v, Inc_oracle.marginal_volume t v, Inc_oracle.newly_served t v)
+    | None -> (-1, 0, 0)
+  in
+  let r =
+    {
+      Inc_oracle.volume = Inc_oracle.diminished_volume t;
+      unserved = Inc_oracle.unserved_count t;
+      incoming;
+      gain;
+      served;
+    }
+  in
+  Inc_oracle.undo t;
+  r
 
 (* The cover fix-up by full rescans: the vertex covering the most of the
    given unserved flows (lowest vertex on ties), chosen vertices

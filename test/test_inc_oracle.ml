@@ -521,6 +521,246 @@ let test_refine_stranding_swap () =
   Alcotest.(check bool) "matches the add/undo reference" true
     (same_refine ~k:1 inst start)
 
+(* The swap queries' instances, 17-48 vertices on four shapes.  A star
+   (alone or over a ring) routes most flows through its hub, so the box
+   there touches most vertices, the best undeployed one among them; a
+   ring with chords gives long paths, so removing a box strands flows;
+   the dense random graph gives short ones.  Some flows have zero
+   hops. *)
+let swap_instance rng =
+  let n = Rng.int_in rng 17 48 in
+  let g = Tdmd_graph.Digraph.create n in
+  let ring () =
+    for v = 0 to n - 1 do
+      Tdmd_graph.Digraph.add_undirected g v ((v + 1) mod n)
+    done
+  in
+  let g =
+    match Rng.int rng 4 with
+    | 0 | 1 as shape ->
+      let hub = Rng.int rng n in
+      if shape = 1 then ring ();
+      for v = 0 to n - 1 do
+        if v <> hub then Tdmd_graph.Digraph.add_undirected g hub v
+      done;
+      g
+    | 2 ->
+      ring ();
+      for _ = 1 to n / 6 do
+        let a = Rng.int rng n and b = Rng.int rng n in
+        if a <> b then Tdmd_graph.Digraph.add_undirected g a b
+      done;
+      g
+    | _ -> Tdmd_topo.Topo_general.erdos_renyi rng n ~p:0.25
+  in
+  let rec flows id acc =
+    if id = 2 * n then acc
+    else
+      let src = Rng.int rng n and dst = Rng.int rng n in
+      let path =
+        if src = dst then Some [ src ] else Tdmd_graph.Bfs.shortest_path g ~src ~dst
+      in
+      match path with
+      | None -> flows id acc
+      | Some path ->
+        flows (id + 1) (Tdmd_flow.Flow.make ~id ~rate:(Rng.int_in rng 1 6) ~path :: acc)
+  in
+  (* 1 − λ of 0 and of 2⁻⁴⁵ make neighbouring volumes read the same
+     float bandwidth. *)
+  let lambda =
+    match Rng.int rng 6 with
+    | 0 -> 0.0
+    | 1 -> 0.5
+    | 2 -> dyadic_lambda rng
+    | 3 -> Rng.float rng 1.0
+    | 4 -> 1.0 -. ldexp 1.0 (-45)
+    | _ -> 1.0
+  in
+  (g, List.rev (flows 0 []), lambda)
+
+(* The vertex on the most flow paths: a box there first serves most
+   flows, so its pricing touches most vertices. *)
+let busiest n flows =
+  let through = Array.make n 0 in
+  List.iter
+    (fun f -> Array.iter (fun v -> through.(v) <- through.(v) + 1) f.Tdmd_flow.Flow.path)
+    flows;
+  let best = ref 0 in
+  Array.iteri (fun v c -> if c > through.(!best) then best := v) through;
+  !best
+
+(* Every vertex's two ledger entries, read through the queries. *)
+let ledger t =
+  List.init
+    (Bytes.length (O.mask t))
+    (fun v -> (O.marginal_volume t v, O.newly_served t v))
+
+(* [scan_moves] against the edit-based scan in [Reference], call by
+   call: a twin oracle takes the same edits, every deployed box and −1
+   is scanned on both from the same drawn [move] and [current], and the
+   oracle under test is never edited between the scans of one
+   deployment, so its cached best undeployed vertex is reused across
+   them.  Deployments serve every flow (a random on-path box per flow,
+   or the busiest vertex and every flow's last vertex, so that the
+   busiest box strands nothing) or are arbitrary, each plus random
+   extras; each round ends with an edit, a reset among them.  The
+   deployment, volume and ledger must read the same after the scans,
+   and the undo journal must still revert the last edit. *)
+let prop_scan_moves_differential =
+  QCheck.Test.make ~name:"scan_moves = remove/score/undo reference, per call"
+    ~count:120 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let graph, flows, lambda = swap_instance rng in
+      let inst = Tdmd.Instance.make ~graph ~flows ~lambda in
+      let n = Tdmd.Instance.vertex_count inst in
+      let t = O.create inst and r = O.create inst in
+      let add v =
+        O.add t v;
+        O.add r v
+      in
+      let on_path pick =
+        List.iter (fun f -> add (pick f.Tdmd_flow.Flow.path)) flows
+      in
+      (match Rng.int rng 3 with
+      | 0 -> on_path (fun path -> path.(Rng.int rng (Array.length path)))
+      | 1 ->
+        add (busiest n flows);
+        on_path (fun path -> path.(Array.length path - 1))
+      | _ -> if Rng.bool rng then add (busiest n flows));
+      for _ = 1 to Rng.int rng (n / 2) do
+        add (Rng.int rng n)
+      done;
+      let draw_move () =
+        let m = O.no_move () in
+        if Rng.bool rng then begin
+          m.O.incoming <- Rng.int rng n;
+          m.O.outgoing <- Rng.int rng n;
+          m.O.after <- O.bandwidth t -. Rng.float rng 40.0
+        end;
+        m.O.probes <- Rng.int rng 100;
+        m.O.evaluations <- Rng.int rng 100;
+        m
+      in
+      let same (a : O.move) (b : O.move) =
+        a.O.outgoing = b.O.outgoing
+        && a.O.incoming = b.O.incoming
+        && Int64.bits_of_float a.O.after = Int64.bits_of_float b.O.after
+        && a.O.probes = b.O.probes
+        && a.O.evaluations = b.O.evaluations
+      in
+      let ok = ref true in
+      let scans () =
+        let before = (O.placement t, O.diminished_volume t, O.unserved_count t, ledger t) in
+        let current =
+          match Rng.int rng 3 with
+          | 0 -> O.bandwidth t
+          | 1 -> O.bandwidth t -. Rng.float rng 20.0
+          | _ -> O.bandwidth t +. Rng.float rng 20.0
+        in
+        List.iter
+          (fun outgoing ->
+            let m = draw_move () in
+            let m' = { m with O.probes = m.O.probes } in
+            O.scan_moves t ~outgoing ~current m;
+            Reference.scan_moves r ~outgoing ~current m';
+            ok := !ok && same m m')
+          (-1 :: Tdmd.Placement.to_list (O.placement t));
+        ok :=
+          !ok
+          && before = (O.placement t, O.diminished_volume t, O.unserved_count t, ledger t)
+      in
+      for _ = 1 to 4 do
+        scans ();
+        let v = Rng.int rng n in
+        match Rng.int rng 6 with
+        | 0 ->
+          O.reset t;
+          O.reset r
+        | 1 | 2 ->
+          O.remove t v;
+          O.remove r v
+        | _ -> add v
+      done;
+      scans ();
+      (* The scans leave the undo journal alone: the last edit still
+         undoes. *)
+      add (Rng.int rng n);
+      scans ();
+      O.undo t;
+      O.undo r;
+      !ok
+      && Tdmd.Placement.to_list (O.placement t) = Tdmd.Placement.to_list (O.placement r)
+      && ledger t = ledger r)
+
+(* [best_replacement] against the rebalancer's remove / argmax / undo in
+   [Reference], for every placed box, on twin churn oracles: flows
+   arrive and depart (vacated slots are reused, zero-hop flows ride
+   along) between deployment edits that may leave flows unserved.  Half
+   the cases deploy the busiest vertex first and half edit the
+   deployment rarely, so that boxes serve many flows. *)
+let prop_best_replacement_differential =
+  QCheck.Test.make ~name:"best_replacement = remove/argmax/undo reference, every box"
+    ~count:120 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let graph, flows, lambda = swap_instance rng in
+      let n = Tdmd_graph.Digraph.vertex_count graph in
+      let pool = Array.of_list flows in
+      let t = O.empty ~vertices:n ~lambda and r = O.empty ~vertices:n ~lambda in
+      let live = ref [] in
+      let ok = ref true in
+      (* Half the cases edit the deployment rarely, so each box serves
+         many flows. *)
+      let steps = if Rng.bool rng then 6 else 12 in
+      let step () =
+        match Rng.int rng steps with
+        | 2 -> (
+          match !live with
+          | [] -> ()
+          | l ->
+            let f, slot = List.nth l (Rng.int rng (List.length l)) in
+            O.remove_flow t slot;
+            O.remove_flow r slot;
+            live := List.remove_assq f l)
+        | 3 | 4 ->
+          let v = Rng.int rng n in
+          O.add t v;
+          O.add r v
+        | 5 ->
+          let v = Rng.int rng n in
+          O.remove t v;
+          O.remove r v
+        | _ ->
+          let f = pool.(Rng.int rng (Array.length pool)) in
+          if not (List.mem_assq f !live) then begin
+            let slot = O.add_flow t f in
+            ok := !ok && O.add_flow r f = slot;
+            live := (f, slot) :: !live
+          end
+      in
+      if Rng.bool rng then begin
+        let v = busiest n flows in
+        O.add t v;
+        O.add r v
+      end;
+      for _ = 1 to 2 * n do
+        step ()
+      done;
+      for _ = 1 to 6 do
+        for _ = 1 to 1 + Rng.int rng 4 do
+          step ()
+        done;
+        let before = (O.placement t, O.diminished_volume t, O.unserved_count t, ledger t) in
+        List.iter
+          (fun u -> ok := !ok && O.best_replacement t u = Reference.best_replacement r u)
+          (Tdmd.Placement.to_list (O.placement t));
+        ok :=
+          !ok
+          && before = (O.placement t, O.diminished_volume t, O.unserved_count t, ledger t)
+      done;
+      !ok)
+
 (* One instance solved by gtp, celf and gtp-ls from two domains at once
    must give exactly the sequential answers: the incidence the oracles
    share is never written. *)
@@ -597,6 +837,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_refine_differential;
     Alcotest.test_case "local search: stranding swap" `Quick
       test_refine_stranding_swap;
+    QCheck_alcotest.to_alcotest prop_scan_moves_differential;
+    QCheck_alcotest.to_alcotest prop_best_replacement_differential;
     Alcotest.test_case "shared incidence: concurrent solves = sequential" `Quick
       test_concurrent_solves;
     Alcotest.test_case "telemetry: oracle counters recorded" `Quick
