@@ -123,4 +123,4 @@ let micro () =
     tests;
   Tdmd_prelude.Table.print t
 
-let ablation () = Report.print_ablation (Experiments.ablation ())
+let ablation () = print_string (Report.render_ablation (Experiments.ablation ()))

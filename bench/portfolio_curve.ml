@@ -25,9 +25,6 @@ let run () =
   let scenario = { Scenario.default_general with Scenario.size = 40 } in
   let k = scenario.Scenario.k in
   let inst = Scenario.build_general (Rng.create 4242) scenario in
-  let volume_of placement =
-    Tdmd.Inc_oracle.diminished_volume (Tdmd.Inc_oracle.of_list inst placement)
-  in
   let base_fields =
     [
       ("vertices", Json.Int scenario.Scenario.size);
@@ -49,10 +46,7 @@ let run () =
                 let o, seconds =
                   Timer.time (fun () -> solve ~rng:(Rng.create 1000) ~k inst)
                 in
-                let volume =
-                  volume_of
-                    (Tdmd.Placement.to_list o.Tdmd.Solver_intf.placement)
-                in
+                let volume = o.Tdmd.Solver_intf.volume in
                 emit
                   (Json.Obj
                      (("event", Json.String "bench-portfolio-reference")

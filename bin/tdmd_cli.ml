@@ -1,12 +1,12 @@
 (* tdmd-cli: generate TDMD instances and solve them from the command
    line, or serve them over a socket.
 
-     tdmd-cli solve --topology tree --size 22 --k 8 --algo dp
-     tdmd-cli solve --topology general --size 30 --k 10 --algo gtp --lambda 0.2
+     tdmd-cli solve --topology tree --size 22 -k 8 --algo dp
+     tdmd-cli solve --topology general --size 30 -k 10 --algo gtp --lambda 0.2
      tdmd-cli figures fig9
      tdmd-cli dot --topology fattree --size 4 > fat.dot
      tdmd-cli serve --topology tree --size 22 --listen /tmp/tdmd.sock
-     tdmd-cli client --connect /tmp/tdmd.sock --op solve --algo gtp --k 8
+     tdmd-cli client --connect /tmp/tdmd.sock --op solve --algo gtp -k 8
      tdmd-cli churn --topology general --size 30 --horizon 50 *)
 
 open Cmdliner
@@ -120,7 +120,7 @@ let solve topology size k lambda density seed algo trace metrics_out =
         exit 2)
   in
   let outcome, seconds = Timer.time run in
-  let { Tdmd.Solver_intf.placement; bandwidth; feasible; telemetry } = outcome in
+  let { Tdmd.Solver_intf.placement; bandwidth; feasible; telemetry; _ } = outcome in
   Format.printf "placement: %a\n" Tdmd.Placement.pp placement;
   Printf.printf "bandwidth: %g  (%.1f%% of unprocessed)\n" bandwidth
     (100.0 *. bandwidth /. Float.max volume 1.0);

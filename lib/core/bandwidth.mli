@@ -17,33 +17,29 @@
     8 with three), Tab. 2, and Figs. 6–7 is pinned by unit tests in
     [test/test_paper_examples.ml] under this convention.  Serving early
     (small [l]) is best, hence the forced earliest-middlebox
-    allocation. *)
+    allocation.
 
-val flow_consumption :
-  lambda:float -> Tdmd_flow.Flow.t -> Allocation.serving -> float
-(** Bandwidth consumed by one flow under a serving decision; an
-    [Unserved] flow consumes its full [r_f·|p_f|]. *)
-
-val consumption_in : lambda:float -> Bytes.t -> Tdmd_flow.Flow.t -> float
-(** [flow_consumption] under the forced allocation against an
-    {!Allocation.mask}: same formula and bits, no allocation. *)
-
-val total : Instance.t -> Placement.t -> float
-(** b(P, F): Eq. 1 under the forced earliest-middlebox allocation,
-    summed over the flow array in order against one placement mask. *)
-
-val decrement : Instance.t -> Placement.t -> float
-(** d(P) = Σ_f r_f·|p_f| − b(P) (Def. 1).  Monotone submodular
-    (Theorem 2). *)
-
-val marginal : Instance.t -> Placement.t -> int -> float
-(** d_P({v}) = d(P ∪ {v}) − d(P) (Def. 2). *)
-
-val max_decrement : Instance.t -> float
-(** (1−λ)·Σ_f r_f·|p_f| (Lemma 1): the decrement when every flow is
-    served at its source. *)
+    Summed over the flows, b(P) = U − (1−λ)·D(P), where U = Σ_f r_f·|p_f|
+    ({!Instance.total_path_volume}) and the {e diminished volume}
+    D(P) = Σ_f r_f·(|p_f| − l_f) over served flows are both integers; the
+    decrement of Def. 1 is d(P) = (1−λ)·D(P).  Every solver decides on D
+    and b is rendered from it once, by {!render}, where an answer is
+    reported. *)
 
 val diminished_volume : Instance.t -> Placement.t -> int
-(** Σ_f r_f · (edges carried at the diminished rate) under the forced
-    allocation — the integer such that
-    [decrement = (1-λ) · diminished_volume]. *)
+(** D(P): Σ_f r_f · (edges carried at the diminished rate) under the
+    forced allocation, one scan of the flow array against one placement
+    mask. *)
+
+val diminishes : float -> bool
+(** [diminishes lambda] is [1 − λ > 0]: whether D moves b at all.  At
+    λ = 1 every deployment costs U, and the solvers that decide by
+    comparing D read this one predicate to keep their λ = 1 tie rules. *)
+
+val render : lambda:float -> total:int -> int -> float
+(** [render ~lambda ~total d] is b = U − (1−λ)·D for U = [total] and
+    D = [d], as [float total −. (1 −. λ) *. float d]: the one place a
+    bandwidth is computed from the objective. *)
+
+val total : Instance.t -> Placement.t -> float
+(** b(P, F): {!render} of {!diminished_volume}. *)

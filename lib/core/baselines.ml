@@ -1,12 +1,10 @@
 open Tdmd_prelude
 
-let outcome_of instance ~retries ~telemetry placement =
+let outcome_of instance ~retries ~telemetry ~volume ~feasible placement =
   Tdmd_obs.Telemetry.count telemetry "retries" retries;
   Tdmd_obs.Telemetry.count telemetry "placement_size" (Placement.size placement);
-  Solver_intf.outcome ~placement
-    ~bandwidth:(Bandwidth.total instance placement)
-    ~feasible:(Allocation.is_feasible instance placement)
-    ~telemetry
+  Solver_intf.outcome ~lambda:instance.Instance.lambda
+    ~total:(Instance.total_path_volume instance) ~placement ~volume ~feasible ~telemetry
 
 let random rng ?(attempts = 200) ~k instance =
   let tel = Tdmd_obs.Telemetry.create () in
@@ -31,25 +29,31 @@ let random rng ?(attempts = 200) ~k instance =
         in
         attempt 0)
   in
-  outcome_of instance ~retries ~telemetry:tel placement
+  outcome_of instance ~retries ~telemetry:tel
+    ~volume:(Bandwidth.diminished_volume instance placement)
+    ~feasible:(Allocation.is_feasible instance placement)
+    placement
 
+(* At λ = 1 every singleton decrement is 0, so the ranking keeps vertex
+   order. *)
 let best_effort ~k instance =
   let tel = Tdmd_obs.Telemetry.create () in
   Tdmd_obs.Telemetry.count tel "budget" k;
   let n = Instance.vertex_count instance in
+  let o = Inc_oracle.create instance in
   let chosen =
     Tdmd_obs.Telemetry.with_span tel "best-effort" (fun () ->
+        let diminishes = Bandwidth.diminishes instance.Instance.lambda in
         let scored =
           List.map
-            (fun v -> (v, Bandwidth.marginal instance Placement.empty v))
+            (fun v -> (v, if diminishes then Inc_oracle.marginal_volume o v else 0))
             (Listx.range 0 (n - 1))
         in
         Tdmd_obs.Telemetry.count tel "singleton_evals" (List.length scored);
         let ranked =
-          List.stable_sort (fun (_, a) (_, b) -> compare b a) scored
-          |> List.map fst
+          List.stable_sort (fun (_, a) (_, b) -> Int.compare b a) scored |> List.map fst
         in
-        Cover_fixup.within (Inc_oracle.create instance) ~chosen:(Listx.take k ranked)
-          ~budget:k)
+        Cover_fixup.within o ~chosen:(Listx.take k ranked) ~budget:k)
   in
-  outcome_of instance ~retries:0 ~telemetry:tel (Placement.of_list chosen)
+  outcome_of instance ~retries:0 ~telemetry:tel ~volume:(Inc_oracle.diminished_volume o)
+    ~feasible:(Inc_oracle.is_feasible o) (Placement.of_list chosen)

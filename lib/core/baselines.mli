@@ -11,8 +11,11 @@
       the bandwidth of flows mostly, until it deploys k middleboxes".
       Implemented as the *non-adaptive* ranking by singleton decrement
       d_∅(v) — the natural reading that distinguishes it from GTP's
-      adaptive greedy (see DESIGN.md §5.1); like GTP it finishes with
-      covering picks when unserved flows remain within the budget. *)
+      adaptive greedy (see DESIGN.md §5.1) — read as the singleton
+      diminished volume off one {!Inc_oracle} (every decrement is 0 at
+      λ = 1, so the ranking then keeps vertex order); like GTP it
+      finishes with covering picks when unserved flows remain within
+      the budget. *)
 
 val random :
   Tdmd_prelude.Rng.t -> ?attempts:int -> k:int -> Instance.t -> Solver_intf.outcome

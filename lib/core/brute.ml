@@ -21,15 +21,18 @@ let solve ~k instance =
   Tdmd_obs.Telemetry.span_open tel "brute";
   let best = ref None in
   let count = ref 0 in
-  (* Enumerate subsets of size <= k as sorted int lists. *)
+  let diminishes = Bandwidth.diminishes instance.Instance.lambda in
+  (* Enumerate subsets of size <= k as sorted int lists; the first
+     feasible one found stands until one holds strictly more volume
+     (never at λ = 1, where every deployment costs the same). *)
   let rec enum start chosen size =
     incr count;
     let placement = Placement.of_list chosen in
     if Allocation.is_feasible instance placement then begin
-      let bw = Bandwidth.total instance placement in
+      let d = Bandwidth.diminished_volume instance placement in
       match !best with
-      | Some (_, best_bw) when best_bw <= bw -> ()
-      | _ -> best := Some (placement, bw)
+      | Some (_, best_d) when not (diminishes && d > best_d) -> ()
+      | _ -> best := Some (placement, d)
     end;
     if size < k then
       for v = start to n - 1 do
@@ -39,11 +42,11 @@ let solve ~k instance =
   enum 0 [] 0;
   Tdmd_obs.Telemetry.span_close tel;
   Tdmd_obs.Telemetry.count tel "subsets" !count;
-  let placement, bandwidth, feasible =
+  let placement, volume, feasible =
     match !best with
-    | Some (placement, bandwidth) -> (placement, bandwidth, true)
-    | None ->
-      (Placement.empty, float_of_int (Instance.total_path_volume instance), false)
+    | Some (placement, volume) -> (placement, volume, true)
+    | None -> (Placement.empty, 0, false)
   in
   Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size placement);
-  Solver_intf.outcome ~placement ~bandwidth ~feasible ~telemetry:tel
+  Solver_intf.outcome ~lambda:instance.Instance.lambda
+    ~total:(Instance.total_path_volume instance) ~placement ~volume ~feasible ~telemetry:tel

@@ -1,7 +1,8 @@
 (** Exhaustive optimal solver for small instances.
 
     Enumerates every vertex subset of size ≤ k and keeps the feasible
-    one with minimum bandwidth.  Exponential — the oracle the property
+    one with the highest diminished volume, so the minimum bandwidth
+    (the first found on ties, and at λ = 1).  Exponential — the oracle the property
     tests use to certify DP optimality and to bound GTP/HAT
     sub-optimality on random small instances.
 

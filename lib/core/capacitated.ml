@@ -3,11 +3,10 @@ module Flow = Tdmd_flow.Flow
 type assignment = {
   served : (int * int) list;
   unserved : int list;
-  bandwidth : float;
+  volume : int;
 }
 
 let allocate instance ~capacity placement =
-  let lambda = instance.Instance.lambda in
   let residual = Hashtbl.create 16 in
   List.iter
     (fun v -> Hashtbl.replace residual v capacity)
@@ -16,7 +15,7 @@ let allocate instance ~capacity placement =
     Array.to_list instance.Instance.flows
     |> List.stable_sort (fun a b -> compare b.Flow.rate a.Flow.rate)
   in
-  let served = ref [] and unserved = ref [] and bw = ref 0.0 in
+  let served = ref [] and unserved = ref [] and volume = ref 0 in
   List.iter
     (fun f ->
       (* Earliest on-path box with spare capacity. *)
@@ -33,39 +32,39 @@ let allocate instance ~capacity placement =
       | Some (v, l) ->
         Hashtbl.replace residual v (Hashtbl.find residual v - f.Flow.rate);
         served := (f.Flow.id, v) :: !served;
-        bw :=
-          !bw +. Bandwidth.flow_consumption ~lambda f (Allocation.Served_at { vertex = v; l })
-      | None ->
-        unserved := f.Flow.id :: !unserved;
-        bw := !bw +. Bandwidth.flow_consumption ~lambda f Allocation.Unserved)
+        volume := !volume + (f.Flow.rate * (Flow.hop_count f - l))
+      | None -> unserved := f.Flow.id :: !unserved)
     flows;
-  { served = List.rev !served; unserved = List.rev !unserved; bandwidth = !bw }
+  { served = List.rev !served; unserved = List.rev !unserved; volume = !volume }
 
+(* A candidate is taken when it strictly raises the volume; at λ = 1,
+   where no box lowers b, none is. *)
 let greedy ~k ~capacity instance =
   let tel = Tdmd_obs.Telemetry.create () in
   Tdmd_obs.Telemetry.count tel "budget" k;
   Tdmd_obs.Telemetry.count tel "capacity" capacity;
   Tdmd_obs.Telemetry.span_open tel "capacitated";
   let n = Instance.vertex_count instance in
+  let diminishes = Bandwidth.diminishes instance.Instance.lambda in
   let eval p =
     Tdmd_obs.Telemetry.count tel "allocations" 1;
-    (allocate instance ~capacity p).bandwidth
+    (allocate instance ~capacity p).volume
   in
   let rec round placement current =
     if Placement.size placement >= k then placement
     else begin
-      let best = ref (-1) and best_bw = ref current in
+      let best = ref (-1) and best_volume = ref current in
       for v = 0 to n - 1 do
         if not (Placement.mem placement v) then begin
-          let bw = eval (Placement.add placement v) in
-          if bw < !best_bw -. 1e-9 then begin
+          let d = eval (Placement.add placement v) in
+          if diminishes && d > !best_volume then begin
             best := v;
-            best_bw := bw
+            best_volume := d
           end
         end
       done;
       if !best < 0 then placement
-      else round (Placement.add placement !best) !best_bw
+      else round (Placement.add placement !best) !best_volume
     end
   in
   let placement = round Placement.empty (eval Placement.empty) in
@@ -73,5 +72,6 @@ let greedy ~k ~capacity instance =
   Tdmd_obs.Telemetry.span_close tel;
   Tdmd_obs.Telemetry.count tel "unserved_flows" (List.length a.unserved);
   Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size placement);
-  Solver_intf.outcome ~placement ~bandwidth:a.bandwidth ~feasible:(a.unserved = [])
-    ~telemetry:tel
+  Solver_intf.outcome ~lambda:instance.Instance.lambda
+    ~total:(Instance.total_path_volume instance) ~placement ~volume:a.volume
+    ~feasible:(a.unserved = []) ~telemetry:tel

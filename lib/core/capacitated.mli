@@ -16,18 +16,19 @@
 type assignment = {
   served : (int * int) list;  (** (flow id, serving vertex) *)
   unserved : int list;        (** flow ids *)
-  bandwidth : float;
+  volume : int;               (** diminished volume of the served flows *)
 }
 
 val allocate : Instance.t -> capacity:int -> Placement.t -> assignment
 (** First-fit capacitated allocation for a fixed deployment. *)
 
 val greedy : k:int -> capacity:int -> Instance.t -> Solver_intf.outcome
-(** Capacitated greedy: repeatedly add the vertex whose addition lowers
-    the capacitated bandwidth most (covering unserved flows counts as a
-    reduction from their full-rate consumption), up to [k] boxes.  The
-    bandwidth is the capacitated one, and the outcome is feasible when
-    first-fit serves every flow.
+(** Capacitated greedy: repeatedly add the vertex whose addition raises
+    the capacitated diminished volume most, so lowers the capacitated
+    bandwidth most, while some addition strictly raises it (never at
+    λ = 1), up to [k] boxes.  The outcome's volume and bandwidth are the
+    capacitated ones, and it is feasible when first-fit serves every
+    flow.
 
     Telemetry: counters ["budget"], ["capacity"], ["allocations"],
     ["unserved_flows"], ["placement_size"]; span [capacitated]. *)

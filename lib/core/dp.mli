@@ -18,16 +18,24 @@
     exactly the paper's terms.  The budget relaxation happens at query
     time, so a single table build answers all [k' ≤ k_max].
 
+    The tables hold integers: since [P(v, κ, b) = U_v − (1−λ)·Q(v, κ, b)],
+    where [U_v] is the rate·edges inside [T_v] with no box and [Q] the
+    most of it carried diminished, the DP maximises [Q] exactly and
+    renders [P] and [F] from it ({!Bandwidth.render}).  Every choice
+    keeps the first state found on ties; at λ = 1, where every state
+    costs [U_v], [Q] counts no edge, so the first state found stands.
+
     Rates must be integral (the DP is pseudo-polynomial in
     [r_max = max_f r_f], Theorem 5); see {!Scaled_dp} for arbitrary
     rates.  Optimality is cross-checked against {!Brute} in the
     property tests. *)
 
 val solve : k:int -> Instance.Tree.t -> Solver_intf.outcome
-(** Optimal deployment of at most [k] middleboxes; the bandwidth is the
-    DP optimum, and the outcome is infeasible only when [k = 0] and
-    flows exist.  Traceback reconstructs an optimal placement, whose
-    evaluated bandwidth equals the DP value (asserted in tests).
+(** Optimal deployment of at most [k] middleboxes; the volume is the DP
+    optimum (measured by a scan at λ = 1), and the outcome is infeasible
+    only when [k = 0] and flows exist.  Traceback reconstructs an
+    optimal placement, whose diminished volume equals the DP value
+    (asserted in tests).
 
     Telemetry: counters ["budget"], ["states"] (DP states materialised,
     the ablation metric), ["placement_size"]; spans
@@ -39,8 +47,10 @@ type tables
 val build : k_max:int -> Instance.Tree.t -> tables
 
 val f_value : tables -> v:int -> k:int -> float
-(** The paper's F(v, k) (Fig. 6); [infinity] when infeasible. *)
+(** The paper's F(v, k) (Fig. 6), rendered from the tables; [infinity]
+    when infeasible. *)
 
 val p_value : tables -> v:int -> k:int -> b:int -> float
 (** The paper's P(v, k, b) (Fig. 7) under the budget reading
-    [min_{κ ≤ k}]; [infinity] for unachievable [b]. *)
+    [min_{κ ≤ k}], rendered from the tables; [infinity] for
+    unachievable [b]. *)

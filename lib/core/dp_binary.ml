@@ -1,9 +1,10 @@
 module Rt = Tdmd_tree.Rooted_tree
 
-(* Per-vertex table with the same semantics as Dp: p.(kappa).(b) is the
-   minimum consumption on edges strictly inside T_v with exactly kappa
-   boxes and exactly b processed rate; choice.(kappa).(b) records the
-   decision for traceback. *)
+(* Per-vertex table with the same semantics as Dp: q.(kappa).(b) is the
+   most volume processed on edges strictly inside T_v with exactly kappa
+   boxes and exactly b processed rate (−1: unreachable; every reachable
+   state holds 0 at λ = 1); choice.(kappa).(b) records the decision for
+   traceback. *)
 type cell_choice =
   | Leaf_box                      (* box on this leaf *)
   | Leaf_none
@@ -12,7 +13,7 @@ type cell_choice =
          box's budget unit when [box]) *)
 
 type node_table = {
-  p : float array array;
+  q : int array array;
   choice : cell_choice option array array;
 }
 
@@ -20,15 +21,26 @@ let solve ~k inst =
   let tel = Tdmd_obs.Telemetry.create () in
   Tdmd_obs.Telemetry.count tel "budget" k;
   Tdmd_obs.Telemetry.span_open tel "dp-binary";
-  let finish placement bandwidth feasible =
-    Tdmd_obs.Telemetry.span_close tel;
-    Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size placement);
-    Solver_intf.outcome ~placement ~bandwidth ~feasible ~telemetry:tel
-  in
   let tree = inst.Instance.Tree.tree in
   let lambda = inst.Instance.Tree.lambda in
+  let diminishes = Bandwidth.diminishes lambda in
   let n = Rt.size tree in
   let b_sub = Instance.Tree.subtree_rate inst in
+  (* The uplinks carrying processed rates bl and br add bl + br
+     diminished edge-units; at λ = 1 none counts. *)
+  let volume ql qr bl br = ql + qr + if diminishes then bl + br else 0 in
+  let finish placement volume feasible =
+    Tdmd_obs.Telemetry.span_close tel;
+    Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size placement);
+    (* At λ = 1 the tables count no edge, so a scan measures D. *)
+    let volume =
+      if diminishes then volume
+      else Bandwidth.diminished_volume (Instance.Tree.to_general inst) placement
+    in
+    (* U: each edge v → parent carries R_v. *)
+    let total = Array.fold_left ( + ) 0 b_sub - b_sub.(Rt.root tree) in
+    Solver_intf.outcome ~lambda ~total ~placement ~volume ~feasible ~telemetry:tel
+  in
   let subtree_size = Array.make n 1 in
   List.iter
     (fun v ->
@@ -38,23 +50,21 @@ let solve ~k inst =
   let k_cap = Array.map (fun s -> min k s) subtree_size in
   let tables = Array.make n None in
   (* The empty subtree: only (0 boxes, 0 processed) at cost 0. *)
-  let empty_table =
-    { p = [| [| 0.0 |] |]; choice = [| [| Some Leaf_none |] |] }
-  in
+  let empty_table = { q = [| [| 0 |] |]; choice = [| [| Some Leaf_none |] |] } in
   let get_table v = Option.get tables.(v) in
   List.iter
     (fun v ->
       let kv = k_cap.(v) and bv = b_sub.(v) in
-      let p = Array.make_matrix (kv + 1) (bv + 1) infinity in
+      let q = Array.make_matrix (kv + 1) (bv + 1) (-1) in
       let choice = Array.make_matrix (kv + 1) (bv + 1) None in
       (match Rt.children tree v with
       | [] ->
-        (* Eqs. 9-10: a leaf costs nothing inside; a box forces its
-           flows processed, no box leaves them for an ancestor. *)
-        p.(0).(0) <- 0.0;
+        (* Eqs. 9-10: a leaf has no edge inside; a box forces its flows
+           processed, no box leaves them for an ancestor. *)
+        q.(0).(0) <- 0;
         choice.(0).(0) <- Some Leaf_none;
         if kv >= 1 then begin
-          p.(1).(bv) <- 0.0;
+          q.(1).(bv) <- 0;
           choice.(1).(bv) <- Some Leaf_box
         end
       | children ->
@@ -65,30 +75,28 @@ let solve ~k inst =
             (get_table l, get_table r, b_sub.(l), b_sub.(r), k_cap.(l), k_cap.(r))
           | _ -> invalid_arg "Dp_binary.solve: vertex has more than two children"
         in
-        (* Uplink of a subtree with total rate bc and processed rate b:
-           lambda*b + (bc - b), the paper's per-subtree terms. *)
-        let uplink bc b = float_of_int bc -. ((1.0 -. lambda) *. float_of_int b) in
         (* Eq. 8 (no box at v): P(v,k,b) = min_p P(l,p,bl) + P(r,k-p,br)
-           + uplinks, with b = bl + br.  Eq. 7's box case places one on
-           v, jumping b to R_v. *)
+           + uplinks, with b = bl + br, an uplink of total rate R carrying
+           b processed costing λ·b + (R − b): here the most processed
+           volume.  Eq. 7's box case places one on v, jumping b to R_v. *)
         for kl = 0 to kl_max do
           for bl = 0 to bl_max do
-            let pl = left.p.(kl).(bl) in
-            if pl < infinity then
+            let ql = left.q.(kl).(bl) in
+            if ql >= 0 then
               for kr = 0 to min kr_max (kv - kl) do
                 for br = 0 to br_max do
-                  let pr = right.p.(kr).(br) in
-                  if pr < infinity then begin
-                    let cost = pl +. pr +. uplink bl_max bl +. uplink br_max br in
+                  let qr = right.q.(kr).(br) in
+                  if qr >= 0 then begin
+                    let d = volume ql qr bl br in
                     let kappa = kl + kr and b = bl + br in
-                    if cost < p.(kappa).(b) then begin
-                      p.(kappa).(b) <- cost;
+                    if d > q.(kappa).(b) then begin
+                      q.(kappa).(b) <- d;
                       choice.(kappa).(b) <- Some (Split { box = false; kl; bl })
                     end;
-                    (* Box at v: same inside cost, one more budget unit,
-                       everything through v processed. *)
-                    if kappa + 1 <= kv && cost < p.(kappa + 1).(bv) then begin
-                      p.(kappa + 1).(bv) <- cost;
+                    (* Box at v: same inside volume, one more budget
+                       unit, everything through v processed. *)
+                    if kappa + 1 <= kv && d > q.(kappa + 1).(bv) then begin
+                      q.(kappa + 1).(bv) <- d;
                       choice.(kappa + 1).(bv) <- Some (Split { box = true; kl; bl })
                     end
                   end
@@ -96,27 +104,22 @@ let solve ~k inst =
               done
           done
         done);
-      Tdmd_obs.Telemetry.count tel "states"
-        (Array.length p * Array.length p.(0));
-      tables.(v) <- Some { p; choice })
+      Tdmd_obs.Telemetry.count tel "states" (Array.length q * Array.length q.(0));
+      tables.(v) <- Some { q; choice })
     (Rt.postorder tree);
   let root = Rt.root tree in
-  if Array.length inst.Instance.Tree.flows = 0 then
-    finish Placement.empty 0.0 true
+  if Array.length inst.Instance.Tree.flows = 0 then finish Placement.empty 0 true
   else begin
     let b_root = b_sub.(root) in
     let tbl = get_table root in
-    let best = ref infinity and best_kappa = ref (-1) in
+    let best = ref (-1) and best_kappa = ref (-1) in
     for kappa = 0 to min k k_cap.(root) do
-      if tbl.p.(kappa).(b_root) < !best then begin
-        best := tbl.p.(kappa).(b_root);
+      if tbl.q.(kappa).(b_root) > !best then begin
+        best := tbl.q.(kappa).(b_root);
         best_kappa := kappa
       end
     done;
-    if !best_kappa < 0 then
-      finish Placement.empty
-        (float_of_int (Instance.total_path_volume (Instance.Tree.to_general inst)))
-        false
+    if !best_kappa < 0 then finish Placement.empty 0 false
     else begin
       let acc = ref [] in
       let rec assign v kappa b =
@@ -137,24 +140,14 @@ let solve ~k inst =
                recover: it is whatever the right table allowed. *)
             let br =
               if box then begin
-                (* Find the br that witnesses the stored cost. *)
-                let target = tbl.p.(kappa).(b) in
-                let left_tbl = get_table l and right_tbl = get_table r in
-                let uplink bc pb =
-                  float_of_int bc -. ((1.0 -. lambda) *. float_of_int pb)
-                in
+                (* Find the br that witnesses the stored volume. *)
+                let target = tbl.q.(kappa).(b) in
+                let ql = (get_table l).q.(kl).(bl) and right_tbl = get_table r in
                 let found = ref (-1) in
                 for cand = 0 to b_sub.(r) do
-                  if !found < 0 && right_tbl.p.(spent).(cand) < infinity
-                     && left_tbl.p.(kl).(bl) < infinity
-                  then begin
-                    let cost =
-                      left_tbl.p.(kl).(bl) +. right_tbl.p.(spent).(cand)
-                      +. uplink b_sub.(l) bl
-                      +. uplink b_sub.(r) cand
-                    in
-                    if cost = target then found := cand
-                  end
+                  let qr = right_tbl.q.(spent).(cand) in
+                  if !found < 0 && qr >= 0 && ql >= 0 && volume ql qr bl cand = target
+                  then found := cand
                 done;
                 assert (!found >= 0);
                 !found

@@ -105,14 +105,15 @@ let run_with ~label select ?budget instance =
         Tdmd_obs.Telemetry.with_span tel "cover-fixup" (fun () ->
             Cover_fixup.within sel.oracle ~chosen:sel.chosen ~budget)
       in
-      (* The fix-up left the oracle holding [chosen]: it answers
-         feasibility without a rescan. *)
+      (* The fix-up left the oracle holding [chosen]: it answers the
+         volume and feasibility without a rescan. *)
       let placement = Placement.of_list chosen in
       Tdmd_obs.Telemetry.count tel "oracle_calls" sel.reads;
       Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size placement);
       Tdmd_obs.Telemetry.count tel "oracle_ns" (Int64.to_int oracle_ns);
-      Solver_intf.outcome ~placement
-        ~bandwidth:(Bandwidth.total instance placement)
+      Solver_intf.outcome ~lambda:instance.Instance.lambda
+        ~total:(Instance.total_path_volume instance) ~placement
+        ~volume:(Inc_oracle.diminished_volume sel.oracle)
         ~feasible:(Inc_oracle.is_feasible sel.oracle) ~telemetry:tel)
 
 let run ?budget instance = run_with ~label:"gtp" greedy ?budget instance

@@ -14,8 +14,10 @@ let run ~k inst =
   let o = Inc_oracle.of_list general leaves in
   let oracle_ns = ref 0L in
   let round = ref 0 in
-  (* Δb(i,j) = b(after) − b(before) = (1−λ)·(dim_before − dim_after),
-     with both volumes integers, so λ = 0.5 instances stay exact. *)
+  let diminishes = Bandwidth.diminishes general.Instance.lambda in
+  (* Δb(i,j) = (1−λ)·ΔD with ΔD = dim_before − dim_after, so the heap
+     keys on the integer ΔD; at λ = 1 every Δb is 0 and the key too, so
+     vertex order decides. *)
   let delta i j =
     Tdmd_obs.Telemetry.count tel "delta_evals" 1;
     let t0 = Tdmd_obs.Clock.now_ns () in
@@ -29,10 +31,10 @@ let run ~k inst =
     Inc_oracle.undo o;
     Inc_oracle.undo o;
     oracle_ns := Int64.add !oracle_ns (Int64.sub (Tdmd_obs.Clock.now_ns ()) t0);
-    (1.0 -. general.Instance.lambda) *. float_of_int (before - after)
+    if diminishes then before - after else 0
   in
-  (* Heap of (penalty, i, j, round-stamp); ties broken by vertex ids so
-     runs are deterministic (and match the paper's k = 2 walkthrough). *)
+  (* Heap of (ΔD, i, j, round-stamp); ties broken by vertex ids so runs
+     are deterministic (and match the paper's k = 2 walkthrough). *)
   let cmp (d1, i1, j1, _) (d2, i2, j2, _) = compare (d1, i1, j1) (d2, i2, j2) in
   let heap = Tdmd_heap.Binary_heap.create ~cmp () in
   let push_pair i j =
@@ -86,7 +88,7 @@ let run ~k inst =
   Tdmd_obs.Telemetry.count tel "merges" !merges;
   Tdmd_obs.Telemetry.count tel "oracle_ns" (Int64.to_int !oracle_ns);
   Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size placement);
-  Solver_intf.outcome ~placement
-    ~bandwidth:(Bandwidth.total general placement)
-    ~feasible:(Allocation.is_feasible general placement)
+  Solver_intf.outcome ~lambda:general.Instance.lambda
+    ~total:(Instance.total_path_volume general) ~placement
+    ~volume:(Inc_oracle.diminished_volume o) ~feasible:(Inc_oracle.is_feasible o)
     ~telemetry:tel

@@ -2,10 +2,9 @@ module Flow = Tdmd_flow.Flow
 
 (* All bookkeeping lives in integer diminished-volume space (see
    bandwidth.ml): serving flow f at path position l contributes
-   r_f · (hops_f − l) diminished edge-units, and the (1−λ) scaling is
-   applied only at the float boundary, so every incremental answer is an
-   integer-valued float that agrees bit-for-bit with a from-scratch
-   Bandwidth.diminished_volume scan.
+   r_f · (hops_f − l) diminished edge-units, so every answer is an
+   integer that agrees with a from-scratch Bandwidth.diminished_volume
+   scan, and b is rendered from it only when asked.
 
    The gain ledger answers the what-if queries.  A flow of rate r and h
    hops served at position s (h + 1 = unserved) holds, at each path
@@ -54,7 +53,7 @@ type scratch = {
    oracle's deployment state. *)
 type t = {
   owned : bool;                  (* flow edits allowed *)
-  one_minus_lambda : float;
+  lambda : float;
   slabs : int array array;       (* vertex -> (slot, position) pairs *)
   degree : int array;            (* vertex -> pairs in use *)
   mutable rates : int array;     (* slot -> r_f *)
@@ -93,7 +92,7 @@ let make ~owned ~lambda ~vertices ~slabs ~degree ~rates ~hops ~paths ~packed =
   done;
   {
     owned;
-    one_minus_lambda = 1.0 -. lambda;
+    lambda;
     slabs;
     degree;
     rates;
@@ -131,15 +130,11 @@ let empty ~vertices ~lambda =
   make ~owned:true ~lambda ~vertices ~slabs:(Array.make vertices [||])
     ~degree:(Array.make vertices 0) ~rates:[||] ~hops:[||] ~paths:[||] ~packed:None
 
-let mask t = t.placed
 let mem t v = Bytes.get t.placed v = '\001'
 let size t = t.placed_count
 let diminished_volume t = t.dim_volume
 
-let[@inline] bandwidth_at t dim =
-  float_of_int t.total_volume -. (t.one_minus_lambda *. float_of_int dim)
-
-let bandwidth t = bandwidth_at t t.dim_volume
+let bandwidth t = Bandwidth.render ~lambda:t.lambda ~total:t.total_volume t.dim_volume
 
 let unserved_count t = t.unserved
 let is_feasible t = t.unserved = 0
@@ -580,41 +575,31 @@ let[@inline] uncov_without t s v =
 type move = {
   mutable outgoing : int;
   mutable incoming : int;
-  mutable after : float;
+  mutable after : int;
   mutable probes : int;
   mutable evaluations : int;
 }
 
-let no_move () = { outgoing = -1; incoming = -1; after = 0.0; probes = 0; evaluations = 0 }
+let no_move () = { outgoing = -1; incoming = -1; after = 0; probes = 0; evaluations = 0 }
 
-let offer m ~outgoing ~bar v bw =
-  if (m.incoming < 0 || bw < m.after) && bw < bar then begin
+(* Each scan offers its best candidate once: over successive scans the
+   first strictly better move wins.  At λ = 1 no move lowers b, so none
+   is taken. *)
+let offer t m ~outgoing ~current v d =
+  if Bandwidth.diminishes t.lambda && (m.incoming < 0 || d > m.after) && d > current
+  then begin
     m.outgoing <- outgoing;
     m.incoming <- v;
-    m.after <- bw
+    m.after <- d
   end
 
-(* The edit-based scan's loop over the priced values: every undeployed
-   vertex in increasing order, the first strictly better one kept. *)
-let scan_all t s ~outgoing ~dim ~unserved ~bar m =
-  let evaluations = ref 0 in
-  for v = 0 to Bytes.length t.placed - 1 do
-    if Bytes.get t.placed v = '\000' && (unserved = 0 || uncov_without t s v = unserved)
-    then begin
-      incr evaluations;
-      offer m ~outgoing ~bar v (bandwidth_at t (dim + gain_without t s v))
-    end
-  done;
-  !evaluations
-
-(* With every flow served before the removal, a candidate keeps every
-   flow served only if it lies on every stranded path, so only touched
-   vertices qualify.  Without stranded flows every candidate qualifies,
-   and the lowest bandwidth is the highest gain, the leader's or a
-   touched vertex's, lowest vertex on ties; unless the float map gives a
-   gain one lower the same bandwidth (1 − λ is 0 or tiny), where lower
-   gains may tie and the pass over every vertex decides.  With no
-   leader there is no candidate. *)
+(* A deployment that already leaves flows unserved is scored by a pass
+   over every vertex.  With every flow served before the removal, a
+   candidate keeps every flow served only if it lies on every stranded
+   path, so only touched vertices qualify.  Without stranded flows every
+   candidate qualifies, and the best is the highest gain, the leader's
+   or a touched vertex's.  Lowest vertex on ties; with no leader there
+   is no candidate. *)
 let scan_moves t ~outgoing ~current m =
   if outgoing >= 0 && not (mem t outgoing) then
     invalid_arg "Inc_oracle.scan_moves: outgoing vertex not deployed";
@@ -622,49 +607,37 @@ let scan_moves t ~outgoing ~current m =
   ensure_uncov t;
   let s = scratch t in
   let dim = t.dim_volume - price_without t s outgoing in
-  let unserved = t.unserved + s.stranded and bar = current -. 1e-9 in
+  let unserved = t.unserved + s.stranded in
   let candidates = Bytes.length t.placed - t.placed_count in
   m.probes <- m.probes + candidates;
-  let all () = scan_all t s ~outgoing ~dim ~unserved ~bar m in
-  let evaluations =
-    if t.unserved > 0 then all ()
-    else if unserved > 0 then begin
-      let evaluations = ref 0 and best = ref (-1) and best_bw = ref 0.0 in
-      for i = 0 to s.count - 1 do
-        let v = s.touched.(i) in
-        if v <> outgoing && s.duncov.(v) = unserved then begin
-          incr evaluations;
-          let bw = bandwidth_at t (dim + gain_without t s v) in
-          if !best < 0 || bw < !best_bw || (bw = !best_bw && v < !best) then begin
-            best := v;
-            best_bw := bw
-          end
-        end
-      done;
-      if !best >= 0 then offer m ~outgoing ~bar !best !best_bw;
-      !evaluations
-    end
-    else begin
-      let best = ref (leader t) and best_gain = ref 0 in
-      if !best >= 0 then best_gain := gain_without t s !best;
-      for i = 0 to s.count - 1 do
-        let v = s.touched.(i) in
-        let g = gain_without t s v in
-        if v <> outgoing && (g > !best_gain || (g = !best_gain && v < !best)) then begin
-          best := v;
-          best_gain := g
-        end
-      done;
-      let bw = bandwidth_at t (dim + !best_gain) in
-      if !best < 0 then 0
-      else if bandwidth_at t (dim + !best_gain - 1) > bw then begin
-        offer m ~outgoing ~bar !best bw;
-        candidates
-      end
-      else all ()
+  let best = ref (-1) and best_gain = ref 0 and evaluations = ref 0 in
+  let consider v =
+    incr evaluations;
+    let g = gain_without t s v in
+    if !best < 0 || g > !best_gain || (g = !best_gain && v < !best) then begin
+      best := v;
+      best_gain := g
     end
   in
-  m.evaluations <- m.evaluations + evaluations
+  if t.unserved > 0 then begin
+    for v = 0 to Bytes.length t.placed - 1 do
+      if Bytes.get t.placed v = '\000' && uncov_without t s v = unserved then consider v
+    done
+  end
+  else begin
+    let stranding = unserved > 0 in
+    if not stranding then begin
+      let w = leader t in
+      if w >= 0 then consider w
+    end;
+    for i = 0 to s.count - 1 do
+      let v = s.touched.(i) in
+      if v <> outgoing && ((not stranding) || s.duncov.(v) = unserved) then consider v
+    done;
+    if not stranding then evaluations := if !best < 0 then 0 else candidates
+  end;
+  if !best >= 0 then offer t m ~outgoing ~current !best (dim + !best_gain);
+  m.evaluations <- m.evaluations + !evaluations
 
 (* {1 Best replacement} *)
 

@@ -58,12 +58,12 @@
     refuses flow edits, so a shared incidence is never written.
 
     All state is kept in {e integer} diminished-volume units (see
-    {!Bandwidth.diminished_volume}); the (1−λ) scaling is applied only at
-    the float boundary.  Every answer therefore agrees {e bit-for-bit}
-    with a from-scratch naive scan — the invariant the CELF "cached gains
-    are upper bounds" acceptance test depends on, and what the
-    differential tests in [test/test_inc_oracle.ml] and
-    [test/test_churn.ml] lock in. *)
+    {!Bandwidth.diminished_volume}), and every decision compares them;
+    {!bandwidth} renders b from them only when asked.  Every answer
+    therefore agrees {e exactly} with a from-scratch naive scan — the
+    invariant the CELF "cached gains are upper bounds" acceptance test
+    depends on, and what the differential tests in
+    [test/test_inc_oracle.ml] and [test/test_churn.ml] lock in. *)
 
 type t
 
@@ -121,22 +121,12 @@ val size : t -> int
 
 val placement : t -> Placement.t
 
-val mask : t -> Bytes.t
-(** The deployed byte per vertex, in the {!Allocation.mask} format.
-    This is the oracle's own state: read it, never write it; every
-    deployment edit changes it. *)
-
 val diminished_volume : t -> int
 (** Equals [Bandwidth.diminished_volume] of the current deployment. *)
 
 val bandwidth : t -> float
-(** b(P, F) = Σ_f r_f·|p_f| − (1−λ)·{!diminished_volume}. *)
-
-val bandwidth_at : t -> int -> float
-(** [bandwidth_at t d] is {!bandwidth} of a deployment whose diminished
-    volume is [d], in the same float operations: [bandwidth_at t
-    (diminished_volume t + marginal_volume t v)] has the bits {!bandwidth}
-    would read after [add t v]. *)
+(** b(P, F): {!Bandwidth.render} of {!diminished_volume} against the
+    flows' Σ_f r_f·|p_f|, in O(1). *)
 
 val marginal_volume : t -> int -> int
 (** Increase of {!diminished_volume} if the vertex were deployed (0 when
@@ -211,7 +201,7 @@ val disjoint_paths : t -> at_most:int -> int
 type move = {
   mutable outgoing : int;  (** box retired; −1 for a pure addition *)
   mutable incoming : int;  (** box deployed; −1 while no move qualifies *)
-  mutable after : float;   (** {!bandwidth} after the move *)
+  mutable after : int;     (** {!diminished_volume} after the move *)
   mutable probes : int;    (** candidates scored, over every scan *)
   mutable evaluations : int;
       (** candidates that keep every flow served, over every scan *)
@@ -220,7 +210,7 @@ type move = {
 val no_move : unit -> move
 (** No move yet and zero counts. *)
 
-val scan_moves : t -> outgoing:int -> current:float -> move -> unit
+val scan_moves : t -> outgoing:int -> current:int -> move -> unit
 (** [scan_moves t ~outgoing ~current m] scores each move of the box at
     [outgoing] (a deployed vertex; −1 scores pure additions) to an
     undeployed vertex other than [outgoing], against the deployment
@@ -229,24 +219,23 @@ val scan_moves : t -> outgoing:int -> current:float -> move -> unit
     Each candidate adds one to [m.probes] (|V| − |P| in all).  A
     candidate that leaves every flow served (none was unserved without
     [outgoing], or it serves every flow that was) adds one to
-    [m.evaluations]; its bandwidth [b] is the bits {!bandwidth} would
-    read after the move.  The lowest such [b], lowest vertex on ties,
-    replaces [m]'s move when [m.incoming < 0 || b < m.after] and [b <
-    current -. 1e-9].  So over successive scans the first strictly
-    better move wins, exactly as when each candidate, in increasing
-    vertex order, is applied with {!remove}/{!add}, scored and undone.
+    [m.evaluations]; its volume [d] is the {!diminished_volume} after
+    the move.  The highest such [d], lowest vertex on ties, replaces
+    [m]'s move when [m.incoming < 0 || d > m.after] and [d > current],
+    and only when {!Bandwidth.diminishes} λ: at λ = 1 no move is taken.
+    So over successive scans the first strictly better move wins,
+    exactly as when each candidate, in increasing vertex order, is
+    applied with {!remove}/{!add}, scored and undone.
 
     When every flow is served and removing [outgoing] strands none, the
     best candidate is the highest marginal volume without [outgoing]
-    (see above), unless the float map gives a volume one lower the same
-    bandwidth (1 − λ is 0 or tiny), where a pass over every vertex
-    decides.  When removing it strands flows, only vertices on the
+    (see above).  When removing it strands flows, only vertices on the
     stranded paths can serve them again.  A deployment that leaves flows
     unserved is scored by a pass over every vertex.  Costs O(Σ over
     flows served at [outgoing] of |p_f|) (plus the ledger build on a
     first query and the O(|V|) search for the best undeployed vertex
-    once per deployment), or O(|V|) more on a pass.  The oracle ends as
-    it started.
+    once per deployment), or O(|V|) more on that pass.  The oracle ends
+    as it started.
     @raise Invalid_argument when [outgoing >= 0] is not deployed. *)
 
 type replacement = {

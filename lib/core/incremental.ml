@@ -1,12 +1,10 @@
 module Flow = Tdmd_flow.Flow
 
 (* All placement decisions compare the oracle's integer
-   diminished-volume answers (see inc_oracle.ml); the (1−λ) scaling
-   happens only at the float reporting boundary.  Comparing exact
-   integers instead of float marginals removes the old 1e-9 threshold
-   (which silently suppressed every gain when 1−λ was tiny); a
-   regression that reintroduces a float-literal comparison here is
-   caught by tdmd-lint's [float-equal] rule. *)
+   diminished-volume answers (see inc_oracle.ml); b is rendered from
+   them only when a reply asks.  A regression that reintroduces a
+   float-literal comparison here is caught by tdmd-lint's [float-equal]
+   rule. *)
 
 (* Arrival-ordered flow store with O(1) arrive/depart: a newest-first
    list of liveness cells plus an id index.  Departure tombstones the
@@ -65,15 +63,9 @@ let placed_order t = t.placed
 let mem_flow t id = Hashtbl.mem t.ids id
 let flow_count t = Hashtbl.length t.ids
 
-(* Each live flow's consumption in arrival order against the oracle's
-   deployed-vertex bytes, which mirror [t.placed] between events: the
-   formula and summation order of [Bandwidth.total] over [instance t],
-   so the same bits, without rebuilding and re-validating the instance. *)
-let bandwidth t =
-  let mask = Inc_oracle.mask t.oracle in
-  List.fold_left
-    (fun acc f -> acc +. Bandwidth.consumption_in ~lambda:t.lambda mask f)
-    0.0 (flows t)
+(* The oracle mirrors [t.placed] between events. *)
+let volume t = Inc_oracle.diminished_volume t.oracle
+let bandwidth t = Inc_oracle.bandwidth t.oracle
 
 let feasible t = Inc_oracle.is_feasible t.oracle
 let moves t = t.moves

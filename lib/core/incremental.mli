@@ -92,7 +92,14 @@ val flow_count : t -> int
 (** Number of live flows, O(1) (equals [List.length (flows t)]). *)
 
 val placement : t -> Placement.t
+
+val volume : t -> int
+(** D of the deployment over the live flows, O(1). *)
+
 val bandwidth : t -> float
+(** b over the live flows, rendered from {!volume} in O(1): the bits of
+    [Bandwidth.total (instance t) (placement t)]. *)
+
 val feasible : t -> bool
 val moves : t -> int
 (** Total placement changes so far (adds + removals). *)

@@ -15,6 +15,7 @@ type t = {
   graph : G.t;
   flows : Flow.t array;
   lambda : float;
+  path_volume : int;
   incidence : incidence;
 }
 
@@ -62,11 +63,17 @@ let incidence_of ~n flows =
   }
 
 let of_array ~graph ~flows ~lambda =
-  { graph; flows; lambda; incidence = incidence_of ~n:(G.vertex_count graph) flows }
+  let path_volume =
+    Array.fold_left (fun u f -> u + (f.Flow.rate * Flow.hop_count f)) 0 flows
+  in
+  let incidence = incidence_of ~n:(G.vertex_count graph) flows in
+  { graph; flows; lambda; path_volume; incidence }
+
+(* Written so that NaN, which fails every comparison, fails it too. *)
+let valid_lambda lambda = 0.0 <= lambda && lambda <= 1.0
 
 let make ~graph ~flows ~lambda =
-  if lambda < 0.0 || lambda > 1.0 then
-    invalid_arg "Instance.make: lambda must lie in [0, 1]";
+  if not (valid_lambda lambda) then invalid_arg "Instance.make: lambda must lie in [0, 1]";
   List.iter
     (fun f ->
       match Flow.validate graph f with
@@ -79,7 +86,7 @@ let vertex_count t = G.vertex_count t.graph
 let flow_count t = Array.length t.flows
 let flows t = Array.to_list t.flows
 let total_rate t = Flow.total_rate (flows t)
-let total_path_volume t = Flow.total_path_volume (flows t)
+let total_path_volume t = t.path_volume
 
 module Tree = struct
   type general = t
@@ -91,7 +98,7 @@ module Tree = struct
   }
 
   let make ~tree ~flows ~lambda =
-    if lambda < 0.0 || lambda > 1.0 then
+    if not (valid_lambda lambda) then
       invalid_arg "Instance.Tree.make: lambda must lie in [0, 1]";
     List.iter
       (fun f ->

@@ -34,6 +34,7 @@ type t = private {
   graph : Tdmd_graph.Digraph.t;
   flows : Tdmd_flow.Flow.t array;
   lambda : float;  (** traffic-changing ratio, 0 ≤ λ ≤ 1 *)
+  path_volume : int;  (** U = Σ_f r_f·|p_f|, see {!total_path_volume} *)
   incidence : incidence;
 }
 
@@ -42,7 +43,7 @@ val make :
   flows:Tdmd_flow.Flow.t list ->
   lambda:float ->
   t
-(** Validates λ ∈ [0, 1] and every flow path against the graph, then
+(** Validates 0 ≤ λ ≤ 1 (NaN fails) and every flow path against the graph, then
     builds the {!incidence} in O(|V| + Σ_f |p_f|).
     @raise Invalid_argument on violations. *)
 
@@ -51,8 +52,8 @@ val flow_count : t -> int
 val flows : t -> Tdmd_flow.Flow.t list
 val total_rate : t -> int
 val total_path_volume : t -> int
-(** Σ_f r_f·|p_f|: the bandwidth with no middlebox deployed (Lemma 1's
-    max b(P)). *)
+(** U = Σ_f r_f·|p_f|: the bandwidth with no middlebox deployed (Lemma
+    1's max b(P)).  O(1): [make] sums it once. *)
 
 module Tree : sig
   type general = t
@@ -68,8 +69,8 @@ module Tree : sig
     flows:Tdmd_flow.Flow.t list ->
     lambda:float ->
     t
-  (** Checks that each flow runs from a leaf up to the root along tree
-      edges, and merges flows sharing a source (paper Sec. 5: same-leaf
+  (** Checks 0 ≤ λ ≤ 1 (NaN fails) and that each flow runs from a leaf
+      up to the root along tree edges, and merges flows sharing a source (paper Sec. 5: same-leaf
       flows are one flow for the solvers).
       @raise Invalid_argument on violations. *)
 

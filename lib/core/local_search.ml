@@ -7,14 +7,14 @@
    reference in test/reference.ml: the differential tests compare the
    result and the "evaluations"/"delta_evals" counts with it. *)
 let refine ?(max_rounds = 1000) ~k instance placement =
-  if not (Allocation.is_feasible instance placement) then
+  let t = Inc_oracle.of_list instance (Placement.to_list placement) in
+  if not (Inc_oracle.is_feasible t) then
     invalid_arg "Local_search.refine: infeasible starting deployment";
   let tel = Tdmd_obs.Telemetry.create () in
   Tdmd_obs.Telemetry.count tel "budget" k;
   Tdmd_obs.Telemetry.span_open tel "local-search";
   let started = Tdmd_obs.Clock.now_ns () in
   let n = Instance.vertex_count instance in
-  let t = Inc_oracle.of_list instance (Placement.to_list placement) in
   let m = Inc_oracle.no_move () in
   let rec round current swaps rounds_left =
     if rounds_left = 0 then swaps
@@ -34,18 +34,16 @@ let refine ?(max_rounds = 1000) ~k instance placement =
       end
     end
   in
-  let swaps = round (Inc_oracle.bandwidth t) 0 max_rounds in
+  let swaps = round (Inc_oracle.diminished_volume t) 0 max_rounds in
   let placement = Inc_oracle.placement t in
   if m.Inc_oracle.probes > 0 then
     Tdmd_obs.Telemetry.count tel "delta_evals" m.Inc_oracle.probes;
   let oracle_ns = Int64.sub (Tdmd_obs.Clock.now_ns ()) started in
-  (* Report the objective through the same summation as every other
-     solver (identical mathematically; avoids mixing rounding styles in
-     cross-solver comparisons). *)
-  let bandwidth = Bandwidth.total instance placement in
   Tdmd_obs.Telemetry.span_close tel;
   Tdmd_obs.Telemetry.count tel "swaps" swaps;
   Tdmd_obs.Telemetry.count tel "evaluations" m.Inc_oracle.evaluations;
   Tdmd_obs.Telemetry.count tel "oracle_ns" (Int64.to_int oracle_ns);
   Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size placement);
-  Solver_intf.outcome ~placement ~bandwidth ~feasible:true ~telemetry:tel
+  Solver_intf.outcome ~lambda:instance.Instance.lambda
+    ~total:(Instance.total_path_volume instance) ~placement
+    ~volume:(Inc_oracle.diminished_volume t) ~feasible:true ~telemetry:tel

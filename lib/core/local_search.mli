@@ -3,9 +3,10 @@
     A standard post-pass the paper leaves on the table: starting from
     any feasible deployment, repeatedly apply the best
     remove-one/add-one swap (or a pure addition while under budget)
-    that strictly lowers the bandwidth while keeping every flow served.
-    Terminates at a 1-swap local optimum; never returns a worse
-    deployment than its input.  The ablation bench quantifies how much
+    that strictly raises the diminished volume, so strictly lowers the
+    bandwidth, while keeping every flow served (at λ = 1, where no move
+    lowers b, none is taken).  Terminates at a 1-swap local optimum;
+    never returns a worse deployment than its input.  The ablation bench quantifies how much
     it closes the GTP/HAT-to-DP gap. *)
 
 val refine :
@@ -18,9 +19,8 @@ val refine :
     without the box read-only, from the flows the box serves, and picks
     the best incoming vertex off the oracle's gain ledger.  A round
     costs one O(|V|) pass for the best undeployed vertex plus, per box,
-    the path lengths of the flows it serves (a pass over every vertex
-    only when 1 − λ is 0 or tiny); the accepted move is applied to the
-    oracle in place.
+    the path lengths of the flows it serves; the accepted move is
+    applied to the oracle in place.
 
     Telemetry: counters ["budget"], ["delta_evals"] (candidates
     probed), ["swaps"] (improving moves applied), ["evaluations"]

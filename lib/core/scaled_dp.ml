@@ -23,6 +23,7 @@ let solve ~k ~theta inst =
   Tdmd_obs.Telemetry.merge ~into:tel r.Solver_intf.telemetry;
   Tdmd_obs.Telemetry.count tel "scaled_states"
     (Tdmd_obs.Telemetry.get_count r.Solver_intf.telemetry "states");
-  Solver_intf.outcome ~placement:r.Solver_intf.placement
-    ~bandwidth:(Bandwidth.total general r.Solver_intf.placement)
+  Solver_intf.outcome ~lambda:general.Instance.lambda
+    ~total:(Instance.total_path_volume general) ~placement:r.Solver_intf.placement
+    ~volume:(Bandwidth.diminished_volume general r.Solver_intf.placement)
     ~feasible:r.Solver_intf.feasible ~telemetry:tel

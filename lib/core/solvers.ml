@@ -36,11 +36,10 @@ let replay ~span ~migration_budget ~k inst =
   let telemetry = Incremental.telemetry state in
   Tdmd_obs.Telemetry.with_span telemetry span (fun () ->
       Array.iter (Incremental.arrive state) inst.Instance.flows);
-  Solver_intf.outcome
+  Solver_intf.outcome ~lambda:inst.Instance.lambda
+    ~total:(Instance.total_path_volume inst)
     ~placement:(Incremental.placement state)
-    ~bandwidth:(Incremental.bandwidth state)
-    ~feasible:(Incremental.feasible state)
-    ~telemetry
+    ~volume:(Incremental.volume state) ~feasible:(Incremental.feasible state) ~telemetry
 
 let builtin_general : (string * general_solver) list =
   [

@@ -32,7 +32,7 @@ type t = {
   finished : int Atomic.t;
   fallback : int list;
   fallback_feasible : bool;
-  fallback_bandwidth : float;
+  fallback_volume : int;
   on_publish : (best -> unit) option;
   mutable joined : bool;
 }
@@ -140,8 +140,7 @@ let start ?(members = default_members)
   let seeded = List.mapi (fun i m -> (i + 1, Rng.split rng, m)) members in
   let scratch = Oracle.create inst in
   let fallback = Search.greedy_cover inst ~k in
-  let _, fallback_feasible = Search.eval scratch fallback in
-  let fallback_bandwidth = Oracle.bandwidth scratch in
+  let fallback_volume, fallback_feasible = Search.eval scratch fallback in
   let pool =
     Pool.create
       ~domains:(max 1 (min domains member_count))
@@ -160,7 +159,7 @@ let start ?(members = default_members)
       finished = Atomic.make 0;
       fallback;
       fallback_feasible;
-      fallback_bandwidth;
+      fallback_volume;
       on_publish;
       joined = false;
     }
@@ -214,14 +213,13 @@ let outcome_of ?telemetry t best =
   (match t.steps with
   | Some s -> Telemetry.set tel "member_steps" (Telemetry.Int s)
   | None -> ());
-  let placement, bandwidth, feasible, member =
+  let placement, volume, feasible, member =
     match best with
-    | Some b -> (b.placement, b.bandwidth, true, b.member)
-    | None ->
-      (t.fallback, t.fallback_bandwidth, t.fallback_feasible, "fallback")
+    | Some b -> (b.placement, b.volume, true, b.member)
+    | None -> (t.fallback, t.fallback_volume, t.fallback_feasible, "fallback")
   in
   Telemetry.set tel "member" (Telemetry.String member);
   Telemetry.set tel "placement_size" (Telemetry.Int (List.length placement));
-  Tdmd.Solver_intf.outcome
-    ~placement:(Tdmd.Placement.of_list placement)
-    ~bandwidth ~feasible ~telemetry:tel
+  Tdmd.Solver_intf.outcome ~lambda:t.inst.Tdmd.Instance.lambda
+    ~total:(Tdmd.Instance.total_path_volume t.inst)
+    ~placement:(Tdmd.Placement.of_list placement) ~volume ~feasible ~telemetry:tel

@@ -11,10 +11,10 @@ let result_outcome inst (r : Search.result) tel =
   Telemetry.set tel "steps" (Telemetry.Int r.Search.steps);
   Telemetry.set tel "improvements" (Telemetry.Int r.Search.improvements);
   Telemetry.set tel "placement_size" (Telemetry.Int (List.length r.Search.placement));
-  let placement = Tdmd.Placement.of_list r.Search.placement in
-  Tdmd.Solver_intf.outcome ~placement
-    ~bandwidth:(Tdmd.Bandwidth.total inst placement)
-    ~feasible:r.Search.feasible ~telemetry:tel
+  Tdmd.Solver_intf.outcome ~lambda:inst.Tdmd.Instance.lambda
+    ~total:(Tdmd.Instance.total_path_volume inst)
+    ~placement:(Tdmd.Placement.of_list r.Search.placement)
+    ~volume:r.Search.volume ~feasible:r.Search.feasible ~telemetry:tel
 
 let anneal_solver ~rng ~k inst =
   let tel = Telemetry.create () in

@@ -482,7 +482,7 @@ let recover ?(dedup_cap = default_dedup_cap) cfg =
 (* ------------------------------------------------------------------ *)
 
 let outcome_fields ~algo ~k ~seed ~target
-    { Tdmd.Solver_intf.placement; bandwidth; feasible; telemetry } =
+    { Tdmd.Solver_intf.placement; bandwidth; feasible; telemetry; _ } =
   [
     ("algo", Json.String algo);
     ("k", Json.Int k);

@@ -102,8 +102,6 @@ let result_csv (r : Experiments.result) =
     r.Experiments.series;
   Table.to_csv t
 
-let print_ablation rows = print_string (render_ablation rows)
-
 let render_figure = function
   | Experiments.Line r -> render_result r
   | Experiments.Grids gs -> String.concat "\n" (List.map render_grid gs)

@@ -15,5 +15,3 @@ val render_ablation : Experiments.ablation_row list -> string
 
 val result_csv : Experiments.result -> string
 (** Long-format CSV: figure, metric, x, algorithm, mean, stddev, n. *)
-
-val print_ablation : Experiments.ablation_row list -> unit

@@ -53,8 +53,11 @@ let fig5_instance () =
 
 (* Random small instances for cross-checking solvers. *)
 
-let random_tree_instance rng ~n ~max_rate ~lambda =
-  let tree = Tdmd_topo.Topo_tree.random_attachment rng n in
+let random_tree_instance ?(binary = false) rng ~n ~max_rate ~lambda =
+  let tree =
+    if binary then Tdmd_topo.Topo_tree.random_binary rng n
+    else Tdmd_topo.Topo_tree.random_attachment rng n
+  in
   let leaves = List.filter (fun v -> v <> Rt.root tree) (Rt.leaves tree) in
   let flows =
     List.mapi

@@ -5,6 +5,9 @@
    - the objective scans ([serve], [all], [total], [diminished_volume],
      [is_feasible], [unserved]) test membership with [Placement.mem], a
      list scan per path vertex;
+   - [flow_consumption] is Eq. 1 for one flow, and [decrement],
+     [marginal] and [max_decrement] are Defs. 1-2 and Lemma 1 in floats,
+     the forms the paper's worked numbers are stated in;
    - [refine] is the probe-and-undo local search: every candidate is
      applied to the oracle with [add], scored, and rolled back with
      [undo], and the oracle is rebuilt after every accepted move;
@@ -47,12 +50,6 @@ let unserved instance placement =
   Array.to_list instance.Tdmd.Instance.flows
   |> List.filter (fun f -> serve placement f = Allocation.Unserved)
 
-let total instance placement =
-  let lambda = instance.Tdmd.Instance.lambda in
-  Array.fold_left
-    (fun acc f -> acc +. Tdmd.Bandwidth.flow_consumption ~lambda f (serve placement f))
-    0.0 instance.Tdmd.Instance.flows
-
 let diminished_volume instance placement =
   Array.fold_left
     (fun acc f ->
@@ -61,6 +58,33 @@ let diminished_volume instance placement =
       | Allocation.Served_at { l; _ } -> acc + (f.Flow.rate * (Flow.hop_count f - l)))
     0 instance.Tdmd.Instance.flows
 
+let total instance placement =
+  Tdmd.Bandwidth.render ~lambda:instance.Tdmd.Instance.lambda
+    ~total:(Tdmd.Instance.total_path_volume instance)
+    (diminished_volume instance placement)
+
+(* b(f) = r_f·l + λ·r_f·(|p_f| − l) for a flow served at offset l, and
+   r_f·|p_f| unserved. *)
+let flow_consumption ~lambda f serving =
+  let r = float_of_int f.Flow.rate and hops = float_of_int (Flow.hop_count f) in
+  match serving with
+  | Allocation.Unserved -> r *. hops
+  | Allocation.Served_at { l; _ } ->
+    let l = float_of_int l in
+    (r *. l) +. (lambda *. r *. (hops -. l))
+
+(* d(P) = (1−λ)·D(P); d_P({v}) = d(P ∪ {v}) − d(P); max d = (1−λ)·U. *)
+let decrement instance placement =
+  (1.0 -. instance.Tdmd.Instance.lambda)
+  *. float_of_int (diminished_volume instance placement)
+
+let marginal instance placement v =
+  decrement instance (Placement.add placement v) -. decrement instance placement
+
+let max_decrement instance =
+  (1.0 -. instance.Tdmd.Instance.lambda)
+  *. float_of_int (Tdmd.Instance.total_path_volume instance)
+
 let refine ?(max_rounds = 1000) ~k instance placement =
   if not (is_feasible instance placement) then
     invalid_arg "Local_search.refine: infeasible starting deployment";
@@ -68,6 +92,7 @@ let refine ?(max_rounds = 1000) ~k instance placement =
   Tdmd_obs.Telemetry.count tel "budget" k;
   Tdmd_obs.Telemetry.span_open tel "local-search";
   let n = Tdmd.Instance.vertex_count instance in
+  let diminishes = Tdmd.Bandwidth.diminishes instance.Tdmd.Instance.lambda in
   let evaluations = ref 0 in
   let oracle_ns = ref 0L in
   let rec round t placement current swaps rounds_left =
@@ -79,10 +104,10 @@ let refine ?(max_rounds = 1000) ~k instance placement =
       let consider rebuild =
         if Inc_oracle.is_feasible t then begin
           incr evaluations;
-          let bw = Inc_oracle.bandwidth t in
+          let d = Inc_oracle.diminished_volume t in
           match !best with
-          | Some (_, b) when b <= bw -> ()
-          | _ -> if bw < current -. 1e-9 then best := Some (rebuild (), bw)
+          | Some (_, b) when b >= d -> ()
+          | _ -> if diminishes && d > current then best := Some (rebuild (), d)
         end
       in
       let probe v rebuild =
@@ -112,41 +137,45 @@ let refine ?(max_rounds = 1000) ~k instance placement =
         (Placement.to_list placement);
       match !best with
       | None -> (placement, current, swaps)
-      | Some (next, bw) ->
-        round (Inc_oracle.of_list instance (Placement.to_list next)) next bw
+      | Some (next, d) ->
+        round (Inc_oracle.of_list instance (Placement.to_list next)) next d
           (swaps + 1) (rounds_left - 1)
     end
   in
   let t0 = Inc_oracle.of_list instance (Placement.to_list placement) in
-  let start_bw = Inc_oracle.bandwidth t0 in
-  let placement, _, swaps = round t0 placement start_bw 0 max_rounds in
-  let bandwidth = total instance placement in
+  let placement, volume, swaps =
+    round t0 placement (Inc_oracle.diminished_volume t0) 0 max_rounds
+  in
   Tdmd_obs.Telemetry.span_close tel;
   Tdmd_obs.Telemetry.count tel "swaps" swaps;
   Tdmd_obs.Telemetry.count tel "evaluations" !evaluations;
   Tdmd_obs.Telemetry.count tel "oracle_ns" (Int64.to_int !oracle_ns);
   Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size placement);
-  Tdmd.Solver_intf.outcome ~placement ~bandwidth ~feasible:true ~telemetry:tel
+  Tdmd.Solver_intf.outcome ~lambda:instance.Tdmd.Instance.lambda
+    ~total:(Tdmd.Instance.total_path_volume instance) ~placement ~volume ~feasible:true
+    ~telemetry:tel
 
 (* [Inc_oracle.scan_moves] by editing: retire [outgoing], score every
    undeployed vertex other than it in increasing order off the ledger
-   (the first strictly better move wins), and put the box back. *)
-let scan_moves t ~outgoing ~current m =
+   (the first strictly better move wins, none at λ = 1), and put the box
+   back.  [t] is an oracle over [instance]. *)
+let scan_moves instance t ~outgoing ~current m =
   if outgoing >= 0 && not (Inc_oracle.mem t outgoing) then
     invalid_arg "Inc_oracle.scan_moves: outgoing vertex not deployed";
   if outgoing >= 0 then Inc_oracle.remove t outgoing;
   let unserved = Inc_oracle.unserved_count t and dim = Inc_oracle.diminished_volume t in
-  let bar = current -. 1e-9 in
-  for v = 0 to Bytes.length (Inc_oracle.mask t) - 1 do
+  let diminishes = Tdmd.Bandwidth.diminishes instance.Tdmd.Instance.lambda in
+  for v = 0 to Tdmd.Instance.vertex_count instance - 1 do
     if (not (Inc_oracle.mem t v)) && v <> outgoing then begin
       m.Inc_oracle.probes <- m.Inc_oracle.probes + 1;
       if unserved = 0 || Inc_oracle.newly_served t v = unserved then begin
         m.Inc_oracle.evaluations <- m.Inc_oracle.evaluations + 1;
-        let bw = Inc_oracle.bandwidth_at t (dim + Inc_oracle.marginal_volume t v) in
-        if (m.Inc_oracle.incoming < 0 || bw < m.Inc_oracle.after) && bw < bar then begin
+        let d = dim + Inc_oracle.marginal_volume t v in
+        if diminishes && (m.Inc_oracle.incoming < 0 || d > m.Inc_oracle.after) && d > current
+        then begin
           m.Inc_oracle.outgoing <- outgoing;
           m.Inc_oracle.incoming <- v;
-          m.Inc_oracle.after <- bw
+          m.Inc_oracle.after <- d
         end
       end
     end
@@ -531,34 +560,41 @@ let gtp select ~budget instance =
   let sel = select ~stop:(fun _ -> false) ~k:budget (oracle_naive instance) in
   Placement.of_list (within instance ~chosen:sel.chosen ~budget)
 
-(* HAT's merge penalty Δb(i,j): replace the boxes on [i] and [j] by one
-   on their LCA and rescan, in integer units scaled by (1−λ). *)
-let merge_delta general lca placement i j =
+(* ΔD of HAT's merge of [i] and [j]: replace their boxes by one on
+   their LCA and rescan. *)
+let merge_volume general lca placement i j =
   let a = Tdmd_tree.Lca.query lca i j in
   let merged = Placement.add (Placement.remove (Placement.remove placement i) j) a in
-  (1.0 -. general.Tdmd.Instance.lambda)
-  *. float_of_int
-       (Tdmd.Bandwidth.diminished_volume general placement
-       - Tdmd.Bandwidth.diminished_volume general merged)
+  Tdmd.Bandwidth.diminished_volume general placement
+  - Tdmd.Bandwidth.diminished_volume general merged
 
+(* The paper's merge penalty Δb(i,j) = (1−λ)·ΔD. *)
 let delta_b inst =
-  merge_delta (Tdmd.Instance.Tree.to_general inst)
-    (Tdmd_tree.Lca.build inst.Tdmd.Instance.Tree.tree)
+  let general = Tdmd.Instance.Tree.to_general inst in
+  let lca = Tdmd_tree.Lca.build inst.Tdmd.Instance.Tree.tree in
+  fun placement i j ->
+    (1.0 -. general.Tdmd.Instance.lambda)
+    *. float_of_int (merge_volume general lca placement i j)
 
-(* HAT (paper Alg. 2) with every Δb from [merge_delta]: the same heap,
-   round stamps and tie-breaking as [Hat.run].  Returns the placement
-   and the number of merges. *)
+(* HAT (paper Alg. 2) keyed on every ΔD from [merge_volume] (0 at
+   λ = 1): the same heap, round stamps and tie-breaking as [Hat.run].
+   Returns the placement and the number of merges. *)
 let hat ~k inst =
   let tree = inst.Tdmd.Instance.Tree.tree in
   let general = Tdmd.Instance.Tree.to_general inst in
   let lca = Tdmd_tree.Lca.build tree in
+  let merge_delta placement i j =
+    if Tdmd.Bandwidth.diminishes general.Tdmd.Instance.lambda then
+      merge_volume general lca placement i j
+    else 0
+  in
   let placement = ref (Placement.of_list (Tdmd_tree.Rooted_tree.leaves tree)) in
   let round = ref 0 and merges = ref 0 in
   let cmp (d1, i1, j1, _) (d2, i2, j2, _) = compare (d1, i1, j1) (d2, i2, j2) in
   let heap = Tdmd_heap.Binary_heap.create ~cmp () in
   let push_pair i j =
     let i, j = if i < j then (i, j) else (j, i) in
-    Tdmd_heap.Binary_heap.push heap (merge_delta general lca !placement i j, i, j, !round)
+    Tdmd_heap.Binary_heap.push heap (merge_delta !placement i j, i, j, !round)
   in
   let push_all_pairs () =
     let vs = Array.of_list (Placement.to_list !placement) in
@@ -573,7 +609,7 @@ let hat ~k inst =
     | Some (stored, i, j, stamp) ->
       if Placement.mem !placement i && Placement.mem !placement j then begin
         let fresh =
-          if stamp = !round then stored else merge_delta general lca !placement i j
+          if stamp = !round then stored else merge_delta !placement i j
         in
         let next_is_worse =
           match Tdmd_heap.Binary_heap.peek heap with

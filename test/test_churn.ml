@@ -72,7 +72,7 @@ module Legacy = struct
     let best = ref (-1) and best_gain = ref 1e-9 in
     for v = 0 to n - 1 do
       if not (Tdmd.Placement.mem p v) then begin
-        let g = Tdmd.Bandwidth.marginal inst p v in
+        let g = Reference.marginal inst p v in
         if g > !best_gain then begin
           best := v;
           best_gain := g
@@ -97,7 +97,7 @@ module Legacy = struct
           let p = placement t in
           let best =
             Tdmd_prelude.Listx.max_by
-              (fun v -> Tdmd.Bandwidth.marginal inst p v)
+              (fun v -> Reference.marginal inst p v)
               candidates
           in
           (* Unguarded: [best] may already be deployed (the
@@ -467,12 +467,13 @@ let test_restore_roundtrip_with_budget () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Incremental.bandwidth sums without rebuilding the instance          *)
+(* Incremental.bandwidth renders without rebuilding the instance       *)
 (* ------------------------------------------------------------------ *)
 
-(* After every arrive/depart/rebalance event, the engine's mask-based
-   sum must carry the exact bits of the instance-rebuilding expression
-   it replaced (list-membership scan over [Inc.instance]). *)
+(* After every arrive/depart/rebalance event, the engine's O(1) volume
+   must equal a list-membership scan over the rebuilt [Inc.instance],
+   and its bandwidth must carry the exact bits of that volume's
+   render. *)
 let prop_bandwidth_bits =
   QCheck.Test.make ~name:"Incremental.bandwidth = rebuilt-instance total, bit for bit"
     ~count:60
@@ -485,8 +486,9 @@ let prop_bandwidth_bits =
       let k = 1 + Rng.int rng 4 in
       let t = Inc.create ~migration_budget:(Rng.int rng 3) ~graph:g ~lambda ~k () in
       let bits () =
-        Int64.bits_of_float (Inc.bandwidth t)
-        = Int64.bits_of_float (Reference.total (Inc.instance t) (Inc.placement t))
+        Inc.volume t = Reference.diminished_volume (Inc.instance t) (Inc.placement t)
+        && Int64.bits_of_float (Inc.bandwidth t)
+           = Int64.bits_of_float (Reference.total (Inc.instance t) (Inc.placement t))
       in
       List.for_all
         (fun ev ->

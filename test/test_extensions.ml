@@ -17,7 +17,7 @@ let test_dp_binary_fig5 () =
     (fun k ->
       let a = Tdmd.Dp.solve ~k inst in
       let b = Tdmd.Dp_binary.solve ~k inst in
-      Alcotest.(check (float 1e-9))
+      Alcotest.(check (float 0.0))
         (Printf.sprintf "values equal at k=%d" k)
         a.Tdmd.Solver_intf.bandwidth b.Tdmd.Solver_intf.bandwidth)
     [ 1; 2; 3; 4 ]
@@ -40,8 +40,8 @@ let prop_dp_binary_matches_general =
       let b = Tdmd.Dp_binary.solve ~k inst in
       a.Tdmd.Solver_intf.feasible = b.Tdmd.Solver_intf.feasible
       && ((not a.Tdmd.Solver_intf.feasible)
-         || Float.abs (a.Tdmd.Solver_intf.bandwidth -. b.Tdmd.Solver_intf.bandwidth)
-            < 1e-6))
+         || (a.Tdmd.Solver_intf.volume = b.Tdmd.Solver_intf.volume
+            && Float.equal a.Tdmd.Solver_intf.bandwidth b.Tdmd.Solver_intf.bandwidth)))
 
 let test_dp_binary_rejects_wide () =
   let tree = Tdmd_topo.Topo_tree.star 5 in
@@ -69,11 +69,10 @@ let prop_dp_binary_placement_consistent =
       let inst = Tdmd.Instance.Tree.make ~tree ~flows ~lambda:0.3 in
       let r = Tdmd.Dp_binary.solve ~k:3 inst in
       (not r.Tdmd.Solver_intf.feasible)
-      || Float.abs
+      || Float.equal
            (Tdmd.Bandwidth.total (Tdmd.Instance.Tree.to_general inst)
-              r.Tdmd.Solver_intf.placement
-           -. r.Tdmd.Solver_intf.bandwidth)
-         < 1e-6)
+              r.Tdmd.Solver_intf.placement)
+           r.Tdmd.Solver_intf.bandwidth)
 
 (* ------------------------------------------------------------------ *)
 (* Local search                                                        *)

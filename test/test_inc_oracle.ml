@@ -1,21 +1,12 @@
 (* Differential tests: the incremental decrement oracle must agree with
-   the from-scratch naive path bit-for-bit — same diminished volumes,
-   same marginals, same greedy/CELF/HAT selections, same bandwidth.
+   the from-scratch naive path exactly — same diminished volumes, same
+   marginals, same greedy/CELF/HAT selections, same bandwidth bits.
    Exactness is by construction (all bookkeeping in integer
-   diminished-volume units, λ applied once at the float boundary), and
-   these properties lock it in over randomized instances. *)
+   diminished-volume units, b rendered from them by one function), so
+   these properties demand it at any λ over randomized instances. *)
 
 open Tdmd_prelude
 module O = Tdmd.Inc_oracle
-
-let dyadic_lambda rng =
-  (* Dyadic λ keeps the legacy per-flow float summation exact too, so
-     bandwidth comparisons below can demand exact equality. *)
-  match Rng.int rng 4 with
-  | 0 -> 0.0
-  | 1 -> 0.25
-  | 2 -> 0.5
-  | _ -> 0.75
 
 (* (a) Random add/remove/undo sequences tracked against a shadow
    placement stack: volume, feasibility and marginals must match the
@@ -28,7 +19,7 @@ let prop_ops_differential =
       let rng = Rng.create seed in
       let inst =
         Fixtures.random_general_instance rng ~n ~flows:(2 * n) ~max_rate:6
-          ~lambda:(dyadic_lambda rng)
+          ~lambda:(Rng.float rng 1.0)
       in
       let t = O.create inst in
       (* Shadow stack: current placement on top, one entry per journaled
@@ -53,8 +44,6 @@ let prop_ops_differential =
           && O.newly_served t v
              = List.length (Reference.unserved inst p)
                - List.length (Reference.unserved inst pv)
-          && O.bandwidth_at t (O.diminished_volume t + O.marginal_volume t v)
-             = Reference.total inst pv
       in
       for _ = 1 to 60 do
         (match Rng.int rng 5 with
@@ -88,7 +77,7 @@ let prop_flow_edits_differential =
       let rng = Rng.create seed in
       let inst =
         Fixtures.random_general_instance rng ~n ~flows:(2 * n) ~max_rate:6
-          ~lambda:(dyadic_lambda rng)
+          ~lambda:(Rng.float rng 1.0)
       in
       let pool = inst.Tdmd.Instance.flows and lambda = inst.Tdmd.Instance.lambda in
       let t = O.empty ~vertices:n ~lambda in
@@ -165,7 +154,7 @@ let prop_ledger_differential =
       let rng = Rng.create seed in
       let base =
         Fixtures.random_general_instance rng ~n ~flows:(2 * n) ~max_rate:6
-          ~lambda:(dyadic_lambda rng)
+          ~lambda:(Rng.float rng 1.0)
       in
       let graph = base.Tdmd.Instance.graph and lambda = base.Tdmd.Instance.lambda in
       let singles =
@@ -438,9 +427,8 @@ let test_cover_fixup_budget_cap () =
   Alcotest.(check (list int)) "disjoint flows: infeasible fallback" [ 0 ] got
 
 (* (f) The mask-based objective scans against the membership-list
-   references: same serving decisions, and the same float bits for any
-   λ, because the summation order over the flow array is unchanged.
-   Placements may name vertices outside the graph. *)
+   references: same serving decisions and volumes, so the same rendered
+   bits at any λ.  Placements may name vertices outside the graph. *)
 let prop_scans_differential =
   QCheck.Test.make ~name:"objective scans: placement mask = list membership"
     ~count:150
@@ -486,7 +474,7 @@ let prop_refine_differential =
     QCheck.(pair (int_bound 1_000_000) (int_range 4 14))
     (fun (seed, n) ->
       let rng = Rng.create seed in
-      let lambda = if Rng.bool rng then dyadic_lambda rng else Rng.float rng 1.0 in
+      let lambda = if Rng.int rng 4 = 0 then 1.0 else Rng.float rng 1.0 in
       let inst =
         Fixtures.random_general_instance rng ~n ~flows:(2 * n) ~max_rate:6 ~lambda
       in
@@ -565,13 +553,13 @@ let swap_instance rng =
       | Some path ->
         flows (id + 1) (Tdmd_flow.Flow.make ~id ~rate:(Rng.int_in rng 1 6) ~path :: acc)
   in
-  (* 1 − λ of 0 and of 2⁻⁴⁵ make neighbouring volumes read the same
-     float bandwidth. *)
+  (* At λ = 1 no move is taken; at 1 − λ = 2⁻⁴⁵ neighbouring volumes
+     read the same float bandwidth, and moves still are. *)
   let lambda =
     match Rng.int rng 6 with
     | 0 -> 0.0
     | 1 -> 0.5
-    | 2 -> dyadic_lambda rng
+    | 2 -> 0.75
     | 3 -> Rng.float rng 1.0
     | 4 -> 1.0 -. ldexp 1.0 (-45)
     | _ -> 1.0
@@ -590,10 +578,7 @@ let busiest n flows =
   !best
 
 (* Every vertex's two ledger entries, read through the queries. *)
-let ledger t =
-  List.init
-    (Bytes.length (O.mask t))
-    (fun v -> (O.marginal_volume t v, O.newly_served t v))
+let ledger n t = List.init n (fun v -> (O.marginal_volume t v, O.newly_served t v))
 
 (* [scan_moves] against the edit-based scan in [Reference], call by
    call: a twin oracle takes the same edits, every deployed box and −1
@@ -636,7 +621,7 @@ let prop_scan_moves_differential =
         if Rng.bool rng then begin
           m.O.incoming <- Rng.int rng n;
           m.O.outgoing <- Rng.int rng n;
-          m.O.after <- O.bandwidth t -. Rng.float rng 40.0
+          m.O.after <- O.diminished_volume t + Rng.int rng 40
         end;
         m.O.probes <- Rng.int rng 100;
         m.O.evaluations <- Rng.int rng 100;
@@ -645,30 +630,30 @@ let prop_scan_moves_differential =
       let same (a : O.move) (b : O.move) =
         a.O.outgoing = b.O.outgoing
         && a.O.incoming = b.O.incoming
-        && Int64.bits_of_float a.O.after = Int64.bits_of_float b.O.after
+        && a.O.after = b.O.after
         && a.O.probes = b.O.probes
         && a.O.evaluations = b.O.evaluations
       in
       let ok = ref true in
       let scans () =
-        let before = (O.placement t, O.diminished_volume t, O.unserved_count t, ledger t) in
+        let before = (O.placement t, O.diminished_volume t, O.unserved_count t, ledger n t) in
         let current =
           match Rng.int rng 3 with
-          | 0 -> O.bandwidth t
-          | 1 -> O.bandwidth t -. Rng.float rng 20.0
-          | _ -> O.bandwidth t +. Rng.float rng 20.0
+          | 0 -> O.diminished_volume t
+          | 1 -> O.diminished_volume t + Rng.int rng 20
+          | _ -> O.diminished_volume t - Rng.int rng 20
         in
         List.iter
           (fun outgoing ->
             let m = draw_move () in
             let m' = { m with O.probes = m.O.probes } in
             O.scan_moves t ~outgoing ~current m;
-            Reference.scan_moves r ~outgoing ~current m';
+            Reference.scan_moves inst r ~outgoing ~current m';
             ok := !ok && same m m')
           (-1 :: Tdmd.Placement.to_list (O.placement t));
         ok :=
           !ok
-          && before = (O.placement t, O.diminished_volume t, O.unserved_count t, ledger t)
+          && before = (O.placement t, O.diminished_volume t, O.unserved_count t, ledger n t)
       in
       for _ = 1 to 4 do
         scans ();
@@ -691,7 +676,7 @@ let prop_scan_moves_differential =
       O.undo r;
       !ok
       && Tdmd.Placement.to_list (O.placement t) = Tdmd.Placement.to_list (O.placement r)
-      && ledger t = ledger r)
+      && ledger n t = ledger n r)
 
 (* [best_replacement] against the rebalancer's remove / argmax / undo in
    [Reference], for every placed box, on twin churn oracles: flows
@@ -751,13 +736,13 @@ let prop_best_replacement_differential =
         for _ = 1 to 1 + Rng.int rng 4 do
           step ()
         done;
-        let before = (O.placement t, O.diminished_volume t, O.unserved_count t, ledger t) in
+        let before = (O.placement t, O.diminished_volume t, O.unserved_count t, ledger n t) in
         List.iter
           (fun u -> ok := !ok && O.best_replacement t u = Reference.best_replacement r u)
           (Tdmd.Placement.to_list (O.placement t));
         ok :=
           !ok
-          && before = (O.placement t, O.diminished_volume t, O.unserved_count t, ledger t)
+          && before = (O.placement t, O.diminished_volume t, O.unserved_count t, ledger n t)
       done;
       !ok)
 

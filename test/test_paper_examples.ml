@@ -40,7 +40,7 @@ let test_fig1_two_boxes_optimal () =
 
 let test_table2_marginals () =
   let inst = fig1_instance () in
-  let marg placed v = B.marginal inst (P.of_list placed) v in
+  let marg placed v = Reference.marginal inst (P.of_list placed) v in
   (* Row d_empty(v): 0 0 3 1 4 3. *)
   feq "d0(v1)" 0.0 (marg [] v1);
   feq "d0(v2)" 0.0 (marg [] v2);
@@ -227,9 +227,9 @@ let test_hat_plans () =
 let test_lemma1 () =
   let inst = fig1_instance () in
   (* Lemma 1: d(empty) = 0; max d = (1-lambda) * sum r|p|. *)
-  feq "d(empty)" 0.0 (B.decrement inst P.empty);
-  feq "max decrement" 8.0 (B.max_decrement inst);
-  feq "d(V)" 8.0 (B.decrement inst (P.of_list [ 0; 1; 2; 3; 4; 5 ]))
+  feq "d(empty)" 0.0 (Reference.decrement inst P.empty);
+  feq "max decrement" 8.0 (Reference.max_decrement inst);
+  feq "d(V)" 8.0 (Reference.decrement inst (P.of_list [ 0; 1; 2; 3; 4; 5 ]))
 
 let suite =
   [

@@ -10,7 +10,7 @@ module Scenario = Tdmd_sim.Scenario
 
 let check_priced name inst (o : Tdmd.Solver_intf.outcome) =
   Alcotest.(check bool) (name ^ " feasible") true o.Tdmd.Solver_intf.feasible;
-  Alcotest.(check (float 1e-9)) (name ^ " bandwidth matches its placement")
+  Alcotest.(check (float 0.0)) (name ^ " bandwidth matches its placement")
     (Tdmd.Bandwidth.total inst o.Tdmd.Solver_intf.placement)
     o.Tdmd.Solver_intf.bandwidth
 
@@ -29,7 +29,7 @@ let test_general_solvers () =
   in
   Alcotest.(check (float 1e-9)) "brute optimum" 8.0 (bw "brute");
   Alcotest.(check (float 1e-9)) "gtp matches the worked example" 8.0 (bw "gtp");
-  Alcotest.(check (float 1e-9)) "celf = gtp" (bw "gtp") (bw "celf")
+  Alcotest.(check (float 0.0)) "celf = gtp" (bw "gtp") (bw "celf")
 
 let test_tree_solvers () =
   (* Fig. 5 is binary, so even dp-binary runs on it. *)
@@ -44,15 +44,15 @@ let test_tree_solvers () =
     let solve = Option.get (Solvers.find_tree name) in
     (solve ~rng:(Rng.create 7) ~k:2 inst).Tdmd.Solver_intf.bandwidth
   in
-  Alcotest.(check (float 1e-9)) "dp-binary = dp" (bw "dp") (bw "dp-binary");
-  Alcotest.(check bool) "dp optimal vs hat" true (bw "dp" <= bw "hat" +. 1e-9)
+  Alcotest.(check (float 0.0)) "dp-binary = dp" (bw "dp") (bw "dp-binary");
+  Alcotest.(check bool) "dp optimal vs hat" true (bw "dp" <= bw "hat")
 
 let test_on_tree_lifts_general () =
   let inst = Fixtures.fig5_instance () in
   let lifted = Option.get (Solvers.on_tree "gtp") in
   let o = lifted ~rng:(Rng.create 7) ~k:2 inst in
   let direct = Tdmd.Gtp.run ~budget:2 (Tdmd.Instance.Tree.to_general inst) in
-  Alcotest.(check (float 1e-9)) "lifted gtp = direct gtp"
+  Alcotest.(check (float 0.0)) "lifted gtp = direct gtp"
     direct.Tdmd.Solver_intf.bandwidth o.Tdmd.Solver_intf.bandwidth;
   Alcotest.(check bool) "tree-only name not in general table" true
     (Solvers.find_general "dp" = None);
@@ -188,6 +188,99 @@ let test_golden_outcomes () =
       Alcotest.(check string) (Printf.sprintf "golden line %d" (i + 1)) e a)
     (List.combine expected actual)
 
+(* One graph and flow set, general or tree (random attachment or
+   binary, so dp-binary runs too), solved by every registry name: the
+   instances at λ = 0 and at several λ in [0, 1) — non-dyadic ones,
+   1 − 2⁻⁴⁵ and 1 − 2⁻⁵⁰ among them — differ only in λ, and decisions
+   read the diminished volume, which λ does not change.  So each name
+   deploys, for the same k and rng seed, what it deploys at λ = 0 (or
+   raises the same error). *)
+let family rng =
+  let n = Rng.int_in rng 4 12 in
+  let k = 1 + Rng.int rng n in
+  let run solvers inst =
+    List.map
+      (fun (name, solve) ->
+        match solve ~rng:(Rng.create 42) ~k inst with
+        | (o : Tdmd.Solver_intf.outcome) ->
+          (name, Ok (Tdmd.Placement.to_list o.Tdmd.Solver_intf.placement))
+        | exception Invalid_argument msg -> (name, Error msg))
+      solvers
+  in
+  if Rng.bool rng then begin
+    let base =
+      Fixtures.random_tree_instance ~binary:(Rng.bool rng) rng ~n ~max_rate:6 ~lambda:0.0
+    in
+    let tree = base.Tdmd.Instance.Tree.tree
+    and flows = Array.to_list base.Tdmd.Instance.Tree.flows in
+    let solvers =
+      List.map (fun name -> (name, Option.get (Solvers.on_tree name))) (Solvers.names ())
+    in
+    fun lambda -> run solvers (Tdmd.Instance.Tree.make ~tree ~flows ~lambda)
+  end
+  else begin
+    let base = Fixtures.random_general_instance rng ~n ~flows:n ~max_rate:6 ~lambda:0.0 in
+    let graph = base.Tdmd.Instance.graph and flows = Tdmd.Instance.flows base in
+    fun lambda -> run (Solvers.general ()) (Tdmd.Instance.make ~graph ~flows ~lambda)
+  end
+
+let prop_lambda_independent =
+  QCheck.Test.make ~name:"registry: placements below lambda 1 do not depend on lambda"
+    ~count:20 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      Tdmd_portfolio.Register.install ();
+      let rng = Rng.create seed in
+      let solve = family rng in
+      let at_zero = solve 0.0 in
+      List.for_all
+        (fun lambda -> solve lambda = at_zero)
+        [ 0.1; 0.3; 0.7; 0.9; 1.0 -. ldexp 1.0 (-45); 1.0 -. ldexp 1.0 (-50);
+          Rng.float rng 1.0 ])
+
+(* Every registry name at a random λ, dyadic or not and 1 among them:
+   [volume] is the diminished volume of the placement and [bandwidth]
+   has the bits of its render. *)
+let prop_one_renderer =
+  QCheck.Test.make ~name:"registry: bandwidth is the render of the placement's volume"
+    ~count:30 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      Tdmd_portfolio.Register.install ();
+      let rng = Rng.create seed in
+      let n = Rng.int_in rng 4 12 in
+      let k = 1 + Rng.int rng n in
+      let lambda =
+        match Rng.int rng 4 with
+        | 0 -> float_of_int (Rng.int rng 5) /. 4.0
+        | 1 -> 1.0 -. ldexp 1.0 (-45)
+        | _ -> Rng.float rng 1.0
+      in
+      let general, outcomes =
+        if Rng.bool rng then begin
+          let inst = Fixtures.random_tree_instance ~binary:true rng ~n ~max_rate:6 ~lambda in
+          ( Tdmd.Instance.Tree.to_general inst,
+            List.map
+              (fun name -> (Option.get (Solvers.on_tree name)) ~rng:(Rng.create seed) ~k inst)
+              (Solvers.names ()) )
+        end
+        else begin
+          let inst = Fixtures.random_general_instance rng ~n ~flows:n ~max_rate:6 ~lambda in
+          ( inst,
+            List.map
+              (fun (_, solve) -> solve ~rng:(Rng.create seed) ~k inst)
+              (Solvers.general ()) )
+        end
+      in
+      List.for_all
+        (fun (o : Tdmd.Solver_intf.outcome) ->
+          let d = Tdmd.Bandwidth.diminished_volume general o.Tdmd.Solver_intf.placement in
+          o.Tdmd.Solver_intf.volume = d
+          && Int64.bits_of_float o.Tdmd.Solver_intf.bandwidth
+             = Int64.bits_of_float
+                 (Tdmd.Bandwidth.render ~lambda
+                    ~total:(Tdmd.Instance.total_path_volume general)
+                    d))
+        outcomes)
+
 let suite =
   [
     Alcotest.test_case "registry: general solvers on fig1" `Quick
@@ -200,4 +293,6 @@ let suite =
     Alcotest.test_case "registry: names unique and tree-resolvable" `Quick
       test_names_unique;
     Alcotest.test_case "registry: golden outcomes" `Quick test_golden_outcomes;
+    QCheck_alcotest.to_alcotest prop_lambda_independent;
+    QCheck_alcotest.to_alcotest prop_one_renderer;
   ]

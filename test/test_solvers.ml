@@ -22,8 +22,8 @@ let prop_dp_optimal =
       let brute = Tdmd.Brute.solve ~k (Tdmd.Instance.Tree.to_general inst) in
       (match (dp.Tdmd.Solver_intf.feasible, brute.Tdmd.Solver_intf.feasible) with
       | true, true ->
-        Float.abs (dp.Tdmd.Solver_intf.bandwidth -. brute.Tdmd.Solver_intf.bandwidth)
-        < 1e-6
+        dp.Tdmd.Solver_intf.volume = brute.Tdmd.Solver_intf.volume
+        && Float.equal dp.Tdmd.Solver_intf.bandwidth brute.Tdmd.Solver_intf.bandwidth
       | a, b -> a = b))
 
 let prop_dp_placement_consistent =
@@ -39,10 +39,11 @@ let prop_dp_placement_consistent =
            let general = Tdmd.Instance.Tree.to_general inst in
            P.size dp.Tdmd.Solver_intf.placement <= k
            && Tdmd.Feasibility.check general dp.Tdmd.Solver_intf.placement
-           && Float.abs
-                (Tdmd.Bandwidth.total general dp.Tdmd.Solver_intf.placement
-                -. dp.Tdmd.Solver_intf.bandwidth)
-              < 1e-6
+           && Tdmd.Bandwidth.diminished_volume general dp.Tdmd.Solver_intf.placement
+              = dp.Tdmd.Solver_intf.volume
+           && Float.equal
+                (Tdmd.Bandwidth.total general dp.Tdmd.Solver_intf.placement)
+                dp.Tdmd.Solver_intf.bandwidth
          end)
 
 let prop_dp_monotone_in_k =
@@ -57,7 +58,7 @@ let prop_dp_monotone_in_k =
           [ 1; 2; 3; 4 ]
       in
       let rec non_increasing = function
-        | a :: (b :: _ as rest) -> a +. 1e-9 >= b && non_increasing rest
+        | a :: (b :: _ as rest) -> a >= b && non_increasing rest
         | _ -> true
       in
       non_increasing values)
@@ -152,11 +153,11 @@ let prop_gtp_approximation_ratio =
          oracle and compare against the exact k-constrained maximum. *)
       let greedy = Tdmd.Gtp.greedy ~k inst in
       let greedy_decrement =
-        Tdmd.Bandwidth.decrement inst (P.of_list greedy.Tdmd.Gtp.chosen)
+        Reference.decrement inst (P.of_list greedy.Tdmd.Gtp.chosen)
       in
       let best = ref 0.0 in
       let rec enum start chosen size =
-        let d = Tdmd.Bandwidth.decrement inst (P.of_list chosen) in
+        let d = Reference.decrement inst (P.of_list chosen) in
         if d > !best then best := d;
         if size < k then
           for v = start to n - 1 do
@@ -316,6 +317,25 @@ let test_capacitated_tight_capacity () =
   Alcotest.(check int) "looser capacity serves all" 0
     (List.length wide.Tdmd.Capacitated.unserved)
 
+(* The capacitated greedy decides on the integer volume: below λ = 1 its
+   deployment does not depend on λ, even where (1 − λ)·ΔD is far below
+   any float bar; at λ = 1 no box lowers b, so it deploys none. *)
+let test_capacitated_lambda () =
+  let base = Fixtures.fig1_instance () in
+  let at lambda =
+    let inst =
+      Tdmd.Instance.make ~graph:base.Tdmd.Instance.graph ~flows:(Tdmd.Instance.flows base)
+        ~lambda
+    in
+    Tdmd.Capacitated.greedy ~k:3 ~capacity:1000 inst
+  in
+  let placement o = P.to_list o.Tdmd.Solver_intf.placement in
+  Alcotest.(check (list int)) "1 - 2^-45 deploys as 0.5" (placement (at 0.5))
+    (placement (at (1.0 -. ldexp 1.0 (-45))));
+  let one = at 1.0 in
+  Alcotest.(check (list int)) "lambda = 1 deploys nothing" [] (placement one);
+  Alcotest.(check (float 0.0)) "lambda = 1 costs U" 16.0 one.Tdmd.Solver_intf.bandwidth
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_dp_optimal;
@@ -344,4 +364,6 @@ let suite =
       test_capacitated_unlimited_matches_plain;
     Alcotest.test_case "capacitated: tight capacity" `Quick
       test_capacitated_tight_capacity;
+    Alcotest.test_case "capacitated: decides on volume, none at lambda 1" `Quick
+      test_capacitated_lambda;
   ]
