@@ -40,12 +40,27 @@ let algo_conv =
   in
   Arg.conv (parse, Format.pp_print_string)
 
+(* A numeric flag's converter that refuses a value outside its range,
+   so cmdliner reports a usage error naming the flag (exit 124) before
+   the command runs. *)
+let checked conv ~range valid =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok x when valid x -> Ok x
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s is not %s" s range))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let at_least n = checked Arg.int ~range:(Printf.sprintf ">= %d" n) (fun x -> x >= n)
+let lambda_conv = checked Arg.float ~range:"in [0, 1]" Tdmd.Instance.valid_lambda
+
 let topology_arg =
   Arg.(value & opt topology_conv Tree & info [ "topology"; "t" ] ~doc:"tree | general | fattree")
 
 let size_arg = Arg.(value & opt int 22 & info [ "size"; "n" ] ~doc:"Topology size (fat-tree: pod count k, must be even)")
 let k_arg = Arg.(value & opt int 8 & info [ "k"; "budget" ] ~doc:"Middlebox budget")
-let lambda_arg = Arg.(value & opt float 0.5 & info [ "lambda" ] ~doc:"Traffic-changing ratio in [0,1]")
+let lambda_arg = Arg.(value & opt lambda_conv 0.5 & info [ "lambda" ] ~doc:"Traffic-changing ratio in [0,1]")
 let density_arg = Arg.(value & opt float 0.5 & info [ "density" ] ~doc:"Flow density")
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed")
 let algo_arg =
@@ -291,10 +306,6 @@ let parse_durability journal fsync snapshot_every =
         Printf.eprintf "--fsync: %s\n" msg;
         exit 2
     in
-    if snapshot_every < 0 then begin
-      Printf.eprintf "--snapshot-every must be >= 0\n";
-      exit 2
-    end;
     Some
       (Tdmd_server.Session.durability ~fsync ~snapshot_every
          ~faults:(Tdmd_server.Faults.from_env ()) dir)
@@ -316,7 +327,7 @@ let fsync_arg =
 
 let snapshot_every_arg =
   Arg.(
-    value & opt int 0
+    value & opt (at_least 0) 0
     & info [ "snapshot-every" ] ~docv:"N"
         ~doc:
           "Snapshot (and truncate the journal) after every $(docv) journaled \
@@ -332,14 +343,6 @@ let durability_holds_state cfg =
 let serve listen topology size lambda density seed instance_file domains queue
     deadline_ms churn_k migration_budget shards metrics_out journal fsync
     snapshot_every degraded_reads =
-  if shards < 1 then begin
-    Printf.eprintf "--shards must be >= 1\n";
-    exit 2
-  end;
-  if migration_budget < 0 then begin
-    Printf.eprintf "--migration-budget must be >= 0\n";
-    exit 2
-  end;
   let durability = parse_durability journal fsync snapshot_every in
   let config =
     {
@@ -374,10 +377,7 @@ let serve listen topology size lambda density seed instance_file domains queue
           | Some t -> Tdmd_server.Engine.Tree t
           | None -> Tdmd_server.Engine.General general)
       in
-      try Tdmd_server.Engine.create ~degraded_reads ~config ~shards source
-      with Invalid_argument msg ->
-        Printf.eprintf "--shards: %s\n" msg;
-        exit 2)
+      Tdmd_server.Engine.create ~degraded_reads ~config ~shards source)
   in
   let cfg =
     {
@@ -423,10 +423,10 @@ let serve_cmd =
           ~doc:"Serve the inline JSON instance from $(docv) instead of a generated topology")
   in
   let domains_arg =
-    Arg.(value & opt int 2 & info [ "domains" ] ~doc:"Worker domains")
+    Arg.(value & opt (at_least 1) 2 & info [ "domains" ] ~doc:"Worker domains")
   in
   let queue_arg =
-    Arg.(value & opt int 64 & info [ "queue" ] ~doc:"Bounded request-queue capacity")
+    Arg.(value & opt (at_least 1) 64 & info [ "queue" ] ~doc:"Bounded request-queue capacity")
   in
   let deadline_arg =
     Arg.(
@@ -436,11 +436,13 @@ let serve_cmd =
           ~doc:"Default deadline for requests that carry none (solves answer anytime within it)")
   in
   let churn_k_arg =
-    Arg.(value & opt int 8 & info [ "churn-k" ] ~doc:"Middlebox budget of the churn engine")
+    Arg.(
+      value & opt (at_least 1) 8
+      & info [ "churn-k" ] ~doc:"Middlebox budget of the churn engine")
   in
   let migration_budget_arg =
     Arg.(
-      value & opt int 0
+      value & opt (at_least 0) 0
       & info [ "migration-budget" ] ~docv:"B"
           ~doc:
             "Instance moves the rebalancer may spend after each churn event \
@@ -450,7 +452,7 @@ let serve_cmd =
   in
   let shards_arg =
     Arg.(
-      value & opt int 1
+      value & opt (at_least 1) 1
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Partition the topology into $(docv) shards, each with its own \
@@ -632,10 +634,6 @@ let client_cmd =
 
 let churn topology size k migration_budget lambda density seed horizon
     interarrival lifetime trace metrics_out =
-  if migration_budget < 0 then begin
-    Printf.eprintf "--migration-budget must be >= 0\n";
-    exit 2
-  end;
   let _, general = build_instances topology ~size ~lambda ~density ~seed in
   let graph = general.Tdmd.Instance.graph in
   let rng = Rng.create (seed + 7) in
@@ -711,6 +709,10 @@ let churn topology size k migration_budget lambda density seed horizon
              tel))
 
 let churn_cmd =
+  (* The churn engine needs a box to place. *)
+  let k_arg =
+    Arg.(value & opt (at_least 1) 8 & info [ "k"; "budget" ] ~doc:"Middlebox budget")
+  in
   let horizon_arg =
     Arg.(value & opt float 50.0 & info [ "horizon" ] ~doc:"Virtual-time horizon")
   in
@@ -724,7 +726,7 @@ let churn_cmd =
   in
   let migration_budget_arg =
     Arg.(
-      value & opt int 0
+      value & opt (at_least 0) 0
       & info [ "migration-budget" ] ~docv:"B"
           ~doc:
             "Instance moves the rebalancer may spend after each event; 0 \

@@ -7,7 +7,8 @@ let run ~k inst =
   let tree = inst.Instance.Tree.tree in
   let general = Instance.Tree.to_general inst in
   let lca = Tdmd_tree.Lca.build tree in
-  let leaves = Rt.leaves tree in
+  (* A box on every leaf; none at k = 0, so the loop below never runs. *)
+  let leaves = if k < 1 then [] else Rt.leaves tree in
   let placement = ref (Placement.of_list leaves) in
   (* Mirror of [!placement] answering Δb in O(flows through i, j, lca)
      via remove/remove/add probes rolled back with [undo]. *)
@@ -52,7 +53,7 @@ let run ~k inst =
   in
   push_all_pairs ();
   let merges = ref 0 in
-  while Placement.size !placement > max k 1 do
+  while Placement.size !placement > k do
     match Tdmd_heap.Binary_heap.pop heap with
     | None ->
       (* All entries went stale together; rebuild the pair set. *)

@@ -18,7 +18,8 @@
     pushed back if their penalty changed. *)
 
 val run : k:int -> Instance.Tree.t -> Solver_intf.outcome
-(** Feasible whenever k ≥ 1 (the root merge always exists).  Each Δb is
+(** Feasible whenever k ≥ 1 (the root merge always exists); at k = 0
+    it deploys nothing, feasible only without flows.  Each Δb is
     answered through the {!Inc_oracle} mirror of the current
     deployment — O(flows through the merged pair and their LCA) per
     evaluation instead of a full-instance rescan — so the merge

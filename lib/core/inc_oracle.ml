@@ -127,6 +127,7 @@ let create instance =
     ~packed:(Some disjoint_paths)
 
 let empty ~vertices ~lambda =
+  Instance.check_lambda "Inc_oracle.empty" lambda;
   make ~owned:true ~lambda ~vertices ~slabs:(Array.make vertices [||])
     ~degree:(Array.make vertices 0) ~rates:[||] ~hops:[||] ~paths:[||] ~packed:None
 

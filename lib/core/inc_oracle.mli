@@ -80,7 +80,8 @@ val of_list : Instance.t -> int list -> t
 
 val empty : vertices:int -> lambda:float -> t
 (** No flows and no deployment over [vertices] vertices, owning its
-    incidence: the oracle for {!add_flow} / {!remove_flow}. *)
+    incidence: the oracle for {!add_flow} / {!remove_flow}.
+    @raise Invalid_argument if λ lies outside [0, 1] (NaN included). *)
 
 val reset : t -> unit
 (** Return to the empty deployment and clear the undo journal.  Each

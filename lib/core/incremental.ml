@@ -30,6 +30,7 @@ type t = {
 }
 
 let create ?(migration_budget = 0) ~graph ~lambda ~k () =
+  Instance.check_lambda "Incremental.create" lambda;
   if k < 1 then invalid_arg "Incremental.create: k must be >= 1";
   if migration_budget < 0 then
     invalid_arg "Incremental.create: negative migration budget";
@@ -229,6 +230,7 @@ let depart t id =
    scan order). *)
 let restore ?(migration_budget = 0) ?(rebalances = 0) ?(rebalance_moves = 0)
     ~graph ~lambda ~k ~flows ~placed ~moves ~arrivals ~departures () =
+  Instance.check_lambda "Incremental.restore" lambda;
   if k < 1 then invalid_arg "Incremental.restore: k must be >= 1";
   if migration_budget < 0 then
     invalid_arg "Incremental.restore: negative migration budget";

@@ -59,7 +59,8 @@ val create :
     historical pin-only behaviour bit-for-bit, larger budgets trade
     migrations for bandwidth, and a huge budget approximates
     recompute-from-scratch.
-    @raise Invalid_argument if [k < 1] or [migration_budget < 0]. *)
+    @raise Invalid_argument if λ lies outside [0, 1] (NaN included),
+    [k < 1] or [migration_budget < 0]. *)
 
 val arrive : t -> Tdmd_flow.Flow.t -> unit
 (** @raise Invalid_argument on duplicate flow ids or invalid paths. *)
@@ -158,5 +159,5 @@ val restore :
     reproduces the automatic rebalance passes under the same budget).
     The result is bit-identical to the engine the state was exported
     from.
-    @raise Invalid_argument on invalid flows/placement/counters,
+    @raise Invalid_argument on invalid λ/flows/placement/counters,
     including duplicate placed vertices. *)

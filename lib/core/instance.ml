@@ -72,8 +72,11 @@ let of_array ~graph ~flows ~lambda =
 (* Written so that NaN, which fails every comparison, fails it too. *)
 let valid_lambda lambda = 0.0 <= lambda && lambda <= 1.0
 
+let check_lambda who lambda =
+  if not (valid_lambda lambda) then invalid_arg (who ^ ": lambda must lie in [0, 1]")
+
 let make ~graph ~flows ~lambda =
-  if not (valid_lambda lambda) then invalid_arg "Instance.make: lambda must lie in [0, 1]";
+  check_lambda "Instance.make" lambda;
   List.iter
     (fun f ->
       match Flow.validate graph f with
@@ -98,8 +101,7 @@ module Tree = struct
   }
 
   let make ~tree ~flows ~lambda =
-    if not (valid_lambda lambda) then
-      invalid_arg "Instance.Tree.make: lambda must lie in [0, 1]";
+    check_lambda "Instance.Tree.make" lambda;
     List.iter
       (fun f ->
         let src = Flow.src f in

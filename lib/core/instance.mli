@@ -47,6 +47,14 @@ val make :
     builds the {!incidence} in O(|V| + Σ_f |p_f|).
     @raise Invalid_argument on violations. *)
 
+val valid_lambda : float -> bool
+(** 0 ≤ λ ≤ 1; NaN fails. *)
+
+val check_lambda : string -> float -> unit
+(** [check_lambda who lambda]: the one λ check of every constructor that
+    takes λ, here and in [Incremental] and [Inc_oracle].
+    @raise Invalid_argument ["<who>: lambda must lie in [0, 1]"]. *)
+
 val vertex_count : t -> int
 val flow_count : t -> int
 val flows : t -> Tdmd_flow.Flow.t list

@@ -5,10 +5,10 @@
     flow.  {!outcome} is that footing plus the diminished volume the
     solver decided on and the run's {!Tdmd_obs.Telemetry.t}, which holds
     each solver's work counters and spans (the solvers' doc comments
-    list theirs).  {!Gtp}, {!Baselines}, {!Brute}, {!Dp}, {!Dp_binary},
-    {!Scaled_dp}, {!Hat}, {!Local_search} and {!Capacitated} all return
-    it, and {!Solvers} names them for the CLI, the experiments, the
-    bench and the server. *)
+    list theirs).  {!Gtp}, {!Baselines}, {!Brute}, {!Dp}, {!Scaled_dp},
+    {!Hat}, {!Local_search} and {!Capacitated} all return it, and
+    {!Solvers} names them for the CLI, the experiments, the bench and
+    the server. *)
 
 type outcome = {
   placement : Placement.t;

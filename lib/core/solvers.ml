@@ -29,17 +29,31 @@ let gtp_ls ~k inst =
    (Lukovszki–Rost–Schmid-style) spend that many moves per event, so
    the placement tracks the optimum instead of drifting. *)
 let replay ~span ~migration_budget ~k inst =
+  (* The engine needs a box to place: at k = 0 it replays no flow and
+     keeps the empty deployment, which serves only an empty flow set. *)
   let state =
     Incremental.create ~migration_budget ~graph:inst.Instance.graph
       ~lambda:inst.Instance.lambda ~k:(max k 1) ()
   in
   let telemetry = Incremental.telemetry state in
+  Tdmd_obs.Telemetry.set telemetry "budget" (Tdmd_obs.Telemetry.Int k);
   Tdmd_obs.Telemetry.with_span telemetry span (fun () ->
-      Array.iter (Incremental.arrive state) inst.Instance.flows);
+      if k > 0 then Array.iter (Incremental.arrive state) inst.Instance.flows);
   Solver_intf.outcome ~lambda:inst.Instance.lambda
     ~total:(Instance.total_path_volume inst)
-    ~placement:(Incremental.placement state)
-    ~volume:(Incremental.volume state) ~feasible:(Incremental.feasible state) ~telemetry
+    ~placement:(Incremental.placement state) ~volume:(Incremental.volume state)
+    ~feasible:(Incremental.feasible state && (k > 0 || Instance.flow_count inst = 0))
+    ~telemetry
+
+(* Eqs. 7-8 are stated for binary trees: the name refuses a wider tree
+   before any work, and on a binary one runs {!Dp}, the same recurrence. *)
+let dp_binary ~k inst =
+  let tree = inst.Instance.Tree.tree in
+  for v = 0 to Tdmd_tree.Rooted_tree.size tree - 1 do
+    if List.compare_length_with (Tdmd_tree.Rooted_tree.children tree v) 2 > 0 then
+      invalid_arg "Dp_binary.solve: vertex has more than two children"
+  done;
+  Dp.solve ~k inst
 
 let builtin_general : (string * general_solver) list =
   [
@@ -65,7 +79,7 @@ let builtin_general : (string * general_solver) list =
 let builtin_tree : (string * tree_solver) list =
   [
     ("dp", fun ~rng:_ ~k i -> Dp.solve ~k i);
-    ("dp-binary", fun ~rng:_ ~k i -> Dp_binary.solve ~k i);
+    ("dp-binary", fun ~rng:_ ~k i -> dp_binary ~k i);
     ("hat", fun ~rng:_ ~k i -> Hat.run ~k i);
     (* theta = 4 matches the ablation bench's operating point. *)
     ("scaled-dp", fun ~rng:_ ~k i -> Scaled_dp.solve ~k ~theta:4 i);

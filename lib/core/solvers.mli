@@ -25,7 +25,7 @@
 
     Tree solvers ({!tree}):
     - ["dp"]           — optimal tree DP (Sec. 5.1)
-    - ["dp-binary"]    — Eqs. 7–10 transcription (binary trees only)
+    - ["dp-binary"]    — ["dp"] on binary trees, refusing wider ones
     - ["hat"]          — leaf-merge heuristic (Alg. 2)
     - ["scaled-dp"]    — rate-quantised DP at θ = 4
 

@@ -319,33 +319,6 @@ let ablation ?(seed = 18000) ?(reps = 5) () =
   done;
   push "Local search on GTP" "relative bandwidth gain" (Stats.Welford.mean ls_gain_gtp);
   push "Local search on GTP" "improving swaps" (Stats.Welford.mean ls_swaps);
-  (* Binary-tree DP (Eqs. 7-8 verbatim) vs the general merge DP: values
-     must coincide; compare their work on random binary trees.  Both
-     count a (k+1)·(b+1) table per vertex as states. *)
-  let agree = Stats.Welford.create () in
-  let state_ratio_bin = Stats.Welford.create () in
-  for _ = 1 to reps do
-    let rng = Rng.split master in
-    let tree = Tdmd_topo.Topo_tree.random_binary rng 21 in
-    let flows =
-      Tdmd_traffic.Workload.tree_flows rng tree
-        ~rates:Scenario.default_tree.Scenario.rates
-        ~density:Scenario.default_tree.Scenario.density
-        ~link_capacity:Scenario.default_tree.Scenario.link_capacity ()
-    in
-    let inst = Tdmd.Instance.Tree.make ~tree ~flows ~lambda:0.5 in
-    let k = Scenario.default_tree.Scenario.k in
-    let general_dp = Tdmd.Dp.solve ~k inst in
-    let binary_dp = Tdmd.Dp_binary.solve ~k inst in
-    Stats.Welford.add agree
-      (Float.abs
-         (general_dp.Tdmd.Solver_intf.bandwidth -. binary_dp.Tdmd.Solver_intf.bandwidth));
-    Stats.Welford.add state_ratio_bin
-      (counter binary_dp "states" /. counter general_dp "states")
-  done;
-  push "Binary DP (eqs 7-8)" "value gap vs general DP" (Stats.Welford.mean agree);
-  push "Binary DP (eqs 7-8)" "state ratio vs general DP"
-    (Stats.Welford.mean state_ratio_bin);
   (* Incremental maintenance vs from-scratch GTP over a flow-churn
      timeline: quality ratio and placement moves. *)
   let ratio = Stats.Welford.create () in

@@ -72,7 +72,6 @@ type ablation_row = {
 
 val ablation : ?seed:int -> ?reps:int -> unit -> ablation_row list
 (** Design ablations: CELF vs plain GTP oracle calls, HAT merge count,
-    rate-scaled DP accuracy/state trade-off, the binary-tree DP's value
-    and state count against the general DP, local search and churn.
+    rate-scaled DP accuracy/state trade-off, local search and churn.
     Every row is seeded quality or work, never wall clock, so two runs
     at one seed return identical rows. *)

@@ -1,6 +1,7 @@
-(* Extension modules: the binary-tree DP transcription (Eqs. 7-8),
-   local search, incremental maintenance, plus the binary-lifting LCA
-   and the temporal workload generator. *)
+(* Extension modules: the binary-tree DP transcription (Eqs. 7-8, in
+   test/reference.ml) against Dp, local search, incremental
+   maintenance, plus the binary-lifting LCA and the temporal workload
+   generator. *)
 
 open Tdmd_prelude
 module P = Tdmd.Placement
@@ -8,7 +9,7 @@ module Flow = Tdmd_flow.Flow
 module Rt = Tdmd_tree.Rooted_tree
 
 (* ------------------------------------------------------------------ *)
-(* Dp_binary vs Dp                                                     *)
+(* Eqs. 7-8 verbatim (Reference.dp_binary) vs Dp                       *)
 (* ------------------------------------------------------------------ *)
 
 let test_dp_binary_fig5 () =
@@ -16,42 +17,52 @@ let test_dp_binary_fig5 () =
   List.iter
     (fun k ->
       let a = Tdmd.Dp.solve ~k inst in
-      let b = Tdmd.Dp_binary.solve ~k inst in
+      let b = Reference.dp_binary ~k inst in
       Alcotest.(check (float 0.0))
         (Printf.sprintf "values equal at k=%d" k)
         a.Tdmd.Solver_intf.bandwidth b.Tdmd.Solver_intf.bandwidth)
     [ 1; 2; 3; 4 ]
 
+(* The two DPs agree on feasibility, D, the bandwidth's bits and the
+   table cells they fill ("states"): the ablation's value gap 0 and
+   state ratio 1.  The registry's [dp-binary] row answers as [Dp]. *)
 let prop_dp_binary_matches_general =
-  QCheck.Test.make ~name:"binary-tree DP (eqs 7-8) = general DP" ~count:60
-    QCheck.(triple (int_bound 100000) (int_range 2 15) (int_range 1 5))
-    (fun (seed, n, k) ->
-      let rng = Rng.create seed in
-      let tree = Tdmd_topo.Topo_tree.random_binary rng n in
-      let leaves = List.filter (fun v -> v <> Rt.root tree) (Rt.leaves tree) in
-      let flows =
-        List.mapi
-          (fun id leaf ->
-            Flow.make ~id ~rate:(Rng.int_in rng 1 5) ~path:(Rt.path_to_root tree leaf))
-          leaves
+  QCheck.Test.make ~name:"binary-tree DP (eqs 7-8) = general DP" ~count:400
+    QCheck.(
+      quad (int_bound 100000) (int_range 2 44) (int_range 0 8)
+        (oneofl [ 0.0; 0.3; 0.5; 1.0 ]))
+    (fun (seed, n, k, lambda) ->
+      let inst =
+        Fixtures.random_tree_instance ~binary:true (Rng.create seed) ~n ~max_rate:12 ~lambda
       in
-      let inst = Tdmd.Instance.Tree.make ~tree ~flows ~lambda:0.5 in
       let a = Tdmd.Dp.solve ~k inst in
-      let b = Tdmd.Dp_binary.solve ~k inst in
+      let b = Reference.dp_binary ~k inst in
+      let row = Option.get (Tdmd.Solvers.find_tree "dp-binary") in
+      let r = row ~rng:(Rng.create seed) ~k inst in
+      let bits (o : Tdmd.Solver_intf.outcome) =
+        Int64.bits_of_float o.Tdmd.Solver_intf.bandwidth
+      in
       a.Tdmd.Solver_intf.feasible = b.Tdmd.Solver_intf.feasible
-      && ((not a.Tdmd.Solver_intf.feasible)
-         || (a.Tdmd.Solver_intf.volume = b.Tdmd.Solver_intf.volume
-            && Float.equal a.Tdmd.Solver_intf.bandwidth b.Tdmd.Solver_intf.bandwidth)))
+      && a.Tdmd.Solver_intf.volume = b.Tdmd.Solver_intf.volume
+      && bits a = bits b
+      && Fixtures.count a "states" = Fixtures.count b "states"
+      && P.to_list r.Tdmd.Solver_intf.placement = P.to_list a.Tdmd.Solver_intf.placement
+      && bits r = bits a)
 
+(* Both the registry row and the reference refuse a star with today's
+   message. *)
 let test_dp_binary_rejects_wide () =
   let tree = Tdmd_topo.Topo_tree.star 5 in
   let flows =
     [ Flow.make ~id:0 ~rate:1 ~path:(Rt.path_to_root tree 1) ]
   in
   let inst = Tdmd.Instance.Tree.make ~tree ~flows ~lambda:0.5 in
-  Alcotest.check_raises "more than two children"
-    (Invalid_argument "Dp_binary.solve: vertex has more than two children")
-    (fun () -> ignore (Tdmd.Dp_binary.solve ~k:2 inst))
+  let refusal = Invalid_argument "Dp_binary.solve: vertex has more than two children" in
+  let row = Option.get (Tdmd.Solvers.find_tree "dp-binary") in
+  Alcotest.check_raises "registry: more than two children" refusal (fun () ->
+      ignore (row ~rng:(Rng.create 1) ~k:2 inst));
+  Alcotest.check_raises "reference: more than two children" refusal (fun () ->
+      ignore (Reference.dp_binary ~k:2 inst))
 
 let prop_dp_binary_placement_consistent =
   QCheck.Test.make ~name:"binary DP traceback evaluates to its value" ~count:40
@@ -67,7 +78,7 @@ let prop_dp_binary_placement_consistent =
           leaves
       in
       let inst = Tdmd.Instance.Tree.make ~tree ~flows ~lambda:0.3 in
-      let r = Tdmd.Dp_binary.solve ~k:3 inst in
+      let r = Reference.dp_binary ~k:3 inst in
       (not r.Tdmd.Solver_intf.feasible)
       || Float.equal
            (Tdmd.Bandwidth.total (Tdmd.Instance.Tree.to_general inst)

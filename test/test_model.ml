@@ -41,23 +41,41 @@ let test_instance_validation () =
            ~flows:[ Flow.make ~id:2 ~rate:1 ~path:[ 7 ] ]
            ~lambda:0.5))
 
-(* 0 ≤ λ ≤ 1 must also reject NaN, which fails every comparison. *)
-let test_lambda_nan () =
+(* Every constructor that takes λ refuses one outside [0, 1], naming
+   itself; NaN, which fails every comparison, is refused too. *)
+let test_lambda_every_constructor () =
   let g = Tdmd_graph.Digraph.create 2 in
   Tdmd_graph.Digraph.add_edge g 0 1;
-  Alcotest.check_raises "general"
-    (Invalid_argument "Instance.make: lambda must lie in [0, 1]") (fun () ->
-      ignore
-        (Tdmd.Instance.make ~graph:g
-           ~flows:[ Flow.make ~id:0 ~rate:1 ~path:[ 0; 1 ] ]
-           ~lambda:Float.nan));
+  let flow = Flow.make ~id:0 ~rate:1 ~path:[ 0; 1 ] in
   let tree = Tdmd_topo.Topo_tree.balanced ~arity:2 ~depth:2 in
-  Alcotest.check_raises "tree"
-    (Invalid_argument "Instance.Tree.make: lambda must lie in [0, 1]") (fun () ->
-      ignore
-        (Tdmd.Instance.Tree.make ~tree
-           ~flows:[ Flow.make ~id:0 ~rate:2 ~path:(Tdmd_tree.Rooted_tree.path_to_root tree 3) ]
-           ~lambda:Float.nan))
+  let leaf = Flow.make ~id:0 ~rate:2 ~path:(Tdmd_tree.Rooted_tree.path_to_root tree 3) in
+  let constructors =
+    [
+      ("Instance.make", fun lambda -> ignore (Tdmd.Instance.make ~graph:g ~flows:[ flow ] ~lambda));
+      ( "Instance.Tree.make",
+        fun lambda -> ignore (Tdmd.Instance.Tree.make ~tree ~flows:[ leaf ] ~lambda) );
+      ( "Incremental.create",
+        fun lambda -> ignore (Tdmd.Incremental.create ~graph:g ~lambda ~k:1 ()) );
+      ( "Incremental.restore",
+        fun lambda ->
+          ignore
+            (Tdmd.Incremental.restore ~graph:g ~lambda ~k:1 ~flows:[ flow ] ~placed:[ 0 ]
+               ~moves:0 ~arrivals:1 ~departures:0 ()) );
+      ("Inc_oracle.empty", fun lambda -> ignore (Tdmd.Inc_oracle.empty ~vertices:2 ~lambda));
+    ]
+  in
+  List.iter
+    (fun (who, make) ->
+      make 0.0;
+      make 1.0;
+      List.iter
+        (fun lambda ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s at %g" who lambda)
+            (Invalid_argument (who ^ ": lambda must lie in [0, 1]"))
+            (fun () -> make lambda))
+        [ Float.nan; -0.5; 1.5 ])
+    constructors
 
 let test_tree_instance_validation () =
   let tree = Tdmd_topo.Topo_tree.balanced ~arity:2 ~depth:2 in
@@ -162,7 +180,8 @@ let suite =
     Alcotest.test_case "placement: set operations" `Quick test_placement_ops;
     Alcotest.test_case "instance: validation" `Quick test_instance_validation;
     Alcotest.test_case "tree instance: validation" `Quick test_tree_instance_validation;
-    Alcotest.test_case "instance: NaN lambda rejected" `Quick test_lambda_nan;
+    Alcotest.test_case "every constructor checks lambda" `Quick
+      test_lambda_every_constructor;
     Alcotest.test_case "tree instance: merges same source" `Quick
       test_tree_instance_merges;
     Alcotest.test_case "tree instance: subtree rates" `Quick test_subtree_rates;

@@ -281,6 +281,53 @@ let prop_one_renderer =
                     d))
         outcomes)
 
+(* Every registry name, on a general, a tree or a binary-tree instance,
+   at every budget from 0 to |V|: the placement never has more than k
+   boxes, and at k = 0 it is empty, with volume 0, feasible exactly when
+   there are no flows.  A name that refuses the instance (dp-binary on
+   a wider tree) raises instead. *)
+let prop_budget_kept =
+  QCheck.Test.make ~name:"registry: no placement exceeds its budget, k = 0 included"
+    ~count:8 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      Tdmd_portfolio.Register.install ();
+      let rng = Rng.create seed in
+      let n = Rng.int_in rng 4 12 in
+      let lambda = float_of_int (Rng.int rng 5) /. 4.0 in
+      (* Each name as a function of k alone, with the instance's flow count. *)
+      let runs, flows =
+        match Rng.int rng 3 with
+        | 0 ->
+          let inst = Fixtures.random_general_instance rng ~n ~flows:n ~max_rate:6 ~lambda in
+          ( List.map
+              (fun (name, solve) -> (name, fun k -> solve ~rng:(Rng.create seed) ~k inst))
+              (Solvers.general ()),
+            Tdmd.Instance.flow_count inst )
+        | shape ->
+          let inst =
+            Fixtures.random_tree_instance ~binary:(shape = 2) rng ~n ~max_rate:6 ~lambda
+          in
+          ( List.map
+              (fun name ->
+                let solve = Option.get (Solvers.on_tree name) in
+                (name, fun k -> solve ~rng:(Rng.create seed) ~k inst))
+              (Solvers.names ()),
+            Array.length inst.Tdmd.Instance.Tree.flows )
+      in
+      List.for_all
+        (fun (name, run) ->
+          List.for_all
+            (fun k ->
+              match run k with
+              | exception Invalid_argument _ -> name = "dp-binary"
+              | (o : Tdmd.Solver_intf.outcome) ->
+                Tdmd.Placement.size o.Tdmd.Solver_intf.placement <= k
+                && (k > 0
+                   || (o.Tdmd.Solver_intf.volume = 0
+                      && o.Tdmd.Solver_intf.feasible = (flows = 0))))
+            (List.init (n + 1) Fun.id))
+        runs)
+
 let suite =
   [
     Alcotest.test_case "registry: general solvers on fig1" `Quick
@@ -295,4 +342,5 @@ let suite =
     Alcotest.test_case "registry: golden outcomes" `Quick test_golden_outcomes;
     QCheck_alcotest.to_alcotest prop_lambda_independent;
     QCheck_alcotest.to_alcotest prop_one_renderer;
+    QCheck_alcotest.to_alcotest prop_budget_kept;
   ]
