@@ -55,10 +55,31 @@ let checked conv ~range valid =
 let at_least n = checked Arg.int ~range:(Printf.sprintf ">= %d" n) (fun x -> x >= n)
 let lambda_conv = checked Arg.float ~range:"in [0, 1]" Tdmd.Instance.valid_lambda
 
+let positive_float =
+  checked Arg.float ~range:"a finite number > 0" (fun x -> Float.is_finite x && x > 0.0)
+
 let topology_arg =
   Arg.(value & opt topology_conv Tree & info [ "topology"; "t" ] ~doc:"tree | general | fattree")
 
-let size_arg = Arg.(value & opt int 22 & info [ "size"; "n" ] ~doc:"Topology size (fat-tree: pod count k, must be even)")
+(* [--size] of at least [least].  A fat-tree's size is its pod count,
+   which must be even: checked against [--topology] once both flags are
+   parsed, again as a usage error naming the flag. *)
+let size_at_least least =
+  let sized topology size =
+    match topology with
+    | Fattree when size mod 2 <> 0 ->
+      `Error
+        (true, Printf.sprintf "option '--size': %d is not an even pod count (--topology fattree)" size)
+    | Tree | General | Fattree -> `Ok size
+  in
+  let size =
+    Arg.(
+      value & opt (at_least least) 22
+      & info [ "size"; "n" ] ~doc:"Topology size (fat-tree: pod count k, must be even)")
+  in
+  Term.(ret (const sized $ topology_arg $ size))
+
+let size_arg = size_at_least 1
 let k_arg = Arg.(value & opt int 8 & info [ "k"; "budget" ] ~doc:"Middlebox budget")
 let lambda_arg = Arg.(value & opt lambda_conv 0.5 & info [ "lambda" ] ~doc:"Traffic-changing ratio in [0,1]")
 let density_arg = Arg.(value & opt float 0.5 & info [ "density" ] ~doc:"Flow density")
@@ -714,15 +735,15 @@ let churn_cmd =
     Arg.(value & opt (at_least 1) 8 & info [ "k"; "budget" ] ~doc:"Middlebox budget")
   in
   let horizon_arg =
-    Arg.(value & opt float 50.0 & info [ "horizon" ] ~doc:"Virtual-time horizon")
+    Arg.(value & opt positive_float 50.0 & info [ "horizon" ] ~doc:"Virtual-time horizon")
   in
   let interarrival_arg =
     Arg.(
-      value & opt float 1.0
+      value & opt positive_float 1.0
       & info [ "interarrival" ] ~doc:"Mean flow inter-arrival time")
   in
   let lifetime_arg =
-    Arg.(value & opt float 10.0 & info [ "lifetime" ] ~doc:"Mean flow lifetime")
+    Arg.(value & opt positive_float 10.0 & info [ "lifetime" ] ~doc:"Mean flow lifetime")
   in
   let migration_budget_arg =
     Arg.(
@@ -732,6 +753,8 @@ let churn_cmd =
             "Instance moves the rebalancer may spend after each event; 0 \
              (the default) pins placements as before")
   in
+  (* The trace draws every flow between two distinct vertices. *)
+  let size_arg = size_at_least 2 in
   Cmd.v
     (Cmd.info "churn"
        ~doc:"Replay a generated arrival/departure trace through the churn engine")

@@ -10,7 +10,7 @@ let random rng ?(attempts = 200) ~k instance =
   let tel = Tdmd_obs.Telemetry.create () in
   Tdmd_obs.Telemetry.count tel "budget" k;
   let n = Instance.vertex_count instance in
-  let k = min k n in
+  let k = Int.min k n in
   let draw () = Placement.of_list (Rng.sample_without_replacement rng n k) in
   let placement, retries =
     Tdmd_obs.Telemetry.with_span tel "random" (fun () ->
@@ -20,7 +20,7 @@ let random rng ?(attempts = 200) ~k instance =
           else if i >= attempts then
             (* Fall back: keep a random half-prefix, then covering picks. *)
             let seed =
-              Rng.sample_without_replacement rng n (max 0 (k - (k / 2)))
+              Rng.sample_without_replacement rng n (Int.max 0 (k - (k / 2)))
             in
             ( Placement.of_list
                 (Cover_fixup.within (Inc_oracle.create instance) ~chosen:seed ~budget:k),

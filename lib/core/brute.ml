@@ -14,7 +14,7 @@ let within_limit n k =
 
 let solve ~k instance =
   let n = Instance.vertex_count instance in
-  let k = min k n in
+  let k = Int.min k n in
   if not (within_limit n k) then invalid_arg "Brute.solve: instance too large";
   let tel = Tdmd_obs.Telemetry.create () in
   Tdmd_obs.Telemetry.count tel "budget" k;

@@ -13,7 +13,7 @@ let allocate instance ~capacity placement =
     (Placement.to_list placement);
   let flows =
     Array.to_list instance.Instance.flows
-    |> List.stable_sort (fun a b -> compare b.Flow.rate a.Flow.rate)
+    |> List.stable_sort (fun a b -> Int.compare b.Flow.rate a.Flow.rate)
   in
   let served = ref [] and unserved = ref [] and volume = ref 0 in
   List.iter

@@ -11,7 +11,11 @@ let make_spec ratios =
 
 type deployment = (int * int) list
 
-let normalize pairs = List.sort_uniq compare pairs
+(* Lexicographic on (vertex, type index). *)
+let normalize pairs =
+  List.sort_uniq
+    (fun (v1, i1) (v2, i2) -> if v1 <> v2 then Int.compare v1 v2 else Int.compare i1 i2)
+    pairs
 
 type flow_service = {
   flow_id : int;

@@ -40,7 +40,7 @@ let build ~k_max inst =
         inside.(pnt) <- inside.(pnt) + inside.(v) + b_sub.(v)
       end)
     (Rt.postorder tree);
-  let k_cap = Array.map (fun s -> min k_max s) subtree_size in
+  let k_cap = Array.map (fun s -> Int.min k_max s) subtree_size in
   let q = Array.make n [||] in
   let merge_choice = Array.make n [||] in
   let box_beta = Array.make n [||] in
@@ -70,9 +70,9 @@ let build ~k_max inst =
             for beta = 0 to bv do
               let prev = !m_prev.(kappa).(beta) in
               if prev >= 0 then
-                for kc = 0 to min (kv - kappa) kc_max do
+                for kc = 0 to Int.min (kv - kappa) kc_max do
                   let qc_row = q.(c).(kc) in
-                  for bc = 0 to min (bv - beta) bc_max do
+                  for bc = 0 to Int.min (bv - beta) bc_max do
                     let qc = qc_row.(bc) in
                     if qc >= 0 then begin
                       (* Uplink c -> v: the [bc] processed rate crosses
@@ -130,7 +130,7 @@ let build ~k_max inst =
 let p_value t ~v ~k ~b =
   let best = ref (-1) in
   if b >= 0 && b <= t.b_sub.(v) then
-    for kappa = 0 to min k t.k_cap.(v) do
+    for kappa = 0 to Int.min k t.k_cap.(v) do
       best := Int.max !best t.q.(v).(kappa).(b)
     done;
   if !best < 0 then infinity
@@ -182,7 +182,7 @@ let solve ~k inst =
   let b_root = t.b_sub.(root) in
   let best = ref (-1) and best_kappa = ref (-1) in
   if Array.length inst.Instance.Tree.flows > 0 then
-    for kappa = 0 to min k t.k_cap.(root) do
+    for kappa = 0 to Int.min k t.k_cap.(root) do
       if t.q.(root).(kappa).(b_root) > !best then begin
         best := t.q.(root).(kappa).(b_root);
         best_kappa := kappa

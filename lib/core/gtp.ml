@@ -82,6 +82,13 @@ let celf ~k instance =
   in
   select [] [] 0
 
+(* A greedy that already serves every flow is its own repair: the
+   fix-up would keep every pick (they are distinct and within the
+   budget) and add none, so its oracle is left as it stands. *)
+let repaired sel ~budget =
+  if Inc_oracle.is_feasible sel.oracle then sel.chosen
+  else Cover_fixup.within sel.oracle ~chosen:sel.chosen ~budget
+
 (* Every marginal the greedy phase reads is published as "oracle_calls"
    and "delta_evals" once the phase ends, and the phase's wall time as
    "oracle_ns" — no per-read counter update or clock read in the loop. *)
@@ -102,26 +109,27 @@ let run_with ~label select ?budget instance =
       let oracle_ns = Int64.sub (Tdmd_obs.Clock.now_ns ()) t0 in
       if sel.reads > 0 then Tdmd_obs.Telemetry.count tel "delta_evals" sel.reads;
       let chosen =
-        Tdmd_obs.Telemetry.with_span tel "cover-fixup" (fun () ->
-            Cover_fixup.within sel.oracle ~chosen:sel.chosen ~budget)
+        Tdmd_obs.Telemetry.with_span tel "cover-fixup" (fun () -> repaired sel ~budget)
       in
-      (* The fix-up left the oracle holding [chosen]: it answers the
-         volume and feasibility without a rescan. *)
+      (* The oracle holds [chosen]: it answers the volume and
+         feasibility without a rescan. *)
       let placement = Placement.of_list chosen in
       Tdmd_obs.Telemetry.count tel "oracle_calls" sel.reads;
       Tdmd_obs.Telemetry.count tel "placement_size" (Placement.size placement);
       Tdmd_obs.Telemetry.count tel "oracle_ns" (Int64.to_int oracle_ns);
-      Solver_intf.outcome ~lambda:instance.Instance.lambda
-        ~total:(Instance.total_path_volume instance) ~placement
-        ~volume:(Inc_oracle.diminished_volume sel.oracle)
-        ~feasible:(Inc_oracle.is_feasible sel.oracle) ~telemetry:tel)
+      ( Solver_intf.outcome ~lambda:instance.Instance.lambda
+          ~total:(Instance.total_path_volume instance) ~placement
+          ~volume:(Inc_oracle.diminished_volume sel.oracle)
+          ~feasible:(Inc_oracle.is_feasible sel.oracle) ~telemetry:tel,
+        sel.oracle ))
 
-let run ?budget instance = run_with ~label:"gtp" greedy ?budget instance
-let run_celf ?budget instance = run_with ~label:"gtp-celf" celf ?budget instance
+let run_oracle ?budget instance = run_with ~label:"gtp" greedy ?budget instance
+let run ?budget instance = fst (run_oracle ?budget instance)
+let run_celf ?budget instance = fst (run_with ~label:"gtp-celf" celf ?budget instance)
 
 let derived_k instance =
   (* Alg. 1 verbatim: deploy the max-marginal vertex until every flow is
      processed; the number of boxes it used is the derived k. *)
   let budget = Instance.vertex_count instance in
   let sel = rounds ~stop:Inc_oracle.is_feasible ~k:budget instance in
-  Placement.size (Placement.of_list (Cover_fixup.within sel.oracle ~chosen:sel.chosen ~budget))
+  Placement.size (Placement.of_list (repaired sel ~budget))

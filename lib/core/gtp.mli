@@ -40,13 +40,20 @@ val celf : k:int -> Instance.t -> picks
 
 val run : ?budget:int -> Instance.t -> Solver_intf.outcome
 (** {!greedy} repaired by {!Cover_fixup.within}: exactly Alg. 1 under a
-    budget.  Default budget: |V|.
+    budget.  Default budget: |V|.  When the greedy already serves every
+    flow the repair is skipped, since it would return the picks
+    unchanged; the [cover-fixup] span is still recorded.
 
     Telemetry: counters ["budget"], ["delta_evals"] and
     ["oracle_calls"] (marginals read, published once per run),
     ["placement_size"], ["oracle_ns"] (wall time of the greedy phase,
     the part that queries the oracle, in nanoseconds); spans
     [gtp > greedy, cover-fixup]. *)
+
+val run_oracle : ?budget:int -> Instance.t -> Solver_intf.outcome * Inc_oracle.t
+(** {!run}, also handing out the oracle the run ends on.  It holds the
+    outcome's placement, so a refinement ({!Local_search.refine}) starts
+    from it without rebuilding the deployment. *)
 
 val run_celf : ?budget:int -> Instance.t -> Solver_intf.outcome
 (** {!celf} repaired the same way — same deployment as {!run} (the

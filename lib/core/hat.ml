@@ -34,9 +34,14 @@ let run ~k inst =
     oracle_ns := Int64.add !oracle_ns (Int64.sub (Tdmd_obs.Clock.now_ns ()) t0);
     if diminishes then before - after else 0
   in
-  (* Heap of (ΔD, i, j, round-stamp); ties broken by vertex ids so runs
-     are deterministic (and match the paper's k = 2 walkthrough). *)
-  let cmp (d1, i1, j1, _) (d2, i2, j2, _) = compare (d1, i1, j1) (d2, i2, j2) in
+  (* Heap of (ΔD, i, j, round-stamp) in (ΔD, i, j) order: ties broken by
+     vertex ids so runs are deterministic (and match the paper's k = 2
+     walkthrough). *)
+  let cmp (d1, i1, j1, _) (d2, i2, j2, _) =
+    if d1 <> d2 then Int.compare d1 d2
+    else if i1 <> i2 then Int.compare i1 i2
+    else Int.compare j1 j2
+  in
   let heap = Tdmd_heap.Binary_heap.create ~cmp () in
   let push_pair i j =
     let i, j = if i < j then (i, j) else (j, i) in

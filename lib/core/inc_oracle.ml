@@ -15,8 +15,15 @@ module Flow = Tdmd_flow.Flow
    built by the first query that reads it after [make] or [reset] and
    kept current by every edit from then on; an oracle that is only
    edited never pays for either, and the cover fix-up, which resets
-   often and asks only cover questions, builds only [uncov], walking
-   only the unserved flows.
+   often and asks only cover questions, builds only [uncov].  A static
+   oracle whose deployment is empty copies both halves from its
+   instance ([Instance.incidence]'s [empty_gain], and [degree] as the
+   unserved counts); any other build walks the flows, only the
+   unserved ones for [uncov].
+
+   The ledger's arithmetic is on ints throughout: [Int.min], not
+   Stdlib's polymorphic [min], which ocamlopt without flambda compiles
+   at type int to a call through [caml_lessequal].
 
    The swap searches price "this deployment without deployed box u"
    without editing it.  Only the flows u serves move: each is served
@@ -74,6 +81,7 @@ type t = {
   mutable gain_ok : bool;
   mutable uncov_ok : bool;
   mutable by_hops : int array;   (* [disjoint_paths]'s counting sort, kept between calls *)
+  empty_gain : int array;        (* a static oracle's instance's empty-deployment gains *)
   packed : int Atomic.t option;  (* the instance's full packing size, for a static oracle *)
   mutable scratch : scratch option;
   mutable leader : int;          (* undeployed vertex of highest gain, lowest on ties;
@@ -84,12 +92,9 @@ type t = {
    the destination: zero diminished edges; l > hops means unserved). *)
 let contrib rate hops l = if l > hops then 0 else rate * (hops - l)
 
-let make ~owned ~lambda ~vertices ~slabs ~degree ~rates ~hops ~paths ~packed =
+let make ~owned ~lambda ~vertices ~slabs ~degree ~rates ~hops ~paths ~total_volume
+    ~empty_gain ~packed =
   let nflows = Array.length hops in
-  let total_volume = ref 0 in
-  for fi = 0 to nflows - 1 do
-    total_volume := !total_volume + (rates.(fi) * hops.(fi))
-  done;
   {
     owned;
     lambda;
@@ -102,7 +107,7 @@ let make ~owned ~lambda ~vertices ~slabs ~degree ~rates ~hops ~paths ~packed =
     slots = nflows;
     free = [];
     flows = nflows;
-    total_volume = !total_volume;
+    total_volume;
     placed = Bytes.make vertices '\000';
     dim_volume = 0;
     unserved = nflows;
@@ -113,23 +118,26 @@ let make ~owned ~lambda ~vertices ~slabs ~degree ~rates ~hops ~paths ~packed =
     gain_ok = false;
     uncov_ok = false;
     by_hops = [||];
+    empty_gain;
     packed;
     scratch = None;
     leader = -2;
   }
 
 let create instance =
-  let { Instance.slabs; degree; rates; hops; paths; disjoint_paths } =
+  let { Instance.slabs; degree; rates; hops; paths; empty_gain; disjoint_paths } =
     instance.Instance.incidence
   in
   make ~owned:false ~lambda:instance.Instance.lambda
     ~vertices:(Instance.vertex_count instance) ~slabs ~degree ~rates ~hops ~paths
+    ~total_volume:(Instance.total_path_volume instance) ~empty_gain
     ~packed:(Some disjoint_paths)
 
 let empty ~vertices ~lambda =
   Instance.check_lambda "Inc_oracle.empty" lambda;
   make ~owned:true ~lambda ~vertices ~slabs:(Array.make vertices [||])
-    ~degree:(Array.make vertices 0) ~rates:[||] ~hops:[||] ~paths:[||] ~packed:None
+    ~degree:(Array.make vertices 0) ~rates:[||] ~hops:[||] ~paths:[||] ~total_volume:0
+    ~empty_gain:[||] ~packed:None
 
 let mem t v = Bytes.get t.placed v = '\001'
 let size t = t.placed_count
@@ -153,7 +161,7 @@ let next_deployed t path q =
 (* Add [sign] times flow [fi]'s [gain] terms at serving position [s]. *)
 let add_gains t fi s sign =
   let path = t.paths.(fi) and r = t.rates.(fi) and gain = t.gain in
-  let top = min s t.hops.(fi) in
+  let top = Int.min s t.hops.(fi) in
   for p = 0 to top - 1 do
     let v = path.(p) in
     gain.(v) <- gain.(v) + (sign * r * (top - p))
@@ -175,21 +183,21 @@ let shift_serving t fi a b =
   let path = t.paths.(fi) and r = t.rates.(fi) and h = t.hops.(fi) in
   if t.gain_ok then begin
     let gain = t.gain in
-    let shift = r * (min b h - min a h) in
+    let shift = r * (Int.min b h - Int.min a h) in
     if shift <> 0 then
-      for p = 0 to min a b - 1 do
+      for p = 0 to Int.min a b - 1 do
         let v = path.(p) in
         gain.(v) <- gain.(v) + shift
       done;
     if b < a then begin
-      let top = min a h in
+      let top = Int.min a h in
       for p = b to top - 1 do
         let v = path.(p) in
         gain.(v) <- gain.(v) - (r * (top - p))
       done
     end
     else begin
-      let top = min b h in
+      let top = Int.min b h in
       for p = a to top - 1 do
         let v = path.(p) in
         gain.(v) <- gain.(v) + (r * (top - p))
@@ -198,20 +206,30 @@ let shift_serving t fi a b =
   end;
   if t.uncov_ok && (a > h) <> (b > h) then add_uncovered t fi (if b > h then 1 else -1)
 
-(* Vacated slots, whose path is empty, hold no terms. *)
+(* With nothing deployed every flow is unserved, so a static oracle's
+   ledger is its instance's: the empty gains, and [degree] as the
+   unserved counts.  Vacated slots, whose path is empty, hold no terms. *)
+let[@inline] static_and_empty t = (not t.owned) && t.placed_count = 0
+
 let build_gain t =
-  Array.fill t.gain 0 (Array.length t.gain) 0;
-  for fi = 0 to t.slots - 1 do
-    if Array.length t.paths.(fi) > 0 then add_gains t fi t.first.(fi) 1
-  done;
+  if static_and_empty t then Array.blit t.empty_gain 0 t.gain 0 (Array.length t.gain)
+  else begin
+    Array.fill t.gain 0 (Array.length t.gain) 0;
+    for fi = 0 to t.slots - 1 do
+      if Array.length t.paths.(fi) > 0 then add_gains t fi t.first.(fi) 1
+    done
+  end;
   t.gain_ok <- true
 
 let build_uncov t =
-  Array.fill t.uncov 0 (Array.length t.uncov) 0;
-  for fi = 0 to t.slots - 1 do
-    if Array.length t.paths.(fi) > 0 && t.first.(fi) > t.hops.(fi) then
-      add_uncovered t fi 1
-  done;
+  if static_and_empty t then Array.blit t.degree 0 t.uncov 0 (Array.length t.uncov)
+  else begin
+    Array.fill t.uncov 0 (Array.length t.uncov) 0;
+    for fi = 0 to t.slots - 1 do
+      if Array.length t.paths.(fi) > 0 && t.first.(fi) > t.hops.(fi) then
+        add_uncovered t fi 1
+    done
+  end;
   t.uncov_ok <- true
 
 let[@inline] ensure_gain t = if not t.gain_ok then build_gain t
@@ -304,7 +322,7 @@ let of_list instance vs =
 (* {1 Flow edits} *)
 
 let grow a fill =
-  let b = Array.make (max 8 (2 * Array.length a)) fill in
+  let b = Array.make (Int.max 8 (2 * Array.length a)) fill in
   Array.blit a 0 b 0 (Array.length a);
   b
 
@@ -432,7 +450,7 @@ let pack t ~at_most =
   let n = Bytes.length t.placed in
   let need = n + 1 + t.flows in
   if Array.length t.by_hops < need then
-    t.by_hops <- Array.make (max need (2 * Array.length t.by_hops)) 0;
+    t.by_hops <- Array.make (Int.max need (2 * Array.length t.by_hops)) 0;
   let a = t.by_hops in
   Array.fill a 0 (n + 1) 0;
   for fi = 0 to t.slots - 1 do
@@ -485,7 +503,7 @@ let disjoint_paths t ~at_most =
         size
       end
     in
-    min at_most size
+    Int.min at_most size
 
 (* {1 What-if removal} *)
 
@@ -550,7 +568,7 @@ let price_without t s u =
       if pos = t.first.(fi) then begin
         let path = t.paths.(fi) and r = t.rates.(fi) and h = t.hops.(fi) in
         let b = next_deployed t path (pos + 1) in
-        let top = min b h in
+        let top = Int.min b h in
         let shift = r * (top - pos) in
         lost := !lost + shift;
         let stranded = b > h in

@@ -38,7 +38,11 @@
     the first query that reads it after {!create}, {!of_list}, {!empty}
     or {!reset}: the gains in one pass over every flow's path prefix,
     O(|V| + Σ path lengths), the counts in one pass over the unserved
-    flows' paths.  From then on every {!add}, {!remove}, {!undo},
+    flows' paths.  An oracle made by {!create} whose deployment is empty
+    (after {!create} or {!reset}, or once every box is retired) copies
+    both halves from its instance instead, in O(|V|): the gains from
+    [Instance.incidence]'s [empty_gain], the counts from its [degree],
+    since every flow is unserved then.  From then on every {!add}, {!remove}, {!undo},
     {!add_flow} and {!remove_flow} keeps the built halves current, at
     O(path prefix up to the later of the old and new serving positions)
     for each flow whose serving position moves (plus one pass over the
@@ -47,7 +51,9 @@
     candidate.  An oracle that is only edited and never asked (HAT's Δb
     probes, the annealer's walk, {!Incremental.restore}) builds neither
     half, and the cover fix-up, which resets for every candidate prefix
-    and asks only cover questions, builds only the counts.
+    and asks only cover questions, builds only the counts.  The ledger
+    arithmetic is on ints ([Int.min], never Stdlib's polymorphic [min]),
+    so each term costs an integer compare, not a runtime call.
 
     Two constructors fix who owns the incidence.  {!create} reads the
     instance's incidence, built once by [Instance.make] and shared
@@ -71,7 +77,9 @@ val create : Instance.t -> t
 (** Empty deployment over the instance's flows.  O(|V| + |F|): the
     incidence comes with the instance, so an oracle allocates only its
     per-run state — a deployed byte per vertex, a serving position per
-    flow and the ledger's two ints per vertex (not yet built).  Oracles
+    flow and the ledger's two ints per vertex (not yet filled; the first
+    query copies the instance's empty ledger into them).  U comes from
+    {!Instance.total_path_volume}.  Oracles
     over one instance are independent and may run in different domains
     at once. *)
 
@@ -85,7 +93,8 @@ val empty : vertices:int -> lambda:float -> t
 
 val reset : t -> unit
 (** Return to the empty deployment and clear the undo journal.  Each
-    half of the ledger is rebuilt by the next query that reads it. *)
+    half of the ledger is rebuilt by the next query that reads it: for
+    an oracle made by {!create}, copied from the instance. *)
 
 (** {1 Deployment edits} *)
 

@@ -251,7 +251,7 @@ let restore ?(migration_budget = 0) ?(rebalances = 0) ?(rebalance_moves = 0)
   if moves < 0 || arrivals < 0 || departures < 0 || rebalances < 0
      || rebalance_moves < 0
   then invalid_arg "Incremental.restore: negative counters";
-  let ids = Hashtbl.create (max 64 (List.length flows)) in
+  let ids = Hashtbl.create (Int.max 64 (List.length flows)) in
   let oracle = Inc_oracle.empty ~vertices:n ~lambda in
   let rev_flows =
     List.fold_left

@@ -8,6 +8,7 @@ type incidence = {
   rates : int array;
   hops : int array;
   paths : int array array;
+  empty_gain : int array;
   disjoint_paths : int Atomic.t;
 }
 
@@ -29,7 +30,7 @@ let slab_capacity d =
   if d = 0 then 0 else up 8
 
 (* One pass to size each vertex's slab, one to fill it in flow-index
-   order. *)
+   order and sum each vertex's empty-deployment gain. *)
 let incidence_of ~n flows =
   let degree = Array.make n 0 in
   Array.iter
@@ -42,15 +43,17 @@ let incidence_of ~n flows =
         f.Flow.path)
     flows;
   let slabs = Array.map (fun d -> Array.make (slab_capacity d) 0) degree in
-  let fill = Array.make n 0 in
+  let fill = Array.make n 0 and empty_gain = Array.make n 0 in
   Array.iteri
     (fun fi f ->
+      let rate = f.Flow.rate and hops = Flow.hop_count f in
       Array.iteri
         (fun pos v ->
           let i = fill.(v) in
           slabs.(v).(2 * i) <- fi;
           slabs.(v).((2 * i) + 1) <- pos;
-          fill.(v) <- i + 1)
+          fill.(v) <- i + 1;
+          empty_gain.(v) <- empty_gain.(v) + (rate * (hops - pos)))
         f.Flow.path)
     flows;
   {
@@ -59,6 +62,7 @@ let incidence_of ~n flows =
     rates = Array.map (fun f -> f.Flow.rate) flows;
     hops = Array.map Flow.hop_count flows;
     paths = Array.map (fun f -> f.Flow.path) flows;
+    empty_gain;
     disjoint_paths = Atomic.make (-1);
   }
 

@@ -16,6 +16,12 @@ type incidence = private {
   rates : int array;  (** per flow index: r_f *)
   hops : int array;  (** per flow index: |p_f| *)
   paths : int array array;  (** per flow index: p_f *)
+  empty_gain : int array;
+      (** per vertex: Σ r_f·(|p_f| − position) over the flows through
+          it, the diminished volume a lone box there would serve — the
+          gain ledger of the empty deployment, which every static
+          {!Inc_oracle} over the instance copies instead of walking the
+          paths *)
   disjoint_paths : int Atomic.t;
       (** the size of {!Inc_oracle.disjoint_paths}'s full packing of
           these flows, stored by the first oracle over the instance that
@@ -25,8 +31,9 @@ type incidence = private {
     int slab per vertex plus per-flow arrays, built once per instance
     and shared read-only by every {!Inc_oracle} (and every domain)
     solving it, so an oracle allocates only its per-run deployment
-    state.  The churn engine's oracle keeps the same layout over flow
-    slots it owns.  The arrays must not be written; [disjoint_paths] is
+    state and copies the empty deployment's ledger ([empty_gain],
+    [degree]) instead of building it.  The churn engine's oracle keeps
+    the same layout over flow slots it owns.  The arrays must not be written; [disjoint_paths] is
     the one cell an oracle writes, with a value every oracle over the
     instance computes alike. *)
 
@@ -44,7 +51,8 @@ val make :
   lambda:float ->
   t
 (** Validates 0 ≤ λ ≤ 1 (NaN fails) and every flow path against the graph, then
-    builds the {!incidence} in O(|V| + Σ_f |p_f|).
+    builds the {!incidence}, [empty_gain] in the pass that fills the
+    slabs, in O(|V| + Σ_f |p_f|).
     @raise Invalid_argument on violations. *)
 
 val valid_lambda : float -> bool

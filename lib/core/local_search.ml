@@ -6,8 +6,7 @@
    strictly-better candidate wins) must stay those of the probe-and-undo
    reference in test/reference.ml: the differential tests compare the
    result and the "evaluations"/"delta_evals" counts with it. *)
-let refine ?(max_rounds = 1000) ~k instance placement =
-  let t = Inc_oracle.of_list instance (Placement.to_list placement) in
+let refine ?(max_rounds = 1000) ~k instance t =
   if not (Inc_oracle.is_feasible t) then
     invalid_arg "Local_search.refine: infeasible starting deployment";
   let tel = Tdmd_obs.Telemetry.create () in

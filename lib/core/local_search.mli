@@ -10,9 +10,13 @@
     it closes the GTP/HAT-to-DP gap. *)
 
 val refine :
-  ?max_rounds:int -> k:int -> Instance.t -> Placement.t -> Solver_intf.outcome
-(** [refine ~k inst p] requires [p] feasible (raises [Invalid_argument]
-    otherwise), so its outcome is always feasible.  Default
+  ?max_rounds:int -> k:int -> Instance.t -> Inc_oracle.t -> Solver_intf.outcome
+(** [refine ~k inst t] starts from the deployment that [t], an oracle
+    over [inst], holds: {!Gtp.run_oracle}'s, or
+    [Inc_oracle.of_list inst (Placement.to_list p)] for a placement [p].
+    That deployment must be feasible (raises [Invalid_argument]
+    otherwise), so the outcome is always feasible.  The search edits
+    [t] in place and leaves it holding the outcome's placement.  Default
     [max_rounds] = 1000.  Candidate moves are scored on one
     {!Inc_oracle} by {!Inc_oracle.scan_moves}, one call per outgoing
     box (plus one for the pure additions): it prices the deployment

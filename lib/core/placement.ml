@@ -1,11 +1,11 @@
 type t = int list
 
-let of_list vs = List.sort_uniq compare vs
+let of_list vs = List.sort_uniq Int.compare vs
 let empty = []
 let size = List.length
-let mem t v = List.mem v t
+let mem t v = List.exists (Int.equal v) t
 let add t v = of_list (v :: t)
-let remove t v = List.filter (fun u -> u <> v) t
+let remove t v = List.filter (fun u -> not (Int.equal u v)) t
 let union a b = of_list (a @ b)
 let to_list t = t
 

@@ -4,14 +4,14 @@ type general_solver =
 type tree_solver =
   rng:Tdmd_prelude.Rng.t -> k:int -> Instance.Tree.t -> Solver_intf.outcome
 
-(* GTP then the swap-based refinement: never worse than plain GTP.
-   The refinement requires a feasible start, so an infeasible greedy
-   run is returned as-is. *)
+(* GTP then the swap-based refinement on the oracle GTP ends on: never
+   worse than plain GTP.  The refinement requires a feasible start, so
+   an infeasible greedy run is returned as-is. *)
 let gtp_ls ~k inst =
-  let g = Gtp.run ~budget:k inst in
+  let g, oracle = Gtp.run_oracle ~budget:k inst in
   if not g.Solver_intf.feasible then g
   else begin
-    let r = Local_search.refine ~k inst g.Solver_intf.placement in
+    let r = Local_search.refine ~k inst oracle in
     let tel = g.Solver_intf.telemetry in
     Tdmd_obs.Telemetry.merge ~into:tel r.Solver_intf.telemetry;
     (* [budget] and [placement_size] are run parameters, not work
@@ -33,7 +33,7 @@ let replay ~span ~migration_budget ~k inst =
      keeps the empty deployment, which serves only an empty flow set. *)
   let state =
     Incremental.create ~migration_budget ~graph:inst.Instance.graph
-      ~lambda:inst.Instance.lambda ~k:(max k 1) ()
+      ~lambda:inst.Instance.lambda ~k:(Int.max k 1) ()
   in
   let telemetry = Incremental.telemetry state in
   Tdmd_obs.Telemetry.set telemetry "budget" (Tdmd_obs.Telemetry.Int k);

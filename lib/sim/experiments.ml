@@ -251,105 +251,133 @@ type ablation_row = {
 let counter (o : Tdmd.Solver_intf.outcome) name =
   float_of_int (Tdmd_obs.Telemetry.get_count o.Tdmd.Solver_intf.telemetry name)
 
-let ablation ?(seed = 18000) ?(reps = 5) () =
+type ablation_block = Celf | Scaled_dp | Hat_merges | Local_search | Incremental
+
+let ablation_blocks = [ Celf; Scaled_dp; Hat_merges; Local_search; Incremental ]
+
+(* Each block draws its instances from its own generator, seeded by
+   [seed] and a constant of the block, so its rows are the same whether
+   it runs alone or after any other block. *)
+let ablation_block ?(seed = 18000) ?(reps = 5) block =
   let rows = ref [] in
   let push label metric value = rows := { label; metric; value } :: !rows in
-  let master = Rng.create seed in
-  (* CELF vs plain GTP: identical bandwidth, fewer oracle calls. *)
-  let plain_calls = Stats.Welford.create () and celf_calls = Stats.Welford.create () in
-  let bw_gap = Stats.Welford.create () in
-  for _ = 1 to reps do
-    let rng = Rng.split master in
-    let inst = Scenario.build_general rng Scenario.default_general in
-    let a = Tdmd.Gtp.run ~budget:Scenario.default_general.Scenario.k inst in
-    let b = Tdmd.Gtp.run_celf ~budget:Scenario.default_general.Scenario.k inst in
-    Stats.Welford.add plain_calls (counter a "oracle_calls");
-    Stats.Welford.add celf_calls (counter b "oracle_calls");
-    Stats.Welford.add bw_gap
-      (Float.abs (a.Tdmd.Solver_intf.bandwidth -. b.Tdmd.Solver_intf.bandwidth))
-  done;
-  push "GTP plain" "oracle calls" (Stats.Welford.mean plain_calls);
-  push "GTP CELF" "oracle calls" (Stats.Welford.mean celf_calls);
-  push "GTP CELF" "bandwidth gap vs plain" (Stats.Welford.mean bw_gap);
-  (* Rate-scaled DP: value loss and state savings at theta = 4. *)
-  let loss = Stats.Welford.create () in
-  let state_ratio = Stats.Welford.create () in
-  for _ = 1 to reps do
-    let rng = Rng.split master in
-    let inst = Scenario.build_tree rng Scenario.default_tree in
-    let k = Scenario.default_tree.Scenario.k in
-    let dp = Tdmd.Dp.solve ~k inst in
-    let sc = Tdmd.Scaled_dp.solve ~k ~theta:4 inst in
-    if dp.Tdmd.Solver_intf.bandwidth > 0.0 then
-      Stats.Welford.add loss
-        ((sc.Tdmd.Solver_intf.bandwidth -. dp.Tdmd.Solver_intf.bandwidth)
-        /. dp.Tdmd.Solver_intf.bandwidth);
-    Stats.Welford.add state_ratio
-      (counter sc "scaled_states" /. counter dp "states")
-  done;
-  push "Scaled DP (theta=4)" "relative bandwidth loss" (Stats.Welford.mean loss);
-  push "Scaled DP (theta=4)" "state ratio vs exact DP" (Stats.Welford.mean state_ratio);
-  (* HAT merge effort at the default scenario. *)
-  let merges = Stats.Welford.create () in
-  for _ = 1 to reps do
-    let rng = Rng.split master in
-    let inst = Scenario.build_tree rng Scenario.default_tree in
-    let r = Tdmd.Hat.run ~k:Scenario.default_tree.Scenario.k inst in
-    Stats.Welford.add merges (counter r "merges")
-  done;
-  push "HAT" "merge rounds" (Stats.Welford.mean merges);
-  (* Local search refinement: how much of the greedy-to-optimal gap the
-     swap pass closes at the default tree scenario. *)
-  let ls_gain_gtp = Stats.Welford.create () in
-  let ls_swaps = Stats.Welford.create () in
-  for _ = 1 to reps do
-    let rng = Rng.split master in
-    let inst = Scenario.build_tree rng Scenario.default_tree in
-    let general = Tdmd.Instance.Tree.to_general inst in
-    let k = Scenario.default_tree.Scenario.k in
-    let gtp = Tdmd.Gtp.run ~budget:k general in
-    if gtp.Tdmd.Solver_intf.feasible then begin
-      let r = Tdmd.Local_search.refine ~k general gtp.Tdmd.Solver_intf.placement in
-      if gtp.Tdmd.Solver_intf.bandwidth > 0.0 then
-        Stats.Welford.add ls_gain_gtp
-          ((gtp.Tdmd.Solver_intf.bandwidth -. r.Tdmd.Solver_intf.bandwidth)
-          /. gtp.Tdmd.Solver_intf.bandwidth);
-      Stats.Welford.add ls_swaps (counter r "swaps")
-    end
-  done;
-  push "Local search on GTP" "relative bandwidth gain" (Stats.Welford.mean ls_gain_gtp);
-  push "Local search on GTP" "improving swaps" (Stats.Welford.mean ls_swaps);
-  (* Incremental maintenance vs from-scratch GTP over a flow-churn
-     timeline: quality ratio and placement moves. *)
-  let ratio = Stats.Welford.create () in
-  let inc_moves = Stats.Welford.create () in
-  for _ = 1 to reps do
-    let rng = Rng.split master in
-    let ark = Tdmd_topo.Ark.generate rng ~n:40 in
-    let graph, dests = Tdmd_topo.Ark.general_of rng ark ~size:24 in
-    let k = 6 in
-    let timeline =
-      Tdmd_traffic.Temporal.generate rng ~horizon:60.0 ~mean_interarrival:1.5
-        ~mean_lifetime:12.0
-        ~draw_flow:
-          (Tdmd_traffic.Temporal.random_flow ~dests:(Array.of_list dests) graph)
-    in
-    let inc = Tdmd.Incremental.create ~graph ~lambda:0.5 ~k () in
-    List.iter
-      (fun (_, ev) ->
-        (match ev with
-        | Tdmd_traffic.Temporal.Arrival f -> Tdmd.Incremental.arrive inc f
-        | Tdmd_traffic.Temporal.Departure id -> Tdmd.Incremental.depart inc id);
-        if Tdmd.Incremental.flows inc <> [] && Tdmd.Incremental.feasible inc then begin
-          let scratch = Tdmd.Gtp.run ~budget:k (Tdmd.Incremental.instance inc) in
-          if scratch.Tdmd.Solver_intf.bandwidth > 0.0 then
-            Stats.Welford.add ratio
-              (Tdmd.Incremental.bandwidth inc /. scratch.Tdmd.Solver_intf.bandwidth)
-        end)
-      timeline;
-    Stats.Welford.add inc_moves (float_of_int (Tdmd.Incremental.moves inc))
-  done;
-  push "Incremental vs scratch GTP" "bandwidth ratio (mean)" (Stats.Welford.mean ratio);
-  push "Incremental vs scratch GTP" "placement moves per timeline"
-    (Stats.Welford.mean inc_moves);
+  let constant =
+    match block with
+    | Celf -> 1
+    | Scaled_dp -> 2
+    | Hat_merges -> 3
+    | Local_search -> 4
+    | Incremental -> 5
+  in
+  let master = Rng.create ((seed * 16) + constant) in
+  (match block with
+  | Celf ->
+    (* CELF vs plain GTP: identical bandwidth, fewer oracle calls. *)
+    let plain_calls = Stats.Welford.create () and celf_calls = Stats.Welford.create () in
+    let bw_gap = Stats.Welford.create () in
+    for _ = 1 to reps do
+      let rng = Rng.split master in
+      let inst = Scenario.build_general rng Scenario.default_general in
+      let a = Tdmd.Gtp.run ~budget:Scenario.default_general.Scenario.k inst in
+      let b = Tdmd.Gtp.run_celf ~budget:Scenario.default_general.Scenario.k inst in
+      Stats.Welford.add plain_calls (counter a "oracle_calls");
+      Stats.Welford.add celf_calls (counter b "oracle_calls");
+      Stats.Welford.add bw_gap
+        (Float.abs (a.Tdmd.Solver_intf.bandwidth -. b.Tdmd.Solver_intf.bandwidth))
+    done;
+    push "GTP plain" "oracle calls" (Stats.Welford.mean plain_calls);
+    push "GTP CELF" "oracle calls" (Stats.Welford.mean celf_calls);
+    push "GTP CELF" "bandwidth gap vs plain" (Stats.Welford.mean bw_gap)
+  | Scaled_dp ->
+    (* Rate-scaled DP: value loss and state savings at theta = 4. *)
+    let loss = Stats.Welford.create () in
+    let state_ratio = Stats.Welford.create () in
+    for _ = 1 to reps do
+      let rng = Rng.split master in
+      let inst = Scenario.build_tree rng Scenario.default_tree in
+      let k = Scenario.default_tree.Scenario.k in
+      let dp = Tdmd.Dp.solve ~k inst in
+      let sc = Tdmd.Scaled_dp.solve ~k ~theta:4 inst in
+      if dp.Tdmd.Solver_intf.bandwidth > 0.0 then
+        Stats.Welford.add loss
+          ((sc.Tdmd.Solver_intf.bandwidth -. dp.Tdmd.Solver_intf.bandwidth)
+          /. dp.Tdmd.Solver_intf.bandwidth);
+      Stats.Welford.add state_ratio
+        (counter sc "scaled_states" /. counter dp "states")
+    done;
+    push "Scaled DP (theta=4)" "relative bandwidth loss" (Stats.Welford.mean loss);
+    push "Scaled DP (theta=4)" "state ratio vs exact DP" (Stats.Welford.mean state_ratio)
+  | Hat_merges ->
+    (* HAT merge effort at the default scenario. *)
+    let merges = Stats.Welford.create () in
+    for _ = 1 to reps do
+      let rng = Rng.split master in
+      let inst = Scenario.build_tree rng Scenario.default_tree in
+      let r = Tdmd.Hat.run ~k:Scenario.default_tree.Scenario.k inst in
+      Stats.Welford.add merges (counter r "merges")
+    done;
+    push "HAT" "merge rounds" (Stats.Welford.mean merges)
+  | Local_search ->
+    (* Local search refinement: how much of the greedy-to-optimal gap the
+       swap pass closes at the default tree scenario. *)
+    let ls_gain_gtp = Stats.Welford.create () in
+    let ls_swaps = Stats.Welford.create () in
+    for _ = 1 to reps do
+      let rng = Rng.split master in
+      let inst = Scenario.build_tree rng Scenario.default_tree in
+      let general = Tdmd.Instance.Tree.to_general inst in
+      let k = Scenario.default_tree.Scenario.k in
+      let gtp = Tdmd.Gtp.run ~budget:k general in
+      if gtp.Tdmd.Solver_intf.feasible then begin
+        let r =
+          Tdmd.Local_search.refine ~k general
+            (Tdmd.Inc_oracle.of_list general
+               (Tdmd.Placement.to_list gtp.Tdmd.Solver_intf.placement))
+        in
+        if gtp.Tdmd.Solver_intf.bandwidth > 0.0 then
+          Stats.Welford.add ls_gain_gtp
+            ((gtp.Tdmd.Solver_intf.bandwidth -. r.Tdmd.Solver_intf.bandwidth)
+            /. gtp.Tdmd.Solver_intf.bandwidth);
+        Stats.Welford.add ls_swaps (counter r "swaps")
+      end
+    done;
+    push "Local search on GTP" "relative bandwidth gain" (Stats.Welford.mean ls_gain_gtp);
+    push "Local search on GTP" "improving swaps" (Stats.Welford.mean ls_swaps)
+  | Incremental ->
+    (* Incremental maintenance vs from-scratch GTP over a flow-churn
+       timeline: quality ratio and placement moves. *)
+    let ratio = Stats.Welford.create () in
+    let inc_moves = Stats.Welford.create () in
+    for _ = 1 to reps do
+      let rng = Rng.split master in
+      let ark = Tdmd_topo.Ark.generate rng ~n:40 in
+      let graph, dests = Tdmd_topo.Ark.general_of rng ark ~size:24 in
+      let k = 6 in
+      let timeline =
+        Tdmd_traffic.Temporal.generate rng ~horizon:60.0 ~mean_interarrival:1.5
+          ~mean_lifetime:12.0
+          ~draw_flow:
+            (Tdmd_traffic.Temporal.random_flow ~dests:(Array.of_list dests) graph)
+      in
+      let inc = Tdmd.Incremental.create ~graph ~lambda:0.5 ~k () in
+      List.iter
+        (fun (_, ev) ->
+          (match ev with
+          | Tdmd_traffic.Temporal.Arrival f -> Tdmd.Incremental.arrive inc f
+          | Tdmd_traffic.Temporal.Departure id -> Tdmd.Incremental.depart inc id);
+          if Tdmd.Incremental.flows inc <> [] && Tdmd.Incremental.feasible inc then begin
+            let scratch = Tdmd.Gtp.run ~budget:k (Tdmd.Incremental.instance inc) in
+            if scratch.Tdmd.Solver_intf.bandwidth > 0.0 then
+              Stats.Welford.add ratio
+                (Tdmd.Incremental.bandwidth inc /. scratch.Tdmd.Solver_intf.bandwidth)
+          end)
+        timeline;
+      Stats.Welford.add inc_moves (float_of_int (Tdmd.Incremental.moves inc))
+    done;
+    push "Incremental vs scratch GTP" "bandwidth ratio (mean)" (Stats.Welford.mean ratio);
+    push "Incremental vs scratch GTP" "placement moves per timeline"
+      (Stats.Welford.mean inc_moves));
   List.rev !rows
+
+let ablation ?seed ?reps () =
+  List.concat_map (ablation_block ?seed ?reps) ablation_blocks

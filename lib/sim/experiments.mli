@@ -70,8 +70,19 @@ type ablation_row = {
   value : float;
 }
 
+type ablation_block = Celf | Scaled_dp | Hat_merges | Local_search | Incremental
+
+val ablation_blocks : ablation_block list
+(** Every block, in the order {!ablation} runs them. *)
+
+val ablation_block : ?seed:int -> ?reps:int -> ablation_block -> ablation_row list
+(** One block's rows.  The block draws its instances from its own
+    generator, seeded by [seed] and a constant of the block, so its rows
+    are the same whether it runs alone or inside {!ablation}. *)
+
 val ablation : ?seed:int -> ?reps:int -> unit -> ablation_row list
-(** Design ablations: CELF vs plain GTP oracle calls, HAT merge count,
-    rate-scaled DP accuracy/state trade-off, local search and churn.
-    Every row is seeded quality or work, never wall clock, so two runs
-    at one seed return identical rows. *)
+(** Design ablations, every block of {!ablation_blocks} in order: CELF
+    vs plain GTP oracle calls, rate-scaled DP accuracy/state trade-off,
+    HAT merge count, local search and churn.  Every row is seeded
+    quality or work, never wall clock, so two runs at one seed return
+    identical rows. *)

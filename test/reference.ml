@@ -557,10 +557,13 @@ let oracle_naive instance =
         float_of_int (Tdmd.Bandwidth.diminished_volume instance (Placement.of_list vs)));
   }
 
-(* GTP (or CELF, by [select]) over [oracle_naive], repaired by [within]. *)
+(* GTP (or CELF, by [select]) over [oracle_naive], repaired by [within]:
+   the placement and the marginals read, which are the set-function
+   calls less the one read of the empty set the value-only loops start
+   from. *)
 let gtp select ~budget instance =
   let sel = select ~stop:(fun _ -> false) ~k:budget (oracle_naive instance) in
-  Placement.of_list (within instance ~chosen:sel.chosen ~budget)
+  (Placement.of_list (within instance ~chosen:sel.chosen ~budget), sel.oracle_calls - 1)
 
 (* ΔD of HAT's merge of [i] and [j]: replace their boxes by one on
    their LCA and rescan. *)

@@ -74,6 +74,30 @@ let test_ablation () =
     "two runs, identical rows" (bits rows)
     (bits (E.ablation ~reps:1 ()))
 
+(* Each block draws from its own generator: run alone, or after every
+   other block in reverse order, it returns the rows it returns inside
+   the full ablation, to the bit. *)
+let test_ablation_blocks_independent () =
+  let bits rows =
+    List.map (fun r -> (r.E.label, r.E.metric, Int64.bits_of_float r.E.value)) rows
+  in
+  let full = E.ablation ~reps:1 () in
+  let reversed =
+    List.rev_map (fun b -> (b, E.ablation_block ~reps:1 b)) (List.rev E.ablation_blocks)
+  in
+  List.iter
+    (fun block ->
+      let alone = E.ablation_block ~reps:1 block in
+      let labels = List.map (fun r -> r.E.label) alone in
+      Alcotest.(check bool) "block has rows" true (alone <> []);
+      Alcotest.(check (list (triple string string int64)))
+        "alone = inside the full ablation" (bits alone)
+        (bits (List.filter (fun r -> List.mem r.E.label labels) full));
+      Alcotest.(check (list (triple string string int64)))
+        "alone = after the other blocks" (bits alone)
+        (bits (List.assq block reversed)))
+    E.ablation_blocks
+
 (* Expected orderings at modest reps: the headline claims of Sec. 6.3. *)
 let test_fig9_ordering () =
   let r = E.fig9 ~reps:3 () in
@@ -108,5 +132,7 @@ let suite =
     Alcotest.test_case "fig16 wiring" `Quick test_fig16;
     Alcotest.test_case "fig17 wiring" `Quick test_fig17;
     Alcotest.test_case "ablation wiring" `Quick test_ablation;
+    Alcotest.test_case "ablation blocks independent" `Quick
+      test_ablation_blocks_independent;
     Alcotest.test_case "fig9: paper ordering holds" `Slow test_fig9_ordering;
   ]

@@ -89,11 +89,15 @@ let prop_dp_binary_placement_consistent =
 (* Local search                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* [refine] starts from an oracle holding the placement. *)
+let refine_from ~k inst p =
+  Tdmd.Local_search.refine ~k inst (Tdmd.Inc_oracle.of_list inst (P.to_list p))
+
 let test_local_search_improves_fig1 () =
   let inst = Fixtures.fig1_instance () in
   (* Start from the feasible-but-poor all-at-destination plan {v1,v2}. *)
   let start = P.of_list [ 0; 1 ] in
-  let r = Tdmd.Local_search.refine ~k:2 inst start in
+  let r = refine_from ~k:2 inst start in
   Alcotest.(check bool) "improved" true (r.Tdmd.Solver_intf.bandwidth < 16.0);
   Alcotest.(check (float 1e-9)) "reaches the k=2 optimum" 12.0
     r.Tdmd.Solver_intf.bandwidth;
@@ -104,7 +108,7 @@ let test_local_search_rejects_infeasible () =
   let inst = Fixtures.fig1_instance () in
   Alcotest.check_raises "infeasible start"
     (Invalid_argument "Local_search.refine: infeasible starting deployment")
-    (fun () -> ignore (Tdmd.Local_search.refine ~k:1 inst (P.of_list [ 3 ])))
+    (fun () -> ignore (refine_from ~k:1 inst (P.of_list [ 3 ])))
 
 let prop_local_search_never_worse =
   QCheck.Test.make ~name:"local search never worsens and stays feasible"
@@ -115,10 +119,10 @@ let prop_local_search_never_worse =
       let inst =
         Fixtures.random_general_instance rng ~n ~flows:(2 * n) ~max_rate:5 ~lambda:0.5
       in
-      let gtp = Tdmd.Gtp.run ~budget:k inst in
+      let gtp, oracle = Tdmd.Gtp.run_oracle ~budget:k inst in
       (not gtp.Tdmd.Solver_intf.feasible)
       || begin
-           let r = Tdmd.Local_search.refine ~k inst gtp.Tdmd.Solver_intf.placement in
+           let r = Tdmd.Local_search.refine ~k inst oracle in
            r.Tdmd.Solver_intf.bandwidth <= gtp.Tdmd.Solver_intf.bandwidth +. 1e-9
            && Tdmd.Feasibility.check inst r.Tdmd.Solver_intf.placement
            && P.size r.Tdmd.Solver_intf.placement <= k

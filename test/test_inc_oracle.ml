@@ -140,9 +140,11 @@ let prop_flow_edits_differential =
    share of the steps (never, about one in three, or every step), so
    edits run both before the ledger exists and while it is maintained;
    each query compares every vertex with the from-scratch volume and
-   unserved counts.  The tail undoes straight after a query, then
-   resets, edits and queries again.  Both constructors; zero-hop flows
-   ride along. *)
+   unserved counts.  Straight after the constructor, and straight after
+   a reset in the tail, a query reads both halves, so a static oracle's
+   copy of its instance's empty ledger is checked whole.  The tail also
+   undoes straight after a query, then resets, edits and queries again.
+   Both constructors; zero-hop flows ride along. *)
 let prop_ledger_differential =
   QCheck.Test.make ~name:"inc oracle gain ledger = from-scratch marginals, built or not"
     ~count:150
@@ -173,14 +175,14 @@ let prop_ledger_differential =
       let stack = ref [ Tdmd.Placement.empty ] in
       let current () = List.hd !stack in
       let ok = ref true in
-      (* A query reads the gains, the unserved counts or both, so each
-         half of the ledger is built and kept at its own times. *)
-      let query () =
+      (* A query reads the gains (0), the unserved counts (1) or both
+         (2), so each half of the ledger is built and kept at its own
+         times. *)
+      let query_halves halves =
         let r = Tdmd.Instance.make ~graph ~flows:(List.map fst !live) ~lambda in
         let p = current () in
         let volume = Reference.diminished_volume r p in
         let unserved = List.length (Reference.unserved r p) in
-        let halves = Rng.int rng 3 in
         for v = 0 to n - 1 do
           let pv = Tdmd.Placement.add p v in
           ok :=
@@ -191,6 +193,7 @@ let prop_ledger_differential =
                || O.newly_served t v = unserved - List.length (Reference.unserved r pv))
         done
       in
+      let query () = query_halves (Rng.int rng 3) in
       let add v =
         O.add t v;
         stack := Tdmd.Placement.add (current ()) v :: !stack
@@ -233,6 +236,7 @@ let prop_ledger_differential =
         | _ -> flow_edit ()
       in
       let every = match Rng.int rng 3 with 0 -> 0 | 1 -> 3 | _ -> 1 in
+      query_halves 2;
       for _ = 1 to 60 do
         step ();
         if every > 0 && Rng.int rng every = 0 then query ()
@@ -242,6 +246,8 @@ let prop_ledger_differential =
       query ();
       undo ();
       query ();
+      reset ();
+      query_halves 2;
       reset ();
       add (Rng.int rng n);
       remove (Rng.int rng n);
@@ -274,9 +280,22 @@ let prop_greedy_differential =
       same (fun ~k o -> Reference.greedy ~k o) Tdmd.Gtp.greedy
       && same (fun ~k o -> Reference.lazy_greedy ~k o) Tdmd.Gtp.celf)
 
+(* A run's span tree, as the registry golden renders it. *)
+let rec span_shape (s : Tdmd_obs.Telemetry.span) =
+  match s.Tdmd_obs.Telemetry.children with
+  | [] -> s.Tdmd_obs.Telemetry.label
+  | cs ->
+    Printf.sprintf "%s(%s)" s.Tdmd_obs.Telemetry.label
+      (String.concat "," (List.map span_shape cs))
+
 (* (c) End-to-end GTP / CELF against the from-scratch reference (naive
-   oracle, naive cover fix-up): identical placement, bandwidth and
-   feasibility. *)
+   oracle, naive cover fix-up): identical placement, bandwidth,
+   feasibility, marginals read ("oracle_calls" and "delta_evals") and
+   span tree.  Each case runs one budget below [Gtp.derived_k], where
+   the greedy leaves flows unserved and the fix-up repairs, and one at
+   or above it, where the greedy serves every flow and the fix-up is
+   skipped (no flow has zero hops, so every unserved flow has a
+   positive marginal at its source). *)
 let prop_gtp_run_differential =
   QCheck.Test.make ~name:"Gtp.run/run_celf: incremental = naive" ~count:40
     QCheck.(pair (int_bound 1_000_000) (int_range 4 12))
@@ -286,20 +305,34 @@ let prop_gtp_run_differential =
         Fixtures.random_general_instance rng ~n ~flows:n ~max_rate:5
           ~lambda:(Rng.float rng 1.0)
       in
-      let budget = 1 + Rng.int rng n in
-      let same select run =
-        let a = Reference.gtp select ~budget inst in
+      let derived = Tdmd.Gtp.derived_k inst in
+      let below = Rng.int rng derived in
+      let above = derived + Rng.int rng (n - derived + 1) in
+      let greedy_serves budget = O.is_feasible (Tdmd.Gtp.greedy ~k:budget inst).Tdmd.Gtp.oracle in
+      let same label select run budget =
+        let a, reads = Reference.gtp select ~budget inst in
         let b = run ~budget inst in
         Tdmd.Placement.to_list a = Tdmd.Placement.to_list b.Tdmd.Solver_intf.placement
         && Tdmd.Bandwidth.total inst a = b.Tdmd.Solver_intf.bandwidth
         && Tdmd.Allocation.is_feasible inst a = b.Tdmd.Solver_intf.feasible
+        && Fixtures.count b "oracle_calls" = reads
+        && Fixtures.count b "delta_evals" = reads
+        && List.map span_shape (Tdmd_obs.Telemetry.spans b.Tdmd.Solver_intf.telemetry)
+           = [ label ^ "(greedy,cover-fixup)" ]
       in
-      same
-        (fun ~stop ~k o -> Reference.greedy ~stop ~k o)
-        (fun ~budget i -> Tdmd.Gtp.run ~budget i)
-      && same
-           (fun ~stop ~k o -> Reference.lazy_greedy ~stop ~k o)
-           (fun ~budget i -> Tdmd.Gtp.run_celf ~budget i))
+      (not (greedy_serves below))
+      && greedy_serves above
+      && List.for_all
+           (fun budget ->
+             same "gtp"
+               (fun ~stop ~k o -> Reference.greedy ~stop ~k o)
+               (fun ~budget i -> Tdmd.Gtp.run ~budget i)
+               budget
+             && same "gtp-celf"
+                  (fun ~stop ~k o -> Reference.lazy_greedy ~stop ~k o)
+                  (fun ~budget i -> Tdmd.Gtp.run_celf ~budget i)
+                  budget)
+           [ below; above ])
 
 (* (d) HAT on random trees: the Δb probes answered by the oracle mirror
    must reproduce the merge sequence of the from-scratch reference
@@ -458,7 +491,9 @@ let prop_scans_differential =
    flow and only candidates on its path stay feasible. *)
 let same_refine ?max_rounds ~k inst p =
   let a = Reference.refine ?max_rounds ~k inst p in
-  let b = Tdmd.Local_search.refine ?max_rounds ~k inst p in
+  let b =
+    Tdmd.Local_search.refine ?max_rounds ~k inst (O.of_list inst (Tdmd.Placement.to_list p))
+  in
   let same_count name = Fixtures.count a name = Fixtures.count b name in
   Tdmd.Placement.to_list a.Tdmd.Solver_intf.placement
   = Tdmd.Placement.to_list b.Tdmd.Solver_intf.placement
@@ -493,6 +528,48 @@ let prop_refine_differential =
          || same_refine ?max_rounds ~k:(Tdmd.Placement.size g.Tdmd.Solver_intf.placement)
               inst g.Tdmd.Solver_intf.placement))
 
+(* (g') The registry's gtp-ls, which refines the oracle GTP ends on,
+   against the probe-and-undo reference refining [Gtp.run]'s placement
+   in an oracle rebuilt by [Inc_oracle.of_list]: same placement, D,
+   bandwidth bits, feasibility and work counters (GTP's and the
+   refinement's, summed as the registry merges them).  λ is 0, 0.5, 1
+   or drawn; the budget falls below [Gtp.derived_k], where GTP's fix-up
+   repairs and may leave the deployment infeasible (gtp-ls then answers
+   GTP's outcome), or at or above it, where the fix-up is skipped. *)
+let prop_gtp_ls_registry =
+  QCheck.Test.make ~name:"registry gtp-ls = GTP then the add/undo reference refine"
+    ~count:100
+    QCheck.(pair (int_bound 1_000_000) (int_range 4 14))
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let lambda =
+        match Rng.int rng 4 with 0 -> 0.0 | 1 -> 0.5 | 2 -> 1.0 | _ -> Rng.float rng 1.0
+      in
+      let inst =
+        Fixtures.random_general_instance rng ~n ~flows:(2 * n) ~max_rate:6 ~lambda
+      in
+      let derived = Tdmd.Gtp.derived_k inst in
+      let k = if Rng.bool rng then Rng.int rng derived else derived + Rng.int rng 3 in
+      let gtp_ls = Option.get (Tdmd.Solvers.find_general "gtp-ls") in
+      let got = gtp_ls ~rng:(Rng.create seed) ~k inst in
+      let g = Tdmd.Gtp.run ~budget:k inst in
+      let want =
+        if g.Tdmd.Solver_intf.feasible then Reference.refine ~k inst g.Tdmd.Solver_intf.placement
+        else g
+      in
+      let counted name =
+        Fixtures.count got name
+        = Fixtures.count g name
+          + if g.Tdmd.Solver_intf.feasible then Fixtures.count want name else 0
+      in
+      Tdmd.Placement.to_list got.Tdmd.Solver_intf.placement
+      = Tdmd.Placement.to_list want.Tdmd.Solver_intf.placement
+      && got.Tdmd.Solver_intf.volume = want.Tdmd.Solver_intf.volume
+      && Int64.bits_of_float got.Tdmd.Solver_intf.bandwidth
+         = Int64.bits_of_float want.Tdmd.Solver_intf.bandwidth
+      && got.Tdmd.Solver_intf.feasible = want.Tdmd.Solver_intf.feasible
+      && List.for_all counted [ "delta_evals"; "oracle_calls"; "swaps"; "evaluations" ])
+
 (* A swap whose outgoing box is the only one serving a flow: on the path
    0-1-2-3 the lone box at 2 moves to the source, the one candidate
    that serves the flow again at the smallest offset. *)
@@ -502,7 +579,7 @@ let test_refine_stranding_swap () =
   let f = Tdmd_flow.Flow.make ~id:0 ~rate:2 ~path:[ 0; 1; 2; 3 ] in
   let inst = Tdmd.Instance.make ~graph:g ~flows:[ f ] ~lambda:0.5 in
   let start = Tdmd.Placement.of_list [ 2 ] in
-  let r = Tdmd.Local_search.refine ~k:1 inst start in
+  let r = Tdmd.Local_search.refine ~k:1 inst (O.of_list inst [ 2 ]) in
   Alcotest.(check (list int)) "box moved to the source" [ 0 ]
     (Tdmd.Placement.to_list r.Tdmd.Solver_intf.placement);
   Alcotest.(check int) "one swap" 1 (Fixtures.count r "swaps");
@@ -820,6 +897,7 @@ let suite =
       test_cover_fixup_budget_cap;
     QCheck_alcotest.to_alcotest prop_scans_differential;
     QCheck_alcotest.to_alcotest prop_refine_differential;
+    QCheck_alcotest.to_alcotest prop_gtp_ls_registry;
     Alcotest.test_case "local search: stranding swap" `Quick
       test_refine_stranding_swap;
     QCheck_alcotest.to_alcotest prop_scan_moves_differential;

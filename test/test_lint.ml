@@ -64,6 +64,20 @@ let test_float_equal () =
     [ ("float-equal", 3); ("float-equal", 6) ];
   check_hits "float-equal pass" "pass_float_equal.ml" []
 
+(* Bare and [Stdlib.]-qualified min/max/compare, and only those: [Int]'s
+   orders, [max_int], [Float.min] and record fields named min/max go
+   through.  (The poly-compare-record fixtures allow this rule on their
+   one bare [compare], so they pin their own rule alone.)  Watched in
+   lib/core only. *)
+let test_poly_order () =
+  check_hits "poly-order" "flag_poly_order.ml"
+    [ ("poly-order", 3); ("poly-order", 6); ("poly-order", 9); ("poly-order", 12) ];
+  check_hits "poly-order pass" "pass_poly_order.ml" [];
+  Alcotest.(check bool) "watched in lib/core" true
+    (List.mem L.Poly_order (L.rules_for_path "lib/core/inc_oracle.ml"));
+  Alcotest.(check bool) "not elsewhere" false
+    (List.mem L.Poly_order (L.rules_for_path "lib/server/session.ml"))
+
 (* Interfaces are parsed too: expressions only occur inside attribute
    payloads there, but a float comparison is wrong wherever it hides. *)
 let test_mli_fixtures () =
@@ -221,6 +235,7 @@ let suite =
     Alcotest.test_case "poly-compare-record fixtures" `Quick
       test_poly_compare_record;
     Alcotest.test_case "float-equal fixtures" `Quick test_float_equal;
+    Alcotest.test_case "poly-order fixtures" `Quick test_poly_order;
     Alcotest.test_case "mli fixtures" `Quick test_mli_fixtures;
     Alcotest.test_case "suppression: same line" `Quick
       test_suppression_same_line;

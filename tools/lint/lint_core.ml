@@ -7,8 +7,9 @@
    Every rule is grounded in a bug this repo actually shipped: the
    [Obj.magic] heap dummy (PR 2), EINTR-unsafe [Unix.read]/[Unix.write]
    (PR 4), leaked mutexes on exception paths, [with _ ->] handlers that
-   swallowed [Out_of_memory] during crash-safety reasoning, and float
-   equality by polymorphic [=].
+   swallowed [Out_of_memory] during crash-safety reasoning, float
+   equality by polymorphic [=], and Stdlib's polymorphic [min] in the
+   oracle's per-flow ledger arithmetic.
 
    The pass is purely syntactic (Parsetree + Ast_iterator, no typing
    environment), so the record-compare rule works from identifier-name
@@ -27,6 +28,7 @@ type rule =
   | Direct_io
   | Poly_compare_record
   | Float_equal
+  | Poly_order
 
 let all_rules =
   [
@@ -37,6 +39,7 @@ let all_rules =
     Direct_io;
     Poly_compare_record;
     Float_equal;
+    Poly_order;
   ]
 
 let rule_id = function
@@ -47,6 +50,7 @@ let rule_id = function
   | Direct_io -> "no-direct-io"
   | Poly_compare_record -> "poly-compare-record"
   | Float_equal -> "float-equal"
+  | Poly_order -> "poly-order"
 
 let rule_of_id = function
   | "obj-magic" -> Some Obj_magic
@@ -56,6 +60,7 @@ let rule_of_id = function
   | "no-direct-io" -> Some Direct_io
   | "poly-compare-record" -> Some Poly_compare_record
   | "float-equal" -> Some Float_equal
+  | "poly-order" -> Some Poly_order
   | _ -> None
 
 let rule_doc = function
@@ -78,6 +83,11 @@ let rule_doc = function
      allocation-heavy and order-fragile in hot paths; use a dedicated equal"
   | Float_equal ->
     "= against a float literal; use Float.equal or an explicit tolerance"
+  | Poly_order ->
+    "Stdlib's min, max and compare are polymorphic: without flambda, \
+     ocamlopt compiles min at type int to a call to camlStdlib.min, which \
+     compares through caml_lessequal, where Int.min is one integer \
+     compare; use Int.min, Int.max, Int.compare or an explicit order"
 
 type diagnostic = K.diagnostic = {
   file : string;
@@ -165,6 +175,17 @@ let collect ~rules ~file ast =
            "bare %s is EINTR/short-write-unsafe; use Protocol.write_all / \
             Protocol.read_exact"
            (String.concat "." path));
+    if enabled Poly_order then begin
+      match path with
+      | [ (("min" | "max" | "compare") as name) ]
+      | [ "Stdlib"; (("min" | "max" | "compare") as name) ] ->
+        add Poly_order loc
+          (Printf.sprintf
+             "polymorphic %s compiles to a runtime call; use Int.%s or an \
+              explicit order"
+             (String.concat "." path) name)
+      | _ -> ()
+    end;
     if enabled Naked_mutex_lock && ends_with path [ "Mutex"; "lock" ] then
       add Naked_mutex_lock loc
         "naked Mutex.lock leaks the mutex on exceptions; use \
@@ -314,7 +335,7 @@ let lint_file ?rules path = lint_source ?rules ~file:path (read_file path)
      implementation (lib/prelude/locked.ml);
    - no-direct-io: lib/ only (bin/bench/test own their stdout);
    - catch-all: everywhere except test/ (tests may shrug at cleanup);
-   - poly-compare-record: lib/core/ hot paths only.
+   - poly-compare-record, poly-order: lib/core/ hot paths only.
    An [.mli] inherits the policy of its implementation. *)
 let rules_for_path path =
   let path =
@@ -334,7 +355,7 @@ let rules_for_path path =
       | Naked_mutex_lock -> path <> "lib/prelude/locked.ml"
       | Direct_io -> under "lib"
       | Catch_all -> not (under "test")
-      | Poly_compare_record -> under "lib/core")
+      | Poly_compare_record | Poly_order -> under "lib/core")
     all_rules
 
 (* ------------------------------------------------------------------ *)
