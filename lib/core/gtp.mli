@@ -10,9 +10,10 @@
     factor cannot move an argmax, and integer marginals keep every
     comparison exact.  A greedy round is one
     [Inc_oracle.argmax o Marginal_volume]; CELF's heap keys are the
-    integer marginals last read.  The cover fix-up then reuses the same
-    oracle.  The value-only greedy and CELF they are differential-tested
-    against live in [test/reference.ml].
+    integer marginals last read.  The cover fix-up then edits the same
+    oracle from the picks it holds, so the gains the greedy built stay
+    current for gtp-ls's refinement.  The value-only greedy and CELF
+    they are differential-tested against live in [test/reference.ml].
 
     The evaluation also imposes an explicit budget [k]; [run ~budget]
     stops at the budget even if some flows remain unserved, and the

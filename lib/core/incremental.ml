@@ -81,8 +81,10 @@ let compact t =
     t.dead <- 0
   end
 
-(* Moves are counted from the two lists.  After [Cover_fixup.within] the
-   oracle already holds [placed], so its edits here are no-ops. *)
+(* Moves are counted from the two lists.  [Cover_fixup.within] edits the
+   oracle from the engine's deployment to its answer, so afterwards the
+   oracle already holds [placed], its edits here are no-ops and the gain
+   ledger the rebalancer reads next is still current. *)
 let set_placed t placed =
   let before = Placement.of_list t.placed in
   let after = Placement.of_list placed in

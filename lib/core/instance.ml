@@ -33,29 +33,28 @@ let slab_capacity d =
    order and sum each vertex's empty-deployment gain. *)
 let incidence_of ~n flows =
   let degree = Array.make n 0 in
-  Array.iter
-    (fun f ->
-      Array.iter
-        (fun v ->
-          if v < 0 || v >= n then
-            invalid_arg "Instance.make: flow vertex outside the graph";
-          degree.(v) <- degree.(v) + 1)
-        f.Flow.path)
-    flows;
+  for fi = 0 to Array.length flows - 1 do
+    let path = flows.(fi).Flow.path in
+    for pos = 0 to Array.length path - 1 do
+      let v = path.(pos) in
+      if v < 0 || v >= n then invalid_arg "Instance.make: flow vertex outside the graph";
+      degree.(v) <- degree.(v) + 1
+    done
+  done;
   let slabs = Array.map (fun d -> Array.make (slab_capacity d) 0) degree in
   let fill = Array.make n 0 and empty_gain = Array.make n 0 in
-  Array.iteri
-    (fun fi f ->
-      let rate = f.Flow.rate and hops = Flow.hop_count f in
-      Array.iteri
-        (fun pos v ->
-          let i = fill.(v) in
-          slabs.(v).(2 * i) <- fi;
-          slabs.(v).((2 * i) + 1) <- pos;
-          fill.(v) <- i + 1;
-          empty_gain.(v) <- empty_gain.(v) + (rate * (hops - pos)))
-        f.Flow.path)
-    flows;
+  for fi = 0 to Array.length flows - 1 do
+    let f = flows.(fi) in
+    let path = f.Flow.path and rate = f.Flow.rate and hops = Flow.hop_count f in
+    for pos = 0 to hops do
+      let v = path.(pos) in
+      let slab = slabs.(v) and i = fill.(v) in
+      slab.(2 * i) <- fi;
+      slab.((2 * i) + 1) <- pos;
+      fill.(v) <- i + 1;
+      empty_gain.(v) <- empty_gain.(v) + (rate * (hops - pos))
+    done
+  done;
   {
     slabs;
     degree;

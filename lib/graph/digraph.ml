@@ -14,10 +14,20 @@ let edge_count t = t.m
 let check_vertex t v =
   if v < 0 || v >= t.n then invalid_arg "Digraph: vertex out of range"
 
+(* The out-list walks compare vertices as ints: [List.mem_assoc] and
+   [List.assoc] compare keys polymorphically, a runtime call per arc. *)
+let rec mem_out (v : int) = function
+  | [] -> false
+  | (w, _) :: rest -> w = v || mem_out v rest
+
+let rec weight_out (v : int) = function
+  | [] -> raise Not_found
+  | (w, x) :: rest -> if w = v then x else weight_out v rest
+
 let mem_edge t u v =
   check_vertex t u;
   check_vertex t v;
-  List.mem_assoc v t.adj.(u).out
+  mem_out v t.adj.(u).out
 
 let add_edge ?(weight = 1.0) t u v =
   check_vertex t u;
@@ -36,7 +46,7 @@ let add_undirected ?weight t u v =
 let weight t u v =
   check_vertex t u;
   check_vertex t v;
-  List.assoc v t.adj.(u).out
+  weight_out v t.adj.(u).out
 
 let succ t v =
   check_vertex t v;

@@ -21,8 +21,11 @@
 
     {b Anytime contract.}  [start] synchronously publishes the greedy
     cover (member ["cover"]) before spawning anything, so once [start]
-    returns, a feasible instance always has a feasible best-so-far —
-    an [await ~deadline_ms:0] never comes back empty-handed. *)
+    returns, the best-so-far is feasible whenever that cover is.  The
+    set-cover greedy is not complete ({!Search.greedy_cover}): on a
+    feasible instance whose feasible placements it misses, an
+    [await ~deadline_ms:0] can come back empty, and {!outcome_of} then
+    answers the infeasible cover. *)
 
 type member = Anneal | Genetic | Seed of string
 (** [Seed name] wraps the registry solver [name] in a restart loop with

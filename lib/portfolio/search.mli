@@ -23,9 +23,11 @@ val useful_vertices : Tdmd.Instance.t -> int array
     vertices a move can gain anything from. *)
 
 val greedy_cover : Tdmd.Instance.t -> k:int -> int list
-(** [Cover_fixup.within] from an empty start: a feasible placement
-    within budget whenever one exists, used as the common seed and as
-    the deadline-zero fallback answer. *)
+(** [Cover_fixup.within] from an empty start: the set-cover greedy's
+    picks, at most [k] of them, used as the common seed and as the
+    deadline-zero fallback answer.  The greedy is not complete, so that
+    answer can leave flows unserved although a feasible placement within
+    budget exists (the instance in {!Tdmd.Cover_fixup}'s doc). *)
 
 val eval : Tdmd.Inc_oracle.t -> int list -> int * bool
 (** [(volume, feasible)] of a vertex list, evaluated on a scratch

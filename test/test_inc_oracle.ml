@@ -436,6 +436,109 @@ let prop_disjoint_paths_certificate =
       packed = min (b + 1) full
       && (packed <= b || not (Tdmd.Brute.solve ~k:b inst).Tdmd.Solver_intf.feasible))
 
+(* Every vertex's two ledger entries, read through the queries. *)
+let ledger n t = List.init n (fun v -> (O.marginal_volume t v, O.newly_served t v))
+
+(* (e'') The fix-up edits the deployment its oracle holds on entry.
+   From any entry deployment — empty, exactly the longest prefix of
+   [chosen] (its first [budget] distinct vertices), a strict subset or a
+   strict superset of that, or an unrelated set — it must return what
+   the reset-and-rebuild reference returns, and leave the oracle
+   answering like [of_list] of the result: the same deployment, volume,
+   unserved count and ledger at every vertex.  Both ledger halves are
+   read before each call, so the fix-up's edits must keep them current.
+   Static oracles, and [empty] oracles whose flows arrived in random
+   order around a deployment, partly departed and partly came back
+   (vacated and reused slots).  [chosen] repeats vertices and names up
+   to twice the budget; budgets fall below, at and above the size of the
+   disjoint-path packing, so the early exit, the retries and the
+   fallback to the first candidate all run.  Three calls per case on
+   one oracle, each entering from the deployment the last one left,
+   reshaped. *)
+let prop_cover_fixup_entry =
+  QCheck.Test.make
+    ~name:"Cover_fixup.within from any entry deployment = reset-and-rebuild reference"
+    ~count:150
+    QCheck.(triple (int_bound 1_000_000) (int_range 4 12) bool)
+    (fun (seed, n, owned) ->
+      let n = max 4 n in
+      let rng = Rng.create seed in
+      let base =
+        Fixtures.random_general_instance rng ~n ~flows:(2 * n) ~max_rate:5
+          ~lambda:(Rng.float rng 1.0)
+      in
+      let graph = base.Tdmd.Instance.graph and lambda = base.Tdmd.Instance.lambda in
+      let flows = Tdmd.Instance.flows base in
+      let t, live =
+        if not owned then (O.create base, flows)
+        else begin
+          let t = O.empty ~vertices:n ~lambda in
+          let order = Array.of_list flows in
+          Rng.shuffle rng order;
+          let arrived =
+            List.mapi
+              (fun i f ->
+                if i = Array.length order / 2 then O.add t (Rng.int rng n);
+                (f, O.add_flow t f))
+              (Array.to_list order)
+          in
+          let stay, gone = List.partition (fun _ -> Rng.int rng 3 > 0) arrived in
+          List.iter (fun (_, slot) -> O.remove_flow t slot) gone;
+          let back = List.filter (fun _ -> Rng.bool rng) gone in
+          List.iter (fun (f, _) -> ignore (O.add_flow t f)) back;
+          (t, List.map fst stay @ List.map fst back)
+        end
+      in
+      let inst = Tdmd.Instance.make ~graph ~flows:live ~lambda in
+      let packed = O.disjoint_paths t ~at_most:max_int in
+      let rec firsts acc budget = function
+        | v :: rest when List.mem v acc -> firsts acc budget rest
+        | v :: rest when List.length acc < budget -> firsts (v :: acc) budget rest
+        | _ -> List.rev acc
+      in
+      let others vs = List.filter (fun v -> not (List.mem v vs)) (List.init n Fun.id) in
+      let entry prefix =
+        match Rng.int rng 5 with
+        | 0 -> []
+        | 1 -> prefix
+        | 2 -> (
+          match prefix with
+          | [] -> []
+          | _ ->
+            let drop = List.nth prefix (Rng.int rng (List.length prefix)) in
+            List.filter (fun v -> v <> drop && Rng.bool rng) prefix)
+        | 3 -> (
+          match others prefix with
+          | [] -> prefix
+          | rest -> prefix @ List.filter (fun v -> v = List.hd rest || Rng.bool rng) rest)
+        | _ -> List.init (Rng.int rng n) (fun _ -> Rng.int rng n)
+      in
+      let redeploy vs =
+        List.iter
+          (fun v -> if not (List.mem v vs) then O.remove t v)
+          (Tdmd.Placement.to_list (O.placement t));
+        List.iter (O.add t) vs
+      in
+      let call () =
+        let budget =
+          match Rng.int rng 3 with
+          | 0 -> if packed = 0 then 0 else Rng.int rng packed
+          | 1 -> packed
+          | _ -> packed + 1 + Rng.int rng n
+        in
+        let chosen = List.init (Rng.int rng ((2 * budget) + 1)) (fun _ -> Rng.int rng n) in
+        redeploy (entry (firsts [] budget chosen));
+        ignore (ledger n t);
+        let got = Tdmd.Cover_fixup.within t ~chosen ~budget in
+        let r = O.of_list inst got in
+        got = Reference.within inst ~chosen ~budget
+        && Tdmd.Placement.to_list (O.placement t) = Tdmd.Placement.to_list (O.placement r)
+        && O.diminished_volume t = O.diminished_volume r
+        && O.unserved_count t = O.unserved_count r
+        && ledger n t = ledger n r
+      in
+      call () && call () && call ())
+
 (* The budget caps the answer even when [chosen] names more distinct
    vertices than it allows: one flow on the path 0-1-2-3 keeps the
    prefix [0; 1] at budget 2, and two disjoint one-edge flows at
@@ -458,6 +561,36 @@ let test_cover_fixup_budget_cap () =
   let inst = Tdmd.Instance.make ~graph:g ~flows ~lambda:0.5 in
   let got = Tdmd.Cover_fixup.within (O.create inst) ~chosen:[ 0; 2; 1 ] ~budget:1 in
   Alcotest.(check (list int)) "disjoint flows: infeasible fallback" [ 0 ] got
+
+(* The covering picks are the set-cover greedy, so the fix-up can miss a
+   feasible deployment within the budget.  Vertices 0-4, arcs 0->2,
+   0->3, 1->2 and 1->4, rate-1 flows 0->2 (twice), 0->3, 1->2 (twice)
+   and 1->4.  From an empty start at budget 2 the greedy covers at 2
+   (four flows), then at 0 (lowest of four one-flow ties), and 1->4
+   stays unserved; so does the portfolio's deadline-0 fallback, which
+   is this fix-up.  Brute and GTP at k 2 both deploy [0; 1], which
+   serves every flow. *)
+let test_cover_fixup_greedy_limit () =
+  let g = Tdmd_graph.Digraph.create 5 in
+  List.iter (fun (a, b) -> Tdmd_graph.Digraph.add_edge g a b) [ (0, 2); (0, 3); (1, 2); (1, 4) ];
+  let flows =
+    List.mapi
+      (fun id path -> Tdmd_flow.Flow.make ~id ~rate:1 ~path)
+      [ [ 0; 2 ]; [ 0; 2 ]; [ 0; 3 ]; [ 1; 2 ]; [ 1; 2 ]; [ 1; 4 ] ]
+  in
+  let inst = Tdmd.Instance.make ~graph:g ~flows ~lambda:0.5 in
+  let t = O.create inst in
+  Alcotest.(check (list int)) "greedy cover" [ 2; 0 ]
+    (Tdmd.Cover_fixup.within t ~chosen:[] ~budget:2);
+  Alcotest.(check int) "1->4 left unserved" 1 (O.unserved_count t);
+  Alcotest.(check (list int)) "portfolio fallback" [ 2; 0 ]
+    (Tdmd_portfolio.Search.greedy_cover inst ~k:2);
+  List.iter
+    (fun (name, o) ->
+      Alcotest.(check (list int)) name [ 0; 1 ]
+        (Tdmd.Placement.to_list o.Tdmd.Solver_intf.placement);
+      Alcotest.(check bool) (name ^ " serves every flow") true o.Tdmd.Solver_intf.feasible)
+    [ ("brute", Tdmd.Brute.solve ~k:2 inst); ("gtp", Tdmd.Gtp.run ~budget:2 inst) ]
 
 (* (f) The mask-based objective scans against the membership-list
    references: same serving decisions and volumes, so the same rendered
@@ -653,9 +786,6 @@ let busiest n flows =
   let best = ref 0 in
   Array.iteri (fun v c -> if c > through.(!best) then best := v) through;
   !best
-
-(* Every vertex's two ledger entries, read through the queries. *)
-let ledger n t = List.init n (fun v -> (O.marginal_volume t v, O.newly_served t v))
 
 (* [scan_moves] against the edit-based scan in [Reference], call by
    call: a twin oracle takes the same edits, every deployed box and −1
@@ -893,8 +1023,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hat_differential;
     QCheck_alcotest.to_alcotest prop_cover_fixup_differential;
     QCheck_alcotest.to_alcotest prop_disjoint_paths_certificate;
+    QCheck_alcotest.to_alcotest prop_cover_fixup_entry;
     Alcotest.test_case "cover fix-up: answers stay within the budget" `Quick
       test_cover_fixup_budget_cap;
+    Alcotest.test_case "cover fix-up: the greedy cover can miss a feasible deployment"
+      `Quick test_cover_fixup_greedy_limit;
     QCheck_alcotest.to_alcotest prop_scans_differential;
     QCheck_alcotest.to_alcotest prop_refine_differential;
     QCheck_alcotest.to_alcotest prop_gtp_ls_registry;
