@@ -45,7 +45,10 @@ let run ~rng ~k ~steps ?init ?(should_stop = fun () -> false)
     let oracle = Oracle.of_list inst start in
     (* The repair runs on its own oracle: the fix-up's cover questions
        build that oracle's ledger, and the walk, which only edits
-       [oracle] between repairs, never pays to keep one current. *)
+       [oracle] between repairs, never pays to keep one current.  The
+       fix-up journals its edits and [repair] is never undone, so each
+       repair starts from empty: the reset keeps the journal to one
+       repair's edits instead of the whole run's. *)
     let repair = Oracle.create inst in
     let cur = ref (Oracle.diminished_volume oracle) in
     let best = ref None in
@@ -121,6 +124,7 @@ let run ~rng ~k ~steps ?init ?(should_stop = fun () -> false)
             published; drag the walk back through the repair
             periodically so publishable states keep appearing. *)
          if (not (Oracle.is_feasible oracle)) && i land 31 = 0 then begin
+           Oracle.reset repair;
            let repaired =
              Tdmd.Cover_fixup.within repair ~chosen:(Search.sorted_verts oracle)
                ~budget:k

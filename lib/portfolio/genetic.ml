@@ -49,7 +49,11 @@ let run ~rng ~k ~steps ?init ?(should_stop = fun () -> false)
     Search.no_result ~feasible:(Oracle.is_feasible (Oracle.create inst))
   else begin
     let oracle = Oracle.create inst in
+    (* The fix-up journals its edits and this oracle is never undone, so
+       each child starts from empty: the reset keeps the journal to one
+       child's edits instead of the whole run's. *)
     let assess verts =
+      Oracle.reset oracle;
       ignore (Tdmd.Cover_fixup.within oracle ~chosen:verts ~budget:k);
       {
         verts = Search.sorted_verts oracle;
