@@ -1,5 +1,6 @@
 module Json = Tdmd_obs.Json
 module Locked = Tdmd_prelude.Locked
+module Parallel = Tdmd_prelude.Parallel
 module Partition = Tdmd_topo.Partition
 
 type source =
@@ -38,6 +39,7 @@ let shard_count t = Array.length t.shards
 let shard t i = t.shards.(i)
 let general t = t.general
 let supervisor t = t.sup
+let router t = t.router
 let retry_after_ms t = Supervisor.retry_after_ms t.sup
 
 let shard_dir root i = Filename.concat root (Printf.sprintf "shard-%d" i)
@@ -245,6 +247,49 @@ let replay_prepares coord router shards ops =
   Journal.reset coord.journal;
   Ok ()
 
+(* What one shard's recovery task answers: its session, its error, or
+   the exception it raised, kept as a value so that the sessions the
+   other tasks opened are still in hand when one shard fails. *)
+type recovered =
+  | Recovered of Session.t
+  | Failed of string
+  | Raised of exn * Printexc.raw_backtrace
+
+(* Each shard recovers from its own directory and reads nothing else,
+   so the shards replay at once, one domain each up to the core count;
+   every session is the one a sequential recovery would build.  One
+   domain is [List.map], so the flat layout recovers as before. *)
+let recover_shards ~dedup_cap ~sharded shard_cfg n_shards =
+  Parallel.map
+    ~domains:(Int.min n_shards (Parallel.recommended_domains ()))
+    (fun i ->
+      match Session.recover ~dedup_cap (shard_cfg i) with
+      | Ok s -> Recovered s
+      | Error msg ->
+        Failed (if sharded then Printf.sprintf "shard %d: %s" i msg else msg)
+      | exception e -> Raised (e, Printexc.get_raw_backtrace ()))
+    (List.init n_shards Fun.id)
+
+(* Every session, in shard order, or the lowest-numbered shard's
+   failure. *)
+let rec in_shard_order = function
+  | [] -> Ok []
+  | Recovered s :: rest -> Result.map (List.cons s) (in_shard_order rest)
+  | Failed msg :: _ -> Error msg
+  | Raised (e, bt) :: _ -> Printexc.raise_with_backtrace e bt
+
+(* [k ()], running [undo] first when it answers [Error] or raises. *)
+let undo_on_failure ~undo k =
+  match k () with
+  | Ok _ as ok -> ok
+  | Error _ as e ->
+    undo ();
+    e
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    undo ();
+    Printexc.raise_with_backtrace e bt
+
 let recover ?supervisor ?degraded_reads ?(dedup_cap = Session.default_dedup_cap)
     (cfg : Session.durability) =
   let root = cfg.Session.dir in
@@ -254,40 +299,38 @@ let recover ?supervisor ?degraded_reads ?(dedup_cap = Session.default_dedup_cap)
   let sharded = sharded_layout root in
   let n_shards = if sharded then detect_shards root else 1 in
   let shard_cfg = shard_durability cfg ~shards:n_shards in
-  let* sessions =
-    Array.fold_left
-      (fun acc i ->
-        let* acc = acc in
-        let* s =
-          Session.recover ~dedup_cap (shard_cfg i)
-          |> if sharded then Result.map_error (Printf.sprintf "shard %d: %s" i)
-             else Fun.id
-        in
-        Ok (s :: acc))
-      (Ok [])
-      (Array.init n_shards (fun i -> i))
+  let outcomes = recover_shards ~dedup_cap ~sharded shard_cfg n_shards in
+  (* A failed recovery leaves nothing open: every session it opened is
+     abandoned (no snapshot, journal lock released), whichever shard
+     failed. *)
+  let opened =
+    List.filter_map
+      (function Recovered s -> Some s | Failed _ | Raised _ -> None)
+      outcomes
   in
-  let sessions = Array.of_list (List.rev sessions) in
+  undo_on_failure ~undo:(fun () -> List.iter Session.abandon opened) @@ fun () ->
+  let* sessions = in_shard_order outcomes in
+  let sessions = Array.of_list sessions in
   let shards = Array.mapi (fun i s -> Shard.create ~faults ~id:i s) sessions in
   let general = Session.general sessions.(0) in
   (* The partition is a deterministic function of the recovered graph,
      so it is the partition the engine was created with. *)
   let partition = Partition.make general.Tdmd.Instance.graph ~shards:n_shards in
   let router = rebuild_router partition shards in
-  let* coord =
-    if not sharded then Ok None
-    else
-      match Journal.open_append ~faults ~fsync:Journal.Always (coord_file root) with
-      | journal, ops -> Ok (Some (make_coord journal, ops))
-      | exception Sys_error msg -> Error msg
-  in
-  let engine =
+  let finish coord =
     finish ?supervisor ?degraded_reads ~dedup_cap ~shard_cfg:(Some shard_cfg)
-      ~faults ~shards ~router ~coord:(Option.map fst coord) general
+      ~faults ~shards ~router ~coord general
   in
-  match coord with
-  | None -> Ok engine
-  | Some (coord, ops) ->
+  if not sharded then Ok (finish None)
+  else
+    let* journal, ops =
+      match Journal.open_append ~faults ~fsync:Journal.Always (coord_file root) with
+      | opened -> Ok opened
+      | exception Sys_error msg -> Error msg
+    in
+    undo_on_failure ~undo:(fun () -> Journal.abandon journal) @@ fun () ->
+    let coord = make_coord journal in
+    let engine = finish (Some coord) in
     let* () = replay_prepares coord router shards ops in
     Ok engine
 

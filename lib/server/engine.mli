@@ -33,11 +33,14 @@
     {2 Recovery}
 
     Each shard recovers independently (its own snapshot ⊕ journal, via
-    {!Session.recover}); the flow→shard routing table is rebuilt from
-    the recovered sessions' live flows, the partition is recomputed
-    (it is a deterministic function of the recovered graph), and the
-    coordinator finally replays in-flight cross-shard ops.  A flat
-    (pre-shard) directory recovers as a 1-shard engine.
+    {!Session.recover}), so the shards recover concurrently, on
+    [min shards (Tdmd_prelude.Parallel.recommended_domains ())]
+    domains; then, in shard order, the flow→shard routing table is
+    rebuilt from the recovered sessions' live flows, the partition is
+    recomputed (it is a deterministic function of the recovered
+    graph), and the coordinator finally replays in-flight cross-shard
+    ops.  A flat (pre-shard) directory recovers as a 1-shard engine, on
+    the calling domain.
 
     {2 Supervision}
 
@@ -94,12 +97,30 @@ val recover :
 (** Rebuild an engine from a durability root: per-shard recovery, router
     rebuild, coordinator replay (see above).  The shard count is
     detected from the [shard-<i>] directories; a root with none is
-    recovered as a flat 1-shard engine. *)
+    recovered as a flat 1-shard engine.
+
+    The shards are recovered concurrently, each from its own directory
+    alone, so the engine is the same whatever the number of domains:
+    the one a shard-by-shard recovery in shard order builds.  Recovery
+    runs before any request is served and takes no setting; its degree
+    comes from the cores.
+
+    [Error] names the lowest-numbered failing shard (["shard <i>: ..."]),
+    or the coordinator journal.  After an [Error] or an exception
+    nothing stays open: every shard session the call opened, failing
+    shard's neighbours included, is abandoned without a snapshot and
+    its journal lock released, and so is the coordinator journal; the
+    directory recovers once repaired. *)
 
 val shard_count : t -> int
 val shard : t -> int -> Shard.t
 val general : t -> Tdmd.Instance.t
 val supervisor : t -> Supervisor.t
+
+val router : t -> Router.t
+(** The flow→shard routing table ({!Router.lookup}); {!recover} rebuilds
+    it from the recovered sessions' live flows and the replayed
+    prepares. *)
 
 val retry_after_ms : t -> int
 (** The supervisor's hint, for the server to attach to ["unavailable"]

@@ -78,6 +78,19 @@ let test_poly_order () =
   Alcotest.(check bool) "not elsewhere" false
     (List.mem L.Poly_order (L.rules_for_path "lib/server/session.ml"))
 
+(* A lazy bound once per module, behind a type constraint, a let or a
+   local open, in a submodule too, and only there: a lazy made per
+   call, a [let module] inside a function and [Lazy.from_val] go
+   through.  Watched in lib/ only. *)
+let test_toplevel_lazy () =
+  check_hits "toplevel-lazy" "flag_toplevel_lazy.ml"
+    (List.map (fun line -> ("toplevel-lazy", line)) [ 2; 4; 6; 8; 12; 15; 19 ]);
+  check_hits "toplevel-lazy pass" "pass_toplevel_lazy.ml" [];
+  Alcotest.(check bool) "watched in lib/" true
+    (List.mem L.Toplevel_lazy (L.rules_for_path "lib/prelude/crc32.ml"));
+  Alcotest.(check bool) "not elsewhere" false
+    (List.mem L.Toplevel_lazy (L.rules_for_path "test/test_engine.ml"))
+
 (* Interfaces are parsed too: expressions only occur inside attribute
    payloads there, but a float comparison is wrong wherever it hides. *)
 let test_mli_fixtures () =
@@ -236,6 +249,7 @@ let suite =
       test_poly_compare_record;
     Alcotest.test_case "float-equal fixtures" `Quick test_float_equal;
     Alcotest.test_case "poly-order fixtures" `Quick test_poly_order;
+    Alcotest.test_case "toplevel-lazy fixtures" `Quick test_toplevel_lazy;
     Alcotest.test_case "mli fixtures" `Quick test_mli_fixtures;
     Alcotest.test_case "suppression: same line" `Quick
       test_suppression_same_line;

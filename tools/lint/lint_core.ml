@@ -8,8 +8,9 @@
    [Obj.magic] heap dummy (PR 2), EINTR-unsafe [Unix.read]/[Unix.write]
    (PR 4), leaked mutexes on exception paths, [with _ ->] handlers that
    swallowed [Out_of_memory] during crash-safety reasoning, float
-   equality by polymorphic [=], and Stdlib's polymorphic [min] in the
-   oracle's per-flow ledger arithmetic.
+   equality by polymorphic [=], Stdlib's polymorphic [min] in the
+   oracle's per-flow ledger arithmetic, and [Crc32]'s module-level
+   [lazy] table, which two recovery domains forced at once.
 
    The pass is purely syntactic (Parsetree + Ast_iterator, no typing
    environment), so the record-compare rule works from identifier-name
@@ -29,6 +30,7 @@ type rule =
   | Poly_compare_record
   | Float_equal
   | Poly_order
+  | Toplevel_lazy
 
 let all_rules =
   [
@@ -40,6 +42,7 @@ let all_rules =
     Poly_compare_record;
     Float_equal;
     Poly_order;
+    Toplevel_lazy;
   ]
 
 let rule_id = function
@@ -51,6 +54,7 @@ let rule_id = function
   | Poly_compare_record -> "poly-compare-record"
   | Float_equal -> "float-equal"
   | Poly_order -> "poly-order"
+  | Toplevel_lazy -> "toplevel-lazy"
 
 let rule_of_id = function
   | "obj-magic" -> Some Obj_magic
@@ -61,6 +65,7 @@ let rule_of_id = function
   | "poly-compare-record" -> Some Poly_compare_record
   | "float-equal" -> Some Float_equal
   | "poly-order" -> Some Poly_order
+  | "toplevel-lazy" -> Some Toplevel_lazy
   | _ -> None
 
 let rule_doc = function
@@ -88,6 +93,11 @@ let rule_doc = function
      ocamlopt compiles min at type int to a call to camlStdlib.min, which \
      compares through caml_lessequal, where Int.min is one integer \
      compare; use Int.min, Int.max, Int.compare or an explicit order"
+  | Toplevel_lazy ->
+    "a module-level lazy is forced by whichever domain reads it first, and \
+     in OCaml 5 two domains forcing it at once raise \
+     CamlinternalLazy.Undefined: Crc32's lazy table did, when shards \
+     replayed their journals in parallel; build the value at module init"
 
 type diagnostic = K.diagnostic = {
   file : string;
@@ -154,6 +164,40 @@ let is_catch_all_pattern (p : Parsetree.pattern) =
   | _ -> false
 
 let line_of = K.line_of
+
+(* A lazy value, seen through the type constraints, lets and local
+   opens that only lead up to it. *)
+let rec lazy_value (e : Parsetree.expression) =
+  match e.Parsetree.pexp_desc with
+  | Parsetree.Pexp_lazy _ -> true
+  | Parsetree.Pexp_apply (f, _) -> (
+    match ident_path f with
+    | Some path -> ends_with path [ "Lazy"; "from_fun" ]
+    | None -> false)
+  | Parsetree.Pexp_constraint (e, _)
+  | Parsetree.Pexp_let (_, _, e)
+  | Parsetree.Pexp_open (_, e) ->
+    lazy_value e
+  | _ -> false
+
+(* Value bindings evaluated once per module: the structure's own and
+   those of the submodules it defines.  Expressions are not entered, so
+   a lazy made per call (inside a function, or a [let module] in one)
+   is not module-level. *)
+let rec module_bindings (structure : Parsetree.structure) =
+  List.concat_map
+    (fun (item : Parsetree.structure_item) ->
+      match item.Parsetree.pstr_desc with
+      | Parsetree.Pstr_value (_, vbs) -> vbs
+      | Parsetree.Pstr_module mb -> submodule_bindings mb.Parsetree.pmb_expr
+      | _ -> [])
+    structure
+
+and submodule_bindings (me : Parsetree.module_expr) =
+  match me.Parsetree.pmod_desc with
+  | Parsetree.Pmod_structure s -> module_bindings s
+  | Parsetree.Pmod_constraint (me, _) -> submodule_bindings me
+  | _ -> []
 
 let collect ~rules ~file ast =
   let out = ref [] in
@@ -293,6 +337,16 @@ let collect ~rules ~file ast =
     }
   in
   K.iter_ast iter ast;
+  (match ast with
+  | K.Impl structure when enabled Toplevel_lazy ->
+    List.iter
+      (fun (vb : Parsetree.value_binding) ->
+        if lazy_value vb.Parsetree.pvb_expr then
+          add Toplevel_lazy vb.Parsetree.pvb_loc
+            "module-level lazy: two domains forcing it at once raise \
+             CamlinternalLazy.Undefined; build it at module init")
+      (module_bindings structure)
+  | K.Impl _ | K.Intf _ -> ());
   !out
 
 (* ------------------------------------------------------------------ *)
@@ -335,7 +389,9 @@ let lint_file ?rules path = lint_source ?rules ~file:path (read_file path)
      implementation (lib/prelude/locked.ml);
    - no-direct-io: lib/ only (bin/bench/test own their stdout);
    - catch-all: everywhere except test/ (tests may shrug at cleanup);
-   - poly-compare-record, poly-order: lib/core/ hot paths only.
+   - poly-compare-record, poly-order: lib/core/ hot paths only;
+   - toplevel-lazy: lib/ only (any worker domain may run library code;
+     bin/bench/test own their domains).
    An [.mli] inherits the policy of its implementation. *)
 let rules_for_path path =
   let path =
@@ -353,7 +409,7 @@ let rules_for_path path =
       | Obj_magic | Float_equal -> true
       | Bare_unix_io -> path <> "lib/server/protocol.ml"
       | Naked_mutex_lock -> path <> "lib/prelude/locked.ml"
-      | Direct_io -> under "lib"
+      | Direct_io | Toplevel_lazy -> under "lib"
       | Catch_all -> not (under "test")
       | Poly_compare_record | Poly_order -> under "lib/core")
     all_rules
