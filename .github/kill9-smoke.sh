@@ -2,16 +2,19 @@
 # Crash-recovery smoke for `tdmd serve --journal`, run from the
 # repository root after `dune build`:
 #
-#   bash .github/kill9-smoke.sh flat|sharded|rebalance
+#   bash .github/kill9-smoke.sh one-shard|sharded|rebalance|legacy
 #
 # Serve with a journal, mutate with request ids, kill -9, restart on the
 # same journal, retry an op the dead server applied (it must dedup), and
 # diff the observation before the crash with the one after, bit for bit.
-# flat observes a live GTP solve after churn on one engine; sharded does
-# the same at --shards 4 with a cross-shard arrival and restarts without
-# --shards (the count is detected from the shard-<i> directories);
-# rebalance observes the churn summary of a migration-budgeted engine
-# after two rebalance passes.
+# one-shard observes a live GTP solve after churn on one shard (kept in
+# shard-0/ like any shard); sharded does the same at --shards 4 with a
+# cross-shard arrival and restarts without --shards (the count is
+# detected from the shard-<i> directories); rebalance observes the churn
+# summary of a migration-budgeted engine after two rebalance passes.
+# legacy serves a copy of test/wal_fixtures/flat, a directory written
+# before sharding, retries its f-a4 arrival (it must dedup) and checks
+# that the directory was moved into shard-0/.
 set -euo pipefail
 
 TDMD=_build/default/bin/tdmd_cli.exe
@@ -40,8 +43,34 @@ instance() {
     "$n" "$edges" "$path" > "$WORK/inst.json"
 }
 
+# The root holds the one-shard layout: shard-0/ with its snapshot, and
+# no snapshot of its own.
+one_shard_layout() {
+  [ -f "$WAL/shard-0/snapshot.json" ]
+  [ ! -e "$WAL/snapshot.json" ]
+}
+
 case "${1:-}" in
-  flat)
+  legacy)
+    mkdir -p "$WAL"
+    cp test/wal_fixtures/flat/* "$WAL/"
+    serve() {
+      "$TDMD" serve --listen "unix:$SOCK" --journal "$WAL" &
+      SERVE_PID=$!
+    }
+    serve
+    client --op arrive --flow-id 4 --rate 1 --path 9,10,11 --req-id f-a4 \
+      | grep -q '"dedup":true'
+    client --op shutdown
+    wait "$SERVE_PID"
+    SERVE_PID=
+    one_shard_layout
+    [ -f "$WAL/coord.wal" ]
+    [ "$(ls "$WAL")" = "$(printf 'coord.wal\nshard-0')" ]
+    echo "kill9-smoke legacy: ok"
+    exit 0
+    ;;
+  one-shard)
     instance 6 0,1,2,3
     first=(--churn-k 2)
     restart=(--churn-k 2)
@@ -57,6 +86,7 @@ case "${1:-}" in
       client --op stats > "$WORK/stats.json"
       grep -q '"dedup_hits":1' "$WORK/stats.json"
       grep -q '"wal_replayed":6' "$WORK/stats.json"
+      one_shard_layout
     }
     # Offline recover doubles as compaction and must agree too.
     check_recovered() { "$TDMD" recover --journal "$WAL" | grep -q '"flows":4'; }
@@ -108,7 +138,7 @@ case "${1:-}" in
     check_recovered() { grep -q '"rebalances":4' "$WORK/after.txt"; }
     ;;
   *)
-    echo "usage: $0 flat|sharded|rebalance" >&2
+    echo "usage: $0 one-shard|sharded|rebalance|legacy" >&2
     exit 2
     ;;
 esac

@@ -253,7 +253,7 @@ let seed_run ~seed ~total_ops =
       Client.close c
   in
   let (), wall =
-    Timer.time (fun () ->
+    Tdmd_obs.Clock.time (fun () ->
         Harness.with_server ~domains:4 engine (fun addr ->
             let vandal_t = Thread.create (vandal addr) () in
             let probe_t = Thread.create (probe addr) () in

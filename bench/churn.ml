@@ -68,7 +68,7 @@ let run () =
   let replay ~apply ~sample =
     let sum = ref 0.0 in
     let (), seconds =
-      Timer.time (fun () ->
+      Tdmd_obs.Clock.time (fun () ->
           List.iter
             (fun (_, ev) ->
               apply ev;

@@ -44,7 +44,7 @@ let run () =
               if List.mem name excluded then None
               else begin
                 let o, seconds =
-                  Timer.time (fun () -> solve ~rng:(Rng.create 1000) ~k inst)
+                  Tdmd_obs.Clock.time (fun () -> solve ~rng:(Rng.create 1000) ~k inst)
                 in
                 let volume = o.Tdmd.Solver_intf.volume in
                 emit
@@ -65,7 +65,7 @@ let run () =
           List.map
             (fun steps ->
               let (best, improvements), seconds =
-                Timer.time (fun () ->
+                Tdmd_obs.Clock.time (fun () ->
                     let t = Pf.start ~steps ~rng:(Rng.create 4242) ~k inst in
                     let b = Pf.await t in
                     (b, Pf.improvements t))

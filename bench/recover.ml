@@ -12,23 +12,26 @@ module S = Tdmd_server.Session
 module J = Tdmd_server.Journal
 module Json = Tdmd_obs.Json
 
+(* One op through [S.apply_batch], the session's one churn entry point. *)
+let apply session what op =
+  match S.apply_batch session [ op ] with
+  | [ Ok _ ] -> ()
+  | [ Error (c, m) ] -> failwith (Printf.sprintf "bench %s: %s %s" what c m)
+  | _ -> failwith "bench: one reply per op"
+
 let drive session ~n ~ops =
   let rng = Rng.create 99 in
   let live = Queue.create () in
   for i = 1 to ops do
-    let req = Printf.sprintf "bench-%d" i in
-    if i mod 3 = 0 && not (Queue.is_empty live) then begin
-      match S.depart session ~req (Queue.pop live) with
-      | Ok _ -> ()
-      | Error (c, m) -> failwith (Printf.sprintf "bench depart: %s %s" c m)
-    end
+    let req = Some (Printf.sprintf "bench-%d" i) in
+    if i mod 3 = 0 && not (Queue.is_empty live) then
+      apply session "depart" (J.Depart { flow_id = Queue.pop live; req })
     else begin
       let a = Rng.int rng (n - 2) in
       let b = a + 1 + Rng.int rng (min 6 (n - a - 1)) in
       let path = List.init (b - a + 1) (fun j -> a + j) in
-      match S.arrive session ~req ~id:i ~rate:(1 + Rng.int rng 8) ~path () with
-      | Ok _ -> Queue.push i live
-      | Error (c, m) -> failwith (Printf.sprintf "bench arrive: %s %s" c m)
+      apply session "arrive" (J.Arrive { id = i; rate = 1 + Rng.int rng 8; path; req });
+      Queue.push i live
     end
   done
 
@@ -59,12 +62,12 @@ let run () =
                 ~config:{ S.Config.default with S.Config.durability = Some cfg }
                 inst
             in
-            let (), append_s = Timer.time (fun () -> drive session ~n ~ops) in
+            let (), append_s = Tdmd_obs.Clock.time (fun () -> drive session ~n ~ops) in
             let journal_bytes = journal_bytes session in
             (* Crash: abandon the session; its whole history is in the
                WAL. *)
             let recovered, recover_s =
-              Timer.time (fun () ->
+              Tdmd_obs.Clock.time (fun () ->
                   match S.recover (S.durability ~fsync dir) with
                   | Ok s -> s
                   | Error msg -> failwith ("bench recover: " ^ msg))

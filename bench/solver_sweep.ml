@@ -23,7 +23,7 @@ let record ~input ~name ~k run =
   match
     List.init reps (fun i ->
         let rng = Rng.create (1000 + i) in
-        Timer.time (fun () -> run ~rng ~k))
+        Tdmd_obs.Clock.time (fun () -> run ~rng ~k))
   with
   | runs ->
     let seconds = Stats.summarize (List.map snd runs) in

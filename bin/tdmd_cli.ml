@@ -155,7 +155,7 @@ let solve topology size k lambda density seed algo trace metrics_out =
         Printf.eprintf "%s\n" (Tdmd.Solvers.describe_unknown algo);
         exit 2)
   in
-  let outcome, seconds = Timer.time run in
+  let outcome, seconds = Tdmd_obs.Clock.time run in
   let { Tdmd.Solver_intf.placement; bandwidth; feasible; telemetry; _ } = outcome in
   Format.printf "placement: %a\n" Tdmd.Placement.pp placement;
   Printf.printf "bandwidth: %g  (%.1f%% of unprocessed)\n" bandwidth
@@ -354,9 +354,9 @@ let snapshot_every_arg =
           "Snapshot (and truncate the journal) after every $(docv) journaled \
            ops; 0 = only at startup and shutdown")
 
-(* A durability root already holding state — either the flat PR 4
-   layout (snapshot in the root) or the sharded one (shard-0/ dir) —
-   is continued rather than started over. *)
+(* A durability root already holding state — shard-0/, or a flat
+   snapshot written before sharding, which recovery moves into shard-0/
+   — is continued rather than started over. *)
 let durability_holds_state cfg =
   Sys.file_exists (Tdmd_server.Session.snapshot_file cfg)
   || Sys.file_exists (Filename.concat cfg.Tdmd_server.Session.dir "shard-0")
@@ -477,8 +477,10 @@ let serve_cmd =
       & info [ "shards" ] ~docv:"N"
           ~doc:
             "Partition the topology into $(docv) shards, each with its own \
-             churn engine and journal; 1 (the default) is the pre-shard \
-             single-engine behaviour, bit for bit")
+             churn engine and journal in DIR/shard-<i>/; 1 (the default) \
+             answers with the single-engine reply bytes.  A DIR written \
+             before sharding (snapshot.json in DIR itself) is moved into \
+             DIR/shard-0/ on its first recovery")
   in
   let degraded_reads_arg =
     Arg.(
@@ -509,9 +511,9 @@ let recover journal fsync =
     Printf.eprintf "recover: --journal DIR is required\n";
     exit 2
   | Some cfg -> (
-    (* [Engine.recover] detects the layout: a flat PR 4 directory comes
-       back as one shard, a shard-<i> tree as a sharded engine with the
-       coordinator's in-flight cross ops replayed. *)
+    (* [Engine.recover] counts the shard-<i> directories (a flat
+       directory written before sharding is first moved into shard-0/)
+       and replays the coordinator's in-flight cross ops. *)
     match Tdmd_server.Engine.recover cfg with
     | Error msg ->
       Printf.eprintf "cannot recover from %s: %s\n"
@@ -534,8 +536,10 @@ let recover_cmd =
   Cmd.v
     (Cmd.info "recover"
        ~doc:
-         "Rebuild a session (or sharded engine) from a journal directory \
-          (snapshot + WAL replay), print its state, and compact the journals")
+         "Rebuild the engine from a journal directory (per shard: snapshot \
+          + WAL replay), print its state, and compact the journals.  A \
+          directory written before sharding is moved into DIR/shard-0/ \
+          first")
     Term.(const recover $ journal_arg $ fsync_arg)
 
 let client connect op algo k seed on flow_id rate path ms budget deadline_ms
@@ -669,7 +673,7 @@ let churn topology size k migration_budget lambda density seed horizon
   in
   let events = List.length timeline in
   let (), seconds =
-    Timer.time (fun () ->
+    Tdmd_obs.Clock.time (fun () ->
         List.iter
           (fun (_, event) ->
             match event with

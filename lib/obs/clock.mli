@@ -6,3 +6,7 @@
 
 val now_ns : unit -> int64
 (** Nanoseconds since an unspecified monotonic origin. *)
+
+val time : (unit -> 'a) -> 'a * float
+(** [time f] runs [f ()] and returns its result together with the elapsed
+    seconds on the monotonic clock. *)

@@ -25,7 +25,7 @@ type coord = {
 type t = {
   shards : Shard.t array;  (* cells are swapped by supervised restarts *)
   router : Router.t;
-  coord : coord option;  (* durable and sharded only *)
+  coord : coord option;  (* durable only *)
   general : Tdmd.Instance.t;  (* canonical static instance *)
   sup : Supervisor.t;
   degraded_reads : bool;
@@ -65,11 +65,18 @@ let make_coord journal =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Where shard [i] of a [shards]-shard engine keeps its state: at one shard
-   directly in the root (the flat layout every pre-shard directory
-   has), otherwise in [root/shard-<i>/]. *)
-let shard_durability (d : Session.durability) ~shards i =
-  if shards = 1 then d else { d with Session.dir = shard_dir d.Session.dir i }
+(* Shard [i] of a durable engine keeps its state in [root/shard-<i>/]. *)
+let shard_durability (d : Session.durability) i =
+  { d with Session.dir = shard_dir d.Session.dir i }
+
+(* A flat root (written before sharding) is {!recover}'s to move. *)
+let refuse_flat_root (d : Session.durability) =
+  if Sys.file_exists (Session.snapshot_file d) then
+    raise
+      (Sys_error
+         (Printf.sprintf
+            "%s already holds a snapshot — recover from it instead of starting fresh"
+            d.Session.dir))
 
 let build_session ~config source =
   match source with
@@ -146,8 +153,12 @@ let create ?supervisor ?degraded_reads ?(config = Session.Config.default)
   let faults =
     match durability with Some d -> d.Session.faults | None -> Faults.none
   in
-  Option.iter (fun d -> ensure_dir d.Session.dir) durability;
-  let shard_cfg = Option.map (fun d -> shard_durability d ~shards) durability in
+  Option.iter
+    (fun d ->
+      ensure_dir d.Session.dir;
+      refuse_flat_root d)
+    durability;
+  let shard_cfg = Option.map shard_durability durability in
   let shard_arr =
     Array.init shards (fun i ->
         let durability = Option.map (fun cfg_of -> cfg_of i) shard_cfg in
@@ -155,17 +166,17 @@ let create ?supervisor ?degraded_reads ?(config = Session.Config.default)
         Shard.create ~faults ~id:i (build_session ~config source))
   in
   let coord =
-    match durability with
-    | Some d when shards > 1 ->
-      let journal, ops =
-        Journal.open_append ~faults ~fsync:Journal.Always (coord_file d.Session.dir)
-      in
-      (* A fresh engine must not inherit in-flight ops: the shard
-         directories were just seeded empty, so any leftover records
-         are from an aborted directory reuse. *)
-      if ops <> [] then Journal.reset journal;
-      Some (make_coord journal)
-    | Some _ | None -> None
+    Option.map
+      (fun d ->
+        let journal, ops =
+          Journal.open_append ~faults ~fsync:Journal.Always (coord_file d.Session.dir)
+        in
+        (* A fresh engine must not inherit in-flight ops: the shard
+           directories were just seeded empty, so any leftover records
+           are from an aborted directory reuse. *)
+        if ops <> [] then Journal.reset journal;
+        make_coord journal)
+      durability
   in
   finish ?supervisor ?degraded_reads ~dedup_cap:config.Session.Config.dedup_cap
     ~shard_cfg ~faults ~shards:shard_arr ~router:(Router.create partition) ~coord
@@ -176,8 +187,6 @@ let create ?supervisor ?degraded_reads ?(config = Session.Config.default)
 (* ------------------------------------------------------------------ *)
 
 let ( let* ) = Result.bind
-
-let sharded_layout root = Sys.file_exists (shard_dir root 0)
 
 let detect_shards root =
   let rec go i = if Sys.file_exists (shard_dir root i) then go (i + 1) else i in
@@ -257,16 +266,14 @@ type recovered =
 
 (* Each shard recovers from its own directory and reads nothing else,
    so the shards replay at once, one domain each up to the core count;
-   every session is the one a sequential recovery would build.  One
-   domain is [List.map], so the flat layout recovers as before. *)
-let recover_shards ~dedup_cap ~sharded shard_cfg n_shards =
+   every session is the one a sequential recovery would build. *)
+let recover_shards ~dedup_cap shard_cfg n_shards =
   Parallel.map
     ~domains:(Int.min n_shards (Parallel.recommended_domains ()))
     (fun i ->
       match Session.recover ~dedup_cap (shard_cfg i) with
       | Ok s -> Recovered s
-      | Error msg ->
-        Failed (if sharded then Printf.sprintf "shard %d: %s" i msg else msg)
+      | Error msg -> Failed (Printf.sprintf "shard %d: %s" i msg)
       | exception e -> Raised (e, Printexc.get_raw_backtrace ()))
     (List.init n_shards Fun.id)
 
@@ -290,16 +297,56 @@ let undo_on_failure ~undo k =
     undo ();
     Printexc.raise_with_backtrace e bt
 
+(* The one-time move of a flat root into [shard-0/] (engine.mli,
+   Recovery): the journal segments and a leftover temp file first, the
+   snapshot last, each step made durable in both directories. *)
+let move_flat_root (cfg : Session.durability) =
+  let root = cfg.Session.dir and shard0 = shard_dir cfg.Session.dir 0 in
+  let snapshot = Filename.basename (Session.snapshot_file cfg) in
+  let companion name =
+    (String.starts_with ~prefix:"journal-" name && Filename.check_suffix name ".wal")
+    || name = snapshot ^ ".tmp"
+  in
+  let move names =
+    List.iter
+      (fun name -> Sys.rename (Filename.concat root name) (Filename.concat shard0 name))
+      names;
+    Journal.fsync_dir shard0;
+    Journal.fsync_dir root
+  in
+  if not (Sys.file_exists (Filename.concat root snapshot)) then Ok ()
+  else if Sys.file_exists (Filename.concat shard0 snapshot) then
+    Error
+      (Printf.sprintf
+         "%s holds both a flat snapshot.json and shard-0/snapshot.json; refusing \
+          to overwrite either"
+         root)
+  else
+    match
+      ensure_dir shard0;
+      move (List.filter companion (Array.to_list (Sys.readdir root)));
+      move [ snapshot ]
+    with
+    | () -> Ok ()
+    | exception Sys_error msg -> Error msg
+    | exception Unix.Unix_error (err, fn, _) ->
+      Error (Printf.sprintf "%s: %s: %s" root fn (Unix.error_message err))
+
 let recover ?supervisor ?degraded_reads ?(dedup_cap = Session.default_dedup_cap)
     (cfg : Session.durability) =
   let root = cfg.Session.dir in
   let faults = cfg.Session.faults in
-  (* A root without shard directories is the flat pre-shard layout: one
-     session in the root. *)
-  let sharded = sharded_layout root in
-  let n_shards = if sharded then detect_shards root else 1 in
-  let shard_cfg = shard_durability cfg ~shards:n_shards in
-  let outcomes = recover_shards ~dedup_cap ~sharded shard_cfg n_shards in
+  let* () = move_flat_root cfg in
+  let* n_shards =
+    match detect_shards root with
+    | 0 ->
+      Error
+        (Printf.sprintf "%s holds no engine state: neither shard-0/ nor snapshot.json"
+           root)
+    | n -> Ok n
+  in
+  let shard_cfg = shard_durability cfg in
+  let outcomes = recover_shards ~dedup_cap shard_cfg n_shards in
   (* A failed recovery leaves nothing open: every session it opened is
      abandoned (no snapshot, journal lock released), whichever shard
      failed. *)
@@ -317,22 +364,19 @@ let recover ?supervisor ?degraded_reads ?(dedup_cap = Session.default_dedup_cap)
      so it is the partition the engine was created with. *)
   let partition = Partition.make general.Tdmd.Instance.graph ~shards:n_shards in
   let router = rebuild_router partition shards in
-  let finish coord =
-    finish ?supervisor ?degraded_reads ~dedup_cap ~shard_cfg:(Some shard_cfg)
-      ~faults ~shards ~router ~coord general
+  let* journal, ops =
+    match Journal.open_append ~faults ~fsync:Journal.Always (coord_file root) with
+    | opened -> Ok opened
+    | exception Sys_error msg -> Error msg
   in
-  if not sharded then Ok (finish None)
-  else
-    let* journal, ops =
-      match Journal.open_append ~faults ~fsync:Journal.Always (coord_file root) with
-      | opened -> Ok opened
-      | exception Sys_error msg -> Error msg
-    in
-    undo_on_failure ~undo:(fun () -> Journal.abandon journal) @@ fun () ->
-    let coord = make_coord journal in
-    let engine = finish (Some coord) in
-    let* () = replay_prepares coord router shards ops in
-    Ok engine
+  undo_on_failure ~undo:(fun () -> Journal.abandon journal) @@ fun () ->
+  let coord = make_coord journal in
+  let engine =
+    finish ?supervisor ?degraded_reads ~dedup_cap ~shard_cfg:(Some shard_cfg)
+      ~faults ~shards ~router ~coord:(Some coord) general
+  in
+  let* () = replay_prepares coord router shards ops in
+  Ok engine
 
 (* ------------------------------------------------------------------ *)
 (* Churn                                                               *)
@@ -342,7 +386,7 @@ let tag_shard t ~shard ~cross reply =
   if Array.length t.shards = 1 then reply
   else
     (* Routing detail is appended only in sharded mode, so [--shards 1]
-       replies stay byte-identical to the pre-shard engine. *)
+       replies keep the single-engine bytes. *)
     match reply with
     | Ok (Json.Obj fields) ->
       Ok
@@ -551,15 +595,13 @@ let solve t ~algo ~k ~seed ~target =
   | Protocol.Static ->
     (* Shard 0's session carries the same static instance (and tree
        view) every shard does. *)
-    Session.solve (Shard.session t.shards.(0)) ~algo ~k ~seed ~target
+    Session.solve (Shard.session t.shards.(0)) ~algo ~k ~seed
   | Protocol.Live -> live_read t (Session.solve_on_instance ~algo ~k ~seed ~target)
 
 let solve_anytime t ~algo ~k ~seed ~target ~budget_ms =
   match target with
   | Protocol.Static ->
-    Session.solve_anytime
-      (Shard.session t.shards.(0))
-      ~algo ~k ~seed ~target ~budget_ms
+    Session.solve_anytime (Shard.session t.shards.(0)) ~algo ~k ~seed ~budget_ms
   | Protocol.Live ->
     live_read t (fun inst ->
         Session.solve_anytime_on_instance ~algo ~k ~seed ~target ~budget_ms inst)
@@ -720,18 +762,17 @@ let health_fields t =
               hs)) );
   ]
 
+(* One shard keeps the session's ["durability"] section in front, so the
+   V1 reply only gains fields. *)
 let stats_fields t =
-  let base =
-    if Array.length t.shards = 1 then
-      Session.durability_stats (Shard.session t.shards.(0))
-    else
-      ("shards", Json.List (shard_stats_json t))
-      ::
-      (match t.coord with
-      | Some coord -> [ ("coord", coord_stats_json coord) ]
-      | None -> [])
-  in
-  base @ [ ("health", Json.Obj (health_fields t)) ]
+  (if Array.length t.shards = 1 then
+     Session.durability_stats (Shard.session t.shards.(0))
+   else [])
+  @ (("shards", Json.List (shard_stats_json t))
+    :: (match t.coord with
+       | Some coord -> [ ("coord", coord_stats_json coord) ]
+       | None -> []))
+  @ [ ("health", Json.Obj (health_fields t)) ]
 
 let close t =
   (* Join every recovery thread first so a mid-restart shard swap cannot

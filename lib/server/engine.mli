@@ -9,16 +9,15 @@
 
     {2 Equivalence at one shard}
 
-    At [shards = 1] the wire bytes and the disk layout are the
-    pre-shard engine's: the single session lives directly in the
-    durability root (the flat layout), replies carry no routing fields,
-    {!stats_fields} reports the session's ["durability"] section and
-    {!rebalance} answers with the session's own reply.  Everything else
-    is the N-shard path with N = 1: a live read solves the union of the
-    shards' flows (at one shard, the churn engine's instance flow for
-    flow) and {!churn_stats} folds the shards' summaries from shard 0's,
-    so placements, stats and recovery stay bit-identical to the
-    monolithic [Session] engine.
+    [shards = 1] is the N-shard path with N = 1, on disk too: the one
+    session lives in [root/shard-0/] beside [root/coord.wal], churn
+    reaches it through its shard's queue ({!Shard.submit} →
+    {!Session.apply_batch}), a live read solves the union of the shards'
+    flows and {!churn_stats} folds the shards' summaries from shard 0's.
+    Only the V1 reply bytes keep the single-engine form: replies carry
+    no routing fields, {!rebalance} answers with the session's own reply
+    and {!stats_fields} keeps the session's ["durability"] section in
+    front of the ["shards"] list.
 
     {2 Cross-shard commit (two-phase apply)}
 
@@ -39,8 +38,14 @@
     rebuilt from the recovered sessions' live flows, the partition is
     recomputed (it is a deterministic function of the recovered
     graph), and the coordinator finally replays in-flight cross-shard
-    ops.  A flat (pre-shard) directory recovers as a 1-shard engine, on
-    the calling domain.
+    ops.
+
+    A flat root (one session's [snapshot.json] and journal segments
+    directly in it, as every directory written before sharding has) is
+    first moved into [shard-0/] once: segments first, the snapshot last,
+    each rename made durable.  A crash part-way leaves the root snapshot
+    in place for the next recovery to finish the move; a root that also
+    holds [shard-0/snapshot.json] is refused, neither file overwritten.
 
     {2 Supervision}
 
@@ -78,15 +83,16 @@ val create :
     [config] ([Session.Config.default], 1 shard, and a degree-seeded
     {!Tdmd_topo.Partition.make} of the instance graph by default).
     When durable, [config]'s directory is the root: shard [i] lives in
-    [root/shard-<i>/] (or directly in [root] at 1 shard) and the
-    coordinator journal at [root/coord.wal].  [config.churn_k] is each
+    [root/shard-<i>/] and the coordinator journal at [root/coord.wal].  [config.churn_k] is each
     shard's budget — the sharded live deployment may place up to
     [shards * churn_k] middleboxes in total.  [supervisor] tunes the
     health state machine ({!Supervisor.default_config} otherwise);
     [degraded_reads] (default [false]) lets live reads answer flagged
     ["degraded": true] while a shard is down.
     @raise Invalid_argument on [shards < 1] or a partition that does
-    not match [shards]/the instance graph. *)
+    not match [shards]/the instance graph.
+    @raise Sys_error if the root already holds a snapshot, flat or in
+    a shard directory (use {!recover}). *)
 
 val recover :
   ?supervisor:Supervisor.config ->
@@ -94,10 +100,11 @@ val recover :
   ?dedup_cap:int ->
   Session.durability ->
   (t, string) result
-(** Rebuild an engine from a durability root: per-shard recovery, router
-    rebuild, coordinator replay (see above).  The shard count is
-    detected from the [shard-<i>] directories; a root with none is
-    recovered as a flat 1-shard engine.
+(** Rebuild an engine from a durability root: the one-time move of a
+    flat root, per-shard recovery, router rebuild, coordinator replay
+    (see above).  The shard count is detected from the [shard-<i>]
+    directories; a root with neither [shard-0/] nor [snapshot.json]
+    answers an [Error] naming it.
 
     The shards are recovered concurrently, each from its own directory
     alone, so the engine is the same whatever the number of domains:
@@ -106,7 +113,7 @@ val recover :
     comes from the cores.
 
     [Error] names the lowest-numbered failing shard (["shard <i>: ..."]),
-    or the coordinator journal.  After an [Error] or an exception
+    the coordinator journal, or the root when the move is refused.  After an [Error] or an exception
     nothing stays open: every shard session the call opened, failing
     shard's neighbours included, is abandoned without a snapshot and
     its journal lock released, and so is the coordinator journal; the
@@ -147,7 +154,7 @@ val depart : t -> ?req:string -> ?shard_hint:int -> int -> Session.reply
     {!arrive}. *)
 
 val rebalance : t -> ?req:string -> ?budget:int -> unit -> Session.reply
-(** Run one migration-budgeted rebalance pass ({!Session.rebalance}) on
+(** Run one migration-budgeted rebalance pass ({!Tdmd.Incremental.rebalance}) on
     {e every} shard — placements are per-shard, so each spends its own
     budget locally and no cross-shard commit is needed.  Without
     [budget] each shard spends its {!Session.migration_budget}, resolved
@@ -163,8 +170,8 @@ val rebalance : t -> ?req:string -> ?budget:int -> unit -> Session.reply
 val solve :
   t -> algo:string -> k:int -> seed:int -> target:Protocol.solve_target ->
   Session.reply
-(** [Static] targets dispatch through shard 0's session,
-    bit-identically to the pre-shard engine, and are never health-gated
+(** [Static] targets dispatch through shard 0's session
+    ({!Session.solve}) and are never health-gated
     (they are a pure function of the immutable static instance).  A
     [Live] solve runs over the union of all shards' flows in
     shard-major order ({!Session.solve_on_instance}); it is refused with
@@ -195,10 +202,11 @@ val churn_stats : t -> (string * Protocol.Json.t) list
     conjunction.  One shard is its own summary. *)
 
 val stats_fields : t -> (string * Protocol.Json.t) list
-(** 1 shard: {!Session.durability_stats}, plus the ["health"] object.
-    Sharded: a ["shards"] list (per shard: flows, queue depth/peak,
-    group-commit batch counters) plus a ["coord"] object when durable,
-    plus ["health"]. *)
+(** A ["shards"] list (per shard: flows, queue depth/peak, group-commit
+    batch counters), a ["coord"] object when durable, and the
+    ["health"] object, at every shard count; one shard puts its
+    session's ["durability"] section ({!Session.durability_stats}) in
+    front. *)
 
 val health_fields : t -> (string * Protocol.Json.t) list
 (** The [health] RPC / [stats.health] payload: ["healthy"] (every shard

@@ -152,6 +152,10 @@ let decode_prefix data =
 (* Fsync policy                                                        *)
 (* ------------------------------------------------------------------ *)
 
+let fsync_dir dir =
+  let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
+
 type fsync_policy = Always | Every_n of int | Never
 
 let fsync_policy_of_string = function

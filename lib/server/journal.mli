@@ -58,6 +58,9 @@ val encode : op -> string
 
 (** {1 Fsync policy} *)
 
+val fsync_dir : string -> unit
+(** Make the renames and creations just done in a directory durable. *)
+
 type fsync_policy =
   | Always       (** fsync after every record: no acked op is ever lost *)
   | Every_n of int
@@ -108,9 +111,6 @@ val append : ?flush:bool -> t -> op -> unit
 val poisoned : t -> bool
 (** [true] once a failed append/fsync has lost the append invariant;
     the journal then refuses all further appends. *)
-
-val sync : t -> unit
-(** Unconditional fsync (used before a snapshot truncates the log). *)
 
 val flush : t -> unit
 (** End a group-committed batch: apply the fsync policy to the records

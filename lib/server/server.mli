@@ -49,8 +49,8 @@ val start : config -> Engine.t -> t
 (** Bind, listen and return once the server is accepting (a client may
     connect immediately after [start] returns).  An existing socket
     file at a [Unix_sock] path is replaced.  The engine may be a single
-    shard (the pre-shard behaviour, bit for bit) or sharded
-    ({!Engine.create} with [~shards]).
+    shard (single-engine reply bytes) or sharded ({!Engine.create} with
+    [~shards]).
     @raise Unix.Unix_error when binding fails. *)
 
 val request_stop : t -> unit

@@ -248,12 +248,7 @@ let write_snapshot_file cfg json =
   Faults.hit cfg.faults "snap.pre_rename";
   Sys.rename tmp (snapshot_file cfg);
   (* Make the rename itself durable. *)
-  (try
-     let dfd = Unix.openfile cfg.dir [ Unix.O_RDONLY ] 0 in
-     Fun.protect
-       ~finally:(fun () -> try Unix.close dfd with Unix.Unix_error _ -> ())
-       (fun () -> try Unix.fsync dfd with Unix.Unix_error _ -> ())
-   with Unix.Unix_error _ -> ());
+  (try Journal.fsync_dir cfg.dir with Unix.Unix_error _ -> ());
   Faults.hit cfg.faults "snap.post_rename";
   Bytes.length payload
 
@@ -523,17 +518,14 @@ let general_run algo inst =
 let solve_on_instance ~algo ~k ~seed ~target inst =
   run_solve ~algo ~k ~seed ~target (general_run algo inst)
 
-let solve t ~algo ~k ~seed ~target =
-  run_solve ~algo ~k ~seed ~target
-    (match (target, t.tree) with
-    | Protocol.Static, Some tree_inst -> (
+let solve t ~algo ~k ~seed =
+  run_solve ~algo ~k ~seed ~target:Protocol.Static
+    (match t.tree with
+    | Some tree_inst -> (
       match Tdmd.Solvers.on_tree algo with
       | Some f -> Ok (fun ~rng ~k -> f ~rng ~k tree_inst)
       | None -> Error (Tdmd.Solvers.describe_unknown ~tree_input:true algo))
-    | Protocol.Static, None -> general_run algo t.general
-    | Protocol.Live, _ ->
-      (* Snapshot under the lock, solve outside it. *)
-      general_run algo (locked t (fun () -> Tdmd.Incremental.instance t.churn)))
+    | None -> general_run algo t.general)
 
 (* ------------------------------------------------------------------ *)
 (* Anytime solves (deadline-bounded portfolio race)                    *)
@@ -583,16 +575,9 @@ let solve_anytime_on_instance ?tree ~algo ~k ~seed ~target ~budget_ms inst =
                 Json.Int (Tdmd_portfolio.Portfolio.improvements t) );
             ]))
 
-let solve_anytime t ~algo ~k ~seed ~target ~budget_ms =
-  match target with
-  | Protocol.Static ->
-    solve_anytime_on_instance ?tree:t.tree ~algo ~k ~seed ~target ~budget_ms
-      t.general
-  | Protocol.Live ->
-    (* Snapshot under the lock, race outside it — same discipline as
-       the run-to-completion path. *)
-    let snapshot = locked t (fun () -> Tdmd.Incremental.instance t.churn) in
-    solve_anytime_on_instance ~algo ~k ~seed ~target ~budget_ms snapshot
+let solve_anytime t ~algo ~k ~seed ~budget_ms =
+  solve_anytime_on_instance ?tree:t.tree ~algo ~k ~seed ~target:Protocol.Static
+    ~budget_ms t.general
 
 (* ------------------------------------------------------------------ *)
 (* Churn (journaled when durable)                                      *)
@@ -786,18 +771,6 @@ let apply_batch t ops =
             (fun (journaled, reply) -> if journaled then Error e else reply)
             out
         end)
-
-let apply_one t op =
-  match apply_batch t [ op ] with [ reply ] -> reply | _ -> assert false
-
-let arrive t ?req ~id ~rate ~path () =
-  apply_one t (Journal.Arrive { id; rate; path; req })
-
-let depart t ?req flow_id = apply_one t (Journal.Depart { flow_id; req })
-
-let rebalance t ?req ?budget () =
-  let budget = Option.value budget ~default:(migration_budget t) in
-  apply_one t (Journal.Rebalance { budget; req })
 
 (* ------------------------------------------------------------------ *)
 (* Durability stats and shutdown                                       *)

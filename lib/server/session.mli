@@ -1,12 +1,13 @@
-(** Server-side session: one loaded instance, many requests.
+(** Server-side session: one shard's loaded instance and churn engine.
 
     A session pins the data every request runs against: the static
     instance loaded at startup (tree or general) and a churn engine
-    ({!Tdmd.Incremental}) over the same graph that [arrive]/[depart]
-    mutate.  All mutating and snapshot-taking operations are serialized
-    behind an internal mutex, so session methods may be called from any
-    worker domain; [solve] releases the lock before running the solver,
-    so long solves never block churn.
+    ({!Tdmd.Incremental}) over the same graph that {!apply_batch}
+    mutates — the engine reaches it only through its shard's
+    group-commit queue ({!Shard.submit}), and live reads through the
+    union of its shards' {!live_flows}.  All mutating and
+    snapshot-taking operations are serialized behind an internal mutex,
+    so session methods may be called from any worker domain.
 
     {2 Durability}
 
@@ -112,16 +113,14 @@ type reply = (Protocol.Json.t, string * string) result
 (** [Ok response_obj] or [Error (code, message)] in the sense of
     {!Protocol.error}. *)
 
-val solve :
-  t -> algo:string -> k:int -> seed:int -> target:Protocol.solve_target -> reply
-(** Dispatch by registry name with [Rng.create seed] — the answer is
+val solve : t -> algo:string -> k:int -> seed:int -> reply
+(** Solve the loaded static instance (every registry name on a tree
+    session) by registry name with [Rng.create seed] — the answer is
     bit-identical to calling the registry directly with the same seed.
-    [Static] solves the loaded instance (every registry name on a tree
-    session), [Live] a locked snapshot of the churn engine's flows.
-    Response fields: ["algo"], ["k"], ["seed"], ["on"], ["placement"]
-    (sorted vertex list), ["bandwidth"], ["feasible"], ["telemetry"].
-    Unknown names answer ["unknown-algo"], solver refusals
-    ["bad-request"]. *)
+    Response fields: ["algo"], ["k"], ["seed"], ["on"] (["static"]),
+    ["placement"] (sorted vertex list), ["bandwidth"], ["feasible"],
+    ["telemetry"].  Unknown names answer ["unknown-algo"], solver
+    refusals ["bad-request"]. *)
 
 val solve_on_instance :
   algo:string ->
@@ -153,47 +152,14 @@ val solve_anytime_on_instance :
     the answer; ["fallback"] when nothing was published within the
     budget) and ["improvements"]. *)
 
-val solve_anytime :
-  t ->
-  algo:string ->
-  k:int ->
-  seed:int ->
-  target:Protocol.solve_target ->
-  budget_ms:int ->
-  reply
-(** {!solve_anytime_on_instance} against this session's static instance
-    ([target = Static], with the tree view passed through when the
-    session serves a tree) or a locked snapshot of its live churn
-    engine ([target = Live]). *)
-
-val arrive : t -> ?req:string -> id:int -> rate:int -> path:int list -> unit -> reply
-(** Feed one arrival to the churn engine.  ["conflict"] on duplicate
-    flow ids, ["bad-request"] on paths not in the graph.  Response
-    carries the post-event deployment summary (see {!churn_stats}).
-    With [?req], the op is journaled before it is applied and
-    deduplicated: a second call with the same [req] is a no-op that
-    returns the current summary plus ["dedup": true]. *)
-
-val depart : t -> ?req:string -> int -> reply
-(** Feed one departure.  Unknown ids answer ["conflict"] {e before}
-    anything reaches the journal — the engine treats a phantom
-    departure as a caller bug ({!Tdmd.Incremental.depart} raises), so
-    the serve layer refuses it instead of silently counting it.
-    [?req] as in {!arrive}. *)
-
-val rebalance : t -> ?req:string -> ?budget:int -> unit -> reply
-(** Run one bounded local-search rebalance pass
-    ({!Tdmd.Incremental.rebalance}).  [budget] caps the moves this pass
-    may spend; it defaults to the engine's configured migration budget
-    and must be [>= 0] (["bad-request"] otherwise).  The {e resolved}
-    budget is journaled, so crash replay spends exactly the same moves.
-    Response adds ["budget"] and ["moves_used"] to the usual churn
-    summary.  [?req] as in {!arrive}. *)
+val solve_anytime : t -> algo:string -> k:int -> seed:int -> budget_ms:int -> reply
+(** {!solve_anytime_on_instance} against this session's static instance,
+    with the tree view passed through when the session serves a tree. *)
 
 val migration_budget : t -> int
-(** The churn engine's configured migration budget: the budget a
-    {!rebalance} without [?budget] spends, resolved before the op is
-    built so the journal records the number. *)
+(** The churn engine's configured migration budget: the budget an
+    engine rebalance without [?budget] spends, resolved before the op
+    is built so the journal records the number. *)
 
 (** {1 Batched churn (group commit)} *)
 
@@ -211,8 +177,11 @@ val apply_batch : t -> Journal.op list -> reply list
     op and the rest of the batch proceeds.  If the batch-end fsync
     fails, every reply whose record's durability is now unknown is
     downgraded to [Error ("internal", _)] and the journal is poisoned.
-    [arrive]/[depart]/[rebalance] are one-element batches of this, so
-    single-op and batched paths compute bit-identical states. *)
+
+    Replies carry the post-op {!churn_stats}, plus ["budget"] and
+    ["moves_used"] for a [Rebalance]; a duplicate id or an unknown
+    departure answers ["conflict"] before reaching the journal, and an
+    op whose [req] is remembered answers ["dedup": true]. *)
 
 (** {1 Live-state accessors (for the sharded engine)} *)
 

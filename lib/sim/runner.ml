@@ -78,12 +78,12 @@ let repeat ~seed ~reps f ~x =
   }
 
 let measure run extract =
-  let result, seconds = Timer.time run in
+  let result, seconds = Tdmd_obs.Clock.time run in
   let bandwidth, feasible = extract result in
   { bandwidth; seconds; feasible; telemetry = Tdmd_obs.Telemetry.create () }
 
 let measure_outcome run =
-  let outcome, seconds = Timer.time run in
+  let outcome, seconds = Tdmd_obs.Clock.time run in
   {
     bandwidth = outcome.Tdmd.Solver_intf.bandwidth;
     seconds;

@@ -46,36 +46,3 @@ let fat_tree k =
     edge = range (fun i -> n_core + n_agg + i) n_edge;
     hosts = range (fun i -> n_core + n_agg + n_edge + i) n_host;
   }
-
-type bcube = {
-  graph : G.t;
-  servers : int list;
-  switches : int list;
-}
-
-let bcube ~n ~level =
-  if n < 2 || level < 0 then invalid_arg "Datacenter.bcube: need n >= 2, level >= 0";
-  let pow b e =
-    let rec go acc e = if e = 0 then acc else go (acc * b) (e - 1) in
-    go 1 e
-  in
-  let n_servers = pow n (level + 1) in
-  let switches_per_layer = pow n level in
-  let n_switches = (level + 1) * switches_per_layer in
-  let g = G.create (n_servers + n_switches) in
-  let switch layer idx = n_servers + (layer * switches_per_layer) + idx in
-  (* Server s (base-n digits d_level … d_0) connects at layer l to the
-     switch indexed by s with digit l removed. *)
-  for s = 0 to n_servers - 1 do
-    for l = 0 to level do
-      let high = s / pow n (l + 1) in
-      let low = s mod pow n l in
-      let idx = (high * pow n l) + low in
-      G.add_undirected g s (switch l idx)
-    done
-  done;
-  {
-    graph = g;
-    servers = List.init n_servers (fun i -> i);
-    switches = List.init n_switches (fun i -> n_servers + i);
-  }

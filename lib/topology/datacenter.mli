@@ -1,9 +1,8 @@
-(** Data-center topologies named in the paper's Sec. 5 motivation:
-    Fat-tree (Al-Fares et al., SIGCOMM 2008) and BCube (Guo et al.,
-    SIGCOMM 2009).  Both are returned as bidirectional-link digraphs
-    plus the vertex roles, so experiments can aggregate them into the
-    paper's tree-structured view or use them directly as general
-    topologies. *)
+(** The data-center topology named in the paper's Sec. 5 motivation:
+    Fat-tree (Al-Fares et al., SIGCOMM 2008), returned as a
+    bidirectional-link digraph plus the vertex roles, so experiments can
+    aggregate it into the paper's tree-structured view or use it
+    directly as a general topology. *)
 
 type fat_tree = {
   graph : Tdmd_graph.Digraph.t;
@@ -16,14 +15,3 @@ type fat_tree = {
 val fat_tree : int -> fat_tree
 (** [fat_tree k] for even [k >= 2]: [k] pods, [(k/2)²] core switches,
     [k²/2] aggregation and edge switches, [k³/4] hosts. *)
-
-type bcube = {
-  graph : Tdmd_graph.Digraph.t;
-  servers : int list;
-  switches : int list;
-}
-
-val bcube : n:int -> level:int -> bcube
-(** BCube(n, level): [n^(level+1)] servers; [level+1] layers of
-    [n^level] n-port switches.  Servers connect to one switch per
-    layer. *)

@@ -78,13 +78,6 @@ let make ?seeds g ~shards =
     { shards; owner }
   end
 
-let of_ark ?shards ark =
-  let hubs = ark.Ark.hubs in
-  let shards =
-    match shards with Some s -> s | None -> max 1 (List.length hubs)
-  in
-  make ~seeds:hubs ark.Ark.graph ~shards
-
 type ownership = Owned of int | Cross of { home : int; spans : int list }
 
 (* A path's home is the shard owning the most of its vertices (ties to

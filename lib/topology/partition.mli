@@ -1,8 +1,8 @@
 (** Deterministic vertex partitioner for sharding the placement service.
 
     A partition assigns every vertex of a topology to exactly one shard
-    by multi-source BFS from a seed list (Ark hubs by default, falling
-    back to the highest-degree vertices).  The assignment is a pure
+    by multi-source BFS from a seed list (the highest-degree vertices by
+    default).  The assignment is a pure
     function of [(graph, seeds, shards)]: the queue runs in insertion
     order and neighbours are visited in sorted order, so a recovered or
     restarted server recomputes the identical partition. *)
@@ -28,10 +28,6 @@ val make : ?seeds:int list -> Tdmd_graph.Digraph.t -> shards:int -> t
     highest-degree vertices seed the regions.  Unreachable vertices
     fall back to shard 0.
     @raise Invalid_argument if [shards < 1] or a seed is out of range. *)
-
-val of_ark : ?shards:int -> Ark.t -> t
-(** Hub-rooted partition of an Ark topology: the hub list seeds the
-    regions.  [shards] defaults to the hub count. *)
 
 type ownership =
   | Owned of int  (** every path vertex lives in this shard *)

@@ -24,74 +24,6 @@ let erdos_renyi rng n ~p =
   done;
   g
 
-let waxman rng n ~alpha ~beta =
-  assert (n >= 1 && alpha > 0.0 && beta > 0.0);
-  let xs = Array.init n (fun _ -> Rng.float rng 1.0) in
-  let ys = Array.init n (fun _ -> Rng.float rng 1.0) in
-  let dist u v = Float.hypot (xs.(u) -. xs.(v)) (ys.(u) -. ys.(v)) in
-  let l = sqrt 2.0 in
-  let g = G.create n in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      let prob = alpha *. exp (-.dist u v /. (beta *. l)) in
-      if Rng.float rng 1.0 < prob then G.add_undirected g u v
-    done
-  done;
-  (* Stitch components together through nearest cross-component pairs. *)
-  let dsu = Tdmd_graph.Dsu.create n in
-  List.iter (fun e -> ignore (Tdmd_graph.Dsu.union dsu e.G.src e.G.dst)) (G.edges g);
-  while Tdmd_graph.Dsu.count dsu > 1 do
-    let best = ref None in
-    for u = 0 to n - 1 do
-      for v = u + 1 to n - 1 do
-        if not (Tdmd_graph.Dsu.same dsu u v) then begin
-          let d = dist u v in
-          match !best with
-          | Some (_, _, bd) when bd <= d -> ()
-          | _ -> best := Some (u, v, d)
-        end
-      done
-    done;
-    match !best with
-    | Some (u, v, _) ->
-      G.add_undirected g u v;
-      ignore (Tdmd_graph.Dsu.union dsu u v)
-    | None -> assert false
-  done;
-  g
-
-let barabasi_albert rng n ~m =
-  assert (n >= 1 && m >= 1);
-  let g = G.create n in
-  let seed = min (m + 1) n in
-  (* Initial clique of m+1 vertices. *)
-  for u = 0 to seed - 1 do
-    for v = u + 1 to seed - 1 do
-      G.add_undirected g u v
-    done
-  done;
-  (* Degree-proportional sampling via a repeated-endpoint urn. *)
-  let urn = ref [] in
-  for u = 0 to seed - 1 do
-    for _ = 1 to max 1 (G.out_degree g u) do
-      urn := u :: !urn
-    done
-  done;
-  for v = seed to n - 1 do
-    let targets = ref [] in
-    let urn_arr = Array.of_list !urn in
-    while List.length !targets < min m v do
-      let u = Rng.choose rng urn_arr in
-      if (not (List.mem u !targets)) && u <> v then targets := u :: !targets
-    done;
-    List.iter
-      (fun u ->
-        G.add_undirected g v u;
-        urn := v :: u :: !urn)
-      !targets
-  done;
-  g
-
 let resize rng g n =
   assert (n >= 1);
   let cur = ref g in

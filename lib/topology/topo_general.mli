@@ -11,17 +11,6 @@ val erdos_renyi : Rng.t -> int -> p:float -> Tdmd_graph.Digraph.t
     down first, then each remaining pair is linked with probability
     [p]. *)
 
-val waxman :
-  Rng.t -> int -> alpha:float -> beta:float -> Tdmd_graph.Digraph.t
-(** Waxman (1988) random graph: vertices are uniform points in the unit
-    square and a pair at distance [d] is linked with probability
-    [alpha · exp (-d / (beta · L))] where [L = sqrt 2].  A spanning tree
-    over nearest surviving neighbours keeps it connected. *)
-
-val barabasi_albert : Rng.t -> int -> m:int -> Tdmd_graph.Digraph.t
-(** Preferential attachment: each new vertex links to [m] distinct
-    existing vertices chosen proportionally to degree. *)
-
 val resize : Rng.t -> Tdmd_graph.Digraph.t -> int -> Tdmd_graph.Digraph.t
 (** Grow by attaching new vertices to 1–2 random existing ones, or
     shrink by deleting random vertices whose removal keeps the graph

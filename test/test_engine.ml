@@ -1,5 +1,5 @@
-(* The sharded engine: 1-shard answers bit-identical to the monolithic
-   session, path-ownership routing with cross-shard two-phase apply,
+(* The sharded engine: 1-shard answers bit-identical to one session fed
+   through [Session.apply_batch], path-ownership routing with cross-shard two-phase apply,
    group commit under concurrency, per-shard crash recovery including
    coordinator replay, the versioned protocol envelope, and client-side
    retries. *)
@@ -96,8 +96,8 @@ let test_config_aliases () =
   let drive session =
     ignore
       (expect_applied "arrive"
-         (Session.arrive session ~req:"a1" ~id:7 ~rate:2 ~path:[ 0; 1; 2 ] ()));
-    ignore (expect_applied "depart" (Session.depart session ~req:"d1" 7));
+         (Test_journal.arrive session ~req:"a1" ~id:7 ~rate:2 ~path:[ 0; 1; 2 ] ()));
+    ignore (expect_applied "depart" (Test_journal.depart session ~req:"d1" 7));
     Json.to_string (Json.Obj (Session.churn_stats session))
   in
   Alcotest.(check string) "create is deterministic"
@@ -106,14 +106,14 @@ let test_config_aliases () =
   let tree_inst = Sc.build_tree (Rng.create 11) Sc.default_tree in
   let solve s =
     reply_to_string
-      (strip_timing (Session.solve s ~algo:"gtp" ~k:3 ~seed:9 ~target:P.Static))
+      (strip_timing (Session.solve s ~algo:"gtp" ~k:3 ~seed:9))
   in
   Alcotest.(check string) "create_tree is deterministic"
     (solve (Session.create_tree ~config:(mk_config ~churn_k:3 ()) tree_inst))
     (solve (Session.create_tree ~config:(mk_config ~churn_k:3 ()) tree_inst))
 
 (* ------------------------------------------------------------------ *)
-(* 1 shard: bit-identical to the pre-shard session                     *)
+(* 1 shard: bit-identical to its session                               *)
 (* ------------------------------------------------------------------ *)
 
 let test_one_shard_bit_identical () =
@@ -129,7 +129,7 @@ let test_one_shard_bit_identical () =
       Alcotest.(check string)
         (Printf.sprintf "solve %s" algo)
         (reply_to_string
-           (strip_timing (Session.solve session ~algo ~k ~seed:3 ~target:P.Static)))
+           (strip_timing (Session.solve session ~algo ~k ~seed:3)))
         (reply_to_string
            (strip_timing (Engine.solve engine ~algo ~k ~seed:3 ~target:P.Static))))
     [ "gtp"; "celf"; "dp"; "hat"; "random"; "best-effort"; "scaled-dp"; "gtp-ls" ];
@@ -143,7 +143,7 @@ let test_one_shard_bit_identical () =
   let path = [ 4; 5; 6 ] in
   let via_session =
     reply_to_string
-      (Session.arrive churn_session ~req:"r1" ~id:42 ~rate:2 ~path ())
+      (Test_journal.arrive churn_session ~req:"r1" ~id:42 ~rate:2 ~path ())
   in
   let engine_reply =
     Engine.arrive churn_engine ~req:"r1" ~id:42 ~rate:2 ~path ()
@@ -156,7 +156,7 @@ let test_one_shard_bit_identical () =
       (Json.member "shard" json = None && Json.member "cross" json = None)
   | Error (code, msg) -> Alcotest.failf "one-shard arrive refused: %s %s" code msg);
   Alcotest.(check string) "depart replies identical"
-    (reply_to_string (Session.depart churn_session ~req:"r2" 42))
+    (reply_to_string (Test_journal.depart churn_session ~req:"r2" 42))
     (reply_to_string (Engine.depart churn_engine ~req:"r2" 42));
   Alcotest.(check string) "churn stats identical"
     (Json.to_string (Json.Obj (Session.churn_stats churn_session)))
@@ -703,7 +703,7 @@ let reference_recover dir ~shards =
         incr replayed;
         match op with
         | Journal.Arrive { id; rate; path; _ } -> (
-          match Session.arrive sessions.(home) ~req:xid ~id ~rate ~path () with
+          match Test_journal.arrive sessions.(home) ~req:xid ~id ~rate ~path () with
           | Ok _ -> Hashtbl.replace routes id home
           | Error _ -> ())
         | _ -> Alcotest.fail "the histories prepare arrivals only")
@@ -1703,10 +1703,8 @@ let copy_dir src dst =
           Out_channel.output_string oc (read_bytes (Filename.concat src rel))))
     (dir_files src "")
 
-let fixture_lines name retry =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  copy_dir (Filename.concat fixture_root name) dir;
+(* What [dir], a copy of fixture [name], recovers to. *)
+let recovered_lines name dir retry =
   let line fmt = Printf.ksprintf (fun s -> Printf.sprintf "fixture %s %s" name s) fmt in
   match Engine.recover (Session.durability ~fsync:Journal.Always dir) with
   | Error msg -> [ line "recover error %s" msg ]
@@ -1717,8 +1715,16 @@ let fixture_lines name retry =
     let retry = reply_to_string (run_gop engine retry) in
     [ line "churn %s" churn; line "solve %s" solve; line "retry %s" retry ]
 
+let fixture_lines name retry =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  copy_dir (Filename.concat fixture_root name) dir;
+  recovered_lines name dir retry
+
+let flat_retry = Ga (Some "f-a4", 4, 1, [ 9; 10; 11 ])
+
 let fixture_lines_all () =
-  fixture_lines "flat" (Ga (Some "f-a4", 4, 1, [ 9; 10; 11 ]))
+  fixture_lines "flat" flat_retry
   @ fixture_lines "sharded" (Ga (Some "s-a4", 4, 1, [ 8; 9; 10 ]))
 
 let is_fixture_line = String.starts_with ~prefix:"fixture "
@@ -1738,6 +1744,104 @@ let test_fixtures_recover () =
   check_golden
     (List.filter is_fixture_line (Test_registry.read_lines golden_file))
     (fixture_lines_all ())
+
+let root_entries dir = List.sort compare (Array.to_list (Sys.readdir dir))
+
+(* The one-time move of a flat root into [shard-0/], from the flat
+   fixture cut at each step of it: the journal segments moved but not
+   the snapshot, an empty [shard-0/], a leftover snapshot temp file.
+   Each recovers to the golden fixture lines and leaves only [shard-0/]
+   and [coord.wal] in the root; a second recovery moves nothing. *)
+let test_flat_root_moves_once () =
+  let golden =
+    List.filter
+      (String.starts_with ~prefix:"fixture flat ")
+      (Test_registry.read_lines golden_file)
+  in
+  let segments_moved dir =
+    Unix.mkdir (shard_root dir 0) 0o755;
+    List.iter
+      (fun name ->
+        if Filename.check_suffix name ".wal" then
+          Sys.rename (Filename.concat dir name) (Filename.concat (shard_root dir 0) name))
+      (root_entries dir)
+  in
+  List.iter
+    (fun (cut, at) ->
+      let dir = temp_dir () in
+      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+      copy_dir (Filename.concat fixture_root "flat") dir;
+      cut dir;
+      Alcotest.(check (list string))
+        (at ^ ": golden lines") golden
+        (recovered_lines "flat" dir flat_retry);
+      Alcotest.(check (list string))
+        (at ^ ": root after the move") [ "coord.wal"; "shard-0" ] (root_entries dir);
+      let shard0 = List.map (fun f -> (f, read_all (Filename.concat (shard_root dir 0) f))) in
+      let before = shard0 (root_entries (shard_root dir 0)) in
+      (match Engine.recover (Session.durability ~fsync:Journal.Always dir) with
+      | Error msg -> Alcotest.failf "%s: second recovery: %s" at msg
+      | Ok engine ->
+        Alcotest.(check string)
+          (at ^ ": second recovery, same churn")
+          (List.hd golden)
+          ("fixture flat churn " ^ Json.to_string (Json.Obj (Engine.churn_stats engine)));
+        Alcotest.(check (list string))
+          (at ^ ": second recovery moves nothing") [ "coord.wal"; "shard-0" ]
+          (root_entries dir);
+        Alcotest.(check (list (pair string string)))
+          (at ^ ": shard-0 untouched by the second recovery") before
+          (shard0 (root_entries (shard_root dir 0)));
+        Engine.close engine))
+    [
+      (segments_moved, "segments moved, snapshot not");
+      ((fun dir -> Unix.mkdir (shard_root dir 0) 0o755), "empty shard-0/");
+      ( (fun dir -> write_all (Filename.concat dir "snapshot.json.tmp") "{\"format\""),
+        "leftover snapshot.json.tmp" );
+    ]
+
+(* What the move refuses: a root holding neither layout answers an
+   [Error] naming it; a root holding both a flat snapshot and
+   [shard-0/snapshot.json] is refused with both files untouched; and a
+   fresh engine never starts beside a flat snapshot. *)
+let test_flat_root_refusals () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let cfg = Session.durability ~fsync:Journal.Always dir in
+  let no_state =
+    Printf.sprintf "%s holds no engine state: neither shard-0/ nor snapshot.json" dir
+  in
+  expect_recover_error "missing root" cfg no_state;
+  Unix.mkdir dir 0o755;
+  expect_recover_error "empty root" cfg no_state;
+  Alcotest.(check (list string)) "empty root left empty" [] (root_entries dir);
+  Unix.rmdir dir;
+  let flat = Filename.concat fixture_root "flat" in
+  copy_dir flat dir;
+  copy_dir flat (shard_root dir 0);
+  let snapshots () =
+    List.map read_all
+      [ Filename.concat dir "snapshot.json"; Filename.concat (shard_root dir 0) "snapshot.json" ]
+  in
+  let both = snapshots () in
+  expect_recover_error "both layouts" cfg
+    (Printf.sprintf
+       "%s holds both a flat snapshot.json and shard-0/snapshot.json; refusing to \
+        overwrite either"
+       dir);
+  Alcotest.(check (list string)) "neither snapshot overwritten" both (snapshots ());
+  rm_rf (shard_root dir 0);
+  Alcotest.check_raises "create beside a flat snapshot"
+    (Sys_error
+       (Printf.sprintf
+          "%s already holds a snapshot — recover from it instead of starting fresh" dir))
+    (fun () ->
+      ignore
+        (Engine.create ~config:(mk_config ~durability:cfg ()) (Engine.General (line_instance 12))));
+  Alcotest.(check (list string))
+    "create leaves the flat root as it was"
+    [ "journal-1.wal"; "snapshot.json" ]
+    (root_entries dir)
 
 (* A durable tree engine keeps its tree view across recovery: at 1 and
    4 shards the static tree solvers answer the same before and after,
@@ -1819,4 +1923,7 @@ let suite =
       test_fixtures_recover;
     Alcotest.test_case "durable tree: tree solvers survive recovery" `Quick
       test_tree_engine_recovers;
+    Alcotest.test_case "recover: a flat root moves into shard-0 once" `Quick
+      test_flat_root_moves_once;
+    Alcotest.test_case "recover: flat-root refusals" `Quick test_flat_root_refusals;
   ]

@@ -11,8 +11,18 @@ module Faults = Tdmd_server.Faults
 module Session = Tdmd_server.Session
 module P = Tdmd_server.Protocol
 
-(* New-API constructor (the deprecated [of_general] alias has its own
-   equivalence test in test_engine.ml). *)
+(* One churn op through [Session.apply_batch], the session's one churn
+   entry point (the engine's shards reach it the same way). *)
+let apply_one session op =
+  match Session.apply_batch session [ op ] with
+  | [ reply ] -> reply
+  | _ -> Alcotest.fail "apply_batch: one reply per op"
+
+let arrive session ?req ~id ~rate ~path () =
+  apply_one session (Journal.Arrive { id; rate; path; req })
+
+let depart session ?req flow_id = apply_one session (Journal.Depart { flow_id; req })
+
 let session_of_general ?durability ?dedup_cap ~churn_k inst =
   Session.create
     ~config:
@@ -505,9 +515,9 @@ let workload =
 let apply_wop session i wop =
   let req = Printf.sprintf "req-%d" i in
   match wop with
-  | A (id, rate, path) -> Session.arrive session ~req ~id ~rate ~path ()
-  | D id | DU id -> Session.depart session ~req id
-  | R budget -> Session.rebalance session ~req ~budget ()
+  | A (id, rate, path) -> arrive session ~req ~id ~rate ~path ()
+  | D id | DU id -> depart session ~req id
+  | R budget -> apply_one session (Journal.Rebalance { budget; req = Some req })
 
 let expect_applied ctx = function
   | Ok _ -> ()
@@ -527,7 +537,12 @@ let expect_wop ctx wop reply =
 let fingerprint session =
   let churn = Json.to_string (Json.Obj (Session.churn_stats session)) in
   let solve =
-    match Session.solve session ~algo:"gtp" ~k:2 ~seed:5 ~target:P.Live with
+    let general = Session.general session in
+    match
+      Session.solve_on_instance ~algo:"gtp" ~k:2 ~seed:5 ~target:P.Live
+        (Tdmd.Instance.make ~graph:general.Tdmd.Instance.graph
+           ~flows:(Session.live_flows session) ~lambda:general.Tdmd.Instance.lambda)
+    with
     | Ok (Json.Obj fields) ->
       (* Everything except wall-clock timing ("telemetry" carries
          oracle_ns/dur_ns, nondeterministic by nature). *)
@@ -637,8 +652,8 @@ let test_crash_recovery () =
 let test_dedup_suppression () =
   let session = session_of_general ~churn_k:2 (tiny_instance ()) in
   expect_applied "first"
-    (Session.arrive session ~req:"r1" ~id:50 ~rate:1 ~path:[ 0; 1; 2 ] ());
-  (match Session.arrive session ~req:"r1" ~id:50 ~rate:1 ~path:[ 0; 1; 2 ] () with
+    (arrive session ~req:"r1" ~id:50 ~rate:1 ~path:[ 0; 1; 2 ] ());
+  (match arrive session ~req:"r1" ~id:50 ~rate:1 ~path:[ 0; 1; 2 ] () with
   | Ok json -> (
     match Json.member "dedup" json with
     | Some (Json.Bool true) -> ()
@@ -646,7 +661,7 @@ let test_dedup_suppression () =
   | Error (code, msg) -> Alcotest.failf "retry rejected: %s %s" code msg);
   (* Same req, conflicting op: still suppressed (it is the same request
      as far as the client is concerned). *)
-  (match Session.depart session ~req:"r1" 50 with
+  (match depart session ~req:"r1" 50 with
   | Ok json -> (
     match Json.member "dedup" json with
     | Some (Json.Bool true) -> ()
@@ -680,7 +695,7 @@ let test_dedup_bounded () =
   in
   for i = 1 to 5 do
     expect_applied "bounded arrive"
-      (Session.arrive s ~req:(Printf.sprintf "q%d" i) ~id:i ~rate:1
+      (arrive s ~req:(Printf.sprintf "q%d" i) ~id:i ~rate:1
          ~path:[ 0; 1; 2 ] ())
   done;
   Alcotest.(check int) "table capped" 3 (durability_int s "dedup_size");
@@ -688,11 +703,11 @@ let test_dedup_bounded () =
   (* q5 is remembered: the retry dedups.  q1 was evicted: the retry is
      judged on its merits again, and flow 1 being live makes it a
      conflict. *)
-  (match Session.arrive s ~req:"q5" ~id:5 ~rate:1 ~path:[ 0; 1; 2 ] () with
+  (match arrive s ~req:"q5" ~id:5 ~rate:1 ~path:[ 0; 1; 2 ] () with
   | Ok json when Json.member "dedup" json = Some (Json.Bool true) -> ()
   | Ok json -> Alcotest.failf "recent id must dedup, got %s" (Json.to_string json)
   | Error (code, msg) -> Alcotest.failf "%s %s" code msg);
-  (match Session.arrive s ~req:"q1" ~id:1 ~rate:1 ~path:[ 0; 1; 2 ] () with
+  (match arrive s ~req:"q1" ~id:1 ~rate:1 ~path:[ 0; 1; 2 ] () with
   | Error ("conflict", _) -> ()
   | Ok json -> Alcotest.failf "evicted id must not dedup: %s" (Json.to_string json)
   | Error (code, msg) -> Alcotest.failf "expected conflict, got %s %s" code msg);
@@ -701,10 +716,10 @@ let test_dedup_bounded () =
   | Error msg -> Alcotest.fail msg
   | Ok r ->
     Alcotest.(check int) "cap survives recovery" 3 (durability_int r "dedup_size");
-    (match Session.arrive r ~req:"q5" ~id:5 ~rate:1 ~path:[ 0; 1; 2 ] () with
+    (match arrive r ~req:"q5" ~id:5 ~rate:1 ~path:[ 0; 1; 2 ] () with
     | Ok json when Json.member "dedup" json = Some (Json.Bool true) -> ()
     | _ -> Alcotest.fail "recent id must still dedup after recovery");
-    (match Session.arrive r ~req:"q1" ~id:1 ~rate:1 ~path:[ 0; 1; 2 ] () with
+    (match arrive r ~req:"q1" ~id:1 ~rate:1 ~path:[ 0; 1; 2 ] () with
     | Error ("conflict", _) -> ()
     | _ -> Alcotest.fail "evicted id must stay evicted after recovery");
     Session.close r

@@ -199,8 +199,14 @@ let test_sink_jsonl () =
         | _ -> Alcotest.fail "expected one root span"))
     lines
 
+let test_clock_time () =
+  let x, dt = Tdmd_obs.Clock.time (fun () -> 42) in
+  Alcotest.(check int) "result" 42 x;
+  Alcotest.(check bool) "non-negative" true (dt >= 0.0)
+
 let suite =
   [
+    Alcotest.test_case "clock: time" `Quick test_clock_time;
     Alcotest.test_case "telemetry: counters and gauges" `Quick test_counters;
     Alcotest.test_case "telemetry: span nesting" `Quick test_span_nesting;
     Alcotest.test_case "telemetry: span closes on raise" `Quick

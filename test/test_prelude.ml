@@ -93,11 +93,6 @@ let test_listx () =
     [ (0, [ 2; 4 ]); (1, [ 1; 3 ]) ]
     (Listx.group_by (fun x -> x mod 2) [ 1; 2; 3; 4 ])
 
-let test_timer () =
-  let x, dt = Timer.time (fun () -> 42) in
-  Alcotest.(check int) "result" 42 x;
-  Alcotest.(check bool) "non-negative" true (dt >= 0.0)
-
 let test_histogram () =
   let h = Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 () in
   List.iter (Histogram.add h) [ 0.5; 1.0; 2.5; 9.9; 15.0; -3.0 ];
@@ -281,7 +276,6 @@ let suite =
     Alcotest.test_case "table: render + csv" `Quick test_table_render;
     Alcotest.test_case "table: csv quoting" `Quick test_table_csv_quoting;
     Alcotest.test_case "listx helpers" `Quick test_listx;
-    Alcotest.test_case "timer" `Quick test_timer;
     Alcotest.test_case "backoff: invalid policies" `Quick
       test_backoff_invalid_policy;
     Alcotest.test_case "backoff: cap saturation" `Quick
