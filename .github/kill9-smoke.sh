@@ -2,7 +2,7 @@
 # Crash-recovery smoke for `tdmd serve --journal`, run from the
 # repository root after `dune build`:
 #
-#   bash .github/kill9-smoke.sh one-shard|sharded|rebalance|legacy
+#   bash .github/kill9-smoke.sh one-shard|sharded|rebalance|legacy|legacy-sharded
 #
 # Serve with a journal, mutate with request ids, kill -9, restart on the
 # same journal, retry an op the dead server applied (it must dedup), and
@@ -14,7 +14,10 @@
 # summary of a migration-budgeted engine after two rebalance passes.
 # legacy serves a copy of test/wal_fixtures/flat, a directory written
 # before sharding, retries its f-a4 arrival (it must dedup) and checks
-# that the directory was moved into shard-0/.
+# that the directory was moved into shard-0/.  legacy-sharded serves a
+# copy of test/wal_fixtures/sharded, whose coordinator journal holds a
+# cross-shard arrival (s-x5) that no shard applied: its retry applies
+# it, a second retry dedups, and the root keeps only shard-0..3/.
 set -euo pipefail
 
 TDMD=_build/default/bin/tdmd_cli.exe
@@ -50,24 +53,43 @@ one_shard_layout() {
   [ ! -e "$WAL/snapshot.json" ]
 }
 
+# Serve a copy of a committed fixture directory until shutdown.
+serve_fixture() {
+  mkdir -p "$WAL"
+  cp -r "test/wal_fixtures/$1"/* "$WAL/"
+  "$TDMD" serve --listen "unix:$SOCK" --journal "$WAL" &
+  SERVE_PID=$!
+}
+stop_fixture() {
+  client --op shutdown
+  wait "$SERVE_PID"
+  SERVE_PID=
+}
+
 case "${1:-}" in
   legacy)
-    mkdir -p "$WAL"
-    cp test/wal_fixtures/flat/* "$WAL/"
-    serve() {
-      "$TDMD" serve --listen "unix:$SOCK" --journal "$WAL" &
-      SERVE_PID=$!
-    }
-    serve
+    serve_fixture flat
     client --op arrive --flow-id 4 --rate 1 --path 9,10,11 --req-id f-a4 \
       | grep -q '"dedup":true'
-    client --op shutdown
-    wait "$SERVE_PID"
-    SERVE_PID=
+    stop_fixture
     one_shard_layout
-    [ -f "$WAL/coord.wal" ]
-    [ "$(ls "$WAL")" = "$(printf 'coord.wal\nshard-0')" ]
+    [ "$(ls "$WAL")" = shard-0 ]
     echo "kill9-smoke legacy: ok"
+    exit 0
+    ;;
+  legacy-sharded)
+    serve_fixture sharded
+    x5() { client --op arrive --flow-id 5 --rate 1 --path 2,3,4 --req-id s-x5; }
+    x5 > "$WORK/x5.json"
+    grep -q '"cross":true' "$WORK/x5.json"
+    if grep -q '"dedup"' "$WORK/x5.json"; then
+      echo "legacy-sharded: the first s-x5 retry was not applied" >&2
+      exit 1
+    fi
+    x5 | grep -q '"dedup":true'
+    stop_fixture
+    [ "$(ls "$WAL")" = "$(printf 'shard-0\nshard-1\nshard-2\nshard-3')" ]
+    echo "kill9-smoke legacy-sharded: ok"
     exit 0
     ;;
   one-shard)
@@ -100,7 +122,7 @@ case "${1:-}" in
       client --op arrive --flow-id 2 --rate 2 --path 2,3 --req-id sh-2
       client --op arrive --flow-id 3 --rate 1 --path 4,5 --req-id sh-3
       client --op arrive --flow-id 4 --rate 1 --path 6,7 --req-id sh-4
-      # A path spanning two regions takes the two-phase cross path.
+      # A path spanning two regions is applied on its home shard.
       client --op arrive --flow-id 5 --rate 2 --path 1,2,3 --req-id sh-5 \
         | grep -q '"cross":true'
       client --op depart --flow-id 3 --req-id sh-d3
@@ -116,7 +138,7 @@ case "${1:-}" in
     # Offline recover detects the shard layout and agrees.
     check_recovered() {
       "$TDMD" recover --journal "$WAL" > "$WORK/recover.json"
-      grep -q '"shards":4' "$WORK/recover.json"
+      grep -q '"shard_count":4' "$WORK/recover.json"
       grep -q '"flows":4' "$WORK/recover.json"
     }
     ;;
@@ -138,7 +160,7 @@ case "${1:-}" in
     check_recovered() { grep -q '"rebalances":4' "$WORK/after.txt"; }
     ;;
   *)
-    echo "usage: $0 one-shard|sharded|rebalance|legacy" >&2
+    echo "usage: $0 one-shard|sharded|rebalance|legacy|legacy-sharded" >&2
     exit 2
     ;;
 esac

@@ -408,10 +408,7 @@ let seed_run ~seed ~total_ops =
     (List.iter (function
       | Journal.Arrive { req; _ } | Journal.Depart { req; _ }
       | Journal.Rebalance { req; _ } ->
-        count_req req
-      | Journal.Cross_prepare _ | Journal.Cross_done _ ->
-        failwith
-          (Printf.sprintf "chaos seed %d: cross record in a shard journal" seed)))
+        count_req req))
     shard_ops;
   Hashtbl.iter
     (fun r n ->

@@ -140,7 +140,7 @@ let line_blocks g ~n ~shards =
 (* Client [ci] churns inside shard [ci mod shards]'s block: two arrivals
    on short random segments, then a departure of its oldest live flow;
    every 16th arrival straddles the next block boundary, which
-   exercises the cross-shard two-phase path. *)
+   exercises the cross-shard routing to its home shard. *)
 let churn_client ~shards ~lo ~hi ci c =
   let s = ci mod shards in
   let rng = Rng.create (7001 + ci) in

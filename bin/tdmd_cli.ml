@@ -513,7 +513,7 @@ let recover journal fsync =
   | Some cfg -> (
     (* [Engine.recover] counts the shard-<i> directories (a flat
        directory written before sharding is first moved into shard-0/)
-       and replays the coordinator's in-flight cross ops. *)
+       and drops the coordinator journal an earlier build left. *)
     match Tdmd_server.Engine.recover cfg with
     | Error msg ->
       Printf.eprintf "cannot recover from %s: %s\n"
@@ -522,7 +522,7 @@ let recover journal fsync =
     | Ok engine ->
       let fields =
         ("op", Tdmd_obs.Json.String "recover")
-        :: ( "shards",
+        :: ( "shard_count",
              Tdmd_obs.Json.Int (Tdmd_server.Engine.shard_count engine) )
         :: Tdmd_server.Engine.churn_stats engine
         @ Tdmd_server.Engine.stats_fields engine
@@ -537,9 +537,11 @@ let recover_cmd =
     (Cmd.info "recover"
        ~doc:
          "Rebuild the engine from a journal directory (per shard: snapshot \
-          + WAL replay), print its state, and compact the journals.  A \
-          directory written before sharding is moved into DIR/shard-0/ \
-          first")
+          + WAL replay), print its state (the shard count as \
+          \"shard_count\", per-shard stats under \"shards\"), and compact \
+          the journals.  A directory written before sharding is moved into \
+          DIR/shard-0/ first; a coordinator journal (DIR/coord.wal) an \
+          earlier build left is removed")
     Term.(const recover $ journal_arg $ fsync_arg)
 
 let client connect op algo k seed on flow_id rate path ms budget deadline_ms

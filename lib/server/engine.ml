@@ -1,5 +1,4 @@
 module Json = Tdmd_obs.Json
-module Locked = Tdmd_prelude.Locked
 module Parallel = Tdmd_prelude.Parallel
 module Partition = Tdmd_topo.Partition
 
@@ -7,25 +6,9 @@ type source =
   | General of Tdmd.Instance.t
   | Tree of Tdmd.Instance.Tree.t
 
-(* Cross-shard coordinator: a tiny journal of prepare/done pairs.  A
-   prepare is made durable BEFORE the op is handed to its home shard;
-   the done record retires it once the shard has decided (applied,
-   deduplicated or refused).  Recovery re-submits every prepare without
-   a done — the shard's xid-keyed dedup table makes that idempotent. *)
-type coord = {
-  journal : Journal.t;
-  lock : Mutex.t;
-  tag : string;  (* per-boot unique prefix for generated xids *)
-  mutable seq : int;
-  mutable inflight : int;
-  mutable prepares : int;
-  mutable replayed : int;
-}
-
 type t = {
   shards : Shard.t array;  (* cells are swapped by supervised restarts *)
   router : Router.t;
-  coord : coord option;  (* durable only *)
   general : Tdmd.Instance.t;  (* canonical static instance *)
   sup : Supervisor.t;
   degraded_reads : bool;
@@ -43,23 +26,8 @@ let router t = t.router
 let retry_after_ms t = Supervisor.retry_after_ms t.sup
 
 let shard_dir root i = Filename.concat root (Printf.sprintf "shard-%d" i)
-let coord_file root = Filename.concat root "coord.wal"
 
 let ensure_dir dir = if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-
-let fresh_tag () =
-  Printf.sprintf "xc-%d-%Ld" (Unix.getpid ()) (Tdmd_obs.Clock.now_ns ())
-
-let make_coord journal =
-  {
-    journal;
-    lock = Mutex.create ();
-    tag = fresh_tag ();
-    seq = 0;
-    inflight = 0;
-    prepares = 0;
-    replayed = 0;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -109,7 +77,7 @@ let restart_shard t i =
 (* Tie the knot between the engine and its supervisor: the restart
    closure needs the engine, which holds the supervisor. *)
 let finish ?supervisor ?(degraded_reads = false) ~dedup_cap ~shard_cfg ~faults
-    ~shards ~router ~coord general =
+    ~shards ~router general =
   let cell = ref None in
   let restart =
     match shard_cfg with
@@ -126,7 +94,7 @@ let finish ?supervisor ?(degraded_reads = false) ~dedup_cap ~shard_cfg ~faults
       ~shards:(Array.length shards) ()
   in
   let t =
-    { shards; router; coord; general; sup; degraded_reads; dedup_cap; shard_cfg }
+    { shards; router; general; sup; degraded_reads; dedup_cap; shard_cfg }
   in
   cell := Some t;
   t
@@ -165,22 +133,8 @@ let create ?supervisor ?degraded_reads ?(config = Session.Config.default)
         let config = { config with Session.Config.durability } in
         Shard.create ~faults ~id:i (build_session ~config source))
   in
-  let coord =
-    Option.map
-      (fun d ->
-        let journal, ops =
-          Journal.open_append ~faults ~fsync:Journal.Always (coord_file d.Session.dir)
-        in
-        (* A fresh engine must not inherit in-flight ops: the shard
-           directories were just seeded empty, so any leftover records
-           are from an aborted directory reuse. *)
-        if ops <> [] then Journal.reset journal;
-        make_coord journal)
-      durability
-  in
   finish ?supervisor ?degraded_reads ~dedup_cap:config.Session.Config.dedup_cap
-    ~shard_cfg ~faults ~shards:shard_arr ~router:(Router.create partition) ~coord
-    general
+    ~shard_cfg ~faults ~shards:shard_arr ~router:(Router.create partition) general
 
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
@@ -202,59 +156,6 @@ let rebuild_router partition shards =
         (Session.live_flows (Shard.session sh)))
     shards;
   router
-
-(* Cross-shard ops whose prepare has no matching done: the coordinator
-   died between handing them to the home shard and retiring them (or
-   before handing them over at all). *)
-let inflight_prepares ops =
-  let done_xids = Hashtbl.create 16 in
-  List.iter
-    (function
-      | Journal.Cross_done { xid } -> Hashtbl.replace done_xids xid ()
-      | Journal.Cross_prepare _ | Journal.Arrive _ | Journal.Depart _
-      | Journal.Rebalance _ -> ())
-    ops;
-  List.filter_map
-    (function
-      | Journal.Cross_prepare { xid; home; op } when not (Hashtbl.mem done_xids xid)
-        ->
-        Some (xid, home, op)
-      | _ -> None)
-    ops
-
-(* A cross-shard op's xid is its idempotency id on the home shard, so a
-   prepare replayed after a crash cannot double-apply. *)
-let with_xid xid = function
-  | Journal.Arrive a -> Journal.Arrive { a with req = Some xid }
-  | Journal.Depart d -> Journal.Depart { d with req = Some xid }
-  | (Journal.Rebalance _ | Journal.Cross_prepare _ | Journal.Cross_done _) as op -> op
-
-(* Replay in-flight cross-shard ops in journal order.  The home shard's
-   dedup table is keyed by xid, so an op it already applied answers
-   ["dedup": true] instead of applying twice.  Every surviving prepare
-   is then retired: compact so the next boot replays nothing. *)
-let replay_prepares coord router shards ops =
-  let n = Array.length shards in
-  let* () =
-    List.fold_left
-      (fun acc (xid, home, op) ->
-        let* () = acc in
-        if home < 0 || home >= n then
-          Error (Printf.sprintf "coordinator journal: prepare %s targets shard %d of %d" xid home n)
-        else begin
-          let op = with_xid xid op in
-          (match (op, Shard.submit shards.(home) op) with
-          | Journal.Arrive { id; _ }, Ok _ -> Router.assign router ~flow_id:id ~shard:home
-          | Journal.Depart { flow_id; _ }, Ok _ -> Router.release router ~flow_id
-          | _, (Ok _ | Error _) -> ());
-          Journal.append coord.journal (Journal.Cross_done { xid });
-          coord.replayed <- coord.replayed + 1;
-          Ok ()
-        end)
-      (Ok ()) (inflight_prepares ops)
-  in
-  Journal.reset coord.journal;
-  Ok ()
 
 (* What one shard's recovery task answers: its session, its error, or
    the exception it raised, kept as a value so that the sessions the
@@ -332,6 +233,20 @@ let move_flat_root (cfg : Session.durability) =
     | exception Unix.Unix_error (err, fn, _) ->
       Error (Printf.sprintf "%s: %s: %s" root fn (Unix.error_message err))
 
+(* Earlier builds also journaled each cross-shard arrival in a
+   coordinator journal, [root/coord.wal], and answered its client only
+   once the arrival was retired there.  An arrival that file still holds
+   unretired was never answered, so the client's retry with the same req
+   applies it once, as for a local op lost in flight: the file is
+   dropped unread once every shard has recovered. *)
+let remove_coordinator_journal root =
+  let path = Filename.concat root "coord.wal" in
+  if not (Sys.file_exists path) then Ok ()
+  else
+    match Sys.remove path with
+    | () -> Ok ()
+    | exception Sys_error msg -> Error msg
+
 let recover ?supervisor ?degraded_reads ?(dedup_cap = Session.default_dedup_cap)
     (cfg : Session.durability) =
   let root = cfg.Session.dir in
@@ -364,19 +279,10 @@ let recover ?supervisor ?degraded_reads ?(dedup_cap = Session.default_dedup_cap)
      so it is the partition the engine was created with. *)
   let partition = Partition.make general.Tdmd.Instance.graph ~shards:n_shards in
   let router = rebuild_router partition shards in
-  let* journal, ops =
-    match Journal.open_append ~faults ~fsync:Journal.Always (coord_file root) with
-    | opened -> Ok opened
-    | exception Sys_error msg -> Error msg
-  in
-  undo_on_failure ~undo:(fun () -> Journal.abandon journal) @@ fun () ->
-  let coord = make_coord journal in
-  let engine =
-    finish ?supervisor ?degraded_reads ~dedup_cap ~shard_cfg:(Some shard_cfg)
-      ~faults ~shards ~router ~coord:(Some coord) general
-  in
-  let* () = replay_prepares coord router shards ops in
-  Ok engine
+  let* () = remove_coordinator_journal root in
+  Ok
+    (finish ?supervisor ?degraded_reads ~dedup_cap ~shard_cfg:(Some shard_cfg)
+       ~faults ~shards ~router general)
 
 (* ------------------------------------------------------------------ *)
 (* Churn                                                               *)
@@ -396,16 +302,6 @@ let tag_shard t ~shard ~cross reply =
              :: (if cross then [ ("cross", Json.Bool true) ] else []))))
     | (Ok _ | Error _) as r -> r
 
-let next_xid coord =
-  coord.seq <- coord.seq + 1;
-  Printf.sprintf "%s-%d" coord.tag coord.seq
-
-let mid_op_unavailable =
-  Error
-    ( "unavailable",
-      "shard failed mid-op; op may or may not be applied — retry with the \
-       same req" )
-
 (* Dispatch one op to a shard under the supervisor: refuse up front when
    the shard is not [Serving]; absorb a mid-op shard death (the
    leader's [Faults.Die], a poisoned journal's exception) into a
@@ -413,90 +309,35 @@ let mid_op_unavailable =
    poisoning — which {!Session.apply_batch} surfaces as [Error] replies,
    never exceptions — after the batch, so the shard restarts instead of
    wedging. *)
-let check_poisoned t i =
-  if Session.wal_poisoned (Shard.session t.shards.(i)) then
-    Supervisor.report_failure t.sup i ~reason:"wal poisoned"
-
 let guarded_submit t i bop =
   match Supervisor.guard t.sup i with
   | Error msg -> Error ("unavailable", msg)
   | Ok () ->
     let reply =
       Supervisor.protect t.sup i
-        ~fallback:(fun _ -> mid_op_unavailable)
+        ~fallback:(fun _ ->
+          Error
+            ( "unavailable",
+              "shard failed mid-op; op may or may not be applied — retry with \
+               the same req" ))
         (fun () -> Shard.submit t.shards.(i) bop)
     in
-    check_poisoned t i;
+    if Session.wal_poisoned (Shard.session t.shards.(i)) then
+      Supervisor.report_failure t.sup i ~reason:"wal poisoned";
     reply
 
-(* Two-phase apply of an op whose path spans shards: durable prepare,
-   home-shard apply (its own WAL + group commit), durable done.  The
-   xid — the client's idempotency id when it sent one — rides as the
-   op's [req] on the home shard, so replaying a prepare after a crash
-   cannot double-apply.  Callers have already health-gated every
-   participant, so a prepare is only written while all of them serve;
-   if the home shard dies under the op anyway, the done record is still
-   appended — the op either reached the shard's own WAL (shard recovery
-   replays it) or never did (the client was answered ["unavailable"]
-   and retries) — so no orphan prepare outlives the call. *)
-let cross_submit t ~home ~req op =
-  match t.coord with
-  | None ->
-    (* Not durable: no intent to persist, just route to the home shard. *)
-    guarded_submit t home op
-  | Some coord ->
-    let xid =
-      match req with
-      | Some r -> r
-      | None -> Locked.with_lock coord.lock (fun () -> next_xid coord)
-    in
-    let op = with_xid xid op in
-    Locked.with_lock coord.lock (fun () ->
-        Journal.append coord.journal (Journal.Cross_prepare { xid; home; op });
-        coord.prepares <- coord.prepares + 1;
-        coord.inflight <- coord.inflight + 1);
-    let reply =
-      Supervisor.protect t.sup home
-        ~fallback:(fun _ -> mid_op_unavailable)
-        (fun () -> Shard.submit t.shards.(home) op)
-    in
-    check_poisoned t home;
-    Locked.with_lock coord.lock (fun () ->
-        Journal.append coord.journal (Journal.Cross_done { xid });
-        coord.inflight <- coord.inflight - 1;
-        (* The journal only matters while an op is in flight; compact it
-           the moment it goes quiet so it never grows without bound. *)
-        if coord.inflight = 0 then Journal.reset coord.journal);
-    reply
-
+(* An arrival is applied on its home shard alone, whether its path stays
+   in that shard's region or crosses others: the shards it only crosses
+   never see the op, so only the home shard's health gates it. *)
 let arrive t ?req ~id ~rate ~path () =
-  let decision =
-    match Router.route_arrive t.router ~path with
-    | d -> Ok d
-    | exception Invalid_argument msg -> Error ("bad-request", msg)
-  in
-  match decision with
-  | Error _ as e -> e
-  | Ok decision -> (
-    let home, cross, spans =
+  match Router.route_arrive t.router ~path with
+  | exception Invalid_argument msg -> Error ("bad-request", msg)
+  | decision -> (
+    let home, cross =
       match decision with
-      | Router.Local s -> (s, false, [ s ])
-      | Router.Cross { home; spans } -> (home, true, spans)
+      | Router.Local s -> (s, false)
+      | Router.Cross { home; _ } -> (home, true)
     in
-    (* Health-gate every participant BEFORE the coordinator writes a
-       prepare: a cross-shard op refused here aborts cleanly, with no
-       orphan prepare for recovery to chase. *)
-    let down =
-      List.find_map
-        (fun s ->
-          match Supervisor.guard t.sup s with
-          | Ok () -> None
-          | Error msg -> Some msg)
-        spans
-    in
-    match down with
-    | Some msg -> Error ("unavailable", msg)
-    | None -> (
     (* Global duplicate-id check: each session only knows its own flows,
        so an id resident on another shard must be refused here.  A retry
        (same path, hence same route) lands on its own shard instead and
@@ -506,16 +347,11 @@ let arrive t ?req ~id ~rate ~path () =
     | Some resident when resident <> home ->
       Error ("conflict", Printf.sprintf "flow %d is already active" id)
     | Some _ | None ->
-      begin
-      let op = Journal.Arrive { id; rate; path; req } in
-      let reply =
-        if cross then cross_submit t ~home ~req op else guarded_submit t home op
-      in
+      let reply = guarded_submit t home (Journal.Arrive { id; rate; path; req }) in
       (match reply with
       | Ok _ -> Router.assign t.router ~flow_id:id ~shard:home
       | Error _ -> ());
-      tag_shard t ~shard:home ~cross reply
-      end))
+      tag_shard t ~shard:home ~cross reply)
 
 (* A flow the router does not know may be the retry of a depart that
    already applied (the first ack released it, or a restart rebuilt the
@@ -721,16 +557,6 @@ let shard_stats_json t =
            ])
        t.shards)
 
-let coord_stats_json coord =
-  Locked.with_lock coord.lock (fun () ->
-      Json.Obj
-        [
-          ("prepares", Json.Int coord.prepares);
-          ("inflight", Json.Int coord.inflight);
-          ("replayed", Json.Int coord.replayed);
-          ("journal_bytes", Json.Int (Journal.size_bytes coord.journal));
-        ])
-
 let health_fields t =
   let hs = Supervisor.health t.sup in
   [
@@ -768,11 +594,10 @@ let stats_fields t =
   (if Array.length t.shards = 1 then
      Session.durability_stats (Shard.session t.shards.(0))
    else [])
-  @ (("shards", Json.List (shard_stats_json t))
-    :: (match t.coord with
-       | Some coord -> [ ("coord", coord_stats_json coord) ]
-       | None -> []))
-  @ [ ("health", Json.Obj (health_fields t)) ]
+  @ [
+      ("shards", Json.List (shard_stats_json t));
+      ("health", Json.Obj (health_fields t));
+    ]
 
 let close t =
   (* Join every recovery thread first so a mid-restart shard swap cannot
@@ -786,10 +611,4 @@ let close t =
            open) cannot take a final snapshot; retire it without one —
            the disk already holds everything it acked. *)
         Session.abandon (Shard.session sh))
-    t.shards;
-  match t.coord with
-  | None -> ()
-  | Some coord ->
-    Locked.with_lock coord.lock (fun () ->
-        if coord.inflight = 0 then Journal.reset coord.journal;
-        Journal.close coord.journal)
+    t.shards

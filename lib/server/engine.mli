@@ -3,31 +3,22 @@
     An engine owns [N] {!Shard}s — each a full {!Session} (churn engine,
     WAL segment stream, dedup table) over its own slice of the flow
     population — plus a {!Router} assigning flows to shards by path
-    ownership over a {!Tdmd_topo.Partition} of the topology, and a
-    cross-shard coordinator used only for arrivals whose path spans
-    shards.
+    ownership over a {!Tdmd_topo.Partition} of the topology.  Every
+    arrival, whether its path stays in one region or crosses several, is
+    applied and journaled by its home shard alone (the one owning most
+    of its path), so one journal records each op.
 
     {2 Equivalence at one shard}
 
     [shards = 1] is the N-shard path with N = 1, on disk too: the one
-    session lives in [root/shard-0/] beside [root/coord.wal], churn
-    reaches it through its shard's queue ({!Shard.submit} →
-    {!Session.apply_batch}), a live read solves the union of the shards'
-    flows and {!churn_stats} folds the shards' summaries from shard 0's.
+    session lives in [root/shard-0/], churn reaches it through its
+    shard's queue ({!Shard.submit} → {!Session.apply_batch}), a live
+    read solves the union of the shards' flows and {!churn_stats} folds
+    the shards' summaries from shard 0's.
     Only the V1 reply bytes keep the single-engine form: replies carry
     no routing fields, {!rebalance} answers with the session's own reply
     and {!stats_fields} keeps the session's ["durability"] section in
     front of the ["shards"] list.
-
-    {2 Cross-shard commit (two-phase apply)}
-
-    An arrival spanning shards is made durable as a [Cross_prepare]
-    record in the coordinator journal {e before} its home shard (the
-    one owning most of its path) applies it through the shard's own
-    WAL; a [Cross_done] retires it once the shard has decided.  The op
-    carries its [xid] as idempotency id, so {!recover} can blindly
-    re-submit every prepare without a done — an op the shard already
-    applied answers ["dedup": true] instead of applying twice.
 
     {2 Recovery}
 
@@ -35,10 +26,9 @@
     {!Session.recover}), so the shards recover concurrently, on
     [min shards (Tdmd_prelude.Parallel.recommended_domains ())]
     domains; then, in shard order, the flow→shard routing table is
-    rebuilt from the recovered sessions' live flows, the partition is
+    rebuilt from the recovered sessions' live flows and the partition is
     recomputed (it is a deterministic function of the recovered
-    graph), and the coordinator finally replays in-flight cross-shard
-    ops.
+    graph).
 
     A flat root (one session's [snapshot.json] and journal segments
     directly in it, as every directory written before sharding has) is
@@ -46,6 +36,13 @@
     each rename made durable.  A crash part-way leaves the root snapshot
     in place for the next recovery to finish the move; a root that also
     holds [shard-0/snapshot.json] is refused, neither file overwritten.
+
+    Earlier builds also journaled each cross-shard arrival in a
+    coordinator journal, [root/coord.wal], and answered the client only
+    after retiring it there.  Once every shard has recovered, that file
+    is removed unread: an arrival it holds unretired was never answered,
+    and its retry with the same [req] applies it once, as for any op lost
+    in flight.  A failed recovery leaves the file.
 
     {2 Supervision}
 
@@ -57,13 +54,12 @@
     background thread under {!Tdmd_prelude.Backoff}, while every other
     shard keeps serving.  Ops aimed at a [Recovering] or [Poisoned]
     shard answer code ["unavailable"] (the server attaches
-    ["retry_after_ms"]); cross-shard arrivals health-gate {e every}
-    participant before the coordinator writes a prepare, so an aborted
-    2PC leaves no orphan prepare behind.  Live reads ({!solve} on
-    [Live], the server's [stats]) are refused while any shard is down
-    unless the engine was built with [~degraded_reads:true], in which
-    case they answer from the last applied state flagged
-    ["degraded": true]. *)
+    ["retry_after_ms"]); an arrival is gated by its home shard alone,
+    since the shards its path only crosses never see it.  Live reads
+    ({!solve} on [Live], the server's [stats]) are refused while any
+    shard is down unless the engine was built with
+    [~degraded_reads:true], in which case they answer from the last
+    applied state flagged ["degraded": true]. *)
 
 type source =
   | General of Tdmd.Instance.t
@@ -83,9 +79,9 @@ val create :
     [config] ([Session.Config.default], 1 shard, and a degree-seeded
     {!Tdmd_topo.Partition.make} of the instance graph by default).
     When durable, [config]'s directory is the root: shard [i] lives in
-    [root/shard-<i>/] and the coordinator journal at [root/coord.wal].  [config.churn_k] is each
-    shard's budget — the sharded live deployment may place up to
-    [shards * churn_k] middleboxes in total.  [supervisor] tunes the
+    [root/shard-<i>/], and the root holds nothing else.
+    [config.churn_k] is each shard's budget — the sharded live
+    deployment may place up to [shards * churn_k] middleboxes in total.  [supervisor] tunes the
     health state machine ({!Supervisor.default_config} otherwise);
     [degraded_reads] (default [false]) lets live reads answer flagged
     ["degraded": true] while a shard is down.
@@ -101,10 +97,10 @@ val recover :
   Session.durability ->
   (t, string) result
 (** Rebuild an engine from a durability root: the one-time move of a
-    flat root, per-shard recovery, router rebuild, coordinator replay
-    (see above).  The shard count is detected from the [shard-<i>]
-    directories; a root with neither [shard-0/] nor [snapshot.json]
-    answers an [Error] naming it.
+    flat root, per-shard recovery, router rebuild, and the removal of
+    an earlier build's [coord.wal] (see above).  The shard count is
+    detected from the [shard-<i>] directories; a root with neither
+    [shard-0/] nor [snapshot.json] answers an [Error] naming it.
 
     The shards are recovered concurrently, each from its own directory
     alone, so the engine is the same whatever the number of domains:
@@ -113,10 +109,10 @@ val recover :
     comes from the cores.
 
     [Error] names the lowest-numbered failing shard (["shard <i>: ..."]),
-    the coordinator journal, or the root when the move is refused.  After an [Error] or an exception
-    nothing stays open: every shard session the call opened, failing
-    shard's neighbours included, is abandoned without a snapshot and
-    its journal lock released, and so is the coordinator journal; the
+    the root when the move is refused, or a [coord.wal] that cannot be
+    removed.  After an [Error] or an exception nothing stays open: every
+    shard session the call opened, failing shard's neighbours included,
+    is abandoned without a snapshot and its journal lock released; the
     directory recovers once repaired. *)
 
 val shard_count : t -> int
@@ -126,8 +122,7 @@ val supervisor : t -> Supervisor.t
 
 val router : t -> Router.t
 (** The flow→shard routing table ({!Router.lookup}); {!recover} rebuilds
-    it from the recovered sessions' live flows and the replayed
-    prepares. *)
+    it from the recovered sessions' live flows. *)
 
 val retry_after_ms : t -> int
 (** The supervisor's hint, for the server to attach to ["unavailable"]
@@ -139,11 +134,11 @@ val arrive :
   t -> ?req:string -> id:int -> rate:int -> path:int list -> unit ->
   Session.reply
 (** Route by path ownership and submit to the home shard's group-commit
-    queue (via the coordinator when the path spans shards).  Sharded
-    replies additionally carry ["shard"] and — for spanning paths —
-    ["cross": true]; 1-shard replies are unchanged.  Every participant
-    shard is health-gated first: any of them down answers
-    ["unavailable"] before a cross-shard prepare is written. *)
+    queue, whether or not the path spans shards.  Sharded replies
+    additionally carry ["shard"] and — for spanning paths —
+    ["cross": true]; 1-shard replies are unchanged.  Only the home shard
+    is health-gated: it down answers ["unavailable"], while the shards
+    the path only crosses may be down. *)
 
 val depart : t -> ?req:string -> ?shard_hint:int -> int -> Session.reply
 (** Route to the flow's remembered home shard.  For a flow the router
@@ -203,10 +198,9 @@ val churn_stats : t -> (string * Protocol.Json.t) list
 
 val stats_fields : t -> (string * Protocol.Json.t) list
 (** A ["shards"] list (per shard: flows, queue depth/peak, group-commit
-    batch counters), a ["coord"] object when durable, and the
-    ["health"] object, at every shard count; one shard puts its
-    session's ["durability"] section ({!Session.durability_stats}) in
-    front. *)
+    batch counters) and the ["health"] object, at every shard count;
+    one shard puts its session's ["durability"] section
+    ({!Session.durability_stats}) in front. *)
 
 val health_fields : t -> (string * Protocol.Json.t) list
 (** The [health] RPC / [stats.health] payload: ["healthy"] (every shard
@@ -224,5 +218,4 @@ val read_status : t -> read_status
 val close : t -> unit
 (** Join the supervisor's recovery threads, close every shard (final
     snapshots; a shard whose journal is poisoned or whose disk fails is
-    abandoned without one — its WAL already holds everything acked) and
-    the coordinator journal. *)
+    abandoned without one — its WAL already holds everything acked). *)

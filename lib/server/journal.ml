@@ -9,14 +9,12 @@ type op =
   | Arrive of { id : int; rate : int; path : int list; req : string option }
   | Depart of { flow_id : int; req : string option }
   | Rebalance of { budget : int; req : string option }
-  | Cross_prepare of { xid : string; home : int; op : op }
-  | Cross_done of { xid : string }
 
 let req_field = function
   | Some r -> [ ("req", Json.String r) ]
   | None -> []
 
-let rec op_to_json = function
+let op_to_json = function
   | Arrive { id; rate; path; req } ->
     Json.Obj
       ((("op", Json.String "arrive") :: Protocol.flow_fields ~id ~rate ~path)
@@ -29,16 +27,6 @@ let rec op_to_json = function
     Json.Obj
       ([ ("op", Json.String "rebalance"); ("budget", Json.Int budget) ]
       @ req_field req)
-  | Cross_prepare { xid; home; op } ->
-    Json.Obj
-      [
-        ("op", Json.String "cross-prepare");
-        ("xid", Json.String xid);
-        ("home", Json.Int home);
-        ("inner", op_to_json op);
-      ]
-  | Cross_done { xid } ->
-    Json.Obj [ ("op", Json.String "cross-done"); ("xid", Json.String xid) ]
 
 let ( let* ) = Result.bind
 
@@ -49,7 +37,7 @@ let req_of json =
   | None -> Ok None
   | Some _ -> Result.map Option.some (Protocol.string_field ~ctx json "req")
 
-let rec op_of_json json =
+let op_of_json json =
   match Json.member "op" json with
   | Some (Json.String "arrive") ->
     let* id, rate, path = Protocol.flow_of_json ~ctx json in
@@ -65,26 +53,6 @@ let rec op_of_json json =
     else
       let* req = req_of json in
       Ok (Rebalance { budget; req })
-  | Some (Json.String "cross-prepare") ->
-    let* xid = Protocol.string_field ~ctx json "xid" in
-    let* home = Protocol.int_field ~ctx json "home" in
-    let* op =
-      match Json.member "inner" json with
-      | Some inner -> op_of_json inner
-      | None -> Error "journal record: missing field \"inner\""
-    in
-    (match op with
-    | Cross_prepare _ | Cross_done _ ->
-      Error "journal record: cross records do not nest"
-    | Rebalance _ ->
-      (* Rebalance is per-shard local (each shard spends its own budget
-         on its own placement), so it never rides the cross-shard
-         prepare path. *)
-      Error "journal record: rebalance cannot be cross-shard"
-    | Arrive _ | Depart _ -> Ok (Cross_prepare { xid; home; op }))
-  | Some (Json.String "cross-done") ->
-    let* xid = Protocol.string_field ~ctx json "xid" in
-    Ok (Cross_done { xid })
   | Some (Json.String other) ->
     Error (Printf.sprintf "journal record: unknown op %S" other)
   | _ -> Error "journal record: missing field \"op\""

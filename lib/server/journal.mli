@@ -31,17 +31,7 @@ type op =
       (** A bounded local-search rebalance pass.  [budget] is the
           {e resolved} move budget the live pass ran with (never the
           engine default by reference), so replay spends exactly the
-          same moves regardless of how the engine is later configured.
-          Never nests inside {!Cross_prepare}: rebalancing is per-shard
-          local. *)
-  | Cross_prepare of { xid : string; home : int; op : op }
-      (** Coordinator journal only: a cross-shard op bound for shard
-          [home], recorded durably before the shard applies it.  [xid]
-          doubles as the op's idempotency id on the shard, so a replayed
-          prepare cannot double-apply.  Never nests. *)
-  | Cross_done of { xid : string }
-      (** Coordinator journal only: the prepare with this [xid] was
-          acked by its home shard; recovery skips it. *)
+          same moves regardless of how the engine is later configured. *)
 
 val op_to_json : op -> Tdmd_obs.Json.t
 val op_of_json : Tdmd_obs.Json.t -> (op, string) result

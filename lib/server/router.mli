@@ -2,8 +2,8 @@
 
     Arrivals route by path ownership: a path wholly inside one shard's
     region is [Local] to it; a path spanning regions is [Cross] with a
-    home shard (the one owning most of its vertices) for the
-    coordinator to target.  Departures carry no path, so the router
+    home shard (the one owning most of its vertices), which applies and
+    journals it alone.  Departures carry no path, so the router
     remembers each flow's home shard from its arrival. *)
 
 type decision =

@@ -378,17 +378,12 @@ let apply_op churn = function
     (* The journalled budget is the resolved one, so replay spends
        exactly the moves the original call did. *)
     ignore (Tdmd.Incremental.rebalance ~budget churn)
-  | Journal.Cross_prepare _ | Journal.Cross_done _ ->
-    (* Coordinator records never land in a shard journal; treat one as
-       the corruption it is rather than silently skipping it. *)
-    invalid_arg "cross-shard record in a shard journal"
 
 let op_req = function
   | Journal.Arrive { req; _ }
   | Journal.Depart { req; _ }
   | Journal.Rebalance { req; _ } ->
     req
-  | Journal.Cross_prepare { xid; _ } | Journal.Cross_done { xid } -> Some xid
 
 let segment_epoch name =
   let pre = "journal-" and suf = ".wal" in
@@ -734,10 +729,6 @@ let apply_one_unlocked t op =
       journaled_unlocked t ~req ~op_name:"rebalance" op ~apply:(fun () ->
           let used = Tdmd.Incremental.rebalance ~budget t.churn in
           [ ("budget", Json.Int budget); ("moves_used", Json.Int used) ])
-  | Journal.Cross_prepare _ | Journal.Cross_done _ ->
-    (* Coordinator records never reach a shard; replay refuses one the
-       same way. *)
-    (false, Error ("internal", "cross-shard record in a shard journal"))
 
 let apply_batch t ops =
   match ops with

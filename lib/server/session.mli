@@ -171,8 +171,7 @@ val apply_batch : t -> Journal.op list -> reply list
     the acked-implies-durable invariant is batch-granular, never
     weakened).  Each op is journaled exactly as given, so its [req] is
     its idempotency id and a [Rebalance] carries its resolved budget
-    (a negative one answers ["bad-request"]; cross records answer
-    ["internal"]).  Replies come back in op order; a per-op failure
+    (a negative one answers ["bad-request"]).  Replies come back in op order; a per-op failure
     (bad-request, conflict, dedup hit, journal I/O error) answers that
     op and the rest of the batch proceeds.  If the batch-end fsync
     fails, every reply whose record's durability is now unknown is

@@ -1,8 +1,8 @@
 (* The sharded engine: 1-shard answers bit-identical to one session fed
-   through [Session.apply_batch], path-ownership routing with cross-shard two-phase apply,
-   group commit under concurrency, per-shard crash recovery including
-   coordinator replay, the versioned protocol envelope, and client-side
-   retries. *)
+   through [Session.apply_batch], path-ownership routing with every
+   arrival journaled by its home shard alone, group commit under
+   concurrency, per-shard crash recovery, the versioned protocol
+   envelope, and client-side retries. *)
 
 open Tdmd_prelude
 module Json = Tdmd_obs.Json
@@ -322,75 +322,104 @@ let test_group_commit_concurrent () =
     Engine.close recovered
 
 (* ------------------------------------------------------------------ *)
-(* Cross-shard two-phase apply: exactly once, replayed on recovery     *)
+(* Durable-directory helpers                                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_cross_shard_replay () =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let inst = line_instance 12 in
-  let partition = Pt.make ~seeds:[ 2; 8 ] inst.Tdmd.Instance.graph ~shards:2 in
-  let cfg = Session.durability ~fsync:Journal.Always dir in
-  let engine =
-    Engine.create ~config:(mk_config ~durability:cfg ()) ~shards:2 ~partition
-      (Engine.General inst)
-  in
-  let boundary =
-    (* First vertex owned by shard 1: a path from just before it spans
-       both shards. *)
-    let rec go v = if Pt.owner partition v = 1 then v else go (v + 1) in
-    go 0
-  in
-  let cross_path = [ boundary - 1; boundary; boundary + 1 ] in
-  let reply =
-    expect_applied "cross arrive"
-      (Engine.arrive engine ~req:"x1" ~id:50 ~rate:2 ~path:cross_path ())
-  in
-  Alcotest.(check bool) "cross tagged" true
-    (Json.member "cross" reply = Some (Json.Bool true));
-  let home = int_field "cross" "shard" reply in
-  (* Retire verified: the coordinator is quiet again. *)
-  (match List.assoc_opt "coord" (Engine.stats_fields engine) with
-  | Some coord ->
-    Alcotest.(check int) "prepared once" 1 (int_field "coord" "prepares" coord);
-    Alcotest.(check int) "nothing in flight" 0 (int_field "coord" "inflight" coord)
-  | None -> Alcotest.fail "durable sharded stats must carry \"coord\"");
-  Engine.close engine;
-  (* Simulate a coordinator that died between prepare and done: append
-     a bare prepare to the (now compacted) coordinator journal, then
-     recover.  The op must be applied exactly once. *)
-  let coord_file = Filename.concat dir "coord.wal" in
-  let journal, leftover = Journal.open_append ~fsync:Journal.Always coord_file in
-  Alcotest.(check int) "coord journal compacted" 0 (List.length leftover);
-  Journal.append journal
-    (Journal.Cross_prepare
-       {
-         xid = "manual-77";
-         home;
-         op = Journal.Arrive { id = 77; rate = 1; path = cross_path; req = Some "manual-77" };
-       });
-  Journal.close journal;
-  (match Engine.recover cfg with
-  | Error msg -> Alcotest.failf "recover with inflight prepare: %s" msg
-  | Ok recovered ->
-    (match List.assoc_opt "coord" (Engine.stats_fields recovered) with
-    | Some coord ->
-      Alcotest.(check int) "replayed one prepare" 1
-        (int_field "coord" "replayed" coord)
-    | None -> Alcotest.fail "recovered stats must carry \"coord\"");
-    (match List.assoc "flows" (Engine.churn_stats recovered) with
-    | Json.Int f -> Alcotest.(check int) "both flows live" 2 f
-    | _ -> Alcotest.fail "missing flows");
-    (* A second recovery replays nothing: the done record (and the
-       reset) retired the prepare. *)
-    Engine.close recovered);
-  match Engine.recover cfg with
-  | Error msg -> Alcotest.failf "second recover: %s" msg
-  | Ok again ->
-    (match List.assoc "flows" (Engine.churn_stats again) with
-    | Json.Int f -> Alcotest.(check int) "still exactly two flows" 2 f
-    | _ -> Alcotest.fail "missing flows");
-    Engine.close again
+let shard_root root i = Filename.concat root (Printf.sprintf "shard-%d" i)
+
+let root_entries dir = List.sort compare (Array.to_list (Sys.readdir dir))
+
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
+let write_all path data =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+
+let append_bytes path data =
+  Out_channel.with_open_gen
+    [ Open_wronly; Open_creat; Open_append; Open_binary ]
+    0o644 path
+    (fun oc -> Out_channel.output_string oc data)
+
+let rec copy_tree src dst =
+  Unix.mkdir dst 0o755;
+  Array.iter
+    (fun name ->
+      let s = Filename.concat src name and d = Filename.concat dst name in
+      if Sys.is_directory s then copy_tree s d else write_all d (read_all s))
+    (Sys.readdir src)
+
+(* The segment a shard directory's snapshot names: its live journal. *)
+let live_journal dir =
+  match
+    Result.map (Json.member "epoch")
+      (Json.of_string (read_all (Filename.concat dir "snapshot.json")))
+  with
+  | Ok (Some (Json.Int e)) ->
+    Filename.concat dir (Printf.sprintf "journal-%d.wal" e)
+  | _ -> Alcotest.failf "%s: the snapshot names no epoch" dir
+
+(* ------------------------------------------------------------------ *)
+(* Cross-shard arrivals: one home shard, one journal                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The records a shard directory's live journal holds for [req]. *)
+let records_for dir req =
+  match Journal.replay (live_journal dir) with
+  | Error msg -> Alcotest.failf "%s: %s" dir msg
+  | Ok (ops, _) ->
+    List.length
+      (List.filter
+         (function
+           | Journal.Arrive { req = r; _ } | Journal.Depart { req = r; _ }
+           | Journal.Rebalance { req = r; _ } ->
+             r = Some req)
+         ops)
+
+(* A cross arrival is journaled by its home shard and by no other, so
+   at 1 and at 4 shards the root holds only the shard directories after
+   create, churn, close and recover, and the arrival's retry after
+   recovery dedups at its home shard. *)
+let test_cross_arrival_home_journal () =
+  List.iter
+    (fun shards ->
+      let dir = temp_dir () in
+      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+      let ctx fmt = Printf.ksprintf (Printf.sprintf "%d shards: %s" shards) fmt in
+      let check_root at =
+        Alcotest.(check (list string))
+          (ctx "root after %s" at)
+          (List.init shards (Printf.sprintf "shard-%d"))
+          (root_entries dir)
+      in
+      let cfg = Session.durability ~fsync:Journal.Always dir in
+      let engine =
+        Engine.create ~config:(mk_config ~durability:cfg ()) ~shards
+          (Engine.General (line_instance 24))
+      in
+      check_root "create";
+      (* On the 4-shard partition of the 24-line, [2;3;4;5] touches
+         shards 1, 2 and 3, and shard 3 owns most of it. *)
+      let arrive () = Engine.arrive engine ~req:"x" ~id:6 ~rate:2 ~path:[ 2; 3; 4; 5 ] () in
+      let reply = expect_applied (ctx "cross arrive") (arrive ()) in
+      let home = if shards = 1 then 0 else int_field "cross" "shard" reply in
+      Alcotest.(check bool) (ctx "tagged cross") (shards > 1)
+        (Json.member "cross" reply = Some (Json.Bool true));
+      Alcotest.(check (list int))
+        (ctx "journaled by the home shard alone")
+        (List.init shards (fun i -> if i = home then 1 else 0))
+        (List.init shards (fun i -> records_for (shard_root dir i) "x"));
+      check_root "churn";
+      Engine.close engine;
+      check_root "close";
+      match Engine.recover cfg with
+      | Error msg -> Alcotest.failf "%s" (ctx "recover: %s" msg)
+      | Ok engine ->
+        Fun.protect ~finally:(fun () -> Engine.close engine) @@ fun () ->
+        check_root "recover";
+        Alcotest.(check bool) (ctx "the retry dedups") true
+          (Json.member "dedup" (expect_applied (ctx "retry") (arrive ()))
+          = Some (Json.Bool true)))
+    [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Per-shard crash matrix                                              *)
@@ -399,10 +428,10 @@ let test_cross_shard_replay () =
 (* The PR 4 crash discipline, sharded: drive a workload that mixes
    shard-local and cross-shard ops against a 2-shard durable engine
    whose fault plan crashes at the nth pass of a WAL/snapshot point —
-   in whichever journal (shard 0's, shard 1's or the coordinator's)
-   happens to hit it.  Recover, replay the whole workload with the same
-   req ids (the client retry protocol), and require the result to be
-   bit-identical to an uninterrupted run. *)
+   in whichever shard's journal happens to hit it.  Recover, replay the
+   whole workload with the same req ids (the client retry protocol),
+   and require the result to be bit-identical to an uninterrupted
+   run. *)
 
 type wop = A of int * int * int list | D of int | DU of int | R of int
 
@@ -497,8 +526,8 @@ let crash_and_recover_sharded ~point ~nth ~snapshot_every =
 let sharded_crash_matrix =
   [
     (* Early and late passes of every WAL point; the hit counter is
-       global across the two shard journals and the coordinator's, so
-       different [nth]s land the crash in different journals. *)
+       global across the two shard journals, so different [nth]s land
+       the crash in different journals. *)
     ("wal.append.pre_write", 1, 0);
     ("wal.append.pre_write", 5, 0);
     ("wal.append.post_write", 2, 0);
@@ -523,43 +552,11 @@ let test_sharded_crash_matrix () =
 
 (* [Engine.recover] recovers the shards on several domains at once.
    Each shard reads only its own directory, so the engine must equal a
-   reference that recovers the shards one at a time in shard order and
-   then replays the coordinator's unretired prepares; and a failed
-   recovery must name the lowest failing shard and release every
-   journal any shard opened. *)
+   reference that recovers the shards one at a time in shard order; and
+   a failed recovery must name the lowest failing shard and release
+   every journal any shard opened. *)
 
 module Router = Tdmd_server.Router
-
-let shard_root root i = Filename.concat root (Printf.sprintf "shard-%d" i)
-
-let read_all path = In_channel.with_open_bin path In_channel.input_all
-
-let write_all path data =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
-
-let append_bytes path data =
-  Out_channel.with_open_gen
-    [ Open_wronly; Open_creat; Open_append; Open_binary ]
-    0o644 path
-    (fun oc -> Out_channel.output_string oc data)
-
-let rec copy_tree src dst =
-  Unix.mkdir dst 0o755;
-  Array.iter
-    (fun name ->
-      let s = Filename.concat src name and d = Filename.concat dst name in
-      if Sys.is_directory s then copy_tree s d else write_all d (read_all s))
-    (Sys.readdir src)
-
-(* The segment a shard directory's snapshot names: its live journal. *)
-let live_journal dir =
-  match
-    Result.map (Json.member "epoch")
-      (Json.of_string (read_all (Filename.concat dir "snapshot.json")))
-  with
-  | Ok (Some (Json.Int e)) ->
-    Filename.concat dir (Printf.sprintf "journal-%d.wal" e)
-  | _ -> Alcotest.failf "%s: the snapshot names no epoch" dir
 
 (* A record header promising 64 payload bytes followed by only 10 of
    them: what a crash in the middle of an append leaves. *)
@@ -587,9 +584,7 @@ type recovery_case = {
   shards : int;
   snapshot_every : int;
   history : hop list;
-  inflight : bool option;
-      (* an unretired prepare; [Some true]: its home shard journaled it *)
-  torn : bool list;  (* per shard, then the coordinator: a torn tail *)
+  torn : bool list;  (* per shard: a torn tail *)
 }
 
 let print_hop = function
@@ -598,11 +593,8 @@ let print_hop = function
   | H_rebalance b -> Printf.sprintf "R%d" b
 
 let print_case c =
-  Printf.sprintf "shards %d, snapshot_every %d, inflight %s, torn [%s], history [%s]"
+  Printf.sprintf "shards %d, snapshot_every %d, torn [%s], history [%s]"
     c.shards c.snapshot_every
-    (match c.inflight with
-    | None -> "none"
-    | Some journaled -> if journaled then "journaled" else "prepare only")
     (String.concat ";" (List.map string_of_bool c.torn))
     (String.concat ";" (List.map print_hop c.history))
 
@@ -622,68 +614,42 @@ let gen_case =
       ]
   in
   map
-    (fun ((shards, snapshot_every), (history, inflight, torn)) ->
-      { shards; snapshot_every; history; inflight; torn })
+    (fun ((shards, snapshot_every), (history, torn)) ->
+      { shards; snapshot_every; history; torn })
     (pair
        (pair (int_range 2 5) (oneofl [ 0; 3 ]))
-       (triple (list_size (int_range 0 30) hop) (opt bool)
-          (list_repeat 6 (frequency [ (3, return false); (1, return true) ]))))
+       (pair (list_size (int_range 0 30) hop)
+          (list_repeat 5 (frequency [ (3, return false); (1, return true) ]))))
 
 (* Drive the history on a durable engine, then crash it: no shard
-   takes a final snapshot, so recovery replays every journaled op
-   (closing the engine afterwards only compacts and closes the quiet
-   coordinator journal).  The in-flight prepare and the torn tails are
-   written into the crashed directory afterwards. *)
+   takes a final snapshot, so recovery replays every journaled op.  The
+   torn tails are written into the crashed directory afterwards. *)
 let crash_history dir c =
-  let inst = line_instance recovery_line in
   let cfg =
     Session.durability ~fsync:Journal.Never ~snapshot_every:c.snapshot_every dir
   in
   let engine =
     Engine.create ~config:(mk_config ~durability:cfg ()) ~shards:c.shards
-      (Engine.General inst)
+      (Engine.General (line_instance recovery_line))
   in
   List.iteri (fun i hop -> ignore (apply_hop engine i hop)) c.history;
   for i = 0 to c.shards - 1 do
     Session.abandon (Shard.session (Engine.shard engine i))
   done;
   Engine.close engine;
-  let coord = Filename.concat dir "coord.wal" in
-  Option.iter
-    (fun journaled ->
-      let partition = Pt.make inst.Tdmd.Instance.graph ~shards:c.shards in
-      let rec boundary v =
-        if Pt.owner partition v <> Pt.owner partition (v + 1) then v
-        else boundary (v + 1)
-      in
-      let v = boundary 0 in
-      let path = [ v; v + 1 ] in
-      let home =
-        match Router.route_arrive (Router.create partition) ~path with
-        | Router.Cross { home; _ } -> home
-        | Router.Local s -> s
-      in
-      let xid = "xc-inflight-1" in
-      let op = Journal.Arrive { id = 999; rate = 2; path; req = Some xid } in
-      append_bytes coord (Journal.encode (Journal.Cross_prepare { xid; home; op }));
-      if journaled then
-        append_bytes (live_journal (shard_root dir home)) (Journal.encode op))
-    c.inflight;
   List.iteri
     (fun i torn ->
-      if torn && i < c.shards then append_bytes (live_journal (shard_root dir i)) torn_tail
-      else if torn && i = c.shards then append_bytes coord torn_tail)
+      if torn && i < c.shards then append_bytes (live_journal (shard_root dir i)) torn_tail)
     c.torn
 
-(* The reference: every shard recovered alone, in shard order, the
-   routing table rebuilt from their live flows, then each unretired
-   prepare applied on its home shard under its xid. *)
+(* The reference: every shard recovered alone, in shard order, and the
+   routing table rebuilt from their live flows. *)
 let reference_recover dir ~shards =
-  let ok ctx = function Ok v -> v | Error msg -> Alcotest.failf "%s: %s" ctx msg in
   let sessions =
     Array.init shards (fun i ->
-        ok "reference shard"
-          (Session.recover (Session.durability ~fsync:Journal.Never (shard_root dir i))))
+        match Session.recover (Session.durability ~fsync:Journal.Never (shard_root dir i)) with
+        | Ok s -> s
+        | Error msg -> Alcotest.failf "reference shard %d: %s" i msg)
   in
   let routes = Hashtbl.create 64 in
   Array.iteri
@@ -692,24 +658,7 @@ let reference_recover dir ~shards =
         (fun (f : Tdmd_flow.Flow.t) -> Hashtbl.replace routes f.Tdmd_flow.Flow.id i)
         (Session.live_flows s))
     sessions;
-  let ops, _ = ok "reference coord" (Journal.replay (Filename.concat dir "coord.wal")) in
-  let retired =
-    List.filter_map (function Journal.Cross_done { xid } -> Some xid | _ -> None) ops
-  in
-  let replayed = ref 0 in
-  List.iter
-    (function
-      | Journal.Cross_prepare { xid; home; op } when not (List.mem xid retired) -> (
-        incr replayed;
-        match op with
-        | Journal.Arrive { id; rate; path; _ } -> (
-          match Test_journal.arrive sessions.(home) ~req:xid ~id ~rate ~path () with
-          | Ok _ -> Hashtbl.replace routes id home
-          | Error _ -> ())
-        | _ -> Alcotest.fail "the histories prepare arrivals only")
-      | _ -> ())
-    ops;
-  (sessions, routes, !replayed)
+  (sessions, routes)
 
 (* [engine_fingerprint] of an engine over [sessions]: their summaries
    folded from shard 0's, and a live solve of their flows in shard
@@ -755,11 +704,6 @@ let durability_sans_dir session =
     Json.to_string (Json.Obj (List.remove_assoc "dir" fields))
   | _ -> Alcotest.fail "a durable session without durability stats"
 
-let coord_replayed engine =
-  match List.assoc_opt "coord" (Engine.stats_fields engine) with
-  | Some coord -> int_field "coord" "replayed" coord
-  | None -> Alcotest.fail "durable sharded stats must carry \"coord\""
-
 let prop_recovery_order_free =
   QCheck.Test.make ~count:50
     ~name:"Engine.recover = per-shard Session.recover in shard order"
@@ -774,7 +718,7 @@ let prop_recovery_order_free =
         | Ok engine -> engine
         | Error msg -> QCheck.Test.fail_reportf "recover: %s" msg
       in
-      let sessions, routes, replayed = reference_recover copy ~shards:c.shards in
+      let sessions, routes = reference_recover copy ~shards:c.shards in
       let check what got want =
         if got <> want then
           QCheck.Test.fail_reportf "%s differs\nengine:    %s\nreference: %s" what got want
@@ -787,7 +731,7 @@ let prop_recovery_order_free =
             (Printf.sprintf "route of flow %d" flow_id)
             (route (Router.lookup (Engine.router engine) ~flow_id))
             (route (Hashtbl.find_opt routes flow_id)))
-        (999 :: List.init 40 (fun i -> i + 1));
+        (List.init 40 (fun i -> i + 1));
       Array.iteri
         (fun i s ->
           check
@@ -795,8 +739,6 @@ let prop_recovery_order_free =
             (durability_sans_dir (Shard.session (Engine.shard engine i)))
             (durability_sans_dir s))
         sessions;
-      check "replayed prepares" (string_of_int (coord_replayed engine))
-        (string_of_int replayed);
       for i = 0 to c.shards - 1 do
         Session.abandon (Shard.session (Engine.shard engine i))
       done;
@@ -836,9 +778,9 @@ let expect_recover_error ctx cfg expected =
 
 (* Every failure path of [Engine.recover] releases what it opened:
    a shard that cannot recover (the shards before it, and after it,
-   were opened by then), a coordinator journal that cannot be opened,
-   and a prepare the coordinator cannot replay.  Once repaired, the
-   directory recovers to the state it was closed in. *)
+   were opened by then), and an earlier build's coordinator journal
+   that cannot be removed.  Once repaired, the directory recovers to
+   the state it was closed in. *)
 let test_failed_recover_releases () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -850,23 +792,10 @@ let test_failed_recover_releases () =
   expect_recover_error "cut shard-2 snapshot" cfg "shard 2: expected '\"' at offset 1";
   write_all snapshot intact;
   let coord = Filename.concat dir "coord.wal" in
-  Sys.remove coord;
   Unix.mkdir coord 0o755;
   expect_recover_error "coordinator journal is a directory" cfg
-    (Printf.sprintf "cannot open journal %s: %s" coord (Unix.error_message Unix.EISDIR));
+    (Printf.sprintf "%s: %s" coord (Unix.error_message Unix.EISDIR));
   Unix.rmdir coord;
-  append_bytes coord
-    (Journal.encode
-       (Journal.Cross_prepare
-          {
-            xid = "xc-bad";
-            home = 7;
-            op =
-              Journal.Arrive { id = 50; rate = 1; path = [ 0; 1 ]; req = Some "xc-bad" };
-          }));
-  expect_recover_error "prepare for a shard the root lacks" cfg
-    "coordinator journal: prepare xc-bad targets shard 7 of 3";
-  Sys.remove coord;
   match Engine.recover cfg with
   | Error msg -> Alcotest.failf "repaired directory: %s" msg
   | Ok engine ->
@@ -1050,38 +979,7 @@ let test_client_retry_honors_hint () =
     (Unix.gettimeofday () -. t0 >= 0.03)
 
 (* ------------------------------------------------------------------ *)
-(* Journal codec: cross-shard records                                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_cross_record_codec () =
-  let roundtrip op =
-    match Journal.op_of_json (Journal.op_to_json op) with
-    | Ok got -> Alcotest.(check bool) "roundtrip" true (got = op)
-    | Error e -> Alcotest.failf "decode failed: %s" e
-  in
-  roundtrip
-    (Journal.Cross_prepare
-       {
-         xid = "x-1";
-         home = 3;
-         op = Journal.Arrive { id = 7; rate = 2; path = [ 1; 2 ]; req = Some "x-1" };
-       });
-  roundtrip
-    (Journal.Cross_prepare
-       { xid = "x-2"; home = 0; op = Journal.Depart { flow_id = 7; req = None } });
-  roundtrip (Journal.Cross_done { xid = "x-1" });
-  (* Nested cross records are refused by the codec. *)
-  match
-    Journal.op_of_json
-      (Journal.op_to_json
-         (Journal.Cross_prepare
-            { xid = "outer"; home = 0; op = Journal.Cross_done { xid = "inner" } }))
-  with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "nested cross record must be refused"
-
-(* ------------------------------------------------------------------ *)
-(* Supervision: degradation arc, breaker trip, 2PC abort, lost acks    *)
+(* Supervision: degradation arc, breaker trip, cross arrivals, lost acks *)
 (* ------------------------------------------------------------------ *)
 
 (* A 2-shard durable engine over the 6-line (shard 0 owns {0, 1},
@@ -1107,19 +1005,6 @@ let kill_shard1 engine =
   | Error ("unavailable", _) -> ()
   | r -> Alcotest.failf "killing op: expected unavailable, got %s"
            (reply_to_string r)
-
-let coord_records dir =
-  match Journal.replay (Filename.concat dir "coord.wal") with
-  | Error msg -> Alcotest.failf "coord.wal replay: %s" msg
-  | Ok (ops, torn) ->
-    Alcotest.(check int) "coord.wal not torn" 0 torn;
-    List.fold_left
-      (fun (prepares, dones) op ->
-        match op with
-        | Journal.Cross_prepare _ -> (prepares + 1, dones)
-        | Journal.Cross_done _ -> (prepares, dones + 1)
-        | _ -> (prepares, dones))
-      (0, 0) ops
 
 (* The full arc: Serving -> failure -> Recovering (ops gated, healthy
    shards keep serving, live reads refused, static solves untouched) ->
@@ -1212,10 +1097,11 @@ let test_breaker_trips_to_poisoned () =
     (expect_applied "healthy shard serves past the trip"
        (Engine.arrive engine ~req:"a0" ~id:9 ~rate:1 ~path:[ 0; 1 ] ()))
 
-(* A cross-shard arrive whose non-home participant is down must abort
-   before the coordinator writes anything: no orphan Cross_prepare for
-   recovery to chew on, and the retry commits normally afterwards. *)
-let test_cross_abort_participant_down () =
+(* A cross arrival touches its home shard alone: it commits while a
+   shard its path only crosses is recovering, and is refused
+   "unavailable" only while its home shard is down, as a local arrival
+   is; each retry then applies once. *)
+let test_cross_arrival_with_crossed_shard_down () =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let sup_cfg =
@@ -1227,34 +1113,26 @@ let test_cross_abort_participant_down () =
   kill_shard1 engine;
   Alcotest.(check bool) "shard 1 recovering" true
     (Supervisor.state sup 1 = Supervisor.Recovering);
-  (* [0;1;2] is home shard 0 but spans shard 1. *)
-  (match Engine.arrive engine ~req:"x" ~id:8 ~rate:1 ~path:[ 0; 1; 2 ] () with
+  let check_cross ctx ~home ~dedup reply =
+    let json = expect_applied ctx reply in
+    Alcotest.(check int) (ctx ^ ": home") home (int_field ctx "shard" json);
+    Alcotest.(check bool) (ctx ^ ": tagged cross") true
+      (Json.member "cross" json = Some (Json.Bool true));
+    Alcotest.(check bool) (ctx ^ ": dedup") dedup
+      (Json.member "dedup" json = Some (Json.Bool true))
+  in
+  (* [0;1;2] is home shard 0 and crosses shard 1; [1;2;3] is the other
+     way round. *)
+  let crossing () = Engine.arrive engine ~req:"x" ~id:8 ~rate:1 ~path:[ 0; 1; 2 ] () in
+  let homed_on_1 () = Engine.arrive engine ~req:"y" ~id:9 ~rate:1 ~path:[ 1; 2; 3 ] () in
+  check_cross "commits with shard 1 down" ~home:0 ~dedup:false (crossing ());
+  (match homed_on_1 () with
   | Error ("unavailable", _) -> ()
-  | r ->
-    Alcotest.failf "cross arrive with participant down: %s"
-      (reply_to_string r));
-  let prepares, dones = coord_records dir in
-  Alcotest.(check int) "no orphan prepare" 0 prepares;
-  Alcotest.(check int) "no stray done" 0 dones;
+  | r -> Alcotest.failf "cross arrive homed on the down shard: %s" (reply_to_string r));
   Alcotest.(check bool) "recovers" true
     (Supervisor.await sup 1 Supervisor.Serving);
-  let retried =
-    expect_applied "cross retry after recovery"
-      (Engine.arrive engine ~req:"x" ~id:8 ~rate:1 ~path:[ 0; 1; 2 ] ())
-  in
-  Alcotest.(check bool) "tagged cross" true
-    (Json.member "cross" retried = Some (Json.Bool true));
-  (* The coordinator counts the retry's prepare and retires it; on disk
-     a retired pair may already be compacted away, so the journal-level
-     invariant is "no prepare without its done". *)
-  (match List.assoc_opt "coord" (Engine.stats_fields engine) with
-  | Some coord ->
-    Alcotest.(check int) "prepared once" 1 (int_field "coord" "prepares" coord);
-    Alcotest.(check int) "nothing in flight" 0
-      (int_field "coord" "inflight" coord)
-  | None -> Alcotest.fail "durable sharded stats must carry \"coord\"");
-  let prepares, dones = coord_records dir in
-  Alcotest.(check int) "every prepare retired" dones prepares
+  check_cross "refused arrival retried" ~home:1 ~dedup:false (homed_on_1 ());
+  check_cross "committed arrival retried" ~home:0 ~dedup:true (crossing ())
 
 (* The router-reconcile regression the chaos soak caught: a depart that
    was applied and journaled but whose ack died with the leader must
@@ -1377,34 +1255,6 @@ let replace_all ~sub ~by s =
   go 0;
   Buffer.contents b
 
-(* Generated xids are "xc-<pid>-<boot ns>-<seq>": keep the sequence
-   number, mask the per-boot tag. *)
-let mask_xids s =
-  let n = String.length s and b = Buffer.create (String.length s) in
-  let is_digit c = c >= '0' && c <= '9' in
-  let rec digits i = if i < n && is_digit s.[i] then digits (i + 1) else i in
-  let rec go i =
-    if i >= n then ()
-    else if i + 3 <= n && String.sub s i 3 = "xc-" then begin
-      let j = digits (i + 3) in
-      let k = if j < n && s.[j] = '-' then digits (j + 1) else j in
-      if j > i + 3 && k > j + 1 && k < n && s.[k] = '-' then begin
-        Buffer.add_string b "xc-X-";
-        go (k + 1)
-      end
-      else begin
-        Buffer.add_char b s.[i];
-        go (i + 1)
-      end
-    end
-    else begin
-      Buffer.add_char b s.[i];
-      go (i + 1)
-    end
-  in
-  go 0;
-  Buffer.contents b
-
 let wire_corpus =
   [
     {|{"op":"ping"}|};
@@ -1488,15 +1338,6 @@ let golden_journal_ops =
     Journal.Depart { flow_id = 7; req = Some "d-7" };
     Journal.Rebalance { budget = 0; req = None };
     Journal.Rebalance { budget = 4; req = Some "rb" };
-    Journal.Cross_prepare
-      {
-        xid = "x-1";
-        home = 2;
-        op = Journal.Arrive { id = 9; rate = 1; path = [ 4; 5 ]; req = Some "x-1" };
-      };
-    Journal.Cross_prepare
-      { xid = "x-2"; home = 0; op = Journal.Depart { flow_id = 3; req = None } };
-    Journal.Cross_done { xid = "x-1" };
   ]
 
 let golden_journal op =
@@ -1582,8 +1423,8 @@ let golden_instance text =
     | Ok inst -> "ok " ^ Json.to_string (P.instance_to_json inst)
     | Error msg -> "error " ^ msg)
 
-(* The scripted engine: local and cross arrivals (one with a generated
-   xid), retries that dedup, refusals of every kind, departs, explicit
+(* The scripted engine: local and cross arrivals (one without a req),
+   retries that dedup, refusals of every kind, departs, explicit
    and default-budget rebalances.  On the 24-vertex line the default
    4-shard partition gives shard 0 {0, 1}, shard 1 {2}, shard 2 {3} and
    shard 3 the rest. *)
@@ -1629,8 +1470,6 @@ let rec dir_files root rel =
          if Sys.is_directory (Filename.concat root rel) then dir_files root rel
          else [ rel ])
 
-let read_bytes path = In_channel.with_open_bin path In_channel.input_all
-
 let golden_engine ~shards ~budget =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -1642,7 +1481,7 @@ let golden_engine ~shards ~budget =
   in
   let engine = Engine.create ~config ~shards (Engine.General (line_instance 24)) in
   let line fmt = Printf.ksprintf (fun s -> tag ^ " " ^ s) fmt in
-  let mask s = mask_xids (replace_all ~sub:dir ~by:"DIR" s) in
+  let mask = replace_all ~sub:dir ~by:"DIR" in
   let replies =
     List.mapi
       (fun i op -> line "op %d %s" i (mask (reply_to_string (run_gop engine op))))
@@ -1655,7 +1494,7 @@ let golden_engine ~shards ~budget =
   Engine.close engine;
   let files =
     List.map
-      (fun rel -> line "file %s %S" rel (mask (read_bytes (Filename.concat dir rel))))
+      (fun rel -> line "file %s %S" rel (mask (read_all (Filename.concat dir rel))))
       (dir_files dir "")
   in
   let recovered =
@@ -1685,24 +1524,9 @@ let golden_lines () =
       [ (1, 0); (1, 2); (4, 0); (4, 2) ]
 
 (* The committed directories were written by an engine, not by hand
-   (apart from the sharded one's in-flight prepare, appended to
-   coord.wal the way a coordinator that died mid-op leaves it).  Each is
-   recovered from a temporary copy, so the fixture stays pristine. *)
-let copy_dir src dst =
-  List.iter
-    (fun rel ->
-      let target = Filename.concat dst rel in
-      let rec mkdirs d =
-        if not (Sys.file_exists d) then begin
-          mkdirs (Filename.dirname d);
-          Sys.mkdir d 0o755
-        end
-      in
-      mkdirs (Filename.dirname target);
-      Out_channel.with_open_bin target (fun oc ->
-          Out_channel.output_string oc (read_bytes (Filename.concat src rel))))
-    (dir_files src "")
-
+   (apart from the sharded one's coord.wal, see
+   [test_in_doubt_cross_arrival]).  Each is recovered from a temporary
+   copy, so the fixture stays pristine. *)
 (* What [dir], a copy of fixture [name], recovers to. *)
 let recovered_lines name dir retry =
   let line fmt = Printf.ksprintf (fun s -> Printf.sprintf "fixture %s %s" name s) fmt in
@@ -1718,7 +1542,7 @@ let recovered_lines name dir retry =
 let fixture_lines name retry =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  copy_dir (Filename.concat fixture_root name) dir;
+  copy_tree (Filename.concat fixture_root name) dir;
   recovered_lines name dir retry
 
 let flat_retry = Ga (Some "f-a4", 4, 1, [ 9; 10; 11 ])
@@ -1726,6 +1550,65 @@ let flat_retry = Ga (Some "f-a4", 4, 1, [ 9; 10; 11 ])
 let fixture_lines_all () =
   fixture_lines "flat" flat_retry
   @ fixture_lines "sharded" (Ga (Some "s-a4", 4, 1, [ 8; 9; 10 ]))
+
+(* test/wal_fixtures/sharded comes from a build that also journaled each
+   cross-shard arrival in a coordinator journal and answered its client
+   only once the arrival was retired there.  Its coord.wal holds one
+   unretired arrival, s-x5 (flow 5, home shard 1), that no shard journal
+   has: a client that was never answered.  Recovery drops the file
+   unread, so flow 5 is absent until the client retries; the retry
+   applies it once on shard 1, and the engine then answers what that
+   build recovered the directory to.  A recovery that fails leaves the
+   file. *)
+let earlier_build_churn =
+  {|{"flows":4,"placement":[0,1,2,8],"bandwidth":5.5,"feasible":true,"moves":6,"arrivals":5,"departures":1,"rebalances":4,"rebalance_moves":0}|}
+
+let earlier_build_solve =
+  {|{"algo":"gtp","k":3,"seed":5,"on":"live","placement":[1,2,8],"bandwidth":6.0,"feasible":true}|}
+
+let test_in_doubt_cross_arrival () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  copy_tree (Filename.concat fixture_root "sharded") dir;
+  let cfg = Session.durability ~fsync:Journal.Always dir in
+  let snapshot = Filename.concat (shard_root dir 2) "snapshot.json" in
+  let intact = read_all snapshot in
+  write_all snapshot "{";
+  expect_recover_error "cut shard-2 snapshot" cfg "shard 2: expected '\"' at offset 1";
+  Alcotest.(check bool) "a failed recovery keeps coord.wal" true
+    (Sys.file_exists (Filename.concat dir "coord.wal"));
+  write_all snapshot intact;
+  match Engine.recover cfg with
+  | Error msg -> Alcotest.failf "recover: %s" msg
+  | Ok engine ->
+    Fun.protect ~finally:(fun () -> Engine.close engine) @@ fun () ->
+    Alcotest.(check (list string)) "coord.wal removed"
+      [ "shard-0"; "shard-1"; "shard-2"; "shard-3" ]
+      (root_entries dir);
+    let flows () =
+      match List.assoc "flows" (Engine.churn_stats engine) with
+      | Json.Int f -> f
+      | _ -> Alcotest.fail "missing flows in churn stats"
+    in
+    Alcotest.(check int) "the unanswered arrival is not applied" 3 (flows ());
+    let retry () =
+      expect_applied "s-x5 retry"
+        (Engine.arrive engine ~req:"s-x5" ~id:5 ~rate:1 ~path:[ 2; 3; 4 ] ())
+    in
+    let first = retry () in
+    Alcotest.(check int) "applied on shard 1" 1 (int_field "retry" "shard" first);
+    Alcotest.(check bool) "tagged cross" true
+      (Json.member "cross" first = Some (Json.Bool true));
+    Alcotest.(check bool) "applied, not deduplicated" true
+      (Json.member "dedup" first = None);
+    Alcotest.(check string) "churn as the earlier build recovered it"
+      earlier_build_churn
+      (Json.to_string (Json.Obj (Engine.churn_stats engine)));
+    Alcotest.(check string) "live solve as the earlier build recovered it"
+      earlier_build_solve
+      (reply_to_string (run_gop engine Gs));
+    Alcotest.(check bool) "a second retry dedups" true
+      (Json.member "dedup" (retry ()) = Some (Json.Bool true))
 
 let is_fixture_line = String.starts_with ~prefix:"fixture "
 
@@ -1745,13 +1628,11 @@ let test_fixtures_recover () =
     (List.filter is_fixture_line (Test_registry.read_lines golden_file))
     (fixture_lines_all ())
 
-let root_entries dir = List.sort compare (Array.to_list (Sys.readdir dir))
-
 (* The one-time move of a flat root into [shard-0/], from the flat
    fixture cut at each step of it: the journal segments moved but not
    the snapshot, an empty [shard-0/], a leftover snapshot temp file.
    Each recovers to the golden fixture lines and leaves only [shard-0/]
-   and [coord.wal] in the root; a second recovery moves nothing. *)
+   in the root; a second recovery moves nothing. *)
 let test_flat_root_moves_once () =
   let golden =
     List.filter
@@ -1770,13 +1651,13 @@ let test_flat_root_moves_once () =
     (fun (cut, at) ->
       let dir = temp_dir () in
       Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-      copy_dir (Filename.concat fixture_root "flat") dir;
+      copy_tree (Filename.concat fixture_root "flat") dir;
       cut dir;
       Alcotest.(check (list string))
         (at ^ ": golden lines") golden
         (recovered_lines "flat" dir flat_retry);
       Alcotest.(check (list string))
-        (at ^ ": root after the move") [ "coord.wal"; "shard-0" ] (root_entries dir);
+        (at ^ ": root after the move") [ "shard-0" ] (root_entries dir);
       let shard0 = List.map (fun f -> (f, read_all (Filename.concat (shard_root dir 0) f))) in
       let before = shard0 (root_entries (shard_root dir 0)) in
       (match Engine.recover (Session.durability ~fsync:Journal.Always dir) with
@@ -1787,8 +1668,7 @@ let test_flat_root_moves_once () =
           (List.hd golden)
           ("fixture flat churn " ^ Json.to_string (Json.Obj (Engine.churn_stats engine)));
         Alcotest.(check (list string))
-          (at ^ ": second recovery moves nothing") [ "coord.wal"; "shard-0" ]
-          (root_entries dir);
+          (at ^ ": second recovery moves nothing") [ "shard-0" ] (root_entries dir);
         Alcotest.(check (list (pair string string)))
           (at ^ ": shard-0 untouched by the second recovery") before
           (shard0 (root_entries (shard_root dir 0)));
@@ -1817,8 +1697,8 @@ let test_flat_root_refusals () =
   Alcotest.(check (list string)) "empty root left empty" [] (root_entries dir);
   Unix.rmdir dir;
   let flat = Filename.concat fixture_root "flat" in
-  copy_dir flat dir;
-  copy_dir flat (shard_root dir 0);
+  copy_tree flat dir;
+  copy_tree flat (shard_root dir 0);
   let snapshots () =
     List.map read_all
       [ Filename.concat dir "snapshot.json"; Filename.concat (shard_root dir 0) "snapshot.json" ]
@@ -1891,8 +1771,8 @@ let suite =
       test_sharded_routing;
     Alcotest.test_case "sharded: group commit under concurrency" `Quick
       test_group_commit_concurrent;
-    Alcotest.test_case "sharded: cross-shard two-phase replay" `Quick
-      test_cross_shard_replay;
+    Alcotest.test_case "sharded: a cross arrival journals on its home shard alone" `Quick
+      test_cross_arrival_home_journal;
     Alcotest.test_case "sharded: crash matrix" `Quick test_sharded_crash_matrix;
     QCheck_alcotest.to_alcotest prop_recovery_order_free;
     Alcotest.test_case "recover: a failure leaves nothing open" `Quick
@@ -1905,14 +1785,12 @@ let suite =
       test_client_retry_budget_exhausted;
     Alcotest.test_case "client: honors retry_after_ms" `Quick
       test_client_retry_honors_hint;
-    Alcotest.test_case "journal: cross record codec" `Quick
-      test_cross_record_codec;
     Alcotest.test_case "supervised: degradation arc" `Quick
       test_supervised_degradation_arc;
     Alcotest.test_case "supervised: breaker trips to poisoned" `Quick
       test_breaker_trips_to_poisoned;
-    Alcotest.test_case "supervised: 2PC aborts with participant down" `Quick
-      test_cross_abort_participant_down;
+    Alcotest.test_case "supervised: a cross arrival commits with a crossed shard down"
+      `Quick test_cross_arrival_with_crossed_shard_down;
     Alcotest.test_case "supervised: lost-ack depart retry dedups" `Quick
       test_depart_retry_after_lost_ack;
     Alcotest.test_case "supervised: degraded reads" `Quick test_degraded_reads;
@@ -1921,6 +1799,8 @@ let suite =
     Alcotest.test_case "server: golden bytes" `Quick test_golden_bytes;
     Alcotest.test_case "server: parent-written directories recover" `Quick
       test_fixtures_recover;
+    Alcotest.test_case "recover: an in-doubt cross arrival applies on its retry"
+      `Quick test_in_doubt_cross_arrival;
     Alcotest.test_case "durable tree: tree solvers survive recovery" `Quick
       test_tree_engine_recovers;
     Alcotest.test_case "recover: a flat root moves into shard-0 once" `Quick

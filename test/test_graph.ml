@@ -1,6 +1,5 @@
 module G = Tdmd_graph.Digraph
 module Bfs = Tdmd_graph.Bfs
-module Dsu = Tdmd_graph.Dsu
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -78,17 +77,6 @@ let test_bfs_unreachable () =
     (Bfs.shortest_path g ~src:0 ~dst:2);
   Alcotest.(check int) "max_int distance" max_int (Bfs.distances g 0).(2)
 
-let test_dsu () =
-  let d = Dsu.create 5 in
-  Alcotest.(check int) "classes" 5 (Dsu.count d);
-  Alcotest.(check bool) "union" true (Dsu.union d 0 1);
-  Alcotest.(check bool) "again" false (Dsu.union d 1 0);
-  Alcotest.(check bool) "same" true (Dsu.same d 0 1);
-  Alcotest.(check bool) "different" false (Dsu.same d 0 2);
-  ignore (Dsu.union d 2 3);
-  ignore (Dsu.union d 0 3);
-  Alcotest.(check int) "classes after unions" 2 (Dsu.count d)
-
 let test_to_dot () =
   let g = G.create 2 in
   G.add_edge g 0 1;
@@ -105,6 +93,5 @@ let suite =
     Alcotest.test_case "digraph: connectivity" `Quick test_connectivity;
     Alcotest.test_case "bfs: diamond" `Quick test_bfs;
     Alcotest.test_case "bfs: unreachable" `Quick test_bfs_unreachable;
-    Alcotest.test_case "dsu: union-find" `Quick test_dsu;
     Alcotest.test_case "digraph: dot export" `Quick test_to_dot;
   ]
