@@ -57,7 +57,7 @@ let () =
   let ct = Table.create [ "capacity"; "bandwidth"; "unserved flows"; "deployment" ] in
   List.iter
     (fun capacity ->
-      let r = Tdmd.Capacitated.greedy ~k:4 ~capacity inst in
+      let r = Tdmd_extensions.Capacitated.greedy ~k:4 ~capacity inst in
       Table.add_row ct
         [
           string_of_int capacity;

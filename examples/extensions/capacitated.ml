@@ -1,3 +1,4 @@
+open Tdmd
 module Flow = Tdmd_flow.Flow
 
 type assignment = {

@@ -19,10 +19,10 @@ type assignment = {
   volume : int;               (** diminished volume of the served flows *)
 }
 
-val allocate : Instance.t -> capacity:int -> Placement.t -> assignment
+val allocate : Tdmd.Instance.t -> capacity:int -> Tdmd.Placement.t -> assignment
 (** First-fit capacitated allocation for a fixed deployment. *)
 
-val greedy : k:int -> capacity:int -> Instance.t -> Solver_intf.outcome
+val greedy : k:int -> capacity:int -> Tdmd.Instance.t -> Tdmd.Solver_intf.outcome
 (** Capacitated greedy: repeatedly add the vertex whose addition raises
     the capacitated diminished volume most, so lowers the capacitated
     bandwidth most, while some addition strictly raises it (never at

@@ -1,3 +1,4 @@
+open Tdmd
 module Flow = Tdmd_flow.Flow
 
 type spec = { ratios : float array }
@@ -64,7 +65,7 @@ let allocate spec instance deployment =
   let services =
     Array.to_list (Array.map (serve_flow spec deployment) instance.Instance.flows)
   in
-  (services, Tdmd_prelude.Listx.sum_by (fun s -> s.consumption) services)
+  (services, List.fold_left (fun acc s -> acc +. s.consumption) 0.0 services)
 
 let feasible spec instance deployment =
   let services, _ = allocate spec instance deployment in
@@ -161,9 +162,16 @@ let greedy ~k spec instance =
       let candidates = List.filter (fun p -> not (List.mem p chosen)) all_pairs in
       match candidates with
       | [] -> chosen
-      | _ ->
-        let best = Tdmd_prelude.Listx.max_by (fun p -> float_of_int (progress p)) candidates in
-        if progress best <= 0 then chosen else cover (best :: chosen)
+      | c :: rest ->
+        (* The first candidate wins ties. *)
+        let best, gain =
+          List.fold_left
+            (fun (b, g) p ->
+              let g' = progress p in
+              if g' > g then (p, g') else (b, g))
+            (c, progress c) rest
+        in
+        if gain <= 0 then chosen else cover (best :: chosen)
     end
   in
   let chosen = normalize (cover chosen) in

@@ -40,11 +40,11 @@ type flow_service = {
 }
 
 val allocate :
-  spec -> Instance.t -> deployment -> flow_service list * float
+  spec -> Tdmd.Instance.t -> deployment -> flow_service list * float
 (** Per-flow service detail and the total bandwidth (incomplete flows
     consume the rate reached so far on their remaining edges). *)
 
-val feasible : spec -> Instance.t -> deployment -> bool
+val feasible : spec -> Tdmd.Instance.t -> deployment -> bool
 
 val single_flow : spec -> rate:int -> hops:int -> int list * float
 (** Optimal chain positions for one flow with the given rate on a path
@@ -58,6 +58,6 @@ type report = {
   feasible : bool;
 }
 
-val greedy : k:int -> spec -> Instance.t -> report
+val greedy : k:int -> spec -> Tdmd.Instance.t -> report
 (** Adaptive greedy over (vertex, type) pairs with covering fix-up,
     mirroring GTP. *)

@@ -45,8 +45,6 @@ let () =
       show "Random" (Tdmd.Baselines.random rng ~k inst))
     [ 2; 3 ];
 
-  Format.printf "@.Feasibility: minimum middleboxes to serve every flow = %d@."
-    (Tdmd.Feasibility.min_middleboxes inst);
   Format.printf
-    "With k = 3 the optimum places a spam filter on every flow source and@.";
+    "@.With k = 3 the optimum places a spam filter on every flow source and@.";
   Format.printf "halves the total bandwidth: 16 -> 8, exactly as in the paper.@."

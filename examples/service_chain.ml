@@ -10,13 +10,14 @@
    Run with:  dune exec examples/service_chain.exe *)
 
 open Tdmd_prelude
+module Chain = Tdmd_extensions.Chain
 
 let () =
-  let spec = Tdmd.Chain.make_spec [ 0.9; 0.4 ] in
+  let spec = Chain.make_spec [ 0.9; 0.4 ] in
 
   (* Single-flow intuition first: positions for one 10-unit flow on an
      8-hop path. *)
-  let positions, value = Tdmd.Chain.single_flow spec ~rate:10 ~hops:8 in
+  let positions, value = Chain.single_flow spec ~rate:10 ~hops:8 in
   Printf.printf "single 10-unit flow over 8 hops:\n";
   Printf.printf "  optimal stage offsets: %s -> consumption %g (unprocessed: 80)\n\n"
     (String.concat ", " (List.map string_of_int positions))
@@ -27,7 +28,7 @@ let () =
   let ark = Tdmd_topo.Ark.generate rng ~n:36 in
   let graph, dests = Tdmd_topo.Ark.general_of rng ark ~size:24 in
   let flows =
-    Tdmd_traffic.Workload.gravity_flows rng graph ~dests
+    Tdmd_extensions.Gravity.flows rng graph ~dests
       ~rates:(Tdmd_traffic.Rate_dist.Caida_like { r_max = 20 })
       ~density:0.4 ~link_capacity:40 ()
   in
@@ -39,17 +40,17 @@ let () =
   let t = Table.create [ "budget k"; "bandwidth"; "saved"; "instances (vertex:type)" ] in
   List.iter
     (fun k ->
-      let r = Tdmd.Chain.greedy ~k spec inst in
+      let r = Chain.greedy ~k spec inst in
       Table.add_row t
         [
           string_of_int k;
-          Table.cell_float r.Tdmd.Chain.bandwidth;
+          Table.cell_float r.Chain.bandwidth;
           Printf.sprintf "%.1f%%"
-            (100.0 *. (1.0 -. (r.Tdmd.Chain.bandwidth /. volume)));
+            (100.0 *. (1.0 -. (r.Chain.bandwidth /. volume)));
           String.concat " "
             (List.map (fun (v, ty) -> Printf.sprintf "%d:%d" v ty)
-               r.Tdmd.Chain.deployment)
-          ^ (if r.Tdmd.Chain.feasible then "" else "  (incomplete chains)");
+               r.Chain.deployment)
+          ^ (if r.Chain.feasible then "" else "  (incomplete chains)");
         ])
     [ 2; 4; 6; 10 ];
   Table.print t;

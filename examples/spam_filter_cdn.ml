@@ -13,8 +13,9 @@ module Rt = Tdmd_tree.Rooted_tree
 
 let () =
   let rng = Rng.create 2024 in
-  (* Aggregation tree: origin -> regions -> edge PoPs. *)
-  let tree = Tdmd_topo.Topo_tree.balanced ~arity:3 ~depth:2 in
+  (* Aggregation tree: origin 0 -> regions 1-3 -> nine edge PoPs, each
+     vertex's parent (v - 1) / 3. *)
+  let tree = Rt.of_parents ~root:0 (Array.init 13 (fun v -> if v = 0 then -1 else (v - 1) / 3)) in
   let flows =
     Tdmd_traffic.Workload.tree_flows rng tree
       ~rates:(Tdmd_traffic.Rate_dist.Caida_like { r_max = 12 })

@@ -6,16 +6,6 @@
     as possible.  Because paths are listed source-first, that middlebox
     is the first placed vertex along the path. *)
 
-type serving =
-  | Unserved                       (** no middlebox on the flow's path *)
-  | Served_at of { vertex : int; l : int }
-      (** serving vertex and its l_v(f) edge offset from the source *)
-
-val serve : Placement.t -> Tdmd_flow.Flow.t -> serving
-(** One flow's serving decision, by membership tests on the placement
-    list.  The whole-instance functions below build one {!mask} per call
-    instead. *)
-
 val mask : Instance.t -> Placement.t -> Bytes.t
 (** One byte per vertex, ['\001'] where a middlebox is deployed: O(1)
     membership for a scan over many flows.  Placed vertices outside the
@@ -26,11 +16,6 @@ val first_in : Bytes.t -> Tdmd_flow.Flow.t -> int
     serving position l_v(f) — or the path length when none is (the flow
     is unserved). *)
 
-val all : Instance.t -> Placement.t -> serving array
-(** Indexed like the instance's flow array. *)
-
 val is_feasible : Instance.t -> Placement.t -> bool
 (** Every flow served (paper Eq. 4) — the property whose k-budgeted
     check is NP-hard (Theorem 1). *)
-
-val unserved : Instance.t -> Placement.t -> Tdmd_flow.Flow.t list

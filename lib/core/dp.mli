@@ -46,10 +46,12 @@ type tables
 
 val build : k_max:int -> Instance.Tree.t -> tables
 
+(* tdmd-analyze: allow unreached-export — reads the hidden tables that pin the paper's Fig. 6 *)
 val f_value : tables -> v:int -> k:int -> float
 (** The paper's F(v, k) (Fig. 6), rendered from the tables; [infinity]
     when infeasible. *)
 
+(* tdmd-analyze: allow unreached-export — reads the hidden tables that pin the paper's Fig. 7 *)
 val p_value : tables -> v:int -> k:int -> b:int -> float
 (** The paper's P(v, k, b) (Fig. 7) under the budget reading
     [min_{κ ≤ k}], rendered from the tables; [infinity] for

@@ -8,12 +8,11 @@ type picks = {
 let picks oracle chosen gains reads =
   { oracle; chosen = List.rev chosen; gains = List.rev gains; reads }
 
-(* [greedy], stopping early once [stop] holds before a round. *)
-let rounds ~stop ~k instance =
+let greedy ~k instance =
   let o = Inc_oracle.create instance in
   let n = Instance.vertex_count instance in
   let rec round chosen gains reads =
-    if Inc_oracle.size o >= k || stop o then picks o chosen gains reads
+    if Inc_oracle.size o >= k then picks o chosen gains reads
     else begin
       let reads = reads + n - Inc_oracle.size o in
       match Inc_oracle.argmax o Inc_oracle.Marginal_volume with
@@ -25,8 +24,6 @@ let rounds ~stop ~k instance =
     end
   in
   round [] [] 0
-
-let greedy ~k instance = rounds ~stop:(fun _ -> false) ~k instance
 
 (* CELF (Leskovec et al., KDD 2007).  A key is the vertex's marginal when
    last read, so by submodularity (Theorem 2) an upper bound on its
@@ -126,10 +123,3 @@ let run_with ~label select ?budget instance =
 let run_oracle ?budget instance = run_with ~label:"gtp" greedy ?budget instance
 let run ?budget instance = fst (run_oracle ?budget instance)
 let run_celf ?budget instance = fst (run_with ~label:"gtp-celf" celf ?budget instance)
-
-let derived_k instance =
-  (* Alg. 1 verbatim: deploy the max-marginal vertex until every flow is
-     processed; the number of boxes it used is the derived k. *)
-  let budget = Instance.vertex_count instance in
-  let sel = rounds ~stop:Inc_oracle.is_feasible ~k:budget instance in
-  Placement.size (Placement.of_list (repaired sel ~budget))

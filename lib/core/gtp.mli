@@ -60,7 +60,3 @@ val run_celf : ?budget:int -> Instance.t -> Solver_intf.outcome
 (** {!celf} repaired the same way — same deployment as {!run} (the
     ablation bench verifies this and counts saved oracle calls).  Same
     counters as {!run}; spans [gtp-celf > greedy, cover-fixup]. *)
-
-val derived_k : Instance.t -> int
-(** The k "derived from the algorithm" (Sec. 4.2): middleboxes GTP
-    needs to make the deployment feasible with no budget. *)

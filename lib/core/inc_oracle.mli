@@ -146,6 +146,7 @@ val marginal_volume : t -> int -> int
     first such query builds them.  Changes no answer: the deployment,
     the journal and every other query read the same afterwards. *)
 
+(* tdmd-analyze: allow unreached-export — the ledger's count argmax reads, checked per vertex against a rescan *)
 val newly_served : t -> int -> int
 (** Number of currently-unserved flows through the vertex, i.e. the
     drop of {!unserved_count} if it were deployed (0 when already

@@ -91,7 +91,6 @@ let make ~graph ~flows ~lambda =
 let vertex_count t = G.vertex_count t.graph
 let flow_count t = Array.length t.flows
 let flows t = Array.to_list t.flows
-let total_rate t = Flow.total_rate (flows t)
 let total_path_volume t = t.path_volume
 
 module Tree = struct
@@ -130,11 +129,5 @@ module Tree = struct
         let p = Rt.parent t.tree v in
         if p >= 0 then r.(p) <- r.(p) + r.(v))
       (Rt.postorder t.tree);
-    r
-
-  let source_rate t =
-    let n = Rt.size t.tree in
-    let r = Array.make n 0 in
-    Array.iter (fun f -> r.(Flow.src f) <- r.(Flow.src f) + f.Flow.rate) t.flows;
     r
 end

@@ -66,7 +66,6 @@ val check_lambda : string -> float -> unit
 val vertex_count : t -> int
 val flow_count : t -> int
 val flows : t -> Tdmd_flow.Flow.t list
-val total_rate : t -> int
 val total_path_volume : t -> int
 (** U = Σ_f r_f·|p_f|: the bandwidth with no middlebox deployed (Lemma
     1's max b(P)).  O(1): [make] sums it once. *)
@@ -97,7 +96,4 @@ module Tree : sig
   val subtree_rate : t -> int array
   (** Per-vertex total rate of flows sourced inside the vertex's
       subtree (the DP's R_v). *)
-
-  val source_rate : t -> int array
-  (** Per-vertex total rate of flows sourced exactly there. *)
 end

@@ -6,15 +6,16 @@
     solver decided on and the run's {!Tdmd_obs.Telemetry.t}, which holds
     each solver's work counters and spans (the solvers' doc comments
     list theirs).  {!Gtp}, {!Baselines}, {!Brute}, {!Dp}, {!Scaled_dp},
-    {!Hat}, {!Local_search} and {!Capacitated} all return it, and
-    {!Solvers} names them for the CLI, the experiments, the bench and
-    the server. *)
+    {!Hat} and {!Local_search} all return it, as does the capacitated
+    prototype under examples/, and {!Solvers} names them for the CLI,
+    the experiments, the bench and the server. *)
 
 type outcome = {
   placement : Placement.t;
   volume : int;
       (** D(P) of the returned deployment: {!Bandwidth.diminished_volume},
-          or for {!Capacitated} the volume its own allocation serves *)
+          or for a capacitated solver the volume its own allocation
+          serves *)
   bandwidth : float;  (** b(P, F) = U − (1−λ)·[volume], by {!Bandwidth.render} *)
   feasible : bool;    (** all flows served? *)
   telemetry : Tdmd_obs.Telemetry.t;

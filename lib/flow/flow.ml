@@ -17,18 +17,7 @@ let make ~id ~rate ~path =
   { id; rate; path = arr }
 
 let src f = f.path.(0)
-let dst f = f.path.(Array.length f.path - 1)
 let hop_count f = Array.length f.path - 1
-
-let mem_vertex f v = Array.exists (fun u -> u = v) f.path
-
-let l_v f v =
-  let rec go i =
-    if i = Array.length f.path then raise Not_found
-    else if f.path.(i) = v then i
-    else go (i + 1)
-  in
-  go 0
 
 let validate g f =
   let rec check i =
@@ -55,14 +44,5 @@ let merge_same_source flows =
   List.rev !order
   |> List.mapi (fun i key -> { (Hashtbl.find tbl key) with id = i })
 
-let total_rate flows = List.fold_left (fun acc f -> acc + f.rate) 0 flows
-
 let total_path_volume flows =
   List.fold_left (fun acc f -> acc + (f.rate * hop_count f)) 0 flows
-
-let pp ppf f =
-  Format.fprintf ppf "f%d[r=%d; %a]" f.id f.rate
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "->")
-       Format.pp_print_int)
-    (Array.to_list f.path)

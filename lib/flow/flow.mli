@@ -3,8 +3,8 @@
     A flow [f] has an integral initial rate [r_f] (the DP of Sec. 5.1 is
     pseudo-polynomial in the rates, so the model keeps them integral; use
     {!Tdmd.Scaled_dp} for fractional data) and an explicit vertex path
-    [p_f] from [src_f] to [dst_f].  [l_v f] is the paper's l_v(f): the
-    number of edges from the source to [v] along the path. *)
+    [p_f] from [src_f] to [dst_f]; a vertex's path index is the paper's
+    l_v(f), the number of edges from the source to [v]. *)
 
 type t = private {
   id : int;
@@ -17,14 +17,8 @@ val make : id:int -> rate:int -> path:int list -> t
     vertices in the path, or consecutive duplicates. *)
 
 val src : t -> int
-val dst : t -> int
 val hop_count : t -> int
 (** |p_f|: number of edges. *)
-
-val mem_vertex : t -> int -> bool
-val l_v : t -> int -> int
-(** [l_v f v] is the edge distance from [src f] to [v] along the path.
-    @raise Not_found when [v] is not on the path. *)
 
 val validate : Tdmd_graph.Digraph.t -> t -> (unit, string) result
 (** Checks every consecutive pair is an arc of the graph. *)
@@ -35,9 +29,6 @@ val merge_same_source : t list -> t list
     rate is the sum.  Merges flows with identical paths; ids are
     renumbered densely in first-appearance order. *)
 
-val total_rate : t list -> int
 val total_path_volume : t list -> int
 (** Σ_f r_f · |p_f| — the unprocessed bandwidth consumption, i.e. the
     paper's max b(P) (Lemma 1). *)
-
-val pp : Format.formatter -> t -> unit

@@ -16,9 +16,6 @@ let search g s =
   done;
   (dist, parent)
 
-let distances g s = fst (search g s)
-let parents g s = snd (search g s)
-
 let shortest_path g ~src ~dst =
   let dist, parent = search g src in
   if dist.(dst) = max_int then None
@@ -26,7 +23,3 @@ let shortest_path g ~src ~dst =
     let rec walk v acc = if v = src then src :: acc else walk parent.(v) (v :: acc) in
     Some (walk dst [])
   end
-
-let rec path_to_edges = function
-  | [] | [ _ ] -> []
-  | u :: (v :: _ as rest) -> (u, v) :: path_to_edges rest

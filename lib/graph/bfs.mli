@@ -4,17 +4,7 @@
     paths from the flow source to one of the designated destination
     vertices, matching the paper's pre-determined valid paths. *)
 
-val distances : Digraph.t -> int -> int array
-(** [distances g s] is the hop distance from [s] to every vertex
-    ([max_int] when unreachable). *)
-
-val parents : Digraph.t -> int -> int array
-(** BFS tree parents ([-1] for the source and unreachable vertices). *)
-
 val shortest_path : Digraph.t -> src:int -> dst:int -> int list option
 (** Vertex sequence from [src] to [dst] inclusive, or [None] when
     unreachable.  Deterministic: neighbours are scanned in adjacency
     order. *)
-
-val path_to_edges : int list -> (int * int) list
-(** Consecutive pairs of a vertex path. *)

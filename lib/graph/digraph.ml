@@ -75,11 +75,6 @@ let iter_succ t v f =
   check_vertex t v;
   List.iter (fun (u, w) -> f u w) (List.rev t.adj.(v).out)
 
-let copy t =
-  let g = create t.n in
-  List.iter (fun e -> add_edge ~weight:e.weight g e.src e.dst) (edges t);
-  g
-
 let induced t keep =
   let remap = Array.make t.n (-1) in
   Array.iteri (fun i v -> check_vertex t v; remap.(v) <- i) keep;
@@ -91,31 +86,6 @@ let induced t keep =
         t.adj.(v).out)
     keep;
   (g, Array.copy keep)
-
-let is_connected_undirected t =
-  if t.n <= 1 then true
-  else begin
-    let seen = Array.make t.n false in
-    let stack = ref [ 0 ] in
-    seen.(0) <- true;
-    let count = ref 1 in
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | v :: rest ->
-        stack := rest;
-        let visit (u, _) =
-          if not seen.(u) then begin
-            seen.(u) <- true;
-            incr count;
-            stack := u :: !stack
-          end
-        in
-        List.iter visit t.adj.(v).out;
-        List.iter visit t.adj.(v).into
-    done;
-    !count = t.n
-  end
 
 let to_dot ?(name = "g") t =
   let buf = Buffer.create 256 in

@@ -36,16 +36,11 @@ val out_degree : t -> int -> int
 val in_degree : t -> int -> int
 val edges : t -> edge list
 val iter_succ : t -> int -> (int -> float -> unit) -> unit
-val copy : t -> t
 
 val induced : t -> int array -> t * int array
 (** [induced g keep] is the subgraph on the vertices listed in [keep]
     (renumbered densely, preserving [keep]'s order) together with the
     mapping from new index to old vertex id. *)
-
-val is_connected_undirected : t -> bool
-(** Connectivity ignoring arc direction (vacuously true on <= 1
-    vertices). *)
 
 val to_dot : ?name:string -> t -> string
 (** Graphviz rendering (directed). *)

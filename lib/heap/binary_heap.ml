@@ -11,9 +11,6 @@ type 'a t = {
 let create ?(capacity = 16) ~cmp () =
   { cmp; data = Array.make (max capacity 1) None; size = 0 }
 
-let length t = t.size
-let is_empty t = t.size = 0
-
 let get t i = match t.data.(i) with Some x -> x | None -> assert false
 
 let grow t =
@@ -67,20 +64,3 @@ let pop t =
     if t.size > 0 then sift_down t 0;
     top
   end
-
-let of_list ~cmp xs =
-  match xs with
-  | [] -> create ~cmp ()
-  | _ ->
-    let data = Array.of_list (List.map Option.some xs) in
-    let t = { cmp; data; size = Array.length data } in
-    for i = (t.size / 2) - 1 downto 0 do
-      sift_down t i
-    done;
-    t
-
-let to_sorted_list t =
-  let rec drain acc =
-    match pop t with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  drain []

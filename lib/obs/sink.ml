@@ -3,9 +3,6 @@ type t = { write : string -> unit; flush : unit -> unit }
 let of_channel oc =
   { write = (fun s -> output_string oc s); flush = (fun () -> flush oc) }
 
-let of_buffer buf =
-  { write = Buffer.add_string buf; flush = ignore }
-
 let emit t j =
   t.write (Json.to_string j);
   t.write "\n";

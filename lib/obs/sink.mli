@@ -8,7 +8,6 @@
 type t
 
 val of_channel : out_channel -> t
-val of_buffer : Buffer.t -> t
 
 val emit : t -> Json.t -> unit
 (** Write one record and a newline; channel sinks flush per record so

@@ -32,7 +32,6 @@ let add t x =
   t.bins.(bin_index t x) <- t.bins.(bin_index t x) + 1;
   t.total <- t.total + 1
 
-let count t = t.total
 let bin_counts t = Array.copy t.bins
 
 let bin_edges t =
@@ -68,15 +67,3 @@ let percentile t p =
     in
     go 0 0.0
   end
-
-let render ?(width = 40) t =
-  let buf = Buffer.create 256 in
-  let peak = Array.fold_left max 1 t.bins in
-  Array.iteri
-    (fun i c ->
-      let lo, hi = (bin_edges t).(i) in
-      let bar = c * width / peak in
-      Buffer.add_string buf
-        (Printf.sprintf "[%8.3g, %8.3g) %6d %s\n" lo hi c (String.make bar '#')))
-    t.bins;
-  Buffer.contents buf

@@ -39,8 +39,6 @@ let map ?(domains = 1) f xs =
     | None -> ());
     Array.to_list (Array.map Option.get results)
 
-let iter ?domains f xs = ignore (map ?domains (fun x -> f x) xs)
-
 module Pool = struct
   type t = {
     jobs : (unit -> unit) Queue.t;

@@ -18,8 +18,6 @@ val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
     rely on shared mutable state.  Exceptions from [f] are re-raised in
     the caller after all domains join. *)
 
-val iter : ?domains:int -> ('a -> unit) -> 'a list -> unit
-
 (** Long-lived worker pool with a bounded job queue.
 
     Unlike {!map} (fork/join over a fixed task list), a [Pool.t] keeps

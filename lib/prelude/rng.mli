@@ -13,9 +13,6 @@ val create : int -> t
 (** [create seed] builds a fresh generator.  Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** Independent copy with identical current state. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     (for all practical purposes) independent of [t]'s continuation.  Use

@@ -57,6 +57,3 @@ let percentile a p =
     let frac = pos -. float_of_int lo in
     (b.(lo) *. (1.0 -. frac)) +. (b.(hi) *. frac)
   end
-
-let mean xs = (summarize xs).mean
-let stddev xs = (summarize xs).stddev

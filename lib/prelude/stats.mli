@@ -35,6 +35,3 @@ val summarize : float list -> summary
 val percentile : float array -> float -> float
 (** [percentile a p] with [p] in [\[0,1\]]; linear interpolation between
     order statistics.  Sorts a copy; the input is untouched. *)
-
-val mean : float list -> float
-val stddev : float list -> float

@@ -356,9 +356,9 @@ let arrive t ?req ~id ~rate ~path () =
 (* A flow the router does not know may be the retry of a depart that
    already applied (the first ack released it, or a restart rebuilt the
    table from live flows): the shard whose dedup table holds the req
-   answers it, exactly as one shard would.  Otherwise the hint, then
-   shard 0, refuse it as "conflict". *)
-let depart_home t ?req ?shard_hint flow_id =
+   answers it, exactly as one shard would.  Otherwise shard 0 refuses
+   it as "conflict". *)
+let depart_home t ?req flow_id =
   match Router.lookup t.router ~flow_id with
   | Some home -> home
   | None -> (
@@ -367,10 +367,10 @@ let depart_home t ?req ?shard_hint flow_id =
     in
     match Option.bind req applied_by with
     | Some home -> home
-    | None -> Router.route_depart t.router ?hint:shard_hint ~flow_id ())
+    | None -> Router.route_depart t.router ~flow_id ())
 
-let depart t ?req ?shard_hint flow_id =
-  let home = depart_home t ?req ?shard_hint flow_id in
+let depart t ?req flow_id =
+  let home = depart_home t ?req flow_id in
   let reply = guarded_submit t home (Journal.Depart { flow_id; req }) in
   (match reply with
   | Ok _ -> Router.release t.router ~flow_id

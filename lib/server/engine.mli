@@ -140,12 +140,12 @@ val arrive :
     is health-gated: it down answers ["unavailable"], while the shards
     the path only crosses may be down. *)
 
-val depart : t -> ?req:string -> ?shard_hint:int -> int -> Session.reply
+val depart : t -> ?req:string -> int -> Session.reply
 (** Route to the flow's remembered home shard.  For a flow the router
     does not know, the shard whose dedup table holds [req] answers (a
     retried depart that already applied is ["dedup": true] at every
-    shard count); failing that [shard_hint], then shard 0, answer the
-    ["conflict"] refusal of an unknown flow.  Health-gated like
+    shard count); failing that shard 0 answers the ["conflict"] refusal
+    of an unknown flow.  Health-gated like
     {!arrive}. *)
 
 val rebalance : t -> ?req:string -> ?budget:int -> unit -> Session.reply

@@ -13,7 +13,6 @@ type t = {
   directives : directive list;
   counts : (string, int) Hashtbl.t;  (* per-point pass counts *)
   rng : Tdmd_prelude.Rng.t;          (* offsets, prob draws, delay widths *)
-  seed : int;
   lock : Mutex.t;  (* points are hit from reader threads and workers *)
 }
 
@@ -22,7 +21,6 @@ let none =
     directives = [];
     counts = Hashtbl.create 1;
     rng = Tdmd_prelude.Rng.create 0;
-    seed = 0;
     lock = Mutex.create ();
   }
 
@@ -151,7 +149,6 @@ let of_spec spec =
             directives;
             counts = Hashtbl.create 8;
             rng = Tdmd_prelude.Rng.create seed;
-            seed;
             lock = Mutex.create ();
           })
     | part :: rest -> (
@@ -161,21 +158,6 @@ let of_spec spec =
       | Ok (`Directive d) -> go seed (d :: acc) rest)
   in
   go 0 [] parts
-
-let to_spec t =
-  let dir d =
-    let trig =
-      match d.trigger with
-      | Nth n -> Printf.sprintf ":%d" n
-      | Prob p -> Printf.sprintf ":p=%.17g" p
-    in
-    Printf.sprintf "%s@%s%s" (string_of_kind d.kind) d.point trig
-  in
-  let parts = List.map dir t.directives in
-  let parts =
-    if t.seed = 0 then parts else parts @ [ Printf.sprintf "seed=%d" t.seed ]
-  in
-  String.concat ";" parts
 
 let from_env () =
   match Sys.getenv_opt "TDMD_FAULTS" with
@@ -250,10 +232,3 @@ let mangle t point buf =
     in
     Bytes.set_uint8 buf i (Bytes.get_uint8 buf i lxor bit)
   end
-
-let hits t =
-  let l =
-    Locked.with_lock t.lock (fun () ->
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counts [])
-  in
-  List.sort compare l

@@ -68,11 +68,6 @@ val of_spec : string -> (t, string) result
 (** Parse the grammar above.  [""] yields an inert plan.  Rejects bad
     triggers, duplicate directives and same-pass raising conflicts. *)
 
-val to_spec : t -> string
-(** Render a plan back to the spec grammar ([of_spec (to_spec t)]
-    re-parses to an equivalent plan; pass-count state is not part of the
-    rendering). *)
-
 val from_env : unit -> t
 (** Plan from [TDMD_FAULTS]; inert when unset.  Exits with a message on
     stderr when the spec is malformed (a silent typo must not disable a
@@ -104,7 +99,3 @@ val clamp : t -> string -> int -> int
 val mangle : t -> string -> bytes -> unit
 (** Flip one byte in place when a [corrupt] directive fires at this
     point; no-op otherwise or on empty buffers. *)
-
-val hits : t -> (string * int) list
-(** Observed pass counts per point, sorted by name (test assertions and
-    the [--trace] output of fault runs). *)

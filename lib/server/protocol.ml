@@ -221,18 +221,15 @@ type request =
    optional, and a V1 sender that omits them parses exactly as before. *)
 type version = V1
 
-let version_to_int = function V1 -> 1
-
 type envelope = {
   version : version;
   id : Json.t option;
   deadline_ms : int option;
   req : string option;
-  shard_hint : int option;
   request : request;
 }
 
-let request_to_json ?id ?deadline_ms ?req ?shard_hint request =
+let request_to_json ?id ?deadline_ms ?req request =
   let base =
     match request with
     | Ping -> [ ("op", Json.String "ping") ]
@@ -261,7 +258,6 @@ let request_to_json ?id ?deadline_ms ?req ?shard_hint request =
     (match id with Some v -> [ ("id", v) ] | None -> [])
     @ (match deadline_ms with Some d -> [ ("deadline_ms", Json.Int d) ] | None -> [])
     @ (match req with Some r -> [ ("req", Json.String r) ] | None -> [])
-    @ (match shard_hint with Some s -> [ ("shard_hint", Json.Int s) ] | None -> [])
   in
   Json.Obj (base @ envelope)
 
@@ -326,13 +322,7 @@ let request_of_json json =
       | Some (Json.String r) when r <> "" -> Ok (Some r)
       | Some _ -> Error "field \"req\" must be a non-empty string"
     in
-    let* shard_hint =
-      match Json.member "shard_hint" json with
-      | None -> Ok None
-      | Some (Json.Int s) when s >= 0 -> Ok (Some s)
-      | Some _ -> Error "field \"shard_hint\" must be a non-negative integer"
-    in
-    Ok { version; id = Json.member "id" json; deadline_ms; req; shard_hint; request }
+    Ok { version; id = Json.member "id" json; deadline_ms; req; request }
   | _ -> Error "request must be a JSON object"
 
 (* ------------------------------------------------------------------ *)

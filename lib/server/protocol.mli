@@ -140,8 +140,6 @@ type request =
 
 type version = V1  (** today's frames, byte-for-byte the pre-versioned wire *)
 
-val version_to_int : version -> int
-
 type envelope = {
   version : version;
       (** from the optional ["v"] field: absent or [1] parses as {!V1};
@@ -153,16 +151,11 @@ type envelope = {
       (** idempotency id: the server deduplicates mutating ops
           ([arrive]/[depart]) carrying a ["req"] it has already applied,
           so a client may retry them safely (see {!Session}) *)
-  shard_hint : int option;
-      (** optional routing hint for sharded deployments: which shard the
-          client believes owns the flow (used by [depart], whose frame
-          carries no path); never required, invalid hints are ignored *)
   request : request;
 }
 
 val request_to_json :
-  ?id:Json.t -> ?deadline_ms:int -> ?req:string -> ?shard_hint:int ->
-  request -> Json.t
+  ?id:Json.t -> ?deadline_ms:int -> ?req:string -> request -> Json.t
 val request_of_json : Json.t -> (envelope, string) result
 
 (** {1:codes Responses} *)

@@ -1,7 +1,7 @@
 module Locked = Tdmd_prelude.Locked
 module Partition = Tdmd_topo.Partition
 
-type decision = Local of int | Cross of { home : int; spans : int list }
+type decision = Local of int | Cross of { home : int }
 
 type t = {
   partition : Partition.t;
@@ -17,7 +17,7 @@ let create partition =
 let route_arrive t ~path =
   match Partition.ownership t.partition (Array.of_list path) with
   | Partition.Owned s -> Local s
-  | Partition.Cross { home; spans } -> Cross { home; spans }
+  | Partition.Cross { home } -> Cross { home }
 
 let assign t ~flow_id ~shard =
   Locked.with_lock t.lock (fun () -> Hashtbl.replace t.flows flow_id shard)
@@ -28,17 +28,11 @@ let release t ~flow_id =
 let lookup t ~flow_id =
   Locked.with_lock t.lock (fun () -> Hashtbl.find_opt t.flows flow_id)
 
-let route_depart t ?hint ~flow_id () =
+(* An unknown flow's depart lands on shard 0, which answers it as the
+   same no-op the pre-shard engine did. *)
+let route_depart t ~flow_id () =
   Locked.with_lock t.lock (fun () ->
-      match Hashtbl.find_opt t.flows flow_id with
-      | Some s -> s
-      | None -> (
-        (* Unknown flow: an out-of-range hint is ignored, and with no
-           usable hint the depart lands on shard 0, which answers it as
-           the same no-op the pre-shard engine did. *)
-        match hint with
-        | Some h when h >= 0 && h < Partition.shards t.partition -> h
-        | Some _ | None -> 0))
+      Option.value ~default:0 (Hashtbl.find_opt t.flows flow_id))
 
 (* After a supervised shard restart the recovered session's flow set is
    the durable truth for that shard; the routing table may have drifted

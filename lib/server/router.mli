@@ -8,8 +8,7 @@
 
 type decision =
   | Local of int
-  | Cross of { home : int; spans : int list }
-      (** [spans] is the sorted list of shards the path touches *)
+  | Cross of { home : int }
 
 type t
 
@@ -28,10 +27,10 @@ val release : t -> flow_id:int -> unit
 val lookup : t -> flow_id:int -> int option
 (** The remembered home shard of an active flow, if any. *)
 
-val route_depart : t -> ?hint:int -> flow_id:int -> unit -> int
-(** The remembered home shard; falls back to a valid [hint] and then to
-    shard 0 (whose no-op depart reply matches the pre-shard engine's
-    unknown-flow behaviour). *)
+val route_depart : t -> flow_id:int -> unit -> int
+(** The remembered home shard, or shard 0 for an unknown flow (whose
+    no-op depart reply matches the pre-shard engine's unknown-flow
+    behaviour). *)
 
 val reconcile : t -> shard:int -> flow_ids:int list -> unit
 (** Set [shard]'s entries to exactly [flow_ids] — the recovered

@@ -122,7 +122,7 @@ let ok_reply : Session.reply -> Session.reply = function
   | Ok other -> Ok (Protocol.ok [ ("result", other) ])
   | Error _ as e -> e
 
-let execute t ?req ?shard_hint (request : Protocol.request) : Session.reply =
+let execute t ?req (request : Protocol.request) : Session.reply =
   match request with
   | Protocol.Ping -> Ok (Protocol.ok [ ("op", Json.String "ping") ])
   | Protocol.Sleep ms ->
@@ -133,7 +133,7 @@ let execute t ?req ?shard_hint (request : Protocol.request) : Session.reply =
     ok_reply (Engine.solve t.engine ~algo ~k ~seed ~target)
   | Protocol.Arrive { id; rate; path } ->
     ok_reply (Engine.arrive t.engine ?req ~id ~rate ~path ())
-  | Protocol.Depart id -> ok_reply (Engine.depart t.engine ?req ?shard_hint id)
+  | Protocol.Depart id -> ok_reply (Engine.depart t.engine ?req id)
   | Protocol.Rebalance { budget } ->
     ok_reply (Engine.rebalance t.engine ?req ?budget ())
   | Protocol.Stats -> (
@@ -209,8 +209,7 @@ let run_job t conn (env : Protocol.envelope) ~enqueued_ns =
           count t "anytime_solves" 1;
           ok_reply (Engine.solve_anytime t.engine ~algo ~k ~seed ~target ~budget_ms)
         | _ ->
-          execute t ?req:env.Protocol.req ?shard_hint:env.Protocol.shard_hint
-            env.Protocol.request
+          execute t ?req:env.Protocol.req env.Protocol.request
       with
       | Faults.Crash point ->
         (* A planned crash must take the whole process down as abruptly

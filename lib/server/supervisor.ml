@@ -89,8 +89,6 @@ let create ?(config = default_config) ?(faults = Faults.none) ~restart ~shards
 
 let retry_after_ms t = t.cfg.retry_after_ms
 
-let state t i = Locked.with_lock t.lock (fun () -> t.cells.(i).st)
-
 let all_serving t =
   Locked.with_lock t.lock (fun () ->
       Array.for_all (fun c -> c.st = Serving) t.cells)
@@ -203,18 +201,6 @@ let protect t i ~fallback f =
   | Error reason ->
     report_failure t i ~reason;
     fallback reason
-
-let await ?(timeout_s = 10.0) t i want =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec go () =
-    if state t i = want then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      Thread.delay 0.005;
-      go ()
-    end
-  in
-  go ()
 
 let shutdown t =
   let threads =

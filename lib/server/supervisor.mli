@@ -75,7 +75,6 @@ val create :
 
 val retry_after_ms : t -> int
 
-val state : t -> int -> state
 val all_serving : t -> bool
 
 val guard : t -> int -> (unit, string) result
@@ -111,10 +110,6 @@ val protect : t -> int -> fallback:(string -> 'a) -> (unit -> 'a) -> 'a
     The op may or may not have been applied; exactly-once is the
     journaled dedup table's job, so the fallback reply must tell the
     client to retry {e with the same req}. *)
-
-val await : ?timeout_s:float -> t -> int -> state -> bool
-(** Test helper: poll until shard [i] reaches the given state or the
-    timeout (default 10 s) expires. *)
 
 val shutdown : t -> unit
 (** Stop spawning recoveries and join every recovery thread ever

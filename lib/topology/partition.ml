@@ -78,7 +78,7 @@ let make ?seeds g ~shards =
     { shards; owner }
   end
 
-type ownership = Owned of int | Cross of { home : int; spans : int list }
+type ownership = Owned of int | Cross of { home : int }
 
 (* A path's home is the shard owning the most of its vertices (ties to
    the lowest shard id): cross-shard flows land on the engine that sees
@@ -88,26 +88,9 @@ let ownership t path =
   if Array.length path = 0 then invalid_arg "Partition.ownership: empty path";
   let counts = Array.make t.shards 0 in
   Array.iter (fun v -> counts.(owner t v) <- counts.(owner t v) + 1) path;
-  let spans = ref [] and home = ref 0 in
-  for s = t.shards - 1 downto 0 do
-    if counts.(s) > 0 then begin
-      spans := s :: !spans;
-      if counts.(s) >= counts.(!home) then home := s
-    end
-  done;
-  (* The downward sweep leaves [home] at the lowest shard with the
-     maximum count only if we compare with >=; re-derive explicitly to
-     keep the tie-break story honest. *)
-  let home =
-    let best = ref (-1) and arg = ref 0 in
-    Array.iteri
-      (fun s c -> if c > !best then begin best := c; arg := s end)
-      counts;
-    !arg
-  in
-  match !spans with
-  | [ s ] -> Owned s
-  | spans -> Cross { home; spans }
+  let home = ref 0 in
+  Array.iteri (fun s c -> if c > counts.(!home) then home := s) counts;
+  if counts.(!home) = Array.length path then Owned !home else Cross { home = !home }
 
 let counts t =
   let c = Array.make t.shards 0 in

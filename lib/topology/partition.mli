@@ -31,12 +31,13 @@ val make : ?seeds:int list -> Tdmd_graph.Digraph.t -> shards:int -> t
 
 type ownership =
   | Owned of int  (** every path vertex lives in this shard *)
-  | Cross of { home : int; spans : int list }
-      (** the path spans [spans] (sorted, >= 2 shards); [home] is the
-          shard owning the most path vertices, ties to the lowest id *)
+  | Cross of { home : int }
+      (** the path spans two or more shards; [home] is the shard owning
+          the most path vertices, ties to the lowest id *)
 
 val ownership : t -> int array -> ownership
-(** Which shard(s) a flow path touches.
+(** The shard owning a flow path, or its home when the path crosses
+    shards.
     @raise Invalid_argument on an empty path. *)
 
 val counts : t -> int array

@@ -1,47 +1,11 @@
 open Tdmd_prelude
 module Rt = Tdmd_tree.Rooted_tree
 
-let of_parent_list parents = Rt.of_parents ~root:0 (Array.of_list parents)
-
-let path n =
-  assert (n >= 1);
-  of_parent_list (List.init n (fun i -> i - 1))
-
-let star n =
-  assert (n >= 1);
-  of_parent_list (List.init n (fun i -> if i = 0 then -1 else 0))
-
-let balanced ~arity ~depth =
-  assert (arity >= 1 && depth >= 0);
-  (* Vertices in BFS order: vertex i's parent is (i-1)/arity. *)
-  let rec count d acc pow = if d < 0 then acc else count (d - 1) (acc + pow) (pow * arity) in
-  let n = count depth 0 1 in
-  let parents = Array.init n (fun i -> if i = 0 then -1 else (i - 1) / arity) in
-  Rt.of_parents ~root:0 parents
-
 let random_attachment rng n =
   assert (n >= 1);
   let parents = Array.make n (-1) in
   for v = 1 to n - 1 do
     parents.(v) <- Rng.int rng v
-  done;
-  Rt.of_parents ~root:0 parents
-
-let random_binary rng n =
-  assert (n >= 1);
-  let parents = Array.make n (-1) in
-  let child_count = Array.make n 0 in
-  for v = 1 to n - 1 do
-    (* Rejection-sample a parent with spare capacity; at least vertex
-       v-1 always has < 2 children right after being added, so the set
-       of candidates is never empty. *)
-    let candidates =
-      List.filter (fun u -> child_count.(u) < 2) (Listx.range 0 (v - 1))
-    in
-    let arr = Array.of_list candidates in
-    let p = Rng.choose rng arr in
-    parents.(v) <- p;
-    child_count.(p) <- child_count.(p) + 1
   done;
   Rt.of_parents ~root:0 parents
 

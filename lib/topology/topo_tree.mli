@@ -6,24 +6,10 @@
 
 open Tdmd_prelude
 
-val path : int -> Tdmd_tree.Rooted_tree.t
-(** A chain of [n] vertices rooted at one end. *)
-
-val star : int -> Tdmd_tree.Rooted_tree.t
-(** Root plus [n-1] leaves. *)
-
-val balanced : arity:int -> depth:int -> Tdmd_tree.Rooted_tree.t
-(** Perfect [arity]-ary tree of the given depth ([depth = 0] is a single
-    vertex). *)
-
 val random_attachment : Rng.t -> int -> Tdmd_tree.Rooted_tree.t
 (** Each new vertex attaches to a uniformly random existing vertex —
     produces the shallow, irregular trees typical of measured
     infrastructure. *)
-
-val random_binary : Rng.t -> int -> Tdmd_tree.Rooted_tree.t
-(** Like {!random_attachment} but parents are capped at two children
-    (Sec. 5.1 presents the DP on binary trees). *)
 
 val resize : Rng.t -> Tdmd_tree.Rooted_tree.t -> int -> Tdmd_tree.Rooted_tree.t
 (** Grow or shrink to exactly [n] vertices by randomly inserting leaves

@@ -18,7 +18,3 @@ type t =
 
 val sample : t -> Rng.t -> int
 (** Always >= 1. *)
-
-val mean : t -> float
-(** Expected rate (estimate for the mixtures; used for density
-    targeting). *)

@@ -35,19 +35,3 @@ let random_flow ?dests graph rng id =
     | None -> pick (attempts + 1)
   in
   pick 0
-
-let active_at timeline time =
-  let alive = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun (t, ev) ->
-      if t <= time then begin
-        match ev with
-        | Arrival f ->
-          Hashtbl.replace alive f.Flow.id f;
-          order := f.Flow.id :: !order
-        | Departure id -> Hashtbl.remove alive id
-      end)
-    timeline;
-  List.rev !order
-  |> List.filter_map (fun id -> Hashtbl.find_opt alive id)

@@ -34,7 +34,3 @@ val random_flow :
     shortest path from a random source to a distinct random destination
     drawn over every vertex, or over [dests].  Draws [src], [dst], then
     the rate; @raise Failure after 100 draws without a path. *)
-
-val active_at : timeline -> float -> Tdmd_flow.Flow.t list
-(** Flows arrived and not yet departed strictly before/at the given
-    time, in arrival order. *)

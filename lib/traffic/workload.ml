@@ -8,20 +8,6 @@ let default_link_capacity = 100
 let tree_link_count tree = Rt.size tree - 1
 let general_link_count g = G.edge_count g
 
-let degree_weighted_vertex rng g =
-  (* Urn of vertices repeated by (undirected) degree. *)
-  let n = G.vertex_count g in
-  let urn = ref [] in
-  for v = 0 to n - 1 do
-    let d =
-      List.length (List.sort_uniq compare (G.succ g v @ G.pred g v))
-    in
-    for _ = 1 to max d 1 do
-      urn := v :: !urn
-    done
-  done;
-  Rng.choose rng (Array.of_list !urn)
-
 let density ~links ?(link_capacity = default_link_capacity) flows =
   if links = 0 then 0.0
   else
@@ -63,7 +49,7 @@ let tree_flows rng tree ~rates ~density ?(link_capacity = default_link_capacity)
     end
   end
 
-let flows_toward_dests rng g ~dests ~rates ~density ~link_capacity ~pick_src =
+let general_flows rng g ~dests ~rates ~density ?(link_capacity = default_link_capacity) () =
   let links = general_link_count g in
   if links = 0 || dests = [] then []
   else begin
@@ -78,7 +64,7 @@ let flows_toward_dests rng g ~dests ~rates ~density ~link_capacity ~pick_src =
     let rec draw () =
       if !failures > 100 * n then None
       else begin
-        let src = pick_src () in
+        let src = Rng.int rng n in
         let dst = Rng.choose rng dest_arr in
         if src = dst then begin
           incr failures;
@@ -97,13 +83,3 @@ let flows_toward_dests rng g ~dests ~rates ~density ~link_capacity ~pick_src =
     in
     fill ~target_volume ~draw
   end
-
-
-let general_flows rng g ~dests ~rates ~density ?(link_capacity = default_link_capacity) () =
-  let n = G.vertex_count g in
-  flows_toward_dests rng g ~dests ~rates ~density ~link_capacity
-    ~pick_src:(fun () -> Rng.int rng n)
-
-let gravity_flows rng g ~dests ~rates ~density ?(link_capacity = default_link_capacity) () =
-  flows_toward_dests rng g ~dests ~rates ~density ~link_capacity
-    ~pick_src:(fun () -> degree_weighted_vertex rng g)

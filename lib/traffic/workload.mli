@@ -38,20 +38,6 @@ val general_flows :
 (** Flows from random sources to random members of [dests] (the paper's
     red destination nodes), routed on BFS shortest paths. *)
 
-val gravity_flows :
-  Tdmd_prelude.Rng.t ->
-  Tdmd_graph.Digraph.t ->
-  dests:int list ->
-  rates:Rate_dist.t ->
-  density:float ->
-  ?link_capacity:int ->
-  unit ->
-  Tdmd_flow.Flow.t list
-(** Gravity-model variant of {!general_flows}: source vertices are
-    drawn proportionally to a per-vertex "mass" (its undirected degree,
-    the classical proxy), so hub-adjacent sites originate more traffic
-    — closer to measured WAN matrices than the uniform draw. *)
-
 val density :
   links:int -> ?link_capacity:int -> Tdmd_flow.Flow.t list -> float
 (** Achieved density of a flow set. *)

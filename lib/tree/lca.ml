@@ -46,20 +46,3 @@ let query t u v =
     done;
     t.up.(0).(!u)
   end
-
-let naive tree u v =
-  let rec climb u v =
-    if u = v then u
-    else begin
-      let du = Rooted_tree.depth tree u and dv = Rooted_tree.depth tree v in
-      if du > dv then climb (Rooted_tree.parent tree u) v
-      else if dv > du then climb u (Rooted_tree.parent tree v)
-      else climb (Rooted_tree.parent tree u) (Rooted_tree.parent tree v)
-    end
-  in
-  climb u v
-
-let distance t u v =
-  let a = query t u v in
-  Rooted_tree.depth t.tree u + Rooted_tree.depth t.tree v
-  - (2 * Rooted_tree.depth t.tree a)

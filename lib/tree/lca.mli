@@ -2,8 +2,8 @@
     convention).
 
     HAT calls LCA once per heap update, so we precompute binary-lifting
-    tables: O(n log n) construction, O(log n) per query.  [naive] walks
-    parent pointers and exists to cross-check the tables in tests. *)
+    tables: O(n log n) construction, O(log n) per query.  The tests
+    cross-check them against a parent-pointer walk. *)
 
 type t
 
@@ -11,9 +11,3 @@ val build : Rooted_tree.t -> t
 val query : t -> int -> int -> int
 (** [query t u v] is the lowest vertex having both [u] and [v] as
     descendants (possibly [u] or [v] itself). *)
-
-val naive : Rooted_tree.t -> int -> int -> int
-(** Reference implementation: climb the deeper vertex, then both. *)
-
-val distance : t -> int -> int -> int
-(** Hop distance between two vertices through their LCA. *)

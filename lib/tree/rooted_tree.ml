@@ -84,10 +84,6 @@ let leaves t =
 
 let height t = Array.fold_left max 0 t.depths
 
-let subtree_vertices t v =
-  let rec go v acc = List.fold_left (fun acc c -> go c acc) (v :: acc) t.children.(v) in
-  List.rev (go v [])
-
 let postorder t =
   let acc = ref [] in
   let rec go v =
@@ -100,10 +96,6 @@ let postorder t =
 let path_to_root t v =
   let rec go v acc = if v = t.root then List.rev (v :: acc) else go t.parents.(v) (v :: acc) in
   go v []
-
-let is_ancestor t ~anc ~desc =
-  let rec climb v = v = anc || (v <> t.root && climb t.parents.(v)) in
-  climb desc
 
 let to_digraph t =
   let g = Tdmd_graph.Digraph.create (size t) in

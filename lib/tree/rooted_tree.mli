@@ -32,18 +32,12 @@ val leaves : t -> int list
     leaf. *)
 
 val height : t -> int
-val subtree_vertices : t -> int -> int list
-(** Preorder, starting with the given vertex. *)
 
 val postorder : t -> int list
 (** Children always precede their parent; ends with the root. *)
 
 val path_to_root : t -> int -> int list
 (** Vertices from the given vertex up to and including the root. *)
-
-val is_ancestor : t -> anc:int -> desc:int -> bool
-(** Reflexive: every vertex is its own ancestor (paper's Def. 3
-    convention). *)
 
 val to_digraph : t -> Tdmd_graph.Digraph.t
 (** Directed child→parent arcs (the direction flows travel). *)

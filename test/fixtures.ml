@@ -51,11 +51,38 @@ let fig5_instance () =
   let flows = [ flow 0 2 3; flow 1 1 7; flow 2 5 6; flow 3 1 4 ] in
   Tdmd.Instance.Tree.make ~tree ~flows ~lambda:0.5
 
+(* Tree shapes the tests build inputs on, all rooted at vertex 0: a
+   chain of [n] vertices, a root with [n - 1] leaves, the perfect
+   [arity]-ary tree of a depth ([depth = 0] is one vertex), and a random
+   tree whose vertices have at most two children (Sec. 5.1's binary
+   trees). *)
+let path_tree n = Rt.of_parents ~root:0 (Array.init n (fun i -> i - 1))
+let star_tree n = Rt.of_parents ~root:0 (Array.init n (fun i -> if i = 0 then -1 else 0))
+
+let balanced_tree ~arity ~depth =
+  (* Vertices in BFS order: vertex i's parent is (i-1)/arity. *)
+  let rec count d acc pow = if d < 0 then acc else count (d - 1) (acc + pow) (pow * arity) in
+  Rt.of_parents ~root:0
+    (Array.init (count depth 0 1) (fun i -> if i = 0 then -1 else (i - 1) / arity))
+
+let random_binary_tree rng n =
+  let parents = Array.make n (-1) in
+  let child_count = Array.make n 0 in
+  for v = 1 to n - 1 do
+    (* Vertex v-1 always has < 2 children right after being added, so
+       some parent has room. *)
+    let candidates = List.filter (fun u -> child_count.(u) < 2) (Listx.range 0 (v - 1)) in
+    let p = Rng.choose rng (Array.of_list candidates) in
+    parents.(v) <- p;
+    child_count.(p) <- child_count.(p) + 1
+  done;
+  Rt.of_parents ~root:0 parents
+
 (* Random small instances for cross-checking solvers. *)
 
 let random_tree_instance ?(binary = false) rng ~n ~max_rate ~lambda =
   let tree =
-    if binary then Tdmd_topo.Topo_tree.random_binary rng n
+    if binary then random_binary_tree rng n
     else Tdmd_topo.Topo_tree.random_attachment rng n
   in
   let leaves = List.filter (fun v -> v <> Rt.root tree) (Rt.leaves tree) in
@@ -85,3 +112,41 @@ let random_general_instance rng ~n ~flows:count ~max_rate ~lambda =
     end
   in
   Tdmd.Instance.make ~graph:g ~flows:(draw 0 [] count) ~lambda
+
+(* Connectivity ignoring arc direction (vacuously true on <= 1
+   vertices): every generator must produce a connected graph. *)
+let is_connected_undirected g =
+  let n = G.vertex_count g in
+  let seen = Array.make n false in
+  let rec visit v =
+    if not seen.(v) then begin
+      seen.(v) <- true;
+      List.iter visit (G.succ g v @ G.pred g v)
+    end
+  in
+  n <= 1
+  || begin
+       visit 0;
+       Array.for_all Fun.id seen
+     end
+
+let dst f = f.Flow.path.(Array.length f.Flow.path - 1)
+
+(* The k "derived from the algorithm" (Sec. 4.2): boxes Alg. 1 deploys,
+   max-marginal vertex first, until every flow is served, then the
+   cover fix-up when no marginal is positive first. *)
+let derived_k inst =
+  let module O = Tdmd.Inc_oracle in
+  let o = O.create inst in
+  let rec rounds chosen =
+    if O.is_feasible o then chosen
+    else
+      match O.argmax o O.Marginal_volume with
+      | Some v ->
+        O.add o v;
+        rounds (v :: chosen)
+      | None ->
+        Tdmd.Cover_fixup.within o ~chosen:(List.rev chosen)
+          ~budget:(Tdmd.Instance.vertex_count inst)
+  in
+  List.length (List.sort_uniq compare (rounds []))

@@ -1,19 +1,32 @@
+(* Fluid link-level network simulator, the end-to-end check of Eq. 1.
+
+   The paper computes bandwidth analytically (Eq. 1).  This substrate
+   routes the flows instead: every flow pushes its rate onto each
+   directed link of its path, middleboxes transform the rate in place
+   at their vertex, and per-link occupancy is accumulated.  Summing
+   link loads must reproduce Eq. 1 exactly, which the netsim tests check
+   on random instances; the per-link view also checks the paper's
+   over-provisioning assumption ("each link has enough bandwidth to
+   hold all bypass flows"). *)
+
 module Flow = Tdmd_flow.Flow
 
 type link_load = {
   src : int;
   dst : int;
-  load : float;
-  flows : int list;
+  load : float;  (* total fluid rate crossing the link *)
+  flows : int list;  (* ids of flows using the link *)
 }
 
 type result = {
-  links : link_load list;
-  total_bandwidth : float;
+  links : link_load list;  (* only links carrying traffic *)
+  total_bandwidth : float;  (* sum of link loads = Eq. 1's b(P, F) *)
   max_link_load : float;
-  served : (int * int) list;
+  served : (int * int) list;  (* (flow id, serving vertex) *)
   unserved : int list;
 }
+
+(* All flows under the forced earliest-middlebox allocation. *)
 
 let route instance placement =
   let lambda = instance.Tdmd.Instance.lambda in
@@ -33,22 +46,22 @@ let route instance placement =
   let served = ref [] and unserved = ref [] in
   Array.iter
     (fun f ->
-      let serving = Tdmd.Allocation.serve placement f in
+      let serving = Reference.serve placement f in
       (match serving with
-      | Tdmd.Allocation.Served_at { vertex; _ } ->
+      | Reference.Served_at { vertex; _ } ->
         served := (f.Flow.id, vertex) :: !served
-      | Tdmd.Allocation.Unserved -> unserved := f.Flow.id :: !unserved);
+      | Reference.Unserved -> unserved := f.Flow.id :: !unserved);
       (* Walk the path pushing the current fluid rate onto each link;
          the middlebox transforms the rate when the flow passes it. *)
       let rate = ref (float_of_int f.Flow.rate) in
       let path = f.Flow.path in
       (match serving with
-      | Tdmd.Allocation.Served_at { l = 0; _ } -> rate := lambda *. !rate
+      | Reference.Served_at { l = 0; _ } -> rate := lambda *. !rate
       | _ -> ());
       for i = 0 to Array.length path - 2 do
         bump (path.(i), path.(i + 1)) !rate f.Flow.id;
         (match serving with
-        | Tdmd.Allocation.Served_at { l; _ } when l = i + 1 ->
+        | Reference.Served_at { l; _ } when l = i + 1 ->
           rate := lambda *. float_of_int f.Flow.rate
         | _ -> ())
       done)
@@ -68,16 +81,20 @@ let route instance placement =
     unserved = List.rev !unserved;
   }
 
+(* Per loaded link (src, dst, load/capacity), descending. *)
 let link_utilisations result ~capacity =
   assert (capacity > 0.0);
   List.map (fun l -> (l.src, l.dst, l.load /. capacity)) result.links
   |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
 
+(* Links whose load exceeds the capacity: none under the paper's
+   over-provisioning assumption. *)
 let congested result ~capacity =
   List.filter_map
     (fun l -> if l.load > capacity then Some (l.src, l.dst) else None)
     result.links
 
+(* Totals plus the five hottest links. *)
 let render result =
   let buf = Buffer.create 256 in
   Printf.bprintf buf "total bandwidth: %g across %d loaded links (max %g)\n"

@@ -1,3 +1,13 @@
+(* Both directions of the paper's Theorem 1 reduction.
+
+   Forward ([to_tdmd]): a set-cover instance becomes a TDMD feasibility
+   instance with one vertex per set on a fully connected topology and
+   one rate-1 flow per element, whose path visits the vertices of the
+   sets containing it in ascending order; an element in no set is
+   refused.  Backward ([of_flows]): any TDMD instance's feasibility
+   question is a set-cover instance whose universe is the flow
+   positions and whose set [v] is the flows through [v]. *)
+
 module G = Tdmd_graph.Digraph
 module Flow = Tdmd_flow.Flow
 
@@ -27,7 +37,7 @@ let of_flows ~vertex_count flows =
   let sets =
     List.init vertex_count (fun v ->
         List.filter_map
-          (fun (i, f) -> if Flow.mem_vertex f v then Some i else None)
+          (fun (i, f) -> if Array.mem v f.Flow.path then Some i else None)
           indexed)
   in
   Setcover.make ~universe:(List.length flows) sets

@@ -4,7 +4,8 @@
 
    - the objective scans ([serve], [all], [total], [diminished_volume],
      [is_feasible], [unserved]) test membership with [Placement.mem], a
-     list scan per path vertex;
+     list scan per path vertex, and [serving] is the per-flow answer
+     [Allocation]'s byte-mask scans stand for;
    - [flow_consumption] is Eq. 1 for one flow, and [decrement],
      [marginal] and [max_decrement] are Defs. 1-2 and Lemma 1 in floats,
      the forms the paper's worked numbers are stated in;
@@ -23,20 +24,25 @@
    - [dp_binary] is Sec. 5.1's binary-tree DP (Eqs. 7-8) as the paper
      states it, the reference for [Dp]'s child-by-child merge;
    - [Churn] is the churn engine with every decision taken over an
-     instance rebuilt from the live flows. *)
+     instance rebuilt from the live flows;
+   - [lca] walks parent pointers, the check on [Lca]'s binary-lifting
+     tables. *)
 
 module Rng = Tdmd_prelude.Rng
 module Flow = Tdmd_flow.Flow
-module Allocation = Tdmd.Allocation
 module Placement = Tdmd.Placement
 module Inc_oracle = Tdmd.Inc_oracle
+
+(* One flow's forced allocation (Sec. 3.1): the first deployed vertex
+   on its path and that vertex's l_v(f) edge offset from the source. *)
+type serving = Unserved | Served_at of { vertex : int; l : int }
 
 let serve placement f =
   let path = f.Flow.path in
   let rec scan i =
-    if i = Array.length path then Allocation.Unserved
+    if i = Array.length path then Unserved
     else if Placement.mem placement path.(i) then
-      Allocation.Served_at { vertex = path.(i); l = i }
+      Served_at { vertex = path.(i); l = i }
     else scan (i + 1)
   in
   scan 0
@@ -45,19 +51,19 @@ let all instance placement = Array.map (serve placement) instance.Tdmd.Instance.
 
 let is_feasible instance placement =
   Array.for_all
-    (fun f -> serve placement f <> Allocation.Unserved)
+    (fun f -> serve placement f <> Unserved)
     instance.Tdmd.Instance.flows
 
 let unserved instance placement =
   Array.to_list instance.Tdmd.Instance.flows
-  |> List.filter (fun f -> serve placement f = Allocation.Unserved)
+  |> List.filter (fun f -> serve placement f = Unserved)
 
 let diminished_volume instance placement =
   Array.fold_left
     (fun acc f ->
       match serve placement f with
-      | Allocation.Unserved -> acc
-      | Allocation.Served_at { l; _ } -> acc + (f.Flow.rate * (Flow.hop_count f - l)))
+      | Unserved -> acc
+      | Served_at { l; _ } -> acc + (f.Flow.rate * (Flow.hop_count f - l)))
     0 instance.Tdmd.Instance.flows
 
 let total instance placement =
@@ -70,8 +76,8 @@ let total instance placement =
 let flow_consumption ~lambda f serving =
   let r = float_of_int f.Flow.rate and hops = float_of_int (Flow.hop_count f) in
   match serving with
-  | Allocation.Unserved -> r *. hops
-  | Allocation.Served_at { l; _ } ->
+  | Unserved -> r *. hops
+  | Served_at { l; _ } ->
     let l = float_of_int l in
     (r *. l) +. (lambda *. r *. (hops -. l))
 
@@ -258,7 +264,7 @@ let within instance ~chosen ~budget =
 (* The churn engine's arrive/depart/rebalance rules over an instance
    rebuilt from the live flows for every decision, with no oracle:
    marginals are differences of [Bandwidth.diminished_volume] scans,
-   unserved counts come from [Allocation.unserved], and the repair is
+   unserved counts come from [unserved] above, and the repair is
    [within] above.  [Tdmd.Incremental] must take the same decisions. *)
 module Churn = struct
   type t = {
@@ -293,7 +299,7 @@ module Churn = struct
   let dim inst placed = Tdmd.Bandwidth.diminished_volume inst (Placement.of_list placed)
 
   let unserved_count inst placed =
-    List.length (Tdmd.Allocation.unserved inst (Placement.of_list placed))
+    List.length (unserved inst (Placement.of_list placed))
 
   let marginal inst placed v =
     if List.mem v placed then 0 else dim inst (placed @ [ v ]) - dim inst placed
@@ -392,10 +398,10 @@ module Churn = struct
     t.flows <- List.filter (fun f -> f.Flow.id <> id) t.flows;
     let inst = instance t in
     let servers =
-      Array.to_list (Tdmd.Allocation.all inst (placement t))
+      Array.to_list (all inst (placement t))
       |> List.filter_map (function
-           | Allocation.Served_at { vertex; _ } -> Some vertex
-           | Allocation.Unserved -> None)
+           | Served_at { vertex; _ } -> Some vertex
+           | Unserved -> None)
     in
     let useful = List.filter (fun v -> List.mem v servers) t.placed in
     if List.length useful < List.length t.placed then set_placed t useful;
@@ -811,3 +817,16 @@ module Dp_binary = struct
 end
 
 let dp_binary = Dp_binary.solve
+
+let lca tree u v =
+  let module Rt = Tdmd_tree.Rooted_tree in
+  let rec climb u v =
+    if u = v then u
+    else begin
+      let du = Rt.depth tree u and dv = Rt.depth tree v in
+      if du > dv then climb (Rt.parent tree u) v
+      else if dv > du then climb u (Rt.parent tree v)
+      else climb (Rt.parent tree u) (Rt.parent tree v)
+    end
+  in
+  climb u v

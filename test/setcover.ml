@@ -1,3 +1,11 @@
+(* Set cover: the problem TDMD feasibility reduces to and from (paper
+   Theorem 1).  Universe elements are [0 .. universe-1] and each set is
+   an int list.  [greedy] is the classical ln(n)-approximation (largest
+   uncovered gain first, lowest index on ties; [None] when even every
+   set together misses an element); [exact] is a branch-and-bound over
+   bitsets for universes up to 62 elements; [decision] is the
+   NP-complete question "is there a cover of at most k sets?". *)
+
 type t = { universe : int; sets : int list array }
 
 let make ~universe sets =

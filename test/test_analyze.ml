@@ -1,9 +1,9 @@
 (* tdmd-analyze correctness: the interprocedural lock-order analysis
    reports deliberate cycles with their exact witness chains and stays
-   quiet on legal nestings; domain-escape and the registry rules fire
-   on their must-flag fixtures at the exact file/line and pass their
-   must-pass fixtures; suppression comments use the tdmd-analyze
-   marker. *)
+   quiet on legal nestings; domain-escape, the registry rules and
+   unreached-export fire on their must-flag fixtures at the exact
+   file/line and pass their must-pass fixtures; suppression comments
+   use the tdmd-analyze marker. *)
 
 module A = Analyze_core
 module K = Check_kit
@@ -162,6 +162,44 @@ let test_registry_orphan () =
       (List.length ds)
 
 (* ------------------------------------------------------------------ *)
+(* Unreached exports                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Each fixture directory is a small program: its lib/ files export,
+   its bin/ and bench/ files are the roots. *)
+let analyze_dir dir =
+  A.analyze_files
+    (K.walk_files ~suffixes:[ ".ml"; ".mli" ] ~excludes:[] [ fixture dir ])
+
+let test_unreached_flag () =
+  match analyze_dir "unreached_flag" with
+  | [ d ] ->
+    Alcotest.(check string) "rule" "unreached-export" d.K.rule;
+    Alcotest.(check string) "file"
+      (fixture "unreached_flag/lib/ledger.mli") d.K.file;
+    Alcotest.(check int) "line" 2 d.K.line;
+    Alcotest.(check string) "message"
+      "Ledger.audit is exported but no bin/ or bench/ code reaches it: \
+       delete it, move it to test/ or examples/, or stop exporting it"
+      d.K.message
+  | ds ->
+    Alcotest.failf "expected exactly one unreached-export diagnostic, got %d"
+      (List.length ds)
+
+(* Reached only through a module alias (top-level and [let module]), a
+   nested module, a closure in a (name, function) table, a lib
+   initialiser, and a bench file named like a lib module. *)
+let test_unreached_pass () =
+  List.iter
+    (fun case ->
+      Alcotest.(check (list (triple string string int)))
+        (case ^ ": no hits") []
+        (List.map
+           (fun d -> (d.K.rule, d.K.file, d.K.line))
+           (analyze_dir ("unreached_pass/" ^ case))))
+    [ "alias"; "nested"; "table"; "init"; "collision" ]
+
+(* ------------------------------------------------------------------ *)
 (* Suppressions use the tdmd-analyze marker                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -205,5 +243,9 @@ let suite =
       test_fault_point_drift;
     Alcotest.test_case "registry: counter drift" `Quick test_counter_drift;
     Alcotest.test_case "registry: orphan entry" `Quick test_registry_orphan;
+    Alcotest.test_case "unreached export: test-only value" `Quick
+      test_unreached_flag;
+    Alcotest.test_case "unreached export: reached through the call graph"
+      `Quick test_unreached_pass;
     Alcotest.test_case "suppression marker" `Quick test_suppression_marker;
   ]

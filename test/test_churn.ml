@@ -96,9 +96,14 @@ module Legacy = struct
           let candidates = Array.to_list f.Flow.path in
           let p = placement t in
           let best =
-            Tdmd_prelude.Listx.max_by
-              (fun v -> Reference.marginal inst p v)
-              candidates
+            (* The first of the highest marginals. *)
+            fst
+              (List.fold_left
+                 (fun (b, gb) v ->
+                   let g = Reference.marginal inst p v in
+                   if g > gb then (v, g) else (b, gb))
+                 (List.hd candidates, Reference.marginal inst p (List.hd candidates))
+                 candidates)
           in
           (* Unguarded: [best] may already be deployed (the
              zero-marginal tie), in which case this appends a
@@ -117,10 +122,10 @@ module Legacy = struct
     let inst = instance t in
     let p = placement t in
     let servers =
-      Array.to_list (Tdmd.Allocation.all inst p)
+      Array.to_list (Reference.all inst p)
       |> List.filter_map (function
-           | Tdmd.Allocation.Served_at { vertex; _ } -> Some vertex
-           | Tdmd.Allocation.Unserved -> None)
+           | Reference.Served_at { vertex; _ } -> Some vertex
+           | Reference.Unserved -> None)
     in
     let useful = List.filter (fun v -> List.mem v servers) t.placed in
     if List.length useful < List.length t.placed then set_placed t useful;

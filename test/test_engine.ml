@@ -830,15 +830,17 @@ let test_lowest_failing_shard () =
 (* Versioned envelope                                                  *)
 (* ------------------------------------------------------------------ *)
 
+let version_int = function P.V1 -> 1
+
 let test_envelope_versioning () =
   (match P.request_of_json (Json.Obj [ ("op", Json.String "ping") ]) with
-  | Ok env -> Alcotest.(check int) "absent v is V1" 1 (P.version_to_int env.P.version)
+  | Ok env -> Alcotest.(check int) "absent v is V1" 1 (version_int env.P.version)
   | Error e -> Alcotest.failf "bare ping refused: %s" e);
   (match
      P.request_of_json
        (Json.Obj [ ("op", Json.String "ping"); ("v", Json.Int 1) ])
    with
-  | Ok env -> Alcotest.(check int) "explicit v=1" 1 (P.version_to_int env.P.version)
+  | Ok env -> Alcotest.(check int) "explicit v=1" 1 (version_int env.P.version)
   | Error e -> Alcotest.failf "v=1 ping refused: %s" e);
   (match
      P.request_of_json
@@ -853,29 +855,13 @@ let test_envelope_versioning () =
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-integer v must be refused");
-  (match
-     P.request_of_json
-       (Json.Obj
-          [ ("op", Json.String "depart"); ("flow_id", Json.Int 3);
-            ("shard_hint", Json.Int 2) ])
-   with
-  | Ok env -> Alcotest.(check (option int)) "shard_hint parsed" (Some 2) env.P.shard_hint
-  | Error e -> Alcotest.failf "hinted depart refused: %s" e);
-  (match
-     P.request_of_json
-       (Json.Obj
-          [ ("op", Json.String "depart"); ("flow_id", Json.Int 3);
-            ("shard_hint", Json.Int (-1)) ])
-   with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "negative shard_hint must be refused");
   (* Round trip: the writer emits what the parser accepts. *)
   match
     P.request_of_json
-      (P.request_to_json ~req:"r" ~shard_hint:1 (P.Depart 9))
+      (P.request_to_json ~req:"r" (P.Depart 9))
   with
   | Ok env ->
-    Alcotest.(check (option int)) "round-trip hint" (Some 1) env.P.shard_hint;
+    Alcotest.(check (option string)) "round-trip req" (Some "r") env.P.req;
     Alcotest.(check bool) "round-trip op" true (env.P.request = P.Depart 9)
   | Error e -> Alcotest.failf "round trip failed: %s" e
 
@@ -997,6 +983,22 @@ let sup_create ~spec ~sup_cfg ?degraded_reads dir =
     ~config:(mk_config ~durability:cfg ()) ~shards:2
     (Engine.General (line_instance 6))
 
+(* One shard's supervised state, read off the health snapshot, and a
+   poll until it reaches [want] (false after 10 s). *)
+let shard_state sup i = (Supervisor.health sup).(i).Supervisor.state
+
+let await sup i want =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec go () =
+    shard_state sup i = want
+    || Unix.gettimeofday () <= deadline
+       && begin
+            Thread.delay 0.005;
+            go ()
+          end
+  in
+  go ()
+
 (* Submit a shard-1-local arrive into an armed [die@shard.apply:1]: the
    leader dies with the batch un-applied, Supervisor.protect absorbs it,
    and the caller gets the supervised "unavailable" refusal. *)
@@ -1027,7 +1029,7 @@ let test_supervised_degradation_arc () =
      the recovery thread sleeps its 150 ms backoff base first — a
      deterministic Recovering window for the assertions below. *)
   Alcotest.(check bool) "shard 1 recovering" true
-    (Supervisor.state sup 1 = Supervisor.Recovering);
+    (shard_state sup 1 = Supervisor.Recovering);
   (match Engine.arrive engine ~req:"a2" ~id:8 ~rate:1 ~path:[ 4; 5 ] () with
   | Error ("unavailable", _) -> ()
   | r -> Alcotest.failf "op at recovering shard: %s" (reply_to_string r));
@@ -1044,7 +1046,7 @@ let test_supervised_degradation_arc () =
     (expect_applied "static solve never health-gated"
        (Engine.solve engine ~algo:"gtp" ~k:2 ~seed:1 ~target:P.Static));
   Alcotest.(check bool) "supervised restart reaches Serving" true
-    (Supervisor.await sup 1 Supervisor.Serving);
+    (await sup 1 Supervisor.Serving);
   (* The die fired before apply, so nothing was journaled: both gated
      ops' retries (same reqs) apply fresh rather than dedup. *)
   let retried =
@@ -1079,7 +1081,7 @@ let test_breaker_trips_to_poisoned () =
   let sup = Engine.supervisor engine in
   kill_shard1 engine;
   Alcotest.(check bool) "breaker trips to Poisoned" true
-    (Supervisor.await sup 1 Supervisor.Poisoned);
+    (await sup 1 Supervisor.Poisoned);
   let h = (Supervisor.health sup).(1) in
   Alcotest.(check int) "one trip" 1 h.Supervisor.breaker_trips;
   Alcotest.(check int) "exactly K failed recoveries" 3 h.Supervisor.failures;
@@ -1090,7 +1092,7 @@ let test_breaker_trips_to_poisoned () =
   (* No new recovery episode: poisoned means an operator problem, not a
      crash loop. *)
   Alcotest.(check bool) "stays poisoned" true
-    (Supervisor.state sup 1 = Supervisor.Poisoned);
+    (shard_state sup 1 = Supervisor.Poisoned);
   Alcotest.(check bool) "health says unhealthy" true
     (List.assoc "healthy" (Engine.health_fields engine) = Json.Bool false);
   ignore
@@ -1112,7 +1114,7 @@ let test_cross_arrival_with_crossed_shard_down () =
   let sup = Engine.supervisor engine in
   kill_shard1 engine;
   Alcotest.(check bool) "shard 1 recovering" true
-    (Supervisor.state sup 1 = Supervisor.Recovering);
+    (shard_state sup 1 = Supervisor.Recovering);
   let check_cross ctx ~home ~dedup reply =
     let json = expect_applied ctx reply in
     Alcotest.(check int) (ctx ^ ": home") home (int_field ctx "shard" json);
@@ -1130,7 +1132,7 @@ let test_cross_arrival_with_crossed_shard_down () =
   | Error ("unavailable", _) -> ()
   | r -> Alcotest.failf "cross arrive homed on the down shard: %s" (reply_to_string r));
   Alcotest.(check bool) "recovers" true
-    (Supervisor.await sup 1 Supervisor.Serving);
+    (await sup 1 Supervisor.Serving);
   check_cross "refused arrival retried" ~home:1 ~dedup:false (homed_on_1 ());
   check_cross "committed arrival retried" ~home:0 ~dedup:true (crossing ())
 
@@ -1158,7 +1160,7 @@ let test_depart_retry_after_lost_ack () =
   | Error ("unavailable", _) -> ()
   | r -> Alcotest.failf "lost-ack depart: %s" (reply_to_string r));
   Alcotest.(check bool) "recovers" true
-    (Supervisor.await sup 1 Supervisor.Serving);
+    (await sup 1 Supervisor.Serving);
   let retried = expect_applied "depart retry" (Engine.depart engine ~req:"d" 10) in
   Alcotest.(check bool) "suppressed by the recovered dedup table" true
     (Json.member "dedup" retried = Some (Json.Bool true));
@@ -1196,7 +1198,7 @@ let test_degraded_reads () =
   | r -> Alcotest.failf "writes must stay gated when degraded: %s"
            (reply_to_string r));
   Alcotest.(check bool) "recovers" true
-    (Supervisor.await sup 1 Supervisor.Serving);
+    (await sup 1 Supervisor.Serving);
   let live =
     expect_applied "clean live solve"
       (Engine.solve engine ~algo:"gtp" ~k:2 ~seed:1 ~target:P.Live)
@@ -1315,10 +1317,10 @@ let golden_wire frame =
   match Result.bind (Json.of_string frame) P.request_of_json with
   | Ok env ->
     Printf.sprintf "wire %s -> v%d %s" frame
-      (P.version_to_int env.P.version)
+      (version_int env.P.version)
       (Json.to_string
          (P.request_to_json ?id:env.P.id ?deadline_ms:env.P.deadline_ms
-            ?req:env.P.req ?shard_hint:env.P.shard_hint env.P.request))
+            ?req:env.P.req env.P.request))
   | Error msg -> Printf.sprintf "wire %s -> error %s" frame msg
 
 let golden_replies =

@@ -52,7 +52,7 @@ let prop_dp_binary_matches_general =
 (* Both the registry row and the reference refuse a star with today's
    message. *)
 let test_dp_binary_rejects_wide () =
-  let tree = Tdmd_topo.Topo_tree.star 5 in
+  let tree = Fixtures.star_tree 5 in
   let flows =
     [ Flow.make ~id:0 ~rate:1 ~path:(Rt.path_to_root tree 1) ]
   in
@@ -69,7 +69,7 @@ let prop_dp_binary_placement_consistent =
     QCheck.(pair (int_bound 100000) (int_range 2 15))
     (fun (seed, n) ->
       let rng = Rng.create seed in
-      let tree = Tdmd_topo.Topo_tree.random_binary rng n in
+      let tree = Fixtures.random_binary_tree rng n in
       let leaves = List.filter (fun v -> v <> Rt.root tree) (Rt.leaves tree) in
       let flows =
         List.mapi
@@ -102,7 +102,7 @@ let test_local_search_improves_fig1 () =
   Alcotest.(check (float 1e-9)) "reaches the k=2 optimum" 12.0
     r.Tdmd.Solver_intf.bandwidth;
   Alcotest.(check bool) "still feasible" true
-    (Tdmd.Feasibility.check inst r.Tdmd.Solver_intf.placement)
+    (Tdmd.Allocation.is_feasible inst r.Tdmd.Solver_intf.placement)
 
 let test_local_search_rejects_infeasible () =
   let inst = Fixtures.fig1_instance () in
@@ -124,7 +124,7 @@ let prop_local_search_never_worse =
       || begin
            let r = Tdmd.Local_search.refine ~k inst oracle in
            r.Tdmd.Solver_intf.bandwidth <= gtp.Tdmd.Solver_intf.bandwidth +. 1e-9
-           && Tdmd.Feasibility.check inst r.Tdmd.Solver_intf.placement
+           && Tdmd.Allocation.is_feasible inst r.Tdmd.Solver_intf.placement
            && P.size r.Tdmd.Solver_intf.placement <= k
          end)
 
@@ -198,7 +198,7 @@ let prop_incremental_stays_feasible =
              greedy cannot serve the current flows within k (the
              maintainer's last resort is exactly that cover). *)
           let inst = Tdmd.Incremental.instance t in
-          match Tdmd.Feasibility.greedy_cover inst with
+          match Feasibility.greedy_cover inst with
           | Some cover when P.size cover <= max 2 (n / 3) -> ok := false
           | _ -> ()
         end
@@ -257,7 +257,7 @@ let prop_lca_matches =
       let ok = ref true in
       for _ = 1 to 40 do
         let u = Rng.int rng n and v = Rng.int rng n in
-        if Tdmd_tree.Lca.query lift u v <> Tdmd_tree.Lca.naive tree u v then ok := false
+        if Tdmd_tree.Lca.query lift u v <> Reference.lca tree u v then ok := false
       done;
       !ok)
 
@@ -289,14 +289,7 @@ let test_temporal () =
         | Some t0 ->
           Alcotest.(check bool) "departure after arrival" true (t >= t0)
         | None -> Alcotest.fail "departure without arrival"))
-    timeline;
-  (* active_at is consistent with a manual replay. *)
-  let active = Tdmd_traffic.Temporal.active_at timeline 50.0 in
-  List.iter
-    (fun f ->
-      Alcotest.(check bool) "arrived before t" true
-        (Hashtbl.find arrivals f.Flow.id <= 50.0))
-    active
+    timeline
 
 let suite =
   [

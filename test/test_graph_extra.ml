@@ -31,10 +31,13 @@ let prop_floyd_matches_bfs =
       let fw = Tdmd_graph.Floyd_warshall.distances g in
       List.for_all
         (fun s ->
-          let bfs = Tdmd_graph.Bfs.distances g s in
-          Array.for_all2
-            (fun a b -> if b = max_int then a = infinity else a = float_of_int b)
-            fw.(s) bfs)
+          Array.for_all Fun.id
+            (Array.mapi
+               (fun t a ->
+                 match Tdmd_graph.Bfs.shortest_path g ~src:s ~dst:t with
+                 | None -> a = infinity
+                 | Some path -> a = float_of_int (List.length path - 1))
+               fw.(s)))
         (Listx.range 0 (n - 1)))
 
 let suite =

@@ -93,8 +93,8 @@ let prop_flow_edits_differential =
         let served_at =
           Array.exists
             (function
-              | Tdmd.Allocation.Served_at { vertex; _ } -> vertex = v
-              | Tdmd.Allocation.Unserved -> false)
+              | Reference.Served_at { vertex; _ } -> vertex = v
+              | Reference.Unserved -> false)
             (Reference.all r p)
         in
         O.diminished_volume t = Reference.diminished_volume r p
@@ -291,7 +291,7 @@ let rec span_shape (s : Tdmd_obs.Telemetry.span) =
 (* (c) End-to-end GTP / CELF against the from-scratch reference (naive
    oracle, naive cover fix-up): identical placement, bandwidth,
    feasibility, marginals read ("oracle_calls" and "delta_evals") and
-   span tree.  Each case runs one budget below [Gtp.derived_k], where
+   span tree.  Each case runs one budget below [Fixtures.derived_k], where
    the greedy leaves flows unserved and the fix-up repairs, and one at
    or above it, where the greedy serves every flow and the fix-up is
    skipped (no flow has zero hops, so every unserved flow has a
@@ -305,7 +305,7 @@ let prop_gtp_run_differential =
         Fixtures.random_general_instance rng ~n ~flows:n ~max_rate:5
           ~lambda:(Rng.float rng 1.0)
       in
-      let derived = Tdmd.Gtp.derived_k inst in
+      let derived = Fixtures.derived_k inst in
       let below = Rng.int rng derived in
       let above = derived + Rng.int rng (n - derived + 1) in
       let greedy_serves budget = O.is_feasible (Tdmd.Gtp.greedy ~k:budget inst).Tdmd.Gtp.oracle in
@@ -593,8 +593,8 @@ let test_cover_fixup_greedy_limit () =
     [ ("brute", Tdmd.Brute.solve ~k:2 inst); ("gtp", Tdmd.Gtp.run ~budget:2 inst) ]
 
 (* (f) The mask-based objective scans against the membership-list
-   references: same serving decisions and volumes, so the same rendered
-   bits at any λ.  Placements may name vertices outside the graph. *)
+   references: same feasibility and volumes, so the same rendered bits
+   at any λ.  Placements may name vertices outside the graph. *)
 let prop_scans_differential =
   QCheck.Test.make ~name:"objective scans: placement mask = list membership"
     ~count:150
@@ -609,13 +609,10 @@ let prop_scans_differential =
         Tdmd.Placement.of_list
           (List.init (Rng.int rng (n + 2)) (fun _ -> Rng.int rng (n + 1)))
       in
-      let ids fs = List.map (fun f -> f.Tdmd_flow.Flow.id) fs in
       Int64.bits_of_float (Tdmd.Bandwidth.total inst p)
       = Int64.bits_of_float (Reference.total inst p)
       && Tdmd.Bandwidth.diminished_volume inst p = Reference.diminished_volume inst p
-      && Tdmd.Allocation.is_feasible inst p = Reference.is_feasible inst p
-      && ids (Tdmd.Allocation.unserved inst p) = ids (Reference.unserved inst p)
-      && Tdmd.Allocation.all inst p = Reference.all inst p)
+      && Tdmd.Allocation.is_feasible inst p = Reference.is_feasible inst p)
 
 (* (g) The read-only local search against the probe-and-undo reference:
    identical placement, bandwidth bits and work counters.  Starts are
@@ -666,7 +663,7 @@ let prop_refine_differential =
    in an oracle rebuilt by [Inc_oracle.of_list]: same placement, D,
    bandwidth bits, feasibility and work counters (GTP's and the
    refinement's, summed as the registry merges them).  λ is 0, 0.5, 1
-   or drawn; the budget falls below [Gtp.derived_k], where GTP's fix-up
+   or drawn; the budget falls below [Fixtures.derived_k], where GTP's fix-up
    repairs and may leave the deployment infeasible (gtp-ls then answers
    GTP's outcome), or at or above it, where the fix-up is skipped. *)
 let prop_gtp_ls_registry =
@@ -681,7 +678,7 @@ let prop_gtp_ls_registry =
       let inst =
         Fixtures.random_general_instance rng ~n ~flows:(2 * n) ~max_rate:6 ~lambda
       in
-      let derived = Tdmd.Gtp.derived_k inst in
+      let derived = Fixtures.derived_k inst in
       let k = if Rng.bool rng then Rng.int rng derived else derived + Rng.int rng 3 in
       let gtp_ls = Option.get (Tdmd.Solvers.find_general "gtp-ls") in
       let got = gtp_ls ~rng:(Rng.create seed) ~k inst in

@@ -1,6 +1,6 @@
 (* tdmd-lint correctness: every rule fires on its must-flag fixture at
    the exact file/line and stays silent on its must-pass fixture; the
-   suppression and baseline mechanisms behave as documented. *)
+   suppression mechanism behaves as documented. *)
 
 module L = Lint_core
 
@@ -157,7 +157,7 @@ let test_suppression_multi_rule () =
         let f (x : float) : int = if x = 0.0 then Obj.magic x else 0\n")
 
 (* ------------------------------------------------------------------ *)
-(* Path policy, baseline, parse errors, JSON                            *)
+(* Path policy and parse errors                                        *)
 (* ------------------------------------------------------------------ *)
 
 let has_rule r rules = List.mem r rules
@@ -186,54 +186,12 @@ let test_rules_for_path () =
   check "other interfaces get the default policy" "lib/server/journal.mli"
     L.Bare_unix_io true
 
-let test_baseline_roundtrip () =
-  let d =
-    { L.file = "lib/x.ml"; line = 7; rule = "obj-magic"; message = "m" }
-  in
-  Alcotest.(check string)
-    "baseline key format" "lib/x.ml:7:obj-magic" (L.baseline_key d);
-  let tmp = Filename.temp_file "tdmd_lint_baseline" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove tmp)
-    (fun () ->
-      let oc = open_out tmp in
-      output_string oc "# comment\n\nlib/x.ml:7:obj-magic\n";
-      close_out oc;
-      let table = L.load_baseline tmp in
-      Alcotest.(check bool)
-        "entry present" true
-        (Hashtbl.mem table (L.baseline_key d));
-      Alcotest.(check bool)
-        "comments are not entries" false (Hashtbl.mem table "# comment"))
-
 let test_parse_error () =
   match L.lint_source ~file:"broken.ml" "let let let = = =\n" with
   | [ { L.rule = "parse-error"; _ } ] -> ()
   | other ->
     Alcotest.failf "expected one parse-error, got %d diagnostics"
       (List.length other)
-
-let test_json_report () =
-  let ds =
-    [ { L.file = "a.ml"; line = 1; rule = "obj-magic"; message = "x \"y\"" } ]
-  in
-  let json = L.diagnostics_to_json ds in
-  Alcotest.(check bool)
-    "escapes quotes" true
-    (let sub = "\"message\":\"x \\\"y\\\"\"" in
-     let n = String.length json and m = String.length sub in
-     let rec go i =
-       i + m <= n && (String.sub json i m = sub || go (i + 1))
-     in
-     go 0);
-  Alcotest.(check bool)
-    "carries the count" true
-    (let sub = "\"count\":1" in
-     let n = String.length json and m = String.length sub in
-     let rec go i =
-       i + m <= n && (String.sub json i m = sub || go (i + 1))
-     in
-     go 0)
 
 let suite =
   [
@@ -266,7 +224,5 @@ let suite =
     Alcotest.test_case "suppression: multi rule" `Quick
       test_suppression_multi_rule;
     Alcotest.test_case "path policy" `Quick test_rules_for_path;
-    Alcotest.test_case "baseline roundtrip" `Quick test_baseline_roundtrip;
     Alcotest.test_case "parse error" `Quick test_parse_error;
-    Alcotest.test_case "json report" `Quick test_json_report;
   ]

@@ -47,7 +47,7 @@ let test_lambda_every_constructor () =
   let g = Tdmd_graph.Digraph.create 2 in
   Tdmd_graph.Digraph.add_edge g 0 1;
   let flow = Flow.make ~id:0 ~rate:1 ~path:[ 0; 1 ] in
-  let tree = Tdmd_topo.Topo_tree.balanced ~arity:2 ~depth:2 in
+  let tree = Fixtures.balanced_tree ~arity:2 ~depth:2 in
   let leaf = Flow.make ~id:0 ~rate:2 ~path:(Tdmd_tree.Rooted_tree.path_to_root tree 3) in
   let constructors =
     [
@@ -78,7 +78,7 @@ let test_lambda_every_constructor () =
     constructors
 
 let test_tree_instance_validation () =
-  let tree = Tdmd_topo.Topo_tree.balanced ~arity:2 ~depth:2 in
+  let tree = Fixtures.balanced_tree ~arity:2 ~depth:2 in
   let good = Flow.make ~id:0 ~rate:2 ~path:(Tdmd_tree.Rooted_tree.path_to_root tree 3) in
   ignore (Tdmd.Instance.Tree.make ~tree ~flows:[ good ] ~lambda:0.5);
   (* Source must be a leaf. *)
@@ -95,7 +95,7 @@ let test_tree_instance_validation () =
     (fun () -> ignore (Tdmd.Instance.Tree.make ~tree ~flows:[ wrong_path ] ~lambda:0.5))
 
 let test_tree_instance_merges () =
-  let tree = Tdmd_topo.Topo_tree.star 4 in
+  let tree = Fixtures.star_tree 4 in
   let path = Tdmd_tree.Rooted_tree.path_to_root tree 2 in
   let flows =
     [ Flow.make ~id:0 ~rate:2 ~path; Flow.make ~id:1 ~rate:3 ~path ]
@@ -110,39 +110,29 @@ let test_subtree_rates () =
   Alcotest.(check int) "root holds all" 9 r.(0);
   Alcotest.(check int) "left subtree" 3 r.(1);
   Alcotest.(check int) "right subtree" 6 r.(2);
-  Alcotest.(check int) "leaf" 5 r.(6);
-  let s = Tdmd.Instance.Tree.source_rate inst in
-  Alcotest.(check int) "no internal sources" 0 s.(0);
-  Alcotest.(check int) "leaf source" 5 s.(6)
+  Alcotest.(check int) "leaf" 5 r.(6)
 
 let test_allocation_first_box () =
   let inst = Fixtures.fig1_instance () in
   let f1 = (Tdmd.Instance.flows inst) |> List.hd in
+  let first placed = A.first_in (A.mask inst (P.of_list placed)) f1 in
   (* f1 path: v5 -> v3 -> v1 (ids 4, 2, 0). *)
-  (match A.serve (P.of_list [ 2; 4 ]) f1 with
-  | A.Served_at { vertex; l } ->
-    Alcotest.(check int) "earliest box wins" 4 vertex;
-    Alcotest.(check int) "offset" 0 l
-  | A.Unserved -> Alcotest.fail "expected served");
-  (match A.serve (P.of_list [ 0; 2 ]) f1 with
-  | A.Served_at { vertex; l } ->
-    Alcotest.(check int) "mid-path box" 2 vertex;
-    Alcotest.(check int) "offset" 1 l
-  | A.Unserved -> Alcotest.fail "expected served");
-  Alcotest.(check bool) "off-path unserved" true (A.serve (P.of_list [ 1 ]) f1 = A.Unserved)
+  Alcotest.(check int) "earliest box wins (v5, offset 0)" 0 (first [ 2; 4 ]);
+  Alcotest.(check int) "mid-path box (v3, offset 1)" 1 (first [ 0; 2 ]);
+  Alcotest.(check int) "off-path: unserved (path length)" 3 (first [ 1 ])
 
 let test_flow_consumption_formula () =
   let f = Flow.make ~id:0 ~rate:4 ~path:[ 9; 8; 7; 6 ] in
   (* 3 hops, rate 4, lambda 0.25. *)
   let lam = 0.25 in
   Alcotest.(check (float 1e-9)) "unserved" 12.0
-    (Reference.flow_consumption ~lambda:lam f A.Unserved);
+    (Reference.flow_consumption ~lambda:lam f Reference.Unserved);
   Alcotest.(check (float 1e-9)) "served at source" 3.0
-    (Reference.flow_consumption ~lambda:lam f (A.Served_at { vertex = 9; l = 0 }));
+    (Reference.flow_consumption ~lambda:lam f (Reference.Served_at { vertex = 9; l = 0 }));
   Alcotest.(check (float 1e-9)) "served mid" 6.0
-    (Reference.flow_consumption ~lambda:lam f (A.Served_at { vertex = 7; l = 1 }));
+    (Reference.flow_consumption ~lambda:lam f (Reference.Served_at { vertex = 7; l = 1 }));
   Alcotest.(check (float 1e-9)) "served at dst" 12.0
-    (Reference.flow_consumption ~lambda:lam f (A.Served_at { vertex = 6; l = 3 }))
+    (Reference.flow_consumption ~lambda:lam f (Reference.Served_at { vertex = 6; l = 3 }))
 
 (* Eq. 1 invariant: total = volume - decrement for any placement. *)
 let prop_objective_identity =

@@ -5,7 +5,8 @@
 open Tdmd_prelude
 module P = Tdmd.Placement
 module Flow = Tdmd_flow.Flow
-module Ns = Tdmd_netsim.Netsim
+module Ns = Netsim
+module Chain = Tdmd_extensions.Chain
 
 (* ------------------------------------------------------------------ *)
 (* Netsim                                                              *)
@@ -75,21 +76,21 @@ let prop_netsim_matches_analytic =
 
 let test_chain_spec () =
   Alcotest.check_raises "empty" (Invalid_argument "Chain.make_spec: empty chain")
-    (fun () -> ignore (Tdmd.Chain.make_spec []));
+    (fun () -> ignore (Chain.make_spec []));
   Alcotest.check_raises "negative"
     (Invalid_argument "Chain.make_spec: negative ratio") (fun () ->
-      ignore (Tdmd.Chain.make_spec [ 0.5; -1.0 ]))
+      ignore (Chain.make_spec [ 0.5; -1.0 ]))
 
 let test_chain_single_type_matches_tdmd () =
   (* A one-type chain is exactly the TDMD model. *)
   let inst = Fixtures.fig1_instance () in
-  let spec = Tdmd.Chain.make_spec [ 0.5 ] in
+  let spec = Chain.make_spec [ 0.5 ] in
   let deployment = [ (Fixtures.v5, 0); (Fixtures.v2, 0) ] in
-  let _, bw = Tdmd.Chain.allocate spec inst deployment in
+  let _, bw = Chain.allocate spec inst deployment in
   Alcotest.(check (float 1e-9)) "fig1 two boxes" 12.0 bw;
-  Alcotest.(check bool) "feasible" true (Tdmd.Chain.feasible spec inst deployment);
+  Alcotest.(check bool) "feasible" true (Chain.feasible spec inst deployment);
   Alcotest.(check bool) "infeasible without cover" false
-    (Tdmd.Chain.feasible spec inst [ (Fixtures.v5, 0) ])
+    (Chain.feasible spec inst [ (Fixtures.v5, 0) ])
 
 let test_chain_order_enforced () =
   (* Two types; type 1's instance before type 0's on the path is
@@ -99,28 +100,28 @@ let test_chain_order_enforced () =
     [ (3, 2); (2, 1); (1, 0) ];
   let f = Flow.make ~id:0 ~rate:2 ~path:[ 3; 2; 1; 0 ] in
   let inst = Tdmd.Instance.make ~graph:g ~flows:[ f ] ~lambda:0.5 in
-  let spec = Tdmd.Chain.make_spec [ 0.5; 0.5 ] in
+  let spec = Chain.make_spec [ 0.5; 0.5 ] in
   (* t1 at v3 (source) cannot fire before t0 at v1. *)
-  let services, _ = Tdmd.Chain.allocate spec inst [ (3, 1); (1, 0) ] in
+  let services, _ = Chain.allocate spec inst [ (3, 1); (1, 0) ] in
   (match services with
   | [ s ] ->
-    Alcotest.(check bool) "incomplete" false s.Tdmd.Chain.complete;
+    Alcotest.(check bool) "incomplete" false s.Chain.complete;
     Alcotest.(check (list (pair int int))) "only stage 0 fired" [ (0, 1) ]
-      s.Tdmd.Chain.stages
+      s.Chain.stages
   | _ -> Alcotest.fail "one flow expected");
   (* Correct order completes, both stages co-located allowed too. *)
-  let services, bw = Tdmd.Chain.allocate spec inst [ (3, 0); (3, 1) ] in
+  let services, bw = Chain.allocate spec inst [ (3, 0); (3, 1) ] in
   (match services with
   | [ s ] ->
-    Alcotest.(check bool) "complete" true s.Tdmd.Chain.complete;
+    Alcotest.(check bool) "complete" true s.Chain.complete;
     (* Both at source: all 3 edges at rate 2*0.25 = 0.5. *)
-    Alcotest.(check (float 1e-9)) "quartered" 1.5 s.Tdmd.Chain.consumption
+    Alcotest.(check (float 1e-9)) "quartered" 1.5 s.Chain.consumption
   | _ -> Alcotest.fail "one flow expected");
   Alcotest.(check (float 1e-9)) "total" 1.5 bw
 
 let brute_single_flow spec ~rate ~hops =
   (* Enumerate all non-decreasing position tuples. *)
-  let m = Array.length spec.Tdmd.Chain.ratios in
+  let m = Array.length spec.Chain.ratios in
   let best = ref infinity in
   let rec go i lo acc =
     if i = m then begin
@@ -134,7 +135,7 @@ let brute_single_flow spec ~rate ~hops =
         in
         let ratio = ref 1.0 in
         for j = 0 to stages_before - 1 do
-          ratio := !ratio *. spec.Tdmd.Chain.ratios.(j)
+          ratio := !ratio *. spec.Chain.ratios.(j)
         done;
         cost := !cost +. (float_of_int rate *. !ratio)
       done;
@@ -155,9 +156,9 @@ let prop_chain_single_flow_optimal =
     (fun (seed, m, hops) ->
       let rng = Rng.create seed in
       let ratios = List.init m (fun _ -> Rng.float rng 2.0) in
-      let spec = Tdmd.Chain.make_spec ratios in
+      let spec = Chain.make_spec ratios in
       let rate = Rng.int_in rng 1 9 in
-      let positions, value = Tdmd.Chain.single_flow spec ~rate ~hops in
+      let positions, value = Chain.single_flow spec ~rate ~hops in
       let rec non_decreasing = function
         | a :: (b :: _ as rest) -> a <= b && non_decreasing rest
         | _ -> true
@@ -168,28 +169,28 @@ let prop_chain_single_flow_optimal =
 
 let test_chain_single_flow_positions () =
   (* Diminishing chain: every stage belongs at the source. *)
-  let spec = Tdmd.Chain.make_spec [ 0.5; 0.8 ] in
-  let positions, value = Tdmd.Chain.single_flow spec ~rate:10 ~hops:3 in
+  let spec = Chain.make_spec [ 0.5; 0.8 ] in
+  let positions, value = Chain.single_flow spec ~rate:10 ~hops:3 in
   Alcotest.(check (list int)) "all at source" [ 0; 0 ] positions;
   Alcotest.(check (float 1e-9)) "value" 12.0 value;
   (* Inflating chain: stages belong at the destination. *)
-  let spec = Tdmd.Chain.make_spec [ 2.0 ] in
-  let positions, value = Tdmd.Chain.single_flow spec ~rate:1 ~hops:4 in
+  let spec = Chain.make_spec [ 2.0 ] in
+  let positions, value = Chain.single_flow spec ~rate:1 ~hops:4 in
   Alcotest.(check (list int)) "at destination" [ 4 ] positions;
   Alcotest.(check (float 1e-9)) "uninflated" 4.0 value
 
 let test_chain_greedy () =
   let inst = Fixtures.fig1_instance () in
-  let spec = Tdmd.Chain.make_spec [ 0.5 ] in
-  let r = Tdmd.Chain.greedy ~k:3 spec inst in
-  Alcotest.(check bool) "feasible" true r.Tdmd.Chain.feasible;
+  let spec = Chain.make_spec [ 0.5 ] in
+  let r = Chain.greedy ~k:3 spec inst in
+  Alcotest.(check bool) "feasible" true r.Chain.feasible;
   (* One-type chain greedy must match the TDMD optimum here. *)
-  Alcotest.(check (float 1e-9)) "matches fig1 k=3 optimum" 8.0 r.Tdmd.Chain.bandwidth;
+  Alcotest.(check (float 1e-9)) "matches fig1 k=3 optimum" 8.0 r.Chain.bandwidth;
   (* Two-type chain: budget must cover both types. *)
-  let spec2 = Tdmd.Chain.make_spec [ 0.5; 0.0 ] in
-  let r2 = Tdmd.Chain.greedy ~k:4 spec2 inst in
+  let spec2 = Chain.make_spec [ 0.5; 0.0 ] in
+  let r2 = Chain.greedy ~k:4 spec2 inst in
   Alcotest.(check bool) "within budget" true
-    (List.length r2.Tdmd.Chain.deployment <= 4)
+    (List.length r2.Chain.deployment <= 4)
 
 (* ------------------------------------------------------------------ *)
 (* SVG + gravity workload                                              *)
@@ -222,14 +223,14 @@ let test_gravity_flows () =
   let g = ark.Tdmd_topo.Ark.graph in
   let dests = ark.Tdmd_topo.Ark.hubs in
   let flows =
-    Tdmd_traffic.Workload.gravity_flows rng g ~dests
+    Tdmd_extensions.Gravity.flows rng g ~dests
       ~rates:(Tdmd_traffic.Rate_dist.Constant 2) ~density:0.4 ~link_capacity:30 ()
   in
   Alcotest.(check bool) "flows exist" true (flows <> []);
   List.iter
     (fun f ->
       Alcotest.(check bool) "valid" true (Flow.validate g f = Ok ());
-      Alcotest.(check bool) "to hub" true (List.mem (Flow.dst f) dests))
+      Alcotest.(check bool) "to hub" true (List.mem (Fixtures.dst f) dests))
     flows;
   (* Hub-adjacent sources should be over-represented vs uniform: check
      that the mean degree of sources exceeds the graph's mean degree. *)
@@ -244,7 +245,7 @@ let test_gravity_flows () =
     /. float_of_int n
   in
   let src_deg =
-    Listx.sum_by (fun f -> float_of_int (degree (Flow.src f))) flows
+    float_of_int (List.fold_left (fun acc f -> acc + degree (Flow.src f)) 0 flows)
     /. float_of_int (List.length flows)
   in
   Alcotest.(check bool)

@@ -165,13 +165,19 @@ let test_sink_jsonl () =
   let tel = Tel.create () in
   Tel.count tel "oracle_calls" 9;
   Tel.with_span tel "solve" (fun () -> Tel.with_span tel "inner" ignore);
-  let buf = Buffer.create 256 in
-  let sink = Sink.of_buffer buf in
-  Sink.emit sink (Sink.record ~event:"run" ~extra:[ ("k", Json.Int 3) ] tel);
-  Sink.emit sink (Sink.record ~event:"run" tel);
+  let path = Filename.temp_file "sink" ".jsonl" in
+  let written =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_text path (fun oc ->
+            let sink = Sink.of_channel oc in
+            Sink.emit sink (Sink.record ~event:"run" ~extra:[ ("k", Json.Int 3) ] tel);
+            Sink.emit sink (Sink.record ~event:"run" tel));
+        In_channel.with_open_text path In_channel.input_all)
+  in
   let lines =
-    String.split_on_char '\n' (Buffer.contents buf)
-    |> List.filter (fun l -> l <> "")
+    String.split_on_char '\n' written |> List.filter (fun l -> l <> "")
   in
   Alcotest.(check int) "one record per line" 2 (List.length lines);
   List.iter

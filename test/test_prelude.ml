@@ -86,23 +86,16 @@ let test_listx () =
   Alcotest.(check (list int)) "empty range" [] (Listx.range 3 2);
   Alcotest.(check int) "frange count" 10
     (List.length (Listx.frange ~lo:0.0 ~hi:0.9 ~step:0.1));
-  Alcotest.(check int) "max_by" 9 (Listx.max_by float_of_int [ 3; 9; 1 ]);
-  Alcotest.(check int) "min_by" 1 (Listx.min_by float_of_int [ 3; 9; 1 ]);
-  Alcotest.(check (list int)) "take" [ 1; 2 ] (Listx.take 2 [ 1; 2; 3 ]);
-  Alcotest.(check (list (pair int (list int)))) "group_by"
-    [ (0, [ 2; 4 ]); (1, [ 1; 3 ]) ]
-    (Listx.group_by (fun x -> x mod 2) [ 1; 2; 3; 4 ])
+  Alcotest.(check (list int)) "take" [ 1; 2 ] (Listx.take 2 [ 1; 2; 3 ])
 
 let test_histogram () =
   let h = Histogram.create ~lo:0.0 ~hi:10.0 ~bins:5 () in
   List.iter (Histogram.add h) [ 0.5; 1.0; 2.5; 9.9; 15.0; -3.0 ];
-  Alcotest.(check int) "count" 6 (Histogram.count h);
   (* 15.0 clamps into the last bin, -3.0 into the first. *)
   Alcotest.(check (array int)) "bins" [| 3; 1; 0; 0; 2 |] (Histogram.bin_counts h);
   let edges = Histogram.bin_edges h in
   Alcotest.(check (float 1e-9)) "first lower edge" 0.0 (fst edges.(0));
   Alcotest.(check (float 1e-9)) "last upper edge" 10.0 (snd edges.(4));
-  Alcotest.(check bool) "renders" true (String.length (Histogram.render h) > 0);
   Alcotest.check_raises "bad bins"
     (Invalid_argument "Histogram.create: bins must be positive") (fun () ->
       ignore (Histogram.create ~lo:0.0 ~hi:1.0 ~bins:0 ()))

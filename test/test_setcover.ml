@@ -1,5 +1,5 @@
-module Sc = Tdmd_setcover.Setcover
-module Red = Tdmd_setcover.Reduction
+module Sc = Setcover
+module Red = Reduction
 
 (* The paper's Fig. 2 instance: universe {f1..f4} (ids 0..3),
    S1 = {f1,f2,f4}, S2 = {f1,f2}, S3 = {f3}. *)
@@ -44,12 +44,12 @@ let test_forward_reduction () =
   (* Deploying on {v1, v3} (ids 0,2) serves all flows. *)
   let inst = Tdmd.Instance.make ~graph:g ~flows ~lambda:0.5 in
   Alcotest.(check bool) "cover placement feasible" true
-    (Tdmd.Feasibility.check inst (Tdmd.Placement.of_list [ 0; 2 ]));
+    (Tdmd.Allocation.is_feasible inst (Tdmd.Placement.of_list [ 0; 2 ]));
   Alcotest.(check bool) "non-cover placement infeasible" false
-    (Tdmd.Feasibility.check inst (Tdmd.Placement.of_list [ 1; 2 ]));
-  Alcotest.(check bool) "feasible with 2" true (Tdmd.Feasibility.feasible_exists inst ~k:2);
+    (Tdmd.Allocation.is_feasible inst (Tdmd.Placement.of_list [ 1; 2 ]));
+  Alcotest.(check bool) "feasible with 2" true (Feasibility.feasible_exists inst ~k:2);
   Alcotest.(check bool) "infeasible with 1" false
-    (Tdmd.Feasibility.feasible_exists inst ~k:1)
+    (Feasibility.feasible_exists inst ~k:1)
 
 let test_reduction_rejects_empty_element () =
   let sc = Sc.make ~universe:2 [ [ 0 ] ] in
@@ -59,16 +59,16 @@ let test_reduction_rejects_empty_element () =
 
 let test_backward_reduction () =
   let inst = Fixtures.fig1_instance () in
-  let sc = Tdmd.Feasibility.to_setcover inst in
+  let sc = Feasibility.to_setcover inst in
   Alcotest.(check int) "universe = flows" 4 sc.Sc.universe;
   (* Minimum cover of Fig. 1 is 2 ({v2,v5} works, nothing of size 1). *)
-  Alcotest.(check int) "min middleboxes" 2 (Tdmd.Feasibility.min_middleboxes inst);
-  Alcotest.(check bool) "exists k=2" true (Tdmd.Feasibility.feasible_exists inst ~k:2);
-  Alcotest.(check bool) "not k=1" false (Tdmd.Feasibility.feasible_exists inst ~k:1);
-  match Tdmd.Feasibility.greedy_cover inst with
+  Alcotest.(check int) "min middleboxes" 2 (Feasibility.min_middleboxes inst);
+  Alcotest.(check bool) "exists k=2" true (Feasibility.feasible_exists inst ~k:2);
+  Alcotest.(check bool) "not k=1" false (Feasibility.feasible_exists inst ~k:1);
+  match Feasibility.greedy_cover inst with
   | None -> Alcotest.fail "cover expected"
   | Some p -> Alcotest.(check bool) "greedy cover feasible" true
-                (Tdmd.Feasibility.check inst p)
+                (Tdmd.Allocation.is_feasible inst p)
 
 (* Property: greedy covers whenever exact does, and is never smaller. *)
 let prop_greedy_vs_exact =
@@ -109,7 +109,7 @@ let prop_reduction_equivalence =
       let g, flows = Red.to_tdmd sc in
       let inst = Tdmd.Instance.make ~graph:g ~flows ~lambda:0.0 in
       List.for_all
-        (fun k -> Sc.decision sc ~k = Tdmd.Feasibility.feasible_exists inst ~k)
+        (fun k -> Sc.decision sc ~k = Feasibility.feasible_exists inst ~k)
         [ 1; 2; 3; u + n_sets ])
 
 let suite =

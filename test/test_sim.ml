@@ -21,7 +21,7 @@ let test_build_general_scenario () =
   Alcotest.(check bool) "flows exist" true (Tdmd.Instance.flow_count inst > 0);
   (* Flows were validated by Instance.make; instance is connected. *)
   Alcotest.(check bool) "connected" true
-    (Tdmd_graph.Digraph.is_connected_undirected inst.Tdmd.Instance.graph)
+    (Fixtures.is_connected_undirected inst.Tdmd.Instance.graph)
 
 let test_scenarios_deterministic () =
   let build seed =

@@ -38,7 +38,7 @@ let prop_dp_placement_consistent =
       || begin
            let general = Tdmd.Instance.Tree.to_general inst in
            P.size dp.Tdmd.Solver_intf.placement <= k
-           && Tdmd.Feasibility.check general dp.Tdmd.Solver_intf.placement
+           && Tdmd.Allocation.is_feasible general dp.Tdmd.Solver_intf.placement
            && Tdmd.Bandwidth.diminished_volume general dp.Tdmd.Solver_intf.placement
               = dp.Tdmd.Solver_intf.volume
            && Float.equal
@@ -92,7 +92,7 @@ let test_dp_k0_infeasible () =
   Alcotest.(check bool) "k=0 infeasible" false r.Tdmd.Solver_intf.feasible
 
 let test_dp_single_vertex () =
-  let tree = Tdmd_topo.Topo_tree.path 1 in
+  let tree = Fixtures.path_tree 1 in
   let inst = Tdmd.Instance.Tree.make ~tree ~flows:[] ~lambda:0.5 in
   let r = Tdmd.Dp.solve ~k:1 inst in
   Alcotest.(check bool) "trivially feasible" true r.Tdmd.Solver_intf.feasible;
@@ -241,10 +241,10 @@ let prop_derived_k_bounds =
     (fun (seed, n) ->
       let rng = Rng.create seed in
       let inst = Fixtures.random_general_instance rng ~n ~flows:n ~max_rate:4 ~lambda:0.5 in
-      let dk = Tdmd.Gtp.derived_k inst in
-      let exact = Tdmd.Feasibility.min_middleboxes inst in
+      let dk = Fixtures.derived_k inst in
+      let exact = Feasibility.min_middleboxes inst in
       let greedy_size =
-        match Tdmd.Feasibility.greedy_cover inst with
+        match Feasibility.greedy_cover inst with
         | Some c -> P.size c
         | None -> max_int
       in
@@ -252,7 +252,7 @@ let prop_derived_k_bounds =
          boxes than the pure covering greedy, but never fewer than the
          exact minimum and never more than the vertex count. *)
       exact <= dk && dk <= n && exact <= greedy_size
-      && Tdmd.Feasibility.check inst
+      && Tdmd.Allocation.is_feasible inst
            (Tdmd.Gtp.run ~budget:dk inst).Tdmd.Solver_intf.placement)
 
 (* HAT performs exactly |initial leaves| - |final placement| merges. *)
@@ -303,19 +303,19 @@ let test_capacitated_unlimited_matches_plain () =
   let inst = Fixtures.fig1_instance () in
   (* With capacity far above the total rate the capacitated greedy can
      reach the plain optimum-quality region. *)
-  let cap = Tdmd.Capacitated.greedy ~k:3 ~capacity:1000 inst in
+  let cap = Tdmd_extensions.Capacitated.greedy ~k:3 ~capacity:1000 inst in
   Alcotest.(check bool) "feasible" true cap.Tdmd.Solver_intf.feasible;
   Alcotest.(check (float 1e-9)) "reaches optimum" 8.0 cap.Tdmd.Solver_intf.bandwidth
 
 let test_capacitated_tight_capacity () =
   let inst = Fixtures.fig1_instance () in
   (* Capacity 4 forces f1 (rate 4) to its own box. *)
-  let a = Tdmd.Capacitated.allocate inst ~capacity:4 (P.of_list [ 1; 4 ]) in
+  let a = Tdmd_extensions.Capacitated.allocate inst ~capacity:4 (P.of_list [ 1; 4 ]) in
   Alcotest.(check int) "one flow unserved under tight capacity" 1
-    (List.length a.Tdmd.Capacitated.unserved);
-  let wide = Tdmd.Capacitated.allocate inst ~capacity:6 (P.of_list [ 1; 4 ]) in
+    (List.length a.Tdmd_extensions.Capacitated.unserved);
+  let wide = Tdmd_extensions.Capacitated.allocate inst ~capacity:6 (P.of_list [ 1; 4 ]) in
   Alcotest.(check int) "looser capacity serves all" 0
-    (List.length wide.Tdmd.Capacitated.unserved)
+    (List.length wide.Tdmd_extensions.Capacitated.unserved)
 
 (* The capacitated greedy decides on the integer volume: below λ = 1 its
    deployment does not depend on λ, even where (1 − λ)·ΔD is far below
@@ -327,7 +327,7 @@ let test_capacitated_lambda () =
       Tdmd.Instance.make ~graph:base.Tdmd.Instance.graph ~flows:(Tdmd.Instance.flows base)
         ~lambda
     in
-    Tdmd.Capacitated.greedy ~k:3 ~capacity:1000 inst
+    Tdmd_extensions.Capacitated.greedy ~k:3 ~capacity:1000 inst
   in
   let placement o = P.to_list o.Tdmd.Solver_intf.placement in
   Alcotest.(check (list int)) "1 - 2^-45 deploys as 0.5" (placement (at 0.5))

@@ -6,13 +6,13 @@ module Tg = Tdmd_topo.Topo_general
 module Dc = Tdmd_topo.Datacenter
 
 let test_path_star_balanced () =
-  let p = Tt.path 5 in
+  let p = Fixtures.path_tree 5 in
   Alcotest.(check int) "path height" 4 (Rt.height p);
   Alcotest.(check (list int)) "path leaves" [ 4 ] (Rt.leaves p);
-  let s = Tt.star 6 in
+  let s = Fixtures.star_tree 6 in
   Alcotest.(check int) "star height" 1 (Rt.height s);
   Alcotest.(check int) "star leaves" 5 (List.length (Rt.leaves s));
-  let b = Tt.balanced ~arity:2 ~depth:3 in
+  let b = Fixtures.balanced_tree ~arity:2 ~depth:3 in
   Alcotest.(check int) "perfect binary size" 15 (Rt.size b);
   Alcotest.(check int) "perfect binary leaves" 8 (List.length (Rt.leaves b));
   Alcotest.(check int) "height" 3 (Rt.height b)
@@ -22,7 +22,7 @@ let test_random_trees () =
   for n = 1 to 40 do
     let t = Tt.random_attachment rng n in
     Alcotest.(check int) "size" n (Rt.size t);
-    let tb = Tt.random_binary rng n in
+    let tb = Fixtures.random_binary_tree rng n in
     Alcotest.(check int) "binary size" n (Rt.size tb);
     for v = 0 to n - 1 do
       Alcotest.(check bool) "binary arity" true (List.length (Rt.children tb v) <= 2)
@@ -43,19 +43,9 @@ let test_erdos_renyi_connected () =
   for _ = 1 to 20 do
     let n = 2 + Rng.int rng 40 in
     let g = Tg.erdos_renyi rng n ~p:0.1 in
-    Alcotest.(check bool) "connected" true (G.is_connected_undirected g);
+    Alcotest.(check bool) "connected" true (Fixtures.is_connected_undirected g);
     Alcotest.(check int) "size" n (G.vertex_count g)
   done
-
-let test_general_resize () =
-  let rng = Rng.create 26 in
-  let g = Tg.erdos_renyi rng 20 ~p:0.2 in
-  let grown = Tg.resize rng g 30 in
-  Alcotest.(check int) "grown" 30 (G.vertex_count grown);
-  Alcotest.(check bool) "grown connected" true (G.is_connected_undirected grown);
-  let shrunk = Tg.resize rng g 12 in
-  Alcotest.(check int) "shrunk" 12 (G.vertex_count shrunk);
-  Alcotest.(check bool) "shrunk connected" true (G.is_connected_undirected shrunk)
 
 let test_spanning_tree () =
   let rng = Rng.create 27 in
@@ -77,7 +67,7 @@ let test_fat_tree () =
   Alcotest.(check int) "edge" 8 (List.length ft.Dc.edge);
   Alcotest.(check int) "hosts" 16 (List.length ft.Dc.hosts);
   Alcotest.(check int) "vertices" 36 (G.vertex_count ft.Dc.graph);
-  Alcotest.(check bool) "connected" true (G.is_connected_undirected ft.Dc.graph);
+  Alcotest.(check bool) "connected" true (Fixtures.is_connected_undirected ft.Dc.graph);
   (* k=4 fat-tree has 48 undirected links = 96 arcs. *)
   Alcotest.(check int) "arcs" 96 (G.edge_count ft.Dc.graph);
   List.iter
@@ -91,7 +81,7 @@ let test_ark () =
   let a = Tdmd_topo.Ark.generate rng ~n:44 in
   Alcotest.(check int) "size" 44 (G.vertex_count a.Tdmd_topo.Ark.graph);
   Alcotest.(check bool) "connected" true
-    (G.is_connected_undirected a.Tdmd_topo.Ark.graph);
+    (Fixtures.is_connected_undirected a.Tdmd_topo.Ark.graph);
   Alcotest.(check bool) "has hubs" true (a.Tdmd_topo.Ark.hubs <> []);
   Alcotest.(check int) "hubs + monitors = all" 44
     (List.length a.Tdmd_topo.Ark.hubs + List.length a.Tdmd_topo.Ark.monitors);
@@ -101,7 +91,7 @@ let test_ark () =
     (List.mem (Rt.root t) a.Tdmd_topo.Ark.hubs);
   let sub, dests = Tdmd_topo.Ark.general_of rng a ~size:20 in
   Alcotest.(check int) "subgraph size" 20 (G.vertex_count sub);
-  Alcotest.(check bool) "subgraph connected" true (G.is_connected_undirected sub);
+  Alcotest.(check bool) "subgraph connected" true (Fixtures.is_connected_undirected sub);
   Alcotest.(check bool) "has destinations" true (dests <> []);
   List.iter
     (fun d -> Alcotest.(check bool) "dest in range" true (d >= 0 && d < 20))
@@ -112,8 +102,8 @@ let prop_generators_connected =
     QCheck.(pair (int_range 2 50) (int_bound 100000))
     (fun (n, seed) ->
       let rng = Rng.create seed in
-      G.is_connected_undirected (Tg.erdos_renyi rng n ~p:0.05)
-      && G.is_connected_undirected
+      Fixtures.is_connected_undirected (Tg.erdos_renyi rng n ~p:0.05)
+      && Fixtures.is_connected_undirected
            (Tdmd_topo.Ark.generate rng ~n).Tdmd_topo.Ark.graph
       && Rt.size (Tt.random_attachment rng n) = n)
 
@@ -214,8 +204,7 @@ let prop_partition_home_majority =
           in
           match Pt.ownership p path with
           | Pt.Owned s -> owners = [ s ]
-          | Pt.Cross { home; spans } ->
-            home = !expected_home && spans = owners && List.length owners > 1)
+          | Pt.Cross { home } -> home = !expected_home && List.length owners > 1)
         (List.init 20 Fun.id))
 
 let test_partition_edges () =
@@ -230,7 +219,7 @@ let test_partition_edges () =
     [ 0; 0; 0; 1; 1; 1 ]
     (List.map (Pt.owner p) [ 0; 1; 2; 3; 4; 5 ]);
   (match Pt.ownership p [| 2; 3 |] with
-  | Pt.Cross { home = 0; spans = [ 0; 1 ] } -> ()
+  | Pt.Cross { home = 0 } -> ()
   | _ -> Alcotest.fail "straddling path must be cross with home 0");
   let t = Pt.trivial ~n:4 in
   Alcotest.(check int) "trivial is one shard" 1 (Pt.shards t);
@@ -245,7 +234,6 @@ let suite =
     Alcotest.test_case "trees: random generators" `Quick test_random_trees;
     Alcotest.test_case "trees: resize" `Quick test_tree_resize;
     Alcotest.test_case "general: erdos-renyi" `Quick test_erdos_renyi_connected;
-    Alcotest.test_case "general: resize" `Quick test_general_resize;
     Alcotest.test_case "general: spanning tree" `Quick test_spanning_tree;
     Alcotest.test_case "datacenter: fat-tree" `Quick test_fat_tree;
     Alcotest.test_case "ark: generator, tree, subgraph" `Quick test_ark;

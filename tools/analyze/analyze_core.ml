@@ -1,10 +1,10 @@
 (* tdmd-analyze: whole-program static analysis over the repo's sources
-   (compiler-libs only, like tdmd-lint; the shared suppression /
-   baseline / report machinery lives in tools/kit).
+   (compiler-libs only, like tdmd-lint; the shared suppression / report
+   machinery lives in tools/kit).
 
    Where tdmd-lint checks one file at a time, this pass parses every
    .ml/.mli once, builds a per-module value-level call graph, and runs
-   three interprocedural analyses:
+   four analyses:
 
    - lock-order: every [Locked.with_lock] / [Mutex.lock] site is an
      acquisition of a lock class (Module.field); held-lock sets
@@ -34,6 +34,14 @@
      and every registry entry must still be referenced somewhere, so
      the two can never drift apart silently.
 
+   - unreached exports: every [val] a lib/ interface exports (nested
+     signatures included) must be reachable from the programs the
+     project runs.  The roots are every identifier named anywhere in a
+     bin/ or bench/ file and in a lib module's initialisers; a reached
+     lib binding reaches every identifier in its body.  An export only
+     tests or examples call is reported: it is deleted, moved to test/
+     or examples/, or made private.
+
    Everything is syntactic (Parsetree + Ast_iterator, no typing
    environment): lock identity is "innermost module . field name",
    calls resolve by module-qualified value name, and the fixture corpus
@@ -53,6 +61,7 @@ let rule_op = "wire-op"
 let rule_code = "wire-code"
 let rule_fault = "fault-point"
 let rule_counter = "counter-name"
+let rule_unreached = "unreached-export"
 
 let rule_catalogue =
   [
@@ -70,6 +79,9 @@ let rule_catalogue =
     ( rule_counter,
       "telemetry counter bumped or read that is not in the declared \
        registry, or registered but never touched" );
+    ( rule_unreached,
+      "value exported by a lib/ interface that no bin/ or bench/ code \
+       reaches through the call graph" );
   ]
 
 let known_rule id = List.mem_assoc id rule_catalogue
@@ -282,7 +294,25 @@ let build_genv pfiles =
               | _ -> ())
             items
         in
-        go pf.p_mod structure)
+        go pf.p_mod structure;
+        (* [let module P = Tdmd_server.Protocol in ...] aliases too, for
+           the rest of the file. *)
+        let local =
+          {
+            Ast_iterator.default_iterator with
+            Ast_iterator.expr =
+              (fun it e ->
+                (match e.pexp_desc with
+                | Pexp_letmodule
+                    ( { Asttypes.txt = Some name; _ },
+                      { pmod_desc = Pmod_ident { Asttypes.txt; _ }; _ },
+                      _ ) ->
+                  Hashtbl.replace amap name (last_seg (K.flatten_lid txt))
+                | _ -> ());
+                Ast_iterator.default_iterator.Ast_iterator.expr it e);
+          }
+        in
+        local.Ast_iterator.structure local structure)
     pfiles;
   (* Lock-wrapper detection: a binding whose whole body is
      [with_lock <lock-of-param> k] where [k] is a function parameter
@@ -1277,6 +1307,169 @@ let registry_diagnostics (reg : Registry.t) u =
   !out
 
 (* ------------------------------------------------------------------ *)
+(* Unreached exports                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A file's role comes from its directory segments, so a fixture marks
+   its own by a lib/ or bin/ directory inside it: lib/ files export,
+   and bin/ and bench/ files are the roots the program runs from. *)
+let has_segment segs path =
+  List.exists (fun s -> List.mem s segs) (String.split_on_char '/' path)
+
+let lib_file = has_segment [ "lib" ]
+let root_file = has_segment [ "bin"; "bench" ]
+
+(* Every value path an expression (or a whole file) names: identifiers
+   and binding operators such as [let*]. *)
+let referenced_paths ~visit =
+  let acc = ref [] in
+  let expr it e =
+    (match e.pexp_desc with
+    | Pexp_ident { Asttypes.txt; _ } -> acc := K.flatten_lid txt :: !acc
+    | Pexp_letop { let_; ands; _ } ->
+      List.iter (fun op -> acc := [ op.pbop_op.Asttypes.txt ] :: !acc) (let_ :: ands)
+    | _ -> ());
+    Ast_iterator.default_iterator.Ast_iterator.expr it e
+  in
+  visit { Ast_iterator.default_iterator with Ast_iterator.expr = expr };
+  !acc
+
+(* Modules a file opens, by [open], [let open] or [M.(...)]. *)
+let opened_modules ast =
+  let acc = ref [] in
+  let open_declaration it (od : open_declaration) =
+    (match od.popen_expr.pmod_desc with
+    | Pmod_ident { Asttypes.txt; _ } -> acc := last_seg (K.flatten_lid txt) :: !acc
+    | _ -> ());
+    Ast_iterator.default_iterator.Ast_iterator.open_declaration it od
+  in
+  K.iter_ast
+    { Ast_iterator.default_iterator with Ast_iterator.open_declaration }
+    ast;
+  !acc
+
+(* A reached path, keyed like the call graph: (innermost module, name)
+   through the file's aliases.  A bare name may belong to any enclosing
+   module or any module the file opens, so it reaches each of them. *)
+let path_keys ~amap ~opens ~mods path =
+  let resolve m = match Hashtbl.find_opt amap m with Some r -> r | None -> m in
+  match List.rev path with
+  | [] -> []
+  | [ name ] -> List.map (fun m -> (resolve m, name)) (mods @ opens)
+  | name :: m :: _ -> [ (resolve m, name) ]
+
+(* Value bindings of a lib structure and its initialisers ([let () =],
+   [let _ =], bare expressions), each with its module chain, innermost
+   first. *)
+let structure_sites modname structure =
+  let binds = ref [] and inits = ref [] in
+  let rec go mods items =
+    List.iter
+      (fun item ->
+        match item.pstr_desc with
+        | Pstr_value (_, vbs) ->
+          List.iter
+            (fun vb ->
+              match pat_vars vb.pvb_pat with
+              | [] -> inits := (mods, vb.pvb_expr) :: !inits
+              | names ->
+                List.iter (fun n -> binds := (n, mods, vb.pvb_expr) :: !binds) names)
+            vbs
+        | Pstr_eval (e, _) -> inits := (mods, e) :: !inits
+        | Pstr_module mb -> (
+          match (mb.pmb_name.Asttypes.txt, module_items mb.pmb_expr) with
+          | Some name, Some sub -> go (name :: mods) sub
+          | _ -> ())
+        | _ -> ())
+      items
+  in
+  go [ modname ] structure;
+  (!binds, !inits)
+
+(* Reachability from the roots: every path named anywhere in a bin/ or
+   bench/ file (whole files, so a bench module that shares a lib
+   module's name still counts) and in a lib initialiser; a reached lib
+   binding reaches every path in its body.  An exported [val] of a lib
+   .mli, nested signatures included, that nothing reaches is code only
+   tests or examples run. *)
+let unreached_export_diagnostics g pfiles =
+  let bodies = Hashtbl.create 1024 in
+  let reached = Hashtbl.create 1024 in
+  let queue = Queue.create () in
+  let reach key =
+    if not (Hashtbl.mem reached key) then begin
+      Hashtbl.replace reached key ();
+      Queue.push key queue
+    end
+  in
+  let refer ~amap ~opens ~mods paths =
+    List.iter (fun p -> List.iter reach (path_keys ~amap ~opens ~mods p)) paths
+  in
+  List.iter
+    (fun pf ->
+      let amap = aliases_of g pf.p_path and opens = opened_modules pf.p_ast in
+      match pf.p_ast with
+      | K.Impl structure when lib_file pf.p_path ->
+        let binds, inits = structure_sites pf.p_mod structure in
+        List.iter
+          (fun (name, mods, e) ->
+            Hashtbl.add bodies (List.hd mods, name) (amap, opens, mods, e))
+          binds;
+        List.iter
+          (fun (mods, e) ->
+            refer ~amap ~opens ~mods
+              (referenced_paths ~visit:(fun it -> it.Ast_iterator.expr it e)))
+          inits
+      | ast when root_file pf.p_path ->
+        refer ~amap ~opens ~mods:[ pf.p_mod ]
+          (referenced_paths ~visit:(fun it -> K.iter_ast it ast))
+      | _ -> ())
+    pfiles;
+  while not (Queue.is_empty queue) do
+    List.iter
+      (fun (amap, opens, mods, e) ->
+        refer ~amap ~opens ~mods
+          (referenced_paths ~visit:(fun it -> it.Ast_iterator.expr it e)))
+      (Hashtbl.find_all bodies (Queue.pop queue))
+  done;
+  List.concat_map
+    (fun pf ->
+      match pf.p_ast with
+      | K.Intf signature when lib_file pf.p_path ->
+        let rec go mods items =
+          List.concat_map
+            (fun item ->
+              match item.psig_desc with
+              | Psig_value vd
+                when not (Hashtbl.mem reached (List.hd mods, vd.pval_name.Asttypes.txt)) ->
+                [
+                  {
+                    K.file = pf.p_path;
+                    line = K.line_of vd.pval_loc;
+                    rule = rule_unreached;
+                    message =
+                      Printf.sprintf
+                        "%s is exported but no bin/ or bench/ code reaches \
+                         it: delete it, move it to test/ or examples/, or \
+                         stop exporting it"
+                        (String.concat "." (List.rev (vd.pval_name.Asttypes.txt :: mods)));
+                  };
+                ]
+              | Psig_module
+                  {
+                    pmd_name = { Asttypes.txt = Some name; _ };
+                    pmd_type = { pmty_desc = Pmty_signature sub; _ };
+                    _;
+                  } ->
+                go (name :: mods) sub
+              | _ -> [])
+            items
+        in
+        go [ pf.p_mod ] signature
+      | _ -> [])
+    pfiles
+
+(* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1330,7 +1523,10 @@ let analyze_sources ?registry sources =
         pfiles;
       registry_diagnostics reg u
   in
-  let raw = lock_diags @ escape_diags @ registry_diags in
+  let raw =
+    lock_diags @ escape_diags @ registry_diags
+    @ unreached_export_diagnostics g pfiles
+  in
   (* Apply per-file suppression comments (the marker followed by
      ": allow RULE" and a mandatory reason). *)
   let by_file = Hashtbl.create 16 in

@@ -3,11 +3,10 @@
    Usage: tdmd_analyze --registry FILE [options] PATH...
    Same contract as tdmd-lint (shared driver in Check_kit): paths are
    walked for .ml/.mli, diagnostics print as "file:line: [rule]
-   message", exit 1 on fresh violations (or stale baseline entries
-   under --check-baseline), 2 on usage errors.  The whole file set is
-   analyzed in one pass: the lock-order and domain-escape analyses are
-   interprocedural and the registry check needs every use site before
-   it can call an entry orphaned. *)
+   message", exit 1 on any violation, 2 on usage errors.  The whole
+   file set is analyzed in one pass: the lock-order, domain-escape and
+   unreached-export analyses are interprocedural, and the registry
+   check needs every use site before it can call an entry orphaned. *)
 
 let registry = ref ""
 

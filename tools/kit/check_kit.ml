@@ -1,11 +1,11 @@
 (* Shared machinery for the repo's static-analysis tools (tdmd-lint,
-   tdmd-analyze): diagnostics, suppression comments, baselines, file
-   walking, JSON/SARIF reports and the common command-line driver.
+   tdmd-analyze): diagnostics, suppression comments, file walking, the
+   SARIF report and the common command-line driver.
 
    Both tools are compiler-libs AST passes with the same operational
-   contract — "file:line: [rule] message" output, a checked-in baseline
-   that only shrinks, and reasoned in-source suppressions — so the
-   contract lives here once and the tools plug in only their rules. *)
+   contract — "file:line: [rule] message" output, no grandfathered
+   findings, and reasoned in-source suppressions — so the contract
+   lives here once and the tools plug in only their rules. *)
 
 type diagnostic = { file : string; line : int; rule : string; message : string }
 
@@ -183,27 +183,7 @@ let suppressed (table : suppressions) rule line =
   covers line || covers (line - 1)
 
 (* ------------------------------------------------------------------ *)
-(* Baseline                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let baseline_key d = Printf.sprintf "%s:%d:%s" d.file d.line d.rule
-
-let load_baseline path =
-  let table = Hashtbl.create 16 in
-  (if Sys.file_exists path then
-     let content = read_file path in
-     List.iter
-       (fun line ->
-         let line = String.trim line in
-         if line <> "" && line.[0] <> '#' then Hashtbl.replace table line ())
-       (String.split_on_char '\n' content));
-  table
-
-let baseline_entries diagnostics =
-  List.map baseline_key (List.sort compare_diagnostic diagnostics)
-
-(* ------------------------------------------------------------------ *)
-(* Reports: JSON and SARIF                                             *)
+(* SARIF report                                                        *)
 (* ------------------------------------------------------------------ *)
 
 let json_escape s =
@@ -221,17 +201,6 @@ let json_escape s =
       | c -> Buffer.add_char buf c)
     s;
   Buffer.contents buf
-
-let diagnostics_to_json ~tool diagnostics =
-  let item d =
-    Printf.sprintf
-      "{\"file\":\"%s\",\"line\":%d,\"rule\":\"%s\",\"message\":\"%s\"}"
-      (json_escape d.file) d.line (json_escape d.rule) (json_escape d.message)
-  in
-  Printf.sprintf "{\"tool\":\"%s\",\"count\":%d,\"violations\":[%s]}"
-    (json_escape tool)
-    (List.length diagnostics)
-    (String.concat "," (List.map item diagnostics))
 
 (* Minimal SARIF 2.1.0 — enough for GitHub's code-scanning upload to
    render each diagnostic as an annotation on the PR diff. *)
@@ -257,8 +226,8 @@ let diagnostics_to_sarif ~tool ~rules diagnostics =
 (* ------------------------------------------------------------------ *)
 
 let normalize path =
-  (* "./lib//server" -> "lib/server"; keeps diagnostics and the
-     baseline stable however the tool is invoked. *)
+  (* "./lib//server" -> "lib/server"; keeps diagnostics stable however
+     the tool is invoked. *)
   let parts =
     String.split_on_char '/' path |> List.filter (fun s -> s <> "" && s <> ".")
   in
@@ -319,26 +288,12 @@ let main tool =
     Printf.sprintf "%s [options] PATH...\nOptions:"
       (Filename.basename Sys.executable_name)
   in
-  let baseline_file = ref "" in
-  let update_baseline = ref false in
-  let check_baseline = ref false in
-  let json_out = ref "" in
   let sarif_out = ref "" in
   let excludes = ref [] in
   let list_rules = ref false in
   let roots = ref [] in
   let spec =
     [
-      ( "--baseline",
-        Arg.Set_string baseline_file,
-        "FILE grandfathered violations (one file:line:rule per line)" );
-      ( "--update-baseline",
-        Arg.Set update_baseline,
-        " rewrite the baseline file with every current violation" );
-      ( "--check-baseline",
-        Arg.Set check_baseline,
-        " fail (exit 1) on stale baseline entries, so baselines only shrink" );
-      ("--json", Arg.Set_string json_out, "FILE write a JSON report");
       ( "--sarif",
         Arg.Set_string sarif_out,
         "FILE write a SARIF 2.1.0 report (GitHub code-scanning annotations)" );
@@ -369,63 +324,17 @@ let main tool =
   let diagnostics =
     List.sort compare_diagnostic (tool.analyze ~files)
   in
-  if !update_baseline then begin
-    if !baseline_file = "" then begin
-      Printf.eprintf "%s: --update-baseline needs --baseline FILE\n" tool.name;
-      exit 2
-    end;
-    write_file !baseline_file
-      (Printf.sprintf
-         "# %s baseline: grandfathered violations (file:line:rule).\n\
-          # Regenerate with: %s --baseline FILE --update-baseline PATH...\n%s"
-         tool.name tool.name
-         (String.concat ""
-            (List.map (fun e -> e ^ "\n") (baseline_entries diagnostics))));
-    Printf.printf "%s: baseline updated with %d entries\n" tool.name
-      (List.length diagnostics);
-    exit 0
-  end;
-  let baseline =
-    if !baseline_file = "" then Hashtbl.create 1
-    else load_baseline !baseline_file
-  in
-  let fresh, grandfathered =
-    List.partition
-      (fun d -> not (Hashtbl.mem baseline (baseline_key d)))
-      diagnostics
-  in
-  (* Stale baseline entries are fixed sites: by default prompt for a
-     re-baseline; under --check-baseline they fail the run, so the file
-     only ever shrinks deliberately. *)
-  let live = Hashtbl.create 16 in
-  List.iter (fun d -> Hashtbl.replace live (baseline_key d) ()) grandfathered;
-  let stale = ref [] in
-  Hashtbl.iter
-    (fun key () -> if not (Hashtbl.mem live key) then stale := key :: !stale)
-    baseline;
-  let stale = List.sort compare !stale in
-  List.iter
-    (fun key ->
-      Printf.eprintf "%s: stale baseline entry %s (fixed? run --update-baseline)\n"
-        tool.name key)
-    stale;
-  if !json_out <> "" then
-    write_file !json_out (diagnostics_to_json ~tool:tool.name fresh ^ "\n");
   if !sarif_out <> "" then
     write_file !sarif_out
-      (diagnostics_to_sarif ~tool:tool.name ~rules:tool.rule_catalogue fresh
+      (diagnostics_to_sarif ~tool:tool.name ~rules:tool.rule_catalogue
+         diagnostics
       ^ "\n");
-  List.iter (fun d -> print_endline (to_string d)) fresh;
-  let stale_fails = !check_baseline && stale <> [] in
-  if fresh <> [] || stale_fails then begin
-    Printf.eprintf
-      "%s: %d violation(s) in %d file(s) scanned (%d grandfathered, %d stale)\n"
-      tool.name (List.length fresh) (List.length files)
-      (List.length grandfathered)
-      (List.length stale);
+  List.iter (fun d -> print_endline (to_string d)) diagnostics;
+  if diagnostics <> [] then begin
+    Printf.eprintf "%s: %d violation(s) in %d file(s) scanned\n" tool.name
+      (List.length diagnostics) (List.length files);
     exit 1
   end
   else
-    Printf.eprintf "%s: clean \xe2\x80\x94 %d file(s) scanned, %d grandfathered\n"
-      tool.name (List.length files)
-      (List.length grandfathered)
+    Printf.eprintf "%s: clean \xe2\x80\x94 %d file(s) scanned\n" tool.name
+      (List.length files)

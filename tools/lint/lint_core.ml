@@ -1,8 +1,8 @@
 (* tdmd-lint: a compiler-libs AST pass enforcing the repo's per-file
    concurrency, I/O and exception-safety invariants.  (Whole-program
    properties — lock ordering, domain escape, string registries — live
-   in tools/analyze; the shared suppression/baseline/report machinery
-   lives in tools/kit.)
+   in tools/analyze; the shared suppression/report machinery lives in
+   tools/kit.)
 
    Every rule is grounded in a bug this repo actually shipped: the
    [Obj.magic] heap dummy (PR 2), EINTR-unsafe [Unix.read]/[Unix.write]
@@ -413,13 +413,3 @@ let rules_for_path path =
       | Catch_all -> not (under "test")
       | Poly_compare_record | Poly_order -> under "lib/core")
     all_rules
-
-(* ------------------------------------------------------------------ *)
-(* Baseline and reports (shared with tdmd-analyze via Check_kit)       *)
-(* ------------------------------------------------------------------ *)
-
-let baseline_key = K.baseline_key
-let load_baseline = K.load_baseline
-let baseline_entries = K.baseline_entries
-let json_escape = K.json_escape
-let diagnostics_to_json diagnostics = K.diagnostics_to_json ~tool:marker diagnostics

@@ -3,10 +3,9 @@
    Usage: tdmd_lint [options] PATH...
    Paths are files or directories (searched recursively for .ml/.mli
    files, skipping _build and .git).  Diagnostics print as
-   "file:line: [rule] message"; the exit status is 1 when any
-   non-baselined violation remains (or, under --check-baseline, when a
-   baseline entry no longer fires), 2 on usage errors.  All flag
-   handling lives in Check_kit.main, shared with tdmd-analyze. *)
+   "file:line: [rule] message"; the exit status is 1 when any violation
+   remains, 2 on usage errors.  All flag handling lives in
+   Check_kit.main, shared with tdmd-analyze. *)
 
 let () =
   Check_kit.main
